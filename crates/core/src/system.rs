@@ -764,7 +764,7 @@ impl ApuSystem {
     ///
     /// Allocation attribution requires the process to install a counting
     /// `#[global_allocator]` that reports into `alloc_track` (the
-    /// `sim_throughput` bench does); without one the alloc columns read
+    /// benchmark in `bench/` does); without one the alloc columns read
     /// zero. Profiling only instruments the event-core run loop — the
     /// per-cycle `--no-skip` oracle is never profiled.
     pub fn enable_profiler(&mut self) {
@@ -1981,8 +1981,6 @@ impl ApuSystem {
             }
             Phase::DrainKernel => {
                 if !self.hierarchy_busy() {
-                    let dirty = self.l2s.iter().any(|c| !c.policy().cache_stores);
-                    let _ = dirty;
                     for c in &mut self.l2s {
                         c.start_flush();
                     }

@@ -2,7 +2,7 @@
 //!
 //! The engine itself installs no allocator (this crate forbids `unsafe`).
 //! Instead, a binary that wants allocation counts — the `zero_alloc`
-//! steady-state test, the `sim_throughput` hot-path profile — installs
+//! steady-state test, the benchmark's traced run (`bench/`) — installs
 //! its own `#[global_allocator]` wrapper around the system allocator and
 //! reports every allocation here. The simulator's profiler then reads
 //! [`count`] deltas around each event dispatch to attribute allocations

@@ -17,8 +17,9 @@
 
 use crate::cache::ResultCache;
 use crate::figures::{fig10, fig11, fig12, fig13, fig4, fig5, fig6, fig7, fig8, fig9, FigureData};
-use crate::pool::{PoolOptions, RetryPolicy};
-use crate::sweep::{run_sweep, run_sweep_journaled, JournalOptions, SweepOptions, SweepRun};
+use crate::kind::JobKind;
+use crate::pool::{PoolOptions, ResultSource, RetryPolicy};
+use crate::sweep::{open_journal, run_kind, run_sweep, JournalOptions, SweepOptions, SweepRun};
 use miopt::runner::SweepSpec;
 use miopt::SystemConfig;
 use miopt_workloads::{suite, SuiteConfig, Workload};
@@ -35,6 +36,148 @@ const ALL_OUTPUTS: [&str; 12] = [
 /// Sampling interval a bare `--telemetry` selects, in cycles.
 pub const DEFAULT_TELEMETRY_INTERVAL: u64 = 100_000;
 
+/// The options `miopt-harness` and `miopt-harness serve` share, parsed
+/// in one place.
+pub struct CommonArgs {
+    /// Worker threads (0 = all available cores).
+    pub jobs: usize,
+    /// Extra attempts for timed-out/panicked jobs (0 = no retries). Not
+    /// part of the journal fingerprint: the retry budget may change
+    /// between a run and its resume.
+    pub retries: usize,
+    /// Force per-cycle stepping, disabling event-driven time skipping
+    /// (bit-identical, slower; for equivalence checks and debugging).
+    pub no_skip: bool,
+    /// Enable sentinel invariant checking and the forward-progress
+    /// watchdog for every job.
+    pub check_invariants: bool,
+    /// Directory sweep reports are written under.
+    pub runs_dir: PathBuf,
+    /// Sweep report name (the `results/runs/<name>.json` stem).
+    pub sweep_name: String,
+    /// Resume the named interrupted run instead of starting fresh.
+    pub resume: Option<String>,
+    /// Disable the write-ahead journal (journaling is on by default for
+    /// non-telemetry sweeps).
+    pub no_journal: bool,
+    /// Suppress per-job progress lines.
+    pub quiet: bool,
+}
+
+impl CommonArgs {
+    pub(crate) fn new() -> CommonArgs {
+        CommonArgs {
+            jobs: 0,
+            retries: 0,
+            no_skip: false,
+            check_invariants: false,
+            runs_dir: PathBuf::from("results/runs"),
+            sweep_name: String::new(),
+            resume: None,
+            no_journal: false,
+            quiet: false,
+        }
+    }
+
+    /// Consumes `flag` if it is one of the shared flags, pulling its
+    /// value (when it has one) from `value`; `false` leaves it to the
+    /// subcommand's own parser.
+    pub(crate) fn take(&mut self, flag: &str, value: &mut dyn FnMut(&str) -> String) -> bool {
+        match flag {
+            "--jobs" => self.jobs = value("--jobs").parse().expect("--jobs needs a number"),
+            "--serial" => self.jobs = 1,
+            "--retries" => {
+                self.retries = value("--retries")
+                    .parse()
+                    .expect("--retries needs a number");
+            }
+            "--no-skip" => self.no_skip = true,
+            "--check-invariants" => self.check_invariants = true,
+            "--out" => self.runs_dir = PathBuf::from(value("--out")),
+            "--sweep-name" => self.sweep_name = value("--sweep-name"),
+            "--resume" => self.resume = Some(value("--resume")),
+            "--no-journal" => self.no_journal = true,
+            "--quiet" => self.quiet = true,
+            _ => return false,
+        }
+        true
+    }
+
+    /// Settles the run name once every flag is read: `default_name`
+    /// unless `--sweep-name` was given, and in either case the resumed
+    /// run's id (it names both the journal and the report).
+    pub(crate) fn finish(&mut self, default_name: String) {
+        assert!(
+            !(self.resume.is_some() && self.no_journal),
+            "--resume cannot be combined with --no-journal (resuming replays the journal)"
+        );
+        if self.sweep_name.is_empty() {
+            self.sweep_name = default_name;
+        }
+        if let Some(id) = &self.resume {
+            self.sweep_name.clone_from(id);
+        }
+    }
+
+    /// The worker pool these flags ask for.
+    #[must_use]
+    pub fn pool_options(&self) -> PoolOptions {
+        PoolOptions {
+            workers: self.jobs,
+            progress: !self.quiet,
+            retry: RetryPolicy {
+                max_attempts: self.retries + 1,
+                ..RetryPolicy::default()
+            },
+            ..PoolOptions::default()
+        }
+    }
+}
+
+/// Runs `kind` the way both subcommands do: through the pool `pool`,
+/// with a write-ahead journal under `--out` when `journaled` (resumed
+/// when `--resume` names it), and the final report written to
+/// `<out>/<name>.json`. Returns the process exit code when the journal
+/// cannot be opened or the report cannot be written.
+pub(crate) fn drive<K: JobKind>(
+    kind: &Arc<K>,
+    common: &CommonArgs,
+    pool: &PoolOptions,
+    cache: Option<&dyn ResultSource<K>>,
+    journaled: bool,
+) -> Result<SweepRun<K>, i32> {
+    let name = &common.sweep_name;
+    let mut journal = None;
+    if journaled {
+        eprintln!("run id: {name} (resume an interrupted sweep with --resume {name})");
+        let opts = JournalOptions {
+            dir: common.runs_dir.clone(),
+            resume: common.resume.is_some(),
+        };
+        journal = Some(open_journal(kind.as_ref(), name, &opts).map_err(|e| {
+            eprintln!("error: {e}");
+            1
+        })?);
+    }
+    let t0 = Instant::now();
+    let run = run_kind(kind, name, pool, cache, journal);
+    eprintln!("sweep done in {:.1}s", t0.elapsed().as_secs_f64());
+    match run.write_report(&common.runs_dir, name) {
+        Ok(path) => eprintln!("(wrote {})", path.display()),
+        Err(e) => {
+            eprintln!(
+                "error: could not write the report under {}: {e}",
+                common.runs_dir.display()
+            );
+            if !run.cleanup.is_empty() {
+                eprintln!("the journal is kept: fix --out and finish the run with --resume {name}");
+            }
+            return Err(1);
+        }
+    }
+    Ok(run)
+}
+
 /// Parsed command-line options.
 pub struct CliArgs {
     /// Workload suite scale.
@@ -47,41 +190,22 @@ pub struct CliArgs {
     pub csv_dir: Option<String>,
     /// Selected outputs (table/figure names without the `--`).
     pub selected: BTreeSet<String>,
-    /// Worker threads (0 = all available cores).
-    pub jobs: usize,
+    /// The options shared with `serve`.
+    pub common: CommonArgs,
     /// Skip the persistent result cache.
     pub no_cache: bool,
     /// Result cache directory.
     pub cache_dir: PathBuf,
-    /// Directory sweep reports are written under.
-    pub runs_dir: PathBuf,
-    /// Sweep report name (the `results/runs/<name>.json` stem).
-    pub sweep_name: String,
     /// Per-job wall-clock timeout.
     pub timeout: Option<Duration>,
-    /// Suppress per-job progress lines.
-    pub quiet: bool,
     /// Run the sweep serially AND in parallel and verify byte-identical
     /// figures, reporting the speedup.
     pub compare: bool,
     /// Telemetry sampling interval in cycles, when `--telemetry` was
     /// given (`None` = telemetry off).
     pub telemetry: Option<u64>,
-    /// Enable sentinel invariant checking and the forward-progress
-    /// watchdog for every job.
-    pub check_invariants: bool,
-    /// Force per-cycle stepping, disabling event-driven time skipping
-    /// (bit-identical, slower; for equivalence checks and debugging).
-    pub no_skip: bool,
     /// Cancel queued jobs after the first failure.
     pub fail_fast: bool,
-    /// Extra attempts for timed-out/panicked jobs (0 = no retries).
-    pub retries: usize,
-    /// Disable the write-ahead journal (journaling is on by default for
-    /// non-telemetry sweeps).
-    pub no_journal: bool,
-    /// Resume the named interrupted run instead of starting fresh.
-    pub resume: Option<String>,
 }
 
 /// Parses CLI arguments (everything after the program name).
@@ -98,21 +222,13 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> CliArgs {
         only: None,
         csv_dir: None,
         selected: BTreeSet::new(),
-        jobs: 0,
+        common: CommonArgs::new(),
         no_cache: false,
         cache_dir: ResultCache::default_dir(),
-        runs_dir: PathBuf::from("results/runs"),
-        sweep_name: String::new(),
         timeout: None,
-        quiet: false,
         compare: false,
         telemetry: None,
-        check_invariants: false,
-        no_skip: false,
         fail_fast: false,
-        retries: 0,
-        no_journal: false,
-        resume: None,
     };
     let mut args = args;
     while let Some(a) = args.next() {
@@ -120,6 +236,9 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> CliArgs {
             args.next()
                 .unwrap_or_else(|| panic!("{flag} needs a value"))
         };
+        if out.common.take(&a, &mut value) {
+            continue;
+        }
         match a.as_str() {
             "--scale" => {
                 let v = value("--scale");
@@ -134,32 +253,16 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> CliArgs {
                 out.only = Some(value("--only").split(',').map(str::to_lowercase).collect());
             }
             "--csv" => out.csv_dir = Some(value("--csv")),
-            "--jobs" => {
-                out.jobs = value("--jobs").parse().expect("--jobs needs a number");
-            }
-            "--serial" => out.jobs = 1,
             "--no-cache" => out.no_cache = true,
             "--cache-dir" => out.cache_dir = PathBuf::from(value("--cache-dir")),
-            "--out" => out.runs_dir = PathBuf::from(value("--out")),
-            "--sweep-name" => out.sweep_name = value("--sweep-name"),
             "--timeout-secs" => {
                 let secs: u64 = value("--timeout-secs")
                     .parse()
                     .expect("--timeout-secs needs a number");
                 out.timeout = Some(Duration::from_secs(secs));
             }
-            "--quiet" => out.quiet = true,
             "--compare" => out.compare = true,
-            "--check-invariants" => out.check_invariants = true,
-            "--no-skip" => out.no_skip = true,
             "--fail-fast" => out.fail_fast = true,
-            "--retries" => {
-                out.retries = value("--retries")
-                    .parse()
-                    .expect("--retries needs a number");
-            }
-            "--no-journal" => out.no_journal = true,
-            "--resume" => out.resume = Some(value("--resume")),
             "--telemetry" => out.telemetry = Some(DEFAULT_TELEMETRY_INTERVAL),
             s if s.starts_with("--telemetry=") => {
                 let interval: u64 = s["--telemetry=".len()..]
@@ -181,13 +284,7 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> CliArgs {
     if out.selected.is_empty() {
         out.selected.extend(ALL_OUTPUTS.map(String::from));
     }
-    if out.sweep_name.is_empty() {
-        out.sweep_name = format!("figures-{}", out.scale_name);
-    }
-    if let Some(id) = &out.resume {
-        // The run id names both the journal and the report.
-        out.sweep_name.clone_from(id);
-    }
+    out.common.finish(format!("figures-{}", out.scale_name));
     out
 }
 
@@ -313,70 +410,41 @@ pub fn run(args: &CliArgs) -> i32 {
     if let Some(interval) = args.telemetry {
         spec = spec.with_telemetry(interval);
     }
-    if args.check_invariants {
+    if args.common.check_invariants {
         spec = spec.with_invariant_checks();
     }
-    if args.no_skip {
+    if args.common.no_skip {
         spec = spec.with_no_skip();
     }
     let spec = Arc::new(spec);
-    let opts = SweepOptions {
-        pool: PoolOptions {
-            workers: args.jobs,
-            job_timeout: args.timeout,
-            progress: !args.quiet,
-            retry: RetryPolicy {
-                max_attempts: args.retries + 1,
-                ..RetryPolicy::default()
-            },
-            fail_fast: args.fail_fast,
-        },
-        cache: (!args.no_cache).then(|| ResultCache::new(&args.cache_dir)),
+    let pool = PoolOptions {
+        job_timeout: args.timeout,
+        fail_fast: args.fail_fast,
+        ..args.common.pool_options()
     };
-    if args.resume.is_some() && args.telemetry.is_some() {
+    let cache = (!args.no_cache).then(|| ResultCache::new(&args.cache_dir));
+    if args.common.resume.is_some() && args.telemetry.is_some() {
         eprintln!("error: --resume cannot be combined with --telemetry (telemetry sweeps are not journaled)");
         return 1;
     }
-    let journaled = args.telemetry.is_none() && !args.no_journal;
+    if args.telemetry.is_some() && cache.is_some() {
+        eprintln!("note: telemetry enabled; bypassing the result cache so every job records a time series");
+    }
+    let journaled = args.telemetry.is_none() && !args.common.no_journal;
 
     eprintln!(
         "running sweep: {} workloads x {} policies = {} jobs on {} worker(s) ...",
         spec.workloads.len(),
         spec.policies.len(),
         spec.job_count(),
-        opts.pool.effective_workers(),
+        pool.effective_workers(),
     );
-    let t0 = Instant::now();
-    let run: SweepRun = if journaled {
-        let journal = JournalOptions {
-            dir: args.runs_dir.clone(),
-            resume: args.resume.is_some(),
-        };
-        eprintln!(
-            "run id: {} (resume an interrupted sweep with --resume {})",
-            args.sweep_name, args.sweep_name
-        );
-        match run_sweep_journaled(&spec, &args.sweep_name, &opts, &journal) {
-            Ok(run) => run,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        }
-    } else {
-        run_sweep(&spec, &args.sweep_name, &opts)
+    let cache = cache.as_ref().map(|c| c as &dyn ResultSource<SweepSpec>);
+    let run = match drive(&spec, &args.common, &pool, cache, journaled) {
+        Ok(run) => run,
+        Err(code) => return code,
     };
-    let parallel_elapsed = t0.elapsed();
-    eprintln!("sweep done in {:.1}s", parallel_elapsed.as_secs_f64());
-
-    match run.report.write_under(&args.runs_dir) {
-        Ok(path) => {
-            eprintln!("(wrote {})", path.display());
-            // The final report is durable; drop the write-ahead state.
-            run.remove_journal_state();
-        }
-        Err(e) => eprintln!("warning: could not write sweep report: {e}"),
-    }
+    let parallel_elapsed = Duration::from_millis(run.report.provenance.elapsed_ms);
 
     let results = match run.results(&spec) {
         Ok(r) => r,
@@ -390,7 +458,8 @@ pub fn run(args: &CliArgs) -> i32 {
     };
 
     if args.telemetry.is_some() {
-        let dir = args.runs_dir.join(format!("{}-telemetry", args.sweep_name));
+        let name = &args.common.sweep_name;
+        let dir = args.common.runs_dir.join(format!("{name}-telemetry"));
         let mut written = 0usize;
         for result in &results {
             match crate::telemetry::write_files(&dir, result) {
@@ -415,7 +484,7 @@ pub fn run(args: &CliArgs) -> i32 {
     }
 
     if args.compare {
-        return compare(&spec, &results, need_ladder, parallel_elapsed, &opts);
+        return compare(&spec, &results, need_ladder, parallel_elapsed, &pool);
     }
     0
 }
@@ -427,14 +496,13 @@ fn compare(
     parallel_results: &[miopt::runner::RunResult],
     need_ladder: bool,
     parallel_elapsed: Duration,
-    opts: &SweepOptions,
+    pool: &PoolOptions,
 ) -> i32 {
     eprintln!("comparing against a serial uncached sweep ...");
     let serial_opts = SweepOptions {
         pool: PoolOptions {
             workers: 1,
-            progress: opts.pool.progress,
-            ..opts.pool.clone()
+            ..pool.clone()
         },
         cache: None,
     };
@@ -471,8 +539,21 @@ fn compare(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The message a parser refuses its arguments with (it panics, on a
+    /// thread of its own so the test outlives it).
+    pub(crate) fn refusal<T: Send + 'static>(parse: impl FnOnce() -> T + Send + 'static) -> String {
+        let payload = std::thread::spawn(parse)
+            .join()
+            .err()
+            .expect("the arguments are refused");
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => (*payload.downcast::<&str>().expect("a message")).to_string(),
+        }
+    }
 
     fn parse(list: &[&str]) -> CliArgs {
         parse_args(list.iter().map(|s| (*s).to_string()))
@@ -482,9 +563,9 @@ mod tests {
     fn defaults_select_everything() {
         let a = parse(&[]);
         assert_eq!(a.selected.len(), ALL_OUTPUTS.len());
-        assert_eq!(a.jobs, 0);
+        assert_eq!(a.common.jobs, 0);
         assert!(!a.no_cache);
-        assert_eq!(a.sweep_name, "figures-paper");
+        assert_eq!(a.common.sweep_name, "figures-paper");
     }
 
     #[test]
@@ -510,16 +591,16 @@ mod tests {
         assert_eq!(a.only.as_ref().unwrap().len(), 2);
         assert!(a.only.unwrap().contains("fwsoft"));
         assert_eq!(a.selected.iter().collect::<Vec<_>>(), vec!["fig6"]);
-        assert_eq!(a.jobs, 4);
+        assert_eq!(a.common.jobs, 4);
         assert!(a.no_cache);
         assert_eq!(a.timeout, Some(Duration::from_secs(30)));
-        assert!(a.quiet);
-        assert_eq!(a.sweep_name, "mysweep");
+        assert!(a.common.quiet);
+        assert_eq!(a.common.sweep_name, "mysweep");
     }
 
     #[test]
     fn serial_is_one_worker() {
-        assert_eq!(parse(&["--serial"]).jobs, 1);
+        assert_eq!(parse(&["--serial"]).common.jobs, 1);
     }
 
     #[test]
@@ -541,6 +622,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "unexpected argument")]
     fn unknown_positional_rejected() {
+        // Resuming replays the journal, so the pair is refused by name
+        // instead of `--no-journal` silently re-running the grid.
+        let refusal = refusal(|| parse(&["--resume", "x", "--no-journal"]));
+        assert!(refusal.contains("--resume") && refusal.contains("--no-journal"));
         drop(parse(&["fig6"]));
     }
 
@@ -554,25 +639,25 @@ mod tests {
             "2",
             "--no-journal",
         ]);
-        assert!(a.check_invariants);
-        assert!(a.no_skip);
+        assert!(a.common.check_invariants);
+        assert!(a.common.no_skip);
         assert!(a.fail_fast);
-        assert_eq!(a.retries, 2);
-        assert!(a.no_journal);
-        assert!(a.resume.is_none());
-        let d = parse(&[]);
-        assert!(!d.check_invariants && !d.no_skip && !d.fail_fast && !d.no_journal);
+        assert_eq!(a.common.retries, 2);
+        assert!(a.common.no_journal);
+        assert!(a.common.resume.is_none());
+        let d = parse(&[]).common;
+        assert!(!d.check_invariants && !d.no_skip && !d.no_journal);
         assert_eq!(d.retries, 0);
     }
 
     #[test]
     fn resume_names_the_run() {
-        let a = parse(&["--resume", "figures-quick"]);
+        let a = parse(&["--resume", "figures-quick"]).common;
         assert_eq!(a.resume.as_deref(), Some("figures-quick"));
         assert_eq!(a.sweep_name, "figures-quick");
         // An explicit --sweep-name is overridden by the resume id: the
         // journal lives under the original run's name.
         let b = parse(&["--sweep-name", "other", "--resume", "orig"]);
-        assert_eq!(b.sweep_name, "orig");
+        assert_eq!(b.common.sweep_name, "orig");
     }
 }

@@ -16,21 +16,24 @@
 //! FNV-1a checksum (see `miopt-store` for the format and the recovery
 //! state machine):
 //!
-//! * Record 1 — a header object: `{"journal": <name>,
-//!   "schema_version": …, "journal_version": …, "fingerprint": <sweep
-//!   fingerprint>, "jobs": <total job count>}`.
-//! * Records 2.. — one compact [`JobRecord`] per completed job, in
-//!   completion order (job ids make the order irrelevant on replay).
+//! * Record 1 — a header object: `{"journal": <name>, ["kind": …,]
+//!   "schema_version": …, "journal_version": …, "fingerprint": <grid
+//!   fingerprint>, <the kind's extras>, "jobs": <total job count>}`.
+//! * Records 2.. — one compact [`JobKind::Record`] per completed job,
+//!   in completion order (job ids make the order irrelevant on replay).
+//!
+//! This module is the only place that knows the header layout, the
+//! fingerprint check and what a damaged store means for a resume; the
+//! [`JobKind`] supplies the fingerprint, the header extras and the
+//! record codec, so figure and serve sweeps share every line of it.
 //!
 //! On resume, a torn final record (the in-flight write at kill time)
 //! is truncated away and the sweep continues; *interior* damage — a
 //! bit flip, a missing record in the middle — is refused with a
 //! descriptive error naming the byte offset, and the damaged file is
-//! quarantined for forensics. The v1 plain-JSONL journal format
-//! (`<name>.journal.jsonl`) is migrated to the store automatically the
-//! first time it is resumed.
+//! quarantined for forensics.
 //!
-//! The [`sweep_fingerprint`] ties a journal to the exact sweep that
+//! The [`JobKind::fingerprint`] ties a journal to the exact sweep that
 //! wrote it: the machine config, the job grid (workload identities and
 //! policy labels), the run options, and any injected faults. Resuming
 //! with different CLI flags (a different `--scale`, an added policy, a
@@ -47,10 +50,9 @@
 //! Both files are removed once the final report is safely on disk.
 
 use crate::json::Json;
-use crate::provenance::config_hash;
-use crate::results::{JobRecord, SCHEMA_VERSION};
+use crate::kind::JobKind;
+use crate::results::SCHEMA_VERSION;
 use miopt::runner::SweepSpec;
-use miopt_engine::hash::Fnv1a;
 use miopt_store::{Durability, RecoveryKind, StoreOptions, Wal};
 use std::path::{Path, PathBuf};
 
@@ -65,183 +67,91 @@ pub fn journal_dir(runs_dir: &Path, name: &str) -> PathBuf {
     runs_dir.join(format!("{name}.journal"))
 }
 
-/// The legacy (version 1) plain-JSONL journal path. Only consulted to
-/// migrate interrupted v1 runs; new journals are stores under
-/// [`journal_dir`].
-#[must_use]
-pub fn journal_v1_path(runs_dir: &Path, name: &str) -> PathBuf {
-    runs_dir.join(format!("{name}.journal.jsonl"))
-}
-
-/// The partial-report path for a sweep named `name` under `runs_dir`.
-#[must_use]
-pub fn partial_path(runs_dir: &Path, name: &str) -> PathBuf {
-    runs_dir.join(format!("{name}.partial.json"))
-}
-
 /// The store configuration every harness journal uses: fsync per
 /// record (a kill loses at most the in-flight job), small segments so
 /// long sweeps exercise sealing and compaction.
-#[must_use]
-pub fn journal_store_options() -> StoreOptions {
-    StoreOptions {
-        durability: Durability::PerRecord,
-        segment_bytes: 256 * 1024,
-    }
-}
-
-fn fingerprint_versioned(spec: &SweepSpec, journal_version: u32) -> String {
-    let mut h = Fnv1a::new();
-    h.write(config_hash(&spec.cfg).as_bytes());
-    h.write_u64(u64::from(SCHEMA_VERSION));
-    h.write_u64(u64::from(journal_version));
-    let jobs = spec.jobs();
-    h.write_u64(jobs.len() as u64);
-    for job in &jobs {
-        h.write(spec.workloads[job.workload].stable_id().as_bytes());
-        h.write(job.policy.label().as_bytes());
-    }
-    h.write(format!("{:?}", spec.run_opts).as_bytes());
-    h.write(format!("{:?}", spec.faults).as_bytes());
-    format!("{:016x}", h.finish())
-}
-
-/// Fingerprint binding a journal to one exact sweep: the machine
-/// config, results schema, job grid (stable workload ids × policy
-/// labels), run options, and injected faults. Any difference means the
-/// journaled outcomes are not interchangeable with the new sweep's.
-#[must_use]
-pub fn sweep_fingerprint(spec: &SweepSpec) -> String {
-    fingerprint_versioned(spec, JOURNAL_VERSION)
-}
-
-/// The fingerprint a version-1 journal of this sweep would carry (the
-/// journal version participates in the hash, so v1 files need their own
-/// expectation during migration).
-pub(crate) fn sweep_fingerprint_v1(spec: &SweepSpec) -> String {
-    fingerprint_versioned(spec, 1)
-}
+const STORE_OPTIONS: StoreOptions = StoreOptions {
+    durability: Durability::PerRecord,
+    segment_bytes: 256 * 1024,
+};
 
 /// Builds the header payload (record 1 of every journal store).
-fn header_json(name: &str, fingerprint: &str, jobs: u64) -> String {
-    Json::obj([
-        ("journal", Json::str(name)),
+fn header_json<K: JobKind>(name: &str, kind: &K) -> String {
+    let mut pairs = vec![("journal", Json::str(name))];
+    pairs.extend(K::KIND.map(|tag| ("kind", Json::str(tag))));
+    pairs.extend([
         ("schema_version", Json::U64(u64::from(SCHEMA_VERSION))),
         ("journal_version", Json::U64(u64::from(JOURNAL_VERSION))),
-        ("fingerprint", Json::str(fingerprint)),
-        ("jobs", Json::U64(jobs)),
-    ])
-    .to_compact()
+        ("fingerprint", Json::str(kind.fingerprint())),
+    ]);
+    pairs.extend(kind.header_extras());
+    pairs.push(("jobs", Json::U64(kind.jobs().len() as u64)));
+    Json::obj(pairs).to_compact()
 }
 
-/// An append-only journal writer. Each appended record is checksummed,
-/// sequence-numbered, and fsynced before `append` returns, so a
-/// `SIGKILL` loses at most the in-flight record.
-pub struct JournalWriter {
+/// An append-only journal of one sweep. Each appended record is
+/// checksummed, sequence-numbered, and fsynced before `append` returns,
+/// so a `SIGKILL` loses at most the in-flight record.
+pub struct Journal<K: JobKind> {
     wal: Wal,
+    /// Directory the journal store lives under.
+    pub runs_dir: PathBuf,
+    /// The sweep (and run id) the journal belongs to.
+    pub name: String,
+    /// Records of the jobs that completed before the run being resumed
+    /// died, in the order they completed; empty for a fresh journal.
+    pub entries: Vec<K::Record>,
 }
 
-impl JournalWriter {
-    /// Creates (replacing any previous journal of the same name, v1 or
-    /// v2) the journal store for `spec` and writes the header record.
+/// The figure sweeps' journal.
+pub type JournalWriter = Journal<SweepSpec>;
+
+impl<K: JobKind> Journal<K> {
+    /// Creates (replacing any previous journal of the same name) the
+    /// journal store for `kind` and writes the header record.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn create(runs_dir: &Path, name: &str, spec: &SweepSpec) -> std::io::Result<JournalWriter> {
+    pub fn create(runs_dir: &Path, name: &str, kind: &K) -> std::io::Result<Journal<K>> {
         std::fs::create_dir_all(runs_dir)?;
         let dir = journal_dir(runs_dir, name);
         if dir.is_dir() {
             std::fs::remove_dir_all(&dir)?;
         }
-        let v1 = journal_v1_path(runs_dir, name);
-        if v1.is_file() {
-            std::fs::remove_file(&v1)?;
-        }
-        let opened = Wal::open(&dir, journal_store_options())?;
-        let header = header_json(name, &sweep_fingerprint(spec), spec.jobs().len() as u64);
-        opened.wal.append(header.as_bytes())?;
-        Ok(JournalWriter { wal: opened.wal })
+        let opened = Wal::open(&dir, STORE_OPTIONS)?;
+        opened.wal.append(header_json(name, kind).as_bytes())?;
+        Ok(Journal {
+            wal: opened.wal,
+            runs_dir: runs_dir.to_path_buf(),
+            name: name.to_string(),
+            entries: Vec::new(),
+        })
     }
 
-    /// Reopens an existing journal store for appending (resume),
-    /// repairing a torn tail if the previous run was killed mid-append.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; a missing journal or interior
-    /// corruption is an error here too (the caller validates first via
-    /// [`Journal::load`], which also migrates v1 journals).
-    pub fn append_to(runs_dir: &Path, name: &str) -> std::io::Result<JournalWriter> {
-        let dir = journal_dir(runs_dir, name);
-        if !dir.is_dir() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("no journal store at {}", dir.display()),
-            ));
-        }
-        let opened = Wal::open(&dir, journal_store_options())?;
-        Ok(JournalWriter { wal: opened.wal })
-    }
-
-    /// Appends one job record, fsyncing it before returning. When
-    /// enough records have accumulated to seal segments, they are
-    /// folded into a snapshot in the background of the append path
-    /// (compaction never blocks other appenders).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn append(&self, record: &JobRecord) -> std::io::Result<()> {
-        self.wal.append(record.to_json_line().as_bytes())?;
-        if self.wal.sealed_segments() > 0 {
-            if let Err(e) = self.wal.compact() {
-                // Compaction is an optimization; the sealed segments
-                // remain readable, so a failed fold must not kill the
-                // sweep.
-                eprintln!("warning: journal compaction failed: {e}");
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A journal loaded for resume: the records of every job that completed
-/// before the previous run died.
-#[derive(Debug)]
-pub struct Journal {
-    /// Journaled records, in the order they completed.
-    pub entries: Vec<JobRecord>,
-}
-
-impl Journal {
-    /// Loads the journal store at `<runs_dir>/<name>.journal/` and
-    /// validates that it belongs to `spec` (same fingerprint) before
-    /// trusting any entry. A torn final record (the in-flight write at
-    /// kill time) is repaired and dropped; interior corruption is a
-    /// hard error naming the damaged file and byte offset (the file is
-    /// quarantined with a `.quarantined` suffix). A legacy v1 JSONL
-    /// journal is migrated to the store first.
+    /// Reopens the journal store at `<runs_dir>/<name>.journal/` for a
+    /// resume: validates that it belongs to `kind` (same fingerprint)
+    /// before trusting any entry, loads [`Journal::entries`], and
+    /// leaves the journal ready for further appends. A torn final
+    /// record (the in-flight write at kill time) is repaired and
+    /// dropped; interior corruption is a hard error naming the damaged
+    /// file and byte offset (the file is quarantined with a
+    /// `.quarantined` suffix).
     ///
     /// # Errors
     ///
     /// Returns a description when the journal is missing, unreadable,
     /// corrupt, or was written by a different sweep.
-    pub fn load(runs_dir: &Path, name: &str, spec: &SweepSpec) -> Result<Journal, String> {
+    pub fn resume(runs_dir: &Path, name: &str, kind: &K) -> Result<Journal<K>, String> {
         let dir = journal_dir(runs_dir, name);
         if !dir.is_dir() {
-            let v1 = journal_v1_path(runs_dir, name);
-            if v1.is_file() {
-                migrate_v1(runs_dir, name, spec)?;
-            } else {
-                return Err(format!(
-                    "no journal for run `{name}` at {} \
-                     (was the sweep started without journaling, or already completed?)",
-                    dir.display()
-                ));
-            }
+            return Err(format!(
+                "no journal for run `{name}` at {} \
+                 (was the sweep started without journaling, or already completed?)",
+                dir.display()
+            ));
         }
-        let opened = Wal::open(&dir, journal_store_options())
+        let opened = Wal::open(&dir, STORE_OPTIONS)
             .map_err(|e| format!("journal {} is damaged: {e}", dir.display()))?;
         if let RecoveryKind::TornTail {
             file,
@@ -267,17 +177,18 @@ impl Journal {
             .get("fingerprint")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("journal {} header lacks a fingerprint", dir.display()))?;
-        let expected = sweep_fingerprint(spec);
+        let expected = kind.fingerprint();
         if fingerprint != expected {
             return Err(format!(
-                "journal {} was written by a different sweep \
+                "journal {} was written by a different {}sweep \
                  (fingerprint {fingerprint}, this invocation is {expected}); \
                  resume with the exact flags of the original run, or delete \
                  the journal to start over",
-                dir.display()
+                dir.display(),
+                K::KIND.map_or(String::new(), |tag| format!("{tag} "))
             ));
         }
-        let total = spec.jobs().len();
+        let total = kind.jobs().len();
         let mut entries = Vec::new();
         for rec in records {
             // Every payload here survived a checksum, so parse failures
@@ -288,95 +199,51 @@ impl Journal {
             let doc = Json::parse(text).map_err(|e| {
                 format!("journal {} record {} invalid: {e}", dir.display(), rec.seq)
             })?;
-            let rec = JobRecord::from_json(&doc)
+            let rec = K::decode(&doc)
                 .map_err(|e| format!("journal {} entry invalid: {e}", dir.display()))?;
-            if rec.id >= total {
+            let id = K::record_id(&rec);
+            if id >= total {
                 return Err(format!(
-                    "journal {} names job {} but the sweep has {total} jobs",
-                    dir.display(),
-                    rec.id
+                    "journal {} names job {id} but the sweep has {total} jobs",
+                    dir.display()
                 ));
             }
             entries.push(rec);
         }
-        Ok(Journal { entries })
+        Ok(Journal {
+            wal: opened.wal,
+            runs_dir: runs_dir.to_path_buf(),
+            name: name.to_string(),
+            entries,
+        })
     }
-}
 
-/// Migrates a version-1 plain-JSONL journal into a journal store, then
-/// removes the v1 file. Torn trailing lines (the v1 crash artifact)
-/// are dropped, exactly as the v1 loader did.
-fn migrate_v1(runs_dir: &Path, name: &str, spec: &SweepSpec) -> Result<(), String> {
-    let path = journal_v1_path(runs_dir, name);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read v1 journal {}: {e}", path.display()))?;
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| format!("journal {} is empty", path.display()))?;
-    let header = Json::parse(header)
-        .map_err(|e| format!("journal {} has a malformed header: {e}", path.display()))?;
-    let fingerprint = header
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("journal {} header lacks a fingerprint", path.display()))?;
-    let expected = sweep_fingerprint_v1(spec);
-    if fingerprint != expected {
-        return Err(format!(
-            "journal {} was written by a different sweep \
-             (fingerprint {fingerprint}, this invocation is {expected}); \
-             resume with the exact flags of the original run, or delete \
-             the journal to start over",
-            path.display()
-        ));
+    /// Where this sweep's partial report lives.
+    #[must_use]
+    pub fn partial_path(&self) -> PathBuf {
+        self.runs_dir.join(format!("{}.partial.json", self.name))
     }
-    let total = spec.jobs().len();
-    let mut entry_lines = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
+
+    /// Appends one job record, fsyncing it before returning. When
+    /// enough records have accumulated to seal segments, they are
+    /// folded into a snapshot in the background of the append path
+    /// (compaction never blocks other appenders).
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn append(&self, record: &K::Record) -> std::io::Result<()> {
+        self.wal.append(K::encode(record).as_bytes())?;
+        if self.wal.sealed_segments() > 0 {
+            if let Err(e) = self.wal.compact() {
+                // Compaction is an optimization; the sealed segments
+                // remain readable, so a failed fold must not kill the
+                // sweep.
+                eprintln!("warning: journal compaction failed: {e}");
+            }
         }
-        // A SIGKILL could truncate the final v1 line mid-write; that
-        // job simply re-runs.
-        let Ok(doc) = Json::parse(line) else { continue };
-        let rec = JobRecord::from_json(&doc)
-            .map_err(|e| format!("journal {} entry invalid: {e}", path.display()))?;
-        if rec.id >= total {
-            return Err(format!(
-                "journal {} names job {} but the sweep has {total} jobs",
-                path.display(),
-                rec.id
-            ));
-        }
-        entry_lines.push(rec.to_json_line());
+        Ok(())
     }
-    let dir = journal_dir(runs_dir, name);
-    if dir.is_dir() {
-        std::fs::remove_dir_all(&dir)
-            .map_err(|e| format!("cannot replace journal store {}: {e}", dir.display()))?;
-    }
-    let opened = Wal::open(&dir, journal_store_options())
-        .map_err(|e| format!("cannot create journal store {}: {e}", dir.display()))?;
-    let store_err =
-        |e: miopt_store::StoreError| format!("cannot write journal store {}: {e}", dir.display());
-    opened
-        .wal
-        .append(header_json(name, &sweep_fingerprint(spec), total as u64).as_bytes())
-        .map_err(store_err)?;
-    for line in &entry_lines {
-        opened.wal.append(line.as_bytes()).map_err(store_err)?;
-    }
-    opened.wal.sync().map_err(store_err)?;
-    std::fs::remove_file(&path)
-        .map_err(|e| format!("cannot remove migrated v1 journal {}: {e}", path.display()))?;
-    let _ = miopt_store::sync_dir(runs_dir);
-    eprintln!(
-        "note: migrated v1 journal {} ({} entries) to {}",
-        path.display(),
-        entry_lines.len(),
-        dir.display()
-    );
-    Ok(())
 }
 
 /// Durably replaces `path` with `contents`: write-fsync-rename, then
@@ -394,6 +261,7 @@ pub fn replace_file(path: &Path, contents: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::results::JobRecord;
     use miopt::SystemConfig;
     use miopt_workloads::{by_name, SuiteConfig};
     use std::io::Write as _;
@@ -436,19 +304,20 @@ mod tests {
     #[test]
     fn fingerprint_tracks_the_grid_and_options() {
         let base = spec();
-        assert_eq!(sweep_fingerprint(&base), sweep_fingerprint(&base.clone()));
+        assert_eq!(base.fingerprint(), base.clone().fingerprint());
         let mut narrower = base.clone();
         narrower.policies.pop();
-        assert_ne!(sweep_fingerprint(&base), sweep_fingerprint(&narrower));
+        assert_ne!(base.fingerprint(), narrower.fingerprint());
         let mut other_opts = base.clone();
         other_opts.run_opts.max_cycles /= 2;
-        assert_ne!(sweep_fingerprint(&base), sweep_fingerprint(&other_opts));
+        assert_ne!(base.fingerprint(), other_opts.fingerprint());
         let mut checked = base.clone();
         checked.run_opts.check_invariants = true;
-        assert_ne!(sweep_fingerprint(&base), sweep_fingerprint(&checked));
-        // The journal format version participates too: a v1 journal of
-        // the same sweep carries a different fingerprint.
-        assert_ne!(sweep_fingerprint(&base), sweep_fingerprint_v1(&base));
+        assert_ne!(base.fingerprint(), checked.fingerprint());
+    }
+
+    fn ids(entries: &[JobRecord]) -> Vec<usize> {
+        entries.iter().map(|r| r.id).collect()
     }
 
     #[test]
@@ -465,22 +334,18 @@ mod tests {
         let mut f = std::fs::OpenOptions::new().append(true).open(&seg).unwrap();
         f.write_all(&[0x2a, 0x00, 0x00, 0x00, 0x03]).unwrap(); // 5 of 20 header bytes
         drop(f);
-        let j = Journal::load(&dir, "t", &spec).unwrap();
+        let w = Journal::resume(&dir, "t", &spec).unwrap();
         assert_eq!(
-            j.entries.iter().map(|r| r.id).collect::<Vec<_>>(),
+            ids(&w.entries),
             vec![0, 2],
             "torn tail dropped, intact entries kept"
         );
-        assert_eq!(j.entries[0].status, "ok");
+        assert_eq!(w.entries[0].status, "ok");
         // After repair the journal accepts appends again.
-        let w = JournalWriter::append_to(&dir, "t").unwrap();
         w.append(&record(1)).unwrap();
         drop(w);
-        let j = Journal::load(&dir, "t", &spec).unwrap();
-        assert_eq!(
-            j.entries.iter().map(|r| r.id).collect::<Vec<_>>(),
-            vec![0, 2, 1]
-        );
+        let w = Journal::resume(&dir, "t", &spec).unwrap();
+        assert_eq!(ids(&w.entries), vec![0, 2, 1]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -498,7 +363,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         std::fs::write(&seg, &bytes).unwrap();
-        let err = Journal::load(&dir, "t", &spec).unwrap_err();
+        let err = Journal::resume(&dir, "t", &spec).err().unwrap();
         assert!(err.contains("damaged"), "{err}");
         assert!(err.contains("byte offset"), "{err}");
         assert!(err.contains("quarantined"), "{err}");
@@ -513,68 +378,11 @@ mod tests {
         JournalWriter::create(&dir, "t", &original).unwrap();
         let mut different = original.clone();
         different.run_opts.max_cycles /= 2;
-        let err = Journal::load(&dir, "t", &different).unwrap_err();
+        let err = Journal::resume(&dir, "t", &different).err().unwrap();
         assert!(err.contains("different sweep"), "{err}");
         // Missing journals get a descriptive error, not a panic.
-        let err = Journal::load(&dir, "absent", &original).unwrap_err();
+        let err = Journal::resume(&dir, "absent", &original).err().unwrap();
         assert!(err.contains("no journal"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The v1 migration path: a plain-JSONL journal left by an older
-    /// build — torn tail and all — loads through migration, lands in
-    /// the store, and keeps resuming identically.
-    #[test]
-    fn v1_jsonl_journals_migrate_and_resume_identically() {
-        let dir = std::env::temp_dir().join("miopt-journal-migrate-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec = spec();
-        // Hand-write the v1 file exactly as the old writer did.
-        let v1 = journal_v1_path(&dir, "old");
-        let header = Json::obj([
-            ("journal", Json::str("old")),
-            ("schema_version", Json::U64(u64::from(SCHEMA_VERSION))),
-            ("journal_version", Json::U64(1)),
-            ("fingerprint", Json::str(sweep_fingerprint_v1(&spec))),
-            ("jobs", Json::U64(spec.jobs().len() as u64)),
-        ]);
-        let mut text = format!("{}\n", header.to_compact());
-        text.push_str(&format!("{}\n", record(0).to_json_line()));
-        text.push_str(&format!("{}\n", record(2).to_json_line()));
-        text.push_str("{\"id\": 1, \"workl"); // torn at kill time
-        std::fs::write(&v1, &text).unwrap();
-
-        let j = Journal::load(&dir, "old", &spec).unwrap();
-        assert_eq!(
-            j.entries.iter().map(|r| r.id).collect::<Vec<_>>(),
-            vec![0, 2],
-            "v1 entries survive migration; the torn line is dropped"
-        );
-        assert!(!v1.exists(), "the v1 file is consumed by migration");
-        assert!(journal_dir(&dir, "old").is_dir());
-        // The migrated journal behaves like a native v2 one.
-        let w = JournalWriter::append_to(&dir, "old").unwrap();
-        w.append(&record(1)).unwrap();
-        drop(w);
-        let j = Journal::load(&dir, "old", &spec).unwrap();
-        assert_eq!(
-            j.entries.iter().map(|r| r.id).collect::<Vec<_>>(),
-            vec![0, 2, 1]
-        );
-
-        // A v1 journal from a *different* sweep is refused, unmigrated.
-        let mut other = spec.clone();
-        other.run_opts.max_cycles /= 2;
-        let v1b = journal_v1_path(&dir, "foreign");
-        let header = Json::obj([
-            ("fingerprint", Json::str(sweep_fingerprint_v1(&other))),
-            ("jobs", Json::U64(other.jobs().len() as u64)),
-        ]);
-        std::fs::write(&v1b, format!("{}\n", header.to_compact())).unwrap();
-        let err = Journal::load(&dir, "foreign", &spec).unwrap_err();
-        assert!(err.contains("different sweep"), "{err}");
-        assert!(v1b.exists(), "a refused v1 journal is left untouched");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

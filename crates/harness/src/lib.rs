@@ -2,10 +2,13 @@
 //! simulator.
 //!
 //! The simulator's sweeps — the (workload × policy) grids behind the
-//! paper's Figures 6–13 — are embarrassingly parallel but were run
-//! serially. This crate turns a [`SweepSpec`](miopt::runner::SweepSpec)
-//! into a deterministic job DAG executed across a scoped worker pool,
-//! with:
+//! paper's Figures 6–13, and the (policy × load) grids of the serving
+//! scenario — are embarrassingly parallel but were run serially. This
+//! crate turns a grid — any [`JobKind`]: a
+//! [`SweepSpec`](miopt::runner::SweepSpec) or a [`ServeSweepSpec`] —
+//! into a deterministic job DAG executed across a scoped worker pool.
+//! Pool, journal, resume and retry are written once, generic over the
+//! kind ([`kind`] says what a kind supplies), with:
 //!
 //! * byte-identical results at any worker count ([`pool`]),
 //! * per-job panic and wall-clock-timeout isolation ([`pool`]),
@@ -20,8 +23,9 @@
 //! * phase-resolved telemetry exports — JSONL time series plus Chrome
 //!   `trace_event` JSON for chrome://tracing / Perfetto ([`telemetry`]),
 //! * the multi-tenant serving sweep: `miopt-harness serve` runs a
-//!   policy × load grid of QoS serving scenarios and reports per-tenant
-//!   p50/p95/p99 latency and throughput ([`serve`]),
+//!   policy × load grid of QoS serving scenarios through that same
+//!   machinery and reports per-tenant p50/p95/p99 latency and
+//!   throughput ([`serve`]),
 //! * the figure-extraction pipeline and the `miopt-harness` CLI that
 //!   regenerates every paper figure through the pool ([`figures`],
 //!   [`cli`]).
@@ -38,6 +42,7 @@ pub mod cli;
 pub mod figures;
 pub mod journal;
 pub mod json;
+pub mod kind;
 pub mod pool;
 pub mod progress;
 pub mod provenance;
@@ -52,6 +57,7 @@ pub use cache::{CacheKey, ResultCache};
 pub use figures::FigureData;
 pub use journal::{Journal, JournalWriter};
 pub use json::Json;
+pub use kind::JobKind;
 pub use pool::{JobError, JobOutcome, PoolOptions, RetryPolicy};
 pub use provenance::Provenance;
 pub use results::{SweepReport, SCHEMA_VERSION};

@@ -13,7 +13,7 @@
 //!   identical result vector; ready jobs are claimed lowest-id-first.
 //! * **Isolation.** A simulation that fails does so through
 //!   `Result` — cycle-budget exhaustion and config rejections arrive as
-//!   [`SimError`]s and fail *that job* ([`JobError::Sim`]); genuinely
+//!   the kind's error and fail *that job* ([`JobError::Sim`]); genuinely
 //!   unexpected panics are still caught and recorded
 //!   ([`JobError::Panicked`]) so the sweep continues either way. With a
 //!   wall-clock timeout configured, each job runs on a dedicated thread;
@@ -22,10 +22,13 @@
 //!   [`JobError::TimedOut`]).
 //! * **Failure propagation.** A job whose dependency failed is not run;
 //!   it reports [`JobError::DepFailed`].
+//!
+//! The executor is generic over the [`JobKind`] it runs; it is the only
+//! place a job is caught unwinding, timed out, retried or quarantined.
 
 use crate::backoff::Backoff;
+use crate::kind::JobKind;
 use crate::progress::Progress;
-use miopt::runner::{Job, RunResult, SimError, SweepSpec};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -36,22 +39,18 @@ use std::time::{Duration, Instant};
 
 /// Why a job produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobError {
+pub enum JobError<E> {
     /// The simulation returned an error (cycle-budget timeout or an
     /// inconsistent configuration).
-    Sim(SimError),
+    Sim(E),
     /// The simulation panicked. Carries the panic message plus the job's
-    /// configuration (workload, policy, seed) so the report alone is
+    /// configuration ([`JobKind::describe`]) so the report alone is
     /// enough to reproduce the crash.
     Panicked {
         /// The panic message.
         message: String,
-        /// Workload name of the crashed job.
-        workload: String,
-        /// Policy label of the crashed job.
-        policy: String,
-        /// The global seed the job ran under.
-        seed: u64,
+        /// The crashed job's configuration.
+        config: String,
     },
     /// The simulation exceeded the configured wall-clock timeout (the
     /// value is the timeout of the final attempt, after any escalation).
@@ -66,7 +65,7 @@ pub enum JobError {
         /// How many attempts were made.
         attempts: usize,
         /// The failure of the final attempt.
-        last: Box<JobError>,
+        last: Box<JobError<E>>,
     },
     /// A failure replayed verbatim from a resume journal; the payload is
     /// the journaled status line. Delete the journal entry to force a
@@ -74,19 +73,26 @@ pub enum JobError {
     Journaled(String),
 }
 
-impl fmt::Display for JobError {
+impl<E> JobError<E> {
+    /// Whether the job exhausted its retry budget — in this run, or in
+    /// the one being resumed, whose journal replays the status line.
+    #[must_use]
+    pub fn is_quarantined(&self) -> bool {
+        match self {
+            JobError::Quarantined { .. } => true,
+            JobError::Journaled(status) => status.starts_with("quarantined"),
+            _ => false,
+        }
+    }
+}
+
+impl<E: fmt::Display> fmt::Display for JobError<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JobError::Sim(e) => write!(f, "{e}"),
-            JobError::Panicked {
-                message,
-                workload,
-                policy,
-                seed,
-            } => write!(
-                f,
-                "panicked: {message} (workload {workload}, policy {policy}, seed {seed})"
-            ),
+            JobError::Panicked { message, config } => {
+                write!(f, "panicked: {message} ({config})")
+            }
             JobError::TimedOut(t) => write!(f, "timed out after {:.1}s", t.as_secs_f64()),
             JobError::DepFailed(id) => write!(f, "dependency job {id} failed"),
             JobError::Cancelled => write!(f, "cancelled by fail-fast"),
@@ -99,12 +105,12 @@ impl fmt::Display for JobError {
 }
 
 /// The outcome of one job.
-#[derive(Debug, Clone)]
-pub struct JobOutcome {
+#[derive(Debug)]
+pub struct JobOutcome<K: JobKind> {
     /// The job that ran (or was skipped).
-    pub job: Job,
+    pub job: K::Job,
     /// The simulation result, or why there is none.
-    pub result: Result<RunResult, JobError>,
+    pub result: Result<K::Output, JobError<K::Error>>,
     /// Wall time spent on this job (≈0 for cache hits and skips).
     pub elapsed: Duration,
     /// Whether the result came from a [`ResultSource`] (the persistent
@@ -118,7 +124,8 @@ pub struct JobOutcome {
 /// How failed jobs are retried before being quarantined.
 ///
 /// Only wall-clock timeouts and panics are retried: the simulator is
-/// deterministic, so a [`SimError`] would fail identically every time.
+/// deterministic, so a [`JobError::Sim`] would fail identically every
+/// time.
 /// A job that exhausts its attempts is reported as
 /// [`JobError::Quarantined`] and the sweep continues.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -176,62 +183,53 @@ impl PoolOptions {
 
 /// A job result source consulted before simulating (the persistent
 /// cache and the resume journal, in production; anything in tests).
-pub trait ResultSource: Sync {
+pub trait ResultSource<K: JobKind>: Sync {
     /// A previously recorded outcome for `job`, if one exists. Sources
     /// that only record successes (the cache) return `Some(Ok(_))` or
     /// `None`; a resume journal also replays failures as `Some(Err(_))`.
-    fn fetch(&self, spec: &SweepSpec, job: &Job) -> Option<Result<RunResult, JobError>>;
+    fn fetch(&self, kind: &K, job: &K::Job) -> Option<Result<K::Output, JobError<K::Error>>>;
     /// Offers a freshly computed outcome (success or failure) for
     /// persistence. Not called for outcomes served by `fetch`.
-    fn offer(&self, spec: &SweepSpec, job: &Job, outcome: &JobOutcome);
+    fn offer(&self, kind: &K, outcome: &JobOutcome<K>);
 }
 
-/// A no-op source: every job simulates.
-pub struct NoCache;
-
-impl ResultSource for NoCache {
-    fn fetch(&self, _: &SweepSpec, _: &Job) -> Option<Result<RunResult, JobError>> {
-        None
-    }
-    fn offer(&self, _: &SweepSpec, _: &Job, _: &JobOutcome) {}
-}
-
-struct DagState {
+struct DagState<K: JobKind> {
     /// Unsatisfied dependency count per job; `usize::MAX` marks claimed.
     waiting: Vec<usize>,
     /// Jobs ready to claim, lowest id first.
     ready: BinaryHeap<Reverse<usize>>,
     /// Slot per job id.
-    outcomes: Vec<Option<JobOutcome>>,
+    outcomes: Vec<Option<JobOutcome<K>>>,
     /// Jobs without a recorded outcome yet.
     unfinished: usize,
 }
 
-struct Dag {
-    state: Mutex<DagState>,
+struct Dag<K: JobKind> {
+    state: Mutex<DagState<K>>,
     wake: Condvar,
     /// dependents[i] = jobs that wait on job i.
     dependents: Vec<Vec<usize>>,
 }
 
-/// Runs every job of `spec` (with `deps[i]` = ids that must succeed
+/// Runs every job of `kind` (with `deps[i]` = ids that must succeed
 /// before job `i` runs) across a scoped worker pool and returns one
 /// outcome per job, in job-id order regardless of completion order.
 ///
-/// `deps` may be empty, meaning no ordering constraints.
+/// `deps` may be empty, meaning no ordering constraints; without a
+/// `source`, every job simulates.
 ///
 /// # Panics
 ///
 /// Panics if `deps` is non-empty but not exactly one entry per job, or
 /// if a dependency id is out of range (a malformed DAG is a programming
 /// error, not a job failure).
-pub fn run_dag(
-    spec: &Arc<SweepSpec>,
+pub fn run_dag<K: JobKind>(
+    kind: &Arc<K>,
     deps: &[Vec<usize>],
-    source: &dyn ResultSource,
+    source: Option<&dyn ResultSource<K>>,
     opts: &PoolOptions,
-) -> Vec<JobOutcome> {
-    let jobs = spec.jobs();
+) -> Vec<JobOutcome<K>> {
+    let jobs = kind.jobs();
     let n = jobs.len();
     let deps: Vec<Vec<usize>> = if deps.is_empty() {
         vec![Vec::new(); n]
@@ -261,7 +259,7 @@ pub fn run_dag(
         state: Mutex::new(DagState {
             waiting,
             ready,
-            outcomes: vec![None; n],
+            outcomes: std::iter::repeat_with(|| None).take(n).collect(),
             unfinished: n,
         }),
         wake: Condvar::new(),
@@ -272,7 +270,7 @@ pub fn run_dag(
 
     std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|| worker(spec, &dag, source, opts, &progress));
+            s.spawn(|| worker(kind, &jobs, &dag, source, opts, &progress));
         }
     });
 
@@ -288,14 +286,14 @@ pub fn run_dag(
         .collect()
 }
 
-fn worker(
-    spec: &Arc<SweepSpec>,
-    dag: &Dag,
-    source: &dyn ResultSource,
+fn worker<K: JobKind>(
+    kind: &Arc<K>,
+    jobs: &[K::Job],
+    dag: &Dag<K>,
+    source: Option<&dyn ResultSource<K>>,
     opts: &PoolOptions,
     progress: &Progress,
 ) {
-    let jobs = spec.jobs();
     loop {
         let job = {
             let mut st = dag.state.lock().expect("pool lock");
@@ -305,17 +303,17 @@ fn worker(
                 }
                 if let Some(Reverse(id)) = st.ready.pop() {
                     st.waiting[id] = usize::MAX;
-                    break jobs[id];
+                    break jobs[id].clone();
                 }
                 st = dag.wake.wait(st).expect("pool lock");
             }
         };
 
         let started = Instant::now();
-        let (result, cached, attempts) = match source.fetch(spec, &job) {
+        let (result, cached, attempts) = match source.and_then(|s| s.fetch(kind, &job)) {
             Some(hit) => (hit, true, 0),
             None => {
-                let (r, attempts) = execute_with_retry(spec, job, opts);
+                let (r, attempts) = execute_with_retry(kind, &job, opts);
                 (r, false, attempts)
             }
         };
@@ -326,22 +324,28 @@ fn worker(
             cached,
             attempts,
         };
-        if !cached {
-            source.offer(spec, &job, &outcome);
+        if let Some(source) = source.filter(|_| !cached) {
+            source.offer(kind, &outcome);
         }
-        progress.report(&spec.job_label(&job), &outcome);
-        record(dag, &jobs, outcome, progress, opts.fail_fast);
+        progress.report(&kind.label(&outcome.job), &outcome);
+        record(dag, jobs, outcome, progress, opts.fail_fast);
     }
 }
 
 /// Records an outcome, unblocking or failing dependents, and wakes
 /// waiting workers. With `fail_fast`, the first failure also cancels
 /// every job that has not started yet.
-fn record(dag: &Dag, jobs: &[Job], outcome: JobOutcome, progress: &Progress, fail_fast: bool) {
+fn record<K: JobKind>(
+    dag: &Dag<K>,
+    jobs: &[K::Job],
+    outcome: JobOutcome<K>,
+    progress: &Progress,
+    fail_fast: bool,
+) {
     let mut st = dag.state.lock().expect("pool lock");
     let mut pending = vec![outcome];
     while let Some(o) = pending.pop() {
-        let id = o.job.id;
+        let id = K::job_id(&o.job);
         let failed = o.result.is_err();
         debug_assert!(st.outcomes[id].is_none(), "job {id} recorded twice");
         st.outcomes[id] = Some(o);
@@ -352,7 +356,7 @@ fn record(dag: &Dag, jobs: &[Job], outcome: JobOutcome, progress: &Progress, fai
                 if st.outcomes[dep].is_none() && st.waiting[dep] != usize::MAX {
                     st.waiting[dep] = usize::MAX;
                     let skipped = JobOutcome {
-                        job: jobs[dep],
+                        job: jobs[dep].clone(),
                         result: Err(JobError::DepFailed(id)),
                         elapsed: Duration::ZERO,
                         cached: false,
@@ -371,11 +375,11 @@ fn record(dag: &Dag, jobs: &[Job], outcome: JobOutcome, progress: &Progress, fai
         if failed && fail_fast {
             // Cancel everything not yet claimed by a worker. In-flight
             // jobs finish and record normally.
-            for (cancel, &job) in jobs.iter().enumerate() {
+            for (cancel, job) in jobs.iter().enumerate() {
                 if st.outcomes[cancel].is_none() && st.waiting[cancel] != usize::MAX {
                     st.waiting[cancel] = usize::MAX;
                     let cancelled = JobOutcome {
-                        job,
+                        job: job.clone(),
                         result: Err(JobError::Cancelled),
                         elapsed: Duration::ZERO,
                         cached: false,
@@ -396,18 +400,18 @@ fn record(dag: &Dag, jobs: &[Job], outcome: JobOutcome, progress: &Progress, fai
 /// and the number of attempts made. Only transient failures (wall-clock
 /// timeouts, panics) are retried; when a retry budget > 1 is exhausted
 /// the final error is wrapped in [`JobError::Quarantined`].
-fn execute_with_retry(
-    spec: &Arc<SweepSpec>,
-    job: Job,
+fn execute_with_retry<K: JobKind>(
+    kind: &Arc<K>,
+    job: &K::Job,
     opts: &PoolOptions,
-) -> (Result<RunResult, JobError>, usize) {
+) -> (Result<K::Output, JobError<K::Error>>, usize) {
     let policy = &opts.retry;
     let budget = policy.max_attempts.max(1);
     let mut timeout = opts.job_timeout;
     let mut attempt = 0;
     loop {
         attempt += 1;
-        match execute(spec, job, timeout) {
+        match execute(kind, job, timeout) {
             Ok(r) => return (Ok(r), attempt),
             Err(e) => {
                 let retryable = matches!(e, JobError::Panicked { .. } | JobError::TimedOut(_));
@@ -429,36 +433,43 @@ fn execute_with_retry(
                 if policy.escalate_timeout && matches!(e, JobError::TimedOut(_)) {
                     timeout = timeout.map(|t| t.saturating_mul(2));
                 }
-                std::thread::sleep(policy.backoff.delay(job.id as u64, attempt as u32));
+                let id = K::job_id(job) as u64;
+                std::thread::sleep(policy.backoff.delay(id, attempt as u32));
             }
         }
     }
 }
 
 /// Runs one job once. Expected failures (cycle-budget exhaustion, bad
-/// configs) flow through `run_job`'s `Result` as [`JobError::Sim`];
+/// configs) flow through [`JobKind::run`]'s `Result` as [`JobError::Sim`];
 /// `catch_unwind` remains only as a safety net for genuine bugs, and a
 /// wall-clock timeout isolates hung jobs when configured.
-fn execute(
-    spec: &Arc<SweepSpec>,
-    job: Job,
+fn execute<K: JobKind>(
+    kind: &Arc<K>,
+    job: &K::Job,
     timeout: Option<Duration>,
-) -> Result<RunResult, JobError> {
+) -> Result<K::Output, JobError<K::Error>> {
+    // The crashed job's full configuration rides along, so the report
+    // entry alone reproduces the crash.
+    let panicked = |message: String| JobError::Panicked {
+        message,
+        config: kind.describe(job),
+    };
     match timeout {
-        None => match catch_unwind(AssertUnwindSafe(|| spec.run_job(&job))) {
+        None => match catch_unwind(AssertUnwindSafe(|| kind.run(job))) {
             Ok(result) => result.map_err(JobError::Sim),
-            Err(p) => Err(panicked(spec, &job, panic_message(p.as_ref()))),
+            Err(p) => Err(panicked(panic_message(p.as_ref()))),
         },
         Some(limit) => {
             let (tx, rx) = mpsc::channel();
-            let thread_spec = Arc::clone(spec);
+            let (thread_kind, thread_job) = (Arc::clone(kind), job.clone());
             let started = std::time::Instant::now();
             // Detached on purpose: a hung simulation cannot be killed, so
             // the thread is abandoned and dies with the process.
             std::thread::Builder::new()
-                .name(format!("miopt-job-{}", job.id))
+                .name(format!("miopt-job-{}", K::job_id(job)))
                 .spawn(move || {
-                    let r = catch_unwind(AssertUnwindSafe(|| thread_spec.run_job(&job)));
+                    let r = catch_unwind(AssertUnwindSafe(|| thread_kind.run(&thread_job)));
                     let _ = tx.send(r);
                 })
                 .expect("spawn job thread");
@@ -472,28 +483,17 @@ fn execute(
                 // between the job and the scheduler.
                 Ok(_) if started.elapsed() > limit => Err(JobError::TimedOut(limit)),
                 Ok(Ok(result)) => result.map_err(JobError::Sim),
-                Ok(Err(p)) => Err(panicked(spec, &job, panic_message(p.as_ref()))),
+                Ok(Err(p)) => Err(panicked(panic_message(p.as_ref()))),
                 Err(mpsc::RecvTimeoutError::Timeout) => Err(JobError::TimedOut(limit)),
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    Err(panicked(spec, &job, "job thread died".to_string()))
+                    Err(panicked("job thread died".to_string()))
                 }
             }
         }
     }
 }
 
-/// Builds a [`JobError::Panicked`] carrying the crashed job's full
-/// configuration so the report entry alone reproduces the crash.
-fn panicked(spec: &SweepSpec, job: &Job, message: String) -> JobError {
-    JobError::Panicked {
-        message,
-        workload: spec.workloads[job.workload].name.clone(),
-        policy: job.policy.label(),
-        seed: crate::provenance::GLOBAL_SEED,
-    }
-}
-
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -506,6 +506,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miopt::runner::{Job, RunResult, SimError, SweepSpec};
     use miopt::SystemConfig;
     use miopt_workloads::{by_name, SuiteConfig};
 
@@ -523,7 +524,7 @@ mod tests {
         let serial = run_dag(
             &spec,
             &[],
-            &NoCache,
+            None,
             &PoolOptions {
                 workers: 1,
                 ..PoolOptions::default()
@@ -532,7 +533,7 @@ mod tests {
         let parallel = run_dag(
             &spec,
             &[],
-            &NoCache,
+            None,
             &PoolOptions {
                 workers: 4,
                 ..PoolOptions::default()
@@ -557,7 +558,7 @@ mod tests {
             job_timeout: Some(Duration::from_nanos(1)),
             ..PoolOptions::default()
         };
-        let outcomes = run_dag(&spec, &deps, &NoCache, &opts);
+        let outcomes = run_dag(&spec, &deps, None, &opts);
         assert!(matches!(outcomes[0].result, Err(JobError::TimedOut(_))));
         assert_eq!(outcomes[1].result, Err(JobError::DepFailed(0)));
         assert_eq!(outcomes[2].result, Err(JobError::DepFailed(1)));
@@ -570,13 +571,17 @@ mod tests {
             seq: AtomicUsize,
             seen: Mutex<Vec<(usize, usize)>>,
         }
-        impl ResultSource for OrderSpy {
-            fn fetch(&self, _: &SweepSpec, job: &Job) -> Option<Result<RunResult, JobError>> {
+        impl ResultSource<SweepSpec> for OrderSpy {
+            fn fetch(
+                &self,
+                _: &SweepSpec,
+                job: &Job,
+            ) -> Option<Result<RunResult, JobError<SimError>>> {
                 let t = self.seq.fetch_add(1, Ordering::SeqCst);
                 self.seen.lock().unwrap().push((job.id, t));
                 None
             }
-            fn offer(&self, _: &SweepSpec, _: &Job, _: &JobOutcome) {}
+            fn offer(&self, _: &SweepSpec, _: &JobOutcome<SweepSpec>) {}
         }
         let spec = spec_of(&["FwSoft"]);
         // Job 2 must start only after jobs 0 and 1 completed.
@@ -588,7 +593,7 @@ mod tests {
         let outcomes = run_dag(
             &spec,
             &deps,
-            &spy,
+            Some(&spy),
             &PoolOptions {
                 workers: 3,
                 ..PoolOptions::default()
@@ -611,7 +616,7 @@ mod tests {
         let outcomes = run_dag(
             &spec,
             &[],
-            &NoCache,
+            None,
             &PoolOptions {
                 workers: 2,
                 ..PoolOptions::default()
@@ -631,11 +636,15 @@ mod tests {
     #[test]
     fn cache_hits_skip_simulation() {
         struct Canned(RunResult);
-        impl ResultSource for Canned {
-            fn fetch(&self, _: &SweepSpec, job: &Job) -> Option<Result<RunResult, JobError>> {
+        impl ResultSource<SweepSpec> for Canned {
+            fn fetch(
+                &self,
+                _: &SweepSpec,
+                job: &Job,
+            ) -> Option<Result<RunResult, JobError<SimError>>> {
                 (job.id == 0).then(|| Ok(self.0.clone()))
             }
-            fn offer(&self, _: &SweepSpec, _: &Job, _: &JobOutcome) {}
+            fn offer(&self, _: &SweepSpec, _: &JobOutcome<SweepSpec>) {}
         }
         let spec = spec_of(&["FwSoft"]);
         let jobs = spec.jobs();
@@ -643,7 +652,7 @@ mod tests {
         let outcomes = run_dag(
             &spec,
             &[],
-            &canned,
+            Some(&canned),
             &PoolOptions {
                 workers: 2,
                 ..PoolOptions::default()
@@ -668,26 +677,26 @@ mod tests {
         let outcomes = run_dag(
             &spec,
             &[],
-            &NoCache,
+            None,
             &PoolOptions {
                 workers: 2,
                 ..PoolOptions::default()
             },
         );
         match &outcomes[1].result {
-            Err(JobError::Panicked {
-                message,
-                workload,
-                policy,
-                seed,
-            }) => {
+            Err(JobError::Panicked { message, config }) => {
                 assert!(
                     message.contains("injected fault"),
                     "panic message survives: {message}"
                 );
-                assert_eq!(workload, "FwSoft");
-                assert_eq!(policy, &spec.jobs()[1].policy.label());
-                assert_eq!(*seed, crate::provenance::GLOBAL_SEED);
+                assert_eq!(
+                    config,
+                    &format!(
+                        "workload FwSoft, policy {}, seed {}",
+                        spec.jobs()[1].policy.label(),
+                        crate::provenance::GLOBAL_SEED
+                    )
+                );
             }
             other => panic!("expected a panic record, got {other:?}"),
         }
@@ -712,7 +721,7 @@ mod tests {
             },
             ..PoolOptions::default()
         };
-        let outcomes = run_dag(&spec, &[], &NoCache, &opts);
+        let outcomes = run_dag(&spec, &[], None, &opts);
         match &outcomes[0].result {
             Err(JobError::Quarantined { attempts, last }) => {
                 assert_eq!(*attempts, 2);
@@ -739,7 +748,7 @@ mod tests {
             fail_fast: true,
             ..PoolOptions::default()
         };
-        let outcomes = run_dag(&spec, &[], &NoCache, &opts);
+        let outcomes = run_dag(&spec, &[], None, &opts);
         assert!(matches!(outcomes[0].result, Err(JobError::Panicked { .. })));
         assert_eq!(outcomes[1].result, Err(JobError::Cancelled));
         assert_eq!(outcomes[2].result, Err(JobError::Cancelled));

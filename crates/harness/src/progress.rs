@@ -4,6 +4,7 @@
 //! without polluting stdout (which carries tables/CSV). Reporting is
 //! serialized internally; the output never interleaves across workers.
 
+use crate::kind::JobKind;
 use crate::pool::JobOutcome;
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,7 +28,7 @@ impl Progress {
     }
 
     /// Reports one completed (or skipped) job.
-    pub fn report(&self, label: &str, outcome: &JobOutcome) {
+    pub fn report<K: JobKind>(&self, label: &str, outcome: &JobOutcome<K>) {
         let done = self.done.fetch_add(1, Ordering::SeqCst) + 1;
         if !self.enabled {
             return;
@@ -65,7 +66,7 @@ mod tests {
             )
         };
         let job = spec.jobs()[0];
-        let outcome = JobOutcome {
+        let outcome: JobOutcome<miopt::runner::SweepSpec> = JobOutcome {
             job,
             result: Err(crate::pool::JobError::DepFailed(0)),
             elapsed: std::time::Duration::ZERO,

@@ -423,17 +423,6 @@ fn run_journals(args: &QueryArgs) -> i32 {
                     }
                 }
             }
-        } else if path.is_file() && name.ends_with(".journal.jsonl") {
-            seen += 1;
-            if args.json {
-                docs.push(Json::obj([
-                    ("journal", Json::str(name)),
-                    ("state", Json::str("v1 jsonl (migrates on next --resume)")),
-                    ("healthy", Json::Bool(true)),
-                ]));
-            } else {
-                println!("{name}: v1 jsonl (migrates on next --resume)");
-            }
         }
     }
     if args.json {
@@ -570,7 +559,6 @@ mod tests {
         opened.wal.append(b"{\"header\":true}").unwrap();
         opened.wal.append(b"{\"id\":0}").unwrap();
         drop(opened);
-        std::fs::write(dir.join("old.journal.jsonl"), "{}\n").unwrap();
         let mut args = args_for(&dir);
         args.journals = true;
         assert_eq!(run_query(&args), 0, "clean stores exit 0");

@@ -9,9 +9,7 @@
 //! simulator extend through the results layer.
 
 use crate::json::Json;
-use crate::pool::JobError;
 use crate::provenance::Provenance;
-use miopt::runner::{RunResult, SimError};
 use miopt::Metrics;
 use miopt::StallDiagnostic;
 use miopt_cache::CacheStats;
@@ -286,63 +284,6 @@ impl SweepReport {
         std::fs::write(&path, self.to_json().to_pretty())?;
         Ok(path)
     }
-}
-
-/// Builds one job record from its outcome (also used for per-job
-/// journal appends, where records are needed before the sweep ends).
-#[must_use]
-pub fn job_record(
-    spec: &miopt::runner::SweepSpec,
-    outcome: &crate::pool::JobOutcome,
-    key: &crate::cache::CacheKey,
-) -> JobRecord {
-    let o = outcome;
-    let w = &spec.workloads[o.job.workload];
-    let diagnostic = match &o.result {
-        Err(JobError::Sim(
-            SimError::Timeout { diagnostic, .. } | SimError::Halted { diagnostic, .. },
-        )) => Some(stall_diagnostic_to_json(diagnostic)),
-        _ => None,
-    };
-    JobRecord {
-        id: o.job.id,
-        workload: w.name.clone(),
-        workload_id: w.stable_id(),
-        policy: o.job.policy.label(),
-        cache_key: key.hex(),
-        cached: o.cached,
-        elapsed_ms: o.elapsed.as_millis() as u64,
-        status: match &o.result {
-            Ok(_) => "ok".to_string(),
-            Err(e) => e.to_string(),
-        },
-        attempts: o.attempts,
-        metrics: o.result.as_ref().ok().map(|r| r.metrics.clone()),
-        diagnostic,
-    }
-}
-
-/// Builds the job records for a finished sweep.
-#[must_use]
-pub fn job_records(
-    spec: &miopt::runner::SweepSpec,
-    outcomes: &[crate::pool::JobOutcome],
-    keys: &[crate::cache::CacheKey],
-) -> Vec<JobRecord> {
-    outcomes
-        .iter()
-        .map(|o| job_record(spec, o, &keys[o.job.id]))
-        .collect()
-}
-
-/// Round-trips a [`RunResult`] through JSON (used by the cache layer).
-#[must_use]
-pub fn run_result_to_json(r: &RunResult) -> Json {
-    Json::obj([
-        ("workload", Json::str(&r.workload)),
-        ("policy", Json::str(r.policy.label())),
-        ("metrics", metrics_to_json(&r.metrics)),
-    ])
 }
 
 #[cfg(test)]

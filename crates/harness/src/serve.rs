@@ -24,24 +24,18 @@
 //!     [--sweep-name <name>] [--resume <run-id>] [--no-journal] [--quiet]
 //! ```
 
-use crate::journal::{
-    journal_dir, journal_store_options, journal_v1_path, partial_path, replace_file,
-    JOURNAL_VERSION,
-};
+use crate::cli::{drive, CommonArgs};
+use crate::journal::JOURNAL_VERSION;
 use crate::json::Json;
-use crate::pool::{panic_message, RetryPolicy};
+use crate::kind::JobKind;
+use crate::pool::{JobError, JobOutcome};
 use crate::provenance::{config_hash, Provenance, GLOBAL_SEED};
 use crate::results::SCHEMA_VERSION;
 use miopt::{CachePolicy, PolicyConfig, SystemConfig, WayRange};
 use miopt_engine::hash::{fnv1a_64, Fnv1a};
-use miopt_serve::{ArrivalSchedule, ServeConfig, TenantSpec};
-use miopt_store::{RecoveryKind, Wal};
+use miopt_serve::{ArrivalSchedule, ServeConfig, ServeError, TenantSpec};
 use miopt_workloads::{by_name, SuiteConfig};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::Arc;
 
 /// Parsed `serve` subcommand options.
 pub struct ServeArgs {
@@ -67,26 +61,8 @@ pub struct ServeArgs {
     pub max_batch: u32,
     /// Per-job absolute cycle budget.
     pub budget: u64,
-    /// Worker threads (0 = all available cores).
-    pub jobs: usize,
-    /// Extra attempts for panicked jobs (total attempts = retries + 1).
-    /// Not part of the journal fingerprint: retry budget may change
-    /// between a run and its resume.
-    pub retries: usize,
-    /// Force per-cycle stepping.
-    pub no_skip: bool,
-    /// Enable sentinel invariant checking per job.
-    pub check_invariants: bool,
-    /// Directory reports are written under.
-    pub runs_dir: PathBuf,
-    /// Report name (the `<runs_dir>/<name>.json` stem).
-    pub sweep_name: String,
-    /// Resume the named interrupted run.
-    pub resume: Option<String>,
-    /// Disable the write-ahead journal.
-    pub no_journal: bool,
-    /// Suppress per-job progress lines.
-    pub quiet: bool,
+    /// The options shared with the figure sweeps.
+    pub common: CommonArgs,
 }
 
 /// Parses the arguments after `serve`.
@@ -115,15 +91,7 @@ pub fn parse_serve_args(args: impl Iterator<Item = String>) -> ServeArgs {
         partition: false,
         max_batch: 4,
         budget: 2_000_000_000,
-        jobs: 0,
-        retries: 0,
-        no_skip: false,
-        check_invariants: false,
-        runs_dir: PathBuf::from("results/runs"),
-        sweep_name: String::new(),
-        resume: None,
-        no_journal: false,
-        quiet: false,
+        common: CommonArgs::new(),
     };
     let mut args = args;
     while let Some(a) = args.next() {
@@ -131,6 +99,9 @@ pub fn parse_serve_args(args: impl Iterator<Item = String>) -> ServeArgs {
             args.next()
                 .unwrap_or_else(|| panic!("{flag} needs a value"))
         };
+        if out.common.take(&a, &mut value) {
+            continue;
+        }
         match a.as_str() {
             "--system" => {
                 let v = value("--system");
@@ -175,11 +146,16 @@ pub fn parse_serve_args(args: impl Iterator<Item = String>) -> ServeArgs {
                     .split(',')
                     .map(|l| l.parse().expect("--loads wants cycle counts"))
                     .collect();
+                assert!(
+                    out.loads.iter().all(|&l| l >= 1),
+                    "--loads gaps must be at least 1 cycle"
+                );
             }
             "--requests" => {
                 out.requests = value("--requests")
                     .parse()
                     .expect("--requests needs a number");
+                assert!(out.requests >= 1, "--requests must be at least 1");
             }
             "--seed" => out.seed = value("--seed").parse().expect("--seed needs a number"),
             "--partition" => out.partition = true,
@@ -187,33 +163,16 @@ pub fn parse_serve_args(args: impl Iterator<Item = String>) -> ServeArgs {
                 out.max_batch = value("--max-batch")
                     .parse()
                     .expect("--max-batch needs a number");
+                assert!(out.max_batch >= 1, "--max-batch must be at least 1");
             }
             "--budget" => {
                 out.budget = value("--budget").parse().expect("--budget needs a number");
             }
-            "--jobs" => out.jobs = value("--jobs").parse().expect("--jobs needs a number"),
-            "--serial" => out.jobs = 1,
-            "--retries" => {
-                out.retries = value("--retries")
-                    .parse()
-                    .expect("--retries needs a number");
-            }
-            "--no-skip" => out.no_skip = true,
-            "--check-invariants" => out.check_invariants = true,
-            "--out" => out.runs_dir = PathBuf::from(value("--out")),
-            "--sweep-name" => out.sweep_name = value("--sweep-name"),
-            "--resume" => out.resume = Some(value("--resume")),
-            "--no-journal" => out.no_journal = true,
-            "--quiet" => out.quiet = true,
             other => panic!("unexpected argument {other:?}"),
         }
     }
-    if out.sweep_name.is_empty() {
-        out.sweep_name = format!("serve-{}-{}", out.system_name, out.scale_name);
-    }
-    if let Some(id) = &out.resume {
-        out.sweep_name.clone_from(id);
-    }
+    out.common
+        .finish(format!("serve-{}-{}", out.system_name, out.scale_name));
     out
 }
 
@@ -295,8 +254,8 @@ impl ServeSweepSpec {
             partition: args.partition,
             max_batch: args.max_batch,
             budget: args.budget,
-            no_skip: args.no_skip,
-            check_invariants: args.check_invariants,
+            no_skip: args.common.no_skip,
+            check_invariants: args.common.check_invariants,
         }
     }
 
@@ -385,54 +344,6 @@ impl ServeSweepSpec {
             }
         }
         h.finish()
-    }
-
-    /// Fingerprint binding a journal to one exact serve sweep: machine,
-    /// schema, grid, tenant workload identities, run options, and the
-    /// arrival seed plus expanded-schedule hashes (so resumed traffic is
-    /// provably identical).
-    #[must_use]
-    pub fn fingerprint(&self) -> String {
-        self.fingerprint_versioned(JOURNAL_VERSION)
-    }
-
-    /// The fingerprint a version-1 (plain JSONL) journal of this sweep
-    /// carries — the journal version participates in the hash, so v1
-    /// files must be validated against the v1 value before migration.
-    pub(crate) fn fingerprint_v1(&self) -> String {
-        self.fingerprint_versioned(1)
-    }
-
-    fn fingerprint_versioned(&self, journal_version: u32) -> String {
-        let mut h = Fnv1a::new();
-        h.write(b"serve");
-        h.write(config_hash(&self.system).as_bytes());
-        h.write_u64(u64::from(SCHEMA_VERSION));
-        h.write_u64(u64::from(journal_version));
-        let jobs = self.jobs();
-        h.write_u64(jobs.len() as u64);
-        for job in &jobs {
-            h.write(job.policy.label().as_bytes());
-            h.write_u64(job.load);
-        }
-        for (name, workload) in &self.tenants {
-            h.write(name.as_bytes());
-            h.write(
-                by_name(&self.scale, workload)
-                    .expect("validated workload")
-                    .stable_id()
-                    .as_bytes(),
-            );
-        }
-        h.write_u64(self.requests as u64);
-        h.write_u64(self.seed);
-        h.write_u64(u64::from(self.partition));
-        h.write_u64(u64::from(self.max_batch));
-        h.write_u64(self.budget);
-        h.write_u64(u64::from(self.no_skip));
-        h.write_u64(u64::from(self.check_invariants));
-        h.write_u64(self.arrivals_fingerprint());
-        format!("{:016x}", h.finish())
     }
 }
 
@@ -590,12 +501,64 @@ impl ServeJobRecord {
     }
 }
 
-/// Runs one grid cell.
+/// The record of a job that produced no result.
+fn failed(job: &ServeJob, status: String) -> ServeJobRecord {
+    ServeJobRecord {
+        id: job.id,
+        policy: job.policy.label(),
+        load: job.load,
+        status,
+        cycles: 0,
+        tenants: Vec::new(),
+    }
+}
+
+/// Runs one grid cell; a simulator-level failure becomes the record's
+/// `status`.
 #[must_use]
 pub fn run_serve_job(spec: &ServeSweepSpec, job: &ServeJob) -> ServeJobRecord {
-    let cfg = spec.serve_config(job);
-    match miopt_serve::run(&cfg) {
-        Ok(result) => ServeJobRecord {
+    spec.run(job).unwrap_or_else(|e| failed(job, e.to_string()))
+}
+
+/// The serving sweeps: one multi-tenant scenario per (policy, load)
+/// cell. A job's output is its record, which holds no wall-clock field.
+impl JobKind for ServeSweepSpec {
+    type Job = ServeJob;
+    type Output = ServeJobRecord;
+    type Error = ServeError;
+    type Record = ServeJobRecord;
+    type Report = Json;
+
+    const KIND: Option<&'static str> = Some("serve");
+
+    fn system(&self) -> &SystemConfig {
+        &self.system
+    }
+
+    fn jobs(&self) -> Vec<ServeJob> {
+        ServeSweepSpec::jobs(self)
+    }
+
+    fn job_id(job: &ServeJob) -> usize {
+        job.id
+    }
+
+    fn label(&self, job: &ServeJob) -> String {
+        format!("{} @ load {}", job.policy.label(), job.load)
+    }
+
+    fn describe(&self, job: &ServeJob) -> String {
+        format!(
+            "policy {}, load {}, arrival seed {}",
+            job.policy.label(),
+            job.load,
+            self.seed
+        )
+    }
+
+    fn run(&self, job: &ServeJob) -> Result<ServeJobRecord, ServeError> {
+        let result = miopt_serve::run(&self.serve_config(job))?;
+        Ok(ServeJobRecord {
             id: job.id,
             policy: job.policy.label(),
             load: job.load,
@@ -604,7 +567,7 @@ pub fn run_serve_job(spec: &ServeSweepSpec, job: &ServeJob) -> ServeJobRecord {
             tenants: result
                 .tenants
                 .iter()
-                .zip(&spec.tenants)
+                .zip(&self.tenants)
                 .map(|(t, (_, workload))| TenantRecord {
                     name: t.name.clone(),
                     workload: workload.clone(),
@@ -624,383 +587,92 @@ pub fn run_serve_job(spec: &ServeSweepSpec, job: &ServeJob) -> ServeJobRecord {
                     p99: t.p99().unwrap_or(0),
                 })
                 .collect(),
-        },
-        Err(e) => ServeJobRecord {
-            id: job.id,
-            policy: job.policy.label(),
-            load: job.load,
-            status: e.to_string(),
-            cycles: 0,
-            tenants: Vec::new(),
-        },
-    }
-}
-
-/// The serve journal's header record (record 1 of the store): the
-/// fingerprint plus the traffic identity, so a resumed run can prove it
-/// replays the same arrivals.
-fn serve_header_json(name: &str, spec: &ServeSweepSpec) -> String {
-    Json::obj([
-        ("journal", Json::str(name)),
-        ("kind", Json::str("serve")),
-        ("schema_version", Json::U64(u64::from(SCHEMA_VERSION))),
-        ("journal_version", Json::U64(u64::from(JOURNAL_VERSION))),
-        ("fingerprint", Json::str(spec.fingerprint())),
-        ("arrival_seed", Json::U64(spec.seed)),
-        (
-            "arrivals_fingerprint",
-            Json::str(format!("{:016x}", spec.arrivals_fingerprint())),
-        ),
-        ("jobs", Json::U64(spec.jobs().len() as u64)),
-    ])
-    .to_compact()
-}
-
-/// Append-only journal writer for serve sweeps, backed by the same
-/// checksummed [`miopt_store`] write-ahead log as the figure sweeps.
-/// Record 1 is the serve header; each completed job appends one compact
-/// JSON record, fsynced before `append` returns.
-pub struct ServeJournalWriter {
-    wal: Wal,
-}
-
-impl ServeJournalWriter {
-    /// Creates the journal store (replacing any previous journal of the
-    /// same name, v1 or v2) and writes the header record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn create(
-        runs_dir: &Path,
-        name: &str,
-        spec: &ServeSweepSpec,
-    ) -> std::io::Result<ServeJournalWriter> {
-        std::fs::create_dir_all(runs_dir)?;
-        let dir = journal_dir(runs_dir, name);
-        if dir.is_dir() {
-            std::fs::remove_dir_all(&dir)?;
-        }
-        let v1 = journal_v1_path(runs_dir, name);
-        if v1.is_file() {
-            std::fs::remove_file(&v1)?;
-        }
-        let opened = Wal::open(&dir, journal_store_options())?;
-        opened
-            .wal
-            .append(serve_header_json(name, spec).as_bytes())?;
-        Ok(ServeJournalWriter { wal: opened.wal })
+        })
     }
 
-    /// Reopens an existing journal store for appending (resume),
-    /// repairing a torn tail if the previous run was killed mid-append.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; the caller validates the journal
-    /// first via [`load_serve_journal`], which also migrates v1 files.
-    pub fn append_to(runs_dir: &Path, name: &str) -> std::io::Result<ServeJournalWriter> {
-        let dir = journal_dir(runs_dir, name);
-        if !dir.is_dir() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("no journal store at {}", dir.display()),
-            ));
+    /// Machine, schema, grid, tenant workload identities, run options,
+    /// and the arrival seed plus expanded-schedule hashes (so resumed
+    /// traffic is provably identical).
+    fn fingerprint(&self) -> String {
+        let mut h = Fnv1a::new();
+        h.write(b"serve");
+        h.write(config_hash(&self.system).as_bytes());
+        h.write_u64(u64::from(SCHEMA_VERSION));
+        h.write_u64(u64::from(JOURNAL_VERSION));
+        let jobs = ServeSweepSpec::jobs(self);
+        h.write_u64(jobs.len() as u64);
+        for job in &jobs {
+            h.write(job.policy.label().as_bytes());
+            h.write_u64(job.load);
         }
-        let opened = Wal::open(&dir, journal_store_options())?;
-        Ok(ServeJournalWriter { wal: opened.wal })
+        for (name, workload) in &self.tenants {
+            h.write(name.as_bytes());
+            h.write(
+                by_name(&self.scale, workload)
+                    .expect("validated workload")
+                    .stable_id()
+                    .as_bytes(),
+            );
+        }
+        h.write_u64(self.requests as u64);
+        h.write_u64(self.seed);
+        h.write_u64(u64::from(self.partition));
+        h.write_u64(u64::from(self.max_batch));
+        h.write_u64(self.budget);
+        h.write_u64(u64::from(self.no_skip));
+        h.write_u64(u64::from(self.check_invariants));
+        h.write_u64(self.arrivals_fingerprint());
+        format!("{:016x}", h.finish())
     }
 
-    /// Appends one record, fsyncing it before returning, and folds
-    /// sealed segments into a snapshot when any have accumulated.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn append(&self, record: &ServeJobRecord) -> std::io::Result<()> {
-        self.wal.append(record.to_json_line().as_bytes())?;
-        if self.wal.sealed_segments() > 0 {
-            if let Err(e) = self.wal.compact() {
-                // Compaction is an optimization; the sealed segments
-                // remain readable, so a failed fold must not kill the
-                // sweep.
-                eprintln!("warning: serve journal compaction failed: {e}");
-            }
-        }
-        Ok(())
+    /// The traffic identity, so a resumed run can prove it replays the
+    /// same arrivals.
+    fn header_extras(&self) -> Vec<(&'static str, Json)> {
+        let arrivals = format!("{:016x}", self.arrivals_fingerprint());
+        vec![
+            ("arrival_seed", Json::U64(self.seed)),
+            ("arrivals_fingerprint", Json::str(arrivals)),
+        ]
     }
-}
 
-/// Loads a serve journal for resume, validating its fingerprint against
-/// `spec` before trusting any entry. A torn final record (the in-flight
-/// write at kill time) is repaired and dropped; interior corruption is
-/// a hard error naming the damaged file and byte offset (the file is
-/// quarantined with a `.quarantined` suffix). A legacy v1 JSONL journal
-/// is migrated to the store first.
-///
-/// # Errors
-///
-/// Returns a description when the journal is missing, corrupt, or was
-/// written by a different sweep (different grid, options, or traffic).
-pub fn load_serve_journal(
-    runs_dir: &Path,
-    name: &str,
-    spec: &ServeSweepSpec,
-) -> Result<Vec<ServeJobRecord>, String> {
-    let dir = journal_dir(runs_dir, name);
-    if !dir.is_dir() {
-        let v1 = journal_v1_path(runs_dir, name);
-        if v1.is_file() {
-            migrate_serve_v1(runs_dir, name, spec)?;
+    fn record(&self, outcome: &JobOutcome<ServeSweepSpec>) -> ServeJobRecord {
+        match &outcome.result {
+            Ok(record) => record.clone(),
+            Err(e) => failed(&outcome.job, e.to_string()),
+        }
+    }
+
+    fn replay(
+        &self,
+        _: &ServeJob,
+        record: &ServeJobRecord,
+    ) -> Result<ServeJobRecord, JobError<ServeError>> {
+        if record.status == "ok" {
+            Ok(record.clone())
         } else {
-            return Err(format!(
-                "no journal for serve run `{name}` at {} \
-                 (was the sweep started without journaling, or already completed?)",
-                dir.display()
-            ));
+            Err(JobError::Journaled(record.status.clone()))
         }
     }
-    let opened = Wal::open(&dir, journal_store_options())
-        .map_err(|e| format!("journal {} is damaged: {e}", dir.display()))?;
-    if let RecoveryKind::TornTail {
-        file,
-        offset,
-        dropped_bytes,
-    } = &opened.recovery.kind
-    {
-        eprintln!(
-            "note: journal {}: torn tail repaired at byte {offset} \
-             ({dropped_bytes} byte(s) from the in-flight record dropped)",
-            file.display()
-        );
-    }
-    let mut records = opened.records.iter();
-    let header = records
-        .next()
-        .ok_or_else(|| format!("journal {} is empty", dir.display()))?;
-    let header_text = std::str::from_utf8(&header.payload)
-        .map_err(|_| format!("journal {} has a non-UTF-8 header", dir.display()))?;
-    let header = Json::parse(header_text)
-        .map_err(|e| format!("journal {} has a malformed header: {e}", dir.display()))?;
-    let fingerprint = header
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("journal {} header lacks a fingerprint", dir.display()))?;
-    let expected = spec.fingerprint();
-    if fingerprint != expected {
-        return Err(format!(
-            "journal {} was written by a different serve sweep \
-             (fingerprint {fingerprint}, this invocation is {expected}); \
-             resume with the exact flags of the original run, or delete \
-             the journal to start over",
-            dir.display()
-        ));
-    }
-    let total = spec.jobs().len();
-    let mut entries = Vec::new();
-    for rec in records {
-        // Every payload here survived a checksum, so parse failures are
-        // logic errors, not torn writes: refuse loudly.
-        let text = std::str::from_utf8(&rec.payload)
-            .map_err(|_| format!("journal {} record {} is not UTF-8", dir.display(), rec.seq))?;
-        let doc = Json::parse(text)
-            .map_err(|e| format!("journal {} record {} invalid: {e}", dir.display(), rec.seq))?;
-        let rec = ServeJobRecord::from_json(&doc)
-            .map_err(|e| format!("journal {} entry invalid: {e}", dir.display()))?;
-        if rec.id >= total {
-            return Err(format!(
-                "journal {} names job {} but the sweep has {total} jobs",
-                dir.display(),
-                rec.id
-            ));
-        }
-        entries.push(rec);
-    }
-    Ok(entries)
-}
 
-/// Migrates a version-1 plain-JSONL serve journal into a journal store,
-/// then removes the v1 file. Torn trailing lines (the v1 crash
-/// artifact) are dropped, exactly as the v1 loader did.
-fn migrate_serve_v1(runs_dir: &Path, name: &str, spec: &ServeSweepSpec) -> Result<(), String> {
-    let path = journal_v1_path(runs_dir, name);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read v1 journal {}: {e}", path.display()))?;
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| format!("journal {} is empty", path.display()))?;
-    let header = Json::parse(header)
-        .map_err(|e| format!("journal {} has a malformed header: {e}", path.display()))?;
-    let fingerprint = header
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("journal {} header lacks a fingerprint", path.display()))?;
-    let expected = spec.fingerprint_v1();
-    if fingerprint != expected {
-        return Err(format!(
-            "journal {} was written by a different serve sweep \
-             (fingerprint {fingerprint}, this invocation is {expected}); \
-             resume with the exact flags of the original run, or delete \
-             the journal to start over",
-            path.display()
-        ));
+    fn record_id(record: &ServeJobRecord) -> usize {
+        record.id
     }
-    let total = spec.jobs().len();
-    let mut entry_lines = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        // A SIGKILL could truncate the final v1 line mid-write; that
-        // job simply re-runs.
-        let Ok(doc) = Json::parse(line) else { continue };
-        let rec = ServeJobRecord::from_json(&doc)
-            .map_err(|e| format!("journal {} entry invalid: {e}", path.display()))?;
-        if rec.id >= total {
-            return Err(format!(
-                "journal {} names job {} but the sweep has {total} jobs",
-                path.display(),
-                rec.id
-            ));
-        }
-        entry_lines.push(rec.to_json_line());
-    }
-    let dir = journal_dir(runs_dir, name);
-    if dir.is_dir() {
-        std::fs::remove_dir_all(&dir)
-            .map_err(|e| format!("cannot replace journal store {}: {e}", dir.display()))?;
-    }
-    let opened = Wal::open(&dir, journal_store_options())
-        .map_err(|e| format!("cannot create journal store {}: {e}", dir.display()))?;
-    let store_err =
-        |e: miopt_store::StoreError| format!("cannot write journal store {}: {e}", dir.display());
-    opened
-        .wal
-        .append(serve_header_json(name, spec).as_bytes())
-        .map_err(store_err)?;
-    for line in &entry_lines {
-        opened.wal.append(line.as_bytes()).map_err(store_err)?;
-    }
-    opened.wal.sync().map_err(store_err)?;
-    std::fs::remove_file(&path)
-        .map_err(|e| format!("cannot remove migrated v1 journal {}: {e}", path.display()))?;
-    let _ = miopt_store::sync_dir(runs_dir);
-    eprintln!(
-        "note: migrated v1 serve journal {} ({} entries) to {}",
-        path.display(),
-        entry_lines.len(),
-        dir.display()
-    );
-    Ok(())
-}
 
-/// Runs one grid cell under the retry policy. Panics are the only
-/// transient failure mode a serve job has (the simulator is
-/// deterministic, so a sim-level error repeats identically and is
-/// reported, not retried); each retry waits on the shared
-/// [`crate::backoff::Backoff`] schedule, and an exhausted budget turns
-/// the last panic into the record's `status`.
-fn run_serve_job_with_retry(
-    spec: &ServeSweepSpec,
-    job: &ServeJob,
-    retry: &RetryPolicy,
-) -> ServeJobRecord {
-    let budget = retry.max_attempts.max(1);
-    let mut attempt = 0;
-    loop {
-        attempt += 1;
-        match catch_unwind(AssertUnwindSafe(|| run_serve_job(spec, job))) {
-            Ok(record) => return record,
-            Err(payload) => {
-                let message = panic_message(&*payload);
-                if attempt >= budget {
-                    return ServeJobRecord {
-                        id: job.id,
-                        policy: job.policy.label(),
-                        load: job.load,
-                        status: format!("panicked: {message}"),
-                        cycles: 0,
-                        tenants: Vec::new(),
-                    };
-                }
-                eprintln!(
-                    "warning: serve job {} panicked ({message}); retrying \
-                     (attempt {} of {budget})",
-                    job.id,
-                    attempt + 1
-                );
-                std::thread::sleep(retry.backoff.delay(job.id as u64, attempt as u32));
-            }
-        }
+    fn encode(record: &ServeJobRecord) -> String {
+        record.to_json_line()
     }
-}
 
-/// Executes the grid across `workers` threads, skipping ids present in
-/// `existing` (journal replay), and returns every record in job-id
-/// order. Results are byte-identical at any worker count: workers only
-/// race for *which* job to run next, never over a job's outcome.
-///
-/// # Panics
-///
-/// Panics if `existing` names a job id outside the grid.
-#[must_use]
-pub fn execute(
-    spec: &ServeSweepSpec,
-    workers: usize,
-    quiet: bool,
-    journal: Option<&ServeJournalWriter>,
-    existing: &[ServeJobRecord],
-    retry: &RetryPolicy,
-) -> Vec<ServeJobRecord> {
-    let jobs = spec.jobs();
-    let mut slots: Vec<Option<ServeJobRecord>> = vec![None; jobs.len()];
-    for rec in existing {
-        slots[rec.id] = Some(rec.clone());
+    fn decode(doc: &Json) -> Result<ServeJobRecord, String> {
+        ServeJobRecord::from_json(doc)
     }
-    let todo: Vec<&ServeJob> = jobs.iter().filter(|j| slots[j.id].is_none()).collect();
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        workers
-    }
-    .min(todo.len().max(1));
 
-    let next = AtomicUsize::new(0);
-    let done = Mutex::new(Vec::<ServeJobRecord>::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = todo.get(i) else { break };
-                let record = run_serve_job_with_retry(spec, job, retry);
-                if !quiet {
-                    eprintln!(
-                        "  [serve {}/{}] {} @ load {}: {}",
-                        job.id + 1,
-                        jobs.len(),
-                        record.policy,
-                        record.load,
-                        record.status
-                    );
-                }
-                if let Some(j) = journal {
-                    if let Err(e) = j.append(&record) {
-                        eprintln!("warning: journal append failed: {e}");
-                    }
-                }
-                done.lock().expect("serve results lock").push(record);
-            });
-        }
-    });
-    for record in done.into_inner().expect("serve results lock") {
-        let id = record.id;
-        slots[id] = Some(record);
+    fn report(&self, name: &str, provenance: Provenance, records: Vec<ServeJobRecord>) -> Json {
+        report_json(self, name, &provenance, &records)
     }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every job ran or was journaled"))
-        .collect()
+
+    fn document(report: &Json) -> Json {
+        report.clone()
+    }
 }
 
 /// The worst (maximum) tenant p99 of a job — the sweep's tail metric.
@@ -1152,89 +824,22 @@ fn print_table(spec: &ServeSweepSpec, records: &[ServeJobRecord]) {
 /// Runs the `serve` subcommand. Returns the process exit code.
 #[must_use]
 pub fn run_serve(args: &ServeArgs) -> i32 {
-    let spec = ServeSweepSpec::from_args(args);
-    let jobs = spec.jobs();
+    let spec = Arc::new(ServeSweepSpec::from_args(args));
     eprintln!(
         "running serve sweep: {} policies x {} loads = {} jobs, {} tenants ...",
         spec.policies.len(),
         spec.loads.len(),
-        jobs.len(),
+        spec.policies.len() * spec.loads.len(),
         spec.tenants.len()
     );
-
-    let mut existing = Vec::new();
-    let journal = if args.no_journal {
-        None
-    } else if args.resume.is_some() {
-        match load_serve_journal(&args.runs_dir, &args.sweep_name, &spec) {
-            Ok(entries) => {
-                eprintln!(
-                    "resuming `{}`: {} of {} job(s) already journaled",
-                    args.sweep_name,
-                    entries.len(),
-                    jobs.len()
-                );
-                existing = entries;
-                match ServeJournalWriter::append_to(&args.runs_dir, &args.sweep_name) {
-                    Ok(w) => Some(w),
-                    Err(e) => {
-                        eprintln!("error: cannot reopen journal: {e}");
-                        return 1;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        }
-    } else {
-        eprintln!(
-            "run id: {} (resume an interrupted sweep with serve --resume {})",
-            args.sweep_name, args.sweep_name
-        );
-        match ServeJournalWriter::create(&args.runs_dir, &args.sweep_name, &spec) {
-            Ok(w) => Some(w),
-            Err(e) => {
-                eprintln!("warning: journaling disabled ({e})");
-                None
-            }
-        }
+    let pool = args.common.pool_options();
+    let run = match drive(&spec, &args.common, &pool, None, !args.common.no_journal) {
+        Ok(run) => run,
+        Err(code) => return code,
     };
-
-    let mut provenance = Provenance::collect(&spec.system, args.jobs.max(1));
-    let retry = RetryPolicy {
-        max_attempts: args.retries + 1,
-        ..RetryPolicy::default()
-    };
-    let t0 = Instant::now();
-    let records = execute(
-        &spec,
-        args.jobs,
-        args.quiet,
-        journal.as_ref(),
-        &existing,
-        &retry,
-    );
-    provenance.elapsed_ms = t0.elapsed().as_millis() as u64;
-    eprintln!("serve sweep done in {:.1}s", t0.elapsed().as_secs_f64());
-
-    let report = report_json(&spec, &args.sweep_name, &provenance, &records);
-    std::fs::create_dir_all(&args.runs_dir).ok();
-    let path = args.runs_dir.join(format!("{}.json", args.sweep_name));
-    match replace_file(&path, &report.to_pretty()) {
-        Ok(()) => {
-            eprintln!("(wrote {})", path.display());
-            // The final report is durable; drop the write-ahead state
-            // (the v2 store directory, any unmigrated v1 file, and the
-            // partial report).
-            let _ = std::fs::remove_dir_all(journal_dir(&args.runs_dir, &args.sweep_name));
-            let _ = std::fs::remove_file(journal_v1_path(&args.runs_dir, &args.sweep_name));
-            let _ = std::fs::remove_file(partial_path(&args.runs_dir, &args.sweep_name));
-        }
-        Err(e) => eprintln!("warning: could not write serve report: {e}"),
-    }
-
+    // A serve job's outcome and its record are one and the same thing,
+    // replayed or fresh, so the records need no second copy in the run.
+    let records: Vec<ServeJobRecord> = run.outcomes.iter().map(|o| spec.record(o)).collect();
     print_table(&spec, &records);
     let failed = records.iter().filter(|r| r.status != "ok").count();
     if failed > 0 {
@@ -1247,6 +852,7 @@ pub fn run_serve(args: &ServeArgs) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::tests::refusal;
 
     pub(crate) fn tiny_spec() -> ServeSweepSpec {
         ServeSweepSpec {
@@ -1310,17 +916,30 @@ mod tests {
         assert_eq!(a.seed, 9);
         assert!(a.partition);
         assert_eq!(a.max_batch, 2);
-        assert_eq!(a.jobs, 3);
-        assert_eq!(a.retries, 2);
-        assert_eq!(a.sweep_name, "myserve");
+        assert_eq!(a.common.jobs, 3);
+        assert_eq!(a.common.retries, 2);
+        assert_eq!(a.common.sweep_name, "myserve");
         let d = parse_serve_args(std::iter::empty());
-        assert_eq!(d.sweep_name, "serve-small-quick");
+        assert_eq!(d.common.sweep_name, "serve-small-quick");
         assert_eq!(d.policies.len(), 3);
     }
 
     #[test]
     #[should_panic(expected = "unexpected argument")]
     fn serve_rejects_unknown_flags() {
+        // Values the arrival generator would otherwise assert on, and
+        // the flag pair that contradicts itself, are refused by name.
+        for (flags, named) in [
+            (["--loads", "5000,0"], "--loads"),
+            (["--requests", "0"], "--requests"),
+            (["--max-batch", "0"], "--max-batch"),
+        ] {
+            let refusal = refusal(move || parse_serve_args(flags.iter().map(|s| (*s).to_string())));
+            assert!(refusal.contains(named), "{flags:?}: {refusal}");
+        }
+        let both = ["--no-journal", "--resume", "x"];
+        let refusal = refusal(move || parse_serve_args(both.iter().map(|s| (*s).to_string())));
+        assert!(refusal.contains("--resume") && refusal.contains("--no-journal"));
         drop(parse_serve_args(
             ["--frobnicate"].iter().map(|s| (*s).to_string()),
         ));
@@ -1366,70 +985,44 @@ mod tests {
     }
 
     #[test]
-    fn v1_jsonl_serve_journals_migrate_and_resume_identically() {
-        let dir = std::env::temp_dir().join(format!("miopt-serve-v1-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec = tiny_spec();
-        let jobs = spec.jobs();
-        let rec0 = run_serve_job(&spec, &jobs[0]);
-        let mut text = format!(
-            "{{\"journal\":\"legacy\",\"kind\":\"serve\",\"fingerprint\":\"{}\"}}\n",
-            spec.fingerprint_v1()
-        );
-        text.push_str(&rec0.to_json_line());
-        text.push('\n');
-        text.push_str("{\"id\": 1, \"poli"); // torn v1 tail
-        std::fs::write(journal_v1_path(&dir, "legacy"), &text).unwrap();
-
-        let entries = load_serve_journal(&dir, "legacy", &spec).unwrap();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0], rec0);
-        assert!(
-            !journal_v1_path(&dir, "legacy").exists(),
-            "the v1 file is consumed by migration"
-        );
-        assert!(journal_dir(&dir, "legacy").is_dir(), "v2 store created");
-
-        // The migrated store keeps accepting appends and replays both
-        // the migrated and the new record.
-        let w = ServeJournalWriter::append_to(&dir, "legacy").unwrap();
-        w.append(&run_serve_job(&spec, &jobs[1])).unwrap();
-        let entries = load_serve_journal(&dir, "legacy", &spec).unwrap();
-        assert_eq!(entries.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 1]);
-
-        // A v1 journal from a different sweep is refused, untouched.
-        let mut foreign = spec.clone();
-        foreign.seed = 99;
-        std::fs::write(journal_v1_path(&dir, "other"), &text).unwrap();
-        let err = load_serve_journal(&dir, "other", &foreign).unwrap_err();
-        assert!(err.contains("different serve sweep"), "{err}");
-        assert!(journal_v1_path(&dir, "other").exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn panicking_jobs_are_retried_then_reported_not_propagated() {
         use crate::backoff::Backoff;
+        use crate::pool::{PoolOptions, RetryPolicy};
+        use crate::sweep::run_kind;
         use std::time::Duration;
-        let retry = RetryPolicy {
-            max_attempts: 2,
-            backoff: Backoff::new(Duration::from_millis(1)),
-            escalate_timeout: true,
+        let pool = PoolOptions {
+            workers: 1,
+            retry: RetryPolicy {
+                max_attempts: 2,
+                backoff: Backoff::new(Duration::from_millis(1)),
+                escalate_timeout: true,
+            },
+            ..PoolOptions::default()
         };
-        let spec = tiny_spec();
-        let rec = run_serve_job_with_retry(&spec, &spec.jobs()[0], &retry);
-        assert_eq!(rec.status, "ok", "healthy jobs are unaffected by retry");
+        let records = |spec: ServeSweepSpec| -> Vec<ServeJobRecord> {
+            let spec = Arc::new(spec);
+            let run = run_kind(&spec, "t", &pool, None, None);
+            run.outcomes.iter().map(|o| spec.record(o)).collect()
+        };
+        let healthy = records(tiny_spec());
+        assert_eq!(
+            healthy[0].status, "ok",
+            "healthy jobs are unaffected by retry"
+        );
 
-        // An unknown tenant workload makes serve_config panic; the
-        // executor must retry it (a real panic could be a transient,
-        // e.g. allocation failure) and then report, not propagate.
+        // An unknown tenant workload makes serve_config panic; the pool
+        // must retry it (a real panic could be a transient, e.g.
+        // allocation failure) and then report, not propagate.
         let mut broken = tiny_spec();
         broken.tenants[1].1 = "Nonexistent".to_string();
-        let job = broken.jobs().remove(0);
-        let rec = run_serve_job_with_retry(&broken, &job, &retry);
-        assert!(rec.status.starts_with("panicked:"), "{}", rec.status);
-        assert_eq!(rec.id, job.id);
+        let rec = &records(broken)[0];
+        assert!(
+            rec.status
+                .starts_with("quarantined after 2 attempts: panicked:"),
+            "{}",
+            rec.status
+        );
+        assert_eq!(rec.id, 0);
         assert!(rec.tenants.is_empty());
     }
 

@@ -1,15 +1,15 @@
-//! High-level sweep orchestration: a [`SweepSpec`] in, executed through
+//! High-level sweep orchestration: a [`JobKind`] in, executed through
 //! the worker pool with optional persistent caching and crash-resilient
-//! journaling, a [`SweepReport`] (provenance + per-job records) out.
+//! journaling, its report (provenance + per-job records) out.
 
-use crate::cache::{CacheKey, ResultCache};
-use crate::journal::{self, Journal, JournalWriter};
-use crate::pool::{run_dag, JobError, JobOutcome, NoCache, PoolOptions, ResultSource};
+use crate::cache::ResultCache;
+use crate::journal::{self, Journal};
+use crate::kind::JobKind;
+use crate::pool::{run_dag, JobError, JobOutcome, PoolOptions, ResultSource};
 use crate::provenance::Provenance;
-use crate::results::{job_record, job_records, JobRecord, SweepReport};
-use miopt::runner::{Job, RunResult, SweepSpec};
+use miopt::runner::{Job, RunResult, SimError, SweepSpec};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -33,31 +33,31 @@ pub struct JournalOptions {
 }
 
 /// A finished sweep: every job outcome plus the structured report.
-#[derive(Debug, Clone)]
-pub struct SweepRun {
+#[derive(Debug)]
+pub struct SweepRun<K: JobKind = SweepSpec> {
     /// One outcome per job, in job-id order.
-    pub outcomes: Vec<JobOutcome>,
+    pub outcomes: Vec<JobOutcome<K>>,
     /// The report ready to write under `results/runs/`.
-    pub report: SweepReport,
+    pub report: K::Report,
     /// Journal state files to remove once the final report is safely on
     /// disk (empty for unjournaled sweeps).
     pub cleanup: Vec<PathBuf>,
 }
 
-impl SweepRun {
+impl<K: JobKind> SweepRun<K> {
     /// The successful results in job-id order, or a description of every
     /// failed job.
     ///
     /// # Errors
     ///
     /// Lists each failed job as `label: error`, one per line.
-    pub fn results(&self, spec: &SweepSpec) -> Result<Vec<RunResult>, String> {
+    pub fn results(&self, kind: &K) -> Result<Vec<K::Output>, String> {
         let mut failures = Vec::new();
         let mut results = Vec::with_capacity(self.outcomes.len());
         for o in &self.outcomes {
             match &o.result {
                 Ok(r) => results.push(r.clone()),
-                Err(e) => failures.push(format!("{}: {e}", spec.job_label(&o.job))),
+                Err(e) => failures.push(format!("{}: {e}", kind.label(&o.job))),
             }
         }
         if failures.is_empty() {
@@ -65,6 +65,21 @@ impl SweepRun {
         } else {
             Err(failures.join("\n"))
         }
+    }
+
+    /// Durably writes the final report as `<dir>/<name>.json`, then
+    /// drops the write-ahead state. When the write fails the journal
+    /// stays in place, so the run can still be finished with `--resume`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn write_report(&self, dir: &Path, name: &str) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("{name}.json"));
+        journal::replace_file(&path, &K::document(&self.report).to_pretty())?;
+        self.remove_journal_state();
+        Ok(path)
     }
 
     /// Removes journal/partial state left behind by a journaled sweep
@@ -81,123 +96,121 @@ impl SweepRun {
     }
 }
 
-/// [`ResultSource`] adapter over the persistent cache. Store failures
-/// are reported to stderr but never fail the sweep: a read-only checkout
-/// still computes, just without persistence.
-struct CacheSource {
-    cache: ResultCache,
-}
-
-impl ResultSource for CacheSource {
-    fn fetch(&self, spec: &SweepSpec, job: &Job) -> Option<Result<RunResult, JobError>> {
-        self.cache.load(spec, job).map(Ok)
+/// The persistent cache as a [`ResultSource`] of figure sweeps. Store
+/// failures are reported to stderr but never fail the sweep: a read-only
+/// checkout still computes, just without persistence.
+///
+/// When the spec enables telemetry, the cache is bypassed for the whole
+/// sweep: cached entries store metrics only, and serving a hit would
+/// silently drop that job's time series.
+impl ResultSource<SweepSpec> for ResultCache {
+    fn fetch(&self, spec: &SweepSpec, job: &Job) -> Option<Result<RunResult, JobError<SimError>>> {
+        if spec.run_opts.telemetry_interval.is_some() {
+            return None;
+        }
+        self.load(spec, job).map(Ok)
     }
 
-    fn offer(&self, spec: &SweepSpec, job: &Job, outcome: &JobOutcome) {
+    fn offer(&self, spec: &SweepSpec, outcome: &JobOutcome<SweepSpec>) {
+        if spec.run_opts.telemetry_interval.is_some() {
+            return;
+        }
         let Ok(result) = &outcome.result else { return };
-        if let Err(e) = self.cache.store(spec, job, result) {
+        if let Err(e) = self.store(spec, &outcome.job, result) {
             eprintln!(
                 "warning: result cache store failed for {}: {e}",
-                spec.job_label(job)
+                spec.job_label(&outcome.job)
             );
-        }
-    }
-}
-
-/// The continuously rewritten partial report of a journaled sweep: after
-/// every job, `<name>.partial.json` is atomically replaced so that a
-/// kill at *any* instant leaves a well-formed report of everything done
-/// so far. This is the graceful-interruption mechanism — no signal
-/// handler needed.
-struct PartialState {
-    path: PathBuf,
-    name: String,
-    provenance: Provenance,
-    records: Mutex<Vec<JobRecord>>,
-}
-
-impl PartialState {
-    fn push_and_rewrite(&self, rec: JobRecord) {
-        let mut records = self.records.lock().expect("partial-report lock");
-        records.push(rec);
-        let mut jobs = records.clone();
-        jobs.sort_by_key(|r| r.id);
-        let report = SweepReport {
-            name: self.name.clone(),
-            provenance: self.provenance.clone(),
-            jobs,
-        };
-        if let Err(e) = journal::replace_file(&self.path, &report.to_json().to_pretty()) {
-            eprintln!("warning: partial report write failed: {e}");
         }
     }
 }
 
 /// [`ResultSource`] for journaled sweeps: replays journal entries from a
-/// previous (killed) run, falls through to the persistent cache, and
-/// write-ahead-logs every freshly computed outcome.
-struct JournalSource {
+/// previous (killed) run, falls through to the persistent cache,
+/// write-ahead-logs every freshly computed outcome, and keeps the
+/// partial report current: after every job, `<name>.partial.json` is
+/// atomically replaced so that a kill at *any* instant leaves a
+/// well-formed report of everything done so far. This is the
+/// graceful-interruption mechanism — no signal handler needed.
+struct JournalSource<'a, K: JobKind> {
     /// Outcomes recorded by the interrupted run, by job id.
-    served: HashMap<usize, JobRecord>,
-    writer: JournalWriter,
-    inner: Option<CacheSource>,
-    partial: PartialState,
+    served: HashMap<usize, K::Record>,
+    journal: Journal<K>,
+    cache: Option<&'a dyn ResultSource<K>>,
+    provenance: Provenance,
+    /// Every record so far: the served ones plus this run's.
+    records: Mutex<Vec<K::Record>>,
 }
 
-impl ResultSource for JournalSource {
-    fn fetch(&self, spec: &SweepSpec, job: &Job) -> Option<Result<RunResult, JobError>> {
-        if let Some(rec) = self.served.get(&job.id) {
-            return Some(replay(spec, job, rec));
+impl<K: JobKind> ResultSource<K> for JournalSource<'_, K> {
+    fn fetch(&self, kind: &K, job: &K::Job) -> Option<Result<K::Output, JobError<K::Error>>> {
+        if let Some(rec) = self.served.get(&K::job_id(job)) {
+            return Some(kind.replay(job, rec));
         }
-        self.inner.as_ref().and_then(|c| c.fetch(spec, job))
+        self.cache.and_then(|c| c.fetch(kind, job))
     }
 
-    fn offer(&self, spec: &SweepSpec, job: &Job, outcome: &JobOutcome) {
-        let rec = job_record(spec, outcome, &CacheKey::for_job(spec, job));
-        if let Err(e) = self.writer.append(&rec) {
+    fn offer(&self, kind: &K, outcome: &JobOutcome<K>) {
+        let rec = kind.record(outcome);
+        if let Err(e) = self.journal.append(&rec) {
             eprintln!(
                 "warning: journal append failed for {}: {e}",
-                spec.job_label(job)
+                kind.label(&outcome.job)
             );
         }
-        if let Some(inner) = &self.inner {
-            inner.offer(spec, job, outcome);
+        if let Some(cache) = self.cache {
+            cache.offer(kind, outcome);
         }
-        self.partial.push_and_rewrite(rec);
+        let mut records = self.records.lock().expect("partial-report lock");
+        records.push(rec);
+        let mut sorted = records.clone();
+        sorted.sort_by_key(K::record_id);
+        let report = kind.report(&self.journal.name, self.provenance.clone(), sorted);
+        let text = K::document(&report).to_pretty();
+        if let Err(e) = journal::replace_file(&self.journal.partial_path(), &text) {
+            eprintln!("warning: partial report write failed: {e}");
+        }
     }
 }
 
-/// Reconstructs a pool outcome from a journaled record: successes
-/// rebuild the [`RunResult`] from the stored metrics; failures replay as
-/// [`JobError::Journaled`] without re-running the job.
-fn replay(spec: &SweepSpec, job: &Job, rec: &JobRecord) -> Result<RunResult, JobError> {
-    match &rec.metrics {
-        Some(m) => Ok(RunResult {
-            workload: spec.workloads[job.workload].name.clone(),
-            policy: job.policy,
-            metrics: m.clone(),
-            telemetry: None,
-        }),
-        None => Err(JobError::Journaled(rec.status.clone())),
+/// Opens the write-ahead journal of the sweep `name` under `opts.dir`:
+/// a fresh one, or with `opts.resume` (the CLI's `--resume <run-id>`)
+/// the one a killed run left behind, whose jobs [`run_kind`] replays
+/// instead of re-running.
+///
+/// # Errors
+///
+/// Returns a description when resuming and the journal is missing,
+/// damaged or belongs to a different sweep, or when the journal cannot
+/// be created.
+pub fn open_journal<K: JobKind>(
+    kind: &K,
+    name: &str,
+    opts: &JournalOptions,
+) -> Result<Journal<K>, String> {
+    if !opts.resume {
+        return Journal::create(&opts.dir, name, kind)
+            .map_err(|e| format!("cannot open journal for run `{name}`: {e}"));
     }
+    let journal = Journal::resume(&opts.dir, name, kind)?;
+    eprintln!(
+        "resuming `{name}`: {} of {} jobs already journaled",
+        journal.entries.len(),
+        kind.jobs().len()
+    );
+    Ok(journal)
 }
 
-/// Journal state threaded through a journaled sweep.
-struct JournalState {
-    served: HashMap<usize, JobRecord>,
-    writer: JournalWriter,
-    dir: PathBuf,
+/// The persistent cache of a figure sweep, as the pool consumes it.
+fn cache_of(opts: &SweepOptions) -> Option<&dyn ResultSource<SweepSpec>> {
+    opts.cache.as_ref().map(|c| c as _)
 }
 
 /// Runs every job of `spec` and assembles the report named `name`,
 /// without journaling.
-///
-/// When the spec enables telemetry, the result cache is bypassed for the
-/// whole sweep: cached entries store metrics only, and serving a hit
-/// would silently drop that job's time series.
 #[must_use]
 pub fn run_sweep(spec: &Arc<SweepSpec>, name: &str, opts: &SweepOptions) -> SweepRun {
-    run_sweep_core(spec, name, opts, None)
+    run_kind(spec, name, &opts.pool, cache_of(opts), None)
 }
 
 /// Runs a sweep with a write-ahead journal under `journal.dir`, so a
@@ -225,114 +238,63 @@ pub fn run_sweep_journaled(
                 .to_string(),
         );
     }
-    let served: HashMap<usize, JobRecord> = if journal.resume {
-        let loaded = Journal::load(&journal.dir, name, spec)?;
-        loaded.entries.into_iter().map(|r| (r.id, r)).collect()
-    } else {
-        HashMap::new()
-    };
-    let writer = if journal.resume {
-        JournalWriter::append_to(&journal.dir, name)
-    } else {
-        JournalWriter::create(&journal.dir, name, spec)
-    }
-    .map_err(|e| format!("cannot open journal for run `{name}`: {e}"))?;
-    if journal.resume {
-        eprintln!(
-            "resuming `{name}`: {} of {} jobs already journaled",
-            served.len(),
-            spec.job_count()
-        );
-    }
-    Ok(run_sweep_core(
+    let journal = open_journal(spec.as_ref(), name, journal)?;
+    Ok(run_kind(
         spec,
         name,
-        opts,
-        Some(JournalState {
-            served,
-            writer,
-            dir: journal.dir.clone(),
-        }),
+        &opts.pool,
+        cache_of(opts),
+        Some(journal),
     ))
 }
 
-fn run_sweep_core(
-    spec: &Arc<SweepSpec>,
+/// Runs every job of `kind` through the pool and assembles the report
+/// named `name`. Jobs are served from `cache` when it has them; with a
+/// `journal` ([`open_journal`]), jobs it already holds are replayed —
+/// never re-run — and every fresh outcome is appended to it before the
+/// sweep moves on.
+pub fn run_kind<K: JobKind>(
+    kind: &Arc<K>,
     name: &str,
-    opts: &SweepOptions,
-    journal: Option<JournalState>,
-) -> SweepRun {
-    let workers = opts.pool.effective_workers();
-    let mut provenance = Provenance::collect(&spec.cfg, workers);
-    provenance.telemetry_interval = spec.run_opts.telemetry_interval;
-    let cache = if spec.run_opts.telemetry_interval.is_some() {
-        if opts.cache.is_some() {
-            eprintln!("note: telemetry enabled; bypassing the result cache so every job records a time series");
-        }
-        &None
-    } else {
-        &opts.cache
-    };
+    pool: &PoolOptions,
+    cache: Option<&dyn ResultSource<K>>,
+    journal: Option<Journal<K>>,
+) -> SweepRun<K> {
+    let mut provenance = Provenance::collect(kind.system(), pool.effective_workers());
     let started = Instant::now();
-    let (outcomes, journaled) = match journal {
-        Some(js) => {
-            let served = js.served.clone();
+    let cleanup = journal.as_ref().map_or_else(Vec::new, |j| {
+        vec![journal::journal_dir(&j.runs_dir, name), j.partial_path()]
+    });
+    let (outcomes, served) = match journal {
+        Some(journal) => {
             let source = JournalSource {
-                served: js.served,
-                writer: js.writer,
-                inner: cache.clone().map(|cache| CacheSource { cache }),
-                partial: PartialState {
-                    path: journal::partial_path(&js.dir, name),
-                    name: name.to_string(),
-                    provenance: provenance.clone(),
-                    records: Mutex::new(served.values().cloned().collect()),
-                },
+                served: (journal.entries.iter())
+                    .map(|r| (K::record_id(r), r.clone()))
+                    .collect(),
+                records: Mutex::new(journal.entries.clone()),
+                journal,
+                cache,
+                provenance: provenance.clone(),
             };
-            let outcomes = run_dag(spec, &[], &source, &opts.pool);
-            (outcomes, Some((served, js.dir)))
+            (run_dag(kind, &[], Some(&source), pool), source.served)
         }
-        None => match cache {
-            Some(cache) => {
-                let source = CacheSource {
-                    cache: cache.clone(),
-                };
-                (run_dag(spec, &[], &source, &opts.pool), None)
-            }
-            None => (run_dag(spec, &[], &NoCache, &opts.pool), None),
-        },
+        None => (run_dag(kind, &[], cache, pool), HashMap::new()),
     };
     provenance.elapsed_ms = started.elapsed().as_millis() as u64;
-    let keys: Vec<CacheKey> = spec
-        .jobs()
-        .iter()
-        .map(|j| CacheKey::for_job(spec, j))
+    provenance.quarantined = (outcomes.iter())
+        .filter(|o| o.result.as_ref().is_err_and(JobError::is_quarantined))
+        .map(|o| kind.label(&o.job))
         .collect();
-    let mut jobs = job_records(spec, &outcomes, &keys);
-    let mut cleanup = Vec::new();
-    if let Some((served, dir)) = journaled {
-        // Journal-served jobs keep the record of the run that actually
-        // computed them (original status, attempts, elapsed), so the
-        // resumed report matches the uninterrupted one.
-        for rec in served.into_values() {
-            let id = rec.id;
-            jobs[id] = rec;
-        }
-        cleanup.push(journal::journal_dir(&dir, name));
-        cleanup.push(journal::partial_path(&dir, name));
+    let mut records: Vec<K::Record> = outcomes.iter().map(|o| kind.record(o)).collect();
+    // Journal-served jobs keep the record of the run that actually
+    // computed them (original status, attempts, elapsed), so the
+    // resumed report matches the uninterrupted one.
+    for (id, rec) in served {
+        records[id] = rec;
     }
-    provenance.quarantined = jobs
-        .iter()
-        .filter(|r| r.status.starts_with("quarantined"))
-        .map(|r| format!("{}/{}", r.workload, r.policy))
-        .collect();
-    let report = SweepReport {
-        name: name.to_string(),
-        provenance,
-        jobs,
-    };
     SweepRun {
         outcomes,
-        report,
+        report: kind.report(name, provenance, records),
         cleanup,
     }
 }
@@ -340,6 +302,8 @@ fn run_sweep_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalWriter;
+    use crate::results::SweepReport;
     use miopt::SystemConfig;
     use miopt_workloads::{by_name, SuiteConfig};
 

@@ -2,7 +2,8 @@
 //! on-disk journal is cut at every record boundary (a kill between
 //! appends) and at seeded offsets inside records (a kill mid-write),
 //! and every cut must recover to exactly the durable prefix and resume
-//! to a report byte-identical to the uninterrupted run.
+//! to a report byte-identical to the uninterrupted run. The job kind is
+//! one more input: the figure and the serve journal take the same cuts.
 //!
 //! The byte-exhaustive versions of these cuts — every offset of the
 //! write stream, via the fault-point I/O layer — live in
@@ -10,27 +11,54 @@
 //! end-to-end through the sweep orchestrator.
 
 use miopt::runner::SweepSpec;
-use miopt::SystemConfig;
+use miopt::{CachePolicy, PolicyConfig, SystemConfig};
 use miopt_engine::rng::SplitMix64;
+use miopt_harness::journal::Journal;
 use miopt_harness::json::Json;
-use miopt_harness::results::SweepReport;
-use miopt_harness::sweep::{run_sweep_journaled, JournalOptions, SweepOptions};
+use miopt_harness::results::JobRecord;
+use miopt_harness::serve::{ServeJobRecord, ServeSweepSpec, TenantRecord};
+use miopt_harness::sweep::{open_journal, run_kind, JournalOptions, SweepRun};
+use miopt_harness::{JobKind, PoolOptions};
 use miopt_store::Wal;
 use miopt_workloads::{by_name, SuiteConfig};
 use std::path::Path;
 use std::sync::Arc;
 
-fn test_spec() -> Arc<SweepSpec> {
+fn figure_spec() -> Arc<SweepSpec> {
     Arc::new(SweepSpec::statics(
         SystemConfig::small_test(),
         vec![by_name(&SuiteConfig::quick(), "FwSoft").unwrap()],
     ))
 }
 
+fn serve_spec() -> Arc<ServeSweepSpec> {
+    Arc::new(ServeSweepSpec {
+        system: SystemConfig::small_test(),
+        scale: SuiteConfig::quick(),
+        tenants: vec![
+            ("t0".to_string(), "FwSoft".to_string()),
+            ("t1".to_string(), "FwPool".to_string()),
+        ],
+        policies: vec![
+            PolicyConfig::of(CachePolicy::Uncached),
+            PolicyConfig::of(CachePolicy::CacheR),
+            PolicyConfig::of(CachePolicy::CacheRW),
+        ],
+        loads: vec![60_000],
+        requests: 3,
+        seed: 0,
+        partition: true,
+        max_batch: 2,
+        budget: 500_000_000,
+        no_skip: false,
+        check_invariants: false,
+    })
+}
+
 /// Strips the timing fields a resume legitimately changes, leaving
 /// everything that must be byte-identical.
-fn stable_json(report: &SweepReport) -> String {
-    let mut doc = report.to_json();
+fn stable_json<K: JobKind>(report: &K::Report) -> String {
+    let mut doc = K::document(report);
     fn scrub(doc: &mut Json) {
         if let Json::Obj(pairs) = doc {
             pairs.retain(|(k, _)| {
@@ -53,30 +81,37 @@ fn stable_json(report: &SweepReport) -> String {
     doc.to_pretty()
 }
 
-fn journal_options(dir: &Path, resume: bool) -> JournalOptions {
-    JournalOptions {
+/// The journaled sweep `victim` of `kind` under `dir`, fresh or resumed.
+fn run_journaled<K: JobKind>(
+    kind: &Arc<K>,
+    dir: &Path,
+    resume: bool,
+) -> Result<SweepRun<K>, String> {
+    let opts = JournalOptions {
         dir: dir.to_path_buf(),
         resume,
-    }
+    };
+    let journal = open_journal(kind.as_ref(), "victim", &opts)?;
+    let pool = PoolOptions::default();
+    Ok(run_kind(kind, "victim", &pool, None, Some(journal)))
 }
 
 #[test]
 fn every_kill_point_recovers_and_resumes_byte_identically() {
-    let dir = std::env::temp_dir().join(format!("miopt-crash-inject-{}", std::process::id()));
+    every_kill_point("figures", &figure_spec());
+    every_kill_point("serve", &serve_spec());
+}
+
+fn every_kill_point<K: JobKind>(tag: &str, spec: &Arc<K>) {
+    let dir = std::env::temp_dir().join(format!("miopt-crash-inject-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let spec = test_spec();
+    let jobs = spec.jobs().len();
 
     // The uninterrupted reference run, journal left in place: its one
     // segment is the complete write stream a crash would have cut.
-    let full = run_sweep_journaled(
-        &spec,
-        "victim",
-        &SweepOptions::default(),
-        &journal_options(&dir, false),
-    )
-    .expect("journaled sweep runs");
-    assert!(full.report.jobs.iter().all(|j| j.status == "ok"));
-    let reference = stable_json(&full.report);
+    let full = run_journaled(spec, &dir, false).expect("journaled sweep runs");
+    full.results(spec).expect("every job succeeds");
+    let reference = stable_json::<K>(&full.report);
 
     let store = dir.join("victim.journal");
     let intact = Wal::inspect(&store).expect("intact journal inspects");
@@ -84,7 +119,7 @@ fn every_kill_point_recovers_and_resumes_byte_identically() {
     assert_eq!(intact.state, "clean");
     assert_eq!(
         intact.records.len(),
-        spec.job_count() + 1,
+        jobs + 1,
         "header + one record per job"
     );
     assert_eq!(intact.segments.len(), 1, "small sweeps stay in one segment");
@@ -125,17 +160,12 @@ fn every_kill_point_recovers_and_resumes_byte_identically() {
         let durable = ends.iter().filter(|&&e| e <= cut).count();
         assert_eq!(info.records.len(), durable, "cut {cut}");
 
-        let resumed = run_sweep_journaled(
-            &spec,
-            "victim",
-            &SweepOptions::default(),
-            &journal_options(&dir, true),
-        )
-        .unwrap_or_else(|e| panic!("cut {cut}: resume failed: {e}"));
+        let resumed = run_journaled(spec, &dir, true)
+            .unwrap_or_else(|e| panic!("cut {cut}: resume failed: {e}"));
         let replayed = resumed.outcomes.iter().filter(|o| o.cached).count();
         assert_eq!(replayed, durable - 1, "cut {cut}: journaled jobs replay");
         assert_eq!(
-            stable_json(&resumed.report),
+            stable_json::<K>(&resumed.report),
             reference,
             "cut {cut}: resumed report must be byte-identical"
         );
@@ -146,13 +176,7 @@ fn every_kill_point_recovers_and_resumes_byte_identically() {
     std::fs::write(&seg_path, &bytes[..(ends[0] - 3) as usize]).unwrap();
     let info = Wal::inspect(&store).unwrap();
     assert!(info.records.is_empty());
-    let err = run_sweep_journaled(
-        &spec,
-        "victim",
-        &SweepOptions::default(),
-        &journal_options(&dir, true),
-    )
-    .unwrap_err();
+    let err = run_journaled(spec, &dir, true).err().unwrap();
     assert!(err.contains("is empty"), "{err}");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -160,16 +184,15 @@ fn every_kill_point_recovers_and_resumes_byte_identically() {
 
 #[test]
 fn corruption_below_the_cut_refuses_resume_with_the_byte_offset() {
-    let dir = std::env::temp_dir().join(format!("miopt-crash-corrupt-{}", std::process::id()));
+    corruption_below_the_cut("figures", &figure_spec());
+    corruption_below_the_cut("serve", &serve_spec());
+}
+
+fn corruption_below_the_cut<K: JobKind>(tag: &str, spec: &Arc<K>) {
+    let dir =
+        std::env::temp_dir().join(format!("miopt-crash-corrupt-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let spec = test_spec();
-    let _full = run_sweep_journaled(
-        &spec,
-        "victim",
-        &SweepOptions::default(),
-        &journal_options(&dir, false),
-    )
-    .expect("journaled sweep runs");
+    let _full = run_journaled(spec, &dir, false).expect("journaled sweep runs");
 
     let store = dir.join("victim.journal");
     let intact = Wal::inspect(&store).unwrap();
@@ -185,15 +208,85 @@ fn corruption_below_the_cut_refuses_resume_with_the_byte_offset() {
     let info = Wal::inspect(&store).unwrap();
     assert!(!info.healthy);
     assert!(info.state.contains("corrupt"), "{}", info.state);
-    let err = run_sweep_journaled(
-        &spec,
-        "victim",
-        &SweepOptions::default(),
-        &journal_options(&dir, true),
-    )
-    .unwrap_err();
+    let err = run_journaled(spec, &dir, true).err().unwrap();
     assert!(err.contains("damaged"), "{err}");
     assert!(err.contains("byte offset"), "{err}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The on-disk format, pinned byte for byte: the header record of each
+/// kind's journal and one encoded job record of each, as the commit
+/// before the `JobKind` seam wrote them — so journals it left behind
+/// stay resumable. The fingerprints inside the headers hash the test
+/// machine and grids; a deliberate change to either moves them, and
+/// this literal with them.
+#[test]
+fn journal_bytes_are_pinned_for_both_kinds() {
+    fn header<K: JobKind>(dir: &Path, name: &str, kind: &K) -> String {
+        drop(Journal::create(dir, name, kind).expect("a fresh journal opens"));
+        let store = Wal::inspect(&dir.join(format!("{name}.journal"))).expect("it inspects");
+        String::from_utf8(store.records[0].payload.clone()).expect("the header is UTF-8")
+    }
+    let dir = std::env::temp_dir().join(format!("miopt-journal-pin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(
+        header(&dir, "fig", figure_spec().as_ref()),
+        r#"{"journal":"fig","schema_version":2,"journal_version":2,"fingerprint":"075027782345ea00","jobs":3}"#
+    );
+    assert_eq!(
+        header(&dir, "srv", serve_spec().as_ref()),
+        r#"{"journal":"srv","kind":"serve","schema_version":2,"journal_version":2,"fingerprint":"a97cab7088d5811a","arrival_seed":0,"arrivals_fingerprint":"1b65c88e29e4e2fb","jobs":3}"#
+    );
+
+    let record = JobRecord {
+        id: 1,
+        workload: "FwSoft".to_string(),
+        workload_id: "soft:quick".to_string(),
+        policy: "CacheR".to_string(),
+        cache_key: "00112233".to_string(),
+        cached: false,
+        elapsed_ms: 7,
+        status: "ok".to_string(),
+        attempts: 1,
+        metrics: None,
+        diagnostic: None,
+    };
+    let line = r#"{"id":1,"workload":"FwSoft","workload_id":"soft:quick","policy":"CacheR","cache_key":"00112233","cached":false,"elapsed_ms":7,"status":"ok","attempts":1}"#;
+    assert_eq!(SweepSpec::encode(&record), line);
+    let back = SweepSpec::decode(&Json::parse(line).unwrap()).unwrap();
+    assert_eq!(SweepSpec::encode(&back), line);
+
+    let record = ServeJobRecord {
+        id: 2,
+        policy: "CacheRW".to_string(),
+        load: 60_000,
+        status: "ok".to_string(),
+        cycles: 123_456,
+        tenants: vec![TenantRecord {
+            name: "t0".to_string(),
+            workload: "FwSoft".to_string(),
+            requested: 3,
+            completed: 3,
+            batches: 2,
+            kernels: 4,
+            busy_cycles: 5000,
+            queue_peak: 2,
+            dram_reads: 10,
+            dram_writes: 11,
+            noc_req_transfers: 12,
+            noc_resp_transfers: 13,
+            latency_sum: 9000,
+            p50: 2500,
+            p95: 4000,
+            p99: 4100,
+        }],
+    };
+    let line = r#"{"id":2,"policy":"CacheRW","load":60000,"status":"ok","cycles":123456,"tenants":[{"name":"t0","workload":"FwSoft","requested":3,"completed":3,"batches":2,"kernels":4,"busy_cycles":5000,"queue_peak":2,"dram_reads":10,"dram_writes":11,"noc_req_transfers":12,"noc_resp_transfers":13,"latency_sum":9000,"p50":2500,"p95":4000,"p99":4100}]}"#;
+    assert_eq!(ServeSweepSpec::encode(&record), line);
+    let back = ServeSweepSpec::decode(&Json::parse(line).unwrap()).unwrap();
+    assert_eq!(back, record);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

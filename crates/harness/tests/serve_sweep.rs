@@ -3,16 +3,29 @@
 //! provably replays identical traffic.
 
 use miopt::{CachePolicy, PolicyConfig, SystemConfig};
+use miopt_harness::journal::Journal;
 use miopt_harness::json::Json;
 use miopt_harness::provenance::Provenance;
-use miopt_harness::serve::{
-    execute, load_serve_journal, report_json, run_serve_job, ServeJournalWriter, ServeSweepSpec,
-};
-use miopt_harness::RetryPolicy;
+use miopt_harness::serve::{report_json, run_serve_job, ServeJobRecord, ServeSweepSpec};
+use miopt_harness::sweep::run_kind;
+use miopt_harness::{JobKind, PoolOptions};
 use miopt_workloads::SuiteConfig;
+use std::sync::Arc;
 
-fn no_retry() -> RetryPolicy {
-    RetryPolicy::default()
+/// Runs the grid on `workers` threads (0 = every core), replaying
+/// `journal` first, and returns every record in job-id order.
+fn execute(
+    spec: &ServeSweepSpec,
+    workers: usize,
+    journal: Option<Journal<ServeSweepSpec>>,
+) -> Vec<ServeJobRecord> {
+    let spec = Arc::new(spec.clone());
+    let pool = PoolOptions {
+        workers,
+        ..PoolOptions::default()
+    };
+    let run = run_kind(&spec, "t", &pool, None, journal);
+    run.outcomes.iter().map(|o| spec.record(o)).collect()
 }
 
 fn tiny_spec() -> ServeSweepSpec {
@@ -52,8 +65,8 @@ fn stable_report_slice(doc: &Json) -> String {
 #[test]
 fn serve_sweep_is_byte_identical_across_worker_counts() {
     let spec = tiny_spec();
-    let serial = execute(&spec, 1, true, None, &[], &no_retry());
-    let parallel = execute(&spec, 4, true, None, &[], &no_retry());
+    let serial = execute(&spec, 1, None);
+    let parallel = execute(&spec, 4, None);
     assert_eq!(serial, parallel);
     for (i, rec) in serial.iter().enumerate() {
         assert_eq!(rec.id, i, "records must come back in job-id order");
@@ -70,9 +83,9 @@ fn serve_sweep_is_byte_identical_across_skip_modes() {
     let mut spec = tiny_spec();
     // One load level keeps the no-skip (per-cycle) arm affordable.
     spec.loads = vec![30_000];
-    let skipped = execute(&spec, 2, true, None, &[], &no_retry());
+    let skipped = execute(&spec, 2, None);
     spec.no_skip = true;
-    let stepped = execute(&spec, 2, true, None, &[], &no_retry());
+    let stepped = execute(&spec, 2, None);
     // no_skip is part of the journal fingerprint but must not change a
     // single simulated number.
     assert_eq!(skipped, stepped);
@@ -85,13 +98,13 @@ fn resumed_serve_sweep_reproduces_the_full_report() {
     let spec = tiny_spec();
 
     // The uninterrupted reference run.
-    let full = execute(&spec, 2, true, None, &[], &no_retry());
+    let full = execute(&spec, 2, None);
     let reference = report_json(&spec, "ref", &Provenance::collect(&spec.system, 2), &full);
 
     // A run that "dies" after two journaled jobs (we just stop driving
     // it), leaving a torn trailing frame like a real SIGKILL would: the
     // first bytes of record 4's header, cut mid-write.
-    let writer = ServeJournalWriter::create(&dir, "victim", &spec).unwrap();
+    let writer = Journal::create(&dir, "victim", &spec).unwrap();
     let jobs = spec.jobs();
     writer.append(&run_serve_job(&spec, &jobs[0])).unwrap();
     writer.append(&run_serve_job(&spec, &jobs[3])).unwrap();
@@ -108,13 +121,13 @@ fn resumed_serve_sweep_reproduces_the_full_report() {
     std::fs::write(&seg, &bytes).unwrap();
 
     // Resume: replay the journal, run only the missing jobs.
-    let journaled = load_serve_journal(&dir, "victim", &spec).unwrap();
+    let journal = Journal::resume(&dir, "victim", &spec).unwrap();
     assert_eq!(
-        journaled.iter().map(|r| r.id).collect::<Vec<_>>(),
+        journal.entries.iter().map(|r| r.id).collect::<Vec<_>>(),
         vec![0, 3],
         "torn tail dropped, intact entries kept"
     );
-    let resumed = execute(&spec, 2, true, None, &journaled, &no_retry());
+    let resumed = execute(&spec, 2, Some(journal));
     assert_eq!(resumed, full, "resume must not change any record");
     let resumed_report = report_json(
         &spec,
@@ -136,21 +149,21 @@ fn resume_refuses_foreign_traffic() {
     let dir = std::env::temp_dir().join("miopt-serve-fingerprint-test");
     let _ = std::fs::remove_dir_all(&dir);
     let original = tiny_spec();
-    ServeJournalWriter::create(&dir, "t", &original).unwrap();
+    Journal::create(&dir, "t", &original).unwrap();
 
     // Same grid, different arrival seed: different traffic, refused.
     let mut reseeded = original.clone();
     reseeded.seed = 1;
-    let err = load_serve_journal(&dir, "t", &reseeded).unwrap_err();
+    let err = Journal::resume(&dir, "t", &reseeded).err().unwrap();
     assert!(err.contains("different serve sweep"), "{err}");
 
     // Different run options are refused too.
     let mut rebudgeted = original.clone();
     rebudgeted.budget /= 2;
-    let err = load_serve_journal(&dir, "t", &rebudgeted).unwrap_err();
+    let err = Journal::resume(&dir, "t", &rebudgeted).err().unwrap();
     assert!(err.contains("different serve sweep"), "{err}");
 
-    let err = load_serve_journal(&dir, "absent", &original).unwrap_err();
+    let err = Journal::resume(&dir, "absent", &original).err().unwrap();
     assert!(err.contains("no journal"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -177,7 +190,7 @@ fn tail_diverges_from_mean_at_the_documented_config() {
     spec.seed = 1;
     spec.partition = false;
     spec.max_batch = 4;
-    let records = execute(&spec, 0, true, None, &[], &no_retry());
+    let records = execute(&spec, 0, None);
     let summary = report_json(
         &spec,
         "div",
@@ -204,7 +217,7 @@ fn tail_diverges_from_mean_at_the_documented_config() {
 #[test]
 fn report_carries_traffic_provenance() {
     let spec = tiny_spec();
-    let records = execute(&spec, 2, true, None, &[], &no_retry());
+    let records = execute(&spec, 2, None);
     let doc = report_json(&spec, "t", &Provenance::collect(&spec.system, 2), &records);
     let prov = doc.get("provenance").expect("report has provenance");
     assert_eq!(

@@ -135,7 +135,7 @@ if grep -q '"completed": 0' "$smoke_dir/serve-smoke.json"; then
     exit 1
 fi
 # The serve journal store is cleaned up after a successful run.
-[[ ! -e "$smoke_dir/serve-smoke.journal" && ! -e "$smoke_dir/serve-smoke.journal.jsonl" ]]
+[[ ! -e "$smoke_dir/serve-smoke.journal" && ! -e "$smoke_dir/serve-smoke.partial.json" ]]
 echo "serve smoke ok"
 
 echo "== query smoke (miopt-harness query) =="
@@ -181,43 +181,17 @@ echo "== zero-allocation steady state (counting allocator, release) =="
 # release (the shape the bench numbers are recorded in).
 cargo test --release -q -p miopt --features count-allocs --test zero_alloc
 
-echo "== hot-path perf smoke (ns/event vs checked-in BENCH_hotpath.json) =="
-# Re-measure the bench suite and gate the *aggregate* ns/event (total
-# wall seconds over total events, all six cases) against the checked-in
-# recording, with a 20% regression budget. Per-case and per-actor
-# figures swing far more than 20% with machine noise on a shared box;
-# the aggregate is the most stable figure the bench produces. One
-# breach triggers a single re-run and the best of the two attempts is
-# judged — a structural hot-path regression fails both, a noisy
-# neighbour rarely does.
-perf_dir=$(mktemp -d)
-trap 'rm -rf "$smoke_dir" "$perf_dir"' EXIT
-perf_attempt() {
-    # The bench writes the hot-path report (event_secs + events per
-    # case) next to the path it is given.
-    cargo bench -q -p miopt-bench --bench sim_throughput -- \
-        "$perf_dir/BENCH_skipahead.json" >"$perf_dir/bench.log" 2>&1 || {
-        cat "$perf_dir/bench.log" >&2; exit 1; }
-    python3 - "$perf_dir/BENCH_hotpath.json" results/BENCH_hotpath.json <<'EOF'
-import json, sys
-def aggregate(path):
-    rows = json.load(open(path))["entries"]
-    return sum(e["event_secs"] for e in rows) * 1e9 / max(
-        sum(e["events"] for e in rows), 1)
-now, base = aggregate(sys.argv[1]), aggregate(sys.argv[2])
-ratio = now / base
-print(f"aggregate {now:.1f} ns/event vs baseline {base:.1f} ({ratio:.2f}x)")
-sys.exit(1 if ratio > 1.20 else 0)
-EOF
-}
-if ! perf_attempt; then
-    echo "first attempt exceeded the 20% budget; re-running once"
-    perf_attempt || {
-        echo "hot-path ns/event regressed >20% on both attempts" >&2
-        exit 1
-    }
-fi
-echo "hot-path perf smoke ok"
+echo "== benchmark self-tests and smoke pass (bench/) =="
+# The one perf mechanism is the benchmark in bench/ (BENCHMARK.json is
+# its contract). CI does not judge wall time — that takes the paired
+# runs described in bench/README.md — it checks that the benchmark
+# builds against this tree, that its self-tests pass, and that a smoke
+# pass of every workload gets every operation right (anything else
+# exits nonzero).
+cargo test -q --manifest-path bench/Cargo.toml --offline
+cargo run --release -q --manifest-path bench/Cargo.toml --offline -- \
+    --workload all --smoke --out "$smoke_dir/bench" >/dev/null
+echo "benchmark smoke ok"
 
 if [[ $full -eq 1 ]]; then
     echo "== cargo clippy -p miopt-bench =="

@@ -19,8 +19,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::Arc;
 
 /// System allocator wrapper reporting every allocation into
-/// `miopt_engine::alloc_track` (same idiom as the `sim_throughput`
-/// bench).
+/// `miopt_engine::alloc_track` (same idiom as the benchmark in
+/// `bench/src/main.rs`).
 struct CountingAlloc;
 
 // SAFETY: defers entirely to the system allocator; the wrapper only adds
