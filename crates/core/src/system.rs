@@ -744,6 +744,16 @@ impl ApuSystem {
         (self.ev.events, self.ev.active_cycles)
     }
 
+    /// CU-tick workload beside [`ApuSystem::event_stats`]: `(CU ticks
+    /// executed, CU ticks that did nothing)`, cumulative (see
+    /// `Gpu::cu_tick_stats`). The phase actor's cost is proportional to
+    /// the first number; the second is the part of it that bought
+    /// nothing. Host-side counts, identical under both engines.
+    #[must_use]
+    pub fn cu_tick_stats(&self) -> (u64, u64) {
+        self.gpu.cu_tick_stats()
+    }
+
     /// Per-actor breakdown of [`ApuSystem::event_stats`]: one
     /// `(stage name, dispatches)` pair per event-core actor, in dispatch
     /// order. The histogram shows where the event core spends its
@@ -902,6 +912,8 @@ impl ApuSystem {
     pub fn check_invariants_now(&self) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
         self.gpu.check_invariants("gpu", &mut out);
+        self.gpu
+            .check_blocked_cu_wake(self.now, &self.l1_in, "gpu", &mut out);
         for (i, c) in self.l1s.iter().enumerate() {
             c.check_invariants(&format!("l1[{i}]"), &mut out);
         }
@@ -1469,6 +1481,11 @@ impl ApuSystem {
                 if let Some(at) = self.gpu.next_event(t0) {
                     self.ev.seed(A_PHASE, at);
                 }
+                // The credit edge of `ev_l1_service`, evaluated on the
+                // state the run is entered with.
+                if (0..self.l1_in.len()).any(|i| self.credit_returned(i)) {
+                    self.ev.seed(A_PHASE, t0);
+                }
             }
             // A flush retries blocked writebacks every cycle.
             Phase::Flushing => self.ev.seed(A_PHASE, t0),
@@ -1737,7 +1754,20 @@ impl ApuSystem {
             if let Some(at) = self.l1s[i].next_event(now + 1) {
                 self.ev.wake_unit(A_L1_SERVICE, at, i);
             }
+            if self.credit_returned(i) {
+                // L1 service -> phase (credit): the phase machine is a
+                // later stage of this cycle, as in the per-cycle order,
+                // where `Gpu::tick_tracked` sees the room for itself.
+                self.ev.wake(A_PHASE, now);
+            }
         }
+    }
+
+    /// Whether CU `i` sleeps on L1 backpressure while its queue has
+    /// room: the one wake the GPU cannot schedule for itself, because
+    /// the queue is popped by the L1 service stage.
+    fn credit_returned(&self, i: usize) -> bool {
+        self.gpu.cu_mem_blocked(i) && self.l1_in[i].can_push()
     }
 
     /// Actor 9 (stage 9): request crossbar, with idle-rotation catch-up.
@@ -1844,9 +1874,11 @@ impl ApuSystem {
                 } else if let Some(at) = self.gpu.next_event(now + 1) {
                     self.ev.wake(A_PHASE, at);
                 }
-                // Neither branch scheduling anything means every
-                // wavefront is blocked on memory; actor 10 wakes the
-                // phase machine when a response arrives.
+                // Neither branch scheduling anything means no SIMD
+                // timer is pending: every CU sleeps on a load response
+                // (actor 10 wakes the phase machine when one arrives) or
+                // on L1 backpressure (actor 8 wakes it when the queue it
+                // pops for a memory-blocked CU has room again).
             }
             Phase::Flushing => self.ev.wake(A_PHASE, now + 1),
             // Busy drains wait for the dispatch piggyback; Finished ends
@@ -2446,6 +2478,67 @@ mod tests {
             assert_eq!(mf.dram_accesses(), ms.dram_accesses(), "{p}");
             assert_eq!(mf.cache_stalls(), ms.cache_stalls(), "{p}");
             assert_eq!(fast.take_telemetry(), slow.take_telemetry(), "{p}");
+        }
+    }
+
+    /// The phase actor's machine-independent cost on a saturated stream:
+    /// the CU ticks executed are a function of the simulated state alone
+    /// (same count from either engine, run after run), and few of them
+    /// are wasted — a backpressured CU sleeps until its L1 queue returns
+    /// a credit; re-ticking it every cycle in between would make the
+    /// large majority of this run's ticks no-ops.
+    #[test]
+    fn cu_ticks_on_a_saturated_stream_are_exact_and_mostly_useful() {
+        let w = by_name(&SuiteConfig::quick(), "FwAct").unwrap();
+        let run = |skip: bool| {
+            let mut sys = ApuSystem::new(
+                SystemConfig::paper_table1(),
+                PolicyConfig::of(CachePolicy::Uncached),
+                &w,
+            );
+            sys.set_time_skip(skip);
+            let m = sys.run_to_completion(200_000_000).expect("run finished");
+            (m, sys.cu_tick_stats())
+        };
+        let (m, (ticks, idle)) = run(true);
+        assert!(ticks > 50_000, "{ticks} CU ticks");
+        assert!(idle * 4 < ticks, "{idle} of {ticks} CU ticks did nothing");
+        assert_eq!(run(true), (m.clone(), (ticks, idle)), "repeats exactly");
+        assert_eq!(run(false), (m, (ticks, idle)), "same under the oracle");
+    }
+
+    /// Halting a saturated run mid-kernel and re-entering it rebuilds the
+    /// schedule from state alone (`seed_schedule`), including the wake of
+    /// CUs asleep on L1 backpressure: the resumed run must end exactly
+    /// where an uninterrupted one does, under both engines.
+    #[test]
+    fn saturated_run_resumes_bit_identically_after_a_budget_halt() {
+        let w = by_name(&SuiteConfig::quick(), "FwAct").unwrap();
+        let fresh = |skip: bool| {
+            let mut sys = ApuSystem::new(
+                SystemConfig::small_test(),
+                PolicyConfig::of(CachePolicy::Uncached),
+                &w,
+            );
+            sys.set_time_skip(skip);
+            sys
+        };
+        let mut whole = fresh(true);
+        let want = whole.run_to_completion(200_000_000).expect("run finished");
+        let want = (want, whole.cu_tick_stats());
+        for skip in [true, false] {
+            let mut sys = fresh(skip);
+            let mut blocked_at_a_halt = false;
+            // Budgets that are not multiples of anything in the machine.
+            for budget in [7_001, 7_002, 9_337, 20_011] {
+                let err = sys.run_to_completion(budget).expect_err("mid-kernel");
+                assert_eq!(err.diagnostic.reason, StallReason::CycleBudget);
+                assert_eq!(sys.now(), Cycle(budget));
+                blocked_at_a_halt |= (0..sys.l1_in.len()).any(|i| sys.gpu.cu_mem_blocked(i));
+            }
+            assert!(blocked_at_a_halt, "the halts must catch backpressured CUs");
+            let got = sys.run_to_completion(200_000_000).expect("resumed run");
+            assert_eq!((got, sys.cu_tick_stats()), want, "skip={skip}");
         }
     }
 

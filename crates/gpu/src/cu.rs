@@ -58,6 +58,11 @@ pub struct Cu {
     occ_mask: u64,
     /// Bit per slot: the wavefront has coalesced requests awaiting issue.
     pending_mask: u64,
+    /// Whether the last [`Cu::tick`] ended with coalesced requests left
+    /// and a full L1 queue. The memory pipe then has nothing to do until
+    /// the queue returns a credit, which only the queue's owner can see
+    /// (see [`Cu::mem_blocked`]).
+    mem_blocked: bool,
     simd_busy_until: Vec<Cycle>,
     simd_rr: Vec<usize>,
     mem_rr: u32,
@@ -83,6 +88,7 @@ impl Cu {
             slots: (0..cfg.total_slots()).map(|_| None).collect(),
             occ_mask: 0,
             pending_mask: 0,
+            mem_blocked: false,
             simd_busy_until: vec![Cycle::ZERO; cfg.simds],
             simd_rr: vec![0; cfg.simds],
             mem_rr: 0,
@@ -138,6 +144,16 @@ impl Cu {
         self.retired_wavefronts
     }
 
+    /// Whether the memory pipe is blocked on L1 backpressure: the last
+    /// [`Cu::tick`] left coalesced requests unissued because the L1 queue
+    /// was full. Such a CU does not wake itself for them
+    /// ([`Cu::next_event`] reports SIMD timers only); whoever owns the
+    /// queue must tick it again on the cycle the queue has room.
+    #[must_use]
+    pub fn mem_blocked(&self) -> bool {
+        self.mem_blocked
+    }
+
     /// Outstanding work across resident wavefronts, for stall diagnostics:
     /// `(resident wavefronts, load responses awaited, coalesced accesses
     /// not yet issued)`.
@@ -173,15 +189,24 @@ impl Cu {
         }
     }
 
-    /// Routes a load response to its wavefront.
-    pub fn on_response(&mut self, slot: u16) {
+    /// Routes a load response to its wavefront. Returns whether the
+    /// response released the wavefront from a waitcnt, i.e. whether the
+    /// CU may now act earlier than [`Cu::next_event`] said before; a
+    /// response that only lowers an outstanding count (or retires a
+    /// finished wavefront) leaves every other wavefront's schedule as it
+    /// was.
+    pub fn on_response(&mut self, slot: u16) -> bool {
         let idx = slot as usize;
         match self.slots.get_mut(idx) {
             Some(Some(wf)) => {
-                wf.on_load_response();
+                let released = wf.on_load_response();
                 self.try_retire(idx);
+                released
             }
-            _ => debug_assert!(false, "response for empty slot {slot}"),
+            _ => {
+                debug_assert!(false, "response for empty slot {slot}");
+                false
+            }
         }
     }
 
@@ -199,8 +224,12 @@ impl Cu {
     }
 
     /// The earliest cycle at or after `now` at which this CU might do
-    /// work, or `None` if it is empty or every resident wavefront is
-    /// waiting on a memory response.
+    /// work *on its own*, or `None` if it is empty or nothing but an
+    /// external stimulus can make it act. A sleeping CU has three wake
+    /// sources and only the first is reported here: a SIMD timer (a
+    /// wavefront's multi-cycle op or the issue pipe freeing up), a load
+    /// response ([`Cu::on_response`]), and — when [`Cu::mem_blocked`] —
+    /// a credit from the L1 queue, which the queue's owner observes.
     ///
     /// Conservative in the skip-ahead sense: the CU may wake and find it
     /// still cannot issue (an extra no-op [`Cu::tick`]), but it never
@@ -210,12 +239,14 @@ impl Cu {
         if self.occ_mask == 0 {
             return None;
         }
-        if self.pending_mask != 0 {
-            // The memory pipe has coalesced requests to drain (or is
-            // blocked on L1 backpressure, which clears while the
-            // downstream queues are busy anyway).
+        if self.pending_mask != 0 && !self.mem_blocked {
+            // The memory pipe has coalesced requests to drain and the
+            // queue had room for them when the CU last looked.
             return Some(now);
         }
+        // Blocked on L1 backpressure, the pending requests are not this
+        // CU's event: their wavefronts are `Waiting`, so only the other
+        // wavefronts' SIMD timers count below.
         let per = self.cfg.wf_slots_per_simd;
         let mut next: Option<Cycle> = None;
         for s in 0..self.cfg.simds {
@@ -259,7 +290,11 @@ impl Cu {
             return false;
         }
         let mem = self.issue_memory(now, l1_in);
-        self.issue_simds(now) || mem
+        let acted = self.issue_simds(now) || mem;
+        // A no-op tick recomputes the value the flag already has: the
+        // pending set is unchanged and only this CU fills the queue.
+        self.mem_blocked = self.pending_mask != 0 && !l1_in.can_push();
+        acted
     }
 
     fn issue_memory(&mut self, now: Cycle, l1_in: &mut TimedQueue<MemReq>) -> bool {
@@ -353,6 +388,39 @@ impl Cu {
                 });
             }
         }
+    }
+
+    /// The `blocked_cu_wake` invariant, checked between cycles by
+    /// [`crate::Gpu::check_blocked_cu_wake`]: the memory-blocked flag
+    /// implies unissued requests, and a CU that is `asleep` (its wake
+    /// hint is clean and not due, so it will not be ticked on its own)
+    /// must not hold unissued requests facing a queue with room — either
+    /// the flag was lost, or the credit wake was. Without this a lost
+    /// wake surfaces only as a watchdog wedge long after the fact.
+    pub(crate) fn check_blocked_wake(
+        &self,
+        asleep: bool,
+        queue_has_room: bool,
+        component: &str,
+        out: &mut Vec<InvariantViolation>,
+    ) {
+        let pending = self.pending_mask.count_ones();
+        let detail = if self.mem_blocked && pending == 0 {
+            "flagged memory-blocked with no unissued coalesced access".to_string()
+        } else if asleep && pending != 0 && queue_has_room {
+            format!(
+                "asleep with {pending} wavefront(s) holding unissued accesses and room \
+                 in the L1 queue (memory-blocked flag {})",
+                self.mem_blocked
+            )
+        } else {
+            return;
+        };
+        out.push(InvariantViolation {
+            component: component.to_string(),
+            invariant: "blocked_cu_wake",
+            detail,
+        });
     }
 
     fn issue_simds(&mut self, now: Cycle) -> bool {
@@ -538,6 +606,107 @@ mod tests {
             total += q.drain_all().count();
         }
         assert_eq!(total, 4, "all coalesced requests eventually issue");
+    }
+
+    /// A CU whose memory pipe faces a full L1 queue does not wake itself:
+    /// its tick is a no-op and `next_event` is silent until the queue
+    /// returns a credit, and then the request issues on that very cycle.
+    #[test]
+    fn backpressured_cu_sleeps_until_a_credit_returns() {
+        let mut cu = Cu::new(CuConfig::tiny_test(), 0);
+        let k = kernel(vec![Op::Load { pattern: 0 }, Op::WaitCnt { max: 0 }], 1, 1);
+        cu.assign_wg(&k, 0, 0);
+        let mut q = TimedQueue::new(1, 0);
+        assert!(cu.tick(Cycle(0), &mut q), "the load coalesces into 4 lines");
+        assert!(!cu.mem_blocked(), "the queue still has room");
+        assert_eq!(cu.next_event(Cycle(1)), Some(Cycle(1)));
+        assert!(cu.tick(Cycle(1), &mut q), "first line issues");
+        assert!(cu.mem_blocked(), "3 lines left and the queue is full");
+        assert_eq!(cu.next_event(Cycle(2)), None, "no self-wake");
+        let before = (cu.line_loads(), q.pushed());
+        assert!(!cu.tick(Cycle(2), &mut q), "a skippable no-op");
+        assert!(cu.mem_blocked());
+        assert_eq!((cu.line_loads(), q.pushed()), before);
+        assert!(q.pop_ready(Cycle(3)).is_some(), "the L1 returns a credit");
+        assert!(cu.tick(Cycle(3), &mut q), "the request issues that cycle");
+        assert_eq!(cu.line_loads(), 2);
+        assert!(cu.mem_blocked(), "and the queue is full again");
+    }
+
+    /// SIMD timers of the other wavefronts still count while the memory
+    /// pipe is blocked.
+    #[test]
+    fn blocked_cu_still_reports_simd_timers() {
+        let mut cu = Cu::new(CuConfig::tiny_test(), 0);
+        let body = vec![
+            Op::Load { pattern: 0 },
+            Op::Valu { count: 5 },
+            Op::Valu { count: 1 },
+        ];
+        cu.assign_wg(&kernel(body, 1, 2), 0, 0);
+        let mut q = TimedQueue::new(1, 0);
+        // Cycle 0: wf0 loads. 1: wf0's first line fills the queue, wf1
+        // loads. 2: neither can run its VALU with lines still pending —
+        // the CU is blocked with nothing on a timer.
+        for c in 0..3 {
+            cu.tick(Cycle(c), &mut q);
+        }
+        assert!(cu.mem_blocked());
+        assert_eq!(cu.next_event(Cycle(3)), None);
+        // Return credits until wf0's lines are out and its 20-cycle VALU
+        // issues; wf1's lines are then stuck behind the full queue.
+        let mut now = 3;
+        while cu.valu_lane_ops() == 0 {
+            q.pop_ready(Cycle(now));
+            cu.tick(Cycle(now), &mut q);
+            now += 1;
+            assert!(now < 50);
+        }
+        let valu_done = Cycle(now - 1 + 20);
+        assert!(!cu.tick(Cycle(now), &mut q));
+        assert!(cu.mem_blocked(), "wf1 still has lines to issue");
+        assert_eq!(
+            cu.next_event(Cycle(now)),
+            Some(valu_done),
+            "wf0's next VALU is a timer; wf1's lines are not"
+        );
+    }
+
+    #[test]
+    fn blocked_cu_wake_invariant_names_a_wrong_flag() {
+        let mut cu = Cu::new(CuConfig::tiny_test(), 0);
+        let k = kernel(vec![Op::Load { pattern: 0 }, Op::WaitCnt { max: 0 }], 1, 1);
+        cu.assign_wg(&k, 0, 0);
+        let mut q = TimedQueue::new(1, 0);
+        cu.tick(Cycle(0), &mut q);
+        cu.tick(Cycle(1), &mut q);
+        let check = |cu: &Cu, asleep: bool, room: bool| {
+            let mut out = Vec::new();
+            cu.check_blocked_wake(asleep, room, "cu[0]", &mut out);
+            out
+        };
+        // Healthy: blocked, asleep, queue full.
+        assert!(check(&cu, true, false).is_empty());
+        // A credit came back and nobody ticked the CU (a lost wake), or
+        // the flag was lost so nobody knows to: same symptom, one name.
+        for flag in [true, false] {
+            cu.mem_blocked = flag;
+            let vs = check(&cu, true, true);
+            assert_eq!(vs.len(), 1, "{vs:?}");
+            assert_eq!(vs[0].invariant, "blocked_cu_wake");
+            assert_eq!(vs[0].component, "cu[0]");
+            // Awake, the CU is about to be ticked: nothing is lost yet.
+            assert!(check(&cu, false, true).is_empty());
+        }
+        // Flagged blocked with nothing left to issue.
+        while q.pop_ready(Cycle(2)).is_some() || cu.pending_mask != 0 {
+            cu.tick(Cycle(2), &mut q);
+        }
+        assert!(check(&cu, true, true).is_empty());
+        cu.mem_blocked = true;
+        let vs = check(&cu, false, false);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert!(vs[0].detail.contains("no unissued"), "{}", vs[0].detail);
     }
 
     /// Drives a mixed compute/memory kernel cycle by cycle and checks the

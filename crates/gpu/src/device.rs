@@ -119,17 +119,21 @@ pub struct Gpu {
     active: Option<ActiveKernel>,
     kernels_run: u64,
     /// Per-CU cache of [`Cu::next_event`], valid while the CU's
-    /// [`Gpu::stale`] bit is clear: the earliest cycle the CU might act
-    /// ([`NEVER`] = blocked until a response arrives). Lets
+    /// [`Gpu::stale`] bit is clear: the earliest cycle a SIMD timer lets
+    /// the CU act ([`NEVER`] = only a load response or, for a
+    /// memory-blocked CU, an L1 queue credit can wake it). Lets
     /// [`Gpu::tick_tracked`] skip provably stalled CUs — a no-op
     /// `Cu::tick` mutates nothing, so skipping it is behaviorally
     /// invisible — and [`Gpu::next_event`] answer without rescanning
     /// every wavefront.
     wake_hint: Vec<Cycle>,
-    /// CUs (bit per index, first 64 only) whose hint is stale because an
-    /// external event — a delivered response, an assigned work-group —
-    /// changed their state since it was computed. Stale CUs are always
-    /// ticked and rescanned.
+    /// CUs (bit per index, first 64 only) whose hint is stale because
+    /// the CU acted, a response released one of its wavefronts from a
+    /// waitcnt, or a work-group was assigned to it since the hint was
+    /// computed. Stale CUs are always ticked and rescanned. The third
+    /// wake source, an L1 queue credit reaching a memory-blocked CU,
+    /// needs no bit here: [`Gpu::tick_tracked`] reads it off the queue it
+    /// is handed.
     stale: u64,
     /// Per-CU retired-wavefront count at the last reconciliation, and
     /// the running device total. Retires happen only inside [`Cu::tick`]
@@ -138,6 +142,10 @@ pub struct Gpu {
     /// O(1) instead of summing 64 CUs every cycle.
     retired_seen: Vec<u64>,
     retired_total: u64,
+    /// [`Cu::tick`] calls executed, and those among them that did
+    /// nothing (see [`Gpu::cu_tick_stats`]).
+    cu_ticks: u64,
+    idle_cu_ticks: u64,
 }
 
 impl Gpu {
@@ -159,6 +167,8 @@ impl Gpu {
             stale: u64::MAX,
             retired_seen: vec![0; n_cus],
             retired_total: 0,
+            cu_ticks: 0,
+            idle_cu_ticks: 0,
         }
     }
 
@@ -174,7 +184,8 @@ impl Gpu {
 
     /// Whether CU `i` must be ticked/rescanned at `now` (its hint is
     /// stale or due). CUs past index 63 have no stale bit and are always
-    /// hot.
+    /// hot. A memory-blocked CU is also hot on a cycle its L1 queue has
+    /// room, which [`Gpu::tick_tracked`] adds from the queue.
     #[inline]
     fn cu_hot(&self, i: usize, now: Cycle) -> bool {
         i >= 64 || self.stale & (1 << i) != 0 || self.wake_hint[i] <= now
@@ -254,12 +265,20 @@ impl Gpu {
         let mut mask = 0u64;
         let stale = self.stale;
         for (i, (cu, q)) in self.cus.iter_mut().zip(l1_ins.iter_mut()).enumerate() {
-            if i < 64 && stale & (1 << i) == 0 && self.wake_hint[i] > now {
-                // The hint proves this CU cannot act before `wake_hint[i]`
-                // and nothing external touched it since the hint was
-                // computed: its tick would be a no-op, so skip the scan.
+            if i < 64
+                && stale & (1 << i) == 0
+                && self.wake_hint[i] > now
+                && !(cu.mem_blocked() && q.can_push())
+            {
+                // The hint proves no SIMD timer lets this CU act before
+                // `wake_hint[i]`, no waitcnt was released and no
+                // work-group assigned since the hint was computed, and
+                // its memory pipe either has nothing to issue or still
+                // faces a full queue: its tick would be a no-op, so skip
+                // the scan.
                 continue;
             }
+            self.cu_ticks += 1;
             if cu.tick(now, q) {
                 acted = true;
                 let r = cu.retired_wavefronts();
@@ -271,9 +290,12 @@ impl Gpu {
                     // next tick.
                     self.stale |= 1 << i;
                 }
-            } else if i < 64 {
-                self.stale &= !(1 << i);
-                self.wake_hint[i] = cu.next_event(now).unwrap_or(NEVER);
+            } else {
+                self.idle_cu_ticks += 1;
+                if i < 64 {
+                    self.stale &= !(1 << i);
+                    self.wake_hint[i] = cu.next_event(now).unwrap_or(NEVER);
+                }
             }
         }
         (acted, mask)
@@ -309,8 +331,17 @@ impl Gpu {
     }
 
     /// The earliest cycle at or after `now` at which the device might act
-    /// — dispatch a pending work-group or let a CU issue — or `None` if
-    /// every CU is empty or waiting on memory responses.
+    /// on its own — dispatch a pending work-group or let a CU issue — or
+    /// `None` if every CU is empty or asleep. A sleeping CU has three
+    /// wake sources: a SIMD timer, which is what this reports; a load
+    /// response that releases a waitcnt, which [`Gpu::on_response`]
+    /// turns into a stale hint; and,
+    /// for a CU whose memory pipe is blocked on a full L1 queue
+    /// ([`Gpu::cu_mem_blocked`]), a credit from that queue. The device
+    /// does not hold the queues between ticks, so a driver that sleeps
+    /// on this value must itself tick the device on the cycle such a
+    /// queue gets room; one that ticks every cycle needs nothing, since
+    /// [`Gpu::tick_tracked`] checks the queue it is handed.
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if let Some(k) = &self.active {
@@ -350,17 +381,37 @@ impl Gpu {
     pub fn on_response(&mut self, resp: MemResp) {
         match resp.origin {
             Origin::Wavefront { cu, slot } => {
-                self.cus[cu as usize].on_response(slot);
+                let released = self.cus[cu as usize].on_response(slot);
                 // A response can retire the wavefront it unblocks.
                 self.note_retired(cu as usize);
-                if (cu as usize) < 64 {
-                    // The response may unblock a waitcnt; invalidate the
-                    // CU's wake hint.
+                if released && (cu as usize) < 64 {
+                    // The response released a waitcnt: the CU may act
+                    // before its hint. Any other response leaves the
+                    // hint exact, so the CU sleeps on.
                     self.stale |= 1 << cu;
                 }
             }
             Origin::Internal => debug_assert!(false, "internal response routed to GPU"),
         }
+    }
+
+    /// Whether CU `i`'s memory pipe is blocked on L1 backpressure (see
+    /// [`Cu::mem_blocked`]): it sleeps until its queue has room, a
+    /// response releases a waitcnt or a SIMD timer fires.
+    #[must_use]
+    pub fn cu_mem_blocked(&self, i: usize) -> bool {
+        self.cus[i].mem_blocked()
+    }
+
+    /// Host-side cost counters, not simulated statistics: `(CU ticks
+    /// executed, CU ticks that did nothing)`. Every CU not provably
+    /// asleep is ticked on each [`Gpu::tick_tracked`]; an idle tick is
+    /// one that found nothing to issue or retire. Both are functions of
+    /// the simulated state alone, so they repeat exactly across runs and
+    /// across drivers.
+    #[must_use]
+    pub fn cu_tick_stats(&self) -> (u64, u64) {
+        (self.cu_ticks, self.idle_cu_ticks)
     }
 
     /// Aggregated statistics across all CUs.
@@ -396,6 +447,35 @@ impl Gpu {
                 (i, active, loads, pending)
             })
             .collect()
+    }
+
+    /// The `blocked_cu_wake` invariant, which needs the L1 queues the
+    /// device does not own and so is not part of its [`Sentinel`] impl:
+    /// between cycles, no CU that [`Gpu::tick_tracked`] would skip at
+    /// `now` may hold unissued requests facing a queue with room, and a
+    /// memory-blocked flag implies unissued requests. A lost credit wake
+    /// (or a lost flag) is thus named at the next check instead of
+    /// surfacing as a watchdog wedge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l1_ins.len()` differs from the CU count.
+    pub fn check_blocked_cu_wake(
+        &self,
+        now: Cycle,
+        l1_ins: &[TimedQueue<MemReq>],
+        component: &str,
+        out: &mut Vec<InvariantViolation>,
+    ) {
+        assert_eq!(l1_ins.len(), self.cus.len(), "one L1 queue per CU");
+        for (i, (cu, q)) in self.cus.iter().zip(l1_ins).enumerate() {
+            cu.check_blocked_wake(
+                !self.cu_hot(i, now),
+                q.can_push(),
+                &format!("{component}.cu[{i}]"),
+                out,
+            );
+        }
     }
 }
 
@@ -565,6 +645,87 @@ mod tests {
         gpu.check_invariants("gpu", &mut out);
         assert!(out.is_empty(), "violations after kernel end: {out:?}");
         assert!(gpu.wavefront_summary().is_empty());
+    }
+
+    /// Ticks `gpu` without ever popping `q` until CU 0 is memory-blocked
+    /// and asleep; returns the next cycle.
+    fn tick_until_blocked_asleep(gpu: &mut Gpu, q: &mut [TimedQueue<MemReq>]) -> u64 {
+        let mut now = 0;
+        while !gpu.cu_mem_blocked(0) || gpu.cu_hot(0, Cycle(now)) {
+            gpu.tick(Cycle(now), q);
+            now += 1;
+            assert!(now < 100, "CU never backpressured");
+        }
+        now
+    }
+
+    #[test]
+    fn backpressured_cu_is_skipped_until_its_queue_returns_a_credit() {
+        let mut gpu = Gpu::new(1, CuConfig::tiny_test());
+        gpu.start_kernel(stream_kernel(1, 1, 1), 0);
+        let mut q = vec![TimedQueue::new(2, 0)];
+        let mut now = tick_until_blocked_asleep(&mut gpu, &mut q);
+        assert_eq!(q[0].len(), 2, "queue full, 2 of the load's 4 lines issued");
+        assert_eq!(gpu.next_event(Cycle(now)), None, "no self-wake");
+        let ticks = gpu.cu_tick_stats();
+        for _ in 0..10 {
+            assert_eq!(gpu.tick_tracked(Cycle(now), &mut q), (false, 0));
+            now += 1;
+        }
+        assert_eq!(gpu.cu_tick_stats(), ticks, "the CU's tick is skipped");
+        let mut out = Vec::new();
+        gpu.check_blocked_cu_wake(Cycle(now), &q, "gpu", &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        // One pop: hot again, and the request issues that cycle.
+        q[0].pop_ready(Cycle(now)).expect("head is ready");
+        assert_eq!(gpu.tick_tracked(Cycle(now), &mut q), (true, 1));
+        assert_eq!(q[0].len(), 2);
+        assert_eq!(gpu.stats().line_loads, 3);
+        assert_eq!(gpu.cu_tick_stats(), (ticks.0 + 1, ticks.1));
+    }
+
+    #[test]
+    fn a_released_waitcnt_wakes_a_backpressured_cu() {
+        // Two wavefronts on one SIMD, a queue exactly one load wide: wf0's
+        // 4 lines fill it, wf1's 4 lines wait behind it, wf0 sits at its
+        // waitcnt.
+        let mut gpu = Gpu::new(1, CuConfig::tiny_test());
+        gpu.start_kernel(stream_kernel(1, 2, 1), 0);
+        let mut q = vec![TimedQueue::new(4, 0)];
+        let now = tick_until_blocked_asleep(&mut gpu, &mut q);
+        assert_eq!(gpu.wavefront_summary(), vec![(0, 2, 8, 4)]);
+        let resps: Vec<MemResp> = q[0].iter().map(MemResp::for_req).collect();
+        // Three of wf0's four responses release nothing: the CU sleeps on.
+        let ticks = gpu.cu_tick_stats();
+        for &r in &resps[..3] {
+            gpu.on_response(r);
+        }
+        assert_eq!(gpu.tick_tracked(Cycle(now), &mut q), (false, 0));
+        assert_eq!(gpu.cu_tick_stats(), ticks);
+        // The fourth releases the waitcnt: the CU is ticked and wf0 moves
+        // on, with the queue still full.
+        gpu.on_response(resps[3]);
+        assert_eq!(gpu.next_event(Cycle(now + 1)), Some(Cycle(now + 1)));
+        assert_eq!(gpu.tick_tracked(Cycle(now + 1), &mut q), (true, 1));
+        assert_eq!(gpu.cu_tick_stats(), (ticks.0 + 1, ticks.1));
+        assert!(gpu.cu_mem_blocked(0), "wf1's lines still face a full queue");
+    }
+
+    #[test]
+    fn blocked_cu_wake_invariant_reports_a_lost_credit_wake() {
+        let mut gpu = Gpu::new(1, CuConfig::tiny_test());
+        gpu.start_kernel(stream_kernel(1, 1, 1), 0);
+        let mut q = vec![TimedQueue::new(2, 0)];
+        let now = tick_until_blocked_asleep(&mut gpu, &mut q);
+        // The L1 pops a request and the driver never ticks the device on
+        // that cycle: at the next between-cycles check the CU is asleep
+        // with work to issue and room to issue it into.
+        q[0].pop_ready(Cycle(now)).expect("head is ready");
+        let mut out = Vec::new();
+        gpu.check_blocked_cu_wake(Cycle(now + 1), &q, "gpu", &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].component, "gpu.cu[0]");
+        assert_eq!(out[0].invariant, "blocked_cu_wake");
     }
 
     #[test]

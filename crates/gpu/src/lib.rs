@@ -30,4 +30,4 @@ mod wavefront;
 pub use coalesce::{coalesce, coalesce_into};
 pub use cu::{Cu, CuConfig};
 pub use device::{Gpu, GpuStats};
-pub use program::{AccessCtx, AddrGen, KernelDesc, KernelProgram, Op};
+pub use program::{lines_by_lane, AccessCtx, AddrGen, KernelDesc, KernelProgram, Op};

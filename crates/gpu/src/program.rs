@@ -1,4 +1,4 @@
-use miopt_engine::{Addr, Pc};
+use miopt_engine::{Addr, LineAddr, Pc};
 use std::fmt;
 use std::sync::Arc;
 
@@ -104,6 +104,29 @@ pub trait AddrGen: Send + Sync {
     /// The address lane `ctx.lane` accesses, or `None` if the lane is
     /// inactive for this instruction.
     fn lane_addr(&self, ctx: &AccessCtx) -> Option<Addr>;
+
+    /// The cache lines one vector memory instruction requests: clears
+    /// `out` and fills it with the distinct lines its 64 lanes touch, in
+    /// first-touch order. `ctx.lane` is ignored.
+    ///
+    /// The provided body is the specification — [`lines_by_lane`], 64
+    /// [`AddrGen::lane_addr`] calls through the coalescer. A generator
+    /// that knows its lanes' layout may override it with a closed form,
+    /// which must produce exactly the same lines in the same order.
+    fn lines_into(&self, ctx: &AccessCtx, out: &mut Vec<LineAddr>) {
+        lines_by_lane(self, ctx, out);
+    }
+}
+
+/// Lane-by-lane coalescing of one vector memory instruction: asks `gen`
+/// for each of the 64 lane addresses of `ctx` (whose own `lane` is
+/// ignored) and coalesces them into `out` with
+/// [`coalesce_into`](crate::coalesce_into). The provided body of
+/// [`AddrGen::lines_into`], and the fallback (and test oracle) of any
+/// override.
+pub fn lines_by_lane<G: AddrGen + ?Sized>(gen: &G, ctx: &AccessCtx, out: &mut Vec<LineAddr>) {
+    let lanes = (0..64u32).map(|lane| gen.lane_addr(&AccessCtx { lane, ..*ctx }));
+    crate::coalesce_into(lanes, out);
 }
 
 impl<F> AddrGen for F
@@ -215,6 +238,22 @@ mod tests {
             pattern: 0,
         };
         assert_eq!(g.lane_addr(&ctx), Some(Addr(12)));
+    }
+
+    #[test]
+    fn closures_coalesce_lane_by_lane() {
+        let g = stream_gen();
+        let ctx = AccessCtx {
+            kernel_seq: 0,
+            wg: 0,
+            wf: 0,
+            lane: 41, // ignored: the instruction covers all 64 lanes
+            iter: 0,
+            pattern: 0,
+        };
+        let mut lines = vec![LineAddr(9)];
+        g.lines_into(&ctx, &mut lines);
+        assert_eq!(lines, (0..4).map(LineAddr).collect::<Vec<_>>());
     }
 
     #[test]

@@ -73,13 +73,21 @@ impl Wavefront {
         self.outstanding_loads
     }
 
-    /// A load response arrived.
-    pub(crate) fn on_load_response(&mut self) {
+    /// A load response arrived. Returns whether it released the wavefront
+    /// from the [`Op::WaitCnt`] it was blocked at — the only way a
+    /// response changes [`Wavefront::state`] or [`Wavefront::next_wake`],
+    /// which otherwise do not read the outstanding count.
+    pub(crate) fn on_load_response(&mut self) -> bool {
         debug_assert!(
             self.outstanding_loads > 0,
             "response without outstanding load"
         );
         self.outstanding_loads = self.outstanding_loads.saturating_sub(1);
+        !self.done
+            && matches!(
+                self.kernel.program.body[self.ip],
+                Op::WaitCnt { max } if self.outstanding_loads == u32::from(max)
+            )
     }
 
     pub(crate) fn state(&self, now: Cycle) -> WfState {
@@ -157,20 +165,18 @@ impl Wavefront {
 
     fn coalesce_into_pending(&mut self, pattern: u16, is_store: bool) {
         let op_index = self.ip;
-        let (kernel_seq, wg, wf, iter) = (self.kernel_seq, self.wg, self.wf, self.iter);
         let mut scratch = std::mem::take(&mut self.coalesce_scratch);
-        let gen = &self.kernel.gen;
-        let lanes = (0..64u32).map(|lane| {
-            gen.lane_addr(&AccessCtx {
-                kernel_seq,
-                wg,
-                wf,
-                lane,
-                iter,
+        self.kernel.gen.lines_into(
+            &AccessCtx {
+                kernel_seq: self.kernel_seq,
+                wg: self.wg,
+                wf: self.wf,
+                lane: 0,
+                iter: self.iter,
                 pattern,
-            })
-        });
-        crate::coalesce_into(lanes, &mut scratch);
+            },
+            &mut scratch,
+        );
         for &line in &scratch {
             self.pending.push_back(PendingAccess {
                 line,

@@ -11,7 +11,9 @@
 //! cycle), and identical figure CSVs. The grid includes FwGRU, a
 //! multi-kernel latency-bound RNN — the shape with the longest
 //! event-free stretches and the most drain/flush boundaries, i.e. the
-//! one the event core accelerates (and could plausibly corrupt) most.
+//! one the event core accelerates (and could plausibly corrupt) most —
+//! and FwAct and BwBN, bandwidth-bound streams that keep the L1 input
+//! queues full, where CUs sleep on backpressure and wake on a credit.
 
 use miopt::runner::{run_one_with, RunOptions, SweepSpec};
 use miopt::SystemConfig;
@@ -66,6 +68,16 @@ fn event_core_matches_per_cycle_across_the_policy_grid() {
     assert_grid_equivalent(&["FwSoft", "BwSoft"]);
 }
 
+/// The softmax grid never fills an L1 input queue. FwAct streams with no
+/// reuse and keeps every CU backpressured for most of the run — the
+/// state in which a CU sleeps until its queue returns a credit, and the
+/// one wake the event core has to deliver that the per-cycle loop gets
+/// for free.
+#[test]
+fn event_core_matches_per_cycle_on_a_saturated_stream() {
+    assert_grid_equivalent(&["FwAct"]);
+}
+
 /// The same full-grid pin on FwGRU: a multi-kernel latency-bound RNN —
 /// the shape with the longest event-free stretches and the most
 /// drain/flush boundaries per run, too slow for the debug tier-1 suite
@@ -74,4 +86,13 @@ fn event_core_matches_per_cycle_across_the_policy_grid() {
 #[ignore = "slow in debug; run in release via --include-ignored"]
 fn event_core_matches_per_cycle_on_a_latency_bound_rnn() {
     assert_grid_equivalent(&["FwGRU"]);
+}
+
+/// The saturated pin with BwBN beside FwAct: the bandwidth-bound case
+/// whose store revisits reach the L1 queues through a different kernel
+/// shape (release-only, as above).
+#[test]
+#[ignore = "slow in debug; run in release via --include-ignored"]
+fn event_core_matches_per_cycle_on_a_saturated_store_stream() {
+    assert_grid_equivalent(&["FwAct", "BwBN"]);
 }

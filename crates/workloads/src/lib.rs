@@ -410,6 +410,44 @@ mod tests {
         assert_ne!(q.stable_id(), p.stable_id());
     }
 
+    /// The closed-form coalescer on the address streams the figures are
+    /// made of: every memory instruction of every launch of every Table 2
+    /// workload, at the first, middle and last work-group, wavefront and
+    /// iteration (the seeded test in `patterns.rs` covers the edges these
+    /// well-formed kernels rarely reach).
+    #[test]
+    fn table_2_kernels_coalesce_like_the_lane_by_lane_default() {
+        use miopt_gpu::{lines_by_lane, AccessCtx, Op};
+        let ends = |n: u32| [0, n / 2, n - 1];
+        let (mut closed, mut by_lane) = (Vec::new(), Vec::new());
+        for w in suite(&SuiteConfig::quick()) {
+            for (seq, k) in w.launches.iter().enumerate() {
+                for op in &k.program.body {
+                    let (Op::Load { pattern } | Op::Store { pattern }) = *op else {
+                        continue;
+                    };
+                    for wg in ends(k.wgs) {
+                        for wf in ends(k.wfs_per_wg) {
+                            for iter in ends(k.program.iters) {
+                                let ctx = AccessCtx {
+                                    kernel_seq: seq as u32,
+                                    wg,
+                                    wf,
+                                    lane: 0,
+                                    iter,
+                                    pattern,
+                                };
+                                k.gen.lines_into(&ctx, &mut closed);
+                                lines_by_lane(&*k.gen, &ctx, &mut by_lane);
+                                assert_eq!(closed, by_lane, "{} {}: {ctx:?}", w.name, k.name);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn by_name_is_case_insensitive() {
         let cfg = SuiteConfig::quick();

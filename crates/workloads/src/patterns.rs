@@ -7,8 +7,8 @@
 //! the caches can (or cannot) capture — the property the paper's
 //! characterization hinges on.
 
-use miopt_engine::Addr;
-use miopt_gpu::{AccessCtx, AddrGen};
+use miopt_engine::{Addr, LineAddr, LINE_BYTES};
+use miopt_gpu::{lines_by_lane, AccessCtx, AddrGen};
 
 /// A byte range of the unified address space owned by one array
 /// (activations, weights, gradients, ...).
@@ -187,21 +187,52 @@ impl LayerGen {
             }
         }
     }
+
+    fn spec(&self, pattern: u16) -> &PatternSpec {
+        self.patterns
+            .get(usize::from(pattern))
+            .unwrap_or_else(|| panic!("pattern slot {pattern} out of range"))
+    }
 }
 
 impl AddrGen for LayerGen {
     fn lane_addr(&self, ctx: &AccessCtx) -> Option<Addr> {
-        let spec = self
-            .patterns
-            .get(usize::from(ctx.pattern))
-            .unwrap_or_else(|| panic!("pattern slot {} out of range", ctx.pattern));
+        let spec = self.spec(ctx.pattern);
         Some(spec.region.wrap(self.position(spec, ctx)))
+    }
+
+    /// Closed form of the lane-by-lane default. Every [`PatternKind`]
+    /// places lane `l` at `position(lane 0) + l * elem_bytes` except
+    /// across a [`PatternKind::ChunkReread`] chunk wrap or a saturated
+    /// [`PatternKind::LaggedStream`] lag, and either exception changes
+    /// the lane-63 position, so two `position` evaluations decide it.
+    /// When the block also stays below the region's modulo boundary and
+    /// elements are no wider than a line, the 64 addresses ascend in
+    /// steps of at most one line: the lines touched are the contiguous
+    /// range from lane 0's to lane 63's, already in first-touch order.
+    fn lines_into(&self, ctx: &AccessCtx, out: &mut Vec<LineAddr>) {
+        let spec = self.spec(ctx.pattern);
+        let eb = u64::from(spec.elem_bytes);
+        let span = 63 * eb;
+        let p0 = self.position(spec, &AccessCtx { lane: 0, ..*ctx });
+        let p63 = self.position(spec, &AccessCtx { lane: 63, ..*ctx });
+        let off = p0 % spec.region.bytes;
+        let affine = p63.checked_sub(p0) == Some(span);
+        if eb <= LINE_BYTES && affine && span < spec.region.bytes - off {
+            let first = Addr(spec.region.base + off).line().0;
+            let last = Addr(spec.region.base + off + span).line().0;
+            out.clear();
+            out.extend((first..=last).map(LineAddr));
+        } else {
+            lines_by_lane(self, ctx, out);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miopt_engine::rng::SplitMix64;
 
     fn ctx(wg: u32, wf: u32, lane: u32, iter: u32, pattern: u16) -> AccessCtx {
         AccessCtx {
@@ -340,6 +371,128 @@ mod tests {
         c.kernel_seq = 3;
         let b = g.lane_addr(&c).unwrap();
         assert_eq!(b.0 - a.0, 3 * 8192);
+    }
+
+    /// Picks `[lo, hi)` uniformly.
+    fn between(r: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
+        lo + r.next_below(hi - lo)
+    }
+
+    /// The closed form against its specification, lane by lane, on
+    /// seeded cases built to sit on every edge the closed form has to
+    /// decline: regions a few blocks (or less than one block) long with
+    /// unaligned bases and sizes, so blocks straddle and wrap the modulo
+    /// boundary; `ChunkReread` lags that are not block multiples, so the
+    /// chunk wraps mid-block; `LaggedStream` lags aimed at the block's
+    /// own position, so the lag saturates for some lanes and not others;
+    /// nonzero launch strides. Order is part of the contract.
+    #[test]
+    fn closed_form_lines_match_lane_by_lane_on_seeded_cases() {
+        const CASES: u64 = 12_000;
+        let (mut contiguous, mut other) = (0u32, 0u32);
+        for case in 0..CASES {
+            let seed = 0x11E5_C0A1 ^ (case << 8);
+            let r = &mut SplitMix64::new(seed);
+            let eb = [4u64, 8][r.next_below(2) as usize];
+            let block = 64 * eb;
+            let iters = between(r, 1, 13);
+            let wfs_per_wg = between(r, 1, 5);
+            let ctx = AccessCtx {
+                kernel_seq: r.next_below(5) as u32,
+                wg: r.next_below(40) as u32,
+                wf: r.next_below(wfs_per_wg) as u32,
+                lane: r.next_below(64) as u32, // ignored by `lines_into`
+                iter: r.next_below(iters) as u32,
+                pattern: 0,
+            };
+            let seq_stride_bytes = if r.next_below(3) == 0 {
+                0
+            } else {
+                r.next_below(10_000)
+            };
+            let region_bytes = match r.next_below(4) {
+                0 => between(r, 1, block),         // shorter than one block
+                1 => between(r, block, 6 * block), // a few blocks, unaligned
+                2 => block * between(r, 1, 6),     // whole blocks
+                _ => between(r, 1 << 16, 1 << 24), // wraps are rare
+            };
+            // The `Stream` position of this block, for aiming lags at it.
+            let here = ((u64::from(ctx.wg) * wfs_per_wg + u64::from(ctx.wf)) * iters
+                + u64::from(ctx.iter))
+                * block
+                + u64::from(ctx.kernel_seq) * seq_stride_bytes;
+            let kind = match case % 6 {
+                0 => PatternKind::Stream,
+                1 => PatternKind::LaggedStream {
+                    lag_bytes: match r.next_below(3) {
+                        0 => between(r, 1, 4 * block),
+                        // Saturates somewhere inside (or just around) the block.
+                        1 => here + region_bytes + r.next_below(2 * block),
+                        _ => r.next_below(4 * (here + region_bytes) + 2),
+                    },
+                },
+                2 => PatternKind::Revisit {
+                    times: r.next_below(5) as u32,
+                },
+                3 => PatternKind::Planes {
+                    plane_bytes: between(r, 1, 3 * region_bytes + 2),
+                    plane: r.next_below(4) as u32,
+                },
+                4 => PatternKind::SharedSweep {
+                    phase_bytes: r.next_below(2 * region_bytes + 1),
+                },
+                _ => PatternKind::ChunkReread {
+                    lag_bytes: r.next_below(2 * iters * block + 2),
+                },
+            };
+            let g = LayerGen::new(
+                vec![PatternSpec {
+                    region: Region::new(r.next_below(1 << 20), region_bytes),
+                    elem_bytes: eb as u32,
+                    kind,
+                    seq_stride_bytes,
+                }],
+                wfs_per_wg as u32,
+                iters as u32,
+            );
+            let (mut closed, mut by_lane) = (vec![LineAddr(u64::MAX)], Vec::new());
+            g.lines_into(&ctx, &mut closed);
+            lines_by_lane(&g, &ctx, &mut by_lane);
+            assert_eq!(
+                closed, by_lane,
+                "seed {seed:#x} (case {case}): {kind:?}, elem {eb} B, region {region_bytes} B, {ctx:?}"
+            );
+            if by_lane.windows(2).all(|w| w[1].0 == w[0].0 + 1) {
+                contiguous += 1;
+            } else {
+                other += 1;
+            }
+        }
+        // Both sides of the closed form's guard are exercised in bulk.
+        assert!(
+            contiguous > 2_000 && other > 2_000,
+            "{contiguous} contiguous, {other} not"
+        );
+    }
+
+    #[test]
+    fn closed_form_declines_elements_wider_than_a_line() {
+        // 128 B elements touch every other line; the range first..=last
+        // would invent the lines in between.
+        let g = LayerGen::new(
+            vec![PatternSpec {
+                region: Region::new(0, 1 << 20),
+                elem_bytes: 128,
+                kind: PatternKind::Stream,
+                seq_stride_bytes: 0,
+            }],
+            1,
+            1,
+        );
+        let mut lines = Vec::new();
+        g.lines_into(&ctx(0, 0, 0, 0, 0), &mut lines);
+        assert_eq!(lines.len(), 64);
+        assert_eq!(lines[1], LineAddr(2));
     }
 
     #[test]

@@ -7,9 +7,15 @@
 //! cargo run --release --example event_stats
 //! cargo run --release --example event_stats -- FwGRU Uncached
 //! cargo run --release --example event_stats -- FwGRU Uncached latency4x
+//! cargo run --release --example event_stats -- BwAct CacheRW-CR paper 64
 //! ```
+//!
+//! The policy is any Figure 6/10 label; the optional fourth argument is
+//! the footprint divisor (256 = quick, the default; 16 = paper scale).
+//! The last line of each report is the CU-tick workload of the `phase`
+//! actor: ticks executed and how many of them found nothing to do.
 
-use miopt::{ApuSystem, CachePolicy, PolicyConfig, SystemConfig};
+use miopt::{optimization_ladder, ApuSystem, CachePolicy, PolicyConfig, SystemConfig};
 use miopt_workloads::{by_name, SuiteConfig};
 
 /// `paper` is the Table 1 machine: its realistic interconnect/DRAM
@@ -35,15 +41,24 @@ fn config(name: &str) -> SystemConfig {
     cfg
 }
 
-fn report(name: &str, policy: CachePolicy, cfg_name: &str) {
-    let w = by_name(&SuiteConfig::quick(), name).expect("suite workload");
-    let mut sys = ApuSystem::new(config(cfg_name), PolicyConfig::of(policy), &w);
+fn policy(label: &str) -> PolicyConfig {
+    CachePolicy::ALL
+        .into_iter()
+        .map(PolicyConfig::of)
+        .chain(optimization_ladder())
+        .find(|p| p.label() == label)
+        .unwrap_or_else(|| panic!("unknown policy {label:?} (a Figure 6 or Figure 10 label)"))
+}
+
+fn report(name: &str, policy: PolicyConfig, cfg_name: &str, suite: &SuiteConfig) {
+    let w = by_name(suite, name).expect("suite workload");
+    let mut sys = ApuSystem::new(config(cfg_name), policy, &w);
     let m = sys.run_to_completion(20_000_000_000).expect("run finished");
     let (events, active) = sys.event_stats();
     let quiet = 100.0 * (1.0 - active as f64 / m.cycles as f64);
     println!(
         "{name:8} {:12} {:>10} cycles  {:>10} events  {:>9} active ({:>5.1}% event-free, {:.2} events/active cycle)",
-        PolicyConfig::of(policy).label(),
+        policy.label(),
         m.cycles,
         events,
         active,
@@ -57,30 +72,35 @@ fn report(name: &str, policy: CachePolicy, cfg_name: &str) {
         print!("  {stage}={:.1}%", 100.0 * *n as f64 / events.max(1) as f64);
     }
     println!();
+    let (cu_ticks, idle) = sys.cu_tick_stats();
+    println!(
+        "         CU ticks: {cu_ticks} executed, {idle} idle ({:.1}%)",
+        100.0 * idle as f64 / cu_ticks.max(1) as f64
+    );
 }
 
 fn main() {
     let mut args = std::env::args().skip(1);
     match (args.next(), args.next()) {
         (Some(w), Some(p)) => {
-            let policy = match p.as_str() {
-                "Uncached" => CachePolicy::Uncached,
-                "CacheR" => CachePolicy::CacheR,
-                "CacheRW" => CachePolicy::CacheRW,
-                other => panic!("unknown policy {other:?} (Uncached|CacheR|CacheRW)"),
-            };
             let cfg_name = args.next().unwrap_or_else(|| "paper".to_string());
-            report(&w, policy, &cfg_name);
+            let suite = args
+                .next()
+                .map_or_else(SuiteConfig::quick, |d| SuiteConfig {
+                    footprint_divisor: d.parse().expect("footprint divisor is an integer"),
+                });
+            report(&w, policy(&p), &cfg_name, &suite);
         }
         _ => {
             for (w, p) in [
-                ("FwGRU", CachePolicy::Uncached),
-                ("FwGRU", CachePolicy::CacheRW),
-                ("FwLSTM", CachePolicy::Uncached),
-                ("FwSoft", CachePolicy::Uncached),
-                ("BwBN", CachePolicy::CacheRW),
+                ("FwGRU", "Uncached"),
+                ("FwGRU", "CacheRW"),
+                ("FwLSTM", "Uncached"),
+                ("FwSoft", "Uncached"),
+                ("BwBN", "CacheRW"),
+                ("FwAct", "Uncached"),
             ] {
-                report(w, p, "paper");
+                report(w, policy(p), "paper", &SuiteConfig::quick());
             }
         }
     }

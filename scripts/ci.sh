@@ -116,6 +116,17 @@ cargo run --release -q -p miopt-harness -- \
     --no-skip --out "$smoke_dir" --sweep-name skip-off >/dev/null
 diff <(grep '"cycles"\|"status"' "$smoke_dir/skip-on.json") \
      <(grep '"cycles"\|"status"' "$smoke_dir/skip-off.json")
+# The same diff on a saturated grid: FwAct and BwBN keep the L1 input
+# queues full, so CUs sleep on backpressure and the event core has to
+# deliver the credit wake the per-cycle loop gets for free.
+cargo run --release -q -p miopt-harness -- \
+    --scale quick --only FwAct,BwBN --fig6 --no-cache --no-journal --quiet \
+    --jobs 2 --out "$smoke_dir" --sweep-name sat-on >/dev/null
+cargo run --release -q -p miopt-harness -- \
+    --scale quick --only FwAct,BwBN --fig6 --no-cache --no-journal --quiet \
+    --no-skip --out "$smoke_dir" --sweep-name sat-off >/dev/null
+diff <(grep '"cycles"\|"status"' "$smoke_dir/sat-on.json") \
+     <(grep '"cycles"\|"status"' "$smoke_dir/sat-off.json")
 echo "event-core equivalence ok"
 
 echo "== two-tenant serving smoke (miopt-harness serve) =="
