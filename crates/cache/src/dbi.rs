@@ -123,7 +123,8 @@ impl DirtyBlockIndex {
         if let Some(blocks) = self.rows.get_mut(&key) {
             blocks.retain(|l| *l != line);
             if blocks.is_empty() {
-                self.rows.remove(&key);
+                let emptied = self.rows.remove(&key).expect("row just observed");
+                self.reclaim(emptied);
                 self.order.retain(|k| *k != key);
             }
         }
@@ -171,7 +172,12 @@ impl DirtyBlockIndex {
 
     /// Forgets everything (used after a bulk flush).
     pub fn clear(&mut self) {
-        self.rows.clear();
+        // Drained in place: the map keeps its allocation.
+        let mut rows = std::mem::take(&mut self.rows);
+        for (_, blocks) in rows.drain() {
+            self.reclaim(blocks);
+        }
+        self.rows = rows;
         self.order.clear();
     }
 
@@ -256,6 +262,30 @@ mod tests {
         dbi.remove(LineAddr(0));
         assert_eq!(dbi.tracked_rows(), 0);
         assert!(dbi.take_row_of(LineAddr(0)).is_empty());
+    }
+
+    #[test]
+    fn emptied_and_cleared_rows_return_their_vector_to_the_pool() {
+        // Every way a row leaves the index hands its block vector back,
+        // so row turnover never runs the pool dry (a dry pool makes the
+        // next insert allocate).
+        let mut dbi = DirtyBlockIndex::new(4, map());
+        let pool = |dbi: &DirtyBlockIndex| dbi.spare.len() + dbi.tracked_rows();
+        assert_eq!(pool(&dbi), 4);
+        for round in 0..16u64 {
+            dbi.insert(LineAddr(round * 8));
+            dbi.insert(LineAddr(round * 8 + 2));
+            dbi.remove(LineAddr(round * 8));
+            dbi.remove(LineAddr(round * 8 + 2));
+            assert_eq!(dbi.tracked_rows(), 0);
+            assert_eq!(pool(&dbi), 4, "round {round}: remove");
+        }
+        for row in 0..4u64 {
+            dbi.insert(LineAddr(row * 8));
+        }
+        dbi.clear();
+        assert_eq!(pool(&dbi), 4, "clear");
+        assert!(dbi.spare.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -60,4 +60,4 @@ pub use config::{CacheConfig, LevelPolicy, RowMap, WayRange};
 pub use dbi::DirtyBlockIndex;
 pub use predictor::{PcPredictor, PredictorConfig};
 pub use stats::CacheStats;
-pub use unit::{Blocked, CacheUnit, Outcome};
+pub use unit::{Blocked, CacheUnit, Outcome, ServiceCalls};

@@ -115,6 +115,34 @@ impl CacheStats {
             + self.stall_port.get()
     }
 
+    /// The counters a `CacheUnit::service` call can move without
+    /// consuming a request: the five stall causes, then `alloc_bypasses`
+    /// (a would-block access is converted before it meets the full
+    /// downstream queue). Read before and after a call that consumed
+    /// nothing, the difference is what one blocked retry books.
+    pub(crate) fn retry_counters(&self) -> [u64; 6] {
+        [
+            self.stall_mshr.get(),
+            self.stall_set_busy.get(),
+            self.stall_merge.get(),
+            self.stall_out_queue.get(),
+            self.stall_port.get(),
+            self.alloc_bypasses.get(),
+        ]
+    }
+
+    /// Books `times` blocked retries of `delta` each (the order of
+    /// [`CacheStats::retry_counters`]).
+    pub(crate) fn book_retries(&mut self, delta: &[u64; 6], times: u64) {
+        let [mshr, set_busy, merge, out_queue, port, alloc] = *delta;
+        self.stall_mshr.add(mshr * times);
+        self.stall_set_busy.add(set_busy * times);
+        self.stall_merge.add(merge * times);
+        self.stall_out_queue.add(out_queue * times);
+        self.stall_port.add(port * times);
+        self.alloc_bypasses.add(alloc * times);
+    }
+
     /// Load hit rate over all load queries (hits + merges count as hits).
     #[must_use]
     pub fn load_hit_rate(&self) -> f64 {

@@ -68,6 +68,56 @@ pub struct CacheUnit {
     replay: std::collections::VecDeque<MemReq>,
     /// Reusable buffer for DBI rinse sets (kept empty between calls).
     row_scratch: Vec<LineAddr>,
+    /// The blocked `service` call this unit sleeps on, if any.
+    blocked: Option<Blockage>,
+    service_calls: ServiceCalls,
+}
+
+/// Host-side cost counters of [`CacheUnit::service`], not simulated
+/// statistics (see [`CacheUnit::service_calls`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServiceCalls {
+    /// `service` calls executed.
+    pub executed: u64,
+    /// Executed calls that were blocked retries: work was ready and
+    /// nothing was consumed.
+    pub blocked: u64,
+    /// Blocked retries never executed: the cycles a unit slept through,
+    /// booked in closed form by [`CacheUnit::settle`].
+    pub settled: u64,
+}
+
+impl ServiceCalls {
+    /// Sums another unit's counters into this one.
+    pub fn merge(&mut self, other: &ServiceCalls) {
+        self.executed += other.executed;
+        self.blocked += other.blocked;
+        self.settled += other.settled;
+    }
+}
+
+/// A [`CacheUnit::service`] call that held ready work and consumed none
+/// of it. Such a call is a fixed point: its outcome is a function of the
+/// replay front, the ready input head, the free slots of `down` and `up`
+/// and the MSHR/tag state, it leaves all of those as it found them (the
+/// tag port is released on `Err`), and all it changes is `delta`. Until
+/// one of those inputs changes, every later call would book the same
+/// `delta` — so the calls need not be made.
+#[derive(Debug, Clone, Copy)]
+struct Blockage {
+    /// First cycle of this unbroken run of blocked calls (diagnostics;
+    /// the same under either driver).
+    since: Cycle,
+    /// Cycle of the blocked call itself, the last one executed.
+    called: Cycle,
+    /// Last cycle whose retry is booked, by that call or by `settle`.
+    booked: Cycle,
+    /// What one retry adds, in [`CacheStats::retry_counters`] order.
+    delta: [u64; 6],
+    /// Free slots the blocked call saw downstream and upstream; a
+    /// difference without a pending wake is a lost credit edge.
+    down_free: usize,
+    up_free: usize,
 }
 
 /// Capacity of the miss-replay buffer (requests set aside while blocked on
@@ -115,6 +165,8 @@ impl CacheUnit {
             pending_flush: Vec::new(),
             replay: std::collections::VecDeque::with_capacity(REPLAY_CAPACITY),
             row_scratch: Vec::with_capacity(16),
+            blocked: None,
+            service_calls: ServiceCalls::default(),
             cfg,
             policy,
         }
@@ -145,14 +197,18 @@ impl CacheUnit {
     ///
     /// Panics if the policy is invalid or its partition does not fit
     /// this cache's geometry, or if the cache is busy (outstanding
-    /// fills, parked replays, or an in-progress flush) — callers switch
-    /// policies only at drained kernel boundaries.
+    /// fills, parked replays, an in-progress flush, or a blocked request
+    /// it sleeps on) — callers switch policies only at drained kernel
+    /// boundaries.
     pub fn set_policy(&mut self, policy: LevelPolicy) {
         policy.validate().expect("invalid level policy");
         if let Some(p) = policy.partition {
             p.validate(self.cfg.ways).expect("invalid way partition");
         }
-        assert!(!self.busy(), "set_policy while cache busy");
+        assert!(
+            !self.busy() && self.blocked.is_none(),
+            "set_policy while cache busy"
+        );
         if policy.rinse != self.policy.rinse || policy.row_map != self.policy.row_map {
             self.dbi = if policy.rinse {
                 let map = policy.row_map.expect("validated above");
@@ -191,16 +247,57 @@ impl CacheUnit {
     /// The earliest cycle at or after `now` at which this cache might act
     /// on its own, or `None` if it only reacts to queue traffic.
     ///
-    /// Parked replays and an in-progress flush retry every cycle, so they
-    /// pin the event to `now`. Outstanding MSHR entries do *not*: their
-    /// fills arrive through timed queues whose own deadlines drive the
-    /// event wheel.
+    /// An in-progress flush retries every cycle, and so do parked replays
+    /// unless the unit sleeps on them (see [`CacheUnit::blocked_since`]);
+    /// both pin the event to `now`. Outstanding MSHR entries do *not*:
+    /// their fills arrive through timed queues whose own deadlines drive
+    /// the event wheel.
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.replay.is_empty() || !self.pending_flush.is_empty() {
+        let retrying = !self.replay.is_empty() && self.blocked.is_none();
+        if retrying || !self.pending_flush.is_empty() {
             Some(now)
         } else {
             None
+        }
+    }
+
+    /// The first cycle of the blockage this unit sleeps on, or `None` if
+    /// its last [`CacheUnit::service`] call consumed a request, found no
+    /// ready work, or belongs to a unit that never sleeps.
+    ///
+    /// A sleeping unit needs no call until a fill lands on it, a new
+    /// input head becomes ready, or `down`/`up` are popped: a call made
+    /// anyway repeats the blocked one exactly, and the calls not made are
+    /// booked by [`CacheUnit::settle`].
+    #[must_use]
+    pub fn blocked_since(&self) -> Option<Cycle> {
+        self.blocked.map(|b| b.since)
+    }
+
+    /// Host-side cost of [`CacheUnit::service`] so far. `blocked +
+    /// settled` is the number of blocked retries the per-cycle driver
+    /// executes, whichever driver ran; `settled` is the part of them this
+    /// unit slept through.
+    #[must_use]
+    pub fn service_calls(&self) -> ServiceCalls {
+        self.service_calls
+    }
+
+    /// Books the blocked retries of every cycle before `now` that
+    /// [`CacheUnit::service`] was not called on, so that
+    /// [`CacheUnit::stats`] reads what calling it every cycle through
+    /// `now - 1` would have produced. Idempotent, and a no-op for a unit
+    /// that is not asleep or was serviced on the previous cycle.
+    pub fn settle(&mut self, now: Cycle) {
+        let Some(b) = self.blocked.as_mut() else {
+            return;
+        };
+        let slept = now.since(b.booked).saturating_sub(1);
+        if slept > 0 {
+            self.stats.book_retries(&b.delta, slept);
+            self.service_calls.settled += slept;
+            b.booked += slept;
         }
     }
 
@@ -217,7 +314,46 @@ impl CacheUnit {
     /// instead of parking them.
     /// Returns whether any request was consumed this cycle (serviced from
     /// the replay buffer or the input queue, or parked for replay).
+    ///
+    /// A call that holds ready work and consumes none of it leaves the
+    /// unit asleep ([`CacheUnit::blocked_since`]): the caller may skip the
+    /// following cycles' calls, whose stalls the next call (or
+    /// [`CacheUnit::settle`]) books first. A caller that calls every
+    /// cycle anyway skips nothing and books nothing extra.
     pub fn service(
+        &mut self,
+        now: Cycle,
+        input: &mut TimedQueue<MemReq>,
+        down: &mut TimedQueue<MemReq>,
+        up: &mut TimedQueue<MemResp>,
+    ) -> bool {
+        self.settle(now);
+        self.service_calls.executed += 1;
+        let before = self.stats.retry_counters();
+        let acted = self.service_ports(now, input, down, up);
+        if acted || (self.replay.is_empty() && input.ready_front(now).is_none()) {
+            self.blocked = None;
+            return acted;
+        }
+        self.service_calls.blocked += 1;
+        // A blocked attempt advances a PC predictor's query count and
+        // sampling, and a flush drains `down` on its own: neither is a
+        // fixed point, so such a unit keeps being retried.
+        if self.predictor.is_none() && self.pending_flush.is_empty() {
+            let after = self.stats.retry_counters();
+            self.blocked = Some(Blockage {
+                since: self.blocked.map_or(now, |b| b.since),
+                called: now,
+                booked: now,
+                delta: std::array::from_fn(|k| after[k] - before[k]),
+                down_free: down.free_slots(),
+                up_free: up.free_slots(),
+            });
+        }
+        false
+    }
+
+    fn service_ports(
         &mut self,
         now: Cycle,
         input: &mut TimedQueue<MemReq>,
@@ -692,12 +828,12 @@ impl CacheUnit {
                 continue;
             }
             if down.free_slots() <= reserve {
-                // No room: the block stays dirty; re-track it. An evicted
-                // row's tracking is dropped here exactly as before — the
-                // lines stay dirty in the tags, just untracked.
+                // No room: the block stays dirty; re-track it. Its row was
+                // just taken out of the index, so the index has room for
+                // it again and evicts nothing.
                 if let Some(dbi) = self.dbi.as_mut() {
-                    let mut dropped = Vec::new();
-                    let _ = dbi.insert_into(b, &mut dropped);
+                    let evicted = dbi.insert(b);
+                    debug_assert!(evicted.is_none(), "re-tracking {b} evicted a row");
                 }
                 continue;
             }
@@ -913,6 +1049,60 @@ impl CacheUnit {
                 )
             })
             .collect()
+    }
+
+    /// The `blocked_unit_wake` invariant, which needs the queues the unit
+    /// does not own and so is not part of its [`Sentinel`] impl. Checked
+    /// between cycles, `now` being the next cycle to run: a sleeping unit
+    /// must have no predictor and no flush, must still hold the work it
+    /// blocked on, and — unless `wake_pending` says a `service` call is
+    /// already due by `now` — must see what the blocked call saw: the
+    /// same free slots in `down` and `up`, and no input head that turned
+    /// ready since. A lost credit or head wake is thus named at the next
+    /// check instead of surfacing as a watchdog wedge.
+    ///
+    /// A unit serviced on the cycle that just ended is exempt from the
+    /// comparison: whatever changed after its call is due at `now`, which
+    /// a driver that calls every cycle serves without scheduling it.
+    ///
+    /// Returns the violation's detail, for the caller to name the unit.
+    #[must_use]
+    pub fn blocked_wake_violation(
+        &self,
+        now: Cycle,
+        input: &TimedQueue<MemReq>,
+        down: &TimedQueue<MemReq>,
+        up: &TimedQueue<MemResp>,
+        wake_pending: bool,
+    ) -> Option<String> {
+        let b = self.blocked?;
+        let head_ready = input.next_ready();
+        let slept = now.since(b.called) > 1;
+        if self.predictor.is_some() || !self.pending_flush.is_empty() {
+            return Some("asleep with a PC predictor or a flush in progress".to_string());
+        }
+        if self.replay.is_empty() && head_ready.is_none_or(|r| r > b.called) {
+            return Some(format!(
+                "asleep since {} with no parked replay and no ready input head",
+                b.since
+            ));
+        }
+        if !slept || wake_pending {
+            return None;
+        }
+        let asleep = format!(
+            "asleep since {} (last serviced {}) with no service wake pending",
+            b.since, b.called
+        );
+        let free = (down.free_slots(), up.free_slots());
+        if free != (b.down_free, b.up_free) {
+            return Some(format!(
+                "{asleep}, but free slots down/up went {}/{} -> {}/{}",
+                b.down_free, b.up_free, free.0, free.1
+            ));
+        }
+        let r = head_ready.filter(|&r| r > b.called && r <= now)?;
+        Some(format!("{asleep}, but an input head turned ready at {r}"))
     }
 
     /// Fault-injection hook: leaks a phantom MSHR entry for `line` whose
@@ -1615,6 +1805,328 @@ mod tests {
         c.service(Cycle(0), &mut input, &mut down, &mut up);
         assert_eq!(input.len(), 1, "request stays queued");
         assert!(!c.busy());
+    }
+
+    /// A cache with its three queues, built so that the next `service`
+    /// call (at [`C0`] or later) holds ready work and consumes none.
+    struct Scene {
+        c: CacheUnit,
+        input: TimedQueue<MemReq>,
+        down: TimedQueue<MemReq>,
+        up: TimedQueue<MemResp>,
+    }
+
+    /// First cycle a [`Scene`] is serviced on.
+    const C0: u64 = 10;
+
+    impl Scene {
+        fn service(&mut self, at: u64) -> bool {
+            self.c
+                .service(Cycle(at), &mut self.input, &mut self.down, &mut self.up)
+        }
+
+        fn violation(&self, now: u64, wake_pending: bool) -> Option<String> {
+            self.c.blocked_wake_violation(
+                Cycle(now),
+                &self.input,
+                &self.down,
+                &self.up,
+                wake_pending,
+            )
+        }
+    }
+
+    /// A load miss facing a full `down`: one `stall_out_queue` per retry.
+    fn out_queue_full() -> Scene {
+        let mut s = Scene {
+            c: cache(LevelPolicy::cache_loads_only()),
+            input: TimedQueue::new(16, 0),
+            down: TimedQueue::new(1, 0),
+            up: TimedQueue::new(16, 0),
+        };
+        let wb = MemReq::writeback(ReqId(99), LineAddr(77), Cycle(0));
+        s.down.push(Cycle(0), wb).unwrap();
+        s.input.push(Cycle(0), load(1, 8, 7)).unwrap();
+        s
+    }
+
+    /// A load hit facing a full `up`: one `stall_out_queue` per retry.
+    fn resp_queue_full() -> Scene {
+        let mut c = cache(LevelPolicy::cache_loads_only());
+        let (mut down, mut wide_up) = queues();
+        warm(&mut c, 8, &mut down, &mut wide_up);
+        let mut s = Scene {
+            c,
+            input: TimedQueue::new(16, 0),
+            down,
+            up: TimedQueue::new(1, 0),
+        };
+        s.up.push(Cycle(0), MemResp::for_req(&load(50, 99, 7)))
+            .unwrap();
+        s.input.push(Cycle(0), load(1, 8, 7)).unwrap();
+        s
+    }
+
+    /// Every MSHR entry taken and the replay buffer full of loads that
+    /// need one: the replay front and the input head each book a
+    /// `stall_mshr` per retry, and nothing can be parked.
+    fn mshr_full_with_full_replay() -> Scene {
+        let mut s = Scene {
+            c: cache(LevelPolicy::cache_loads_only()),
+            input: TimedQueue::new(16, 0),
+            down: TimedQueue::new(64, 0),
+            up: TimedQueue::new(16, 0),
+        };
+        for line in 0..4u64 {
+            let r = load(line, line, 7);
+            s.c.access(Cycle(line), r, &mut s.down, &mut s.up).unwrap();
+        }
+        for k in 0..5u64 {
+            s.input.push(Cycle(0), load(10 + k, 20 + k, 7)).unwrap();
+        }
+        for t in 4..8 {
+            assert!(s.service(t), "parks one request per call");
+        }
+        assert_eq!(s.c.replay.len(), REPLAY_CAPACITY);
+        assert_eq!(s.c.next_event(Cycle(8)), Some(Cycle(8)), "retrying");
+        s
+    }
+
+    /// A load whose set is all busy is converted by allocation bypass and
+    /// then meets a full `down`: each retry books an `alloc_bypasses` and
+    /// a `stall_out_queue`.
+    fn alloc_bypass_then_full_down() -> Scene {
+        let mut p = LevelPolicy::cache_loads_only();
+        p.allocation_bypass = true;
+        let mut s = Scene {
+            c: cache(p),
+            input: TimedQueue::new(16, 0),
+            down: TimedQueue::new(2, 0),
+            up: TimedQueue::new(16, 0),
+        };
+        let l = colliding(4, 3);
+        for (i, line) in l[..2].iter().enumerate() {
+            let r = load(i as u64, *line, 7);
+            s.c.access(Cycle(i as u64), r, &mut s.down, &mut s.up)
+                .unwrap();
+        }
+        assert!(!s.down.can_push());
+        s.input.push(Cycle(2), load(3, l[2], 7)).unwrap();
+        s
+    }
+
+    /// A blockage under test: its name, how to set it up, and what one
+    /// retry of it books (in `CacheStats::retry_counters` order).
+    type BlockedScene = (&'static str, fn() -> Scene, [u64; 6]);
+
+    const SCENES: [BlockedScene; 4] = [
+        ("OutQueueFull", out_queue_full, [0, 0, 0, 1, 0, 0]),
+        ("RespQueueFull", resp_queue_full, [0, 0, 0, 1, 0, 0]),
+        (
+            "MshrFull, replay full",
+            mshr_full_with_full_replay,
+            [2, 0, 0, 0, 0, 0],
+        ),
+        (
+            "allocation bypass, down full",
+            alloc_bypass_then_full_down,
+            [0, 0, 0, 1, 0, 1],
+        ),
+    ];
+
+    #[test]
+    fn a_sleeping_unit_books_exactly_the_stalls_of_the_calls_it_skipped() {
+        for (name, build, per_retry) in SCENES {
+            for k in [1u64, 2, 7, 50] {
+                // The specification: one call per cycle.
+                let mut every = build();
+                let start = every.c.stats().retry_counters();
+                for t in C0..=C0 + k {
+                    assert!(!every.service(t), "{name}: blocked at {t}");
+                }
+                // Blocked at C0, next called at C0 + k.
+                let mut sleepy = build();
+                assert!(!sleepy.service(C0));
+                assert_eq!(sleepy.c.next_event(Cycle(C0 + 1)), None, "{name}: asleep");
+                assert!(!sleepy.service(C0 + k));
+
+                assert_eq!(every.c.stats(), sleepy.c.stats(), "{name}, k = {k}");
+                let end = sleepy.c.stats().retry_counters();
+                for i in 0..6 {
+                    assert_eq!(end[i] - start[i], per_retry[i] * (k + 1), "{name}[{i}]");
+                }
+                assert_eq!(every.c.blocked_since(), Some(Cycle(C0)), "{name}");
+                assert_eq!(sleepy.c.blocked_since(), Some(Cycle(C0)), "{name}");
+                let (e, s) = (every.c.service_calls(), sleepy.c.service_calls());
+                assert_eq!((e.blocked, e.settled), (k + 1, 0), "{name}");
+                assert_eq!((s.blocked, s.settled), (2, k - 1), "{name}");
+                assert_eq!(e.executed - s.executed, k - 1, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn settle_is_idempotent_and_reads_like_a_call_per_cycle() {
+        for (name, build, _) in SCENES {
+            let mut every = build();
+            let mut sleepy = build();
+            assert!(!sleepy.service(C0));
+            let mut called_through = C0 - 1;
+            // Readers at these cycles see the calls through the cycle
+            // before; reading twice at one cycle books nothing twice.
+            for reader in [C0 + 1, C0 + 4, C0 + 4, C0 + 9] {
+                while called_through + 1 < reader {
+                    called_through += 1;
+                    every.service(called_through);
+                }
+                sleepy.c.settle(Cycle(reader));
+                assert_eq!(every.c.stats(), sleepy.c.stats(), "{name} at {reader}");
+            }
+            // A spurious call mid-sleep is one real retry, then the sleep
+            // goes on; the totals never notice.
+            for t in [C0 + 9, C0 + 10, C0 + 13, C0 + 30] {
+                while called_through < t {
+                    called_through += 1;
+                    every.service(called_through);
+                }
+                assert!(!sleepy.service(t));
+                assert_eq!(every.c.stats(), sleepy.c.stats(), "{name} at {t}");
+            }
+            let (e, s) = (every.c.service_calls(), sleepy.c.service_calls());
+            assert_eq!(e.blocked, s.blocked + s.settled, "{name}");
+            assert_eq!(sleepy.c.blocked_since(), Some(Cycle(C0)), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_returned_credit_ends_the_sleep_where_a_call_per_cycle_ends_the_stall() {
+        let mut every = out_queue_full();
+        let mut sleepy = out_queue_full();
+        // `down` is popped after the service stage of cycle C0 + 5, so
+        // the first call that can act is the one at C0 + 6.
+        for t in C0..=C0 + 5 {
+            assert!(!every.service(t));
+        }
+        assert!(!sleepy.service(C0));
+        for s in [&mut every, &mut sleepy] {
+            s.down.pop_ready(Cycle(C0 + 5)).unwrap();
+            assert!(s.service(C0 + 6), "the credit lets the miss out");
+            assert_eq!(s.c.blocked_since(), None);
+            assert!(!s.service(C0 + 7), "nothing left to do");
+            assert_eq!(s.c.blocked_since(), None, "idle is not blocked");
+        }
+        assert_eq!(every.c.stats(), sleepy.c.stats());
+        assert_eq!(sleepy.c.stats().stall_out_queue.get(), 6);
+        assert_eq!(sleepy.c.service_calls().settled, 5);
+    }
+
+    #[test]
+    fn a_predictor_unit_and_a_flushing_unit_never_sleep() {
+        // A blocked attempt advances the predictor: not a fixed point.
+        let mut p = LevelPolicy::cache_loads_only();
+        p.pc_bypass = Some(PredictorConfig::paper());
+        let mut s = out_queue_full();
+        s.c = cache(p);
+        assert!(!s.service(C0));
+        assert_eq!(s.c.blocked_since(), None);
+        assert_eq!(s.c.service_calls().blocked, 1, "still a blocked retry");
+
+        // A flush drains `down` on its own schedule.
+        let mut s = out_queue_full();
+        s.c = cache(LevelPolicy::cache_loads_and_stores());
+        let mut room = TimedQueue::new(4, 0);
+        s.c.access(Cycle(0), store(5, 40, 9), &mut room, &mut s.up)
+            .unwrap();
+        s.c.start_flush();
+        assert!(!s.service(C0));
+        assert!(!s.c.flush_done());
+        assert_eq!(s.c.blocked_since(), None);
+        assert_eq!(s.c.next_event(Cycle(C0 + 1)), Some(Cycle(C0 + 1)));
+    }
+
+    #[test]
+    fn blocked_unit_wake_names_each_way_a_sleeper_can_be_stranded() {
+        // Healthy: asleep, nothing changed, no wake needed.
+        let mut s = out_queue_full();
+        assert!(!s.service(C0));
+        assert_eq!(s.violation(C0 + 1, false), None);
+        assert_eq!(s.violation(C0 + 40, false), None);
+
+        // A credit came back and nobody was told.
+        s.down.pop_ready(Cycle(C0 + 3)).unwrap();
+        assert_eq!(s.violation(C0 + 1, false), None, "serviced last cycle");
+        assert_eq!(s.violation(C0 + 5, true), None, "the wake is pending");
+        s.c.settle(Cycle(C0 + 5));
+        let v = s
+            .violation(C0 + 5, false)
+            .expect("a reader settling hides nothing");
+        assert!(v.contains("down/up went 0/16 -> 1/16"), "{v}");
+        assert!(v.contains(&format!("since cycle {C0}")), "{v}");
+
+        // Same on the response side.
+        let mut s = resp_queue_full();
+        assert!(!s.service(C0));
+        s.up.pop_ready(Cycle(C0)).unwrap();
+        let v = s.violation(C0 + 2, false).expect("lost credit wake");
+        assert!(v.contains("-> 64/1"), "{v}");
+
+        // Asleep on the replay buffer alone; a new head turns ready.
+        let mut s = mshr_full_with_full_replay();
+        s.input.pop_ready(Cycle(C0)).unwrap();
+        assert!(!s.service(C0));
+        assert_eq!(s.violation(C0 + 9, false), None);
+        s.input.push(Cycle(C0 + 4), load(70, 70, 7)).unwrap();
+        assert_eq!(s.violation(C0 + 3, false), None, "not ready yet");
+        let v = s.violation(C0 + 9, false).expect("lost head wake");
+        assert!(
+            v.contains(&format!("turned ready at cycle {}", C0 + 4)),
+            "{v}"
+        );
+
+        // The work it blocked on is gone.
+        let mut s = out_queue_full();
+        assert!(!s.service(C0));
+        s.input.pop_ready(Cycle(C0)).unwrap();
+        let v = s.violation(C0 + 1, true).expect("nothing held");
+        assert!(
+            v.contains("no parked replay and no ready input head"),
+            "{v}"
+        );
+
+        // A unit that must not sleep does.
+        let mut s = out_queue_full();
+        assert!(!s.service(C0));
+        s.c.pending_flush.push(LineAddr(1));
+        let v = s.violation(C0 + 1, true).expect("flush in progress");
+        assert!(v.contains("flush"), "{v}");
+    }
+
+    #[test]
+    fn saturated_rinse_retracks_what_it_could_not_write_back() {
+        // No room downstream while rinsing a row: the blocks stay dirty
+        // and tracked, which never costs another row its place.
+        let mut p = LevelPolicy::cache_loads_and_stores();
+        p.rinse = true;
+        p.row_map = Some(RowMap::new(0, 2));
+        let mut c = cache(p);
+        let mut down: TimedQueue<MemReq> = TimedQueue::new(1, 0);
+        let mut up: TimedQueue<MemResp> = TimedQueue::new(16, 0);
+        let mut id = 0;
+        let mut out = Vec::new();
+        for round in 0..40u64 {
+            for line in [round * 4, round * 4 + 1, round * 4 + 2] {
+                id += 1;
+                let _ = c.access(Cycle(round), store(id, line, 9), &mut down, &mut up);
+            }
+            if round % 3 == 0 {
+                down.pop_ready(Cycle(round));
+            }
+            assert!(c.row_scratch.is_empty());
+            c.check_invariants("l2[0]", &mut out);
+            assert!(out.is_empty(), "round {round}: {out:?}");
+        }
+        assert!(c.stats().writebacks.get() > 0, "evictions happened");
+        assert!(c.dbi.as_ref().unwrap().tracked_blocks() > 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use crate::{Metrics, PolicyConfig, SystemConfig};
-use miopt_cache::{CacheStats, CacheUnit, LevelPolicy, WayRange};
+use miopt_cache::{CacheStats, CacheUnit, LevelPolicy, ServiceCalls, WayRange};
 use miopt_dram::Dram;
 use miopt_engine::sentinel::{InvariantViolation, Sentinel};
 use miopt_engine::{Cycle, EventWheel, LineAddr, MemReq, MemResp, TimedQueue};
@@ -63,6 +63,11 @@ pub struct StallDiagnostic {
     /// Per-CU wavefront state: `cu[i]: N resident, M loads outstanding,
     /// K accesses unissued` for every CU with resident wavefronts.
     pub wavefronts: Vec<String>,
+    /// Every cache unit whose last `service` call held ready work and
+    /// consumed none of it, with the first cycle of that blockage
+    /// (`l1[3]: blocked since cycle 1207`), in registry order. Under the
+    /// event core these are the units asleep at halt time.
+    pub blocked_units: Vec<String>,
     /// Every invariant violation found at halt time (empty unless
     /// [`StallReason::InvariantViolation`], or the stall uncovered one).
     pub violations: Vec<InvariantViolation>,
@@ -89,6 +94,9 @@ impl fmt::Display for StallDiagnostic {
         }
         for w in &self.wavefronts {
             writeln!(f, "  {w}")?;
+        }
+        for u in &self.blocked_units {
+            writeln!(f, "  {u}")?;
         }
         Ok(())
     }
@@ -469,6 +477,13 @@ impl EventCore {
         mask
     }
 
+    /// Whether `unit` of `actor` has a wake pending at `now`. Between
+    /// cycles the unit wheels hold nothing earlier: every entry is
+    /// mirrored by an actor-level wake whose dispatch pops it.
+    fn unit_wake_pending(&self, actor: usize, now: Cycle, unit: usize) -> bool {
+        self.units[UNIT_WHEEL[actor]].pending_at(now) >> unit & 1 != 0
+    }
+
     /// Re-arms `actor` at its unit wheel's earliest pending cycle, run
     /// after each of its dispatches. This repairs the one case the lazy
     /// actor-level minimum drops: a unit pending at `t2` whose actor
@@ -544,6 +559,12 @@ pub struct ApuSystem {
     /// As `req_pending`, for the `l2_up` queues: set whenever an L2
     /// services or fills (the only producers of `l2_up` traffic).
     resp_pending: u64,
+    /// One bit per L1 / L2 slice: set exactly while that unit sleeps on a
+    /// blocked request (`CacheUnit::blocked_since`), refreshed after each
+    /// of its `service` calls by either driver. The credit edges test a
+    /// bit here instead of reaching into the unit on every queue pop.
+    l1_asleep: u64,
+    l2_asleep: u64,
     resp_xbar: Crossbar,
     l1_fill_in: Vec<TimedQueue<MemResp>>,
     l1_up: Vec<TimedQueue<MemResp>>,
@@ -669,6 +690,8 @@ impl ApuSystem {
             resp_holdover: VecDeque::new(),
             l2_up: (0..s).map(|_| mk_resp(cap, cfg.lat_l2_resp / 2)).collect(),
             resp_pending: 0,
+            l1_asleep: 0,
+            l2_asleep: 0,
             resp_xbar: Crossbar::new(s, n, cfg.xbar_per_output),
             l1_fill_in: (0..n)
                 .map(|_| mk_resp(cap, cfg.lat_l2_resp - cfg.lat_l2_resp / 2))
@@ -752,6 +775,25 @@ impl ApuSystem {
     #[must_use]
     pub fn cu_tick_stats(&self) -> (u64, u64) {
         self.gpu.cu_tick_stats()
+    }
+
+    /// `CacheUnit::service` workload beside [`ApuSystem::cu_tick_stats`],
+    /// summed per level as `(L1, L2)`: calls executed, executed calls
+    /// that were blocked retries, and blocked retries slept through and
+    /// booked in closed form. `blocked + settled` is a function of the
+    /// simulated state alone — the blocked retries of the per-cycle
+    /// oracle, whose own `settled` is 0; the event core's `blocked` is the
+    /// part of them it still pays for. Host-side counts.
+    #[must_use]
+    pub fn service_stats(&self) -> (ServiceCalls, ServiceCalls) {
+        let sum = |units: &[CacheUnit]| {
+            let mut total = ServiceCalls::default();
+            for c in units {
+                total.merge(&c.service_calls());
+            }
+            total
+        };
+        (sum(&self.l1s), sum(&self.l2s))
     }
 
     /// Per-actor breakdown of [`ApuSystem::event_stats`]: one
@@ -920,6 +962,7 @@ impl ApuSystem {
         for (s, c) in self.l2s.iter().enumerate() {
             c.check_invariants(&format!("l2[{s}]"), &mut out);
         }
+        self.check_blocked_unit_wake(&mut out);
         self.dram.check_invariants("dram", &mut out);
         self.req_xbar.check_invariants("noc.req", &mut out);
         self.resp_xbar.check_invariants("noc.resp", &mut out);
@@ -951,6 +994,40 @@ impl ApuSystem {
             });
         }
         out
+    }
+
+    /// The `blocked_unit_wake` invariant of both cache levels, which
+    /// needs each unit's queues, the sleep mask and the unit wheel and so
+    /// lives here rather than in `impl Sentinel for CacheUnit`: the mask
+    /// must mark exactly the sleeping units, and no sleeper may be
+    /// stranded (`CacheUnit::blocked_wake_violation`).
+    fn check_blocked_unit_wake(&self, out: &mut Vec<InvariantViolation>) {
+        let l1 = ("l1", A_L1_SERVICE, self.l1_asleep, &self.l1s);
+        let l2 = ("l2", A_L2_SERVICE, self.l2_asleep, &self.l2s);
+        let l1_queues = (&self.l1_in, &self.l1_down, &self.l1_up);
+        let l2_queues = (&self.l2_in, &self.l2_down, &self.l2_up);
+        for ((level, actor, asleep, units), (ins, downs, ups)) in [(l1, l1_queues), (l2, l2_queues)]
+        {
+            for (i, c) in units.iter().enumerate() {
+                let marked = asleep >> i & 1 != 0;
+                let detail = if marked != c.blocked_since().is_some() {
+                    Some(format!(
+                        "sleep mask bit is {marked} but the unit's blockage is {:?}",
+                        c.blocked_since()
+                    ))
+                } else {
+                    let pending = self.ev.unit_wake_pending(actor, self.now, i);
+                    c.blocked_wake_violation(self.now, &ins[i], &downs[i], &ups[i], pending)
+                };
+                if let Some(detail) = detail {
+                    out.push(InvariantViolation {
+                        component: format!("{level}[{i}]"),
+                        invariant: "blocked_unit_wake",
+                        detail,
+                    });
+                }
+            }
+        }
     }
 
     /// A fingerprint of every progress-indicating counter: if two
@@ -1010,6 +1087,7 @@ impl ApuSystem {
         if self.now < next_check {
             return None;
         }
+        self.settle_caches();
         if !self.check_invariants_now().is_empty() {
             return Some(StallReason::InvariantViolation);
         }
@@ -1031,6 +1109,7 @@ impl ApuSystem {
 
     /// Captures the halted system into a [`SimTimeoutError`].
     fn stall_error(&mut self, max_cycles: u64, reason: StallReason) -> SimTimeoutError {
+        self.settle_caches();
         let mut queues = Vec::new();
         let mut oldest: Option<(Cycle, String)> = None;
         {
@@ -1087,6 +1166,15 @@ impl ApuSystem {
                 )
             })
             .collect();
+        let blocked = |level: &str, units: &[CacheUnit]| {
+            let named = units.iter().enumerate();
+            named
+                .filter_map(|(i, c)| Some((i, c.blocked_since()?)))
+                .map(|(i, since)| format!("{level}[{i}]: blocked since {since}"))
+                .collect::<Vec<_>>()
+        };
+        let mut blocked_units = blocked("l1", &self.l1s);
+        blocked_units.extend(blocked("l2", &self.l2s));
         let diagnostic = Box::new(StallDiagnostic {
             cycle: self.now.0,
             phase: Self::phase_label(self.phase),
@@ -1095,6 +1183,7 @@ impl ApuSystem {
             queues,
             mshrs,
             wavefronts,
+            blocked_units,
             violations: self.check_invariants_now(),
         });
         if let Some(rec) = self.telemetry.as_deref_mut() {
@@ -1271,6 +1360,7 @@ impl ApuSystem {
         if self.sentinel.is_some() && !self.check_invariants_now().is_empty() {
             return Err(self.stall_error(max_cycles, StallReason::InvariantViolation));
         }
+        self.settle_caches();
         Ok(self.metrics())
     }
 
@@ -1436,7 +1526,10 @@ impl ApuSystem {
             }
         }
         for s in 0..self.l2s.len() {
-            if let Some(at) = self.l2s[s].next_event(t0) {
+            // A sleeping unit's wake may have been pending in the wheel
+            // just reset; one real retry re-derives it.
+            let asleep = self.l2_asleep >> s & 1 != 0;
+            if let Some(at) = self.l2s[s].next_event(t0).or(asleep.then_some(t0)) {
                 self.ev.seed_unit(A_L2_SERVICE, at, s);
             }
         }
@@ -1461,7 +1554,8 @@ impl ApuSystem {
             }
         }
         for i in 0..self.l1s.len() {
-            if let Some(at) = self.l1s[i].next_event(t0) {
+            let asleep = self.l1_asleep >> i & 1 != 0;
+            if let Some(at) = self.l1s[i].next_event(t0).or(asleep.then_some(t0)) {
                 self.ev.seed_unit(A_L1_SERVICE, at, i);
             }
         }
@@ -1624,14 +1718,7 @@ impl ApuSystem {
         while m != 0 {
             let s = m.trailing_zeros() as usize;
             m &= m - 1;
-            let acted = self.l2s[s].service(
-                now,
-                &mut self.l2_in[s],
-                &mut self.l2_down[s],
-                &mut self.l2_up[s],
-            );
-            if acted {
-                self.resp_pending |= 1 << s;
+            if self.service_l2_unit(now, s) {
                 // Downstream wakes are needed only when something moved;
                 // earlier pushes already scheduled their consumers.
                 if let Some(at) = self.l2_down[s].next_ready() {
@@ -1641,8 +1728,13 @@ impl ApuSystem {
                     self.ev.wake(A_RESP_XBAR, at);
                 }
             }
+            // A sleeping slice is retried only for a head that turns
+            // ready later; a fill or a credit wakes it otherwise.
+            let asleep = self.l2_asleep >> s & 1 != 0;
             if let Some(at) = self.l2_in[s].next_ready() {
-                self.ev.wake_unit(A_L2_SERVICE, at, s);
+                if at > now || !asleep {
+                    self.ev.wake_unit(A_L2_SERVICE, at, s);
+                }
             }
             if let Some(at) = self.l2s[s].next_event(now + 1) {
                 self.ev.wake_unit(A_L2_SERVICE, at, s);
@@ -1650,20 +1742,40 @@ impl ApuSystem {
         }
     }
 
+    /// Credit edge: a queue that each of `sleepers` (units of `actor`,
+    /// all asleep) pushes into was popped this cycle, after the units' own
+    /// stage — the one change to a sleeping unit's view that no other wake
+    /// carries, visible to it from the next cycle on.
+    ///
+    /// Kept out of line: four handlers share it, and on a machine that is
+    /// not saturated none of them ever has a sleeper to wake.
+    #[inline(never)]
+    fn wake_sleepers(&mut self, actor: usize, now: Cycle, mut sleepers: u64) {
+        while sleepers != 0 {
+            let unit = sleepers.trailing_zeros() as usize;
+            sleepers &= sleepers - 1;
+            self.ev.wake_unit(actor, now + 1, unit);
+        }
+    }
+
     /// Actor 5 (stage 5): L2 writeback/miss traffic into DRAM, per due
     /// slice.
     fn ev_l2_to_dram(&mut self, now: Cycle) {
         let mut m = self.ev.due_units(A_L2_TO_DRAM);
-        let mut any = false;
+        let mut popped = 0u64;
         while m != 0 {
             let s = m.trailing_zeros() as usize;
             m &= m - 1;
-            any |= self.l2_to_dram_unit(now, s);
+            popped |= u64::from(self.l2_to_dram_unit(now, s)) << s;
             if let Some(at) = self.l2_down[s].next_ready() {
                 self.ev.wake_unit(A_L2_TO_DRAM, at, s);
             }
         }
-        if any {
+        let sleepers = popped & self.l2_asleep;
+        if sleepers != 0 {
+            self.wake_sleepers(A_L2_SERVICE, now, sleepers);
+        }
+        if popped != 0 {
             // A request entered DRAM: waking it at `now + 1` is
             // conservative-early and far cheaper than the exact
             // per-channel `next_event` walk (the idle transition pays
@@ -1689,6 +1801,10 @@ impl ApuSystem {
                 if let Some(at) = self.l1_fill_in[i].next_ready() {
                     self.ev.wake_unit(A_L1_FILL, at, i);
                 }
+            }
+            let sleepers = self.resp_xbar.popped_inputs() & self.l2_asleep;
+            if sleepers != 0 {
+                self.wake_sleepers(A_L2_SERVICE, now, sleepers);
             }
             // A spurious self-dispatch with no ready head is exactly an
             // idle rotation (`tick` then touches no statistic), so the
@@ -1733,14 +1849,7 @@ impl ApuSystem {
         while m != 0 {
             let i = m.trailing_zeros() as usize;
             m &= m - 1;
-            let acted = self.l1s[i].service(
-                now,
-                &mut self.l1_in[i],
-                &mut self.l1_down[i],
-                &mut self.l1_up[i],
-            );
-            if acted {
-                self.req_pending |= 1 << i;
+            if self.service_l1_unit(now, i) {
                 if let Some(at) = self.l1_down[i].next_ready() {
                     self.ev.wake(A_REQ_XBAR, at);
                 }
@@ -1748,8 +1857,12 @@ impl ApuSystem {
                     self.ev.wake_unit(A_GPU_RESP, at, i);
                 }
             }
+            // As in `ev_l2_service`.
+            let asleep = self.l1_asleep >> i & 1 != 0;
             if let Some(at) = self.l1_in[i].next_ready() {
-                self.ev.wake_unit(A_L1_SERVICE, at, i);
+                if at > now || !asleep {
+                    self.ev.wake_unit(A_L1_SERVICE, at, i);
+                }
             }
             if let Some(at) = self.l1s[i].next_event(now + 1) {
                 self.ev.wake_unit(A_L1_SERVICE, at, i);
@@ -1789,6 +1902,10 @@ impl ApuSystem {
                     self.ev.wake_unit(A_L2_SERVICE, at, s);
                 }
             }
+            let sleepers = self.req_xbar.popped_inputs() & self.l1_asleep;
+            if sleepers != 0 {
+                self.wake_sleepers(A_L1_SERVICE, now, sleepers);
+            }
             self.ev.wake(A_REQ_XBAR, now + 1);
             return;
         }
@@ -1807,16 +1924,20 @@ impl ApuSystem {
     /// Actor 10 (stage 10): response delivery to the GPU, per due CU.
     fn ev_gpu_resp(&mut self, now: Cycle) {
         let mut m = self.ev.due_units(A_GPU_RESP);
-        let mut any = false;
+        let mut popped = 0u64;
         while m != 0 {
             let i = m.trailing_zeros() as usize;
             m &= m - 1;
-            any |= self.gpu_resp_unit(now, i);
+            popped |= u64::from(self.gpu_resp_unit(now, i)) << i;
             if let Some(at) = self.l1_up[i].next_ready() {
                 self.ev.wake_unit(A_GPU_RESP, at, i);
             }
         }
-        if any {
+        let sleepers = popped & self.l1_asleep;
+        if sleepers != 0 {
+            self.wake_sleepers(A_L1_SERVICE, now, sleepers);
+        }
+        if popped != 0 {
             // The phase machine runs after this stage within the cycle;
             // a delivered response can unblock a wavefront immediately.
             self.ev.wake(A_PHASE, now);
@@ -1937,6 +2058,7 @@ impl ApuSystem {
     /// Records one telemetry sample at the current cycle (the due check
     /// is the caller's; telemetry must be enabled).
     fn record_sample(&mut self) {
+        self.settle_caches();
         if self
             .telemetry
             .as_deref()
@@ -1959,6 +2081,17 @@ impl ApuSystem {
                 .as_mut()
                 .expect("telemetry enabled")
                 .record_frame(self.now.0, frame);
+        }
+    }
+
+    /// Books, on every sleeping cache unit, the blocked retries of the
+    /// cycles before `now` it was not called on (`CacheUnit::settle`), so
+    /// cache statistics read what the per-cycle oracle shows at this
+    /// cycle. Every reader of them calls this first; under the oracle
+    /// itself there is never anything to book.
+    fn settle_caches(&mut self) {
+        for c in self.l1s.iter_mut().chain(&mut self.l2s) {
+            c.settle(self.now);
         }
     }
 
@@ -2155,17 +2288,27 @@ impl ApuSystem {
     fn stage_l2_service(&mut self, now: Cycle) -> bool {
         let mut acted = false;
         for s in 0..self.l2s.len() {
-            let (slice, l2_in, l2_down, l2_up) = (
-                &mut self.l2s[s],
-                &mut self.l2_in[s],
-                &mut self.l2_down[s],
-                &mut self.l2_up[s],
-            );
-            if slice.service(now, l2_in, l2_down, l2_up) {
-                self.resp_pending |= 1 << s;
-                acted = true;
-            }
+            acted |= self.service_l2_unit(now, s);
         }
+        acted
+    }
+
+    /// Stage 4 for one L2 slice; returns whether it consumed a request.
+    /// Both drivers' loops inline it: as a call it cost the event core
+    /// some 3 % of a latency-bound run.
+    #[inline]
+    fn service_l2_unit(&mut self, now: Cycle, s: usize) -> bool {
+        let acted = self.l2s[s].service(
+            now,
+            &mut self.l2_in[s],
+            &mut self.l2_down[s],
+            &mut self.l2_up[s],
+        );
+        if acted {
+            self.resp_pending |= 1 << s;
+        }
+        let asleep = self.l2s[s].blocked_since().is_some();
+        self.l2_asleep = self.l2_asleep & !(1 << s) | u64::from(asleep) << s;
         acted
     }
 
@@ -2248,16 +2391,25 @@ impl ApuSystem {
     fn stage_l1_service(&mut self, now: Cycle) -> bool {
         let mut acted = false;
         for i in 0..self.l1s.len() {
-            if self.l1s[i].service(
-                now,
-                &mut self.l1_in[i],
-                &mut self.l1_down[i],
-                &mut self.l1_up[i],
-            ) {
-                self.req_pending |= 1 << i;
-                acted = true;
-            }
+            acted |= self.service_l1_unit(now, i);
         }
+        acted
+    }
+
+    /// Stage 8 for one CU's L1; as [`ApuSystem::service_l2_unit`].
+    #[inline]
+    fn service_l1_unit(&mut self, now: Cycle, i: usize) -> bool {
+        let acted = self.l1s[i].service(
+            now,
+            &mut self.l1_in[i],
+            &mut self.l1_down[i],
+            &mut self.l1_up[i],
+        );
+        if acted {
+            self.req_pending |= 1 << i;
+        }
+        let asleep = self.l1s[i].blocked_since().is_some();
+        self.l1_asleep = self.l1_asleep & !(1 << i) | u64::from(asleep) << i;
         acted
     }
 
@@ -2539,6 +2691,179 @@ mod tests {
             assert!(blocked_at_a_halt, "the halts must catch backpressured CUs");
             let got = sys.run_to_completion(200_000_000).expect("resumed run");
             assert_eq!((got, sys.cu_tick_stats()), want, "skip={skip}");
+        }
+    }
+
+    /// The cache units' machine-independent cost on a saturated stream:
+    /// the blocked `service` retries — the paper's Figure 8 stall cycles
+    /// in the making — are a function of the simulated state alone,
+    /// whichever engine counts them, and the event core sleeps through
+    /// nearly all of them instead of executing one per cycle.
+    #[test]
+    fn blocked_service_retries_are_exact_and_mostly_slept_through() {
+        let w = by_name(&SuiteConfig::quick(), "FwAct").unwrap();
+        let run = |skip: bool| {
+            let mut sys = ApuSystem::new(
+                SystemConfig::paper_table1(),
+                PolicyConfig::of(CachePolicy::CacheR),
+                &w,
+            );
+            sys.set_time_skip(skip);
+            let m = sys.run_to_completion(200_000_000).expect("run finished");
+            (m, sys.service_stats())
+        };
+        let (m, (l1, l2)) = run(true);
+        assert_eq!(run(true), (m.clone(), (l1, l2)), "repeats exactly");
+        let (oracle_m, (oracle_l1, oracle_l2)) = run(false);
+        assert_eq!(oracle_m, m);
+        for (level, event, oracle) in [("l1", l1, oracle_l1), ("l2", l2, oracle_l2)] {
+            assert_eq!(oracle.settled, 0, "{level}: the oracle calls every cycle");
+            assert_eq!(
+                event.blocked + event.settled,
+                oracle.blocked,
+                "{level}: same retries, executed or slept through"
+            );
+            assert!(event.executed < oracle.executed, "{level}");
+        }
+        assert!(oracle_l1.blocked > 100_000, "saturated: {oracle_l1:?}");
+        let retries = l1.blocked + l2.blocked + l1.settled + l2.settled;
+        assert!(
+            (l1.blocked + l2.blocked) * 100 < retries * 15,
+            "event core executed {} of {retries} blocked retries",
+            l1.blocked + l2.blocked
+        );
+    }
+
+    /// A run halted *while cache units sleep* must read exactly like the
+    /// oracle halted at the same cycle — the stalls of the cycles slept
+    /// through are booked before anything looks — and the diagnostic must
+    /// say who was asleep. Re-entering then ends where an uninterrupted
+    /// run does, under both engines.
+    #[test]
+    fn budget_halt_while_units_sleep_reads_like_the_oracle() {
+        let w = by_name(&SuiteConfig::quick(), "FwAct").unwrap();
+        let fresh = |skip: bool| {
+            let mut sys = ApuSystem::new(
+                SystemConfig::small_test(),
+                PolicyConfig::of(CachePolicy::CacheR),
+                &w,
+            );
+            sys.set_time_skip(skip);
+            sys
+        };
+        let want = fresh(true)
+            .run_to_completion(200_000_000)
+            .expect("run finished");
+        let (mut event, mut oracle) = (fresh(true), fresh(false));
+        let mut slept_at_a_halt = 0;
+        for budget in [7_001, 7_002, 9_337, 20_011] {
+            let before = event.service_stats().0.settled;
+            let e = event.run_to_completion(budget).expect_err("mid-kernel");
+            let o = oracle.run_to_completion(budget).expect_err("mid-kernel");
+            assert_eq!(e, o, "same halt, same diagnostic");
+            assert_eq!(e.diagnostic.reason, StallReason::CycleBudget);
+            assert_eq!(event.metrics(), oracle.metrics(), "budget {budget}");
+            assert!(event.check_invariants_now().is_empty());
+            if !e.diagnostic.blocked_units.is_empty() {
+                slept_at_a_halt += event.service_stats().0.settled - before;
+            }
+        }
+        assert!(slept_at_a_halt > 0, "the halts must catch sleeping units");
+        for sys in [&mut event, &mut oracle] {
+            let got = sys.run_to_completion(200_000_000).expect("resumed run");
+            assert_eq!(got, want);
+        }
+        let ((l1, l2), (o1, o2)) = (event.service_stats(), oracle.service_stats());
+        assert_eq!(l1.blocked + l1.settled, o1.blocked);
+        assert_eq!(l2.blocked + l2.settled, o2.blocked);
+    }
+
+    /// A lost wake is a named violation at the next check, not a wedge:
+    /// drop the pending `service` wake of a sleeping L1 whose credit just
+    /// came back, and `blocked_unit_wake` reports that unit.
+    #[test]
+    fn sentinel_names_a_sleeping_unit_whose_wake_was_lost() {
+        let w = by_name(&SuiteConfig::quick(), "FwAct").unwrap();
+        let fresh = || {
+            ApuSystem::new(
+                SystemConfig::small_test(),
+                PolicyConfig::of(CachePolicy::CacheR),
+                &w,
+            )
+        };
+        let want = fresh().run_to_completion(200_000_000).expect("finished");
+        let mut sys = fresh();
+        let mut named = 0;
+        for budget in (7_000..).step_by(61).take(40) {
+            let err = sys.run_to_completion(budget).expect_err("mid-kernel");
+            assert!(err.diagnostic.violations.is_empty(), "{err:?}");
+            let now = sys.now();
+            for i in 0..sys.l1s.len() {
+                let asleep = sys.l1s[i].blocked_since().is_some();
+                if !asleep || !sys.ev.unit_wake_pending(A_L1_SERVICE, now, i) {
+                    continue;
+                }
+                sys.ev.units[UNIT_WHEEL[A_L1_SERVICE]].cancel(now, i as u8);
+                let vs = sys.check_invariants_now();
+                // A unit serviced on the cycle that just ended cannot
+                // have missed anything yet; any other sleeper is named.
+                match vs.as_slice() {
+                    [] => {}
+                    [v] => {
+                        assert_eq!(v.invariant, "blocked_unit_wake");
+                        assert_eq!(v.component, format!("l1[{i}]"));
+                        assert!(v.detail.contains("no service wake pending"), "{v}");
+                        named += 1;
+                    }
+                    _ => panic!("{vs:?}"),
+                }
+                sys.ev.wake_unit(A_L1_SERVICE, now, i);
+                assert!(sys.check_invariants_now().is_empty());
+            }
+        }
+        assert!(named > 0, "no halt caught a sleeper with a wake pending");
+        // The mask the credit edges consult must mark exactly the sleepers.
+        sys.l1_asleep ^= 1;
+        let vs = sys.check_invariants_now();
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(
+            (vs[0].component.as_str(), vs[0].invariant),
+            ("l1[0]", "blocked_unit_wake")
+        );
+        assert!(vs[0].detail.contains("sleep mask"), "{}", vs[0]);
+        sys.l1_asleep ^= 1;
+        // Wakes restored, nothing was disturbed.
+        assert_eq!(sys.run_to_completion(200_000_000), Ok(want));
+    }
+
+    /// The serving hooks: kernels fed one at a time into a persistent
+    /// system, policies switched in between. Every switch happens at a
+    /// drained boundary, where no unit can still be asleep on a request.
+    #[test]
+    fn policy_switch_at_an_idle_boundary_never_meets_a_sleeping_unit() {
+        let w = by_name(&SuiteConfig::quick(), "FwAct").unwrap();
+        let mut sys = ApuSystem::new_idle(
+            SystemConfig::small_test(),
+            PolicyConfig::of(CachePolicy::CacheR),
+        );
+        let mut settled = 0;
+        for (seq, policy) in [CachePolicy::CacheRW, CachePolicy::CacheR]
+            .into_iter()
+            .enumerate()
+        {
+            sys.enqueue_kernel(Arc::clone(&w.launches[0]), seq as u32);
+            sys.run_to_completion(200_000_000).expect("kernel finished");
+            let (l1, l2) = sys.service_stats();
+            assert!(
+                l1.settled + l2.settled > settled,
+                "units slept in kernel {seq}"
+            );
+            settled = l1.settled + l2.settled;
+            let asleep = |units: &[CacheUnit]| units.iter().any(|c| c.blocked_since().is_some());
+            assert!(!asleep(&sys.l1s) && !asleep(&sys.l2s));
+            // Would panic on a unit still holding a blocked request.
+            sys.set_policy_config(&PolicyConfig::of(policy), None);
+            sys.idle_until(sys.now() + 777);
         }
     }
 

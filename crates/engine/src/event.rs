@@ -167,6 +167,19 @@ impl EventWheel {
             .map(Cycle)
     }
 
+    /// The ids pending at exactly cycle `at`, without popping: an empty
+    /// mask if nothing is scheduled there or `at` is in the past.
+    #[must_use]
+    pub fn pending_at(&self, at: Cycle) -> u64 {
+        if at.0 < self.base {
+            0
+        } else if at.0 - self.base >= SLOTS as u64 {
+            self.overflow.get(&at.0).copied().unwrap_or(0)
+        } else {
+            self.slots[(at.0 % SLOTS as u64) as usize]
+        }
+    }
+
     /// Pops the earliest pending cycle and **all** ids due at it, as
     /// `(cycle, id mask)`, advancing the base past the popped cycle.
     /// Returns `None` when the wheel is empty.
@@ -360,6 +373,20 @@ mod tests {
     }
 
     #[test]
+    fn pending_at_peeks_ring_and_overflow_without_popping() {
+        let mut w = EventWheel::new();
+        w.insert(Cycle(5), 0);
+        w.insert(Cycle(5), 3);
+        w.insert(Cycle(5 + EventWheel::WINDOW), 1); // same slot, overflow
+        assert_eq!(w.pending_at(Cycle(5)), 0b1001);
+        assert_eq!(w.pending_at(Cycle(6)), 0);
+        assert_eq!(w.pending_at(Cycle(5 + EventWheel::WINDOW)), 0b10);
+        assert_eq!(w.pop_next(), Some((Cycle(5), 0b1001)));
+        assert_eq!(w.pending_at(Cycle(5)), 0, "the past holds nothing");
+        assert_eq!(w.pending_at(Cycle(5 + EventWheel::WINDOW)), 0b10);
+    }
+
+    #[test]
     fn reset_rebases_and_clears() {
         let mut w = EventWheel::new();
         w.insert(Cycle(3), 0);
@@ -421,6 +448,12 @@ mod tests {
                         }
                     }
                 }
+                let probe = horizon + rng.next_below(2 * EventWheel::WINDOW);
+                assert_eq!(
+                    wheel.pending_at(Cycle(probe)),
+                    model.get(&probe).copied().unwrap_or(0),
+                    "seed {seed} peek at {probe}"
+                );
             }
             // Drain both to the end.
             loop {

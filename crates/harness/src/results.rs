@@ -181,8 +181,8 @@ impl JobRecord {
 
 /// Serializes a simulator stall diagnostic for the sweep report: the
 /// stall cycle/phase/reason, the oldest in-flight request, per-queue
-/// occupancies, MSHR contents, wavefront states, and any invariant
-/// violations — everything `miopt-core` gathered when the run wedged.
+/// occupancies, MSHR contents, wavefront states, blocked cache units,
+/// and any invariant violations — everything `miopt-core` gathered when the run wedged.
 #[must_use]
 pub fn stall_diagnostic_to_json(d: &StallDiagnostic) -> Json {
     let mut pairs = vec![
@@ -227,6 +227,10 @@ pub fn stall_diagnostic_to_json(d: &StallDiagnostic) -> Json {
     pairs.push((
         "wavefronts".to_string(),
         Json::Arr(d.wavefronts.iter().map(Json::str).collect()),
+    ));
+    pairs.push((
+        "blocked_units".to_string(),
+        Json::Arr(d.blocked_units.iter().map(Json::str).collect()),
     ));
     pairs.push((
         "violations".to_string(),

@@ -16,8 +16,9 @@
 //! queues full, where CUs sleep on backpressure and wake on a credit.
 
 use miopt::runner::{run_one_with, RunOptions, SweepSpec};
-use miopt::SystemConfig;
+use miopt::{CachePolicy, PolicyConfig, SystemConfig};
 use miopt_harness::figures::{fig10, fig6};
+use miopt_harness::telemetry::to_jsonl;
 use miopt_workloads::{by_name, SuiteConfig};
 
 fn assert_grid_equivalent(workload_names: &[&str]) {
@@ -76,6 +77,45 @@ fn event_core_matches_per_cycle_across_the_policy_grid() {
 #[test]
 fn event_core_matches_per_cycle_on_a_saturated_stream() {
     assert_grid_equivalent(&["FwAct"]);
+}
+
+/// The exported stream, not only the in-memory series, at an interval
+/// that is a multiple of nothing in the machine: on a saturated stream
+/// most samples land while cache units sleep on a blocked request, and
+/// the stall cycles slept through so far must already be in the sample,
+/// as they are when the oracle books one per cycle.
+#[test]
+fn telemetry_jsonl_on_a_saturated_stream_is_byte_identical_across_engines() {
+    let w = by_name(&SuiteConfig::quick(), "FwAct").expect("suite workload");
+    for policy in CachePolicy::ALL {
+        let export = |no_skip: bool| {
+            let opts = RunOptions {
+                telemetry_interval: Some(500),
+                no_skip,
+                ..RunOptions::default()
+            };
+            let r = run_one_with(
+                &SystemConfig::small_test(),
+                &w,
+                PolicyConfig::of(policy),
+                &opts,
+            )
+            .expect("run finishes");
+            let run = r.telemetry.as_ref().expect("telemetry enabled");
+            assert!(run.epochs.len() > 20, "{policy}: many samples");
+            let clock = r.metrics.gpu_clock_hz();
+            (
+                to_jsonl(run, &r.workload, &r.policy.label(), clock),
+                r.metrics.cache_stalls(),
+            )
+        };
+        let (event, stalls) = export(false);
+        let (oracle, _) = export(true);
+        assert!(event == oracle, "{policy}: JSONL differs between engines");
+        if policy != CachePolicy::Uncached {
+            assert!(stalls > 10_000, "{policy}: saturated ({stalls} stalls)");
+        }
+    }
 }
 
 /// The same full-grid pin on FwGRU: a multi-kernel latency-bound RNN —

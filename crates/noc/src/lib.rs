@@ -73,6 +73,8 @@ pub struct Crossbar {
     per_output: u32,
     rr_start: usize,
     budget: Vec<u32>,
+    /// Inputs the last tick popped (see [`Crossbar::popped_inputs`]).
+    popped: u64,
     stats: CrossbarStats,
 }
 
@@ -97,6 +99,7 @@ impl Crossbar {
             per_output,
             rr_start: 0,
             budget: vec![0; outputs],
+            popped: 0,
             stats: CrossbarStats::default(),
         }
     }
@@ -143,6 +146,7 @@ impl Crossbar {
         }
         let mut moved = 0;
         let mut pushed = 0u64;
+        self.popped = 0;
         for _ in 0..n {
             let cur = idx;
             idx += 1;
@@ -163,6 +167,9 @@ impl Crossbar {
                 moved += 1;
                 if o < 64 {
                     pushed |= 1 << o;
+                }
+                if cur < 64 {
+                    self.popped |= 1 << cur;
                 }
             } else {
                 self.stats.blocked.inc();
@@ -216,6 +223,7 @@ impl Crossbar {
         let live = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
         let mut moved = 0;
         let mut pushed = 0u64;
+        self.popped = 0;
         // Round-robin order from `start`: the candidates in [start, n)
         // first, then the wrapped tail [0, start).
         let wrap = (1u64 << start) - 1;
@@ -245,6 +253,7 @@ impl Crossbar {
                     if o < 64 {
                         pushed |= 1 << o;
                     }
+                    self.popped |= 1 << cur;
                 } else {
                     self.stats.blocked.inc();
                 }
@@ -263,6 +272,16 @@ impl Crossbar {
     /// state per-cycle stepping would have.
     pub fn advance_idle_cycles(&mut self, cycles: u64) {
         self.rr_start = (self.rr_start + (cycles % self.inputs as u64) as usize) % self.inputs;
+    }
+
+    /// The input ports the last tick popped a message from, as a bitmask
+    /// over port indices (as with the returned output mask, ports at index
+    /// 64 and above are not representable). A pop returns a credit to
+    /// whatever feeds that input: the event-driven core wakes a producer
+    /// that sleeps on its full queue from here.
+    #[must_use]
+    pub fn popped_inputs(&self) -> u64 {
+        self.popped
     }
 
     /// Accumulated statistics.
@@ -360,6 +379,23 @@ mod tests {
         );
         outs[0].pop_ready(Cycle(1)).unwrap();
         assert_eq!(x.tick(Cycle(2), &mut ins, &mut outs, |_| 0), 1);
+    }
+
+    #[test]
+    fn popped_inputs_names_the_queues_that_got_a_credit_back() {
+        let mut x = Crossbar::new(3, 1, 1);
+        let mut ins = queues(3, 8);
+        let mut outs = queues(1, 8);
+        ins[0].push(Cycle(0), 7).unwrap();
+        ins[2].push(Cycle(0), 9).unwrap();
+        // One output slot per cycle: input 0 moves, input 2 is blocked.
+        x.tick(Cycle(0), &mut ins, &mut outs, |_| 0);
+        assert_eq!(x.popped_inputs(), 0b001);
+        // The cursor moved on to input 1 (empty), then 2.
+        x.tick(Cycle(1), &mut ins, &mut outs, |_| 0);
+        assert_eq!(x.popped_inputs(), 0b100);
+        x.tick(Cycle(2), &mut ins, &mut outs, |_| 0);
+        assert_eq!(x.popped_inputs(), 0, "an idle tick pops nothing");
     }
 
     #[test]
@@ -480,6 +516,8 @@ mod tests {
                 |v| (*v % 2) as usize,
             );
             assert_eq!(got_f, got_m, "cycle {cycle}");
+            assert_eq!(full.popped_inputs(), masked.popped_inputs());
+            assert_eq!(u64::from(masked.popped_inputs().count_ones()), got_m.0);
             // Drain one output slot every few cycles so blocking both
             // happens and clears.
             if cycle % 3 == 0 {

@@ -12,8 +12,11 @@
 //!
 //! The policy is any Figure 6/10 label; the optional fourth argument is
 //! the footprint divisor (256 = quick, the default; 16 = paper scale).
-//! The last line of each report is the CU-tick workload of the `phase`
-//! actor: ticks executed and how many of them found nothing to do.
+//! Each report ends with the exact host-side workload counters: the CU
+//! ticks of the `phase` actor (executed, and how many found nothing to
+//! do) and, per cache level, the `service` calls executed, how many of
+//! them were blocked retries, and how many blocked retries the units
+//! slept through instead (`ApuSystem::service_stats`).
 
 use miopt::{optimization_ladder, ApuSystem, CachePolicy, PolicyConfig, SystemConfig};
 use miopt_workloads::{by_name, SuiteConfig};
@@ -77,6 +80,19 @@ fn report(name: &str, policy: PolicyConfig, cfg_name: &str, suite: &SuiteConfig)
         "         CU ticks: {cu_ticks} executed, {idle} idle ({:.1}%)",
         100.0 * idle as f64 / cu_ticks.max(1) as f64
     );
+    let (l1, l2) = sys.service_stats();
+    for (level, s) in [("L1", l1), ("L2", l2)] {
+        let retries = s.blocked + s.settled;
+        println!(
+            "         {level} service: {} calls, {} acted or idle, {} blocked retries executed, \
+             {} slept through ({:.1}% of {retries} retries executed)",
+            s.executed,
+            s.executed - s.blocked,
+            s.blocked,
+            s.settled,
+            100.0 * s.blocked as f64 / retries.max(1) as f64
+        );
+    }
 }
 
 fn main() {

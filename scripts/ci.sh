@@ -117,16 +117,35 @@ cargo run --release -q -p miopt-harness -- \
 diff <(grep '"cycles"\|"status"' "$smoke_dir/skip-on.json") \
      <(grep '"cycles"\|"status"' "$smoke_dir/skip-off.json")
 # The same diff on a saturated grid: FwAct and BwBN keep the L1 input
-# queues full, so CUs sleep on backpressure and the event core has to
-# deliver the credit wake the per-cycle loop gets for free.
+# queues full, so CUs sleep on backpressure and blocked cache units sleep
+# on their full queues. The event core has to deliver the credit wakes
+# the per-cycle loop gets for free, and to book the stall cycles of the
+# retries it never made — so the stall counters are diffed as well.
 cargo run --release -q -p miopt-harness -- \
     --scale quick --only FwAct,BwBN --fig6 --no-cache --no-journal --quiet \
     --jobs 2 --out "$smoke_dir" --sweep-name sat-on >/dev/null
 cargo run --release -q -p miopt-harness -- \
     --scale quick --only FwAct,BwBN --fig6 --no-cache --no-journal --quiet \
     --no-skip --out "$smoke_dir" --sweep-name sat-off >/dev/null
-diff <(grep '"cycles"\|"status"' "$smoke_dir/sat-on.json") \
-     <(grep '"cycles"\|"status"' "$smoke_dir/sat-off.json")
+sat='"cycles"\|"status"\|\.stall_\|\.alloc_bypasses"'
+diff <(grep "$sat" "$smoke_dir/sat-on.json") <(grep "$sat" "$smoke_dir/sat-off.json")
+if ! grep '\.stall_' "$smoke_dir/sat-on.json" | grep -qv ': 0,\?$'; then
+    echo "saturated spot check: no job counted a cache stall" >&2
+    exit 1
+fi
+# Telemetry samples land while units sleep: the stalls slept through so
+# far must be in each sample, exactly as the oracle books them.
+for mode in on off; do
+    flag=""
+    [[ "$mode" == off ]] && flag="--no-skip"
+    cargo run --release -q -p miopt-harness -- \
+        --scale quick --only FwAct --fig6 --no-cache --no-journal --quiet \
+        --telemetry=500 $flag --out "$smoke_dir" --sweep-name "tel-$mode" >/dev/null
+done
+for f in "$smoke_dir"/tel-on-telemetry/*.jsonl; do
+    cmp "$f" "$smoke_dir/tel-off-telemetry/$(basename "$f")"
+done
+[[ "$(ls "$smoke_dir"/tel-on-telemetry/*.jsonl | wc -l)" -eq 3 ]]
 echo "event-core equivalence ok"
 
 echo "== two-tenant serving smoke (miopt-harness serve) =="

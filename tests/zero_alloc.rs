@@ -12,7 +12,7 @@
 // carry.
 #![cfg(feature = "count-allocs")]
 
-use miopt::{ApuSystem, CachePolicy, PolicyConfig, SystemConfig};
+use miopt::{optimization_ladder, ApuSystem, CachePolicy, PolicyConfig, SystemConfig};
 use miopt_engine::Addr;
 use miopt_gpu::{AccessCtx, AddrGen, KernelDesc, KernelProgram, Op};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -94,18 +94,58 @@ fn steady_state_cycles_allocate_nothing() {
     );
     drop(probe);
 
-    let cfg = SystemConfig::paper_table1();
-    let mut sys = ApuSystem::new_idle(cfg, PolicyConfig::of(CachePolicy::CacheRW));
+    // Plain CacheRW on the Table 1 machine, then the rinsing ladder
+    // entry, whose dirty-block index churns rows all the time — emptied
+    // by evictions, rinsed, re-tracked when a rinse finds no room
+    // downstream — a path CacheRW never takes. The small machine fills
+    // its index and queues well inside the warm-up (on Table 1 the 1024
+    // L1 MSHR buckets are still taking their first fifth entry far past
+    // it, which is first-touch growth, not churn).
+    let rinsing = optimization_ladder()
+        .into_iter()
+        .find(|p| p.label() == "CacheRW-CR")
+        .expect("ladder has a rinsing entry");
+    let windows = [
+        (
+            SystemConfig::paper_table1(),
+            PolicyConfig::of(CachePolicy::CacheRW),
+        ),
+        (SystemConfig::small_test(), rinsing),
+    ];
+    for (cfg, policy) in windows {
+        let (allocs, requests) = steady_window(cfg, policy);
+        assert!(
+            requests > 1_000,
+            "{}: window must carry real traffic (saw {requests} requests)",
+            policy.label()
+        );
+        assert_eq!(
+            allocs,
+            0,
+            "{}: steady-state cycles must not allocate: {allocs} allocations \
+             over {WINDOW} cycles ({requests} memory requests)",
+            policy.label()
+        );
+    }
+}
+
+/// Cycles simulated before the window opens: launch overhead, dispatch,
+/// and every first-touch growth (MSHR pools, DBI row vectors, replay
+/// queues) reaching high water.
+const WARMUP: u64 = 60_000;
+/// Cycles in the measured window.
+const WINDOW: u64 = 4_000;
+
+/// Runs the streaming kernel under `policy` and returns `(heap
+/// allocations, memory requests)` of the steady window.
+fn steady_window(cfg: SystemConfig, policy: PolicyConfig) -> (u64, u64) {
+    let mut sys = ApuSystem::new_idle(cfg, policy);
     // 64 work-groups x 4 wavefronts give every CU a work-group in the
     // launch cycle at moderate occupancy (an all-miss streaming kernel
     // at full occupancy thrashes the write-allocate L1 into a crawl);
     // the iteration count keeps the kernel running far past the window.
     sys.enqueue_kernel(streaming_kernel(64, 4, 50_000), 0);
 
-    // Warmup: launch overhead, dispatch, and every first-touch growth
-    // (MSHR pools, DBI row vectors, replay queues) reaching high water.
-    const WARMUP: u64 = 60_000;
-    const WINDOW: u64 = 4_000;
     for _ in 0..WARMUP {
         sys.step();
     }
@@ -120,13 +160,5 @@ fn steady_state_cycles_allocate_nothing() {
 
     assert!(!sys.is_done(), "window must end mid-kernel");
     let requests = sys.metrics().gpu.memory_requests() - requests_before;
-    assert!(
-        requests > 1_000,
-        "window must carry real traffic (saw {requests} requests)"
-    );
-    assert_eq!(
-        allocs, 0,
-        "steady-state cycles must not allocate: {allocs} allocations \
-         over {WINDOW} cycles ({requests} memory requests)"
-    );
+    (allocs, requests)
 }
