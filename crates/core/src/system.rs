@@ -203,14 +203,13 @@ impl SampleSink<'_> {
 
 // --- Event-core actors -------------------------------------------------
 //
-// The discrete-event core decomposes one simulated cycle into twelve
-// actors, one per stage of the per-cycle reference loop. The actor id IS
-// its dispatch priority within a cycle, and the ordering reproduces the
-// per-cycle simulator exactly: telemetry sampling and sentinel checks
-// observe the state *before* the cycle's actions (they fired after the
-// previous cycle's step in the per-cycle loop), then the memory
-// hierarchy ticks from DRAM upward (`tick_memory` stages 1-10), then the
-// phase machine (`advance_phase`) runs last.
+// The run loop decomposes one simulated cycle into twelve actors, one
+// per pipeline stage. The actor id IS its dispatch priority within a
+// cycle: telemetry sampling and sentinel checks observe the state
+// *before* the cycle's actions, then the memory hierarchy ticks from
+// DRAM upward (stages 1-10), then the phase machine (`advance_phase`)
+// runs last. The per-cycle oracle is the same loop with every stage
+// woken on every cycle (`EventCore::wake_every_stage`).
 
 /// Telemetry epoch sample (fires at sampling-interval multiples).
 const A_TELEMETRY: usize = 0;
@@ -239,6 +238,9 @@ const A_GPU_RESP: usize = 10;
 const A_PHASE: usize = 11;
 /// Number of actors (and the width of the scheduled-cycle table).
 const N_ACTORS: usize = 12;
+/// The pipeline stages: every actor but telemetry and the sentinel,
+/// which keep their own cadence under both engines.
+const STAGES: u64 = (1 << N_ACTORS) - (1 << A_DRAM);
 
 /// "Not scheduled" sentinel for [`EventCore::scheduled`].
 const NEVER: Cycle = Cycle(u64::MAX);
@@ -358,6 +360,8 @@ struct EventCore {
     /// [`EventCore::rearm_units`] after every dispatch), so no unit
     /// entry is ever stranded behind a popped actor entry.
     units: [EventWheel; N_UNIT_WHEELS],
+    /// Every unit of each unit wheel's actor: the L2 slices or the CUs.
+    all_units: [u64; N_UNIT_WHEELS],
     /// Earliest pending wake per actor ([`NEVER`] when idle).
     scheduled: [Cycle; N_ACTORS],
     /// Actors still to dispatch in the cycle currently being processed.
@@ -375,10 +379,13 @@ struct EventCore {
 }
 
 impl EventCore {
-    fn new() -> EventCore {
+    /// A core for `n_cus` CUs and `n_slices` L2 slices (each 1..=64).
+    fn new(n_cus: usize, n_slices: usize) -> EventCore {
+        let (l1, l2) = (u64::MAX >> (64 - n_cus), u64::MAX >> (64 - n_slices));
         EventCore {
             wheel: EventWheel::new(),
             units: std::array::from_fn(|_| EventWheel::new()),
+            all_units: [l2, l2, l2, l1, l1, l1],
             scheduled: [NEVER; N_ACTORS],
             due: 0,
             now: Cycle::ZERO,
@@ -402,21 +409,16 @@ impl EventCore {
         self.current = N_ACTORS;
     }
 
-    /// Run-entry wake: schedules `actor` no earlier than the rebased
-    /// `now` (dispatch *at* `now` is allowed before the loop starts).
-    fn seed(&mut self, actor: usize, at: Cycle) {
-        let at = at.max(self.now);
-        if at < self.scheduled[actor] {
-            self.scheduled[actor] = at;
-            self.wheel.insert(at, actor as u8);
+    /// Wakes every stage — each memory/phase actor and every unit of the
+    /// replicated-unit actors — at `at`, a cycle no actor is scheduled
+    /// before: the oracle's wake policy after each cycle, and run entry.
+    /// A stage with nothing to do is a no-op, so waking it is harmless.
+    fn wake_every_stage(&mut self, at: Cycle) {
+        self.scheduled[A_DRAM..].fill(at);
+        self.wheel.insert_mask(at, STAGES);
+        for (w, &all) in self.units.iter_mut().zip(&self.all_units) {
+            w.insert_mask(at, all);
         }
-    }
-
-    /// Run-entry wake of one unit of a replicated-unit actor.
-    fn seed_unit(&mut self, actor: usize, at: Cycle, unit: usize) {
-        let at = at.max(self.now);
-        self.units[UNIT_WHEEL[actor]].insert(at, unit as u8);
-        self.seed(actor, at);
     }
 
     /// Mid-run wake: schedules `actor` at `at`, clamped to the currently
@@ -561,7 +563,7 @@ pub struct ApuSystem {
     resp_pending: u64,
     /// One bit per L1 / L2 slice: set exactly while that unit sleeps on a
     /// blocked request (`CacheUnit::blocked_since`), refreshed after each
-    /// of its `service` calls by either driver. The credit edges test a
+    /// of its `service` calls under either engine. The credit edges test a
     /// bit here instead of reaching into the unit on every queue pop.
     l1_asleep: u64,
     l2_asleep: u64,
@@ -571,17 +573,16 @@ pub struct ApuSystem {
     now: Cycle,
     phase: Phase,
     launches: VecDeque<(Arc<KernelDesc>, u32)>,
-    /// Epoch sampler; `None` (the default) keeps [`ApuSystem::step`] on a
-    /// branch-only fast path with no recording overhead.
+    /// Epoch sampler; `None` (the default) schedules no telemetry actor,
+    /// so there is no recording overhead at all.
     telemetry: Option<Box<Recorder>>,
     /// Invariant checker and watchdog; `None` in release builds unless
     /// explicitly enabled, `Some` in debug builds always.
     sentinel: Option<Box<SentinelState>>,
-    /// Engine selection: when true (the default),
-    /// [`ApuSystem::run_to_completion`] runs the discrete-event core
-    /// (pop-min → dispatch → reschedule on the calendar wheel); when
-    /// false it steps every cycle — the `--no-skip` validation oracle.
-    /// See [`ApuSystem::set_time_skip`].
+    /// Engine selection: when true (the default) the run loop dispatches
+    /// only the stages handlers woke (the discrete-event core); when
+    /// false it wakes every stage every cycle — the `--no-skip`
+    /// validation oracle. See [`ApuSystem::set_time_skip`].
     skip: bool,
     /// The discrete-event scheduler driving the event-core run loop.
     ev: EventCore,
@@ -713,7 +714,7 @@ impl ApuSystem {
                 ))
             }),
             skip: true,
-            ev: EventCore::new(),
+            ev: EventCore::new(n, s),
             req_synced: Cycle::ZERO,
             resp_synced: Cycle::ZERO,
             warps: 0,
@@ -724,18 +725,19 @@ impl ApuSystem {
     }
 
     /// Selects the execution engine for
-    /// [`ApuSystem::run_to_completion`]: the discrete-event core when
-    /// enabled (the default), per-cycle stepping when disabled (the
-    /// `--no-skip` validation oracle).
+    /// [`ApuSystem::run_to_completion`] and [`ApuSystem::idle_until`]:
+    /// the discrete-event core when enabled (the default), the per-cycle
+    /// `--no-skip` validation oracle when disabled.
     ///
-    /// The two engines are bit-identical. Every actor in the event core
-    /// dispatches at exactly the cycles on which the per-cycle loop's
-    /// corresponding stage would have done work, in the same intra-cycle
-    /// order, and telemetry samples, sentinel checks, and the cycle
-    /// budget fire as scheduled events at exactly the per-cycle
-    /// simulator's cycles. Disabling the event core therefore only
-    /// trades away wall-clock speed; it exists for equivalence testing
-    /// and for debugging the event core itself.
+    /// Both run the same loop and the same stage handlers; the oracle
+    /// only adds a wake of every stage for every cycle, so it depends on
+    /// no wake edge. The two engines are bit-identical: every actor in
+    /// the event core dispatches on every cycle its stage would do work,
+    /// in the same intra-cycle order, and telemetry samples, sentinel
+    /// checks and the cycle budget keep their own schedule in both.
+    /// Disabling the event core therefore only trades away wall-clock
+    /// speed; it exists for equivalence testing and for debugging the
+    /// event core itself.
     pub fn set_time_skip(&mut self, enabled: bool) {
         self.skip = enabled;
     }
@@ -759,8 +761,8 @@ impl ApuSystem {
     /// Event-core workload: `(events_dispatched, active_cycles)` —
     /// cumulative actor dispatches and the number of simulated cycles
     /// with at least one dispatch. `events_dispatched / active_cycles`
-    /// is the mean events per busy cycle (the per-cycle oracle pays ~12
-    /// stage polls every cycle, busy or not); `1 - active_cycles /
+    /// is the mean events per busy cycle (the per-cycle oracle dispatches
+    /// all ten stages every cycle, busy or not); `1 - active_cycles /
     /// now().0` is the fraction of cycles the event core never touched.
     #[must_use]
     pub fn event_stats(&self) -> (u64, u64) {
@@ -817,8 +819,8 @@ impl ApuSystem {
     /// Allocation attribution requires the process to install a counting
     /// `#[global_allocator]` that reports into `alloc_track` (the
     /// benchmark in `bench/` does); without one the alloc columns read
-    /// zero. Profiling only instruments the event-core run loop — the
-    /// per-cycle `--no-skip` oracle is never profiled.
+    /// zero. Both engines run the one instrumented loop, so the
+    /// `--no-skip` oracle is profiled too.
     pub fn enable_profiler(&mut self) {
         self.profile = Some(Box::default());
     }
@@ -985,7 +987,7 @@ impl ApuSystem {
         resp_queues("l1_fill_in", &self.l1_fill_in);
         resp_queues("l1_up", &self.l1_up);
         // System-level: the DRAM response holdover is bounded by
-        // construction (`tick_memory` stage 2 stops filling at 4).
+        // construction (`stage_dram` stops filling at 4).
         if self.resp_holdover.len() > 4 {
             out.push(InvariantViolation {
                 component: "system".to_string(),
@@ -1077,7 +1079,7 @@ impl ApuSystem {
         h.finish()
     }
 
-    /// Runs the due sentinel checks after a step; returns why the run
+    /// Runs the due sentinel checks after a cycle; returns why the run
     /// must halt, if it must.
     fn sentinel_poll(&mut self) -> Option<StallReason> {
         let (interval, watchdog, next_check) = {
@@ -1229,8 +1231,8 @@ impl ApuSystem {
     ///
     /// On an idle (finished) system the launch phase begins immediately:
     /// the kernel starts executing `launch_overhead` cycles from `now`
-    /// once the system is driven again (via
-    /// [`ApuSystem::run_to_completion`] or [`ApuSystem::step`]).
+    /// once the system is driven again by
+    /// [`ApuSystem::run_to_completion`].
     pub fn enqueue_kernel(&mut self, desc: Arc<KernelDesc>, seq: u32) {
         self.launches.push_back((desc, seq));
         if self.phase == Phase::Finished {
@@ -1253,38 +1255,21 @@ impl ApuSystem {
     /// running anything — the gap between request arrivals in a serving
     /// scenario.
     ///
-    /// With time skipping enabled the stretch is warped over (in chunks
-    /// that land one cycle short of each telemetry sample, so samples
-    /// fire at exactly the per-cycle simulator's cycles); with
-    /// `--no-skip` it is stepped cycle by cycle. Both modes leave the
-    /// system bit-identical, including crossbar round-robin cursors.
-    /// A `target` at or before `now` is a no-op.
+    /// The run loop drives the stretch with no sentinel, and with only
+    /// telemetry scheduled under the event core (every stage, each a
+    /// no-op, under the `--no-skip` oracle). Both modes leave the system
+    /// bit-identical, including crossbar round-robin cursors and the
+    /// telemetry sample due at `target`. A `target` at or before `now`
+    /// is a no-op.
     ///
     /// # Panics
     ///
     /// Panics if the system is not idle ([`ApuSystem::is_done`]).
     pub fn idle_until(&mut self, target: Cycle) {
         assert!(self.is_done(), "idle_until on a busy system");
-        while self.now < target {
-            if !self.skip {
-                self.step();
-                continue;
-            }
-            let mut to = target.0;
-            if let Some(rec) = self.telemetry.as_deref() {
-                to = to.min(rec.next_due(self.now.0) - 1);
-            }
-            if to > self.now.0 {
-                let skipped = to - self.now.0;
-                self.req_xbar.advance_idle_cycles(skipped);
-                self.resp_xbar.advance_idle_cycles(skipped);
-                self.now = Cycle(to);
-                self.warps += 1;
-                self.warped_cycles += skipped;
-            } else {
-                // One cycle short of a telemetry sample: step to fire it.
-                self.step();
-            }
+        if self.now < target {
+            let halted = self.run_events(target, true);
+            debug_assert!(halted.is_none(), "no sentinel runs while idle");
         }
     }
 
@@ -1350,10 +1335,11 @@ impl ApuSystem {
     /// invariant check fails or the watchdog detects a wedge. The error
     /// carries a [`StallDiagnostic`] either way.
     pub fn run_to_completion(&mut self, max_cycles: u64) -> Result<Metrics, SimTimeoutError> {
-        if self.skip {
-            self.run_events(max_cycles)?;
-        } else {
-            self.run_per_cycle(max_cycles)?;
+        if !self.is_done() && self.now.0 >= max_cycles {
+            return Err(self.stall_error(max_cycles, StallReason::CycleBudget));
+        }
+        if let Some(reason) = self.run_events(Cycle(max_cycles), false) {
+            return Err(self.stall_error(max_cycles, reason));
         }
         // Final sweep at completion: quiescence invariants (every issued
         // request retired, MSHRs empty, queues drained) must hold.
@@ -1364,39 +1350,26 @@ impl ApuSystem {
         Ok(self.metrics())
     }
 
-    /// The `--no-skip` oracle: steps every cycle, polling the sentinel
-    /// after each step. The event core must be bit-identical to this
-    /// loop; it exists for that equivalence pin and for debugging.
-    fn run_per_cycle(&mut self, max_cycles: u64) -> Result<(), SimTimeoutError> {
-        while !self.is_done() {
-            if self.now.0 >= max_cycles {
-                return Err(self.stall_error(max_cycles, StallReason::CycleBudget));
+    /// The one run loop of both engines: pop the earliest scheduled cycle
+    /// off the wheel, dispatch its due actors in priority order, let each
+    /// handler reschedule its own wakeups. Under the event core a cycle
+    /// with no events costs nothing; the oracle wakes every stage for the
+    /// next cycle after each one.
+    ///
+    /// Runs until the phase machine finishes, or for an `idle` stretch
+    /// until `end`. Returns why a busy run halted instead: a sentinel
+    /// finding, or the budget `end`.
+    fn run_events(&mut self, end: Cycle, idle: bool) -> Option<StallReason> {
+        self.seed_schedule(idle);
+        let exit = loop {
+            if !idle && self.is_done() {
+                break self.now;
             }
-            self.step();
-            if let Some(reason) = self.sentinel_poll() {
-                return Err(self.stall_error(max_cycles, reason));
-            }
-        }
-        Ok(())
-    }
-
-    /// The discrete-event run loop: pop the earliest scheduled cycle off
-    /// the wheel, dispatch its due actors in priority order, let each
-    /// handler reschedule its own wakeups. Cycles with no events cost
-    /// nothing — there is no per-cycle probing at all.
-    fn run_events(&mut self, max_cycles: u64) -> Result<(), SimTimeoutError> {
-        if !self.is_done() && self.now.0 >= max_cycles {
-            return Err(self.stall_error(max_cycles, StallReason::CycleBudget));
-        }
-        self.seed_schedule();
-        while !self.is_done() {
-            let next = self.ev.wheel.pop_next();
-            let (t, ids) = match next {
-                // Quiescent with no periodic work pending: only the
-                // budget can end the run (as in per-cycle no-op laps).
-                None => return Err(self.budget_stall(max_cycles)),
-                Some((t, _)) if t.0 >= max_cycles => return Err(self.budget_stall(max_cycles)),
-                Some(pair) => pair,
+            let (t, ids) = match self.ev.wheel.pop_next() {
+                Some((t, ids)) if t < end => (t, ids),
+                // Nothing left to do before `end` (on a busy system only
+                // the budget can end such a run, as in no-op cycles).
+                _ => break end,
             };
             let gap = t.since(self.now);
             if gap > 0 {
@@ -1433,46 +1406,45 @@ impl ApuSystem {
                     self.dispatch(a, t)
                 };
                 if let Some(reason) = halted {
-                    // Halt with `now` at the check cycle, exactly where
-                    // the per-cycle loop's post-step poll would stop.
+                    // Halt with `now` at the check cycle, which observed
+                    // the state the previous cycle left.
                     self.sync_xbars_through(t);
-                    return Err(self.stall_error(max_cycles, reason));
+                    return Some(reason);
                 }
             }
             self.ev.current = N_ACTORS;
             self.ev.active_cycles += 1;
             self.now = t + 1;
-        }
-        self.sync_xbars_through(self.now);
-        Ok(())
-    }
-
-    /// Runs out the clock to the budget boundary and builds the halt
-    /// error, replicating the per-cycle loop's boundary order: the
-    /// telemetry sample due at `max_cycles` fires, then a sentinel check
-    /// due there runs (its halt reason wins over the budget), then the
-    /// budget error is built with the diagnostic at `max_cycles`.
-    fn budget_stall(&mut self, max_cycles: u64) -> SimTimeoutError {
-        let m = Cycle(max_cycles);
-        let gap = m.since(self.now);
+            if !self.skip {
+                self.ev.wake_every_stage(self.now);
+            }
+        };
+        // Leaving at `exit` (done, idle target or budget): the clock
+        // reaches it and the telemetry sample due there fires, so a run
+        // re-entered at `exit` cannot lose it.
+        let gap = exit.since(self.now);
         if gap > 0 {
             self.warps += 1;
             self.warped_cycles += gap;
         }
-        self.now = m;
-        if self.ev.scheduled[A_TELEMETRY] == m {
+        self.now = exit;
+        if self.ev.scheduled[A_TELEMETRY] == exit {
             self.ev.scheduled[A_TELEMETRY] = NEVER;
             self.record_sample();
         }
-        let mut reason = StallReason::CycleBudget;
-        if self.ev.scheduled[A_SENTINEL] == m {
+        self.sync_xbars_through(exit);
+        if idle || self.is_done() {
+            return None;
+        }
+        // The budget: a sentinel check due at it still runs, and its
+        // finding wins.
+        if self.ev.scheduled[A_SENTINEL] == exit {
             self.ev.scheduled[A_SENTINEL] = NEVER;
-            if let Some(r) = self.sentinel_poll() {
-                reason = r;
+            if let Some(reason) = self.sentinel_poll() {
+                return Some(reason);
             }
         }
-        self.sync_xbars_through(m);
-        self.stall_error(max_cycles, reason)
+        Some(StallReason::CycleBudget)
     }
 
     /// Accounts the crossbars' idle rotations through every cycle before
@@ -1491,106 +1463,25 @@ impl ApuSystem {
         self.resp_synced = end;
     }
 
-    /// Seeds the wheel from the system's current state at run entry:
-    /// every queue's head-ready time, every component's `next_event`,
-    /// the phase machine, and the periodic telemetry/sentinel cadence.
-    fn seed_schedule(&mut self) {
+    /// Seeds the wheel at run entry: the telemetry and sentinel cadences
+    /// (no sentinel on an idle stretch), then one oracle cycle at `now`.
+    /// Every stage runs on it — a stage with nothing to do is a no-op —
+    /// and its handler reschedules itself from the state it finds, which
+    /// is all the event core needs to pick up from there. An idle stretch
+    /// under the event core has no stage to run.
+    fn seed_schedule(&mut self, idle: bool) {
         let t0 = self.now;
         self.ev.reset(t0);
-        self.req_synced = t0;
-        self.resp_synced = t0;
         if let Some(rec) = self.telemetry.as_deref() {
-            let at = Cycle(rec.next_due(t0.0));
-            self.ev.seed(A_TELEMETRY, at);
+            self.ev.wake(A_TELEMETRY, Cycle(rec.next_due(t0.0)));
         }
-        if let Some(s) = self.sentinel.as_deref() {
-            // The per-cycle loop polls only after a step, so the first
-            // check of a run is never earlier than `t0 + 1`.
-            let at = s.next_check.max(t0 + 1);
-            self.ev.seed(A_SENTINEL, at);
+        if let Some(s) = self.sentinel.as_deref().filter(|_| !idle) {
+            // A check observes the state a cycle left behind, so the
+            // first one of a run comes after the run's first cycle.
+            self.ev.wake(A_SENTINEL, s.next_check.max(t0 + 1));
         }
-        if let Some(at) = self.dram.next_event(t0) {
-            self.ev.seed(A_DRAM, at);
-        }
-        if !self.resp_holdover.is_empty() {
-            self.ev.seed(A_DRAM, t0);
-        }
-        for s in 0..self.dram_resp.len() {
-            if let Some(at) = self.dram_resp[s].next_ready() {
-                self.ev.seed_unit(A_L2_FILL, at, s);
-            }
-        }
-        for s in 0..self.l2_in.len() {
-            if let Some(at) = self.l2_in[s].next_ready() {
-                self.ev.seed_unit(A_L2_SERVICE, at, s);
-            }
-        }
-        for s in 0..self.l2s.len() {
-            // A sleeping unit's wake may have been pending in the wheel
-            // just reset; one real retry re-derives it.
-            let asleep = self.l2_asleep >> s & 1 != 0;
-            if let Some(at) = self.l2s[s].next_event(t0).or(asleep.then_some(t0)) {
-                self.ev.seed_unit(A_L2_SERVICE, at, s);
-            }
-        }
-        for s in 0..self.l2_down.len() {
-            if let Some(at) = self.l2_down[s].next_ready() {
-                self.ev.seed_unit(A_L2_TO_DRAM, at, s);
-            }
-        }
-        for s in 0..self.l2_up.len() {
-            if let Some(at) = self.l2_up[s].next_ready() {
-                self.ev.seed(A_RESP_XBAR, at);
-            }
-        }
-        for i in 0..self.l1_fill_in.len() {
-            if let Some(at) = self.l1_fill_in[i].next_ready() {
-                self.ev.seed_unit(A_L1_FILL, at, i);
-            }
-        }
-        for i in 0..self.l1_in.len() {
-            if let Some(at) = self.l1_in[i].next_ready() {
-                self.ev.seed_unit(A_L1_SERVICE, at, i);
-            }
-        }
-        for i in 0..self.l1s.len() {
-            let asleep = self.l1_asleep >> i & 1 != 0;
-            if let Some(at) = self.l1s[i].next_event(t0).or(asleep.then_some(t0)) {
-                self.ev.seed_unit(A_L1_SERVICE, at, i);
-            }
-        }
-        for i in 0..self.l1_down.len() {
-            if let Some(at) = self.l1_down[i].next_ready() {
-                self.ev.seed(A_REQ_XBAR, at);
-            }
-        }
-        for i in 0..self.l1_up.len() {
-            if let Some(at) = self.l1_up[i].next_ready() {
-                self.ev.seed_unit(A_GPU_RESP, at, i);
-            }
-        }
-        match self.phase {
-            Phase::Launching { until } => self.ev.seed(A_PHASE, until),
-            Phase::Running => {
-                if let Some(at) = self.gpu.next_event(t0) {
-                    self.ev.seed(A_PHASE, at);
-                }
-                // The credit edge of `ev_l1_service`, evaluated on the
-                // state the run is entered with.
-                if (0..self.l1_in.len()).any(|i| self.credit_returned(i)) {
-                    self.ev.seed(A_PHASE, t0);
-                }
-            }
-            // A flush retries blocked writebacks every cycle.
-            Phase::Flushing => self.ev.seed(A_PHASE, t0),
-            // An already-empty drain transitions immediately; a busy one
-            // is woken by the piggyback in `dispatch`.
-            Phase::DrainKernel | Phase::DrainFlush => {
-                if !self.hierarchy_busy() {
-                    self.ev.seed(A_PHASE, t0);
-                }
-            }
-            Phase::Finished => {}
+        if !(idle && self.skip) {
+            self.ev.wake_every_stage(t0);
         }
     }
 
@@ -2029,32 +1920,6 @@ impl ApuSystem {
         )
     }
 
-    /// Advances the system one cycle: the full memory hierarchy tick,
-    /// the phase machine, and any telemetry sample falling due — the
-    /// per-cycle reference semantics the event core reproduces.
-    pub fn step(&mut self) {
-        let now = self.now;
-        self.tick_memory(now);
-        let before = self.phase;
-        self.advance_phase(now);
-        let after = self.phase;
-        if before != after && after != Phase::Finished {
-            // The final phase's span stays open; `take_telemetry` closes
-            // it at the run's last cycle so spans tile `[0, cycles]`.
-            if let Some(rec) = self.telemetry.as_deref_mut() {
-                rec.enter_phase(Self::phase_label(after), now.0);
-            }
-        }
-        self.now += 1;
-        if self
-            .telemetry
-            .as_deref()
-            .is_some_and(|rec| rec.due(self.now.0))
-        {
-            self.record_sample();
-        }
-    }
-
     /// Records one telemetry sample at the current cycle (the due check
     /// is the caller's; telemetry must be enabled).
     fn record_sample(&mut self) {
@@ -2111,12 +1976,11 @@ impl ApuSystem {
             || self.dram.busy()
     }
 
-    /// Returns whether the phase machine did anything this cycle: ticked
-    /// the GPU to some effect, made a transition, or worked on a flush.
     /// Returns `(acted, issued)`: whether the phase machine did anything
-    /// this cycle, and — in [`Phase::Running`] — the mask of CUs that
-    /// acted (the only ones that can have pushed new L1 requests, which
-    /// is what the event core wakes on).
+    /// this cycle (ticked the GPU to some effect, made a transition, or
+    /// worked on a flush), and — in [`Phase::Running`] — the mask of CUs
+    /// that acted (the only ones that can have pushed new L1 requests,
+    /// which is what the event core wakes on).
     fn advance_phase(&mut self, now: Cycle) -> (bool, u64) {
         match self.phase {
             Phase::Launching { until } => {
@@ -2197,21 +2061,6 @@ impl ApuSystem {
         }
     }
 
-    /// One cycle of the memory hierarchy, ticked from DRAM upward — the
-    /// per-cycle reference order. The event core dispatches the same
-    /// stage helpers individually, in the same order within a cycle.
-    fn tick_memory(&mut self, now: Cycle) {
-        self.stage_dram(now);
-        self.stage_l2_fills(now);
-        self.stage_l2_service(now);
-        self.stage_l2_to_dram(now);
-        self.stage_resp_xbar(now);
-        self.stage_l1_fills(now);
-        self.stage_l1_service(now);
-        self.stage_req_xbar(now);
-        self.stage_gpu_resp(now);
-    }
-
     /// Stages 1-2: DRAM scheduling, then responses toward their L2 slice
     /// (holdover first). Returns whether anything happened and the mask
     /// of slices that received a response this cycle.
@@ -2274,27 +2123,9 @@ impl ApuSystem {
         acted
     }
 
-    /// Stage 3: L2 fills from DRAM responses.
-    fn stage_l2_fills(&mut self, now: Cycle) -> bool {
-        let mut acted = false;
-        for s in 0..self.l2s.len() {
-            acted |= self.fill_l2_unit(now, s);
-        }
-        acted
-    }
-
-    /// Stage 4: L2 accesses (with miss-replay, up to the slice's port
-    /// width).
-    fn stage_l2_service(&mut self, now: Cycle) -> bool {
-        let mut acted = false;
-        for s in 0..self.l2s.len() {
-            acted |= self.service_l2_unit(now, s);
-        }
-        acted
-    }
-
-    /// Stage 4 for one L2 slice; returns whether it consumed a request.
-    /// Both drivers' loops inline it: as a call it cost the event core
+    /// Stage 4 for one L2 slice: its accesses (with miss-replay, up to
+    /// the slice's port width); returns whether it consumed a request.
+    /// The handler's loop inlines it: as a call it cost the event core
     /// some 3 % of a latency-bound run.
     #[inline]
     fn service_l2_unit(&mut self, now: Cycle, s: usize) -> bool {
@@ -2309,15 +2140,6 @@ impl ApuSystem {
         }
         let asleep = self.l2s[s].blocked_since().is_some();
         self.l2_asleep = self.l2_asleep & !(1 << s) | u64::from(asleep) << s;
-        acted
-    }
-
-    /// Stage 5: L2 writeback/miss traffic into DRAM.
-    fn stage_l2_to_dram(&mut self, now: Cycle) -> bool {
-        let mut acted = false;
-        for s in 0..self.l2_down.len() {
-            acted |= self.l2_to_dram_unit(now, s);
-        }
         acted
     }
 
@@ -2340,13 +2162,8 @@ impl ApuSystem {
         acted
     }
 
-    /// Stage 6: response crossbar (L2 -> L1s).
-    fn stage_resp_xbar(&mut self, now: Cycle) -> bool {
-        self.stage_resp_xbar_tracked(now).0 > 0
-    }
-
-    /// Stage 6, with the mask of L1 fill queues that received a
-    /// response.
+    /// Stage 6: response crossbar (L2 -> L1s). Returns the messages moved
+    /// and the mask of L1 fill queues that received a response.
     fn stage_resp_xbar_tracked(&mut self, now: Cycle) -> (u64, u64) {
         self.resp_xbar.tick_tracked_masked(
             now,
@@ -2378,24 +2195,6 @@ impl ApuSystem {
         acted
     }
 
-    /// Stage 7: L1 fills.
-    fn stage_l1_fills(&mut self, now: Cycle) -> bool {
-        let mut acted = false;
-        for i in 0..self.l1s.len() {
-            acted |= self.fill_l1_unit(now, i);
-        }
-        acted
-    }
-
-    /// Stage 8: L1 accesses (with miss-replay).
-    fn stage_l1_service(&mut self, now: Cycle) -> bool {
-        let mut acted = false;
-        for i in 0..self.l1s.len() {
-            acted |= self.service_l1_unit(now, i);
-        }
-        acted
-    }
-
     /// Stage 8 for one CU's L1; as [`ApuSystem::service_l2_unit`].
     #[inline]
     fn service_l1_unit(&mut self, now: Cycle, i: usize) -> bool {
@@ -2413,13 +2212,8 @@ impl ApuSystem {
         acted
     }
 
-    /// Stage 9: request crossbar (L1s -> L2 slices).
-    fn stage_req_xbar(&mut self, now: Cycle) -> bool {
-        self.stage_req_xbar_tracked(now).0 > 0
-    }
-
-    /// Stage 9, with the mask of L2 input queues that received a
-    /// request.
+    /// Stage 9: request crossbar (L1s -> L2 slices). Returns the messages
+    /// moved and the mask of L2 input queues that received a request.
     fn stage_req_xbar_tracked(&mut self, now: Cycle) -> (u64, u64) {
         let cfg = &self.cfg;
         self.req_xbar.tick_tracked_masked(
@@ -2437,15 +2231,6 @@ impl ApuSystem {
         while let Some(resp) = self.l1_up[i].pop_ready(now) {
             self.gpu.on_response(resp);
             acted = true;
-        }
-        acted
-    }
-
-    /// Stage 10: responses to the GPU.
-    fn stage_gpu_resp(&mut self, now: Cycle) -> bool {
-        let mut acted = false;
-        for i in 0..self.l1_up.len() {
-            acted |= self.gpu_resp_unit(now, i);
         }
         acted
     }
@@ -2936,6 +2721,56 @@ mod tests {
             runs.push((m.cycles, m.dram_accesses(), sys.take_telemetry()));
         }
         assert_eq!(runs[0], runs[1]);
+    }
+
+    /// The sample due on the exact cycle a run ends is taken on the way
+    /// out, so a system that keeps running afterwards — a re-entered run,
+    /// a serving loop — records it under both engines.
+    #[test]
+    fn a_sample_due_as_a_run_ends_is_kept_when_the_system_runs_on() {
+        let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
+        let fresh = |skip: bool| {
+            let mut sys = ApuSystem::new_idle(
+                SystemConfig::small_test(),
+                PolicyConfig::of(CachePolicy::CacheR),
+            );
+            sys.set_time_skip(skip);
+            sys.enqueue_kernel(Arc::clone(&w.launches[0]), 0);
+            sys
+        };
+        let end = fresh(true).run_to_completion(200_000_000).unwrap().cycles;
+        let runs = [true, false].map(|skip| {
+            let mut sys = fresh(skip);
+            sys.enable_telemetry(end);
+            sys.run_to_completion(200_000_000).expect("first kernel");
+            sys.idle_until(sys.now() + 1_000);
+            sys.enqueue_kernel(Arc::clone(&w.launches[0]), 1);
+            sys.run_to_completion(200_000_000).expect("second kernel");
+            sys.take_telemetry().expect("telemetry enabled")
+        });
+        let ends: Vec<u64> = runs[0].epochs.iter().map(|e| e.end_cycle).collect();
+        assert_eq!(ends[..2], [end, 2 * end], "{ends:?}");
+        assert_eq!(runs[0], runs[1]);
+    }
+
+    /// The oracle really runs every stage on every cycle, so the
+    /// equivalence pins cannot quietly compare the event core with
+    /// itself.
+    #[test]
+    fn the_oracle_dispatches_every_stage_every_cycle() {
+        let w = by_name(&SuiteConfig::quick(), "FwAct").unwrap();
+        let cfg = SystemConfig::small_test();
+        let (n, s) = (cfg.n_cus as u64, cfg.l2_slices as u64);
+        let mut sys = ApuSystem::new(cfg, PolicyConfig::of(CachePolicy::CacheR), &w);
+        sys.set_time_skip(false);
+        let cycles = sys.run_to_completion(200_000_000).expect("finished").cycles;
+        assert_eq!(sys.event_stats().1, cycles);
+        for (name, events) in &sys.event_stats_by_actor()[A_DRAM..] {
+            assert_eq!(*events, cycles, "{name}");
+        }
+        let (l1, l2) = sys.service_stats();
+        assert_eq!((l1.executed, l1.settled), (n * cycles, 0));
+        assert_eq!((l2.executed, l2.settled), (s * cycles, 0));
     }
 
     #[test]

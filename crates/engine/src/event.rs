@@ -115,6 +115,12 @@ impl EventWheel {
     /// Debug builds panic if `id >= 64` or `at` precedes the base.
     pub fn insert(&mut self, at: Cycle, id: u8) {
         debug_assert!(id < 64, "event id {id} out of mask range");
+        self.insert_mask(at, 1 << id);
+    }
+
+    /// Schedules every event whose bit is set in `ids` at cycle `at`, as
+    /// one [`EventWheel::insert`] per bit would. `ids` must be nonzero.
+    pub fn insert_mask(&mut self, at: Cycle, ids: u64) {
         debug_assert!(
             at.0 >= self.base,
             "insert at {at} before wheel base {}",
@@ -122,11 +128,11 @@ impl EventWheel {
         );
         let at = at.0.max(self.base);
         if at - self.base >= SLOTS as u64 {
-            *self.overflow.entry(at).or_insert(0) |= 1 << id;
+            *self.overflow.entry(at).or_insert(0) |= ids;
             return;
         }
         let s = (at % SLOTS as u64) as usize;
-        self.slots[s] |= 1 << id;
+        self.slots[s] |= ids;
         self.occupied[s / 64] |= 1 << (s % 64);
         self.summary |= 1 << (s / 64);
     }
@@ -300,6 +306,17 @@ mod tests {
         w.insert(Cycle(4), 1);
         w.insert(Cycle(4), 1);
         assert_eq!(w.pop_next(), Some((Cycle(4), 1 << 1)));
+        assert_eq!(w.pop_next(), None);
+    }
+
+    #[test]
+    fn insert_mask_is_one_insert_per_bit() {
+        let mut w = EventWheel::new();
+        w.insert(Cycle(4), 0);
+        w.insert_mask(Cycle(4), 0b1011);
+        w.insert_mask(Cycle(EventWheel::WINDOW + 9), 0b110); // overflow path
+        assert_eq!(w.pop_next(), Some((Cycle(4), 0b1011)));
+        assert_eq!(w.pop_next(), Some((Cycle(EventWheel::WINDOW + 9), 0b110)));
         assert_eq!(w.pop_next(), None);
     }
 

@@ -100,7 +100,7 @@ struct ActiveKernel {
 /// let mut l1_ins: Vec<_> = (0..2).map(|_| TimedQueue::new(64, 0)).collect();
 /// let mut now = Cycle(0);
 /// while !gpu.kernel_done() {
-///     gpu.tick(now, &mut l1_ins);
+///     gpu.tick_tracked(now, &mut l1_ins);
 ///     // A perfect memory: answer every request immediately.
 ///     for q in &mut l1_ins {
 ///         while let Some(req) = q.pop_ready(now) {
@@ -127,13 +127,12 @@ pub struct Gpu {
     /// invisible — and [`Gpu::next_event`] answer without rescanning
     /// every wavefront.
     wake_hint: Vec<Cycle>,
-    /// CUs (bit per index, first 64 only) whose hint is stale because
-    /// the CU acted, a response released one of its wavefronts from a
-    /// waitcnt, or a work-group was assigned to it since the hint was
-    /// computed. Stale CUs are always ticked and rescanned. The third
-    /// wake source, an L1 queue credit reaching a memory-blocked CU,
-    /// needs no bit here: [`Gpu::tick_tracked`] reads it off the queue it
-    /// is handed.
+    /// CUs (bit per index) whose hint is stale because the CU acted, a
+    /// response released one of its wavefronts from a waitcnt, or a
+    /// work-group was assigned to it since the hint was computed. Stale
+    /// CUs are always ticked and rescanned. The third wake source, an L1
+    /// queue credit reaching a memory-blocked CU, needs no bit here:
+    /// [`Gpu::tick_tracked`] reads it off the queue it is handed.
     stale: u64,
     /// Per-CU retired-wavefront count at the last reconciliation, and
     /// the running device total. Retires happen only inside [`Cu::tick`]
@@ -153,10 +152,11 @@ impl Gpu {
     ///
     /// # Panics
     ///
-    /// Panics if `n_cus` is zero.
+    /// Panics if `n_cus` is zero or above 64 (CU masks are a `u64`).
     #[must_use]
     pub fn new(n_cus: usize, cu_cfg: CuConfig) -> Gpu {
         assert!(n_cus > 0, "GPU needs at least one CU");
+        assert!(n_cus <= 64, "at most 64 CUs supported, got {n_cus}");
         Gpu {
             cus: (0..n_cus)
                 .map(|i| Cu::new(cu_cfg.clone(), i as u16))
@@ -183,12 +183,11 @@ impl Gpu {
     }
 
     /// Whether CU `i` must be ticked/rescanned at `now` (its hint is
-    /// stale or due). CUs past index 63 have no stale bit and are always
-    /// hot. A memory-blocked CU is also hot on a cycle its L1 queue has
-    /// room, which [`Gpu::tick_tracked`] adds from the queue.
+    /// stale or due). A memory-blocked CU is also hot on a cycle its L1
+    /// queue has room, which [`Gpu::tick_tracked`] adds from the queue.
     #[inline]
     fn cu_hot(&self, i: usize, now: Cycle) -> bool {
-        i >= 64 || self.stale & (1 << i) != 0 || self.wake_hint[i] <= now
+        self.stale & (1 << i) != 0 || self.wake_hint[i] <= now
     }
 
     /// Number of compute units.
@@ -243,30 +242,23 @@ impl Gpu {
     /// queue toward its L1.
     ///
     /// Returns whether the device did anything — dispatched a work-group
-    /// or had any CU issue or retire. `false` means every CU is provably
-    /// stalled (empty or waiting on memory responses).
+    /// or had any CU issue or retire; `false` means every CU is provably
+    /// stalled (empty or waiting on memory responses) — and *which* CUs
+    /// acted, as a bitmask over CU indices. A CU pushes into its L1 queue
+    /// only on a cycle it acted, so the mask bounds the set of L1 queues
+    /// with new input — the event-driven core uses it to wake only those
+    /// L1s.
     ///
     /// # Panics
     ///
     /// Panics if `l1_ins.len()` differs from the CU count.
-    pub fn tick(&mut self, now: Cycle, l1_ins: &mut [TimedQueue<MemReq>]) -> bool {
-        self.tick_tracked(now, l1_ins).0
-    }
-
-    /// [`Gpu::tick`], additionally reporting *which* CUs acted this
-    /// cycle, as a bitmask over CU indices. A CU pushes into its L1
-    /// queue only on a cycle it acted, so the mask bounds the set of L1
-    /// queues with new input — the event-driven core uses it to wake
-    /// only those L1s. CUs at index 64 and above are not representable
-    /// (the modelled device tops out at 64).
     pub fn tick_tracked(&mut self, now: Cycle, l1_ins: &mut [TimedQueue<MemReq>]) -> (bool, u64) {
         assert_eq!(l1_ins.len(), self.cus.len(), "one L1 queue per CU");
         let mut acted = self.dispatch();
         let mut mask = 0u64;
         let stale = self.stale;
         for (i, (cu, q)) in self.cus.iter_mut().zip(l1_ins.iter_mut()).enumerate() {
-            if i < 64
-                && stale & (1 << i) == 0
+            if stale & (1 << i) == 0
                 && self.wake_hint[i] > now
                 && !(cu.mem_blocked() && q.can_push())
             {
@@ -284,18 +276,14 @@ impl Gpu {
                 let r = cu.retired_wavefronts();
                 self.retired_total += r - self.retired_seen[i];
                 self.retired_seen[i] = r;
-                if i < 64 {
-                    mask |= 1 << i;
-                    // Issuing/retiring changed the CU's schedule; rescan
-                    // next tick.
-                    self.stale |= 1 << i;
-                }
+                mask |= 1 << i;
+                // Issuing/retiring changed the CU's schedule; rescan next
+                // tick.
+                self.stale |= 1 << i;
             } else {
                 self.idle_cu_ticks += 1;
-                if i < 64 {
-                    self.stale &= !(1 << i);
-                    self.wake_hint[i] = cu.next_event(now).unwrap_or(NEVER);
-                }
+                self.stale &= !(1 << i);
+                self.wake_hint[i] = cu.next_event(now).unwrap_or(NEVER);
             }
         }
         (acted, mask)
@@ -319,7 +307,7 @@ impl Gpu {
                 cu.assign_wg(&k.desc, k.seq, k.next_wg);
                 k.next_wg += 1;
             }
-            if k.next_wg != before && i < 64 {
+            if k.next_wg != before {
                 newly |= 1 << i;
             }
             if k.next_wg == k.desc.wgs {
@@ -384,7 +372,7 @@ impl Gpu {
                 let released = self.cus[cu as usize].on_response(slot);
                 // A response can retire the wavefront it unblocks.
                 self.note_retired(cu as usize);
-                if released && (cu as usize) < 64 {
+                if released {
                     // The response released a waitcnt: the CU may act
                     // before its hint. Any other response leaves the
                     // hint exact, so the CU sleeps on.
@@ -543,7 +531,7 @@ mod tests {
             .collect();
         let mut now = Cycle(0);
         while !gpu.kernel_done() {
-            gpu.tick(now, &mut l1_ins);
+            gpu.tick_tracked(now, &mut l1_ins);
             for q in &mut l1_ins {
                 while let Some(req) = q.pop_ready(now) {
                     if req.wants_response() {
@@ -629,7 +617,7 @@ mod tests {
         let mut now = Cycle(0);
         let mut out = Vec::new();
         while !gpu.kernel_done() {
-            gpu.tick(now, &mut l1_ins);
+            gpu.tick_tracked(now, &mut l1_ins);
             for q in &mut l1_ins {
                 while let Some(req) = q.pop_ready(now) {
                     if req.wants_response() {
@@ -652,7 +640,7 @@ mod tests {
     fn tick_until_blocked_asleep(gpu: &mut Gpu, q: &mut [TimedQueue<MemReq>]) -> u64 {
         let mut now = 0;
         while !gpu.cu_mem_blocked(0) || gpu.cu_hot(0, Cycle(now)) {
-            gpu.tick(Cycle(now), q);
+            gpu.tick_tracked(Cycle(now), q);
             now += 1;
             assert!(now < 100, "CU never backpressured");
         }

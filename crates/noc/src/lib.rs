@@ -24,8 +24,10 @@
 //! let mut outputs = vec![TimedQueue::new(4, 0), TimedQueue::new(4, 0)];
 //! inputs[0].push(Cycle(0), 10u64).unwrap();
 //! inputs[1].push(Cycle(0), 11u64).unwrap();
-//! // Route odd values to output 1, even to output 0.
-//! let moved = xbar.tick(Cycle(0), &mut inputs, &mut outputs, |v| (*v % 2) as usize);
+//! // Scan every input; route odd values to output 1, even to output 0.
+//! let mut pending = u64::MAX;
+//! let route = |v: &u64| (*v % 2) as usize;
+//! let (moved, _) = xbar.tick_tracked_masked(Cycle(0), &mut pending, &mut inputs, &mut outputs, route);
 //! assert_eq!(moved, 2);
 //! ```
 
@@ -63,9 +65,9 @@ impl miopt_telemetry::StatSnapshot for CrossbarStats {
 
 /// An input-queued crossbar between `TimedQueue`s.
 ///
-/// Each call to [`Crossbar::tick`] moves at most one message per input and
-/// at most `per_output` messages into each output, using a rotating
-/// round-robin start position for fairness.
+/// Each call to [`Crossbar::tick_tracked_masked`] moves at most one
+/// message per input and at most `per_output` messages into each output,
+/// using a rotating round-robin start position for fairness.
 #[derive(Debug)]
 pub struct Crossbar {
     inputs: usize,
@@ -85,12 +87,17 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero, or if there are more than 64
+    /// inputs or outputs (port masks are a `u64`).
     #[must_use]
     pub fn new(inputs: usize, outputs: usize, per_output: u32) -> Crossbar {
         assert!(
             inputs > 0 && outputs > 0,
             "crossbar dimensions must be nonzero"
+        );
+        assert!(
+            inputs <= 64 && outputs <= 64,
+            "port masks cover at most 64 inputs and outputs"
         );
         assert!(per_output > 0, "per_output must be nonzero");
         Crossbar {
@@ -104,84 +111,13 @@ impl Crossbar {
         }
     }
 
-    /// Moves messages for one cycle. `route` maps a message to its output
-    /// port index. Returns the number of messages moved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue slices do not match the constructed dimensions,
-    /// or `route` returns an out-of-range port.
-    pub fn tick<T>(
-        &mut self,
-        now: Cycle,
-        inputs: &mut [TimedQueue<T>],
-        outputs: &mut [TimedQueue<T>],
-        route: impl Fn(&T) -> usize,
-    ) -> u64 {
-        self.tick_tracked(now, inputs, outputs, route).0
-    }
-
-    /// [`Crossbar::tick`], additionally reporting *which* output ports
-    /// received a message this cycle, as a bitmask over port indices —
-    /// the event-driven core uses it to wake only the consumers that
-    /// actually have new input. Ports at index 64 and above are not
-    /// representable in the mask (the modelled networks top out at 64).
-    pub fn tick_tracked<T>(
-        &mut self,
-        now: Cycle,
-        inputs: &mut [TimedQueue<T>],
-        outputs: &mut [TimedQueue<T>],
-        route: impl Fn(&T) -> usize,
-    ) -> (u64, u64) {
-        assert_eq!(inputs.len(), self.inputs, "input port count mismatch");
-        assert_eq!(outputs.len(), self.outputs, "output port count mismatch");
-        for b in &mut self.budget {
-            *b = self.per_output;
-        }
-        let n = self.inputs;
-        let mut idx = self.rr_start;
-        self.rr_start += 1;
-        if self.rr_start == n {
-            self.rr_start = 0;
-        }
-        let mut moved = 0;
-        let mut pushed = 0u64;
-        self.popped = 0;
-        for _ in 0..n {
-            let cur = idx;
-            idx += 1;
-            if idx == n {
-                idx = 0;
-            }
-            let Some(head) = inputs[cur].ready_front(now) else {
-                continue;
-            };
-            let o = route(head);
-            assert!(o < self.outputs, "route returned invalid port {o}");
-            if self.budget[o] > 0 && outputs[o].can_push() {
-                let msg = inputs[cur].pop_ready(now).expect("head was ready");
-                if outputs[o].push(now, msg).is_err() {
-                    unreachable!("checked can_push");
-                }
-                self.budget[o] -= 1;
-                moved += 1;
-                if o < 64 {
-                    pushed |= 1 << o;
-                }
-                if cur < 64 {
-                    self.popped |= 1 << cur;
-                }
-            } else {
-                self.stats.blocked.inc();
-            }
-        }
-        self.stats.moved.add(moved);
-        (moved, pushed)
-    }
-
-    /// [`Crossbar::tick_tracked`], scanning only the input ports whose
+    /// Moves messages for one cycle, scanning only the input ports whose
     /// bit is set in `pending` — the caller's conservative "possibly
-    /// nonempty" mask. The contract:
+    /// nonempty" mask (all ones scans every input). `route` maps a
+    /// message to its output port. Returns the number of messages moved
+    /// and *which* output ports received one, as a bitmask — the
+    /// event-driven core uses it to wake only the consumers that actually
+    /// have new input. The mask contract:
     ///
     /// - the caller sets bit `i` whenever something may have pushed into
     ///   input `i` (spurious sets are harmless);
@@ -190,16 +126,15 @@ impl Crossbar {
     /// - a cleared bit promises the input is empty, so the scan skips it.
     ///
     /// Under that contract the result — moves, statistics, round-robin
-    /// rotation — is bit-identical to [`Crossbar::tick_tracked`]: empty
-    /// inputs contribute nothing to a full scan, and the set bits are
-    /// visited in the same rotated order the full scan would use. The
-    /// point is cost: a 64-input crossbar with two active CUs touches two
-    /// queues instead of sixty-four.
+    /// rotation — is that of a scan of every input: empty inputs
+    /// contribute nothing to it, and the set bits are visited in the same
+    /// rotated order. The point is cost: a 64-input crossbar with two
+    /// active CUs touches two queues instead of sixty-four.
     ///
     /// # Panics
     ///
-    /// As [`Crossbar::tick_tracked`]; additionally if the crossbar has
-    /// more than 64 inputs (the mask is a `u64`).
+    /// Panics if the queue slices do not match the constructed dimensions,
+    /// or `route` returns an out-of-range port.
     pub fn tick_tracked_masked<T>(
         &mut self,
         now: Cycle,
@@ -210,7 +145,6 @@ impl Crossbar {
     ) -> (u64, u64) {
         assert_eq!(inputs.len(), self.inputs, "input port count mismatch");
         assert_eq!(outputs.len(), self.outputs, "output port count mismatch");
-        assert!(self.inputs <= 64, "pending mask covers at most 64 inputs");
         for b in &mut self.budget {
             *b = self.per_output;
         }
@@ -220,7 +154,7 @@ impl Crossbar {
         if self.rr_start == n {
             self.rr_start = 0;
         }
-        let live = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+        let live = u64::MAX >> (64 - n);
         let mut moved = 0;
         let mut pushed = 0u64;
         self.popped = 0;
@@ -250,9 +184,7 @@ impl Crossbar {
                     }
                     self.budget[o] -= 1;
                     moved += 1;
-                    if o < 64 {
-                        pushed |= 1 << o;
-                    }
+                    pushed |= 1 << o;
                     self.popped |= 1 << cur;
                 } else {
                     self.stats.blocked.inc();
@@ -263,22 +195,21 @@ impl Crossbar {
         (moved, pushed)
     }
 
-    /// Advances the round-robin cursor as if [`Crossbar::tick`] had been
-    /// called `cycles` times with every input empty or unready. On such a
-    /// cycle `tick` moves nothing and touches no statistic, but it still
-    /// rotates the arbitration start position; the event-driven fast
-    /// forward in `ApuSystem` calls this when it warps time so that a
-    /// skipped stretch of idle cycles leaves the arbiter in exactly the
-    /// state per-cycle stepping would have.
+    /// Advances the round-robin cursor as if
+    /// [`Crossbar::tick_tracked_masked`] had been called `cycles` times
+    /// with every input empty or unready. On such a cycle a tick moves
+    /// nothing and touches no statistic, but it still rotates the
+    /// arbitration start position; the event-driven core in `ApuSystem`
+    /// calls this for the cycles it never ticked the crossbar on, so that
+    /// the arbiter ends up in exactly the state per-cycle ticking leaves.
     pub fn advance_idle_cycles(&mut self, cycles: u64) {
         self.rr_start = (self.rr_start + (cycles % self.inputs as u64) as usize) % self.inputs;
     }
 
     /// The input ports the last tick popped a message from, as a bitmask
-    /// over port indices (as with the returned output mask, ports at index
-    /// 64 and above are not representable). A pop returns a credit to
-    /// whatever feeds that input: the event-driven core wakes a producer
-    /// that sleeps on its full queue from here.
+    /// over port indices. A pop returns a credit to whatever feeds that
+    /// input: the event-driven core wakes a producer that sleeps on its
+    /// full queue from here.
     #[must_use]
     pub fn popped_inputs(&self) -> u64 {
         self.popped
@@ -332,6 +263,53 @@ mod tests {
         (0..n).map(|_| TimedQueue::new(cap, 0)).collect()
     }
 
+    /// One tick scanning every input (an all-ones pending mask); returns
+    /// the messages moved.
+    fn tick(
+        x: &mut Crossbar,
+        now: Cycle,
+        ins: &mut [TimedQueue<u64>],
+        outs: &mut [TimedQueue<u64>],
+        route: impl Fn(&u64) -> usize,
+    ) -> u64 {
+        let mut all = u64::MAX;
+        x.tick_tracked_masked(now, &mut all, ins, outs, route).0
+    }
+
+    /// An independent reference for the masked tick: the plain scan of
+    /// every input in round-robin order from the cursor.
+    fn full_scan(
+        x: &mut Crossbar,
+        now: Cycle,
+        ins: &mut [TimedQueue<u64>],
+        outs: &mut [TimedQueue<u64>],
+        route: impl Fn(&u64) -> usize,
+    ) -> (u64, u64) {
+        x.budget.fill(x.per_output);
+        let (n, start) = (x.inputs, x.rr_start);
+        x.rr_start = (start + 1) % n;
+        let (mut moved, mut pushed) = (0, 0u64);
+        x.popped = 0;
+        for cur in (start..n).chain(0..start) {
+            let Some(head) = ins[cur].ready_front(now) else {
+                continue;
+            };
+            let o = route(head);
+            if x.budget[o] > 0 && outs[o].can_push() {
+                let msg = ins[cur].pop_ready(now).expect("head was ready");
+                outs[o].push(now, msg).expect("checked can_push");
+                x.budget[o] -= 1;
+                moved += 1;
+                pushed |= 1 << o;
+                x.popped |= 1 << cur;
+            } else {
+                x.stats.blocked.inc();
+            }
+        }
+        x.stats.moved.add(moved);
+        (moved, pushed)
+    }
+
     #[test]
     fn routes_by_function() {
         let mut x = Crossbar::new(1, 4, 1);
@@ -341,7 +319,9 @@ mod tests {
             ins[0].push(Cycle(0), v).unwrap();
         }
         for cycle in 0..4 {
-            x.tick(Cycle(cycle), &mut ins, &mut outs, |v| (*v % 4) as usize);
+            tick(&mut x, Cycle(cycle), &mut ins, &mut outs, |v| {
+                (*v % 4) as usize
+            });
         }
         for (i, out) in outs.iter_mut().enumerate() {
             assert_eq!(out.pop_ready(Cycle(10)), Some(i as u64));
@@ -356,9 +336,9 @@ mod tests {
         for q in ins.iter_mut() {
             q.push(Cycle(0), 0).unwrap();
         }
-        let moved = x.tick(Cycle(0), &mut ins, &mut outs, |_| 0);
+        let moved = tick(&mut x, Cycle(0), &mut ins, &mut outs, |_| 0);
         assert_eq!(moved, 2, "only per_output messages per cycle");
-        let moved = x.tick(Cycle(1), &mut ins, &mut outs, |_| 0);
+        let moved = tick(&mut x, Cycle(1), &mut ins, &mut outs, |_| 0);
         assert_eq!(moved, 2);
         assert_eq!(x.stats().moved.get(), 4);
         assert_eq!(x.stats().blocked.get(), 2);
@@ -371,14 +351,14 @@ mod tests {
         let mut outs: Vec<TimedQueue<u64>> = vec![TimedQueue::new(1, 0)];
         ins[0].push(Cycle(0), 1).unwrap();
         ins[0].push(Cycle(0), 2).unwrap();
-        assert_eq!(x.tick(Cycle(0), &mut ins, &mut outs, |_| 0), 1);
+        assert_eq!(tick(&mut x, Cycle(0), &mut ins, &mut outs, |_| 0), 1);
         assert_eq!(
-            x.tick(Cycle(1), &mut ins, &mut outs, |_| 0),
+            tick(&mut x, Cycle(1), &mut ins, &mut outs, |_| 0),
             0,
             "output full"
         );
         outs[0].pop_ready(Cycle(1)).unwrap();
-        assert_eq!(x.tick(Cycle(2), &mut ins, &mut outs, |_| 0), 1);
+        assert_eq!(tick(&mut x, Cycle(2), &mut ins, &mut outs, |_| 0), 1);
     }
 
     #[test]
@@ -389,12 +369,12 @@ mod tests {
         ins[0].push(Cycle(0), 7).unwrap();
         ins[2].push(Cycle(0), 9).unwrap();
         // One output slot per cycle: input 0 moves, input 2 is blocked.
-        x.tick(Cycle(0), &mut ins, &mut outs, |_| 0);
+        tick(&mut x, Cycle(0), &mut ins, &mut outs, |_| 0);
         assert_eq!(x.popped_inputs(), 0b001);
         // The cursor moved on to input 1 (empty), then 2.
-        x.tick(Cycle(1), &mut ins, &mut outs, |_| 0);
+        tick(&mut x, Cycle(1), &mut ins, &mut outs, |_| 0);
         assert_eq!(x.popped_inputs(), 0b100);
-        x.tick(Cycle(2), &mut ins, &mut outs, |_| 0);
+        tick(&mut x, Cycle(2), &mut ins, &mut outs, |_| 0);
         assert_eq!(x.popped_inputs(), 0, "an idle tick pops nothing");
     }
 
@@ -410,7 +390,7 @@ mod tests {
         let mut first_moved = Vec::new();
         for cycle in 0..8 {
             let before = (ins[0].len(), ins[1].len());
-            x.tick(Cycle(cycle), &mut ins, &mut outs, |_| 0);
+            tick(&mut x, Cycle(cycle), &mut ins, &mut outs, |_| 0);
             let after = (ins[0].len(), ins[1].len());
             if before.0 > after.0 {
                 first_moved.push(0);
@@ -429,8 +409,8 @@ mod tests {
         let mut ins: Vec<TimedQueue<u64>> = vec![TimedQueue::new(8, 5)];
         let mut outs = queues(1, 8);
         ins[0].push(Cycle(0), 1).unwrap(); // ready at cycle 5
-        assert_eq!(x.tick(Cycle(0), &mut ins, &mut outs, |_| 0), 0);
-        assert_eq!(x.tick(Cycle(5), &mut ins, &mut outs, |_| 0), 1);
+        assert_eq!(tick(&mut x, Cycle(0), &mut ins, &mut outs, |_| 0), 0);
+        assert_eq!(tick(&mut x, Cycle(5), &mut ins, &mut outs, |_| 0), 1);
     }
 
     #[test]
@@ -442,7 +422,9 @@ mod tests {
         ins[1].push(Cycle(0), 1).unwrap();
         let mut out = Vec::new();
         for cycle in 0..4 {
-            x.tick(Cycle(cycle), &mut ins, &mut outs, |v| (*v % 2) as usize);
+            tick(&mut x, Cycle(cycle), &mut ins, &mut outs, |v| {
+                (*v % 2) as usize
+            });
             x.check_invariants("noc.req", &mut out);
         }
         assert!(out.is_empty(), "violations: {out:?}");
@@ -457,7 +439,7 @@ mod tests {
         let mut ins = queues(3, 8);
         let mut outs = queues(1, 8);
         for cycle in 0..7 {
-            ticked.tick(Cycle(cycle), &mut ins, &mut outs, |_| 0);
+            tick(&mut ticked, Cycle(cycle), &mut ins, &mut outs, |_| 0);
         }
         warped.advance_idle_cycles(7);
         assert_eq!(ticked.stats().moved.get(), 0, "idle ticks move nothing");
@@ -466,7 +448,7 @@ mod tests {
             q.push(Cycle(7), 0).unwrap();
         }
         let lens = |ins: &[TimedQueue<u64>]| ins.iter().map(TimedQueue::len).collect::<Vec<_>>();
-        ticked.tick(Cycle(7), &mut ins, &mut outs, |_| 0);
+        tick(&mut ticked, Cycle(7), &mut ins, &mut outs, |_| 0);
         let after_ticked = lens(&ins);
         for q in ins.iter_mut() {
             while q.pop_ready(Cycle(7)).is_some() {}
@@ -475,7 +457,7 @@ mod tests {
         for q in outs.iter_mut() {
             while q.pop_ready(Cycle(7)).is_some() {}
         }
-        warped.tick(Cycle(7), &mut ins, &mut outs, |_| 0);
+        tick(&mut warped, Cycle(7), &mut ins, &mut outs, |_| 0);
         assert_eq!(after_ticked, lens(&ins));
     }
 
@@ -506,8 +488,9 @@ mod tests {
                     pending |= 1 << i;
                 }
             }
-            let got_f =
-                full.tick_tracked(Cycle(cycle), &mut ins_f, &mut outs_f, |v| (*v % 2) as usize);
+            let got_f = full_scan(&mut full, Cycle(cycle), &mut ins_f, &mut outs_f, |v| {
+                (*v % 2) as usize
+            });
             let got_m = masked.tick_tracked_masked(
                 Cycle(cycle),
                 &mut pending,
@@ -543,11 +526,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "port masks cover at most 64")]
+    fn more_than_64_ports_panics() {
+        let _ = Crossbar::new(65, 16, 1);
+    }
+
+    #[test]
     #[should_panic(expected = "input port count mismatch")]
     fn dimension_mismatch_panics() {
         let mut x = Crossbar::new(2, 1, 1);
         let mut ins = queues(1, 4);
         let mut outs = queues(1, 4);
-        x.tick(Cycle(0), &mut ins, &mut outs, |_| 0);
+        tick(&mut x, Cycle(0), &mut ins, &mut outs, |_| 0);
     }
 }

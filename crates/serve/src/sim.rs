@@ -480,12 +480,21 @@ mod tests {
 
     #[test]
     fn skip_and_no_skip_are_bit_identical() {
-        let mut cfg = two_tenant_config();
-        cfg.telemetry_interval = Some(10_000);
-        let fast = run(&cfg).unwrap();
-        cfg.no_skip = true;
-        let slow = run(&cfg).unwrap();
-        assert_eq!(fast, slow);
+        // The second interval lands on the end of the first batch (tenant
+        // "fw"'s two arrivals at cycle 0), a sample the run that follows
+        // must not lose.
+        let mut first = two_tenant_config();
+        first.tenants.truncate(1);
+        first.tenants[0].schedule = ArrivalSchedule::trace(vec![0, 0]);
+        let first_batch_end = run(&first).unwrap().cycles;
+        for interval in [10_000, first_batch_end] {
+            let mut cfg = two_tenant_config();
+            cfg.telemetry_interval = Some(interval);
+            let fast = run(&cfg).unwrap();
+            cfg.no_skip = true;
+            let slow = run(&cfg).unwrap();
+            assert_eq!(fast, slow, "interval {interval}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Event-core effectiveness: how many events the discrete-event engine
 //! dispatched versus the cycles it simulated, per workload and policy —
-//! the ratio that explains the speedup over `--no-skip` per-cycle
-//! stepping (which pays ~12 stage polls every cycle, busy or not).
+//! the ratio that explains the speedup over the `--no-skip` per-cycle
+//! oracle (which dispatches all ten stages every cycle, busy or not).
 //!
 //! ```text
 //! cargo run --release --example event_stats

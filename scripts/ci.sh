@@ -166,7 +166,15 @@ if grep -q '"completed": 0' "$smoke_dir/serve-smoke.json"; then
 fi
 # The serve journal store is cleaned up after a successful run.
 [[ ! -e "$smoke_dir/serve-smoke.journal" && ! -e "$smoke_dir/serve-smoke.partial.json" ]]
-echo "serve smoke ok"
+# The same sweep under the --no-skip oracle. Serving re-enters the run
+# loop once per batch and crosses idle gaps in between, so this is the
+# CLI path that exercises run entry; every simulated field must match.
+cargo run --release -q -p miopt-harness -- serve \
+    --policies CacheR --loads 40000 --requests 4 --partition \
+    --check-invariants --budget 100000000 --quiet --no-skip \
+    --out "$smoke_dir" --sweep-name serve-oracle >/dev/null
+diff <(scrub "$smoke_dir/serve-smoke.json") <(scrub "$smoke_dir/serve-oracle.json")
+echo "serve smoke ok (default and --no-skip reports identical)"
 
 echo "== query smoke (miopt-harness query) =="
 # Aggregate the reports the sections above produced, slice the serve

@@ -136,8 +136,13 @@ const WARMUP: u64 = 60_000;
 /// Cycles in the measured window.
 const WINDOW: u64 = 4_000;
 
-/// Runs the streaming kernel under `policy` and returns `(heap
-/// allocations, memory requests)` of the steady window.
+/// Runs the streaming kernel under `policy` on the default engine (the
+/// event core: wheel, unit wheels, wake edges, sleeping units) and
+/// returns `(heap allocations, memory requests)` of the steady window.
+///
+/// The warm-up and the window each end in a cycle-budget halt, whose
+/// diagnostic allocates by design; the profiler counts only what the
+/// dispatches in between allocate.
 fn steady_window(cfg: SystemConfig, policy: PolicyConfig) -> (u64, u64) {
     let mut sys = ApuSystem::new_idle(cfg, policy);
     // 64 work-groups x 4 wavefronts give every CU a work-group in the
@@ -146,19 +151,16 @@ fn steady_window(cfg: SystemConfig, policy: PolicyConfig) -> (u64, u64) {
     // the iteration count keeps the kernel running far past the window.
     sys.enqueue_kernel(streaming_kernel(64, 4, 50_000), 0);
 
-    for _ in 0..WARMUP {
-        sys.step();
-    }
-    assert!(!sys.is_done(), "kernel must outlast the measurement window");
+    sys.run_to_completion(WARMUP)
+        .expect_err("kernel must outlast the warm-up");
     let requests_before = sys.metrics().gpu.memory_requests();
 
-    let allocs_before = miopt_engine::alloc_track::count();
-    for _ in 0..WINDOW {
-        sys.step();
-    }
-    let allocs = miopt_engine::alloc_track::count() - allocs_before;
+    sys.enable_profiler();
+    sys.run_to_completion(WARMUP + WINDOW)
+        .expect_err("window must end mid-kernel");
+    let profile = sys.take_profile().expect("profiler enabled");
+    assert!(profile.total_events() > 0, "the window dispatched nothing");
 
-    assert!(!sys.is_done(), "window must end mid-kernel");
     let requests = sys.metrics().gpu.memory_requests() - requests_before;
-    (allocs, requests)
+    (profile.total_allocs(), requests)
 }
