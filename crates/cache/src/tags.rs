@@ -82,6 +82,12 @@ pub(crate) struct TagArray {
     low_bits: u32,
     skip_bits: u32,
     lines: Vec<Line>,
+    /// One bit per slot, set by [`TagArray::install`] and cleared by
+    /// [`TagArray::flash_invalidate`]. Every live line sits on a set bit:
+    /// a valid line is live only in the epoch `install` stamped it with,
+    /// and a flash leaves no busy line behind. So the kernel-boundary
+    /// walks visit what was installed since the last one, not the array.
+    touched: Vec<u64>,
     epoch: u32,
     use_stamp: u64,
 }
@@ -94,6 +100,7 @@ impl TagArray {
             low_bits,
             skip_bits,
             lines: vec![Line::empty(); sets * ways],
+            touched: vec![0; (sets * ways).div_ceil(64)],
             epoch: 1,
             use_stamp: 0,
         }
@@ -208,11 +215,12 @@ impl TagArray {
         pc: Pc,
         dirty: bool,
     ) {
-        let set = self.set_of(line);
+        let i = self.slot(self.set_of(line), way);
+        self.touched[i / 64] |= 1 << (i % 64);
         self.use_stamp += 1;
         let stamp = self.use_stamp;
         let epoch = self.epoch;
-        let l = self.line_mut(set, way);
+        let l = &mut self.lines[i];
         *l = Line {
             line,
             state,
@@ -229,6 +237,19 @@ impl TagArray {
         self.line_mut(set, way).state = LineState::Invalid;
     }
 
+    /// Calls `f` on every slot installed since the last flash
+    /// invalidation, in ascending slot (set, then way) order — the order
+    /// of a walk over the whole array, which visits nothing else live.
+    fn for_each_touched(&self, mut f: impl FnMut(&Line)) {
+        for (w, &word) in self.touched.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(&self.lines[w * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+    }
+
     /// Flash-invalidates every valid line by bumping the epoch, visiting
     /// each live valid line first (for predictor training).
     ///
@@ -239,7 +260,7 @@ impl TagArray {
     /// system inserts a full barrier at kernel boundaries).
     pub(crate) fn flash_invalidate(&mut self, mut visit: impl FnMut(&Line)) {
         let epoch = self.epoch;
-        for l in &self.lines {
+        self.for_each_touched(|l| {
             if l.state == LineState::Valid && l.epoch == epoch {
                 debug_assert!(!l.dirty, "flash_invalidate with dirty line");
                 visit(l);
@@ -248,17 +269,20 @@ impl TagArray {
                 l.state != LineState::Busy,
                 "flash_invalidate with busy line"
             );
-        }
+        });
+        self.touched.fill(0);
         self.epoch += 1;
     }
 
-    /// Collects every live dirty line (for bulk flush).
-    pub(crate) fn dirty_lines(&self) -> Vec<LineAddr> {
-        self.lines
-            .iter()
-            .filter(|l| self.is_live(l) && l.state == LineState::Valid && l.dirty)
-            .map(|l| l.line)
-            .collect()
+    /// Replaces the contents of `out` with every live dirty line, in slot
+    /// order (for bulk flush).
+    pub(crate) fn dirty_lines_into(&self, out: &mut Vec<LineAddr>) {
+        out.clear();
+        self.for_each_touched(|l| {
+            if self.is_live(l) && l.state == LineState::Valid && l.dirty {
+                out.push(l.line);
+            }
+        });
     }
 
     /// Number of live valid lines (testing/occupancy).
@@ -422,9 +446,118 @@ mod tests {
         t.install(LineAddr(1), 0, LineState::Valid, Pc(0), true);
         t.install(LineAddr(2), 0, LineState::Valid, Pc(0), false);
         t.install(LineAddr(3), 0, LineState::Valid, Pc(0), true);
-        let mut d = t.dirty_lines();
+        let mut d = vec![LineAddr(99)];
+        t.dirty_lines_into(&mut d);
         d.sort();
         assert_eq!(d, vec![LineAddr(1), LineAddr(3)]);
+    }
+
+    /// The whole-array walks the touched-slot bitmap replaces.
+    fn full_walk_dirty(t: &TagArray) -> Vec<LineAddr> {
+        t.lines
+            .iter()
+            .filter(|l| t.is_live(l) && l.state == LineState::Valid && l.dirty)
+            .map(|l| l.line)
+            .collect()
+    }
+
+    fn full_walk_flash(t: &TagArray) -> Vec<(LineAddr, bool, Pc)> {
+        t.lines
+            .iter()
+            .filter(|l| l.state == LineState::Valid && l.epoch == t.epoch)
+            .map(|l| (l.line, l.referenced, l.pc))
+            .collect()
+    }
+
+    /// Random install / fill / hit / dirty / clean / evict sequences
+    /// between kernel boundaries, as the cache unit drives them: at each
+    /// boundary the flush list and the flash-invalidation visits must be
+    /// the full walk's, order included.
+    #[test]
+    fn touched_slot_walks_match_the_full_walk() {
+        use miopt_engine::rng::SplitMix64;
+        for seed in 0..16u64 {
+            let mut rng = SplitMix64::new(0x7a95_0000 + seed);
+            // 16 sets x 4 ways = 64 slots, or 8 x 12 = 96 (a partial
+            // bitmap word).
+            let (sets, ways) = if seed % 2 == 0 { (16, 4) } else { (8, 12) };
+            let mut t = TagArray::new(sets, ways, 31, 0);
+            let mut out = Vec::new();
+            for _boundary in 0..12 {
+                for _ in 0..rng.next_below(200) {
+                    let line = LineAddr(rng.next_below(4 * (sets * ways) as u64));
+                    let set = t.set_index(line);
+                    match rng.next_below(6) {
+                        // Allocate for a miss (busy) or write-allocate a
+                        // store (valid dirty), as `service` does.
+                        0 | 1 => {
+                            if t.probe(line).is_some() {
+                                continue;
+                            }
+                            let way = match t.find_victim(line) {
+                                Victim::Free(w) | Victim::Clean(w) | Victim::Dirty(w) => w,
+                                Victim::AllBusy => continue,
+                            };
+                            let pc = Pc(rng.next_below(8) as u32);
+                            if rng.next_below(2) == 0 {
+                                t.install(line, way, LineState::Busy, pc, false);
+                            } else {
+                                t.install(line, way, LineState::Valid, pc, true);
+                            }
+                        }
+                        // A fill turns a busy way valid.
+                        2 => {
+                            let way = rng.next_below(ways as u64) as usize;
+                            if t.line(set, way).state == LineState::Busy {
+                                t.line_mut(set, way).state = LineState::Valid;
+                            }
+                        }
+                        // A hit, maybe a store absorbed.
+                        3 => {
+                            if let Some((s, w)) = t.probe(line) {
+                                if t.line(s, w).state == LineState::Valid {
+                                    t.touch(s, w);
+                                    t.line_mut(s, w).dirty |= rng.next_below(2) == 0;
+                                }
+                            }
+                        }
+                        // A writeback cleans a line.
+                        4 => {
+                            let way = rng.next_below(ways as u64) as usize;
+                            t.line_mut(set, way).dirty = false;
+                        }
+                        // An eviction or bypass invalidation.
+                        _ => {
+                            let way = rng.next_below(ways as u64) as usize;
+                            if t.line(set, way).state == LineState::Valid {
+                                t.invalidate(set, way);
+                            }
+                        }
+                    }
+                }
+                // The barrier: every fill lands, then the release flush
+                // writes back and cleans, then the acquire invalidates.
+                for s in 0..sets {
+                    for w in 0..ways {
+                        if t.line(s, w).state == LineState::Busy {
+                            t.line_mut(s, w).state = LineState::Valid;
+                        }
+                    }
+                }
+                t.dirty_lines_into(&mut out);
+                assert_eq!(out, full_walk_dirty(&t), "seed {seed}");
+                for &line in &out {
+                    let (s, w) = t.probe(line).expect("dirty lines are live");
+                    t.line_mut(s, w).dirty = false;
+                }
+                let want = full_walk_flash(&t);
+                let mut got = Vec::new();
+                t.flash_invalidate(|l| got.push((l.line, l.referenced, l.pc)));
+                assert_eq!(got, want, "seed {seed}");
+                assert_eq!(t.live_count(), 0);
+                assert!(t.touched.iter().all(|&w| w == 0));
+            }
+        }
     }
 
     #[test]

@@ -946,7 +946,9 @@ impl CacheUnit {
     /// system-scope synchronization point, paper Section III).
     pub fn start_flush(&mut self) {
         debug_assert!(self.pending_flush.is_empty(), "flush already in progress");
-        self.pending_flush = self.tags.dirty_lines();
+        // Room for every slot on the first flush, so no later one grows it.
+        self.pending_flush.reserve(self.cfg.sets * self.cfg.ways);
+        self.tags.dirty_lines_into(&mut self.pending_flush);
     }
 
     /// Emits up to `flush_width` flush writebacks into `down`; call once
@@ -995,18 +997,13 @@ impl CacheUnit {
             "self-invalidate with outstanding fills"
         );
         let mut invalidated = 0u64;
-        let mut no_reuse_pcs = Vec::new();
+        let predictor = &mut self.predictor;
         self.tags.flash_invalidate(|l| {
             invalidated += 1;
-            if !l.referenced {
-                no_reuse_pcs.push(l.pc);
+            if let Some(p) = predictor.as_mut().filter(|_| !l.referenced) {
+                p.train_no_reuse(l.pc);
             }
         });
-        if let Some(p) = self.predictor.as_mut() {
-            for pc in no_reuse_pcs {
-                p.train_no_reuse(pc);
-            }
-        }
         if let Some(dbi) = self.dbi.as_mut() {
             dbi.clear();
         }

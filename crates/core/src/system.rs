@@ -1815,11 +1815,13 @@ impl ApuSystem {
     /// Actor 10 (stage 10): response delivery to the GPU, per due CU.
     fn ev_gpu_resp(&mut self, now: Cycle) {
         let mut m = self.ev.due_units(A_GPU_RESP);
-        let mut popped = 0u64;
+        let (mut popped, mut woke) = (0u64, false);
         while m != 0 {
             let i = m.trailing_zeros() as usize;
             m &= m - 1;
-            popped |= u64::from(self.gpu_resp_unit(now, i)) << i;
+            let (p, w) = self.gpu_resp_unit(now, i);
+            popped |= u64::from(p) << i;
+            woke |= w;
             if let Some(at) = self.l1_up[i].next_ready() {
                 self.ev.wake_unit(A_GPU_RESP, at, i);
             }
@@ -1828,9 +1830,12 @@ impl ApuSystem {
         if sleepers != 0 {
             self.wake_sleepers(A_L1_SERVICE, now, sleepers);
         }
-        if popped != 0 {
-            // The phase machine runs after this stage within the cycle;
-            // a delivered response can unblock a wavefront immediately.
+        if woke {
+            // GPU resp -> phase: the phase machine runs after this stage
+            // within the cycle. A response that released a waitcnt can
+            // let its CU act at once, one that retired a wavefront can
+            // free a slot for a work-group or end the kernel; any other
+            // leaves every CU's schedule as it was.
             self.ev.wake(A_PHASE, now);
         }
     }
@@ -1888,7 +1893,8 @@ impl ApuSystem {
                 }
                 // Neither branch scheduling anything means no SIMD
                 // timer is pending: every CU sleeps on a load response
-                // (actor 10 wakes the phase machine when one arrives) or
+                // (actor 10 wakes the phase machine when one releases a
+                // waitcnt or retires a wavefront) or
                 // on L1 backpressure (actor 8 wakes it when the queue it
                 // pops for a memory-blocked CU has room again).
             }
@@ -2226,13 +2232,15 @@ impl ApuSystem {
     }
 
     /// Stage 10 for one CU: deliver its ready L1 responses to the GPU.
-    fn gpu_resp_unit(&mut self, now: Cycle, i: usize) -> bool {
-        let mut acted = false;
+    /// Returns whether it popped any, and whether any of them gave the
+    /// GPU something to do (`Gpu::on_response`).
+    fn gpu_resp_unit(&mut self, now: Cycle, i: usize) -> (bool, bool) {
+        let (mut popped, mut woke) = (false, false);
         while let Some(resp) = self.l1_up[i].pop_ready(now) {
-            self.gpu.on_response(resp);
-            acted = true;
+            woke |= self.gpu.on_response(resp);
+            popped = true;
         }
-        acted
+        (popped, woke)
     }
 }
 
@@ -2442,6 +2450,42 @@ mod tests {
         assert!(idle * 4 < ticks, "{idle} of {ticks} CU ticks did nothing");
         assert_eq!(run(true), (m.clone(), (ticks, idle)), "repeats exactly");
         assert_eq!(run(false), (m, (ticks, idle)), "same under the oracle");
+    }
+
+    /// The phase actor's cost on a latency-bound multi-kernel RNN: the CU
+    /// ticks are a function of the simulated state alone (the same from
+    /// either engine, run after run), and under the event core the phase
+    /// machine is dispatched only when it has work — a delivered response
+    /// wakes it only if it released a waitcnt or retired a wavefront.
+    #[test]
+    fn rnn_phase_dispatches_follow_work_not_responses() {
+        let w = by_name(&SuiteConfig::quick(), "FwGRU").unwrap();
+        let run = |skip: bool| {
+            let mut sys = ApuSystem::new_idle(
+                SystemConfig::small_test(),
+                PolicyConfig::of(CachePolicy::Uncached),
+            );
+            sys.set_time_skip(skip);
+            // 30 recurrent steps, after the input projection.
+            for (seq, k) in w.launches.iter().enumerate().skip(1).take(30) {
+                sys.enqueue_kernel(Arc::clone(k), seq as u32);
+            }
+            let m = sys.run_to_completion(200_000_000).expect("run finished");
+            let phase = sys.event_stats_by_actor()[A_PHASE].1;
+            (m, sys.cu_tick_stats(), phase)
+        };
+        let (m, ticks, phase) = run(true);
+        assert_eq!(ticks, (35_169, 3_569));
+        // 42 003 when every delivered response dispatched the phase
+        // machine.
+        assert_eq!(phase, 35_910);
+        assert_eq!(run(true), (m.clone(), ticks, phase), "repeats exactly");
+        let (oracle_m, oracle_ticks, _) = run(false);
+        assert_eq!(
+            (oracle_m, oracle_ticks),
+            (m, ticks),
+            "same under the oracle"
+        );
     }
 
     /// Halting a saturated run mid-kernel and re-entering it rebuilds the

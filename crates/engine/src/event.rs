@@ -82,11 +82,14 @@ impl EventWheel {
     }
 
     /// Drops every pending event and rebases the wheel at `base` — the
-    /// start of a fresh run on a reused system.
+    /// start of a fresh run on a reused system. Rebasing an empty wheel
+    /// costs O(1): its slots are all zero already.
     pub fn reset(&mut self, base: Cycle) {
-        self.slots.fill(0);
-        self.occupied.fill(0);
-        self.summary = 0;
+        if self.summary != 0 {
+            self.slots.fill(0);
+            self.occupied.fill(0);
+            self.summary = 0;
+        }
         self.overflow.clear();
         self.base = base.0;
     }
@@ -121,6 +124,7 @@ impl EventWheel {
     /// Schedules every event whose bit is set in `ids` at cycle `at`, as
     /// one [`EventWheel::insert`] per bit would. `ids` must be nonzero.
     pub fn insert_mask(&mut self, at: Cycle, ids: u64) {
+        debug_assert_ne!(ids, 0, "empty id mask");
         debug_assert!(
             at.0 >= self.base,
             "insert at {at} before wheel base {}",
@@ -413,6 +417,24 @@ mod tests {
         assert_eq!(w.base(), Cycle(1_000));
         w.insert(Cycle(1_000), 4);
         assert_eq!(w.pop_next(), Some((Cycle(1_000), 1 << 4)));
+    }
+
+    #[test]
+    fn rebasing_an_emptied_wheel_keeps_near_events_in_the_ring() {
+        let mut w = EventWheel::new();
+        w.insert(Cycle(3), 0);
+        w.insert(Cycle(9), 1);
+        w.cancel(Cycle(9), 1);
+        assert_eq!(w.pop_next(), Some((Cycle(3), 1)));
+        assert!(w.is_empty());
+        // Far past the old base: without the rebase this is an overflow
+        // insert.
+        w.reset(Cycle(1_000_000));
+        w.insert(Cycle(1_000_005), 2);
+        assert!(w.overflow.is_empty());
+        assert_eq!(w.pending_at(Cycle(1_000_005)), 1 << 2);
+        assert_eq!(w.pop_next(), Some((Cycle(1_000_005), 1 << 2)));
+        assert!(w.slots.iter().all(|&s| s == 0));
     }
 
     /// Randomized differential test against an ordered-map reference

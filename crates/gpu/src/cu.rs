@@ -1,7 +1,7 @@
 use crate::program::KernelDesc;
 use crate::wavefront::{Wavefront, WfState};
 use miopt_engine::sentinel::{InvariantViolation, Sentinel};
-use miopt_engine::{AccessKind, Cycle, MemReq, Origin, ReqId, TimedQueue};
+use miopt_engine::{AccessKind, Cycle, LineAddr, MemReq, Origin, ReqId, TimedQueue};
 use std::sync::Arc;
 
 /// Compute-unit geometry (Table 1: 4 SIMDs, 10 wavefronts per SIMD).
@@ -54,6 +54,9 @@ pub struct Cu {
     cfg: CuConfig,
     id: u16,
     slots: Vec<Option<Wavefront>>,
+    /// Per slot, the line buffer of the wavefront that last retired
+    /// there, for the next one placed in it.
+    spare: Vec<Vec<LineAddr>>,
     /// Bit per slot: a wavefront is resident.
     occ_mask: u64,
     /// Bit per slot: the wavefront has coalesced requests awaiting issue.
@@ -86,6 +89,7 @@ impl Cu {
         assert!(cfg.total_slots() <= 64, "at most 64 wavefront slots per CU");
         Cu {
             slots: (0..cfg.total_slots()).map(|_| None).collect(),
+            spare: vec![Vec::new(); cfg.total_slots()],
             occ_mask: 0,
             pending_mask: 0,
             mem_blocked: false,
@@ -184,7 +188,13 @@ impl Cu {
             let free = !self.occ_mask & all_slots;
             assert!(free != 0, "not enough free slots for work-group");
             let idx = free.trailing_zeros() as usize;
-            self.slots[idx] = Some(Wavefront::new(Arc::clone(kernel), kernel_seq, wg, wf));
+            self.slots[idx] = Some(Wavefront::new(
+                Arc::clone(kernel),
+                kernel_seq,
+                wg,
+                wf,
+                std::mem::take(&mut self.spare[idx]),
+            ));
             self.occ_mask |= 1 << idx;
         }
     }
@@ -216,7 +226,8 @@ impl Cu {
             Some(wf) if wf.is_done() && wf.pending.is_empty() && wf.outstanding_loads() == 0
         );
         if finished {
-            self.slots[idx] = None;
+            let wf = self.slots[idx].take().expect("finished implies resident");
+            self.spare[idx] = wf.into_lines();
             self.occ_mask &= !(1 << idx);
             self.pending_mask &= !(1 << idx);
             self.retired_wavefronts += 1;
@@ -310,7 +321,7 @@ impl Cu {
             let wf = self.slots[idx]
                 .as_mut()
                 .expect("pending bit implies wavefront");
-            let acc = *wf.pending.front().expect("pending bit implies requests");
+            let acc = wf.pending.front().expect("pending bit implies requests");
             let pc = wf.kernel().pc_of(acc.op_index);
             self.req_counter += 1;
             let req = MemReq {

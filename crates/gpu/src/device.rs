@@ -1,7 +1,7 @@
 use crate::cu::{Cu, CuConfig};
 use crate::program::KernelDesc;
 use miopt_engine::sentinel::{InvariantViolation, Sentinel};
-use miopt_engine::{Cycle, MemReq, MemResp, Origin, TimedQueue};
+use miopt_engine::{Cycle, EventWheel, MemReq, MemResp, Origin, TimedQueue};
 use std::sync::Arc;
 
 /// Aggregated GPU execution statistics.
@@ -125,15 +125,25 @@ pub struct Gpu {
     /// [`Gpu::tick_tracked`] skip provably stalled CUs — a no-op
     /// `Cu::tick` mutates nothing, so skipping it is behaviorally
     /// invisible — and [`Gpu::next_event`] answer without rescanning
-    /// every wavefront.
+    /// every wavefront. A stale CU's hint is [`NEVER`].
     wake_hint: Vec<Cycle>,
+    /// The clean hints as a calendar: exactly one entry per CU that is
+    /// not stale and whose hint is not [`NEVER`], at that hint. The due
+    /// CUs are popped off it and the earliest hint is peeked, so neither
+    /// [`Gpu::tick_tracked`] nor [`Gpu::next_event`] walks every CU.
+    hints: EventWheel,
     /// CUs (bit per index) whose hint is stale because the CU acted, a
     /// response released one of its wavefronts from a waitcnt, or a
     /// work-group was assigned to it since the hint was computed. Stale
     /// CUs are always ticked and rescanned. The third wake source, an L1
     /// queue credit reaching a memory-blocked CU, needs no bit here:
-    /// [`Gpu::tick_tracked`] reads it off the queue it is handed.
+    /// [`Gpu::tick_tracked`] reads it off the queue it is handed, for
+    /// the CUs in [`Gpu::blocked`].
     stale: u64,
+    /// CUs (bit per index) whose memory pipe is blocked on L1
+    /// backpressure ([`Cu::mem_blocked`], which only `Cu::tick`
+    /// changes), refreshed after each tick.
+    blocked: u64,
     /// Per-CU retired-wavefront count at the last reconciliation, and
     /// the running device total. Retires happen only inside [`Cu::tick`]
     /// (an acted CU) and [`Cu::on_response`], so reconciling at those
@@ -164,7 +174,9 @@ impl Gpu {
             active: None,
             kernels_run: 0,
             wake_hint: vec![NEVER; n_cus],
-            stale: u64::MAX,
+            hints: EventWheel::new(),
+            stale: u64::MAX >> (64 - n_cus),
+            blocked: 0,
             retired_seen: vec![0; n_cus],
             retired_total: 0,
             cu_ticks: 0,
@@ -188,6 +200,40 @@ impl Gpu {
     #[inline]
     fn cu_hot(&self, i: usize, now: Cycle) -> bool {
         self.stale & (1 << i) != 0 || self.wake_hint[i] <= now
+    }
+
+    /// Clears CU `i`'s hint and cancels its [`Gpu::hints`] entry (a
+    /// no-op for an entry already popped as due).
+    fn drop_hint(&mut self, i: usize) {
+        let old = std::mem::replace(&mut self.wake_hint[i], NEVER);
+        if old != NEVER {
+            self.hints.cancel(old, i as u8);
+        }
+    }
+
+    /// Marks CU `i` stale: it is ticked and rescanned next time, and
+    /// holds no hint until then.
+    fn mark_stale(&mut self, i: usize) {
+        self.stale |= 1 << i;
+        self.drop_hint(i);
+    }
+
+    /// Gives CU `i`, just ticked idle at `now`, the clean hint `hint`.
+    /// An empty wheel is first rebased at `now`, so the first hint after
+    /// a launch or an idle gap lands in the ring, not its overflow map.
+    fn set_hint(&mut self, i: usize, hint: Cycle, now: Cycle) {
+        if self.wake_hint[i] == hint {
+            return;
+        }
+        self.drop_hint(i);
+        if hint != NEVER {
+            debug_assert!(hint > now, "hint {hint} not after {now}");
+            if self.hints.is_empty() {
+                self.hints.reset(now);
+            }
+            self.wake_hint[i] = hint;
+            self.hints.insert(hint, i as u8);
+        }
     }
 
     /// Number of compute units.
@@ -254,39 +300,63 @@ impl Gpu {
     /// Panics if `l1_ins.len()` differs from the CU count.
     pub fn tick_tracked(&mut self, now: Cycle, l1_ins: &mut [TimedQueue<MemReq>]) -> (bool, u64) {
         assert_eq!(l1_ins.len(), self.cus.len(), "one L1 queue per CU");
-        let mut acted = self.dispatch();
+        let dispatched = self.dispatch();
+        let hot = self.hot_set(now, l1_ins);
+        let (acted, mask) = self.tick_cus(now, hot, l1_ins);
+        (dispatched || acted, mask)
+    }
+
+    /// The CUs to tick at `now`, popping the due hints: the stale ones,
+    /// those whose hint is due, and the memory-blocked ones whose queue
+    /// has room. Every other CU is provably asleep — its hint shows no
+    /// SIMD timer fires before it, no waitcnt was released and no
+    /// work-group assigned since it was computed, and its memory pipe
+    /// has nothing to issue or still faces a full queue — so its tick
+    /// would be a no-op.
+    fn hot_set(&mut self, now: Cycle, l1_ins: &[TimedQueue<MemReq>]) -> u64 {
+        let mut hot = self.stale;
+        while self.hints.next_cycle().is_some_and(|t| t <= now) {
+            hot |= self.hints.pop_next().expect("cycle just observed").1;
+        }
+        let mut m = self.blocked & !hot;
+        while m != 0 {
+            let i = m.trailing_zeros() as usize;
+            m &= m - 1;
+            hot |= u64::from(l1_ins[i].can_push()) << i;
+        }
+        hot
+    }
+
+    /// Ticks the CUs in `hot`, in index order; returns whether any acted
+    /// and which.
+    fn tick_cus(&mut self, now: Cycle, hot: u64, l1_ins: &mut [TimedQueue<MemReq>]) -> (bool, u64) {
         let mut mask = 0u64;
-        let stale = self.stale;
-        for (i, (cu, q)) in self.cus.iter_mut().zip(l1_ins.iter_mut()).enumerate() {
-            if stale & (1 << i) == 0
-                && self.wake_hint[i] > now
-                && !(cu.mem_blocked() && q.can_push())
-            {
-                // The hint proves no SIMD timer lets this CU act before
-                // `wake_hint[i]`, no waitcnt was released and no
-                // work-group assigned since the hint was computed, and
-                // its memory pipe either has nothing to issue or still
-                // faces a full queue: its tick would be a no-op, so skip
-                // the scan.
-                continue;
-            }
+        let mut m = hot;
+        while m != 0 {
+            let i = m.trailing_zeros() as usize;
+            m &= m - 1;
             self.cu_ticks += 1;
-            if cu.tick(now, q) {
-                acted = true;
-                let r = cu.retired_wavefronts();
-                self.retired_total += r - self.retired_seen[i];
-                self.retired_seen[i] = r;
+            let acted = self.cus[i].tick(now, &mut l1_ins[i]);
+            let blocked = self.cus[i].mem_blocked();
+            self.blocked = self.blocked & !(1 << i) | u64::from(blocked) << i;
+            if acted {
+                self.note_retired(i);
                 mask |= 1 << i;
                 // Issuing/retiring changed the CU's schedule; rescan next
                 // tick.
-                self.stale |= 1 << i;
+                self.mark_stale(i);
             } else {
                 self.idle_cu_ticks += 1;
                 self.stale &= !(1 << i);
-                self.wake_hint[i] = cu.next_event(now).unwrap_or(NEVER);
+                // An idle tick leaves nothing to do at `now` itself, so
+                // the hint lies after it; the clamp only guards that.
+                let hint = self.cus[i]
+                    .next_event(now)
+                    .map_or(NEVER, |t| t.max(now + 1));
+                self.set_hint(i, hint, now);
             }
         }
-        (acted, mask)
+        (mask != 0, mask)
     }
 
     /// Assigns pending work-groups to CUs with free slots. Returns
@@ -314,8 +384,13 @@ impl Gpu {
                 break;
             }
         }
-        self.stale |= newly;
-        k.next_wg != first
+        let assigned = k.next_wg != first;
+        while newly != 0 {
+            let i = newly.trailing_zeros() as usize;
+            newly &= newly - 1;
+            self.mark_stale(i);
+        }
+        assigned
     }
 
     /// The earliest cycle at or after `now` at which the device might act
@@ -340,46 +415,50 @@ impl Gpu {
                 }
             }
         }
-        self.cus
-            .iter()
-            .enumerate()
-            .filter_map(|(i, cu)| {
-                if self.cu_hot(i, now) {
-                    cu.next_event(now)
-                } else {
-                    // A clean hint strictly after `now` is exact: the
-                    // `max(.., now)` clamps inside `Cu::next_event` only
-                    // pull times *up to* `now`, so a future hint cannot
-                    // have been clamped.
-                    match self.wake_hint[i] {
-                        NEVER => None,
-                        t => Some(t),
-                    }
-                }
-            })
-            .min()
+        // A clean hint strictly after `now` is exact: the `max(.., now)`
+        // clamps inside `Cu::next_event` only pull times *up to* `now`, so
+        // a future hint cannot have been clamped. A due one means its CU
+        // can act at `now` (its SIMD timer has fired); only stale CUs
+        // need a rescan.
+        let mut next = self.hints.next_cycle().map(|t| t.max(now));
+        let mut m = self.stale;
+        while m != 0 {
+            let i = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if let Some(t) = self.cus[i].next_event(now) {
+                next = Some(next.map_or(t, |n| n.min(t)));
+            }
+        }
+        next
     }
 
-    /// Routes a load response to its wavefront.
+    /// Routes a load response to its wavefront. Returns whether the
+    /// device must be ticked for it: the response released a waitcnt, so
+    /// its CU may act before its hint, or retired a wavefront, so a
+    /// work-group may dispatch into the freed slot or the kernel may be
+    /// done. Any other response leaves every hint exact and the device
+    /// with nothing new to do.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if the response does not carry a wavefront
     /// origin.
-    pub fn on_response(&mut self, resp: MemResp) {
+    pub fn on_response(&mut self, resp: MemResp) -> bool {
         match resp.origin {
             Origin::Wavefront { cu, slot } => {
-                let released = self.cus[cu as usize].on_response(slot);
-                // A response can retire the wavefront it unblocks.
-                self.note_retired(cu as usize);
+                let i = cu as usize;
+                let released = self.cus[i].on_response(slot);
+                let retired_before = self.retired_total;
+                self.note_retired(i);
                 if released {
-                    // The response released a waitcnt: the CU may act
-                    // before its hint. Any other response leaves the
-                    // hint exact, so the CU sleeps on.
-                    self.stale |= 1 << cu;
+                    self.mark_stale(i);
                 }
+                released || self.retired_total != retired_before
             }
-            Origin::Internal => debug_assert!(false, "internal response routed to GPU"),
+            Origin::Internal => {
+                debug_assert!(false, "internal response routed to GPU");
+                false
+            }
         }
     }
 
@@ -471,6 +550,30 @@ impl Sentinel for Gpu {
     fn check_invariants(&self, component: &str, out: &mut Vec<InvariantViolation>) {
         for (i, cu) in self.cus.iter().enumerate() {
             cu.check_invariants(&format!("{component}.cu[{i}]"), out);
+            // The hint wheel and the blocked mask stand in for a scan of
+            // every CU: a clean hint missing from the wheel is a CU that
+            // would never be ticked again, a wrong mask bit a lost credit
+            // wake.
+            let hint = self.wake_hint[i];
+            let stale = self.stale >> i & 1 != 0;
+            let detail = if !stale && hint != NEVER && self.hints.pending_at(hint) >> i & 1 == 0 {
+                format!("clean hint {hint} has no entry in the hint wheel")
+            } else if stale && hint != NEVER {
+                format!("stale CU still holds hint {hint}")
+            } else if (self.blocked >> i & 1 != 0) != cu.mem_blocked() {
+                format!(
+                    "blocked mask bit is {} but the CU's memory-blocked flag is {}",
+                    self.blocked >> i & 1 != 0,
+                    cu.mem_blocked()
+                )
+            } else {
+                continue;
+            };
+            out.push(InvariantViolation {
+                component: format!("{component}.cu[{i}]"),
+                invariant: "cu_hint_wheel",
+                detail,
+            });
         }
         // At kernel end every wavefront has retired, so no CU may still
         // hold residents or awaited responses ("outstanding-op counts hit
@@ -497,6 +600,7 @@ impl Sentinel for Gpu {
 mod tests {
     use super::*;
     use crate::program::{AccessCtx, AddrGen, KernelProgram, Op};
+    use miopt_engine::rng::SplitMix64;
     use miopt_engine::Addr;
 
     fn stream_kernel(wgs: u32, wfs_per_wg: u32, iters: u32) -> Arc<KernelDesc> {
@@ -714,6 +818,246 @@ mod tests {
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].component, "gpu.cu[0]");
         assert_eq!(out[0].invariant, "blocked_cu_wake");
+    }
+
+    /// The pre-wheel tick, the reference for the wheel-driven hot set:
+    /// every CU tested one by one against its stale bit, its hint and its
+    /// queue. Returns the CUs ticked and what `tick_tracked` returns.
+    fn full_scan_tick(
+        gpu: &mut Gpu,
+        now: Cycle,
+        l1_ins: &mut [TimedQueue<MemReq>],
+    ) -> (u64, (bool, u64)) {
+        let mut acted = gpu.dispatch();
+        let (mut hot, mut mask) = (0u64, 0u64);
+        for (i, q) in l1_ins.iter_mut().enumerate() {
+            if !(gpu.cu_hot(i, now) || gpu.cus[i].mem_blocked() && q.can_push()) {
+                continue;
+            }
+            hot |= 1 << i;
+            if gpu.cus[i].tick(now, q) {
+                acted = true;
+                mask |= 1 << i;
+                gpu.note_retired(i);
+                gpu.stale |= 1 << i;
+            } else {
+                gpu.stale &= !(1 << i);
+                gpu.wake_hint[i] = gpu.cus[i].next_event(now).unwrap_or(NEVER);
+            }
+        }
+        (hot, (acted, mask))
+    }
+
+    /// `next_event` as a scan of every CU: a rescan of each stale one and
+    /// a read of each clean hint, where a due hint means `now`.
+    fn full_scan_next_event(gpu: &Gpu, now: Cycle) -> Option<Cycle> {
+        if let Some(k) = &gpu.active {
+            let per_wg = k.desc.wfs_per_wg as usize;
+            if k.next_wg < k.desc.wgs && gpu.cus.iter().any(|cu| cu.free_slots() >= per_wg) {
+                return Some(now);
+            }
+        }
+        (0..gpu.cus.len())
+            .filter_map(|i| {
+                if gpu.stale >> i & 1 != 0 {
+                    gpu.cus[i].next_event(now)
+                } else {
+                    Some(gpu.wake_hint[i].max(now)).filter(|&t| t != NEVER)
+                }
+            })
+            .min()
+    }
+
+    /// A random kernel: timers (VALU, LDS), loads, stores and waitcnts in
+    /// random order, on a random grid that may oversubscribe the device.
+    /// A wavefront whose program ends in a load without a waitcnt is
+    /// retired by its last response.
+    fn random_kernel(rng: &mut SplitMix64, template_id: u16) -> Arc<KernelDesc> {
+        let body: Vec<Op> = (0..1 + rng.next_below(5))
+            .map(|_| match rng.next_below(5) {
+                0 => Op::Valu {
+                    count: 1 + rng.next_below(4) as u32,
+                },
+                1 => Op::Lds {
+                    cycles: 1 + rng.next_below(30) as u32,
+                },
+                2 => Op::Load {
+                    pattern: rng.next_below(2) as u16,
+                },
+                3 => Op::Store { pattern: 2 },
+                _ => Op::WaitCnt {
+                    max: rng.next_below(5) as u8,
+                },
+            })
+            .collect();
+        let gen: Arc<dyn AddrGen> = Arc::new(|ctx: &AccessCtx| {
+            let stride = 4 * (1 + u64::from(ctx.pattern));
+            Some(Addr(
+                u64::from(ctx.wg) * 1_048_576
+                    + u64::from(ctx.wf) * 65536
+                    + u64::from(ctx.iter) * 1024
+                    + u64::from(ctx.lane) * stride,
+            ))
+        });
+        Arc::new(KernelDesc {
+            name: "random".to_string(),
+            template_id,
+            wgs: 1 + rng.next_below(12) as u32,
+            wfs_per_wg: 1 + rng.next_below(3) as u32,
+            program: KernelProgram::new(body, 1 + rng.next_below(3) as u32),
+            gen,
+        })
+    }
+
+    /// Lockstep against the full scan on seeded multi-kernel streams with
+    /// random response delays and L1 backpressure: the wheel-driven hot
+    /// set, the tick's result and `next_event` equal the reference on
+    /// every cycle, and the hint-wheel sentinel stays quiet. Each stream
+    /// runs twice: ticked every cycle (the oracle), and ticked as the
+    /// event core's phase machine is — at its own reschedule
+    /// (`next_event`), on a response `on_response` says matters, and on
+    /// a credit to a memory-blocked CU. Both must simulate the same thing
+    /// with the same CU ticks, or a wake was lost.
+    #[test]
+    fn hint_wheel_matches_full_scan() {
+        let cfg = CuConfig {
+            simds: 2,
+            wf_slots_per_simd: 3,
+            mem_issue_per_cycle: 1,
+        };
+        let n = 5;
+        let (mut due_visits, mut credit_visits) = (0u64, 0u64);
+        for seed in 0..12u64 {
+            let mut outcome = Vec::new();
+            for sparse in [false, true] {
+                let mut rng = SplitMix64::new(0x4e1_0000 + seed);
+                let mut w = Gpu::new(n, cfg.clone());
+                let mut r = Gpu::new(n, cfg.clone());
+                let cap = 1 + rng.next_below(6) as usize;
+                let queues = || -> Vec<TimedQueue<MemReq>> {
+                    (0..n).map(|_| TimedQueue::new(cap, 0)).collect()
+                };
+                let (mut qw, mut qr) = (queues(), queues());
+                let mut inflight: Vec<(u64, MemResp)> = Vec::new();
+                let mut now = 0u64;
+                let mut out = Vec::new();
+                for seq in 0..4 {
+                    let k = random_kernel(&mut rng, seq as u16);
+                    w.start_kernel(Arc::clone(&k), seq);
+                    r.start_kernel(k, seq);
+                    // The launch runs the device at once; then, like the
+                    // phase machine, it reschedules itself after each
+                    // tick, and a waking response or a credit runs it
+                    // early. Only a tick observes the kernel's end.
+                    let (mut scheduled, mut woke) = (Some(now), false);
+                    loop {
+                        let t = Cycle(now);
+                        for (_, resp) in inflight.iter().filter(|(at, _)| *at == now) {
+                            let got = w.on_response(*resp);
+                            assert_eq!(got, r.on_response(*resp));
+                            woke |= got;
+                        }
+                        inflight.retain(|(at, _)| *at != now);
+                        let credit = (0..n).any(|i| w.cu_mem_blocked(i) && qw[i].can_push());
+                        let due = scheduled == Some(now);
+                        if !sparse || woke || due || credit {
+                            let (hot, want) = full_scan_tick(&mut r, t, &mut qr);
+                            let dispatched = w.dispatch();
+                            let got_hot = w.hot_set(t, &qw);
+                            let got = w.tick_cus(t, got_hot, &mut qw);
+                            let got = (dispatched || got.0, got.1);
+                            assert_eq!((got_hot, got), (hot, want), "seed {seed} cycle {now}");
+                            due_visits += u64::from(due && !woke && !credit);
+                            credit_visits += u64::from(credit);
+                            woke = false;
+                            scheduled = if got.0 {
+                                Some(now + 1)
+                            } else {
+                                w.next_event(Cycle(now + 1)).map(|c| c.0)
+                            };
+                            if w.kernel_done() {
+                                now += 1;
+                                break;
+                            }
+                        }
+                        let next = Cycle(now + 1);
+                        assert_eq!(
+                            w.next_event(next),
+                            full_scan_next_event(&r, next),
+                            "seed {seed} cycle {now}"
+                        );
+                        w.check_invariants("gpu", &mut out);
+                        assert!(out.is_empty(), "seed {seed} cycle {now}: {out:?}");
+                        // The memory: each queue drains 0-2 ready requests
+                        // per cycle, loads answered 1-40 cycles later.
+                        for (a, b) in qw.iter_mut().zip(qr.iter_mut()) {
+                            for _ in 0..rng.next_below(3) {
+                                let Some(req) = a.pop_ready(t) else { break };
+                                assert_eq!(b.pop_ready(t).map(|q| q.id), Some(req.id));
+                                if req.wants_response() {
+                                    let at = now + 1 + rng.next_below(40);
+                                    inflight.push((at, MemResp::for_req(&req)));
+                                }
+                            }
+                        }
+                        now += 1;
+                        assert!(now < 1_000_000, "seed {seed}: kernel {seq} wedged");
+                    }
+                }
+                outcome.push((now, w.stats(), w.cu_tick_stats()));
+            }
+            assert_eq!(outcome[0], outcome[1], "seed {seed}: engines diverged");
+        }
+        assert!(
+            due_visits > 100 && credit_visits > 100,
+            "{due_visits} {credit_visits}"
+        );
+    }
+
+    #[test]
+    fn cu_hint_wheel_invariant_names_a_lost_entry_and_a_wrong_mask() {
+        let mut gpu = Gpu::new(2, CuConfig::tiny_test());
+        gpu.start_kernel(
+            Arc::new(KernelDesc {
+                name: "valu".to_string(),
+                template_id: 3,
+                wgs: 4,
+                wfs_per_wg: 1,
+                program: KernelProgram::new(vec![Op::Valu { count: 8 }, Op::Valu { count: 1 }], 1),
+                gen: Arc::new(|_: &AccessCtx| None),
+            }),
+            0,
+        );
+        let mut q: Vec<TimedQueue<MemReq>> = (0..2).map(|_| TimedQueue::new(2, 0)).collect();
+        // Cycle 0 issues both 32-cycle VALUs; cycle 1 finds both CUs idle
+        // with a timer hint.
+        gpu.tick_tracked(Cycle(0), &mut q);
+        gpu.tick_tracked(Cycle(1), &mut q);
+        assert_eq!(gpu.wake_hint, vec![Cycle(32); 2]);
+        let check = |gpu: &Gpu| {
+            let mut out = Vec::new();
+            gpu.check_invariants("gpu", &mut out);
+            out
+        };
+        assert!(check(&gpu).is_empty());
+        // The insert after CU 1's idle tick is lost: it would never be
+        // ticked again, and the sweep names it.
+        gpu.hints.cancel(Cycle(32), 1);
+        let vs = check(&gpu);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(
+            (vs[0].component.as_str(), vs[0].invariant),
+            ("gpu.cu[1]", "cu_hint_wheel")
+        );
+        gpu.hints.insert(Cycle(32), 1);
+        gpu.blocked ^= 1;
+        let vs = check(&gpu);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(
+            (vs[0].component.as_str(), vs[0].invariant),
+            ("gpu.cu[0]", "cu_hint_wheel")
+        );
+        assert!(vs[0].detail.contains("blocked mask"), "{}", vs[0].detail);
     }
 
     #[test]

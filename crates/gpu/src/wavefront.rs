@@ -1,6 +1,5 @@
 use crate::program::{AccessCtx, KernelDesc, Op};
 use miopt_engine::{Cycle, LineAddr};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A coalesced line request awaiting issue to the L1, tagged with the
@@ -10,6 +9,45 @@ pub(crate) struct PendingAccess {
     pub(crate) line: LineAddr,
     pub(crate) is_store: bool,
     pub(crate) op_index: usize,
+}
+
+/// The coalesced line requests of the vector memory instruction a
+/// wavefront has awaiting issue, front first. There is at most one such
+/// instruction: a wavefront with lines pending issues nothing else until
+/// they are out, so its lines share one store flag and one op index.
+#[derive(Debug, Default)]
+pub(crate) struct PendingGroup {
+    /// The instruction's lines, in first-touch order; the wavefront's
+    /// only heap buffer, kept across its instructions.
+    lines: Vec<LineAddr>,
+    /// Lines before this index have issued.
+    next: usize,
+    is_store: bool,
+    op_index: usize,
+}
+
+impl PendingGroup {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.next == self.lines.len()
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.lines.len() - self.next
+    }
+
+    pub(crate) fn front(&self) -> Option<PendingAccess> {
+        self.lines.get(self.next).map(|&line| PendingAccess {
+            line,
+            is_store: self.is_store,
+            op_index: self.op_index,
+        })
+    }
+
+    /// Marks the front line issued.
+    pub(crate) fn pop_front(&mut self) {
+        debug_assert!(!self.is_empty(), "pop from an empty group");
+        self.next += 1;
+    }
 }
 
 /// Why a wavefront cannot issue this cycle.
@@ -34,15 +72,25 @@ pub(crate) struct Wavefront {
     iter: u32,
     busy_until: Cycle,
     outstanding_loads: u32,
-    pub(crate) pending: VecDeque<PendingAccess>,
+    pub(crate) pending: PendingGroup,
     done: bool,
-    /// Scratch for the coalescer, kept alive across instructions so
-    /// steady-state execution allocates nothing per memory op.
-    coalesce_scratch: Vec<LineAddr>,
 }
 
 impl Wavefront {
-    pub(crate) fn new(kernel: Arc<KernelDesc>, kernel_seq: u32, wg: u32, wf: u32) -> Wavefront {
+    /// A wavefront at the start of its program. `lines` is the line
+    /// buffer of one that retired before it, so that placing a wavefront
+    /// in a slot allocates only the first time (an empty `Vec` at first).
+    pub(crate) fn new(
+        kernel: Arc<KernelDesc>,
+        kernel_seq: u32,
+        wg: u32,
+        wf: u32,
+        mut lines: Vec<LineAddr>,
+    ) -> Wavefront {
+        // One instruction's coalesced group is at most one line per lane:
+        // sized for that once, the buffer never grows.
+        lines.clear();
+        lines.reserve(64);
         Wavefront {
             kernel,
             kernel_seq,
@@ -52,13 +100,17 @@ impl Wavefront {
             iter: 0,
             busy_until: Cycle::ZERO,
             outstanding_loads: 0,
-            // One instruction's coalesced group is at most one line per
-            // lane; sizing both buffers for that worst case up front means
-            // a wavefront never allocates again after construction.
-            pending: VecDeque::with_capacity(64),
+            pending: PendingGroup {
+                lines,
+                ..PendingGroup::default()
+            },
             done: false,
-            coalesce_scratch: Vec::with_capacity(64),
         }
+    }
+
+    /// Retires the wavefront, returning its line buffer for reuse.
+    pub(crate) fn into_lines(self) -> Vec<LineAddr> {
+        self.pending.lines
     }
 
     pub(crate) fn kernel(&self) -> &Arc<KernelDesc> {
@@ -164,8 +216,8 @@ impl Wavefront {
     }
 
     fn coalesce_into_pending(&mut self, pattern: u16, is_store: bool) {
-        let op_index = self.ip;
-        let mut scratch = std::mem::take(&mut self.coalesce_scratch);
+        debug_assert!(self.pending.is_empty(), "issued over a pending group");
+        let p = &mut self.pending;
         self.kernel.gen.lines_into(
             &AccessCtx {
                 kernel_seq: self.kernel_seq,
@@ -175,19 +227,14 @@ impl Wavefront {
                 iter: self.iter,
                 pattern,
             },
-            &mut scratch,
+            &mut p.lines,
         );
-        for &line in &scratch {
-            self.pending.push_back(PendingAccess {
-                line,
-                is_store,
-                op_index,
-            });
-            if !is_store {
-                self.outstanding_loads += 1;
-            }
+        p.next = 0;
+        p.is_store = is_store;
+        p.op_index = self.ip;
+        if !is_store {
+            self.outstanding_loads += p.lines.len() as u32;
         }
-        self.coalesce_scratch = scratch;
     }
 
     fn advance(&mut self) {
@@ -222,9 +269,19 @@ mod tests {
         })
     }
 
+    /// Issues every pending line, returning them in issue order.
+    fn drain(wf: &mut Wavefront) -> Vec<LineAddr> {
+        let mut lines = Vec::new();
+        while let Some(p) = wf.pending.front() {
+            lines.push(p.line);
+            wf.pending.pop_front();
+        }
+        lines
+    }
+
     #[test]
     fn valu_occupies_pipe_and_counts_ops() {
-        let mut wf = Wavefront::new(kernel(vec![Op::Valu { count: 4 }], 1), 0, 0, 0);
+        let mut wf = Wavefront::new(kernel(vec![Op::Valu { count: 4 }], 1), 0, 0, 0, Vec::new());
         assert_eq!(wf.state(Cycle(0)), WfState::Ready);
         let (occ, ops) = wf.issue(Cycle(0));
         assert_eq!(occ, 16, "4 SIMD cycles per 64-wide VALU instruction");
@@ -239,13 +296,14 @@ mod tests {
             0,
             0,
             0,
+            Vec::new(),
         );
         wf.issue(Cycle(0));
         assert_eq!(wf.pending.len(), 4); // 64 lanes x 4 B = 4 lines
         assert_eq!(wf.outstanding_loads(), 4);
         // Waiting: pending requests must issue first.
         assert_eq!(wf.state(Cycle(1)), WfState::Waiting);
-        wf.pending.clear();
+        drain(&mut wf);
         // Still waiting on the waitcnt until responses arrive.
         assert_eq!(wf.state(Cycle(1)), WfState::Waiting);
         for _ in 0..4 {
@@ -258,12 +316,18 @@ mod tests {
 
     #[test]
     fn iterations_advance_addresses() {
-        let mut wf = Wavefront::new(kernel(vec![Op::Load { pattern: 0 }], 2), 0, 0, 0);
+        let mut wf = Wavefront::new(
+            kernel(vec![Op::Load { pattern: 0 }], 2),
+            0,
+            0,
+            0,
+            Vec::new(),
+        );
         wf.issue(Cycle(0));
-        let first: Vec<_> = wf.pending.drain(..).map(|p| p.line).collect();
+        let first = drain(&mut wf);
         assert!(!wf.is_done());
         wf.issue(Cycle(1));
-        let second: Vec<_> = wf.pending.drain(..).map(|p| p.line).collect();
+        let second = drain(&mut wf);
         assert_ne!(first, second, "iter feeds the address generator");
         assert!(wf.is_done());
     }
@@ -275,6 +339,7 @@ mod tests {
             0,
             0,
             0,
+            Vec::new(),
         );
         wf.issue(Cycle(0));
         assert_eq!(wf.state(Cycle(20)), WfState::Waiting);
@@ -288,9 +353,10 @@ mod tests {
             0,
             0,
             0,
+            Vec::new(),
         );
         wf.issue(Cycle(0));
-        wf.pending.clear();
+        drain(&mut wf);
         // 4 outstanding <= max 4: ready immediately.
         assert_eq!(wf.state(Cycle(1)), WfState::Ready);
     }
@@ -309,6 +375,7 @@ mod tests {
             0,
             0,
             0,
+            Vec::new(),
         );
         assert_eq!(wf.next_wake(Cycle(0)), Some(Cycle(0)), "ready to issue");
         wf.issue(Cycle(0)); // VALU occupies the wavefront for 40 cycles.
@@ -319,7 +386,7 @@ mod tests {
             None,
             "pending issue is the memory pipe's event, not a timer"
         );
-        wf.pending.clear();
+        drain(&mut wf);
         assert_eq!(
             wf.next_wake(Cycle(41)),
             None,
@@ -334,11 +401,30 @@ mod tests {
     }
 
     #[test]
+    fn a_retired_line_buffer_is_reused_as_it_is() {
+        let k = kernel(vec![Op::Load { pattern: 0 }], 1);
+        let mut wf = Wavefront::new(Arc::clone(&k), 0, 0, 0, Vec::new());
+        wf.issue(Cycle(0));
+        assert_eq!(wf.pending.len(), 4);
+        let buffer = wf.pending.lines.as_ptr();
+        let wf = Wavefront::new(k, 1, 0, 0, wf.into_lines());
+        assert!(wf.pending.is_empty());
+        assert!(wf.pending.lines.capacity() >= 64);
+        assert_eq!(wf.pending.lines.as_ptr(), buffer, "same allocation");
+    }
+
+    #[test]
     fn stores_do_not_count_outstanding_loads() {
-        let mut wf = Wavefront::new(kernel(vec![Op::Store { pattern: 0 }], 1), 0, 0, 0);
+        let mut wf = Wavefront::new(
+            kernel(vec![Op::Store { pattern: 0 }], 1),
+            0,
+            0,
+            0,
+            Vec::new(),
+        );
         wf.issue(Cycle(0));
         assert_eq!(wf.outstanding_loads(), 0);
         assert_eq!(wf.pending.len(), 4);
-        assert!(wf.pending.iter().all(|p| p.is_store));
+        assert!(wf.pending.front().is_some_and(|p| p.is_store));
     }
 }

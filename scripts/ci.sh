@@ -146,6 +146,24 @@ for f in "$smoke_dir"/tel-on-telemetry/*.jsonl; do
     cmp "$f" "$smoke_dir/tel-off-telemetry/$(basename "$f")"
 done
 [[ "$(ls "$smoke_dir"/tel-on-telemetry/*.jsonl | wc -l)" -eq 3 ]]
+# A multi-kernel grid: FwGRU's 150 kernels each end in a drain, a release
+# flush and an acquire self-invalidation (which trains the PC predictor
+# under CacheRW-PCby), and in its latency-bound steps the event core
+# dispatches the phase machine only for a response that releases a
+# waitcnt or retires a wavefront. The grids above have one or two
+# kernels per job.
+cargo run --release -q -p miopt-harness -- \
+    --scale quick --only FwGRU --fig10 --no-cache --no-journal --quiet \
+    --jobs 2 --out "$smoke_dir" --sweep-name rnn-on >/dev/null
+cargo run --release -q -p miopt-harness -- \
+    --scale quick --only FwGRU --fig10 --no-cache --no-journal --quiet \
+    --no-skip --out "$smoke_dir" --sweep-name rnn-off >/dev/null
+rnn='"cycles"\|"status"\|\.stall_\|\.self_invalidations"\|\.flush_writebacks"\|\.predictor_bypasses"'
+diff <(grep "$rnn" "$smoke_dir/rnn-on.json") <(grep "$rnn" "$smoke_dir/rnn-off.json")
+if ! grep '\.self_invalidations"' "$smoke_dir/rnn-on.json" | grep -qv ': 0,\?$'; then
+    echo "multi-kernel spot check: no job self-invalidated a line" >&2
+    exit 1
+fi
 echo "event-core equivalence ok"
 
 echo "== two-tenant serving smoke (miopt-harness serve) =="

@@ -3,9 +3,14 @@
 //! memory hierarchy has reached its high-water occupancy, simulating
 //! further cycles must perform zero heap allocations.
 //!
-//! Setup (system construction, work-group dispatch, first-touch pool
-//! growth) is explicitly excluded: the window opens only after a warmup
-//! long enough for every arena, queue, and pool to reach capacity.
+//! Setup (system construction, first-touch pool growth) is explicitly
+//! excluded: the window opens only after a warmup long enough for every
+//! arena, queue, and pool to reach capacity.
+//!
+//! The same holds across kernel boundaries: once one boundary has been
+//! crossed, draining, the release flush, the acquire self-invalidation
+//! (with PC-predictor training) and the next launch's work-group dispatch
+//! allocate nothing either.
 
 // Compiled only with `--features count-allocs`: the test installs a
 // global counting allocator, which default test binaries should not
@@ -15,6 +20,7 @@
 use miopt::{optimization_ladder, ApuSystem, CachePolicy, PolicyConfig, SystemConfig};
 use miopt_engine::Addr;
 use miopt_gpu::{AccessCtx, AddrGen, KernelDesc, KernelProgram, Op};
+use miopt_workloads::{by_name, SuiteConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::Arc;
 
@@ -47,8 +53,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTING: CountingAlloc = CountingAlloc;
 
 /// A long-running streaming kernel sized so every work-group dispatches
-/// at launch (work-group dispatch allocates `Wavefront` state and is a
-/// kernel-*boundary* cost, excluded from the steady-state claim).
+/// at launch (the first wavefront placed in a CU slot allocates its
+/// buffers, which every later one in that slot reuses).
 fn streaming_kernel(wgs: u32, wfs_per_wg: u32, iters: u32) -> Arc<KernelDesc> {
     let gen: Arc<dyn AddrGen> = Arc::new(|ctx: &AccessCtx| {
         // Each wavefront streams its own region, with the region stride
@@ -127,6 +133,58 @@ fn steady_state_cycles_allocate_nothing() {
             policy.label()
         );
     }
+
+    // Kernel boundaries, in this test rather than one of their own: the
+    // counter is process-wide, so a second test running concurrently
+    // would count this one's set-up.
+    let (allocs, before, after) = boundary_window();
+    assert!(
+        after.0 > before.0 && after.1 > before.1 && after.2 > before.2,
+        "the window must carry traffic, flush and invalidate: {before:?} -> {after:?}"
+    );
+    assert_eq!(allocs, 0, "5 kernel boundaries allocated {allocs} times");
+}
+
+/// Six quick-scale FwGRU recurrent steps (after the input projection):
+/// tiny kernels, each ending in the Section III release and acquire.
+/// Runs until the second step has launched, then profiles the rest — the
+/// five boundaries after steps 2 to 6. Returns `(heap allocations,
+/// counts before, counts after)`, the counts being memory requests, L2
+/// self-invalidations and L2 flush writebacks.
+fn boundary_window() -> (u64, (u64, u64, u64), (u64, u64, u64)) {
+    // The PC-bypass ladder entry: every boundary flushes dirty L2 data
+    // and trains the predictor on the lines it invalidates.
+    let policy = optimization_ladder()
+        .into_iter()
+        .find(|p| p.label() == "CacheRW-PCby")
+        .expect("ladder has a PC-bypass entry");
+    let gru = by_name(&SuiteConfig::quick(), "FwGRU").expect("known workload");
+    let mut sys = ApuSystem::new_idle(SystemConfig::paper_table1(), policy);
+    for (seq, k) in gru.launches.iter().enumerate().skip(1).take(6) {
+        sys.enqueue_kernel(Arc::clone(k), seq as u32);
+    }
+    // Warm up through the first boundary: stop once the second kernel
+    // has launched. Each step ends in a cycle-budget halt, whose
+    // diagnostic allocates outside any dispatch.
+    let mut budget = 0;
+    while sys.pending_launches() > 4 {
+        budget += 500;
+        sys.run_to_completion(budget)
+            .expect_err("the steps outlast the warm-up");
+    }
+    let counts = |sys: &ApuSystem| {
+        let m = sys.metrics();
+        (
+            m.gpu.memory_requests(),
+            m.l2.self_invalidations.get(),
+            m.l2.flush_writebacks.get(),
+        )
+    };
+    let before = counts(&sys);
+    sys.enable_profiler();
+    sys.run_to_completion(200_000_000).expect("steps finish");
+    let profile = sys.take_profile().expect("profiler enabled");
+    (profile.total_allocs(), before, counts(&sys))
 }
 
 /// Cycles simulated before the window opens: launch overhead, dispatch,
