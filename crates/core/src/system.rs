@@ -338,31 +338,35 @@ struct ProfilerState {
     allocs: [u64; N_ACTORS],
 }
 
-/// The event-driven scheduler: a calendar-queue wheel of actor wakeups
-/// plus the earliest pending wake per actor.
+/// The event-driven scheduler: a calendar-queue wheel of actor wakeups,
+/// the earliest pending wake of each single-component actor, and one
+/// unit wheel per replicated-unit actor.
 ///
-/// The `scheduled` table makes wheel entries *lazy*: waking an actor
-/// earlier than a cycle already in the wheel just inserts the earlier
-/// entry and lets the stale one pop as a no-op (it no longer matches
-/// `scheduled`). Within a dispatching cycle, an actor may wake another
-/// actor at the *same* cycle only if the target's priority is higher
-/// than the one currently dispatching (its stage is still to come, just
-/// as in the per-cycle stage order); otherwise the wake clamps to the
-/// next cycle.
+/// The `scheduled` table makes a single-component actor's wheel entries
+/// *lazy*: waking it earlier than a cycle already in the wheel just
+/// inserts the earlier entry and lets the stale one pop as a no-op (it
+/// no longer matches `scheduled`). A replicated-unit actor's entries are
+/// instead *mirrored*: every unit wake puts the unit in the actor's unit
+/// wheel and the actor in the actor wheel at the same cycle, so each
+/// actor-wheel entry stands for exactly one unit-wheel slot. Within a
+/// dispatching cycle, an actor may wake another actor at the *same*
+/// cycle only if the target's priority is higher than the one currently
+/// dispatching (its stage is still to come, just as in the per-cycle
+/// stage order); otherwise the wake clamps to the next cycle.
 #[derive(Debug)]
 struct EventCore {
     wheel: EventWheel,
     /// Per-unit wakeups for the replicated-unit actors (see
     /// [`UNIT_WHEEL`]): wheel `UNIT_WHEEL[a]` holds, per cycle, the mask
-    /// of actor `a`'s units due then. The actor-level `wheel` always
-    /// carries a matching entry at the *earliest* pending unit cycle
-    /// (kept by [`EventCore::wake_unit`] on insert and re-established by
-    /// [`EventCore::rearm_units`] after every dispatch), so no unit
-    /// entry is ever stranded behind a popped actor entry.
+    /// of actor `a`'s units due then. Every cycle holding an entry also
+    /// holds `a`'s bit in the actor wheel — or in `due`, for the cycle
+    /// being dispatched — so a dispatch takes its units with one O(1)
+    /// [`EventWheel::take`] (the sentinel's `unit_wake_mirrored`).
     units: [EventWheel; N_UNIT_WHEELS],
     /// Every unit of each unit wheel's actor: the L2 slices or the CUs.
     all_units: [u64; N_UNIT_WHEELS],
-    /// Earliest pending wake per actor ([`NEVER`] when idle).
+    /// Earliest pending wake per single-component actor ([`NEVER`] when
+    /// idle); unused for the replicated-unit actors.
     scheduled: [Cycle; N_ACTORS],
     /// Actors still to dispatch in the cycle currently being processed.
     due: u64,
@@ -414,18 +418,23 @@ impl EventCore {
     /// before: the oracle's wake policy after each cycle, and run entry.
     /// A stage with nothing to do is a no-op, so waking it is harmless.
     fn wake_every_stage(&mut self, at: Cycle) {
-        self.scheduled[A_DRAM..].fill(at);
+        for (a, &w) in UNIT_WHEEL.iter().enumerate().skip(A_DRAM) {
+            if w == NO_WHEEL {
+                self.scheduled[a] = at;
+            }
+        }
         self.wheel.insert_mask(at, STAGES);
         for (w, &all) in self.units.iter_mut().zip(&self.all_units) {
             w.insert_mask(at, all);
         }
     }
 
-    /// Mid-run wake: schedules `actor` at `at`, clamped to the currently
-    /// dispatching cycle's successor unless the target's stage for this
-    /// cycle is still to come (strictly higher priority than the actor
-    /// dispatching now).
+    /// Mid-run wake of a single-component actor: schedules `actor` at
+    /// `at`, clamped to the currently dispatching cycle's successor
+    /// unless the target's stage for this cycle is still to come
+    /// (strictly higher priority than the actor dispatching now).
     fn wake(&mut self, actor: usize, at: Cycle) {
+        debug_assert_eq!(UNIT_WHEEL[actor], NO_WHEEL, "unit actors wake per unit");
         if at <= self.now {
             if actor > self.current {
                 self.scheduled[actor] = self.now;
@@ -446,56 +455,53 @@ impl EventCore {
     }
 
     /// Mid-run wake of one unit of a replicated-unit actor, with the
-    /// same same-cycle clamping as [`EventCore::wake`]. The unit entry
-    /// lands in the actor's unit wheel; the actor-level wake keeps the
-    /// earliest-pending invariant.
+    /// same same-cycle clamping as [`EventCore::wake`]: two idempotent
+    /// inserts, the unit into the actor's unit wheel and the actor into
+    /// the actor wheel at the same cycle — or, for this cycle's later
+    /// stage, into `due`.
     fn wake_unit(&mut self, actor: usize, at: Cycle, unit: usize) {
-        let at = if at <= self.now {
-            if actor > self.current {
-                self.now
-            } else {
-                self.now + 1
-            }
+        let units = &mut self.units[UNIT_WHEEL[actor]];
+        if at > self.now {
+            units.insert(at, unit as u8);
+            self.wheel.insert(at, actor as u8);
+        } else if actor > self.current {
+            units.insert(self.now, unit as u8);
+            self.due |= 1 << actor;
         } else {
-            at
-        };
-        self.units[UNIT_WHEEL[actor]].insert(at, unit as u8);
-        self.wake(actor, at);
-    }
-
-    /// Pops every unit of `actor` due at or before the dispatching
-    /// cycle, as a bitmask over unit indices. A unit walked as a no-op
-    /// (its stale entry outlived an earlier reschedule) is harmless:
-    /// every unit stage is a pure no-op without ready input.
-    fn due_units(&mut self, actor: usize) -> u64 {
-        let w = &mut self.units[UNIT_WHEEL[actor]];
-        let mut mask = 0u64;
-        while let Some(c) = w.next_cycle() {
-            if c > self.now {
-                break;
-            }
-            mask |= w.pop_next().expect("cycle just observed").1;
+            units.insert(self.now + 1, unit as u8);
+            self.wheel.insert(self.now + 1, actor as u8);
         }
-        mask
     }
 
     /// Whether `unit` of `actor` has a wake pending at `now`. Between
     /// cycles the unit wheels hold nothing earlier: every entry is
-    /// mirrored by an actor-level wake whose dispatch pops it.
+    /// mirrored by an actor-level wake whose dispatch takes it.
     fn unit_wake_pending(&self, actor: usize, now: Cycle, unit: usize) -> bool {
         self.units[UNIT_WHEEL[actor]].pending_at(now) >> unit & 1 != 0
     }
+}
 
-    /// Re-arms `actor` at its unit wheel's earliest pending cycle, run
-    /// after each of its dispatches. This repairs the one case the lazy
-    /// actor-level minimum drops: a unit pending at `t2` whose actor
-    /// entry went stale when a later `t1 < t2` wake superseded it —
-    /// without the re-arm that unit would sleep until the *next* wake.
-    fn rearm_units(&mut self, actor: usize) {
-        if let Some(c) = self.units[UNIT_WHEEL[actor]].next_cycle() {
-            self.wake(actor, c);
+/// A crossbar's exact reschedule after a tick: the earliest ready cycle
+/// among the heads of the `pending` input queues — after a masked tick
+/// exactly the nonempty ones — clamped to `soon`, the first cycle the
+/// crossbar can run again; `None` when every input is empty. Stops at the
+/// first head ready by `soon`, so a saturated crossbar pays for one input.
+fn earliest_head<T>(pending: u64, inputs: &[TimedQueue<T>], soon: Cycle) -> Option<Cycle> {
+    let mut next: Option<Cycle> = None;
+    let mut m = pending;
+    while m != 0 {
+        let i = m.trailing_zeros() as usize;
+        m &= m - 1;
+        if let Some(at) = inputs[i].next_ready() {
+            if at <= soon {
+                return Some(soon);
+            }
+            if next.is_none_or(|n| at < n) {
+                next = Some(at);
+            }
         }
     }
+    next
 }
 
 /// Where the system is in the kernel-boundary protocol (paper Section
@@ -965,6 +971,7 @@ impl ApuSystem {
             c.check_invariants(&format!("l2[{s}]"), &mut out);
         }
         self.check_blocked_unit_wake(&mut out);
+        self.check_unit_wake_mirrored(&mut out);
         self.dram.check_invariants("dram", &mut out);
         self.req_xbar.check_invariants("noc.req", &mut out);
         self.resp_xbar.check_invariants("noc.resp", &mut out);
@@ -1026,6 +1033,40 @@ impl ApuSystem {
                         component: format!("{level}[{i}]"),
                         invariant: "blocked_unit_wake",
                         detail,
+                    });
+                }
+            }
+        }
+    }
+
+    /// The `unit_wake_mirrored` invariant of the event core: every cycle
+    /// a unit wheel holds an entry at also holds the actor's bit in the
+    /// actor wheel — or, for the cycle being dispatched, in `due` — so
+    /// that no unit wake is stranded where no dispatch will take it.
+    fn check_unit_wake_mirrored(&self, out: &mut Vec<InvariantViolation>) {
+        for (actor, &w) in UNIT_WHEEL.iter().enumerate() {
+            if w == NO_WHEEL {
+                continue;
+            }
+            let level = if actor < A_RESP_XBAR { "l2" } else { "l1" };
+            for (at, mut units) in self.ev.units[w].entries() {
+                let mut actors = self.ev.wheel.pending_at(at);
+                if at == self.ev.now {
+                    actors |= self.ev.due;
+                }
+                if actors >> actor & 1 != 0 {
+                    continue;
+                }
+                while units != 0 {
+                    let unit = units.trailing_zeros();
+                    units &= units - 1;
+                    out.push(InvariantViolation {
+                        component: format!("{level}[{unit}]"),
+                        invariant: "unit_wake_mirrored",
+                        detail: format!(
+                            "`{}` wake at {at} with no actor wake there",
+                            ACTOR_NAMES[actor]
+                        ),
                     });
                 }
             }
@@ -1368,8 +1409,16 @@ impl ApuSystem {
             let (t, ids) = match self.ev.wheel.pop_next() {
                 Some((t, ids)) if t < end => (t, ids),
                 // Nothing left to do before `end` (on a busy system only
-                // the budget can end such a run, as in no-op cycles).
-                _ => break end,
+                // the budget can end such a run, as in no-op cycles). A
+                // cycle popped past it is left as a halt leaves its
+                // cycle: undispatched, its actors still `due`.
+                popped => {
+                    if let Some((t, ids)) = popped {
+                        self.ev.now = t;
+                        self.ev.due = ids;
+                    }
+                    break end;
+                }
             };
             let gap = t.since(self.now);
             if gap > 0 {
@@ -1386,24 +1435,34 @@ impl ApuSystem {
                 }
                 let a = due.trailing_zeros() as usize;
                 self.ev.due &= !(1u64 << a);
-                if self.ev.scheduled[a] != t {
-                    continue; // stale wheel entry, superseded by an earlier wake
-                }
-                self.ev.scheduled[a] = NEVER;
+                let units = match UNIT_WHEEL[a] {
+                    NO_WHEEL => {
+                        if self.ev.scheduled[a] != t {
+                            continue; // stale wheel entry, superseded by an earlier wake
+                        }
+                        self.ev.scheduled[a] = NEVER;
+                        0
+                    }
+                    // Mirrored: the actor's bit stands for this one slot.
+                    w => match self.ev.units[w].take(t) {
+                        0 => continue,
+                        units => units,
+                    },
+                };
                 self.ev.current = a;
                 self.ev.events += 1;
                 self.ev.events_by_actor[a] += 1;
                 let halted = if self.profile.is_some() {
                     let clock = std::time::Instant::now();
                     let allocs_before = miopt_engine::alloc_track::count();
-                    let r = self.dispatch(a, t);
+                    let r = self.dispatch(a, t, units);
                     let p = self.profile.as_deref_mut().expect("checked above");
                     p.events[a] += 1;
                     p.nanos[a] += u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     p.allocs[a] += miopt_engine::alloc_track::count().saturating_sub(allocs_before);
                     r
                 } else {
-                    self.dispatch(a, t)
+                    self.dispatch(a, t, units)
                 };
                 if let Some(reason) = halted {
                     // Halt with `now` at the check cycle, which observed
@@ -1485,30 +1544,25 @@ impl ApuSystem {
         }
     }
 
-    /// Dispatches one actor at cycle `now`. Returns a halt reason only
-    /// from the sentinel actor.
-    fn dispatch(&mut self, actor: usize, now: Cycle) -> Option<StallReason> {
+    /// Dispatches one actor at cycle `now`; a replicated-unit actor
+    /// visits the `units` due then. Returns a halt reason only from the
+    /// sentinel actor.
+    fn dispatch(&mut self, actor: usize, now: Cycle, units: u64) -> Option<StallReason> {
         if actor == A_SENTINEL {
             return self.ev_sentinel();
         }
         match actor {
             A_TELEMETRY => self.ev_telemetry(now),
             A_DRAM => self.ev_dram(now),
-            A_L2_FILL => self.ev_l2_fill(now),
-            A_L2_SERVICE => self.ev_l2_service(now),
-            A_L2_TO_DRAM => self.ev_l2_to_dram(now),
+            A_L2_FILL => self.ev_l2_fill(now, units),
+            A_L2_SERVICE => self.ev_l2_service(now, units),
+            A_L2_TO_DRAM => self.ev_l2_to_dram(now, units),
             A_RESP_XBAR => self.ev_resp_xbar(now),
-            A_L1_FILL => self.ev_l1_fill(now),
-            A_L1_SERVICE => self.ev_l1_service(now),
+            A_L1_FILL => self.ev_l1_fill(now, units),
+            A_L1_SERVICE => self.ev_l1_service(now, units),
             A_REQ_XBAR => self.ev_req_xbar(now),
-            A_GPU_RESP => self.ev_gpu_resp(now),
+            A_GPU_RESP => self.ev_gpu_resp(now, units),
             _ => self.ev_phase(now),
-        }
-        // A replicated-unit actor's lazy actor-level entry tracks only
-        // its earliest pending unit; re-arm it at the next one now that
-        // this dispatch consumed the minimum.
-        if UNIT_WHEEL[actor] != NO_WHEEL {
-            self.ev.rearm_units(actor);
         }
         // A drain ends on the cycle the hierarchy empties, which is
         // always a cycle some memory actor dispatched on — piggyback the
@@ -1551,31 +1605,24 @@ impl ApuSystem {
 
     /// Actor 2 (stages 1-2): DRAM scheduling and the response drain.
     ///
-    /// DRAM reschedules on the *activity heuristic*: while it acted it
-    /// wakes itself at `now + 1` — a conservative-early guess that costs
-    /// at most one no-op dispatch — and only on going idle pays the
-    /// exact per-bank `next_event` walk. Busy stretches thus cost one
-    /// O(1) reschedule per dispatch instead of a 256-bank scan. The L2
-    /// fill wakes are per-slice: only slices that received a response
-    /// this dispatch are scheduled.
+    /// DRAM reschedules exactly, from `Dram::next_event` — a walk of the
+    /// channels with queued requests or undelivered responses only — plus
+    /// `now + 1` while a response is held over for a full slice queue.
+    /// The L2 fill wakes are per-slice: only slices that received a
+    /// response this dispatch are scheduled.
     fn ev_dram(&mut self, now: Cycle) {
-        let (acted, pushed) = self.stage_dram(now);
-        if acted {
-            let mut m = pushed;
-            while m != 0 {
-                let s = m.trailing_zeros() as usize;
-                m &= m - 1;
-                if let Some(at) = self.dram_resp[s].next_ready() {
-                    self.ev.wake_unit(A_L2_FILL, at, s);
-                }
+        let mut pushed = self.stage_dram(now);
+        while pushed != 0 {
+            let s = pushed.trailing_zeros() as usize;
+            pushed &= pushed - 1;
+            if let Some(at) = self.dram_resp[s].next_ready() {
+                self.ev.wake_unit(A_L2_FILL, at, s);
             }
-            self.ev.wake(A_DRAM, now + 1);
-            return;
         }
+        // Nothing comes before `now + 1`, so a holdover needs no walk.
         if !self.resp_holdover.is_empty() {
             self.ev.wake(A_DRAM, now + 1);
-        }
-        if let Some(at) = self.dram.next_event(now + 1) {
+        } else if let Some(at) = self.dram.next_event(now + 1) {
             self.ev.wake(A_DRAM, at);
         }
     }
@@ -1583,16 +1630,20 @@ impl ApuSystem {
     /// Actor 3 (stage 3): L2 fills from DRAM responses. Walks only the
     /// slices due this cycle and reschedules each exactly from its own
     /// response queue (O(1) per slice).
-    fn ev_l2_fill(&mut self, now: Cycle) {
-        let mut m = self.ev.due_units(A_L2_FILL);
+    fn ev_l2_fill(&mut self, now: Cycle, mut m: u64) {
         while m != 0 {
             let s = m.trailing_zeros() as usize;
             m &= m - 1;
             if self.fill_l2_unit(now, s) {
-                // A fill can free cache resources that the service stage
-                // — still to run this cycle, as in the per-cycle order —
-                // may use, and can produce an upward response.
-                self.ev.wake_unit(A_L2_SERVICE, now, s);
+                // A fill can free the cache resources a sleeping slice
+                // blocked on; its service stage is still to run this
+                // cycle, as in the per-cycle order. An awake slice with
+                // work has a wake pending already, and a fill gives none
+                // to a slice without. A fill can also produce an upward
+                // response.
+                if self.l2_asleep >> s & 1 != 0 {
+                    self.ev.wake_unit(A_L2_SERVICE, now, s);
+                }
                 if let Some(at) = self.l2_up[s].next_ready() {
                     self.ev.wake(A_RESP_XBAR, at);
                 }
@@ -1604,8 +1655,7 @@ impl ApuSystem {
     }
 
     /// Actor 4 (stage 4): L2 access servicing, per due slice.
-    fn ev_l2_service(&mut self, now: Cycle) {
-        let mut m = self.ev.due_units(A_L2_SERVICE);
+    fn ev_l2_service(&mut self, now: Cycle, mut m: u64) {
         while m != 0 {
             let s = m.trailing_zeros() as usize;
             m &= m - 1;
@@ -1651,8 +1701,7 @@ impl ApuSystem {
 
     /// Actor 5 (stage 5): L2 writeback/miss traffic into DRAM, per due
     /// slice.
-    fn ev_l2_to_dram(&mut self, now: Cycle) {
-        let mut m = self.ev.due_units(A_L2_TO_DRAM);
+    fn ev_l2_to_dram(&mut self, now: Cycle, mut m: u64) {
         let mut popped = 0u64;
         while m != 0 {
             let s = m.trailing_zeros() as usize;
@@ -1668,9 +1717,8 @@ impl ApuSystem {
         }
         if popped != 0 {
             // A request entered DRAM: waking it at `now + 1` is
-            // conservative-early and far cheaper than the exact
-            // per-channel `next_event` walk (the idle transition pays
-            // that walk once, in `ev_dram`).
+            // conservative-early and cheaper than the channel walk of
+            // `Dram::next_event`, which DRAM's own dispatch pays.
             self.ev.wake(A_DRAM, now + 1);
         }
     }
@@ -1697,33 +1745,23 @@ impl ApuSystem {
             if sleepers != 0 {
                 self.wake_sleepers(A_L2_SERVICE, now, sleepers);
             }
-            // A spurious self-dispatch with no ready head is exactly an
-            // idle rotation (`tick` then touches no statistic), so the
-            // conservative `now + 1` wake stays bit-identical.
-            self.ev.wake(A_RESP_XBAR, now + 1);
-            return;
         }
-        // After a masked tick the pending bits are exactly the nonempty
-        // inputs, so only those can have a future-ready head.
-        let mut m = self.resp_pending;
-        while m != 0 {
-            let s = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if let Some(at) = self.l2_up[s].next_ready() {
-                self.ev.wake(A_RESP_XBAR, at);
-            }
+        if let Some(at) = earliest_head(self.resp_pending, &self.l2_up, now + 1) {
+            self.ev.wake(A_RESP_XBAR, at);
         }
     }
 
     /// Actor 7 (stage 7): L1 fills from the response crossbar, per due
     /// CU.
-    fn ev_l1_fill(&mut self, now: Cycle) {
-        let mut m = self.ev.due_units(A_L1_FILL);
+    fn ev_l1_fill(&mut self, now: Cycle, mut m: u64) {
         while m != 0 {
             let i = m.trailing_zeros() as usize;
             m &= m - 1;
             if self.fill_l1_unit(now, i) {
-                self.ev.wake_unit(A_L1_SERVICE, now, i);
+                // As in `ev_l2_fill`.
+                if self.l1_asleep >> i & 1 != 0 {
+                    self.ev.wake_unit(A_L1_SERVICE, now, i);
+                }
                 if let Some(at) = self.l1_up[i].next_ready() {
                     self.ev.wake_unit(A_GPU_RESP, at, i);
                 }
@@ -1735,8 +1773,7 @@ impl ApuSystem {
     }
 
     /// Actor 8 (stage 8): L1 access servicing, per due CU.
-    fn ev_l1_service(&mut self, now: Cycle) {
-        let mut m = self.ev.due_units(A_L1_SERVICE);
+    fn ev_l1_service(&mut self, now: Cycle, mut m: u64) {
         while m != 0 {
             let i = m.trailing_zeros() as usize;
             m &= m - 1;
@@ -1797,24 +1834,14 @@ impl ApuSystem {
             if sleepers != 0 {
                 self.wake_sleepers(A_L1_SERVICE, now, sleepers);
             }
-            self.ev.wake(A_REQ_XBAR, now + 1);
-            return;
         }
-        // As in `ev_resp_xbar`: the pending mask bounds the rescan to the
-        // nonempty inputs.
-        let mut m = self.req_pending;
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if let Some(at) = self.l1_down[i].next_ready() {
-                self.ev.wake(A_REQ_XBAR, at);
-            }
+        if let Some(at) = earliest_head(self.req_pending, &self.l1_down, now + 1) {
+            self.ev.wake(A_REQ_XBAR, at);
         }
     }
 
     /// Actor 10 (stage 10): response delivery to the GPU, per due CU.
-    fn ev_gpu_resp(&mut self, now: Cycle) {
-        let mut m = self.ev.due_units(A_GPU_RESP);
+    fn ev_gpu_resp(&mut self, now: Cycle, mut m: u64) {
         let (mut popped, mut woke) = (0u64, false);
         while m != 0 {
             let i = m.trailing_zeros() as usize;
@@ -2068,10 +2095,10 @@ impl ApuSystem {
     }
 
     /// Stages 1-2: DRAM scheduling, then responses toward their L2 slice
-    /// (holdover first). Returns whether anything happened and the mask
-    /// of slices that received a response this cycle.
-    fn stage_dram(&mut self, now: Cycle) -> (bool, u64) {
-        let mut acted = self.dram.tick(now);
+    /// (holdover first). Returns the mask of slices that received a
+    /// response this cycle.
+    fn stage_dram(&mut self, now: Cycle) -> u64 {
+        self.dram.tick(now);
         let mut pushed = 0u64;
         while let Some(resp) = self.resp_holdover.pop_front() {
             let slice = self.cfg.l2_slice_of(resp.line);
@@ -2079,7 +2106,6 @@ impl ApuSystem {
                 self.dram_resp[slice]
                     .push(now, resp)
                     .unwrap_or_else(|_| unreachable!("checked can_push"));
-                acted = true;
                 pushed |= 1 << slice;
             } else {
                 self.resp_holdover.push_front(resp);
@@ -2090,7 +2116,6 @@ impl ApuSystem {
         while self.resp_holdover.len() < 4 {
             match self.dram.pop_response_from(now, &mut cursor) {
                 Some(resp) => {
-                    acted = true;
                     let slice = self.cfg.l2_slice_of(resp.line);
                     if self.dram_resp[slice].can_push() {
                         self.dram_resp[slice]
@@ -2104,7 +2129,7 @@ impl ApuSystem {
                 None => break,
             }
         }
-        (acted, pushed)
+        pushed
     }
 
     /// Stage 3 for one L2 slice: up to two fills from its DRAM response
@@ -2452,11 +2477,13 @@ mod tests {
         assert_eq!(run(false), (m, (ticks, idle)), "same under the oracle");
     }
 
-    /// The phase actor's cost on a latency-bound multi-kernel RNN: the CU
-    /// ticks are a function of the simulated state alone (the same from
-    /// either engine, run after run), and under the event core the phase
-    /// machine is dispatched only when it has work — a delivered response
-    /// wakes it only if it released a waitcnt or retired a wavefront.
+    /// The phase and memory actors' cost on a latency-bound multi-kernel
+    /// RNN: the CU ticks are a function of the simulated state alone (the
+    /// same from either engine, run after run), and under the event core
+    /// each actor is dispatched only when it can act — a delivered
+    /// response wakes the phase machine only if it released a waitcnt or
+    /// retired a wavefront, a fill wakes `service` only on a sleeping
+    /// unit, and DRAM and the crossbars reschedule exactly.
     #[test]
     fn rnn_phase_dispatches_follow_work_not_responses() {
         let w = by_name(&SuiteConfig::quick(), "FwGRU").unwrap();
@@ -2471,19 +2498,44 @@ mod tests {
                 sys.enqueue_kernel(Arc::clone(k), seq as u32);
             }
             let m = sys.run_to_completion(200_000_000).expect("run finished");
-            let phase = sys.event_stats_by_actor()[A_PHASE].1;
-            (m, sys.cu_tick_stats(), phase)
+            let by_actor = sys.event_stats_by_actor();
+            let dispatches = [
+                A_DRAM,
+                A_L2_SERVICE,
+                A_RESP_XBAR,
+                A_L1_SERVICE,
+                A_REQ_XBAR,
+                A_PHASE,
+            ]
+            .map(|a| by_actor[a].1);
+            (m, sys.cu_tick_stats(), sys.service_stats(), dispatches)
         };
-        let (m, ticks, phase) = run(true);
+        let (m, ticks, (l1, l2), dispatches) = run(true);
         assert_eq!(ticks, (35_169, 3_569));
-        // 42 003 when every delivered response dispatched the phase
-        // machine.
-        assert_eq!(phase, 35_910);
-        assert_eq!(run(true), (m.clone(), ticks, phase), "repeats exactly");
-        let (oracle_m, oracle_ticks, _) = run(false);
+        // dram, l2_service, resp_xbar, l1_service, req_xbar, phase. With
+        // a fill waking every unit's `service`, DRAM and the crossbars
+        // waking themselves at `now + 1` after acting, and the unit wheels
+        // re-armed lazily: 50 191, 36 501, 35 132, 36 577, 28 276 and
+        // 35 910. With every delivered response dispatching the phase
+        // machine, 42 003 phase dispatches.
+        assert_eq!(dispatches, [43_865, 26_676, 21_690, 26_465, 25_603, 35_756]);
+        // Only the calls that were no-ops went: 36 580 L1 and 43 994 L2
+        // `service` calls before, the same blocked retries now.
+        let calls = |executed, blocked, settled| ServiceCalls {
+            executed,
+            blocked,
+            settled,
+        };
+        assert_eq!((l1, l2), (calls(26_468, 0, 0), calls(26_929, 1_443, 644)));
         assert_eq!(
-            (oracle_m, oracle_ticks),
-            (m, ticks),
+            run(true),
+            (m.clone(), ticks, (l1, l2), dispatches),
+            "repeats exactly"
+        );
+        let (oracle_m, oracle_ticks, (_, oracle_l2), _) = run(false);
+        assert_eq!(
+            (oracle_m, oracle_ticks, oracle_l2.blocked),
+            (m, ticks, l2.blocked + l2.settled),
             "same under the oracle"
         );
     }
@@ -2646,11 +2698,28 @@ mod tests {
                     }
                     _ => panic!("{vs:?}"),
                 }
-                sys.ev.wake_unit(A_L1_SERVICE, now, i);
+                // Restore the unit-wheel entry alone: its actor wake is
+                // the halted cycle's `due` bit, still in place.
+                sys.ev.units[UNIT_WHEEL[A_L1_SERVICE]].insert(now, i as u8);
                 assert!(sys.check_invariants_now().is_empty());
             }
         }
         assert!(named > 0, "no halt caught a sleeper with a wake pending");
+        // A unit wake with no actor wake beside it would never be taken.
+        let (wheel, at) = (UNIT_WHEEL[A_L2_SERVICE], sys.now() + 100_000);
+        sys.ev.units[wheel].insert(at, 3);
+        let vs = sys.check_invariants_now();
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(
+            (vs[0].component.as_str(), vs[0].invariant),
+            ("l2[3]", "unit_wake_mirrored")
+        );
+        assert!(
+            vs[0].detail.contains("`l2_service` wake at cycle"),
+            "{}",
+            vs[0]
+        );
+        sys.ev.units[wheel].cancel(at, 3);
         // The mask the credit edges consult must mark exactly the sleepers.
         sys.l1_asleep ^= 1;
         let vs = sys.check_invariants_now();

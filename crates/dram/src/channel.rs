@@ -79,6 +79,15 @@ impl Channel {
         !self.responses.is_empty()
     }
 
+    /// Whether the queue head has waited past the starvation cap at `now`
+    /// (the window has collapsed to it).
+    #[cfg(test)]
+    pub(crate) fn starved(&self, now: Cycle) -> bool {
+        self.queue
+            .front()
+            .is_some_and(|head| now.since(head.arrived) > self.cfg.starvation_cap)
+    }
+
     /// The FR-FCFS scheduling window, shrunk to the head alone once the
     /// head exceeds the starvation cap.
     fn window(&self, now: Cycle) -> usize {
@@ -214,17 +223,22 @@ impl Channel {
     /// again), but it never reports a cycle *later* than the first one
     /// where [`Channel::tick`] or [`Channel::pop_response`] would do
     /// work. Any candidate at or before `now` therefore collapses to
-    /// `now`, signalling "active, do not skip".
+    /// `now`, signalling "active, do not skip" — and ends the walk, since
+    /// no candidate can beat it.
     pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut next: Option<Cycle> = None;
+        // Records a candidate; true once the answer is `now`.
         let consider = |next: &mut Option<Cycle>, at: Cycle| {
             let at = at.max(now);
             if next.is_none_or(|n| at < n) {
                 *next = Some(at);
             }
+            at == now
         };
         if let Some((ready, _)) = self.responses.front() {
-            consider(&mut next, *ready);
+            if consider(&mut next, *ready) {
+                return next;
+            }
         }
         if let Some(head) = self.queue.front() {
             // Crossing the starvation boundary collapses the FR-FCFS
@@ -236,14 +250,17 @@ impl Channel {
             }
             for e in self.queue.iter().take(self.window(now)) {
                 let bank = &self.banks[e.loc.bank as usize];
-                if bank.open_row() == Some(e.loc.row) {
+                let at = if bank.open_row() == Some(e.loc.row) {
                     // Serve: needs the shared bus and the activate done.
-                    consider(&mut next, self.bus_free_at.max(bank.row_ready_at()));
+                    self.bus_free_at.max(bank.row_ready_at())
                 } else {
                     // Prep: possible once the bank's current activate
                     // finishes (earlier candidates mean arbitration is
                     // the blocker; the clamp keeps us stepping).
-                    consider(&mut next, bank.row_ready_at());
+                    bank.row_ready_at()
+                };
+                if consider(&mut next, at) {
+                    return next;
                 }
             }
         }

@@ -221,20 +221,24 @@ impl Dram {
     /// each channel once instead of once per response.
     pub fn pop_response_from(&mut self, now: Cycle, cursor: &mut usize) -> Option<MemResp> {
         while *cursor < self.channels.len() {
-            // Channels outside the `resp_ready` mask hold no responses;
-            // skipping them preserves the ascending-channel pop order.
-            if self.resp_ready & (1 << *cursor) == 0 {
-                *cursor += 1;
-                continue;
+            // Jump to the next channel in the `resp_ready` mask: the ones
+            // outside it hold no responses, so skipping them preserves
+            // the ascending-channel pop order.
+            let ahead = self.resp_ready >> *cursor;
+            if ahead == 0 {
+                *cursor = self.channels.len();
+                break;
             }
-            let ch = &mut self.channels[*cursor];
+            let c = *cursor + ahead.trailing_zeros() as usize;
+            let ch = &mut self.channels[c];
             if let Some(resp) = ch.pop_response(now) {
                 if !ch.has_responses() {
-                    self.resp_ready &= !(1 << *cursor);
+                    self.resp_ready &= !(1 << c);
                 }
+                *cursor = c;
                 return Some(resp);
             }
-            *cursor += 1;
+            *cursor = c + 1;
         }
         None
     }
@@ -251,12 +255,27 @@ impl Dram {
     /// memory system is idle. Conservative: never later than the first
     /// cycle [`Dram::tick`] or [`Dram::pop_response`] would act, so an
     /// event-driven caller may skip straight to it.
+    ///
+    /// Visits only the channels in the `queued | resp_ready` masks — any
+    /// other channel is idle — and stops at the first one that names
+    /// `now`, which no channel can beat.
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.channels
-            .iter()
-            .filter_map(|ch| ch.next_event(now))
-            .min()
+        let mut next: Option<Cycle> = None;
+        let mut m = self.queued | self.resp_ready;
+        while m != 0 {
+            let c = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if let Some(at) = self.channels[c].next_event(now) {
+                if at <= now {
+                    return Some(now);
+                }
+                if next.is_none_or(|n| at < n) {
+                    next = Some(at);
+                }
+            }
+        }
+        next
     }
 
     /// Accumulated statistics.
@@ -489,6 +508,97 @@ mod tests {
             assert!(guard < 1_000_000);
         }
         assert_eq!(dram.next_event(now), None, "idle dram reports no event");
+    }
+
+    /// The reference for [`Dram::next_event`]: every channel asked.
+    fn next_event_every_channel(dram: &Dram, now: Cycle) -> Option<Cycle> {
+        dram.channels
+            .iter()
+            .filter_map(|ch| ch.next_event(now))
+            .min()
+    }
+
+    /// The reference for [`Dram::pop_response_from`]: the cursor steps
+    /// through every channel, masks unread.
+    fn pop_every_channel(dram: &mut Dram, now: Cycle, cursor: &mut usize) -> Option<MemResp> {
+        while *cursor < dram.channels.len() {
+            let ch = &mut dram.channels[*cursor];
+            if let Some(resp) = ch.pop_response(now) {
+                if !ch.has_responses() {
+                    dram.resp_ready &= !(1 << *cursor);
+                }
+                return Some(resp);
+            }
+            *cursor += 1;
+        }
+        None
+    }
+
+    /// The masked walks against full 16-channel walks, stepped in
+    /// lockstep on seeded traffic: one hot row that starves a conflicting
+    /// request past the 2000-cycle cap, scattered reads and writes, and a
+    /// drain of at most a few responses per cycle, so responses wait in
+    /// channels whose queues are already empty.
+    #[test]
+    fn masked_walks_match_full_channel_walks() {
+        let cfg = DramConfig::hbm2_paper();
+        let stride = u64::from(cfg.channels) * cfg.lines_per_row * u64::from(cfg.banks);
+        let (mut masked, mut full) = (Dram::new(cfg.clone()), Dram::new(cfg.clone()));
+        let mut rng = miopt_engine::rng::SplitMix64::new(0xd7a3_0001);
+        let (mut starved, mut waiting_unqueued, mut popped) = (0, 0, 0);
+        let mut conflict_sent = false;
+        let mut now = Cycle(0);
+        for id in 0.. {
+            if now.0 < 12_000 && rng.next_below(4) != 0 {
+                // Row 0 of channel 0's bank 0 is hot enough to keep the
+                // FR-FCFS window full of hits, so one request for row 1
+                // of that bank waits until the starvation cap forces it.
+                let conflict = !conflict_sent && now.0 >= 1_000;
+                let line = match rng.next_below(10) {
+                    _ if conflict => stride,
+                    0..=5 => rng.next_below(cfg.lines_per_row),
+                    _ => rng.next_below(1 << 16),
+                };
+                let mut req = read(id, line);
+                if rng.next_below(5) == 0 {
+                    req = MemReq::writeback(ReqId(id), LineAddr(line), now);
+                }
+                if masked.can_accept(&req) {
+                    masked.push(now, req).unwrap();
+                    full.push(now, req).unwrap();
+                    conflict_sent |= conflict;
+                }
+            }
+            assert_eq!(
+                masked.next_event(now),
+                next_event_every_channel(&full, now),
+                "{now}"
+            );
+            assert_eq!(masked.tick(now), full.tick(now), "{now}");
+            let (mut c_masked, mut c_full) = (0, 0);
+            for _ in 0..rng.next_below(4) {
+                let got = masked.pop_response_from(now, &mut c_masked);
+                let want = pop_every_channel(&mut full, now, &mut c_full);
+                assert_eq!(got.map(|r| r.id), want.map(|r| r.id), "{now}");
+                popped += u64::from(got.is_some());
+            }
+            assert_eq!(
+                masked.next_event(now + 1),
+                next_event_every_channel(&full, now + 1),
+                "{now}"
+            );
+            starved += u64::from(masked.channels.iter().any(|ch| ch.starved(now)));
+            waiting_unqueued += u64::from(masked.resp_ready & !masked.queued != 0);
+            if now.0 >= 12_000 && !masked.busy() {
+                break;
+            }
+            now += 1;
+        }
+        assert_eq!(masked.stats(), full.stats());
+        assert_eq!(masked.next_event(now), None);
+        assert!(starved > 0, "no request waited past the starvation cap");
+        assert!(waiting_unqueued > 0, "no response waited on an empty queue");
+        assert!(popped > 1_000, "{popped} responses");
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! * **Batched pop** — [`EventWheel::pop_next`] returns *all* ids due at
 //!   the earliest pending cycle as one mask; the caller dispatches them
 //!   in ascending id order, which is how same-cycle ties break.
-//! * **Monotonic base** — popping cycle `c` advances the base to `c + 1`;
-//!   later inserts may never target a cycle before the base.
+//! * **Monotonic base** — popping cycle `c` advances the base to `c + 1`
+//!   (whether by [`EventWheel::pop_next`] or by an exact
+//!   [`EventWheel::take`]); later inserts may never target a cycle before
+//!   the base.
 //!
 //! # Examples
 //!
@@ -188,6 +190,55 @@ impl EventWheel {
         } else {
             self.slots[(at.0 % SLOTS as u64) as usize]
         }
+    }
+
+    /// Every pending cycle with its id mask, in ascending cycle order.
+    /// Walks the whole ring (O([`EventWheel::WINDOW`])): meant for
+    /// consistency checks, not for a hot path.
+    pub fn entries(&self) -> impl Iterator<Item = (Cycle, u64)> + '_ {
+        let b = (self.base % SLOTS as u64) as usize;
+        let ring = (b..SLOTS)
+            .chain(0..b)
+            .filter(|&s| self.slots[s] != 0)
+            .map(move |s| {
+                let ahead = (s + SLOTS - b) % SLOTS;
+                (Cycle(self.base + ahead as u64), self.slots[s])
+            });
+        ring.chain(self.overflow.iter().map(|(&k, &m)| (Cycle(k), m)))
+    }
+
+    /// Pops exactly cycle `at`: returns the ids pending there (0 if none)
+    /// and advances the base to `at + 1`. O(1) on the ring — one slot
+    /// read and cleared, no scan — for a caller that already knows the
+    /// cycle, such as an event core whose other wheel mirrors this one.
+    /// Nothing may be pending before `at` (debug builds assert it); a
+    /// past `at` returns 0 and leaves the base where it is.
+    pub fn take(&mut self, at: Cycle) -> u64 {
+        debug_assert!(
+            self.next_cycle().is_none_or(|c| c >= at),
+            "take at {at} with {:?} pending before it",
+            self.next_cycle()
+        );
+        if at.0 < self.base {
+            return 0;
+        }
+        let mask = if at.0 - self.base >= SLOTS as u64 {
+            self.overflow.remove(&at.0).unwrap_or(0)
+        } else {
+            let s = (at.0 % SLOTS as u64) as usize;
+            let mask = self.slots[s];
+            if mask != 0 {
+                self.slots[s] = 0;
+                self.occupied[s / 64] &= !(1u64 << (s % 64));
+                if self.occupied[s / 64] == 0 {
+                    self.summary &= !(1u64 << (s / 64));
+                }
+            }
+            mask
+        };
+        self.base = at.0 + 1;
+        self.drain_overflow();
+        mask
     }
 
     /// Pops the earliest pending cycle and **all** ids due at it, as
@@ -438,8 +489,9 @@ mod tests {
     }
 
     /// Randomized differential test against an ordered-map reference
-    /// model, over insert / cancel / pop interleavings spanning the
-    /// ring, its wrap boundary, and the overflow path. (The proptest
+    /// model, over insert / cancel / pop / take interleavings spanning
+    /// the ring, its wrap boundary, and the overflow path, ending with
+    /// the full `entries` listing. (The proptest
     /// variant in `tests/proptest_eventwheel.rs` explores the same state
     /// space with shrinkable inputs when the external dependencies are
     /// available.)
@@ -451,7 +503,7 @@ mod tests {
             let mut model: BTreeMap<u64, u64> = BTreeMap::new();
             let mut horizon = 0u64; // wheel base lower bound
             for _ in 0..4_000 {
-                match rng.next_below(10) {
+                match rng.next_below(12) {
                     0..=5 => {
                         // Insert near, around the window edge, or far.
                         let spread = match rng.next_below(3) {
@@ -472,6 +524,21 @@ mod tests {
                             model.remove(&c.0);
                             horizon = c.0 + 1;
                         }
+                    }
+                    8..=9 => {
+                        // Take a cycle no later than the earliest pending
+                        // one: usually that cycle itself, sometimes an
+                        // empty one before it (or past an empty wheel).
+                        let earliest = model.first_key_value().map(|(&k, _)| k);
+                        let at = match earliest {
+                            Some(k) if rng.next_below(4) != 0 => k,
+                            Some(k) => horizon + rng.next_below(k - horizon + 1),
+                            None => horizon + rng.next_below(2 * EventWheel::WINDOW),
+                        };
+                        let expect = model.remove(&at).unwrap_or(0);
+                        assert_eq!(wheel.take(Cycle(at)), expect, "seed {seed} take {at}");
+                        assert_eq!(wheel.base(), Cycle(at + 1));
+                        horizon = at + 1;
                     }
                     _ => {
                         // Cancel a (usually present) pending event.
@@ -494,6 +561,9 @@ mod tests {
                     "seed {seed} peek at {probe}"
                 );
             }
+            let listed: Vec<(Cycle, u64)> = wheel.entries().collect();
+            let want: Vec<(Cycle, u64)> = model.iter().map(|(&k, &m)| (Cycle(k), m)).collect();
+            assert_eq!(listed, want, "seed {seed} entries");
             // Drain both to the end.
             loop {
                 let popped = wheel.pop_next();

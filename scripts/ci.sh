@@ -164,6 +164,23 @@ if ! grep '\.self_invalidations"' "$smoke_dir/rnn-on.json" | grep -qv ': 0,\?$';
     echo "multi-kernel spot check: no job self-invalidated a line" >&2
     exit 1
 fi
+# DRAM-heavy multi-kernel grids: under Uncached every L2 fill passes
+# straight through to a response, and between kernels DRAM idles, so the
+# fill -> service wake of sleeping units only and DRAM's exact
+# reschedule from its channels are both on this path. The FwGRU grid
+# above is cached only; the DRAM row counters are diffed as well.
+cargo run --release -q -p miopt-harness -- \
+    --scale quick --only FwLSTM,FwBwGRU --fig6 --no-cache --no-journal --quiet \
+    --jobs 2 --out "$smoke_dir" --sweep-name rnn-dram-on >/dev/null
+cargo run --release -q -p miopt-harness -- \
+    --scale quick --only FwLSTM,FwBwGRU --fig6 --no-cache --no-journal --quiet \
+    --no-skip --out "$smoke_dir" --sweep-name rnn-dram-off >/dev/null
+rnn_dram='"cycles"\|"status"\|\.stall_\|\.self_invalidations"\|\.flush_writebacks"\|"dram\.row_'
+diff <(grep "$rnn_dram" "$smoke_dir/rnn-dram-on.json") <(grep "$rnn_dram" "$smoke_dir/rnn-dram-off.json")
+if ! grep '"dram\.row_conflicts"' "$smoke_dir/rnn-dram-on.json" | grep -qv ': 0,\?$'; then
+    echo "DRAM-heavy multi-kernel spot check: no job met a row conflict" >&2
+    exit 1
+fi
 echo "event-core equivalence ok"
 
 echo "== two-tenant serving smoke (miopt-harness serve) =="
