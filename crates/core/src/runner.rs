@@ -1,8 +1,8 @@
 //! Figure-level experiment sweeps.
 //!
 //! Each function here regenerates the data behind one or more of the
-//! paper's figures; the `miopt-bench` crate formats them into the printed
-//! tables and Criterion benches.
+//! paper's figures; `miopt-harness` formats them into the printed tables
+//! and CSVs.
 
 use crate::config::ConfigError;
 use crate::system::{StallDiagnostic, StallReason};
@@ -522,29 +522,6 @@ impl LadderResult {
             .find(|r| r.policy.policy == CachePolicy::Uncached)
             .expect("statics include Uncached")
     }
-}
-
-/// Runs the three ladder configurations for one workload, reusing already
-/// computed static results.
-///
-/// # Errors
-///
-/// Returns the first ladder job's [`SimError`], if any.
-pub fn run_ladder_with_statics(
-    cfg: &SystemConfig,
-    workload: &Workload,
-    statics: Vec<RunResult>,
-) -> Result<LadderResult, SimError> {
-    assert_eq!(statics.len(), 3, "expect the three static policy runs");
-    let ladder = optimization_ladder()
-        .into_iter()
-        .map(|p| run_one(cfg, workload, p))
-        .collect::<Result<_, _>>()?;
-    Ok(LadderResult {
-        workload: workload.name.clone(),
-        statics,
-        ladder,
-    })
 }
 
 /// Runs the optimization ladder for each workload, deriving the static

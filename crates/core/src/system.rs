@@ -1,5 +1,5 @@
 use crate::{Metrics, PolicyConfig, SystemConfig};
-use miopt_cache::{CacheStats, CacheUnit, LevelPolicy, ServiceCalls, WayRange};
+use miopt_cache::{CacheConfig, CacheStats, CacheUnit, LevelPolicy, ServiceCalls, WayRange};
 use miopt_dram::Dram;
 use miopt_engine::sentinel::{InvariantViolation, Sentinel};
 use miopt_engine::{Cycle, EventWheel, LineAddr, MemReq, MemResp, TimedQueue};
@@ -193,10 +193,12 @@ impl SampleSink<'_> {
         }
     }
 
-    fn record_value(&mut self, name: &str, value: u64) {
+    /// The lifetime pushes of one registry queue family, as
+    /// `queue.{family}.pushed`.
+    fn record_pushed(&mut self, family: &str, pushed: u64) {
         match self {
-            SampleSink::Named(frame) => frame.record_value(name, value),
-            SampleSink::Values(values) => values.push(value),
+            SampleSink::Named(f) => f.record_value(format!("queue.{family}.pushed"), pushed),
+            SampleSink::Values(values) => values.push(pushed),
         }
     }
 }
@@ -374,9 +376,7 @@ struct EventCore {
     now: Cycle,
     /// The actor currently dispatching (same-cycle wake arbitration).
     current: usize,
-    /// Cumulative actor dispatches (the "events" of the event core).
-    events: u64,
-    /// Cumulative dispatches broken down by actor.
+    /// Cumulative dispatches (the "events" of the event core) by actor.
     events_by_actor: [u64; N_ACTORS],
     /// Cumulative cycles with at least one dispatch.
     active_cycles: u64,
@@ -394,7 +394,6 @@ impl EventCore {
             due: 0,
             now: Cycle::ZERO,
             current: N_ACTORS,
-            events: 0,
             events_by_actor: [0; N_ACTORS],
             active_cycles: 0,
         }
@@ -435,19 +434,12 @@ impl EventCore {
     /// (strictly higher priority than the actor dispatching now).
     fn wake(&mut self, actor: usize, at: Cycle) {
         debug_assert_eq!(UNIT_WHEEL[actor], NO_WHEEL, "unit actors wake per unit");
-        if at <= self.now {
-            if actor > self.current {
-                self.scheduled[actor] = self.now;
-                self.due |= 1 << actor;
-                return;
-            }
-            let at = self.now + 1;
-            if at < self.scheduled[actor] {
-                self.scheduled[actor] = at;
-                self.wheel.insert(at, actor as u8);
-            }
+        if at <= self.now && actor > self.current {
+            self.scheduled[actor] = self.now;
+            self.due |= 1 << actor;
             return;
         }
+        let at = if at > self.now { at } else { self.now + 1 };
         if at < self.scheduled[actor] {
             self.scheduled[actor] = at;
             self.wheel.insert(at, actor as u8);
@@ -461,15 +453,28 @@ impl EventCore {
     /// stage, into `due`.
     fn wake_unit(&mut self, actor: usize, at: Cycle, unit: usize) {
         let units = &mut self.units[UNIT_WHEEL[actor]];
-        if at > self.now {
-            units.insert(at, unit as u8);
-            self.wheel.insert(at, actor as u8);
-        } else if actor > self.current {
+        if at <= self.now && actor > self.current {
             units.insert(self.now, unit as u8);
             self.due |= 1 << actor;
         } else {
-            units.insert(self.now + 1, unit as u8);
-            self.wheel.insert(self.now + 1, actor as u8);
+            let at = if at > self.now { at } else { self.now + 1 };
+            units.insert(at, unit as u8);
+            self.wheel.insert(at, actor as u8);
+        }
+    }
+
+    /// Reschedules unit `i` of `level`, whose `service` stage is `actor`,
+    /// after a `service` call: for its input head — unless the unit sleeps
+    /// and that head is ready already, since a fill or a credit wakes a
+    /// sleeper — and for the unit's own next event.
+    fn rewake_service(&mut self, actor: usize, level: &CacheLevel, now: Cycle, i: usize) {
+        if let Some(at) = level.input[i].next_ready() {
+            if at > now || !level.is_asleep(i) {
+                self.wake_unit(actor, at, i);
+            }
+        }
+        if let Some(at) = level.units[i].next_event(now + 1) {
+            self.wake_unit(actor, at, i);
         }
     }
 
@@ -481,6 +486,18 @@ impl EventCore {
     }
 }
 
+/// The set bits of `m`, lowest first.
+fn bits(mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if m == 0 {
+            return None;
+        }
+        let i = m.trailing_zeros() as usize;
+        m &= m - 1;
+        Some(i)
+    })
+}
+
 /// A crossbar's exact reschedule after a tick: the earliest ready cycle
 /// among the heads of the `pending` input queues — after a masked tick
 /// exactly the nonempty ones — clamped to `soon`, the first cycle the
@@ -488,10 +505,7 @@ impl EventCore {
 /// first head ready by `soon`, so a saturated crossbar pays for one input.
 fn earliest_head<T>(pending: u64, inputs: &[TimedQueue<T>], soon: Cycle) -> Option<Cycle> {
     let mut next: Option<Cycle> = None;
-    let mut m = pending;
-    while m != 0 {
-        let i = m.trailing_zeros() as usize;
-        m &= m - 1;
+    for i in bits(pending) {
         if let Some(at) = inputs[i].next_ready() {
             if at <= soon {
                 return Some(soon);
@@ -502,6 +516,197 @@ fn earliest_head<T>(pending: u64, inputs: &[TimedQueue<T>], soon: Cycle) -> Opti
         }
     }
     next
+}
+
+/// One level of the cache hierarchy (paper Fig. 3): the per-CU L1s or
+/// the L2 slices — one cache model — with the four queue families around
+/// each unit and the mask of units asleep on a blocked request.
+#[derive(Debug)]
+struct CacheLevel {
+    /// `l1` or `l2`: unit `i` is `{name}[i]` in diagnostics.
+    name: &'static str,
+    units: Vec<CacheUnit>,
+    /// Requests to service: from the GPU (L1) or the request crossbar (L2).
+    input: Vec<TimedQueue<MemReq>>,
+    /// Misses and writebacks: into the request crossbar (L1) or DRAM (L2).
+    down: Vec<TimedQueue<MemReq>>,
+    /// Responses: to the GPU (L1) or into the response crossbar (L2).
+    up: Vec<TimedQueue<MemResp>>,
+    /// Fill data: from the response crossbar (L1) or DRAM (L2).
+    fill_in: Vec<TimedQueue<MemResp>>,
+    /// One bit per unit: set exactly while that unit sleeps on a blocked
+    /// request (`CacheUnit::blocked_since`), refreshed after each of its
+    /// `service` calls under either engine. The credit edges test a bit
+    /// here instead of reaching into the unit on every queue pop.
+    asleep: u64,
+}
+
+impl CacheLevel {
+    /// `n` units of `cache` under `policy`, numbered from `id0`, with
+    /// queues of capacity `cap` and latencies `[input, down, up, fill_in]`.
+    fn new(
+        name: &'static str,
+        n: usize,
+        cache: &CacheConfig,
+        policy: &LevelPolicy,
+        id0: u32,
+        cap: usize,
+        lat: [u64; 4],
+    ) -> CacheLevel {
+        CacheLevel {
+            name,
+            units: (0..n)
+                .map(|i| CacheUnit::new(cache.clone(), policy.clone(), id0 + i as u32))
+                .collect(),
+            input: (0..n).map(|_| TimedQueue::new(cap, lat[0])).collect(),
+            down: (0..n).map(|_| TimedQueue::new(cap, lat[1])).collect(),
+            up: (0..n).map(|_| TimedQueue::new(cap, lat[2])).collect(),
+            fill_in: (0..n).map(|_| TimedQueue::new(cap, lat[3])).collect(),
+            asleep: 0,
+        }
+    }
+
+    /// Unit `i`'s name in diagnostics.
+    fn unit_name(&self, i: usize) -> String {
+        format!("{}[{i}]", self.name)
+    }
+
+    /// Whether unit `i` sleeps on a blocked request.
+    fn is_asleep(&self, i: usize) -> bool {
+        self.asleep >> i & 1 != 0
+    }
+
+    /// Up to two fills into unit `i` from its fill queue; returns whether
+    /// any landed.
+    fn fill(&mut self, now: Cycle, i: usize) -> bool {
+        let mut acted = false;
+        for _ in 0..2 {
+            let Some(&resp) = self.fill_in[i].ready_front(now) else {
+                break;
+            };
+            if self.units[i].fill(now, resp, &mut self.up[i]).is_err() {
+                break; // response queue full; retry next cycle
+            }
+            self.fill_in[i].pop_ready(now);
+            acted = true;
+        }
+        acted
+    }
+
+    /// Unit `i`'s accesses (with miss-replay, up to its port width);
+    /// returns whether it consumed a request, and refreshes its sleep
+    /// bit. The handlers' loops inline it: as a call it cost the event
+    /// core some 3 % of a latency-bound run.
+    #[inline]
+    fn service(&mut self, now: Cycle, i: usize) -> bool {
+        let unit = &mut self.units[i];
+        let acted = unit.service(now, &mut self.input[i], &mut self.down[i], &mut self.up[i]);
+        let asleep = unit.blocked_since().is_some();
+        self.asleep = self.asleep & !(1 << i) | u64::from(asleep) << i;
+        acted
+    }
+
+    /// The units' statistics, merged.
+    fn stats(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        for c in &self.units {
+            total.merge(c.stats());
+        }
+        total
+    }
+
+    /// The units' `service` workload, summed.
+    fn service_calls(&self) -> ServiceCalls {
+        let mut total = ServiceCalls::default();
+        for c in &self.units {
+            total.merge(&c.service_calls());
+        }
+        total
+    }
+
+    /// Books every sleeping unit's blocked retries before `now`.
+    fn settle(&mut self, now: Cycle) {
+        for c in &mut self.units {
+            c.settle(now);
+        }
+    }
+
+    fn set_policy(&mut self, policy: &LevelPolicy) {
+        for c in &mut self.units {
+            c.set_policy(policy.clone());
+        }
+    }
+
+    fn self_invalidate(&mut self) {
+        for c in &mut self.units {
+            c.self_invalidate();
+        }
+    }
+
+    /// Appends `(unit, entries)` for every unit with outstanding MSHR
+    /// entries, and `unit: blocked since cycle c` for every sleeping one.
+    fn stall_lists(&self, mshrs: &mut Vec<(String, Vec<String>)>, blocked: &mut Vec<String>) {
+        for (i, c) in self.units.iter().enumerate() {
+            let snap = c.mshr_snapshot();
+            if !snap.is_empty() {
+                mshrs.push((self.unit_name(i), snap));
+            }
+            if let Some(since) = c.blocked_since() {
+                blocked.push(format!("{}: blocked since {since}", self.unit_name(i)));
+            }
+        }
+    }
+}
+
+/// What the queue registry's readers need of a queue, whichever of
+/// requests or responses it carries.
+trait RegistryQueue: Sentinel {
+    fn occupancy(&self) -> usize;
+    fn pushes(&self) -> u64;
+    /// The oldest request it holds, by issue cycle; none for responses.
+    fn oldest(&self) -> Option<&MemReq> {
+        None
+    }
+}
+
+impl RegistryQueue for TimedQueue<MemReq> {
+    fn occupancy(&self) -> usize {
+        self.len()
+    }
+    fn pushes(&self) -> u64 {
+        self.pushed()
+    }
+    fn oldest(&self) -> Option<&MemReq> {
+        self.iter().min_by_key(|r| r.issue_cycle)
+    }
+}
+
+impl RegistryQueue for TimedQueue<MemResp> {
+    fn occupancy(&self) -> usize {
+        self.len()
+    }
+    fn pushes(&self) -> u64 {
+        self.pushed()
+    }
+}
+
+/// One queue family of the registry: a queue per unit of its level.
+#[derive(Clone, Copy)]
+enum Family<'a> {
+    Req(&'a [TimedQueue<MemReq>]),
+    Resp(&'a [TimedQueue<MemResp>]),
+}
+
+impl<'a> Family<'a> {
+    /// The family's queues, in unit order.
+    fn queues(self) -> impl Iterator<Item = &'a dyn RegistryQueue> {
+        let (req, resp): (&[_], &[_]) = match self {
+            Family::Req(qs) => (qs, &[]),
+            Family::Resp(qs) => (&[], qs),
+        };
+        let req = req.iter().map(|q| q as &dyn RegistryQueue);
+        req.chain(resp.iter().map(|q| q as &dyn RegistryQueue))
+    }
 }
 
 /// Where the system is in the kernel-boundary protocol (paper Section
@@ -547,35 +752,21 @@ enum Phase {
 pub struct ApuSystem {
     cfg: SystemConfig,
     gpu: Gpu,
-    l1_in: Vec<TimedQueue<MemReq>>,
-    l1s: Vec<CacheUnit>,
-    l1_down: Vec<TimedQueue<MemReq>>,
-    /// "Possibly nonempty" bit per `l1_down` queue, maintained for
+    l1: CacheLevel,
+    /// "Possibly nonempty" bit per `l1.down` queue, maintained for
     /// [`Crossbar::tick_tracked_masked`]: set whenever an L1 services
-    /// (the only producer of `l1_down` traffic), cleared by the crossbar
+    /// (the only producer of `l1.down` traffic), cleared by the crossbar
     /// on observing the queue empty. Spurious sets are harmless; a
     /// cleared bit promises the queue is empty.
     req_pending: u64,
     req_xbar: Crossbar,
-    l2_in: Vec<TimedQueue<MemReq>>,
-    l2s: Vec<CacheUnit>,
-    l2_down: Vec<TimedQueue<MemReq>>,
+    l2: CacheLevel,
     dram: Dram,
-    dram_resp: Vec<TimedQueue<MemResp>>,
     resp_holdover: VecDeque<MemResp>,
-    l2_up: Vec<TimedQueue<MemResp>>,
-    /// As `req_pending`, for the `l2_up` queues: set whenever an L2
-    /// services or fills (the only producers of `l2_up` traffic).
+    /// As `req_pending`, for the `l2.up` queues: set whenever an L2
+    /// services or fills (the only producers of `l2.up` traffic).
     resp_pending: u64,
-    /// One bit per L1 / L2 slice: set exactly while that unit sleeps on a
-    /// blocked request (`CacheUnit::blocked_since`), refreshed after each
-    /// of its `service` calls under either engine. The credit edges test a
-    /// bit here instead of reaching into the unit on every queue pop.
-    l1_asleep: u64,
-    l2_asleep: u64,
     resp_xbar: Crossbar,
-    l1_fill_in: Vec<TimedQueue<MemResp>>,
-    l1_up: Vec<TimedQueue<MemResp>>,
     now: Cycle,
     phase: Phase,
     launches: VecDeque<(Arc<KernelDesc>, u32)>,
@@ -592,17 +783,6 @@ pub struct ApuSystem {
     skip: bool,
     /// The discrete-event scheduler driving the event-core run loop.
     ev: EventCore,
-    /// First cycle whose request-crossbar tick is still unaccounted: the
-    /// event core ticks a crossbar only when an input head is ready, and
-    /// compensates the round-robin cursor for the skipped idle rotations
-    /// just before the next real tick (and at run exit).
-    req_synced: Cycle,
-    /// As [`ApuSystem::req_synced`], for the response crossbar.
-    resp_synced: Cycle,
-    /// Number of inter-event gaps crossed and total cycles in them
-    /// (diagnostics for [`ApuSystem::time_skip_stats`]).
-    warps: u64,
-    warped_cycles: u64,
     /// Scratch buffer for steady-state telemetry samples, reused across
     /// frames so sampling allocates only on the first frame of a run.
     frame_values: Vec<u64>,
@@ -669,41 +849,25 @@ impl ApuSystem {
         // masks) index units by bit in a u64.
         assert!(n <= 64, "at most 64 CUs supported, got {n}");
         assert!(s <= 64, "at most 64 L2 slices supported, got {s}");
-        let row_map = cfg.row_map();
-        let l1_policy = policy.l1_policy();
-        let l2_policy = policy.l2_policy(row_map);
-        let mk_req = |cap: usize, lat: u64| TimedQueue::<MemReq>::new(cap, lat);
-        let mk_resp = |cap: usize, lat: u64| TimedQueue::<MemResp>::new(cap, lat);
         let cap = cfg.queue_capacity;
+        // Each crossbar hop's latency is split between the queues on
+        // either side of it.
+        let hop = |lat: u64| (lat / 2, lat - lat / 2);
+        let ((l1_down, l2_in), (l2_up, l1_fill)) = (hop(cfg.lat_l1_l2), hop(cfg.lat_l2_resp));
+        let l1_lat = [cfg.lat_cu_l1, l1_down, cfg.lat_l1_resp, l1_fill];
+        let l2_lat = [l2_in, cfg.lat_l2_dram, l2_up, cfg.lat_dram_resp];
+        let l2_policy = policy.l2_policy(cfg.row_map());
 
         ApuSystem {
             gpu: Gpu::new(n, cfg.cu.clone()),
-            l1_in: (0..n).map(|_| mk_req(cap, cfg.lat_cu_l1)).collect(),
-            l1s: (0..n)
-                .map(|i| CacheUnit::new(cfg.l1.clone(), l1_policy.clone(), i as u32))
-                .collect(),
-            l1_down: (0..n).map(|_| mk_req(cap, cfg.lat_l1_l2 / 2)).collect(),
+            l1: CacheLevel::new("l1", n, &cfg.l1, &policy.l1_policy(), 0, cap, l1_lat),
             req_pending: 0,
             req_xbar: Crossbar::new(n, s, cfg.xbar_per_output),
-            l2_in: (0..s)
-                .map(|_| mk_req(cap, cfg.lat_l1_l2 - cfg.lat_l1_l2 / 2))
-                .collect(),
-            l2s: (0..s)
-                .map(|i| CacheUnit::new(cfg.l2.clone(), l2_policy.clone(), 1000 + i as u32))
-                .collect(),
-            l2_down: (0..s).map(|_| mk_req(cap, cfg.lat_l2_dram)).collect(),
+            l2: CacheLevel::new("l2", s, &cfg.l2, &l2_policy, 1000, cap, l2_lat),
             dram: Dram::new(cfg.dram.clone()),
-            dram_resp: (0..s).map(|_| mk_resp(cap, cfg.lat_dram_resp)).collect(),
             resp_holdover: VecDeque::new(),
-            l2_up: (0..s).map(|_| mk_resp(cap, cfg.lat_l2_resp / 2)).collect(),
             resp_pending: 0,
-            l1_asleep: 0,
-            l2_asleep: 0,
             resp_xbar: Crossbar::new(s, n, cfg.xbar_per_output),
-            l1_fill_in: (0..n)
-                .map(|_| mk_resp(cap, cfg.lat_l2_resp - cfg.lat_l2_resp / 2))
-                .collect(),
-            l1_up: (0..n).map(|_| mk_resp(cap, cfg.lat_l1_resp)).collect(),
             now: Cycle::ZERO,
             phase: Phase::Launching {
                 until: Cycle(cfg.launch_overhead),
@@ -721,10 +885,6 @@ impl ApuSystem {
             }),
             skip: true,
             ev: EventCore::new(n, s),
-            req_synced: Cycle::ZERO,
-            resp_synced: Cycle::ZERO,
-            warps: 0,
-            warped_cycles: 0,
             frame_values: Vec::new(),
             profile: None,
         }
@@ -754,16 +914,6 @@ impl ApuSystem {
         self.skip
     }
 
-    /// Idle-time effectiveness: `(gaps_crossed, cycles_in_gaps)` — the
-    /// number of inter-event gaps the event core jumped over and the
-    /// total cycles inside them ([`ApuSystem::idle_until`] warps count
-    /// too). `cycles_in_gaps / now().0` is the fraction of simulated
-    /// time that cost nothing at all.
-    #[must_use]
-    pub fn time_skip_stats(&self) -> (u64, u64) {
-        (self.warps, self.warped_cycles)
-    }
-
     /// Event-core workload: `(events_dispatched, active_cycles)` —
     /// cumulative actor dispatches and the number of simulated cycles
     /// with at least one dispatch. `events_dispatched / active_cycles`
@@ -772,7 +922,7 @@ impl ApuSystem {
     /// now().0` is the fraction of cycles the event core never touched.
     #[must_use]
     pub fn event_stats(&self) -> (u64, u64) {
-        (self.ev.events, self.ev.active_cycles)
+        (self.ev.events_by_actor.iter().sum(), self.ev.active_cycles)
     }
 
     /// CU-tick workload beside [`ApuSystem::event_stats`]: `(CU ticks
@@ -794,14 +944,7 @@ impl ApuSystem {
     /// part of them it still pays for. Host-side counts.
     #[must_use]
     pub fn service_stats(&self) -> (ServiceCalls, ServiceCalls) {
-        let sum = |units: &[CacheUnit]| {
-            let mut total = ServiceCalls::default();
-            for c in units {
-                total.merge(&c.service_calls());
-            }
-            total
-        };
-        (sum(&self.l1s), sum(&self.l2s))
+        (self.l1.service_calls(), self.l2.service_calls())
     }
 
     /// Per-actor breakdown of [`ApuSystem::event_stats`]: one
@@ -810,11 +953,7 @@ impl ApuSystem {
     /// dispatches — the first place to look when profiling it.
     #[must_use]
     pub fn event_stats_by_actor(&self) -> [(&'static str, u64); 12] {
-        let mut out = [("", 0u64); N_ACTORS];
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = (ACTOR_NAMES[i], self.ev.events_by_actor[i]);
-        }
-        out
+        std::array::from_fn(|a| (ACTOR_NAMES[a], self.ev.events_by_actor[a]))
     }
 
     /// Turns on the per-actor cost profiler: every event-core dispatch is
@@ -884,29 +1023,32 @@ impl ApuSystem {
     /// values-only steady state — so their counter order cannot diverge.
     fn sample_into(&self, sink: &mut SampleSink<'_>) {
         sink.record("gpu", &self.gpu.stats());
-        let mut l1 = CacheStats::default();
-        for c in &self.l1s {
-            l1.merge(c.stats());
-        }
-        sink.record("l1", &l1);
-        let mut l2 = CacheStats::default();
-        for c in &self.l2s {
-            l2.merge(c.stats());
-        }
-        sink.record("l2", &l2);
+        sink.record("l1", &self.l1.stats());
+        sink.record("l2", &self.l2.stats());
         sink.record("dram", self.dram.stats());
         sink.record("noc.req", self.req_xbar.stats());
         sink.record("noc.resp", self.resp_xbar.stats());
-        let pushed = |qs: &[TimedQueue<MemReq>]| qs.iter().map(TimedQueue::pushed).sum::<u64>();
-        let pushed_r = |qs: &[TimedQueue<MemResp>]| qs.iter().map(TimedQueue::pushed).sum::<u64>();
-        sink.record_value("queue.l1_in.pushed", pushed(&self.l1_in));
-        sink.record_value("queue.l1_down.pushed", pushed(&self.l1_down));
-        sink.record_value("queue.l2_in.pushed", pushed(&self.l2_in));
-        sink.record_value("queue.l2_down.pushed", pushed(&self.l2_down));
-        sink.record_value("queue.dram_resp.pushed", pushed_r(&self.dram_resp));
-        sink.record_value("queue.l2_up.pushed", pushed_r(&self.l2_up));
-        sink.record_value("queue.l1_fill_in.pushed", pushed_r(&self.l1_fill_in));
-        sink.record_value("queue.l1_up.pushed", pushed_r(&self.l1_up));
+        for (name, family) in self.queue_registry() {
+            sink.record_pushed(name, family.queues().map(|q| q.pushes()).sum());
+        }
+    }
+
+    /// The queue registry: every queue family of the hierarchy with its
+    /// name, in the one order telemetry, the sentinel, stall diagnostics
+    /// and the progress fingerprint share.
+    fn queue_registry(&self) -> [(&'static str, Family<'_>); 8] {
+        use Family::{Req, Resp};
+        let (l1, l2) = (&self.l1, &self.l2);
+        [
+            ("l1_in", Req(&l1.input)),
+            ("l1_down", Req(&l1.down)),
+            ("l2_in", Req(&l2.input)),
+            ("l2_down", Req(&l2.down)),
+            ("dram_resp", Resp(&l2.fill_in)),
+            ("l2_up", Resp(&l2.up)),
+            ("l1_fill_in", Resp(&l1.fill_in)),
+            ("l1_up", Resp(&l1.up)),
+        ]
     }
 
     /// Samples every counter into a named frame (first frame of a run,
@@ -963,38 +1105,24 @@ impl ApuSystem {
         let mut out = Vec::new();
         self.gpu.check_invariants("gpu", &mut out);
         self.gpu
-            .check_blocked_cu_wake(self.now, &self.l1_in, "gpu", &mut out);
-        for (i, c) in self.l1s.iter().enumerate() {
-            c.check_invariants(&format!("l1[{i}]"), &mut out);
-        }
-        for (s, c) in self.l2s.iter().enumerate() {
-            c.check_invariants(&format!("l2[{s}]"), &mut out);
+            .check_blocked_cu_wake(self.now, &self.l1.input, "gpu", &mut out);
+        for level in [&self.l1, &self.l2] {
+            for (i, c) in level.units.iter().enumerate() {
+                c.check_invariants(&level.unit_name(i), &mut out);
+            }
         }
         self.check_blocked_unit_wake(&mut out);
         self.check_unit_wake_mirrored(&mut out);
         self.dram.check_invariants("dram", &mut out);
         self.req_xbar.check_invariants("noc.req", &mut out);
         self.resp_xbar.check_invariants("noc.resp", &mut out);
-        let mut queues = |name: &str, qs: &[TimedQueue<MemReq>]| {
-            for (i, q) in qs.iter().enumerate() {
+        for (name, family) in self.queue_registry() {
+            for (i, q) in family.queues().enumerate() {
                 q.check_invariants(&format!("queue.{name}[{i}]"), &mut out);
             }
-        };
-        queues("l1_in", &self.l1_in);
-        queues("l1_down", &self.l1_down);
-        queues("l2_in", &self.l2_in);
-        queues("l2_down", &self.l2_down);
-        let mut resp_queues = |name: &str, qs: &[TimedQueue<MemResp>]| {
-            for (i, q) in qs.iter().enumerate() {
-                q.check_invariants(&format!("queue.{name}[{i}]"), &mut out);
-            }
-        };
-        resp_queues("dram_resp", &self.dram_resp);
-        resp_queues("l2_up", &self.l2_up);
-        resp_queues("l1_fill_in", &self.l1_fill_in);
-        resp_queues("l1_up", &self.l1_up);
+        }
         // System-level: the DRAM response holdover is bounded by
-        // construction (`stage_dram` stops filling at 4).
+        // construction (`ev_dram` stops filling at 4).
         if self.resp_holdover.len() > 4 {
             out.push(InvariantViolation {
                 component: "system".to_string(),
@@ -1011,14 +1139,9 @@ impl ApuSystem {
     /// must mark exactly the sleeping units, and no sleeper may be
     /// stranded (`CacheUnit::blocked_wake_violation`).
     fn check_blocked_unit_wake(&self, out: &mut Vec<InvariantViolation>) {
-        let l1 = ("l1", A_L1_SERVICE, self.l1_asleep, &self.l1s);
-        let l2 = ("l2", A_L2_SERVICE, self.l2_asleep, &self.l2s);
-        let l1_queues = (&self.l1_in, &self.l1_down, &self.l1_up);
-        let l2_queues = (&self.l2_in, &self.l2_down, &self.l2_up);
-        for ((level, actor, asleep, units), (ins, downs, ups)) in [(l1, l1_queues), (l2, l2_queues)]
-        {
-            for (i, c) in units.iter().enumerate() {
-                let marked = asleep >> i & 1 != 0;
+        for (level, actor) in [(&self.l1, A_L1_SERVICE), (&self.l2, A_L2_SERVICE)] {
+            for (i, c) in level.units.iter().enumerate() {
+                let marked = level.is_asleep(i);
                 let detail = if marked != c.blocked_since().is_some() {
                     Some(format!(
                         "sleep mask bit is {marked} but the unit's blockage is {:?}",
@@ -1026,11 +1149,12 @@ impl ApuSystem {
                     ))
                 } else {
                     let pending = self.ev.unit_wake_pending(actor, self.now, i);
-                    c.blocked_wake_violation(self.now, &ins[i], &downs[i], &ups[i], pending)
+                    let (input, down, up) = (&level.input[i], &level.down[i], &level.up[i]);
+                    c.blocked_wake_violation(self.now, input, down, up, pending)
                 };
                 if let Some(detail) = detail {
                     out.push(InvariantViolation {
-                        component: format!("{level}[{i}]"),
+                        component: level.unit_name(i),
                         invariant: "blocked_unit_wake",
                         detail,
                     });
@@ -1049,7 +1173,7 @@ impl ApuSystem {
                 continue;
             }
             let level = if actor < A_RESP_XBAR { "l2" } else { "l1" };
-            for (at, mut units) in self.ev.units[w].entries() {
+            for (at, units) in self.ev.units[w].entries() {
                 let mut actors = self.ev.wheel.pending_at(at);
                 if at == self.ev.now {
                     actors |= self.ev.due;
@@ -1057,9 +1181,7 @@ impl ApuSystem {
                 if actors >> actor & 1 != 0 {
                     continue;
                 }
-                while units != 0 {
-                    let unit = units.trailing_zeros();
-                    units &= units - 1;
+                for unit in bits(units) {
                     out.push(InvariantViolation {
                         component: format!("{level}[{unit}]"),
                         invariant: "unit_wake_mirrored",
@@ -1096,26 +1218,14 @@ impl ApuSystem {
             mix(name.len() as u64);
             mix(value);
         }
-        for c in self.l1s.iter().chain(&self.l2s) {
+        for c in self.l1.units.iter().chain(&self.l2.units) {
             for (name, value) in c.stats().to_pairs() {
                 mix(name.len() as u64);
                 mix(value);
             }
         }
-        for q in self.l1_in.iter().chain(&self.l1_down) {
-            mix(q.pushed());
-        }
-        for q in self.l2_in.iter().chain(&self.l2_down) {
-            mix(q.pushed());
-        }
-        for q in self
-            .dram_resp
-            .iter()
-            .chain(&self.l2_up)
-            .chain(&self.l1_fill_in)
-            .chain(&self.l1_up)
-        {
-            mix(q.pushed());
+        for (_, family) in self.queue_registry() {
+            family.queues().for_each(|q| mix(q.pushes()));
         }
         h.finish()
     }
@@ -1155,48 +1265,23 @@ impl ApuSystem {
         self.settle_caches();
         let mut queues = Vec::new();
         let mut oldest: Option<(Cycle, String)> = None;
-        {
-            let mut req_queues = |name: &str, qs: &[TimedQueue<MemReq>]| {
-                for (i, q) in qs.iter().enumerate() {
-                    if q.is_empty() {
-                        continue;
-                    }
-                    queues.push((format!("queue.{name}[{i}]"), q.len()));
-                    for (_, req) in q.iter_timed() {
-                        if oldest.as_ref().is_none_or(|(c, _)| req.issue_cycle < *c) {
-                            oldest = Some((req.issue_cycle, format!("queue.{name}[{i}]: {req:?}")));
-                        }
+        for (name, family) in self.queue_registry() {
+            for (i, q) in family.queues().enumerate() {
+                if q.occupancy() == 0 {
+                    continue;
+                }
+                let queue = format!("queue.{name}[{i}]");
+                if let Some(req) = q.oldest() {
+                    if oldest.as_ref().is_none_or(|(c, _)| req.issue_cycle < *c) {
+                        oldest = Some((req.issue_cycle, format!("{queue}: {req:?}")));
                     }
                 }
-            };
-            req_queues("l1_in", &self.l1_in);
-            req_queues("l1_down", &self.l1_down);
-            req_queues("l2_in", &self.l2_in);
-            req_queues("l2_down", &self.l2_down);
-        }
-        let mut resp_queues = |name: &str, qs: &[TimedQueue<MemResp>]| {
-            for (i, q) in qs.iter().enumerate() {
-                if !q.is_empty() {
-                    queues.push((format!("queue.{name}[{i}]"), q.len()));
-                }
-            }
-        };
-        resp_queues("dram_resp", &self.dram_resp);
-        resp_queues("l2_up", &self.l2_up);
-        resp_queues("l1_fill_in", &self.l1_fill_in);
-        resp_queues("l1_up", &self.l1_up);
-        let mut mshrs = Vec::new();
-        for (i, c) in self.l1s.iter().enumerate() {
-            let snap = c.mshr_snapshot();
-            if !snap.is_empty() {
-                mshrs.push((format!("l1[{i}]"), snap));
+                queues.push((queue, q.occupancy()));
             }
         }
-        for (s, c) in self.l2s.iter().enumerate() {
-            let snap = c.mshr_snapshot();
-            if !snap.is_empty() {
-                mshrs.push((format!("l2[{s}]"), snap));
-            }
+        let (mut mshrs, mut blocked_units) = (Vec::new(), Vec::new());
+        for level in [&self.l1, &self.l2] {
+            level.stall_lists(&mut mshrs, &mut blocked_units);
         }
         let wavefronts = self
             .gpu
@@ -1209,15 +1294,6 @@ impl ApuSystem {
                 )
             })
             .collect();
-        let blocked = |level: &str, units: &[CacheUnit]| {
-            let named = units.iter().enumerate();
-            named
-                .filter_map(|(i, c)| Some((i, c.blocked_since()?)))
-                .map(|(i, since)| format!("{level}[{i}]: blocked since {since}"))
-                .collect::<Vec<_>>()
-        };
-        let mut blocked_units = blocked("l1", &self.l1s);
-        blocked_units.extend(blocked("l2", &self.l2s));
         let diagnostic = Box::new(StallDiagnostic {
             cycle: self.now.0,
             phase: Self::phase_label(self.phase),
@@ -1244,14 +1320,14 @@ impl ApuSystem {
     /// at the next sweep; with `false` it is structurally plausible but
     /// never completes, wedging the drain for the watchdog to catch.
     pub fn inject_l1_mshr_leak(&mut self, cu: usize, line: LineAddr, allocating: bool) {
-        self.l1s[cu].inject_mshr_leak(line, allocating);
+        self.l1.units[cu].inject_mshr_leak(line, allocating);
     }
 
     /// Fault-injection hook (sentinel validation only): drops one
     /// flow-control credit from CU `cu`'s L1 input queue, tripping the
     /// `credit_conservation` invariant at the next sweep.
     pub fn inject_queue_credit_loss(&mut self, cu: usize) {
-        self.l1_in[cu].inject_credit_loss();
+        self.l1.input[cu].inject_credit_loss();
     }
 
     /// The current simulated cycle.
@@ -1299,9 +1375,8 @@ impl ApuSystem {
     /// The run loop drives the stretch with no sentinel, and with only
     /// telemetry scheduled under the event core (every stage, each a
     /// no-op, under the `--no-skip` oracle). Both modes leave the system
-    /// bit-identical, including crossbar round-robin cursors and the
-    /// telemetry sample due at `target`. A `target` at or before `now`
-    /// is a no-op.
+    /// bit-identical, including the telemetry sample due at `target`. A
+    /// `target` at or before `now` is a no-op.
     ///
     /// # Panics
     ///
@@ -1335,12 +1410,8 @@ impl ApuSystem {
             self.is_done(),
             "cache policies can only change at an idle kernel boundary"
         );
-        for c in &mut self.l1s {
-            c.set_policy(l1.clone());
-        }
-        for c in &mut self.l2s {
-            c.set_policy(l2.clone());
-        }
+        self.l1.set_policy(&l1);
+        self.l2.set_policy(&l2);
     }
 
     /// [`ApuSystem::set_level_policies`] from a [`PolicyConfig`], with an
@@ -1406,28 +1477,16 @@ impl ApuSystem {
             if !idle && self.is_done() {
                 break self.now;
             }
-            let (t, ids) = match self.ev.wheel.pop_next() {
-                Some((t, ids)) if t < end => (t, ids),
-                // Nothing left to do before `end` (on a busy system only
-                // the budget can end such a run, as in no-op cycles). A
-                // cycle popped past it is left as a halt leaves its
-                // cycle: undispatched, its actors still `due`.
-                popped => {
-                    if let Some((t, ids)) = popped {
-                        self.ev.now = t;
-                        self.ev.due = ids;
-                    }
-                    break end;
-                }
+            // Nothing left to do before `end` (on a busy system only the
+            // budget can end such a run, as in no-op cycles): the cycles
+            // at or past it stay on the wheel, undispatched.
+            let t = match self.ev.wheel.next_cycle() {
+                Some(t) if t < end => t,
+                _ => break end,
             };
-            let gap = t.since(self.now);
-            if gap > 0 {
-                self.warps += 1;
-                self.warped_cycles += gap;
-            }
             self.now = t;
             self.ev.now = t;
-            self.ev.due = ids;
+            self.ev.due = self.ev.wheel.take(t);
             loop {
                 let due = self.ev.due;
                 if due == 0 {
@@ -1450,7 +1509,6 @@ impl ApuSystem {
                     },
                 };
                 self.ev.current = a;
-                self.ev.events += 1;
                 self.ev.events_by_actor[a] += 1;
                 let halted = if self.profile.is_some() {
                     let clock = std::time::Instant::now();
@@ -1467,7 +1525,6 @@ impl ApuSystem {
                 if let Some(reason) = halted {
                     // Halt with `now` at the check cycle, which observed
                     // the state the previous cycle left.
-                    self.sync_xbars_through(t);
                     return Some(reason);
                 }
             }
@@ -1481,17 +1538,11 @@ impl ApuSystem {
         // Leaving at `exit` (done, idle target or budget): the clock
         // reaches it and the telemetry sample due there fires, so a run
         // re-entered at `exit` cannot lose it.
-        let gap = exit.since(self.now);
-        if gap > 0 {
-            self.warps += 1;
-            self.warped_cycles += gap;
-        }
         self.now = exit;
         if self.ev.scheduled[A_TELEMETRY] == exit {
             self.ev.scheduled[A_TELEMETRY] = NEVER;
             self.record_sample();
         }
-        self.sync_xbars_through(exit);
         if idle || self.is_done() {
             return None;
         }
@@ -1504,22 +1555,6 @@ impl ApuSystem {
             }
         }
         Some(StallReason::CycleBudget)
-    }
-
-    /// Accounts the crossbars' idle rotations through every cycle before
-    /// `end` (exclusive), so their round-robin cursors match a per-cycle
-    /// run that really ticked them every cycle.
-    fn sync_xbars_through(&mut self, end: Cycle) {
-        let gap = end.since(self.req_synced);
-        if gap > 0 {
-            self.req_xbar.advance_idle_cycles(gap);
-        }
-        self.req_synced = end;
-        let gap = end.since(self.resp_synced);
-        if gap > 0 {
-            self.resp_xbar.advance_idle_cycles(gap);
-        }
-        self.resp_synced = end;
     }
 
     /// Seeds the wheel at run entry: the telemetry and sentinel cadences
@@ -1603,7 +1638,8 @@ impl ApuSystem {
         reason
     }
 
-    /// Actor 2 (stages 1-2): DRAM scheduling and the response drain.
+    /// Actor 2 (stages 1-2): DRAM scheduling, then responses toward their
+    /// L2 slice, held-over ones first.
     ///
     /// DRAM reschedules exactly, from `Dram::next_event` — a walk of the
     /// channels with queued requests or undelivered responses only — plus
@@ -1611,11 +1647,32 @@ impl ApuSystem {
     /// The L2 fill wakes are per-slice: only slices that received a
     /// response this dispatch are scheduled.
     fn ev_dram(&mut self, now: Cycle) {
-        let mut pushed = self.stage_dram(now);
-        while pushed != 0 {
-            let s = pushed.trailing_zeros() as usize;
-            pushed &= pushed - 1;
-            if let Some(at) = self.dram_resp[s].next_ready() {
+        self.dram.tick(now);
+        let (cfg, fill_in) = (&self.cfg, &mut self.l2.fill_in);
+        let mut pushed = 0u64;
+        let mut deliver = |resp: MemResp| {
+            let slice = cfg.l2_slice_of(resp.line);
+            let r = fill_in[slice].push(now, resp);
+            pushed |= u64::from(r.is_ok()) << slice;
+            r.map_err(|full| full.0)
+        };
+        while let Some(resp) = self.resp_holdover.pop_front() {
+            if let Err(resp) = deliver(resp) {
+                self.resp_holdover.push_front(resp);
+                break;
+            }
+        }
+        let mut cursor = 0;
+        while self.resp_holdover.len() < 4 {
+            let Some(resp) = self.dram.pop_response_from(now, &mut cursor) else {
+                break;
+            };
+            if let Err(resp) = deliver(resp) {
+                self.resp_holdover.push_back(resp);
+            }
+        }
+        for s in bits(pushed) {
+            if let Some(at) = self.l2.fill_in[s].next_ready() {
                 self.ev.wake_unit(A_L2_FILL, at, s);
             }
         }
@@ -1627,59 +1684,46 @@ impl ApuSystem {
         }
     }
 
-    /// Actor 3 (stage 3): L2 fills from DRAM responses. Walks only the
-    /// slices due this cycle and reschedules each exactly from its own
-    /// response queue (O(1) per slice).
-    fn ev_l2_fill(&mut self, now: Cycle, mut m: u64) {
-        while m != 0 {
-            let s = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if self.fill_l2_unit(now, s) {
+    /// Actor 3 (stage 3): up to two L2 fills per due slice from its DRAM
+    /// response queue, each slice rescheduled exactly from that queue.
+    fn ev_l2_fill(&mut self, now: Cycle, m: u64) {
+        for s in bits(m) {
+            if self.l2.fill(now, s) {
+                self.resp_pending |= 1 << s;
                 // A fill can free the cache resources a sleeping slice
                 // blocked on; its service stage is still to run this
                 // cycle, as in the per-cycle order. An awake slice with
                 // work has a wake pending already, and a fill gives none
                 // to a slice without. A fill can also produce an upward
                 // response.
-                if self.l2_asleep >> s & 1 != 0 {
+                if self.l2.is_asleep(s) {
                     self.ev.wake_unit(A_L2_SERVICE, now, s);
                 }
-                if let Some(at) = self.l2_up[s].next_ready() {
+                if let Some(at) = self.l2.up[s].next_ready() {
                     self.ev.wake(A_RESP_XBAR, at);
                 }
             }
-            if let Some(at) = self.dram_resp[s].next_ready() {
+            if let Some(at) = self.l2.fill_in[s].next_ready() {
                 self.ev.wake_unit(A_L2_FILL, at, s);
             }
         }
     }
 
     /// Actor 4 (stage 4): L2 access servicing, per due slice.
-    fn ev_l2_service(&mut self, now: Cycle, mut m: u64) {
-        while m != 0 {
-            let s = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if self.service_l2_unit(now, s) {
+    fn ev_l2_service(&mut self, now: Cycle, m: u64) {
+        for s in bits(m) {
+            if self.l2.service(now, s) {
+                self.resp_pending |= 1 << s;
                 // Downstream wakes are needed only when something moved;
                 // earlier pushes already scheduled their consumers.
-                if let Some(at) = self.l2_down[s].next_ready() {
+                if let Some(at) = self.l2.down[s].next_ready() {
                     self.ev.wake_unit(A_L2_TO_DRAM, at, s);
                 }
-                if let Some(at) = self.l2_up[s].next_ready() {
+                if let Some(at) = self.l2.up[s].next_ready() {
                     self.ev.wake(A_RESP_XBAR, at);
                 }
             }
-            // A sleeping slice is retried only for a head that turns
-            // ready later; a fill or a credit wakes it otherwise.
-            let asleep = self.l2_asleep >> s & 1 != 0;
-            if let Some(at) = self.l2_in[s].next_ready() {
-                if at > now || !asleep {
-                    self.ev.wake_unit(A_L2_SERVICE, at, s);
-                }
-            }
-            if let Some(at) = self.l2s[s].next_event(now + 1) {
-                self.ev.wake_unit(A_L2_SERVICE, at, s);
-            }
+            self.ev.rewake_service(A_L2_SERVICE, &self.l2, now, s);
         }
     }
 
@@ -1691,27 +1735,33 @@ impl ApuSystem {
     /// Kept out of line: four handlers share it, and on a machine that is
     /// not saturated none of them ever has a sleeper to wake.
     #[inline(never)]
-    fn wake_sleepers(&mut self, actor: usize, now: Cycle, mut sleepers: u64) {
-        while sleepers != 0 {
-            let unit = sleepers.trailing_zeros() as usize;
-            sleepers &= sleepers - 1;
+    fn wake_sleepers(&mut self, actor: usize, now: Cycle, sleepers: u64) {
+        for unit in bits(sleepers) {
             self.ev.wake_unit(actor, now + 1, unit);
         }
     }
 
-    /// Actor 5 (stage 5): L2 writeback/miss traffic into DRAM, per due
-    /// slice.
-    fn ev_l2_to_dram(&mut self, now: Cycle, mut m: u64) {
+    /// Actor 5 (stage 5): per due slice, its writeback/miss queue drains
+    /// into DRAM while DRAM accepts.
+    fn ev_l2_to_dram(&mut self, now: Cycle, m: u64) {
         let mut popped = 0u64;
-        while m != 0 {
-            let s = m.trailing_zeros() as usize;
-            m &= m - 1;
-            popped |= u64::from(self.l2_to_dram_unit(now, s)) << s;
-            if let Some(at) = self.l2_down[s].next_ready() {
+        for s in bits(m) {
+            let q = &mut self.l2.down[s];
+            while let Some(req) = q.ready_front(now) {
+                if !self.dram.can_accept(req) {
+                    break;
+                }
+                let req = q.pop_ready(now).expect("head ready");
+                self.dram
+                    .push(now, req)
+                    .unwrap_or_else(|_| unreachable!("checked can_accept"));
+                popped |= 1 << s;
+            }
+            if let Some(at) = q.next_ready() {
                 self.ev.wake_unit(A_L2_TO_DRAM, at, s);
             }
         }
-        let sleepers = popped & self.l2_asleep;
+        let sleepers = popped & self.l2.asleep;
         if sleepers != 0 {
             self.wake_sleepers(A_L2_SERVICE, now, sleepers);
         }
@@ -1723,137 +1773,115 @@ impl ApuSystem {
         }
     }
 
-    /// Actor 6 (stage 6): response crossbar, with idle-rotation catch-up.
+    /// Actor 6 (stage 6): response crossbar, L2 slices toward the L1s.
     /// Wakes only the L1 fill units whose queues received a response.
     fn ev_resp_xbar(&mut self, now: Cycle) {
-        let gap = now.since(self.resp_synced);
-        if gap > 0 {
-            self.resp_xbar.advance_idle_cycles(gap);
-        }
-        let (moved, dsts) = self.stage_resp_xbar_tracked(now);
-        self.resp_synced = now + 1;
-        if moved > 0 {
-            let mut m = dsts;
-            while m != 0 {
-                let i = m.trailing_zeros() as usize;
-                m &= m - 1;
-                if let Some(at) = self.l1_fill_in[i].next_ready() {
-                    self.ev.wake_unit(A_L1_FILL, at, i);
-                }
-            }
-            let sleepers = self.resp_xbar.popped_inputs() & self.l2_asleep;
-            if sleepers != 0 {
-                self.wake_sleepers(A_L2_SERVICE, now, sleepers);
+        let (_, dsts) = self.resp_xbar.tick_tracked_masked(
+            now,
+            &mut self.resp_pending,
+            &mut self.l2.up,
+            &mut self.l1.fill_in,
+            |r| match r.origin {
+                miopt_engine::Origin::Wavefront { cu, .. } => cu as usize,
+                miopt_engine::Origin::Internal => 0,
+            },
+        );
+        for i in bits(dsts) {
+            if let Some(at) = self.l1.fill_in[i].next_ready() {
+                self.ev.wake_unit(A_L1_FILL, at, i);
             }
         }
-        if let Some(at) = earliest_head(self.resp_pending, &self.l2_up, now + 1) {
+        let sleepers = self.resp_xbar.popped_inputs() & self.l2.asleep;
+        if sleepers != 0 {
+            self.wake_sleepers(A_L2_SERVICE, now, sleepers);
+        }
+        if let Some(at) = earliest_head(self.resp_pending, &self.l2.up, now + 1) {
             self.ev.wake(A_RESP_XBAR, at);
         }
     }
 
     /// Actor 7 (stage 7): L1 fills from the response crossbar, per due
-    /// CU.
-    fn ev_l1_fill(&mut self, now: Cycle, mut m: u64) {
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if self.fill_l1_unit(now, i) {
-                // As in `ev_l2_fill`.
-                if self.l1_asleep >> i & 1 != 0 {
+    /// CU; as [`ApuSystem::ev_l2_fill`].
+    fn ev_l1_fill(&mut self, now: Cycle, m: u64) {
+        for i in bits(m) {
+            if self.l1.fill(now, i) {
+                if self.l1.is_asleep(i) {
                     self.ev.wake_unit(A_L1_SERVICE, now, i);
                 }
-                if let Some(at) = self.l1_up[i].next_ready() {
+                if let Some(at) = self.l1.up[i].next_ready() {
                     self.ev.wake_unit(A_GPU_RESP, at, i);
                 }
             }
-            if let Some(at) = self.l1_fill_in[i].next_ready() {
+            if let Some(at) = self.l1.fill_in[i].next_ready() {
                 self.ev.wake_unit(A_L1_FILL, at, i);
             }
         }
     }
 
     /// Actor 8 (stage 8): L1 access servicing, per due CU.
-    fn ev_l1_service(&mut self, now: Cycle, mut m: u64) {
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if self.service_l1_unit(now, i) {
-                if let Some(at) = self.l1_down[i].next_ready() {
+    fn ev_l1_service(&mut self, now: Cycle, m: u64) {
+        for i in bits(m) {
+            if self.l1.service(now, i) {
+                self.req_pending |= 1 << i;
+                if let Some(at) = self.l1.down[i].next_ready() {
                     self.ev.wake(A_REQ_XBAR, at);
                 }
-                if let Some(at) = self.l1_up[i].next_ready() {
+                if let Some(at) = self.l1.up[i].next_ready() {
                     self.ev.wake_unit(A_GPU_RESP, at, i);
                 }
             }
-            // As in `ev_l2_service`.
-            let asleep = self.l1_asleep >> i & 1 != 0;
-            if let Some(at) = self.l1_in[i].next_ready() {
-                if at > now || !asleep {
-                    self.ev.wake_unit(A_L1_SERVICE, at, i);
-                }
-            }
-            if let Some(at) = self.l1s[i].next_event(now + 1) {
-                self.ev.wake_unit(A_L1_SERVICE, at, i);
-            }
-            if self.credit_returned(i) {
-                // L1 service -> phase (credit): the phase machine is a
-                // later stage of this cycle, as in the per-cycle order,
-                // where `Gpu::tick_tracked` sees the room for itself.
+            self.ev.rewake_service(A_L1_SERVICE, &self.l1, now, i);
+            if self.gpu.cu_mem_blocked(i) && self.l1.input[i].can_push() {
+                // L1 service -> phase (credit): the CU sleeps on L1
+                // backpressure while its queue has room, the one wake the
+                // GPU cannot schedule for itself because this stage pops
+                // the queue. The phase machine is a later stage of this
+                // cycle, as in the per-cycle order, where
+                // `Gpu::tick_tracked` sees the room for itself.
                 self.ev.wake(A_PHASE, now);
             }
         }
     }
 
-    /// Whether CU `i` sleeps on L1 backpressure while its queue has
-    /// room: the one wake the GPU cannot schedule for itself, because
-    /// the queue is popped by the L1 service stage.
-    fn credit_returned(&self, i: usize) -> bool {
-        self.gpu.cu_mem_blocked(i) && self.l1_in[i].can_push()
-    }
-
-    /// Actor 9 (stage 9): request crossbar, with idle-rotation catch-up.
+    /// Actor 9 (stage 9): request crossbar, L1s toward the L2 slices.
     /// Wakes only the L2 service slices whose input queues received a
     /// request.
     fn ev_req_xbar(&mut self, now: Cycle) {
-        let gap = now.since(self.req_synced);
-        if gap > 0 {
-            self.req_xbar.advance_idle_cycles(gap);
-        }
-        let (moved, dsts) = self.stage_req_xbar_tracked(now);
-        self.req_synced = now + 1;
-        if moved > 0 {
-            let mut m = dsts;
-            while m != 0 {
-                let s = m.trailing_zeros() as usize;
-                m &= m - 1;
-                if let Some(at) = self.l2_in[s].next_ready() {
-                    self.ev.wake_unit(A_L2_SERVICE, at, s);
-                }
-            }
-            let sleepers = self.req_xbar.popped_inputs() & self.l1_asleep;
-            if sleepers != 0 {
-                self.wake_sleepers(A_L1_SERVICE, now, sleepers);
+        let cfg = &self.cfg;
+        let (_, dsts) = self.req_xbar.tick_tracked_masked(
+            now,
+            &mut self.req_pending,
+            &mut self.l1.down,
+            &mut self.l2.input,
+            |r| cfg.l2_slice_of(r.line),
+        );
+        for s in bits(dsts) {
+            if let Some(at) = self.l2.input[s].next_ready() {
+                self.ev.wake_unit(A_L2_SERVICE, at, s);
             }
         }
-        if let Some(at) = earliest_head(self.req_pending, &self.l1_down, now + 1) {
+        let sleepers = self.req_xbar.popped_inputs() & self.l1.asleep;
+        if sleepers != 0 {
+            self.wake_sleepers(A_L1_SERVICE, now, sleepers);
+        }
+        if let Some(at) = earliest_head(self.req_pending, &self.l1.down, now + 1) {
             self.ev.wake(A_REQ_XBAR, at);
         }
     }
 
     /// Actor 10 (stage 10): response delivery to the GPU, per due CU.
-    fn ev_gpu_resp(&mut self, now: Cycle, mut m: u64) {
+    fn ev_gpu_resp(&mut self, now: Cycle, m: u64) {
         let (mut popped, mut woke) = (0u64, false);
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let (p, w) = self.gpu_resp_unit(now, i);
-            popped |= u64::from(p) << i;
-            woke |= w;
-            if let Some(at) = self.l1_up[i].next_ready() {
+        for i in bits(m) {
+            while let Some(resp) = self.l1.up[i].pop_ready(now) {
+                woke |= self.gpu.on_response(resp);
+                popped |= 1 << i;
+            }
+            if let Some(at) = self.l1.up[i].next_ready() {
                 self.ev.wake_unit(A_GPU_RESP, at, i);
             }
         }
-        let sleepers = popped & self.l1_asleep;
+        let sleepers = popped & self.l1.asleep;
         if sleepers != 0 {
             self.wake_sleepers(A_L1_SERVICE, now, sleepers);
         }
@@ -1885,19 +1913,16 @@ impl ApuSystem {
             // (including on the tick that finished the kernel); only the
             // CUs that acted can have pushed.
             Phase::Running if acted => {
-                let mut m = issued;
-                while m != 0 {
-                    let i = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if let Some(at) = self.l1_in[i].next_ready() {
+                for i in bits(issued) {
+                    if let Some(at) = self.l1.input[i].next_ready() {
                         self.ev.wake_unit(A_L1_SERVICE, at, i);
                     }
                 }
             }
             // A flush tick pushes writebacks toward DRAM.
             Phase::Flushing => {
-                for s in 0..self.l2_down.len() {
-                    if let Some(at) = self.l2_down[s].next_ready() {
+                for s in 0..self.l2.down.len() {
+                    if let Some(at) = self.l2.down[s].next_ready() {
                         self.ev.wake_unit(A_L2_TO_DRAM, at, s);
                     }
                 }
@@ -1935,21 +1960,13 @@ impl ApuSystem {
     /// A snapshot of all statistics at the current cycle.
     #[must_use]
     pub fn metrics(&self) -> Metrics {
-        let mut l1 = CacheStats::default();
-        for c in &self.l1s {
-            l1.merge(c.stats());
-        }
-        let mut l2 = CacheStats::default();
-        for c in &self.l2s {
-            l2.merge(c.stats());
-        }
         Metrics::new(
             &self.cfg,
             self.now.0,
             self.gpu.stats(),
             self.dram.stats().clone(),
-            l1,
-            l2,
+            self.l1.stats(),
+            self.l2.stats(),
         )
     }
 
@@ -1988,24 +2005,21 @@ impl ApuSystem {
     /// cycle. Every reader of them calls this first; under the oracle
     /// itself there is never anything to book.
     fn settle_caches(&mut self) {
-        for c in self.l1s.iter_mut().chain(&mut self.l2s) {
-            c.settle(self.now);
-        }
+        self.l1.settle(self.now);
+        self.l2.settle(self.now);
     }
 
     /// Whether any request or response is anywhere in the hierarchy.
     fn hierarchy_busy(&self) -> bool {
-        self.l1_in.iter().any(|q| !q.is_empty())
-            || self.l1_down.iter().any(|q| !q.is_empty())
-            || self.l2_in.iter().any(|q| !q.is_empty())
-            || self.l2_down.iter().any(|q| !q.is_empty())
-            || self.dram_resp.iter().any(|q| !q.is_empty())
+        let queued = |(_, family): (_, Family<'_>)| family.queues().any(|q| q.occupancy() > 0);
+        self.queue_registry().into_iter().any(queued)
             || !self.resp_holdover.is_empty()
-            || self.l2_up.iter().any(|q| !q.is_empty())
-            || self.l1_fill_in.iter().any(|q| !q.is_empty())
-            || self.l1_up.iter().any(|q| !q.is_empty())
-            || self.l1s.iter().any(CacheUnit::busy)
-            || self.l2s.iter().any(CacheUnit::busy)
+            || self
+                .l1
+                .units
+                .iter()
+                .chain(&self.l2.units)
+                .any(CacheUnit::busy)
             || self.dram.busy()
     }
 
@@ -2034,7 +2048,7 @@ impl ApuSystem {
                 }
             }
             Phase::Running => {
-                let (acted, issued) = self.gpu.tick_tracked(now, &mut self.l1_in);
+                let (acted, issued) = self.gpu.tick_tracked(now, &mut self.l1.input);
                 if self.gpu.kernel_done() {
                     self.phase = Phase::DrainKernel;
                     return (true, issued);
@@ -2043,7 +2057,7 @@ impl ApuSystem {
             }
             Phase::DrainKernel => {
                 if !self.hierarchy_busy() {
-                    for c in &mut self.l2s {
+                    for c in &mut self.l2.units {
                         c.start_flush();
                     }
                     self.phase = Phase::Flushing;
@@ -2054,7 +2068,7 @@ impl ApuSystem {
             }
             Phase::Flushing => {
                 let mut done = true;
-                for (c, down) in self.l2s.iter_mut().zip(self.l2_down.iter_mut()) {
+                for (c, down) in self.l2.units.iter_mut().zip(&mut self.l2.down) {
                     c.flush_tick(now, down);
                     done &= c.flush_done();
                 }
@@ -2069,12 +2083,8 @@ impl ApuSystem {
                 if !self.hierarchy_busy() {
                     // Acquire for the next kernel: flash self-invalidation
                     // of all valid GPU cache data.
-                    for c in &mut self.l1s {
-                        c.self_invalidate();
-                    }
-                    for c in &mut self.l2s {
-                        c.self_invalidate();
-                    }
+                    self.l1.self_invalidate();
+                    self.l2.self_invalidate();
                     if let Some(rec) = self.telemetry.as_deref_mut() {
                         rec.instant("self_invalidate", now.0);
                     }
@@ -2092,180 +2102,6 @@ impl ApuSystem {
             }
             Phase::Finished => (false, 0),
         }
-    }
-
-    /// Stages 1-2: DRAM scheduling, then responses toward their L2 slice
-    /// (holdover first). Returns the mask of slices that received a
-    /// response this cycle.
-    fn stage_dram(&mut self, now: Cycle) -> u64 {
-        self.dram.tick(now);
-        let mut pushed = 0u64;
-        while let Some(resp) = self.resp_holdover.pop_front() {
-            let slice = self.cfg.l2_slice_of(resp.line);
-            if self.dram_resp[slice].can_push() {
-                self.dram_resp[slice]
-                    .push(now, resp)
-                    .unwrap_or_else(|_| unreachable!("checked can_push"));
-                pushed |= 1 << slice;
-            } else {
-                self.resp_holdover.push_front(resp);
-                break;
-            }
-        }
-        let mut cursor = 0;
-        while self.resp_holdover.len() < 4 {
-            match self.dram.pop_response_from(now, &mut cursor) {
-                Some(resp) => {
-                    let slice = self.cfg.l2_slice_of(resp.line);
-                    if self.dram_resp[slice].can_push() {
-                        self.dram_resp[slice]
-                            .push(now, resp)
-                            .unwrap_or_else(|_| unreachable!("checked can_push"));
-                        pushed |= 1 << slice;
-                    } else {
-                        self.resp_holdover.push_back(resp);
-                    }
-                }
-                None => break,
-            }
-        }
-        pushed
-    }
-
-    /// Stage 3 for one L2 slice: up to two fills from its DRAM response
-    /// queue.
-    fn fill_l2_unit(&mut self, now: Cycle, s: usize) -> bool {
-        let mut acted = false;
-        for _ in 0..2 {
-            let Some(&resp) = self.dram_resp[s].ready_front(now) else {
-                break;
-            };
-            match self.l2s[s].fill(now, resp, &mut self.l2_up[s]) {
-                Ok(()) => {
-                    self.dram_resp[s].pop_ready(now);
-                    acted = true;
-                }
-                Err(_) => break, // response queue full; retry next cycle
-            }
-        }
-        if acted {
-            self.resp_pending |= 1 << s;
-        }
-        acted
-    }
-
-    /// Stage 4 for one L2 slice: its accesses (with miss-replay, up to
-    /// the slice's port width); returns whether it consumed a request.
-    /// The handler's loop inlines it: as a call it cost the event core
-    /// some 3 % of a latency-bound run.
-    #[inline]
-    fn service_l2_unit(&mut self, now: Cycle, s: usize) -> bool {
-        let acted = self.l2s[s].service(
-            now,
-            &mut self.l2_in[s],
-            &mut self.l2_down[s],
-            &mut self.l2_up[s],
-        );
-        if acted {
-            self.resp_pending |= 1 << s;
-        }
-        let asleep = self.l2s[s].blocked_since().is_some();
-        self.l2_asleep = self.l2_asleep & !(1 << s) | u64::from(asleep) << s;
-        acted
-    }
-
-    /// Stage 5 for one L2 slice: drain its writeback queue into DRAM
-    /// while DRAM accepts.
-    fn l2_to_dram_unit(&mut self, now: Cycle, s: usize) -> bool {
-        let mut acted = false;
-        let q = &mut self.l2_down[s];
-        while let Some(req) = q.ready_front(now) {
-            if self.dram.can_accept(req) {
-                let req = q.pop_ready(now).expect("head ready");
-                self.dram
-                    .push(now, req)
-                    .unwrap_or_else(|_| unreachable!("checked can_accept"));
-                acted = true;
-            } else {
-                break;
-            }
-        }
-        acted
-    }
-
-    /// Stage 6: response crossbar (L2 -> L1s). Returns the messages moved
-    /// and the mask of L1 fill queues that received a response.
-    fn stage_resp_xbar_tracked(&mut self, now: Cycle) -> (u64, u64) {
-        self.resp_xbar.tick_tracked_masked(
-            now,
-            &mut self.resp_pending,
-            &mut self.l2_up,
-            &mut self.l1_fill_in,
-            |r| match r.origin {
-                miopt_engine::Origin::Wavefront { cu, .. } => cu as usize,
-                miopt_engine::Origin::Internal => 0,
-            },
-        )
-    }
-
-    /// Stage 7 for one CU: up to two L1 fills from its response queue.
-    fn fill_l1_unit(&mut self, now: Cycle, i: usize) -> bool {
-        let mut acted = false;
-        for _ in 0..2 {
-            let Some(&resp) = self.l1_fill_in[i].ready_front(now) else {
-                break;
-            };
-            match self.l1s[i].fill(now, resp, &mut self.l1_up[i]) {
-                Ok(()) => {
-                    self.l1_fill_in[i].pop_ready(now);
-                    acted = true;
-                }
-                Err(_) => break,
-            }
-        }
-        acted
-    }
-
-    /// Stage 8 for one CU's L1; as [`ApuSystem::service_l2_unit`].
-    #[inline]
-    fn service_l1_unit(&mut self, now: Cycle, i: usize) -> bool {
-        let acted = self.l1s[i].service(
-            now,
-            &mut self.l1_in[i],
-            &mut self.l1_down[i],
-            &mut self.l1_up[i],
-        );
-        if acted {
-            self.req_pending |= 1 << i;
-        }
-        let asleep = self.l1s[i].blocked_since().is_some();
-        self.l1_asleep = self.l1_asleep & !(1 << i) | u64::from(asleep) << i;
-        acted
-    }
-
-    /// Stage 9: request crossbar (L1s -> L2 slices). Returns the messages
-    /// moved and the mask of L2 input queues that received a request.
-    fn stage_req_xbar_tracked(&mut self, now: Cycle) -> (u64, u64) {
-        let cfg = &self.cfg;
-        self.req_xbar.tick_tracked_masked(
-            now,
-            &mut self.req_pending,
-            &mut self.l1_down,
-            &mut self.l2_in,
-            |r| cfg.l2_slice_of(r.line),
-        )
-    }
-
-    /// Stage 10 for one CU: deliver its ready L1 responses to the GPU.
-    /// Returns whether it popped any, and whether any of them gave the
-    /// GPU something to do (`Gpu::on_response`).
-    fn gpu_resp_unit(&mut self, now: Cycle, i: usize) -> (bool, bool) {
-        let (mut popped, mut woke) = (false, false);
-        while let Some(resp) = self.l1_up[i].pop_ready(now) {
-            woke |= self.gpu.on_response(resp);
-            popped = true;
-        }
-        (popped, woke)
     }
 }
 
@@ -2567,7 +2403,7 @@ mod tests {
                 let err = sys.run_to_completion(budget).expect_err("mid-kernel");
                 assert_eq!(err.diagnostic.reason, StallReason::CycleBudget);
                 assert_eq!(sys.now(), Cycle(budget));
-                blocked_at_a_halt |= (0..sys.l1_in.len()).any(|i| sys.gpu.cu_mem_blocked(i));
+                blocked_at_a_halt |= (0..sys.l1.input.len()).any(|i| sys.gpu.cu_mem_blocked(i));
             }
             assert!(blocked_at_a_halt, "the halts must catch backpressured CUs");
             let got = sys.run_to_completion(200_000_000).expect("resumed run");
@@ -2659,6 +2495,24 @@ mod tests {
         assert_eq!(l2.blocked + l2.settled, o2.blocked);
     }
 
+    /// The diagnostic of a budget halt on a saturated run, pinned whole:
+    /// the queue registry's order, the oldest request and the `l1[i]` /
+    /// `l2[s]` names in the MSHR and blocked-unit lists.
+    #[test]
+    fn saturated_budget_halt_diagnostic_text_is_pinned() {
+        let w = by_name(&SuiteConfig::quick(), "FwAct").unwrap();
+        let mut sys = ApuSystem::new(
+            SystemConfig::small_test(),
+            PolicyConfig::of(CachePolicy::CacheR),
+            &w,
+        );
+        let err = sys.run_to_completion(9_337).expect_err("mid-kernel");
+        assert_eq!(
+            err.diagnostic.to_string(),
+            include_str!("../tests/golden/stall_fwact_cacher_9337.txt")
+        );
+    }
+
     /// A lost wake is a named violation at the next check, not a wedge:
     /// drop the pending `service` wake of a sleeping L1 whose credit just
     /// came back, and `blocked_unit_wake` reports that unit.
@@ -2679,8 +2533,8 @@ mod tests {
             let err = sys.run_to_completion(budget).expect_err("mid-kernel");
             assert!(err.diagnostic.violations.is_empty(), "{err:?}");
             let now = sys.now();
-            for i in 0..sys.l1s.len() {
-                let asleep = sys.l1s[i].blocked_since().is_some();
+            for i in 0..sys.l1.units.len() {
+                let asleep = sys.l1.units[i].blocked_since().is_some();
                 if !asleep || !sys.ev.unit_wake_pending(A_L1_SERVICE, now, i) {
                     continue;
                 }
@@ -2698,8 +2552,9 @@ mod tests {
                     }
                     _ => panic!("{vs:?}"),
                 }
-                // Restore the unit-wheel entry alone: its actor wake is
-                // the halted cycle's `due` bit, still in place.
+                // Restore the unit-wheel entry alone: its actor wake at
+                // `now` is still on the actor wheel, which a budget halt
+                // leaves undispatched from `now` on.
                 sys.ev.units[UNIT_WHEEL[A_L1_SERVICE]].insert(now, i as u8);
                 assert!(sys.check_invariants_now().is_empty());
             }
@@ -2721,7 +2576,7 @@ mod tests {
         );
         sys.ev.units[wheel].cancel(at, 3);
         // The mask the credit edges consult must mark exactly the sleepers.
-        sys.l1_asleep ^= 1;
+        sys.l1.asleep ^= 1;
         let vs = sys.check_invariants_now();
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(
@@ -2729,7 +2584,7 @@ mod tests {
             ("l1[0]", "blocked_unit_wake")
         );
         assert!(vs[0].detail.contains("sleep mask"), "{}", vs[0]);
-        sys.l1_asleep ^= 1;
+        sys.l1.asleep ^= 1;
         // Wakes restored, nothing was disturbed.
         assert_eq!(sys.run_to_completion(200_000_000), Ok(want));
     }
@@ -2758,7 +2613,7 @@ mod tests {
             );
             settled = l1.settled + l2.settled;
             let asleep = |units: &[CacheUnit]| units.iter().any(|c| c.blocked_since().is_some());
-            assert!(!asleep(&sys.l1s) && !asleep(&sys.l2s));
+            assert!(!asleep(&sys.l1.units) && !asleep(&sys.l2.units));
             // Would panic on a unit still holding a blocked request.
             sys.set_policy_config(&PolicyConfig::of(policy), None);
             sys.idle_until(sys.now() + 777);

@@ -11,9 +11,7 @@
 //!     [--no-journal] [--resume <run-id>]
 //! ```
 //!
-//! With no figure selector, everything is regenerated (`--all`). The
-//! `figures` binary in `miopt-bench` is a thin wrapper over this module,
-//! so both entry points behave identically.
+//! With no figure selector, everything is regenerated (`--all`).
 
 use crate::cache::ResultCache;
 use crate::figures::{fig10, fig11, fig12, fig13, fig4, fig5, fig6, fig7, fig8, fig9, FigureData};

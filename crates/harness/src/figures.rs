@@ -1,11 +1,8 @@
 //! Figure extraction and table formatting.
 //!
 //! Turns raw sweep results into the normalized series each paper figure
-//! plots, and renders them as aligned text tables or CSV. This code
-//! moved here from `miopt-bench` so that both the `miopt-harness` CLI
-//! and the bench crate's `figures` binary regenerate figures through the
-//! same parallel orchestration path; `miopt-bench` re-exports this
-//! module for compatibility.
+//! plots, and renders them as aligned text tables or CSV, for the
+//! `miopt-harness` CLI's parallel sweeps.
 
 use miopt::runner::{LadderResult, RunResult};
 
@@ -254,8 +251,8 @@ pub fn fig13(ladders: &[LadderResult]) -> FigureData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use miopt::runner::{run_ladder_with_statics, run_one, run_static_sweep};
-    use miopt::{CachePolicy, PolicyConfig, SystemConfig};
+    use miopt::runner::{run_optimization_ladder, run_static_sweep};
+    use miopt::SystemConfig;
     use miopt_workloads::{by_name, SuiteConfig};
 
     fn tiny_sweep() -> Vec<Vec<RunResult>> {
@@ -296,11 +293,7 @@ mod tests {
     fn ladder_figures_have_five_series() {
         let cfg = SystemConfig::small_test();
         let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
-        let statics: Vec<RunResult> = CachePolicy::ALL
-            .iter()
-            .map(|&p| run_one(&cfg, &w, PolicyConfig::of(p)).expect("run finishes"))
-            .collect();
-        let ladder = vec![run_ladder_with_statics(&cfg, &w, statics).expect("ladder finishes")];
+        let ladder = run_optimization_ladder(&cfg, &[w]).expect("ladder finishes");
         for f in [
             fig10(&ladder),
             fig11(&ladder),

@@ -66,14 +66,15 @@ impl miopt_telemetry::StatSnapshot for CrossbarStats {
 /// An input-queued crossbar between `TimedQueue`s.
 ///
 /// Each call to [`Crossbar::tick_tracked_masked`] moves at most one
-/// message per input and at most `per_output` messages into each output,
-/// using a rotating round-robin start position for fairness.
+/// message per input and at most `per_output` messages into each output.
+/// For fairness the round-robin scan starts at input `now mod inputs`: the
+/// start rotates by one per cycle whether or not the crossbar is ticked,
+/// so a cycle it is not ticked on has nothing to book.
 #[derive(Debug)]
 pub struct Crossbar {
     inputs: usize,
     outputs: usize,
     per_output: u32,
-    rr_start: usize,
     budget: Vec<u32>,
     /// Inputs the last tick popped (see [`Crossbar::popped_inputs`]).
     popped: u64,
@@ -104,7 +105,6 @@ impl Crossbar {
             inputs,
             outputs,
             per_output,
-            rr_start: 0,
             budget: vec![0; outputs],
             popped: 0,
             stats: CrossbarStats::default(),
@@ -125,11 +125,11 @@ impl Crossbar {
     ///   after a call the set bits are exactly the nonempty inputs;
     /// - a cleared bit promises the input is empty, so the scan skips it.
     ///
-    /// Under that contract the result — moves, statistics, round-robin
-    /// rotation — is that of a scan of every input: empty inputs
-    /// contribute nothing to it, and the set bits are visited in the same
-    /// rotated order. The point is cost: a 64-input crossbar with two
-    /// active CUs touches two queues instead of sixty-four.
+    /// Under that contract the result — moves and statistics — is that of
+    /// a scan of every input: empty inputs contribute nothing to it, and
+    /// the set bits are visited in the same rotated order. The point is
+    /// cost: a 64-input crossbar with two active CUs touches two queues
+    /// instead of sixty-four.
     ///
     /// # Panics
     ///
@@ -145,15 +145,9 @@ impl Crossbar {
     ) -> (u64, u64) {
         assert_eq!(inputs.len(), self.inputs, "input port count mismatch");
         assert_eq!(outputs.len(), self.outputs, "output port count mismatch");
-        for b in &mut self.budget {
-            *b = self.per_output;
-        }
+        self.budget.fill(self.per_output);
         let n = self.inputs;
-        let start = self.rr_start;
-        self.rr_start += 1;
-        if self.rr_start == n {
-            self.rr_start = 0;
-        }
+        let start = (now.0 % n as u64) as usize;
         let live = u64::MAX >> (64 - n);
         let mut moved = 0;
         let mut pushed = 0u64;
@@ -195,17 +189,6 @@ impl Crossbar {
         (moved, pushed)
     }
 
-    /// Advances the round-robin cursor as if
-    /// [`Crossbar::tick_tracked_masked`] had been called `cycles` times
-    /// with every input empty or unready. On such a cycle a tick moves
-    /// nothing and touches no statistic, but it still rotates the
-    /// arbitration start position; the event-driven core in `ApuSystem`
-    /// calls this for the cycles it never ticked the crossbar on, so that
-    /// the arbiter ends up in exactly the state per-cycle ticking leaves.
-    pub fn advance_idle_cycles(&mut self, cycles: u64) {
-        self.rr_start = (self.rr_start + (cycles % self.inputs as u64) as usize) % self.inputs;
-    }
-
     /// The input ports the last tick popped a message from, as a bitmask
     /// over port indices. A pop returns a credit to whatever feeds that
     /// input: the event-driven core wakes a producer that sleeps on its
@@ -242,16 +225,6 @@ impl Sentinel for Crossbar {
                 detail: format!("port budget {b} exceeds per_output {}", self.per_output),
             });
         }
-        if self.rr_start >= self.inputs {
-            out.push(InvariantViolation {
-                component: component.to_string(),
-                invariant: "arbitration_cursor",
-                detail: format!(
-                    "round-robin start {} out of range for {} inputs",
-                    self.rr_start, self.inputs
-                ),
-            });
-        }
     }
 }
 
@@ -277,7 +250,7 @@ mod tests {
     }
 
     /// An independent reference for the masked tick: the plain scan of
-    /// every input in round-robin order from the cursor.
+    /// every input in round-robin order from `now mod inputs`.
     fn full_scan(
         x: &mut Crossbar,
         now: Cycle,
@@ -286,8 +259,8 @@ mod tests {
         route: impl Fn(&u64) -> usize,
     ) -> (u64, u64) {
         x.budget.fill(x.per_output);
-        let (n, start) = (x.inputs, x.rr_start);
-        x.rr_start = (start + 1) % n;
+        let n = x.inputs;
+        let start = (now.0 % n as u64) as usize;
         let (mut moved, mut pushed) = (0, 0u64);
         x.popped = 0;
         for cur in (start..n).chain(0..start) {
@@ -371,7 +344,7 @@ mod tests {
         // One output slot per cycle: input 0 moves, input 2 is blocked.
         tick(&mut x, Cycle(0), &mut ins, &mut outs, |_| 0);
         assert_eq!(x.popped_inputs(), 0b001);
-        // The cursor moved on to input 1 (empty), then 2.
+        // Cycle 1 starts the scan at input 1 (empty), then 2.
         tick(&mut x, Cycle(1), &mut ins, &mut outs, |_| 0);
         assert_eq!(x.popped_inputs(), 0b100);
         tick(&mut x, Cycle(2), &mut ins, &mut outs, |_| 0);
@@ -431,34 +404,46 @@ mod tests {
     }
 
     #[test]
-    fn idle_advance_matches_idle_ticks() {
-        // N idle ticks and one advance_idle_cycles(N) must leave the
-        // arbiter choosing the same input first.
-        let mut ticked = Crossbar::new(3, 1, 1);
-        let mut warped = Crossbar::new(3, 1, 1);
-        let mut ins = queues(3, 8);
-        let mut outs = queues(1, 8);
-        for cycle in 0..7 {
-            tick(&mut ticked, Cycle(cycle), &mut ins, &mut outs, |_| 0);
+    fn sparse_ticks_pop_what_every_cycle_ticks_pop() {
+        // The event core ticks a crossbar only on cycles with a ready head,
+        // where a tick on any other cycle would find nothing to move. A
+        // crossbar ticked on those cycles alone must pop the same inputs as
+        // one ticked on every cycle with the same traffic.
+        const TICKS: [u64; 5] = [0, 5, 6, 130, 131];
+        let (mut sparse, mut dense) = (Crossbar::new(3, 1, 1), Crossbar::new(3, 1, 1));
+        let (mut ins_s, mut ins_d) = (queues(3, 8), queues(3, 8));
+        let (mut outs_s, mut outs_d) = (queues(1, 8), queues(1, 8));
+        let mut pops = Vec::new();
+        for cycle in 0..=131 {
+            // Each burst of ticks starts with one message per tick in it,
+            // so that the first tick of a burst has a choice to make.
+            let arrivals: &[usize] = match cycle {
+                0 => &[1],
+                5 => &[0, 1],
+                130 => &[0, 2],
+                _ => &[],
+            };
+            for &i in arrivals {
+                ins_s[i].push(Cycle(cycle), cycle).unwrap();
+                ins_d[i].push(Cycle(cycle), cycle).unwrap();
+            }
+            tick(&mut dense, Cycle(cycle), &mut ins_d, &mut outs_d, |_| 0);
+            if TICKS.contains(&cycle) {
+                tick(&mut sparse, Cycle(cycle), &mut ins_s, &mut outs_s, |_| 0);
+                assert_eq!(
+                    sparse.popped_inputs(),
+                    dense.popped_inputs(),
+                    "cycle {cycle}"
+                );
+                pops.push(sparse.popped_inputs());
+            } else {
+                assert_eq!(dense.popped_inputs(), 0, "cycle {cycle}");
+            }
         }
-        warped.advance_idle_cycles(7);
-        assert_eq!(ticked.stats().moved.get(), 0, "idle ticks move nothing");
-        // Load every input; the first message moved reveals rr_start.
-        for q in ins.iter_mut() {
-            q.push(Cycle(7), 0).unwrap();
-        }
-        let lens = |ins: &[TimedQueue<u64>]| ins.iter().map(TimedQueue::len).collect::<Vec<_>>();
-        tick(&mut ticked, Cycle(7), &mut ins, &mut outs, |_| 0);
-        let after_ticked = lens(&ins);
-        for q in ins.iter_mut() {
-            while q.pop_ready(Cycle(7)).is_some() {}
-            q.push(Cycle(7), 0).unwrap();
-        }
-        for q in outs.iter_mut() {
-            while q.pop_ready(Cycle(7)).is_some() {}
-        }
-        tick(&mut warped, Cycle(7), &mut ins, &mut outs, |_| 0);
-        assert_eq!(after_ticked, lens(&ins));
+        // The scan starts at `now mod 3`: input 0 before 1 at cycle 5, input
+        // 2 before 0 at cycle 130.
+        assert_eq!(pops, [0b010, 0b001, 0b010, 0b100, 0b001]);
+        assert_eq!(sparse.stats(), dense.stats());
     }
 
     #[test]

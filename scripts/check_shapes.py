@@ -2,7 +2,7 @@
 """Check the reproduction's qualitative acceptance criteria (DESIGN.md)
 against a results directory produced by:
 
-    cargo run -p miopt-bench --release --bin figures -- --all --csv <dir>
+    cargo run --release -p miopt-harness -- --all --csv <dir>
 
 Usage: python3 scripts/check_shapes.py [results_dir]
 """

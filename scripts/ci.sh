@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate, runnable offline (no registry access: the
-# workspace has no external dependencies and `default-members` excludes
-# nothing that needs one).
+# workspace has no external dependencies).
 #
 #   scripts/ci.sh          # fmt + clippy + build + debug tests
 #   scripts/ci.sh --full   # additionally: release tests including the
 #                          # release-only full-suite determinism/golden
-#                          # tests and the non-default miopt-bench crate
+#                          # tests
 #
 # The debug path is the canonical tier-1 entry point:
 #   cargo build --release && cargo test -q
@@ -20,7 +19,7 @@ full=0
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== cargo clippy (default members, all targets) =="
+echo "== cargo clippy (all targets) =="
 cargo clippy --all-targets -- -D warnings
 
 echo "== cargo build --release =="
@@ -267,12 +266,6 @@ cargo run --release -q --manifest-path bench/Cargo.toml --offline -- \
 echo "benchmark smoke ok"
 
 if [[ $full -eq 1 ]]; then
-    echo "== cargo clippy -p miopt-bench =="
-    cargo clippy -p miopt-bench --all-targets -- -D warnings
-
-    echo "== cargo build -p miopt-bench (bins, benches) =="
-    cargo build --release -p miopt-bench --bins --benches
-
     echo "== cargo test --release (full suite, including release-only tests) =="
     cargo test -q --release -- --include-ignored
 fi
