@@ -475,19 +475,17 @@ mod tests {
     /// the full walk's, order included.
     #[test]
     fn touched_slot_walks_match_the_full_walk() {
-        use miopt_engine::rng::SplitMix64;
-        for seed in 0..16u64 {
-            let mut rng = SplitMix64::new(0x7a95_0000 + seed);
+        miopt_engine::prop::check("touched_slot_walks_match_the_full_walk", 16, |c| {
             // 16 sets x 4 ways = 64 slots, or 8 x 12 = 96 (a partial
             // bitmap word).
-            let (sets, ways) = if seed % 2 == 0 { (16, 4) } else { (8, 12) };
+            let (sets, ways) = c.pick(&[(16, 4), (8, 12)]);
             let mut t = TagArray::new(sets, ways, 31, 0);
             let mut out = Vec::new();
-            for _boundary in 0..12 {
-                for _ in 0..rng.next_below(200) {
-                    let line = LineAddr(rng.next_below(4 * (sets * ways) as u64));
+            for _boundary in 0..c.steps(1..24) {
+                for _ in 0..c.below(200) {
+                    let line = LineAddr(c.below(4 * (sets * ways) as u64));
                     let set = t.set_index(line);
-                    match rng.next_below(6) {
+                    match c.below(6) {
                         // Allocate for a miss (busy) or write-allocate a
                         // store (valid dirty), as `service` does.
                         0 | 1 => {
@@ -498,8 +496,8 @@ mod tests {
                                 Victim::Free(w) | Victim::Clean(w) | Victim::Dirty(w) => w,
                                 Victim::AllBusy => continue,
                             };
-                            let pc = Pc(rng.next_below(8) as u32);
-                            if rng.next_below(2) == 0 {
+                            let pc = Pc(c.below(8) as u32);
+                            if c.below(2) == 0 {
                                 t.install(line, way, LineState::Busy, pc, false);
                             } else {
                                 t.install(line, way, LineState::Valid, pc, true);
@@ -507,7 +505,7 @@ mod tests {
                         }
                         // A fill turns a busy way valid.
                         2 => {
-                            let way = rng.next_below(ways as u64) as usize;
+                            let way = c.below(ways as u64) as usize;
                             if t.line(set, way).state == LineState::Busy {
                                 t.line_mut(set, way).state = LineState::Valid;
                             }
@@ -517,18 +515,18 @@ mod tests {
                             if let Some((s, w)) = t.probe(line) {
                                 if t.line(s, w).state == LineState::Valid {
                                     t.touch(s, w);
-                                    t.line_mut(s, w).dirty |= rng.next_below(2) == 0;
+                                    t.line_mut(s, w).dirty |= c.below(2) == 0;
                                 }
                             }
                         }
                         // A writeback cleans a line.
                         4 => {
-                            let way = rng.next_below(ways as u64) as usize;
+                            let way = c.below(ways as u64) as usize;
                             t.line_mut(set, way).dirty = false;
                         }
                         // An eviction or bypass invalidation.
                         _ => {
-                            let way = rng.next_below(ways as u64) as usize;
+                            let way = c.below(ways as u64) as usize;
                             if t.line(set, way).state == LineState::Valid {
                                 t.invalidate(set, way);
                             }
@@ -545,7 +543,7 @@ mod tests {
                     }
                 }
                 t.dirty_lines_into(&mut out);
-                assert_eq!(out, full_walk_dirty(&t), "seed {seed}");
+                assert_eq!(out, full_walk_dirty(&t));
                 for &line in &out {
                     let (s, w) = t.probe(line).expect("dirty lines are live");
                     t.line_mut(s, w).dirty = false;
@@ -553,11 +551,11 @@ mod tests {
                 let want = full_walk_flash(&t);
                 let mut got = Vec::new();
                 t.flash_invalidate(|l| got.push((l.line, l.referenced, l.pc)));
-                assert_eq!(got, want, "seed {seed}");
+                assert_eq!(got, want);
                 assert_eq!(t.live_count(), 0);
                 assert!(t.touched.iter().all(|&w| w == 0));
             }
-        }
+        });
     }
 
     #[test]

@@ -340,7 +340,7 @@ impl Default for EventWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SplitMix64;
+    use crate::prop;
 
     #[test]
     fn pops_in_cycle_order_with_same_cycle_ids_batched() {
@@ -491,38 +491,36 @@ mod tests {
     /// Randomized differential test against an ordered-map reference
     /// model, over insert / cancel / pop / take interleavings spanning
     /// the ring, its wrap boundary, and the overflow path, ending with
-    /// the full `entries` listing. (The proptest
-    /// variant in `tests/proptest_eventwheel.rs` explores the same state
-    /// space with shrinkable inputs when the external dependencies are
-    /// available.)
+    /// the full `entries` listing. (`tests/proptest_eventwheel.rs`
+    /// differences `next_cycle`, `is_empty` and a rebased start against
+    /// the same kind of model.)
     #[test]
     fn matches_an_ordered_map_reference_model() {
-        for seed in 0..8u64 {
-            let mut rng = SplitMix64::new(0x5eed_0000 + seed);
+        prop::check("matches_an_ordered_map_reference_model", 16, |c| {
             let mut wheel = EventWheel::new();
             let mut model: BTreeMap<u64, u64> = BTreeMap::new();
             let mut horizon = 0u64; // wheel base lower bound
-            for _ in 0..4_000 {
-                match rng.next_below(12) {
+            for _ in 0..c.steps(1..4_000) {
+                match c.below(12) {
                     0..=5 => {
                         // Insert near, around the window edge, or far.
-                        let spread = match rng.next_below(3) {
-                            0 => rng.next_below(64),
-                            1 => EventWheel::WINDOW - 32 + rng.next_below(64),
-                            _ => rng.next_below(100_000),
+                        let spread = match c.below(3) {
+                            0 => c.below(64),
+                            1 => EventWheel::WINDOW - 32 + c.below(64),
+                            _ => c.below(100_000),
                         };
                         let at = horizon + spread;
-                        let id = (rng.next_below(64)) as u8;
+                        let id = c.below(64) as u8;
                         wheel.insert(Cycle(at), id);
                         *model.entry(at).or_insert(0) |= 1 << id;
                     }
                     6..=7 => {
                         let popped = wheel.pop_next();
                         let expect = model.first_key_value().map(|(&k, &m)| (Cycle(k), m));
-                        assert_eq!(popped, expect, "seed {seed}");
-                        if let Some((c, _)) = popped {
-                            model.remove(&c.0);
-                            horizon = c.0 + 1;
+                        assert_eq!(popped, expect);
+                        if let Some((at, _)) = popped {
+                            model.remove(&at.0);
+                            horizon = at.0 + 1;
                         }
                     }
                     8..=9 => {
@@ -531,12 +529,12 @@ mod tests {
                         // empty one before it (or past an empty wheel).
                         let earliest = model.first_key_value().map(|(&k, _)| k);
                         let at = match earliest {
-                            Some(k) if rng.next_below(4) != 0 => k,
-                            Some(k) => horizon + rng.next_below(k - horizon + 1),
-                            None => horizon + rng.next_below(2 * EventWheel::WINDOW),
+                            Some(k) if c.below(4) != 0 => k,
+                            Some(k) => horizon + c.below(k - horizon + 1),
+                            None => horizon + c.below(2 * EventWheel::WINDOW),
                         };
                         let expect = model.remove(&at).unwrap_or(0);
-                        assert_eq!(wheel.take(Cycle(at)), expect, "seed {seed} take {at}");
+                        assert_eq!(wheel.take(Cycle(at)), expect, "take {at}");
                         assert_eq!(wheel.base(), Cycle(at + 1));
                         horizon = at + 1;
                     }
@@ -554,25 +552,25 @@ mod tests {
                         }
                     }
                 }
-                let probe = horizon + rng.next_below(2 * EventWheel::WINDOW);
+                let probe = horizon + c.below(2 * EventWheel::WINDOW);
                 assert_eq!(
                     wheel.pending_at(Cycle(probe)),
                     model.get(&probe).copied().unwrap_or(0),
-                    "seed {seed} peek at {probe}"
+                    "peek at {probe}"
                 );
             }
             let listed: Vec<(Cycle, u64)> = wheel.entries().collect();
             let want: Vec<(Cycle, u64)> = model.iter().map(|(&k, &m)| (Cycle(k), m)).collect();
-            assert_eq!(listed, want, "seed {seed} entries");
+            assert_eq!(listed, want, "entries");
             // Drain both to the end.
             loop {
                 let popped = wheel.pop_next();
                 let expect = model.pop_first().map(|(k, m)| (Cycle(k), m));
-                assert_eq!(popped, expect, "seed {seed} drain");
+                assert_eq!(popped, expect, "drain");
                 if popped.is_none() {
                     break;
                 }
             }
-        }
+        });
     }
 }

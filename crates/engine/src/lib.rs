@@ -19,7 +19,8 @@
 //!   opt-in counting allocators report into.
 //! * [`hash::Fnv1a`] — the single stable FNV-1a 64 implementation behind
 //!   every persisted digest in the workspace.
-//! * Deterministic pseudo-random number generation ([`rng::SplitMix64`]).
+//! * Deterministic pseudo-random number generation ([`rng::SplitMix64`]),
+//!   and the seeded property runner built on it ([`prop::check`]).
 //! * Small statistics helpers ([`stats`]).
 //! * The [`Sentinel`] trait and [`InvariantViolation`] type used by every
 //!   component to self-audit its conservation invariants.
@@ -44,6 +45,7 @@ pub mod arena;
 mod cycle;
 mod event;
 pub mod hash;
+pub mod prop;
 mod queue;
 mod req;
 pub mod rng;

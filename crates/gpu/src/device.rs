@@ -600,8 +600,10 @@ impl Sentinel for Gpu {
 mod tests {
     use super::*;
     use crate::program::{AccessCtx, AddrGen, KernelProgram, Op};
+    use miopt_engine::prop;
     use miopt_engine::rng::SplitMix64;
     use miopt_engine::Addr;
+    use std::cell::Cell;
 
     fn stream_kernel(wgs: u32, wfs_per_wg: u32, iters: u32) -> Arc<KernelDesc> {
         let gen: Arc<dyn AddrGen> = Arc::new(|ctx: &AccessCtx| {
@@ -926,11 +928,13 @@ mod tests {
             mem_issue_per_cycle: 1,
         };
         let n = 5;
-        let (mut due_visits, mut credit_visits) = (0u64, 0u64);
-        for seed in 0..12u64 {
+        let (due_visits, credit_visits) = (Cell::new(0u64), Cell::new(0u64));
+        prop::check("hint_wheel_matches_full_scan", 12, |c| {
+            // Both runs of a case draw the same stream.
+            let (seed, kernels) = (c.rng().next_u64(), c.steps(1..8) as u32);
             let mut outcome = Vec::new();
             for sparse in [false, true] {
-                let mut rng = SplitMix64::new(0x4e1_0000 + seed);
+                let mut rng = SplitMix64::new(seed);
                 let mut w = Gpu::new(n, cfg.clone());
                 let mut r = Gpu::new(n, cfg.clone());
                 let cap = 1 + rng.next_below(6) as usize;
@@ -941,7 +945,7 @@ mod tests {
                 let mut inflight: Vec<(u64, MemResp)> = Vec::new();
                 let mut now = 0u64;
                 let mut out = Vec::new();
-                for seq in 0..4 {
+                for seq in 0..kernels {
                     let k = random_kernel(&mut rng, seq as u16);
                     w.start_kernel(Arc::clone(&k), seq);
                     r.start_kernel(k, seq);
@@ -966,9 +970,9 @@ mod tests {
                             let got_hot = w.hot_set(t, &qw);
                             let got = w.tick_cus(t, got_hot, &mut qw);
                             let got = (dispatched || got.0, got.1);
-                            assert_eq!((got_hot, got), (hot, want), "seed {seed} cycle {now}");
-                            due_visits += u64::from(due && !woke && !credit);
-                            credit_visits += u64::from(credit);
+                            assert_eq!((got_hot, got), (hot, want), "cycle {now}");
+                            due_visits.set(due_visits.get() + u64::from(due && !woke && !credit));
+                            credit_visits.set(credit_visits.get() + u64::from(credit));
                             woke = false;
                             scheduled = if got.0 {
                                 Some(now + 1)
@@ -984,10 +988,10 @@ mod tests {
                         assert_eq!(
                             w.next_event(next),
                             full_scan_next_event(&r, next),
-                            "seed {seed} cycle {now}"
+                            "cycle {now}"
                         );
                         w.check_invariants("gpu", &mut out);
-                        assert!(out.is_empty(), "seed {seed} cycle {now}: {out:?}");
+                        assert!(out.is_empty(), "cycle {now}: {out:?}");
                         // The memory: each queue drains 0-2 ready requests
                         // per cycle, loads answered 1-40 cycles later.
                         for (a, b) in qw.iter_mut().zip(qr.iter_mut()) {
@@ -1001,13 +1005,14 @@ mod tests {
                             }
                         }
                         now += 1;
-                        assert!(now < 1_000_000, "seed {seed}: kernel {seq} wedged");
+                        assert!(now < 1_000_000, "kernel {seq} wedged");
                     }
                 }
                 outcome.push((now, w.stats(), w.cu_tick_stats()));
             }
-            assert_eq!(outcome[0], outcome[1], "seed {seed}: engines diverged");
-        }
+            assert_eq!(outcome[0], outcome[1], "engines diverged");
+        });
+        let (due_visits, credit_visits) = (due_visits.get(), credit_visits.get());
         assert!(
             due_visits > 100 && credit_visits > 100,
             "{due_visits} {credit_visits}"

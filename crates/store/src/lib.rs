@@ -24,6 +24,25 @@
 //! goes through the [`io::WalIo`] trait, and [`io::FaultIo`] kills the
 //! write path at an exact byte offset so tests can prove recovery at
 //! *every* record boundary and at chosen offsets inside a record.
+//!
+//! # Examples
+//!
+//! ```
+//! use miopt_store::{StoreOptions, Wal};
+//!
+//! let dir = std::env::temp_dir().join(format!("miopt-store-doc-{}", std::process::id()));
+//! let opened = Wal::open(&dir, StoreOptions::default()).unwrap();
+//! assert_eq!(opened.wal.append(b"job 1").unwrap(), 1);
+//! assert_eq!(opened.wal.append(b"job 2").unwrap(), 2);
+//! drop(opened);
+//!
+//! // Reopening recovers every durable record, in sequence order.
+//! let reopened = Wal::open(&dir, StoreOptions::default()).unwrap();
+//! assert_eq!(reopened.recovery.last_seq, 2);
+//! assert_eq!(reopened.records[1].payload, b"job 2");
+//! drop(reopened);
+//! std::fs::remove_dir_all(&dir).unwrap();
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -211,6 +211,7 @@ impl LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miopt_engine::prop;
 
     #[test]
     fn small_values_are_exact() {
@@ -309,33 +310,33 @@ mod tests {
 
     #[test]
     fn merge_is_associative_and_commutative() {
-        let mk = |seed: u64, n: u64| {
-            let mut h = LatencyHistogram::new();
-            let mut v = seed;
-            for _ in 0..n {
-                v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
-                h.record(v >> 40);
-            }
-            h
-        };
-        let (a, b, c) = (mk(1, 50), mk(2, 75), mk(3, 100));
+        prop::check("merge_is_associative_and_commutative", 64, |c| {
+            let mut mk = || {
+                let mut h = LatencyHistogram::new();
+                for _ in 0..c.steps(0..150) {
+                    h.record(c.below(1 << 24));
+                }
+                h
+            };
+            let (x, y, z) = (mk(), mk(), mk());
 
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
+            let mut xy_z = x.clone();
+            xy_z.merge(&y);
+            xy_z.merge(&z);
 
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
+            let mut yz = y.clone();
+            yz.merge(&z);
+            let mut x_yz = x.clone();
+            x_yz.merge(&yz);
 
-        let mut c_ba = c.clone();
-        c_ba.merge(&b);
-        c_ba.merge(&a);
+            let mut z_yx = z.clone();
+            z_yx.merge(&y);
+            z_yx.merge(&x);
 
-        assert_eq!(ab_c, a_bc);
-        assert_eq!(ab_c, c_ba);
-        assert_eq!(ab_c.count(), 225);
+            assert_eq!(xy_z, x_yz);
+            assert_eq!(xy_z, z_yx);
+            assert_eq!(xy_z.count(), x.count() + y.count() + z.count());
+        });
     }
 
     #[test]

@@ -232,7 +232,8 @@ impl AddrGen for LayerGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use miopt_engine::rng::SplitMix64;
+    use miopt_engine::prop;
+    use std::cell::Cell;
 
     fn ctx(wg: u32, wf: u32, lane: u32, iter: u32, pattern: u16) -> AccessCtx {
         AccessCtx {
@@ -373,11 +374,6 @@ mod tests {
         assert_eq!(b.0 - a.0, 3 * 8192);
     }
 
-    /// Picks `[lo, hi)` uniformly.
-    fn between(r: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
-        lo + r.next_below(hi - lo)
-    }
-
     /// The closed form against its specification, lane by lane, on
     /// seeded cases built to sit on every edge the closed form has to
     /// decline: regions a few blocks (or less than one block) long with
@@ -388,66 +384,59 @@ mod tests {
     /// nonzero launch strides. Order is part of the contract.
     #[test]
     fn closed_form_lines_match_lane_by_lane_on_seeded_cases() {
-        const CASES: u64 = 12_000;
-        let (mut contiguous, mut other) = (0u32, 0u32);
-        for case in 0..CASES {
-            let seed = 0x11E5_C0A1 ^ (case << 8);
-            let r = &mut SplitMix64::new(seed);
-            let eb = [4u64, 8][r.next_below(2) as usize];
+        let (contiguous, other) = (Cell::new(0u32), Cell::new(0u32));
+        prop::check("closed_form_lines_match_lane_by_lane", 12_000, |c| {
+            let eb = c.pick(&[4u64, 8]);
             let block = 64 * eb;
-            let iters = between(r, 1, 13);
-            let wfs_per_wg = between(r, 1, 5);
+            let iters = c.range(1..13);
+            let wfs_per_wg = c.range(1..5);
             let ctx = AccessCtx {
-                kernel_seq: r.next_below(5) as u32,
-                wg: r.next_below(40) as u32,
-                wf: r.next_below(wfs_per_wg) as u32,
-                lane: r.next_below(64) as u32, // ignored by `lines_into`
-                iter: r.next_below(iters) as u32,
+                kernel_seq: c.below(5) as u32,
+                wg: c.below(40) as u32,
+                wf: c.below(wfs_per_wg) as u32,
+                lane: c.below(64) as u32, // ignored by `lines_into`
+                iter: c.below(iters) as u32,
                 pattern: 0,
             };
-            let seq_stride_bytes = if r.next_below(3) == 0 {
-                0
-            } else {
-                r.next_below(10_000)
-            };
-            let region_bytes = match r.next_below(4) {
-                0 => between(r, 1, block),         // shorter than one block
-                1 => between(r, block, 6 * block), // a few blocks, unaligned
-                2 => block * between(r, 1, 6),     // whole blocks
-                _ => between(r, 1 << 16, 1 << 24), // wraps are rare
+            let seq_stride_bytes = if c.below(3) == 0 { 0 } else { c.below(10_000) };
+            let region_bytes = match c.below(4) {
+                0 => c.range(1..block),         // shorter than one block
+                1 => c.range(block..6 * block), // a few blocks, unaligned
+                2 => block * c.range(1..6),     // whole blocks
+                _ => c.range(1 << 16..1 << 24), // wraps are rare
             };
             // The `Stream` position of this block, for aiming lags at it.
             let here = ((u64::from(ctx.wg) * wfs_per_wg + u64::from(ctx.wf)) * iters
                 + u64::from(ctx.iter))
                 * block
                 + u64::from(ctx.kernel_seq) * seq_stride_bytes;
-            let kind = match case % 6 {
+            let kind = match c.below(6) {
                 0 => PatternKind::Stream,
                 1 => PatternKind::LaggedStream {
-                    lag_bytes: match r.next_below(3) {
-                        0 => between(r, 1, 4 * block),
+                    lag_bytes: match c.below(3) {
+                        0 => c.range(1..4 * block),
                         // Saturates somewhere inside (or just around) the block.
-                        1 => here + region_bytes + r.next_below(2 * block),
-                        _ => r.next_below(4 * (here + region_bytes) + 2),
+                        1 => here + region_bytes + c.below(2 * block),
+                        _ => c.below(4 * (here + region_bytes) + 2),
                     },
                 },
                 2 => PatternKind::Revisit {
-                    times: r.next_below(5) as u32,
+                    times: c.below(5) as u32,
                 },
                 3 => PatternKind::Planes {
-                    plane_bytes: between(r, 1, 3 * region_bytes + 2),
-                    plane: r.next_below(4) as u32,
+                    plane_bytes: c.range(1..3 * region_bytes + 2),
+                    plane: c.below(4) as u32,
                 },
                 4 => PatternKind::SharedSweep {
-                    phase_bytes: r.next_below(2 * region_bytes + 1),
+                    phase_bytes: c.below(2 * region_bytes + 1),
                 },
                 _ => PatternKind::ChunkReread {
-                    lag_bytes: r.next_below(2 * iters * block + 2),
+                    lag_bytes: c.below(2 * iters * block + 2),
                 },
             };
             let g = LayerGen::new(
                 vec![PatternSpec {
-                    region: Region::new(r.next_below(1 << 20), region_bytes),
+                    region: Region::new(c.below(1 << 20), region_bytes),
                     elem_bytes: eb as u32,
                     kind,
                     seq_stride_bytes,
@@ -460,14 +449,16 @@ mod tests {
             lines_by_lane(&g, &ctx, &mut by_lane);
             assert_eq!(
                 closed, by_lane,
-                "seed {seed:#x} (case {case}): {kind:?}, elem {eb} B, region {region_bytes} B, {ctx:?}"
+                "{kind:?}, elem {eb} B, region {region_bytes} B, {ctx:?}"
             );
-            if by_lane.windows(2).all(|w| w[1].0 == w[0].0 + 1) {
-                contiguous += 1;
+            let tally = if by_lane.windows(2).all(|w| w[1].0 == w[0].0 + 1) {
+                &contiguous
             } else {
-                other += 1;
-            }
-        }
+                &other
+            };
+            tally.set(tally.get() + 1);
+        });
+        let (contiguous, other) = (contiguous.get(), other.get());
         // Both sides of the closed form's guard are exercised in bulk.
         assert!(
             contiguous > 2_000 && other > 2_000,

@@ -248,10 +248,11 @@ echo "event-core perf smoke ok (${quiet}% of cycles event-free)"
 
 echo "== zero-allocation steady state (counting allocator, release) =="
 # The hot-path contract: once warmed up, simulating a cycle performs no
-# heap allocation. The test binary installs a counting global allocator,
-# so it is feature-gated off the default test build and run here in
-# release (the shape the bench numbers are recorded in).
-cargo test --release -q -p miopt --features count-allocs --test zero_alloc
+# heap allocation. The test binary installs a counting global allocator
+# of its own; debug builds always run the (allocating) sentinel, so the
+# test is ignored there and runs here in release (the shape the bench
+# numbers are recorded in).
+cargo test --release -q -p miopt --test zero_alloc
 
 echo "== benchmark self-tests and smoke pass (bench/) =="
 # The one perf mechanism is the benchmark in bench/ (BENCHMARK.json is

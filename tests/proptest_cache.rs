@@ -1,14 +1,10 @@
-//! Property-based tests on the cache model: for arbitrary request
+//! Property tests on the cache model: for arbitrary request
 //! sequences and policies, the cache must answer every load exactly once,
 //! never lose a store, and keep its statistics consistent.
 
-// Compiled only with `--features proptest-tests` (requires the external
-// `proptest`/`rand` dev-dependencies, unavailable offline).
-#![cfg(feature = "proptest-tests")]
-
 use miopt_cache::{Blocked, CacheConfig, CacheUnit, LevelPolicy, Outcome, PredictorConfig, RowMap};
+use miopt_engine::prop::{self, Case};
 use miopt_engine::{AccessKind, Cycle, LineAddr, MemReq, MemResp, Origin, Pc, ReqId, TimedQueue};
-use proptest::prelude::*;
 use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
@@ -18,28 +14,23 @@ struct Req {
     pc: u32,
 }
 
-fn req_strategy(lines: u64) -> impl Strategy<Value = Req> {
-    (0..lines, any::<bool>(), 0u32..8).prop_map(|(line, is_store, pc)| Req { line, is_store, pc })
+/// Up to `max` requests, each `Req` drawn by `req`.
+fn requests(c: &mut Case, max: usize, req: impl Fn(&mut Case) -> Req) -> Vec<Req> {
+    (0..c.steps(1..max)).map(|_| req(c)).collect()
 }
 
-fn policy_strategy() -> impl Strategy<Value = LevelPolicy> {
-    (
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(|(enabled, stores, ab, rinse, pcby)| LevelPolicy {
-            enabled,
-            cache_loads: enabled,
-            cache_stores: enabled && stores,
-            allocation_bypass: ab,
-            rinse: enabled && stores && rinse,
-            pc_bypass: pcby.then(PredictorConfig::paper),
-            row_map: (enabled && stores && rinse).then(|| RowMap::new(1, 2)),
-            partition: None,
-        })
+fn policy(c: &mut Case) -> LevelPolicy {
+    let (enabled, stores, ab, rinse, pcby) = (c.bool(), c.bool(), c.bool(), c.bool(), c.bool());
+    LevelPolicy {
+        enabled,
+        cache_loads: enabled,
+        cache_stores: enabled && stores,
+        allocation_bypass: ab,
+        rinse: enabled && stores && rinse,
+        pc_bypass: pcby.then(PredictorConfig::paper),
+        row_map: (enabled && stores && rinse).then(|| RowMap::new(1, 2)),
+        partition: None,
+    }
 }
 
 /// Drives a request sequence through a cache with an "ideal memory" below
@@ -156,39 +147,43 @@ fn drive(policy: LevelPolicy, reqs: Vec<Req>) {
     assert_eq!(load_events, loads_issued, "load accounting");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn all_loads_answered_exactly_once(
-        policy in policy_strategy(),
-        reqs in prop::collection::vec(req_strategy(32), 1..200),
-    ) {
+#[test]
+fn all_loads_answered_exactly_once() {
+    prop::check("all_loads_answered_exactly_once", 64, |c| {
+        let policy = policy(c);
+        let reqs = requests(c, 200, |c| Req {
+            line: c.below(32),
+            is_store: c.bool(),
+            pc: c.below(8) as u32,
+        });
         drive(policy, reqs);
-    }
+    });
+}
 
-    #[test]
-    fn hot_set_conflicts_never_lose_requests(
-        policy in policy_strategy(),
+#[test]
+fn hot_set_conflicts_never_lose_requests() {
+    prop::check("hot_set_conflicts_never_lose_requests", 64, |c| {
+        let policy = policy(c);
         // All lines map to set 0 of the 4-set tiny cache: maximal
         // allocation blocking.
-        reqs in prop::collection::vec(
-            (0u64..8, any::<bool>()).prop_map(|(l, s)| Req { line: l * 4, is_store: s, pc: 1 }),
-            1..150,
-        ),
-    ) {
+        let reqs = requests(c, 150, |c| Req {
+            line: c.below(8) * 4,
+            is_store: c.bool(),
+            pc: 1,
+        });
         drive(policy, reqs);
-    }
+    });
+}
 
-    #[test]
-    fn single_line_hammering_is_stable(
-        policy in policy_strategy(),
-        stores in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let reqs = stores
-            .into_iter()
-            .map(|is_store| Req { line: 7, is_store, pc: 2 })
-            .collect();
+#[test]
+fn single_line_hammering_is_stable() {
+    prop::check("single_line_hammering_is_stable", 64, |c| {
+        let policy = policy(c);
+        let reqs = requests(c, 100, |c| Req {
+            line: 7,
+            is_store: c.bool(),
+            pc: 2,
+        });
         drive(policy, reqs);
-    }
+    });
 }

@@ -1,15 +1,18 @@
-//! Property-based tests on the DRAM model: arbitrary request streams must
+//! Property tests on the DRAM model: arbitrary request streams must
 //! drain completely, answer every read exactly once, and keep row-buffer
 //! accounting consistent.
 
-// Compiled only with `--features proptest-tests` (requires the external
-// `proptest`/`rand` dev-dependencies, unavailable offline).
-#![cfg(feature = "proptest-tests")]
-
 use miopt_dram::{Dram, DramConfig};
+use miopt_engine::prop::{self, Case};
 use miopt_engine::{AccessKind, Cycle, LineAddr, MemReq, Origin, Pc, ReqId};
-use proptest::prelude::*;
 use std::collections::HashSet;
+
+/// Up to `max` requests `(line below lines, is_store)`.
+fn requests(c: &mut Case, lines: u64, max: usize) -> Vec<(u64, bool)> {
+    (0..c.steps(1..max))
+        .map(|_| (c.below(lines), c.bool()))
+        .collect()
+}
 
 fn drive(cfg: DramConfig, reqs: Vec<(u64, bool)>) {
     let mut dram = Dram::new(cfg);
@@ -68,33 +71,32 @@ fn drive(cfg: DramConfig, reqs: Vec<(u64, bool)>) {
     assert!((0.0..=1.0).contains(&r));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+#[test]
+fn random_traffic_drains() {
+    prop::check("random_traffic_drains", 48, |c| {
+        drive(DramConfig::tiny_test(), requests(c, 4096, 300));
+    });
+}
 
-    #[test]
-    fn random_traffic_drains(
-        reqs in prop::collection::vec((0u64..4096, any::<bool>()), 1..300),
-    ) {
-        drive(DramConfig::tiny_test(), reqs);
-    }
-
-    #[test]
-    fn single_bank_hammering_drains(
-        reqs in prop::collection::vec((0u64..4u64, any::<bool>()), 1..200),
-    ) {
+#[test]
+fn single_bank_hammering_drains() {
+    prop::check("single_bank_hammering_drains", 48, |c| {
         // All requests to channel 0, alternating a handful of rows.
         let cfg = DramConfig::tiny_test();
         let stride = u64::from(cfg.channels) * cfg.lines_per_row * u64::from(cfg.banks);
-        let mapped = reqs.into_iter().map(|(r, s)| (r * stride, s)).collect();
+        let mapped = requests(c, 4, 200)
+            .into_iter()
+            .map(|(r, s)| (r * stride, s))
+            .collect();
         drive(cfg, mapped);
-    }
+    });
+}
 
-    #[test]
-    fn sequential_streams_hit_rows(
-        n in 64u64..512,
-    ) {
-        let cfg = DramConfig::tiny_test();
-        let mut dram = Dram::new(cfg);
+#[test]
+fn sequential_streams_hit_rows() {
+    prop::check("sequential_streams_hit_rows", 48, |c| {
+        let n = c.range(64..512);
+        let mut dram = Dram::new(DramConfig::tiny_test());
         let mut pushed = 0u64;
         let mut now = Cycle(0);
         while pushed < n || dram.busy() {
@@ -108,10 +110,13 @@ proptest! {
             dram.tick(now);
             while dram.pop_response(now).is_some() {}
             now += 1;
-            prop_assert!(now.0 < 1_000_000);
+            assert!(now.0 < 1_000_000);
         }
         // A pure sequential stream must be row-hit dominated.
-        prop_assert!(dram.stats().row_hits.value() > 0.7,
-            "row hit ratio {} too low", dram.stats().row_hits.value());
-    }
+        assert!(
+            dram.stats().row_hits.value() > 0.7,
+            "row hit ratio {} too low",
+            dram.stats().row_hits.value()
+        );
+    });
 }

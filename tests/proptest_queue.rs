@@ -1,12 +1,8 @@
-//! Property-based tests on the engine's `TimedQueue`: FIFO order, latency
+//! Property tests on the engine's `TimedQueue`: FIFO order, latency
 //! respect, and conservation under arbitrary push/pop interleavings.
 
-// Compiled only with `--features proptest-tests` (requires the external
-// `proptest`/`rand` dev-dependencies, unavailable offline).
-#![cfg(feature = "proptest-tests")]
-
+use miopt_engine::prop::{self, Case};
 use miopt_engine::{Cycle, TimedQueue};
-use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Step {
@@ -15,42 +11,38 @@ enum Step {
     Advance(u64),
 }
 
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (0u32..1000).prop_map(Step::Push),
-        Just(Step::Pop),
-        (1u64..20).prop_map(Step::Advance),
-    ]
+fn step(c: &mut Case) -> Step {
+    match c.below(3) {
+        0 => Step::Push(c.below(1000) as u32),
+        1 => Step::Pop,
+        _ => Step::Advance(c.range(1..20)),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn fifo_latency_and_conservation(
-        capacity in 1usize..16,
-        latency in 0u64..30,
-        steps in prop::collection::vec(step_strategy(), 1..200),
-    ) {
+#[test]
+fn fifo_latency_and_conservation() {
+    prop::check("fifo_latency_and_conservation", 128, |c| {
+        let capacity = c.range(1..16) as usize;
+        let latency = c.below(30);
         let mut q = TimedQueue::new(capacity, latency);
         let mut now = Cycle(0);
         let mut pushed: Vec<(u32, Cycle)> = Vec::new();
         let mut popped: Vec<u32> = Vec::new();
         let mut accepted = 0usize;
 
-        for step in steps {
-            match step {
+        for _ in 0..c.steps(1..200) {
+            match step(c) {
                 Step::Push(v) => {
                     let before = q.len();
                     match q.push(now, v) {
                         Ok(()) => {
-                            prop_assert!(before < capacity, "push accepted beyond capacity");
+                            assert!(before < capacity, "push accepted beyond capacity");
                             pushed.push((v, now));
                             accepted += 1;
                         }
                         Err(e) => {
-                            prop_assert_eq!(before, capacity, "push rejected below capacity");
-                            prop_assert_eq!(e.0, v, "rejected item returned");
+                            assert_eq!(before, capacity, "push rejected below capacity");
+                            assert_eq!(e.0, v, "rejected item returned");
                         }
                     }
                 }
@@ -58,9 +50,9 @@ proptest! {
                     if let Some(v) = q.pop_ready(now) {
                         // FIFO: must be the oldest unpopped item.
                         let (expect, pushed_at) = pushed[popped.len()];
-                        prop_assert_eq!(v, expect, "FIFO order violated");
+                        assert_eq!(v, expect, "FIFO order violated");
                         // Latency: visible no earlier than push + latency.
-                        prop_assert!(now.0 >= pushed_at.0 + latency, "latency violated");
+                        assert!(now.0 >= pushed_at.0 + latency, "latency violated");
                         popped.push(v);
                     }
                 }
@@ -68,18 +60,19 @@ proptest! {
             }
         }
         // Conservation: everything accepted is either popped or inside.
-        prop_assert_eq!(popped.len() + q.len(), accepted);
+        assert_eq!(popped.len() + q.len(), accepted);
         // Drain the rest and re-check FIFO.
         let rest: Vec<u32> = q.drain_all().collect();
         let expected: Vec<u32> = pushed[popped.len()..].iter().map(|(v, _)| *v).collect();
-        prop_assert_eq!(rest, expected);
-    }
+        assert_eq!(rest, expected);
+    });
+}
 
-    #[test]
-    fn ready_front_agrees_with_pop(
-        latency in 0u64..10,
-        values in prop::collection::vec(0u32..100, 1..20),
-    ) {
+#[test]
+fn ready_front_agrees_with_pop() {
+    prop::check("ready_front_agrees_with_pop", 128, |c| {
+        let latency = c.below(10);
+        let values: Vec<u32> = (0..c.steps(1..20)).map(|_| c.below(100) as u32).collect();
         let mut q = TimedQueue::new(32, latency);
         for v in &values {
             q.push(Cycle(0), *v).unwrap();
@@ -90,15 +83,15 @@ proptest! {
         while out.len() < values.len() {
             let peeked = q.ready_front(now).copied();
             let popped = q.pop_ready(now);
-            prop_assert_eq!(peeked, popped, "peek/pop disagree");
+            assert_eq!(peeked, popped, "peek/pop disagree");
             if let Some(v) = popped {
                 out.push(v);
             } else {
                 now += 1;
             }
             guard += 1;
-            prop_assert!(guard < 10_000);
+            assert!(guard < 10_000);
         }
-        prop_assert_eq!(out, values);
-    }
+        assert_eq!(out, values);
+    });
 }

@@ -1,50 +1,34 @@
-//! Property-based tests on the sentinel: across randomized (valid)
+//! Property tests on the sentinel: across randomized (valid)
 //! system configurations, policies, and workloads, a healthy simulation
 //! run with invariant checking and the forward-progress watchdog enabled
 //! never trips — the invariant catalog holds for every machine shape the
 //! builder accepts, not just the two hand-picked test configs.
 
-// Compiled only with `--features proptest-tests` (requires the external
-// `proptest`/`rand` dev-dependencies, unavailable offline).
-#![cfg(feature = "proptest-tests")]
-
 use miopt::{ApuSystem, CachePolicy, PolicyConfig, SystemConfig};
+use miopt_engine::prop;
 use miopt_workloads::{by_name, SuiteConfig};
-use proptest::prelude::*;
 
-proptest! {
+#[test]
+fn randomized_configs_run_checked_without_tripping() {
     // Each case is a full end-to-end simulation; keep the case count
     // modest so the suite stays in seconds.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn randomized_configs_run_checked_without_tripping(
-        n_cus in 1usize..5,
-        sliced in any::<bool>(),
-        queue_capacity in 9usize..24,
-        l1_sets in prop::sample::select(vec![4usize, 8, 16]),
-        l1_ways in prop::sample::select(vec![2usize, 4]),
-        l1_mshrs in prop::sample::select(vec![4usize, 8, 16]),
-        l1_merge in prop::sample::select(vec![2usize, 4, 8]),
-        l2_dbi_rows in prop::sample::select(vec![0usize, 8, 32]),
-        xbar_per_output in 1u32..4,
-        launch_overhead in 20u64..200,
-        policy_idx in 0usize..CachePolicy::ALL.len(),
-        workload in prop::sample::select(vec!["FwSoft", "FwPool"]),
-    ) {
+    prop::check("randomized_configs_run_checked_without_tripping", 24, |c| {
         // Randomize around the small test machine, keeping the couplings
         // validate() demands (queue capacity above the merge caps, the
         // L2 slice-selector bit matching the slice count). Some random
         // combinations are legitimately rejected (e.g. a merge cap at
         // the queue capacity); only valid machines must also be
         // invariant-clean.
-        let l2_slices = if sliced { 2usize } else { 1 };
+        let sliced = c.bool();
+        let (l1_sets, l1_ways) = (c.pick(&[4, 8, 16]), c.pick(&[2, 4]));
+        let (l1_mshrs, l1_merge) = (c.pick(&[4, 8, 16]), c.pick(&[2, 4, 8]));
+        let l2_dbi_rows = c.pick(&[0, 8, 32]);
         let Ok(cfg) = miopt::SystemConfigBuilder::from_base(SystemConfig::small_test())
-            .n_cus(n_cus)
-            .l2_slices(l2_slices)
-            .queue_capacity(queue_capacity)
-            .xbar_per_output(xbar_per_output)
-            .launch_overhead(launch_overhead)
+            .n_cus(c.range(1..5) as usize)
+            .l2_slices(if sliced { 2 } else { 1 })
+            .queue_capacity(c.range(9..24) as usize)
+            .xbar_per_output(c.range(1..4) as u32)
+            .launch_overhead(c.range(20..200))
             .map_l1(|l1| {
                 l1.sets = l1_sets;
                 l1.ways = l1_ways;
@@ -57,10 +41,11 @@ proptest! {
             })
             .build()
         else {
-            return Ok(());
+            return;
         };
 
-        let policy = PolicyConfig::of(CachePolicy::ALL[policy_idx]);
+        let policy = PolicyConfig::of(c.pick(&CachePolicy::ALL));
+        let workload = c.pick(&["FwSoft", "FwPool"]);
         let w = by_name(&SuiteConfig::quick(), workload).expect("quick suite workload");
         let mut sys = ApuSystem::new(cfg, policy, &w);
         // Tight cadence, aggressive watchdog: any conservation slip or
@@ -69,7 +54,7 @@ proptest! {
         let m = sys
             .run_to_completion(2_000_000_000)
             .expect("checked run completes without tripping an invariant");
-        prop_assert!(m.cycles > 0);
-        prop_assert!(sys.check_invariants_now().is_empty());
-    }
+        assert!(m.cycles > 0);
+        assert!(sys.check_invariants_now().is_empty());
+    });
 }

@@ -12,10 +12,8 @@
 //! (with PC-predictor training) and the next launch's work-group dispatch
 //! allocate nothing either.
 
-// Compiled only with `--features count-allocs`: the test installs a
-// global counting allocator, which default test binaries should not
-// carry.
-#![cfg(feature = "count-allocs")]
+// The counting global allocator below is installed in this test binary
+// only; every other test binary keeps the system allocator.
 
 use miopt::{optimization_ladder, ApuSystem, CachePolicy, PolicyConfig, SystemConfig};
 use miopt_engine::Addr;
@@ -88,6 +86,10 @@ fn streaming_kernel(wgs: u32, wfs_per_wg: u32, iters: u32) -> Arc<KernelDesc> {
 }
 
 #[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds always run the sentinel, which allocates; run in release"
+)]
 fn steady_state_cycles_allocate_nothing() {
     miopt_engine::alloc_track::set_installed();
     // Prove the wiring before relying on a zero: an intentional heap
