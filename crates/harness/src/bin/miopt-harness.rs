@@ -1,22 +1,6 @@
-//! The `miopt-harness` binary: regenerates the paper's tables and
-//! figures through the parallel sweep orchestrator, runs the
-//! multi-tenant serving sweep via the `serve` subcommand, and filters /
-//! aggregates finished reports via the `query` subcommand. See
-//! [`miopt_harness::cli`], [`miopt_harness::serve`], and
-//! [`miopt_harness::query`] for the flag references.
+//! The `miopt-harness` binary: the figure command and the `serve` and
+//! `query` subcommands. See [`miopt_harness::main`].
 
 fn main() {
-    let mut args = std::env::args().skip(1).peekable();
-    if args.peek().map(String::as_str) == Some("serve") {
-        args.next();
-        let args = miopt_harness::serve::parse_serve_args(args);
-        std::process::exit(miopt_harness::serve::run_serve(&args));
-    }
-    if args.peek().map(String::as_str) == Some("query") {
-        args.next();
-        let args = miopt_harness::query::parse_query_args(args);
-        std::process::exit(miopt_harness::query::run_query(&args));
-    }
-    let args = miopt_harness::cli::parse_args(args);
-    std::process::exit(miopt_harness::cli::run(&args));
+    std::process::exit(miopt_harness::main(std::env::args().skip(1)));
 }

@@ -67,12 +67,6 @@ impl ResultCache {
         ResultCache { dir: dir.into() }
     }
 
-    /// The conventional repository cache location.
-    #[must_use]
-    pub fn default_dir() -> PathBuf {
-        PathBuf::from("results/cache")
-    }
-
     fn path_of(&self, key: CacheKey) -> PathBuf {
         self.dir.join(format!("{}.json", key.hex()))
     }

@@ -28,7 +28,7 @@
 //!   throughput ([`serve`]),
 //! * the figure-extraction pipeline and the `miopt-harness` CLI that
 //!   regenerates every paper figure through the pool ([`figures`],
-//!   [`cli`]).
+//!   [`cli`]), with one flag grammar for every subcommand ([`flags`]).
 //!
 //! Everything is dependency-free: the JSON layer ([`json`]) is written
 //! in-tree so offline builds never touch a registry.
@@ -40,6 +40,7 @@ pub mod backoff;
 pub mod cache;
 pub mod cli;
 pub mod figures;
+pub mod flags;
 pub mod journal;
 pub mod json;
 pub mod kind;
@@ -55,6 +56,7 @@ pub mod telemetry;
 pub use backoff::Backoff;
 pub use cache::{CacheKey, ResultCache};
 pub use figures::FigureData;
+pub use flags::main;
 pub use journal::{Journal, JournalWriter};
 pub use json::Json;
 pub use kind::JobKind;

@@ -10,23 +10,21 @@
 //! clean/torn/corrupt per store, which is the first step of diagnosing
 //! an interrupted or damaged run.
 //!
-//! ```text
-//! miopt-harness query [--dir <runs_dir>] [--run <name>]
-//!     [--workload <name>] [--policy <label>] [--status <status>]
-//!     [--metric key[,key...]] [--agg count|sum|min|max|mean|p50|p95|p99]
-//!     [--json] [--journals]
-//! ```
+//! Its flags are the rows of `QueryArgs`'s flag table; a refused command
+//! line prints the usage generated from them (see [`crate::flags`]).
 //!
 //! Figure-sweep reports contribute one row per job; serve reports
 //! contribute one row per job × tenant (the tenant's workload becomes
 //! the row's workload). Metric keys are the reports' own dotted names
 //! (`cycles`, `l2.load_hits`, `dram.row_conflicts`, `p99`, …).
 
+use crate::flags::{list, put, Command, Flag};
 use crate::json::Json;
 use miopt_store::Wal;
 use std::path::PathBuf;
 
 /// Parsed `query` subcommand options.
+#[derive(Default)]
 pub struct QueryArgs {
     /// Directory scanned for `*.json` reports and `*.journal` stores.
     pub runs_dir: PathBuf,
@@ -67,20 +65,11 @@ pub enum Agg {
 }
 
 impl Agg {
-    fn parse(s: &str) -> Agg {
-        match s {
-            "count" => Agg::Count,
-            "sum" => Agg::Sum,
-            "min" => Agg::Min,
-            "max" => Agg::Max,
-            "mean" => Agg::Mean,
-            "p50" => Agg::Percentile(50),
-            "p95" => Agg::Percentile(95),
-            "p99" => Agg::Percentile(99),
-            other => {
-                panic!("unknown aggregation {other:?} (use count|sum|min|max|mean|p50|p95|p99)")
-            }
-        }
+    fn parse(name: &str) -> Result<Agg, String> {
+        let named = [Agg::Count, Agg::Sum, Agg::Min, Agg::Max, Agg::Mean];
+        let mut all = named.into_iter().chain([50, 95, 99].map(Agg::Percentile));
+        all.find(|agg| agg.label() == name)
+            .ok_or(format!("unknown aggregation {name:?}"))
     }
 
     fn label(self) -> String {
@@ -114,49 +103,24 @@ impl Agg {
     }
 }
 
-/// Parses the arguments after `query`.
-///
-/// # Panics
-///
-/// Panics with a descriptive message on malformed arguments, matching
-/// [`crate::cli::parse_args`].
-#[must_use]
-pub fn parse_query_args(args: impl Iterator<Item = String>) -> QueryArgs {
-    let mut out = QueryArgs {
-        runs_dir: PathBuf::from("results/runs"),
-        run: None,
-        workload: None,
-        policy: None,
-        status: None,
-        metrics: vec!["cycles".to_string()],
-        aggs: vec![Agg::Count, Agg::Min, Agg::Mean, Agg::Percentile(99)],
-        json: false,
-        journals: false,
-    };
-    let mut args = args;
-    while let Some(a) = args.next() {
-        let mut value = |flag: &str| -> String {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--dir" => out.runs_dir = PathBuf::from(value("--dir")),
-            "--run" => out.run = Some(value("--run")),
-            "--workload" => out.workload = Some(value("--workload")),
-            "--policy" => out.policy = Some(value("--policy")),
-            "--status" => out.status = Some(value("--status")),
-            "--metric" => {
-                out.metrics = value("--metric").split(',').map(str::to_string).collect();
-            }
-            "--agg" => {
-                out.aggs = value("--agg").split(',').map(Agg::parse).collect();
-            }
-            "--json" => out.json = true,
-            "--journals" => out.journals = true,
-            other => panic!("unexpected argument {other:?}"),
-        }
+impl Command for QueryArgs {
+    const NAME: &'static str = "query";
+
+    #[rustfmt::skip]
+    fn flags() -> Vec<Flag<QueryArgs>> {
+        let rows: &[Flag<QueryArgs>] = &[
+            ("--dir <DIR>", "results/runs", "directory of reports and journals", |a, v| put(&mut a.runs_dir, v.into())),
+            ("--run <NAME>", "", "only the report (or journals) of run NAME", |a, v| put(&mut a.run, Some(v.into()))),
+            ("--workload <W>", "", "only rows of workload W", |a, v| put(&mut a.workload, Some(v.into()))),
+            ("--policy <P>", "", "only rows of policy P", |a, v| put(&mut a.policy, Some(v.into()))),
+            ("--status <S>", "", "only rows of status S (failed: every row not ok)", |a, v| put(&mut a.status, Some(v.into()))),
+            ("--metric <K,...>", "cycles", "dotted metric keys to aggregate", |a, v| put(&mut a.metrics, v.split(',').map(str::to_string).collect())),
+            ("--agg <A,...>", "count,min,mean,p99", "count | sum | min | max | mean | p50 | p95 | p99", |a, v| put(&mut a.aggs, list(v, Agg::parse)?)),
+            ("--json", "", "print JSON instead of a table", |a, _| put(&mut a.json, true)),
+            ("--journals", "", "inspect journal stores instead of reports", |a, _| put(&mut a.journals, true)),
+        ];
+        rows.to_vec()
     }
-    out
 }
 
 /// One flattened job (or job × tenant) row from a report.
@@ -192,74 +156,48 @@ fn report_rows(doc: &Json) -> Option<Vec<Row>> {
     let run = doc.get("sweep")?.as_str()?.to_string();
     let jobs = doc.get("jobs")?.as_arr()?;
     let serve = doc.get("kind").and_then(Json::as_str) == Some("serve");
+    let text = |doc: &Json, key| {
+        doc.get(key)
+            .and_then(Json::as_str)
+            .unwrap_or("?")
+            .to_string()
+    };
     let mut rows = Vec::new();
     for job in jobs {
-        let policy = job
-            .get("policy")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string();
-        let status = job
-            .get("status")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string();
+        let mut values = Vec::new();
+        numeric_fields(job, &mut values);
+        let row = |workload, values| Row {
+            run: run.clone(),
+            workload,
+            policy: text(job, "policy"),
+            status: text(job, "status"),
+            values,
+        };
         if serve {
-            let mut shared = Vec::new();
-            numeric_fields(job, &mut shared);
             for tenant in job.get("tenants").and_then(Json::as_arr).unwrap_or(&[]) {
-                let mut values = shared.clone();
+                let mut values = values.clone();
                 numeric_fields(tenant, &mut values);
-                rows.push(Row {
-                    run: run.clone(),
-                    workload: tenant
-                        .get("workload")
-                        .and_then(Json::as_str)
-                        .unwrap_or("?")
-                        .to_string(),
-                    policy: policy.clone(),
-                    status: status.clone(),
-                    values,
-                });
+                rows.push(row(text(tenant, "workload"), values));
             }
         } else {
-            let mut values = Vec::new();
-            numeric_fields(job, &mut values);
             if let Some(metrics) = job.get("metrics") {
                 numeric_fields(metrics, &mut values);
             }
-            rows.push(Row {
-                run: run.clone(),
-                workload: job
-                    .get("workload")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                policy: policy.clone(),
-                status: status.clone(),
-                values,
-            });
+            rows.push(row(text(job, "workload"), values));
         }
     }
     Some(rows)
 }
 
 fn keep(args: &QueryArgs, row: &Row) -> bool {
-    if let Some(w) = &args.workload {
-        if &row.workload != w {
-            return false;
-        }
-    }
-    if let Some(p) = &args.policy {
-        if &row.policy != p {
-            return false;
-        }
-    }
-    match args.status.as_deref() {
+    let status = match args.status.as_deref() {
         Some("failed") => row.status != "ok",
         Some(s) => row.status == s,
         None => true,
-    }
+    };
+    status
+        && args.workload.as_ref().is_none_or(|w| &row.workload == w)
+        && args.policy.as_ref().is_none_or(|p| &row.policy == p)
 }
 
 /// Loads and flattens every report under `runs_dir`, honouring the
@@ -285,10 +223,9 @@ fn collect_rows(args: &QueryArgs) -> Result<(usize, Vec<Row>), String> {
         let Some(report_rows) = report_rows(&doc) else {
             continue;
         };
-        if let Some(run) = &args.run {
-            if report_rows.first().is_none_or(|r| &r.run != run) {
-                continue;
-            }
+        let first_run = report_rows.first().map(|r| &r.run);
+        if args.run.is_some() && first_run != args.run.as_ref() {
+            continue;
         }
         reports += 1;
         rows.extend(report_rows.into_iter().filter(|r| keep(args, r)));
@@ -335,13 +272,7 @@ fn run_reports(args: &QueryArgs) -> i32 {
         return 0;
     }
     println!("{} row(s) from {reports} report(s)", rows.len());
-    let width = args
-        .metrics
-        .iter()
-        .map(String::len)
-        .max()
-        .unwrap_or(6)
-        .max(6);
+    let width = args.metrics.iter().map(String::len).fold(6, usize::max);
     print!("{:width$}", "metric");
     for agg in &args.aggs {
         print!(" {:>14}", agg.label());
@@ -381,10 +312,12 @@ fn run_journals(args: &QueryArgs) -> i32 {
     let mut docs = Vec::new();
     for path in paths {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
-        if let Some(run) = &args.run {
-            if !name.starts_with(run.as_str()) {
-                continue;
-            }
+        if args
+            .run
+            .as_ref()
+            .is_some_and(|run| !name.starts_with(run.as_str()))
+        {
+            continue;
         }
         if path.is_dir() && name.ends_with(".journal") {
             seen += 1;
@@ -463,7 +396,7 @@ mod tests {
     }
 
     fn args_for(dir: &Path) -> QueryArgs {
-        let mut args = parse_query_args(std::iter::empty());
+        let mut args = crate::flags::parse::<QueryArgs>(&[]).unwrap();
         args.runs_dir = dir.to_path_buf();
         args
     }
@@ -581,10 +514,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unexpected argument")]
     fn query_rejects_unknown_flags() {
-        drop(parse_query_args(
-            ["--frobnicate"].iter().map(|s| (*s).to_string()),
-        ));
+        let refusal = |list: &[&str]| {
+            let argv: Vec<String> = list.iter().map(|s| (*s).to_string()).collect();
+            crate::flags::parse::<QueryArgs>(&argv)
+                .err()
+                .expect("refused")
+                .message
+        };
+        assert_eq!(
+            refusal(&["--frobnicate"]),
+            "unexpected argument \"--frobnicate\""
+        );
+        assert!(
+            refusal(&["--agg", "mean,median"]).starts_with("--agg: unknown aggregation \"median\"")
+        );
     }
 }

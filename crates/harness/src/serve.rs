@@ -15,21 +15,17 @@
 //! fingerprint, so `--resume` provably replays identical traffic and
 //! the final report is byte-identical in all simulation-derived fields.
 //!
-//! ```text
-//! miopt-harness serve [--system small|paper] [--scale quick|paper]
-//!     [--tenants name=Workload,name=Workload] [--policies P,P,...]
-//!     [--loads N,N,...] [--requests N] [--seed N] [--partition]
-//!     [--max-batch N] [--budget N] [--jobs N] [--serial] [--retries N]
-//!     [--no-skip] [--check-invariants] [--out <dir>]
-//!     [--sweep-name <name>] [--resume <run-id>] [--no-journal] [--quiet]
-//! ```
+//! Its flags are the rows of `ServeArgs`'s flag table plus the flags it
+//! shares with the figure command ([`CommonArgs`]); a refused command
+//! line prints the usage generated from them (see [`crate::flags`]).
 
-use crate::cli::{drive, CommonArgs};
+use crate::cli::{drive, known_workloads, shared_flags, CommonArgs};
+use crate::flags::{self, list, num, one_of, positive, put, Command, Flag};
 use crate::journal::JOURNAL_VERSION;
 use crate::json::Json;
 use crate::kind::JobKind;
 use crate::pool::{JobError, JobOutcome};
-use crate::provenance::{config_hash, Provenance, GLOBAL_SEED};
+use crate::provenance::{config_hash, Provenance};
 use crate::results::SCHEMA_VERSION;
 use miopt::{CachePolicy, PolicyConfig, SystemConfig, WayRange};
 use miopt_engine::hash::{fnv1a_64, Fnv1a};
@@ -38,6 +34,7 @@ use miopt_workloads::{by_name, SuiteConfig};
 use std::sync::Arc;
 
 /// Parsed `serve` subcommand options.
+#[derive(Default)]
 pub struct ServeArgs {
     /// The machine (`"small"` or `"paper"`).
     pub system_name: String,
@@ -65,115 +62,60 @@ pub struct ServeArgs {
     pub common: CommonArgs,
 }
 
-/// Parses the arguments after `serve`.
-///
-/// # Panics
-///
-/// Panics with a descriptive message on malformed arguments, matching
-/// [`crate::cli::parse_args`].
+impl AsMut<CommonArgs> for ServeArgs {
+    fn as_mut(&mut self) -> &mut CommonArgs {
+        &mut self.common
+    }
+}
+
+/// One `--tenants` entry, `name=Workload`.
+fn tenant(pair: &str) -> Result<(String, String), String> {
+    let Some((name, workload)) = pair.split_once('=') else {
+        return Err(format!("wants name=Workload, got {pair:?}"));
+    };
+    Ok((name.to_string(), workload.to_string()))
+}
+
+/// One `--policies` entry: a static policy by name.
+fn policy(name: &str) -> Result<PolicyConfig, String> {
+    let policy = CachePolicy::ALL.into_iter().find(|p| p.to_string() == name);
+    policy
+        .map(PolicyConfig::of)
+        .ok_or(format!("unknown policy {name:?}"))
+}
+
+impl Command for ServeArgs {
+    const NAME: &'static str = "serve";
+
+    #[rustfmt::skip]
+    fn flags() -> Vec<Flag<ServeArgs>> {
+        let rows: &[Flag<ServeArgs>] = &[
+            ("--system <S>", "small", "machine: small | paper", |a, v| put(&mut a.system_name, one_of(v, &["small", "paper"])?)),
+            ("--scale <S>", "quick", "workload scale: quick | paper", |a, v| put(&mut a.scale_name, one_of(v, &["quick", "paper"])?)),
+            ("--tenants <T=W,...>", "t0=FwSoft,t1=FwPool", "tenants as name=Workload pairs", |a, v| put(&mut a.tenants, list(v, tenant)?)),
+            ("--policies <P,...>", "Uncached,CacheR,CacheRW", "policies: Uncached | CacheR | CacheRW", |a, v| put(&mut a.policies, list(v, policy)?)),
+            ("--loads <N,...>", "60000,15000", "mean inter-arrival gaps in cycles, each a row", |a, v| put(&mut a.loads, list(v, positive)?)),
+            ("--requests <N>", "12", "requests per tenant per job", |a, v| put(&mut a.requests, positive(v)?)),
+            ("--seed <N>", "0", "arrival seed", |a, v| put(&mut a.seed, num(v)?)),
+            ("--partition", "", "give each tenant an equal share of L2 ways", |a, _| put(&mut a.partition, true)),
+            ("--max-batch <N>", "4", "most requests per dispatch", |a, v| put(&mut a.max_batch, positive(v)?)),
+            ("--budget <N>", "2000000000", "per-job cycle budget", |a, v| put(&mut a.budget, num(v)?)),
+        ];
+        [rows, &shared_flags()].concat()
+    }
+
+    fn check(&mut self) -> Result<(), String> {
+        ServeSweepSpec::resolve(self).check()?;
+        self.common
+            .check(format!("serve-{}-{}", self.system_name, self.scale_name))
+    }
+}
+
+/// Parses the arguments after `serve`, panicking with the refusal's
+/// message on bad ones (the binary reports them through [`crate::main`]).
 #[must_use]
 pub fn parse_serve_args(args: impl Iterator<Item = String>) -> ServeArgs {
-    let mut out = ServeArgs {
-        system_name: "small".to_string(),
-        scale_name: "quick".to_string(),
-        tenants: vec![
-            ("t0".to_string(), "FwSoft".to_string()),
-            ("t1".to_string(), "FwPool".to_string()),
-        ],
-        policies: vec![
-            PolicyConfig::of(CachePolicy::Uncached),
-            PolicyConfig::of(CachePolicy::CacheR),
-            PolicyConfig::of(CachePolicy::CacheRW),
-        ],
-        loads: vec![60_000, 15_000],
-        requests: 12,
-        seed: GLOBAL_SEED,
-        partition: false,
-        max_batch: 4,
-        budget: 2_000_000_000,
-        common: CommonArgs::new(),
-    };
-    let mut args = args;
-    while let Some(a) = args.next() {
-        let mut value = |flag: &str| -> String {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        if out.common.take(&a, &mut value) {
-            continue;
-        }
-        match a.as_str() {
-            "--system" => {
-                let v = value("--system");
-                assert!(
-                    v == "small" || v == "paper",
-                    "unknown system {v:?} (use small|paper)"
-                );
-                out.system_name = v;
-            }
-            "--scale" => {
-                let v = value("--scale");
-                assert!(
-                    v == "quick" || v == "paper",
-                    "unknown scale {v:?} (use quick|paper)"
-                );
-                out.scale_name = v;
-            }
-            "--tenants" => {
-                out.tenants = value("--tenants")
-                    .split(',')
-                    .map(|pair| {
-                        let (name, workload) = pair.split_once('=').unwrap_or_else(|| {
-                            panic!("--tenants wants name=Workload, got {pair:?}")
-                        });
-                        (name.to_string(), workload.to_string())
-                    })
-                    .collect();
-            }
-            "--policies" => {
-                out.policies = value("--policies")
-                    .split(',')
-                    .map(|p| match p {
-                        "Uncached" => PolicyConfig::of(CachePolicy::Uncached),
-                        "CacheR" => PolicyConfig::of(CachePolicy::CacheR),
-                        "CacheRW" => PolicyConfig::of(CachePolicy::CacheRW),
-                        other => panic!("unknown policy {other:?} (use Uncached|CacheR|CacheRW)"),
-                    })
-                    .collect();
-            }
-            "--loads" => {
-                out.loads = value("--loads")
-                    .split(',')
-                    .map(|l| l.parse().expect("--loads wants cycle counts"))
-                    .collect();
-                assert!(
-                    out.loads.iter().all(|&l| l >= 1),
-                    "--loads gaps must be at least 1 cycle"
-                );
-            }
-            "--requests" => {
-                out.requests = value("--requests")
-                    .parse()
-                    .expect("--requests needs a number");
-                assert!(out.requests >= 1, "--requests must be at least 1");
-            }
-            "--seed" => out.seed = value("--seed").parse().expect("--seed needs a number"),
-            "--partition" => out.partition = true,
-            "--max-batch" => {
-                out.max_batch = value("--max-batch")
-                    .parse()
-                    .expect("--max-batch needs a number");
-                assert!(out.max_batch >= 1, "--max-batch must be at least 1");
-            }
-            "--budget" => {
-                out.budget = value("--budget").parse().expect("--budget needs a number");
-            }
-            other => panic!("unexpected argument {other:?}"),
-        }
-    }
-    out.common
-        .finish(format!("serve-{}-{}", out.system_name, out.scale_name));
-    out
+    flags::parse(&args.collect::<Vec<_>>()).unwrap_or_else(|e| panic!("{}", e.message))
 }
 
 /// The fully resolved serve sweep: every job's scenario is derivable
@@ -222,10 +164,21 @@ impl ServeSweepSpec {
     ///
     /// # Panics
     ///
-    /// Panics when a tenant names an unknown workload or the grid is
-    /// empty.
+    /// Panics when the grid is empty, a tenant names an unknown workload,
+    /// or more tenants than L2 ways are partitioned (arguments from
+    /// [`parse_serve_args`] are none of these).
     #[must_use]
     pub fn from_args(args: &ServeArgs) -> ServeSweepSpec {
+        assert!(!args.tenants.is_empty(), "--tenants matched no tenants");
+        assert!(!args.policies.is_empty(), "--policies matched no policies");
+        assert!(!args.loads.is_empty(), "--loads matched no load levels");
+        let spec = ServeSweepSpec::resolve(args);
+        spec.check().unwrap_or_else(|e| panic!("{e}"));
+        spec
+    }
+
+    /// The spec `args` name, unchecked.
+    fn resolve(args: &ServeArgs) -> ServeSweepSpec {
         let system = match args.system_name.as_str() {
             "paper" => SystemConfig::paper_table1(),
             _ => SystemConfig::small_test(),
@@ -234,15 +187,6 @@ impl ServeSweepSpec {
             "paper" => SuiteConfig::paper(),
             _ => SuiteConfig::quick(),
         };
-        assert!(!args.tenants.is_empty(), "--tenants matched no tenants");
-        assert!(!args.policies.is_empty(), "--policies matched no policies");
-        assert!(!args.loads.is_empty(), "--loads matched no load levels");
-        for (_, workload) in &args.tenants {
-            assert!(
-                by_name(&scale, workload).is_some(),
-                "unknown workload {workload:?}"
-            );
-        }
         ServeSweepSpec {
             system,
             scale,
@@ -257,6 +201,18 @@ impl ServeSweepSpec {
             no_skip: args.common.no_skip,
             check_invariants: args.common.check_invariants,
         }
+    }
+
+    /// Refuses tenants whose workload the suite lacks, and more tenants
+    /// than L2 ways to partition.
+    fn check(&self) -> Result<(), String> {
+        let workloads = self.tenants.iter().map(|(_, w)| w.as_str());
+        known_workloads(&self.scale, workloads).map_err(|e| format!("--tenants: {e}"))?;
+        let (tenants, ways) = (self.tenants.len(), self.system.l2.ways);
+        if self.partition && tenants > ways {
+            return Err(format!("--partition: {tenants} tenants, {ways} L2 ways"));
+        }
+        Ok(())
     }
 
     /// The job grid, policies outer and loads inner.
@@ -852,7 +808,15 @@ pub fn run_serve(args: &ServeArgs) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cli::tests::refusal;
+
+    /// The message `list` is refused with.
+    fn refusal(list: &[&str]) -> String {
+        let argv: Vec<String> = list.iter().map(|s| (*s).to_string()).collect();
+        flags::parse::<ServeArgs>(&argv)
+            .err()
+            .expect("refused")
+            .message
+    }
 
     pub(crate) fn tiny_spec() -> ServeSweepSpec {
         ServeSweepSpec {
@@ -925,7 +889,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unexpected argument")]
     fn serve_rejects_unknown_flags() {
         // Values the arrival generator would otherwise assert on, and
         // the flag pair that contradicts itself, are refused by name.
@@ -934,15 +897,15 @@ mod tests {
             (["--requests", "0"], "--requests"),
             (["--max-batch", "0"], "--max-batch"),
         ] {
-            let refusal = refusal(move || parse_serve_args(flags.iter().map(|s| (*s).to_string())));
-            assert!(refusal.contains(named), "{flags:?}: {refusal}");
+            let refusal = refusal(&flags);
+            assert!(refusal.starts_with(named), "{flags:?}: {refusal}");
         }
-        let both = ["--no-journal", "--resume", "x"];
-        let refusal = refusal(move || parse_serve_args(both.iter().map(|s| (*s).to_string())));
-        assert!(refusal.contains("--resume") && refusal.contains("--no-journal"));
-        drop(parse_serve_args(
-            ["--frobnicate"].iter().map(|s| (*s).to_string()),
-        ));
+        let both = refusal(&["--no-journal", "--resume", "x"]);
+        assert!(both.contains("--resume") && both.contains("--no-journal"));
+        assert_eq!(
+            refusal(&["--frobnicate"]),
+            "unexpected argument \"--frobnicate\""
+        );
     }
 
     #[test]

@@ -230,6 +230,22 @@ cargo run --release -q -p miopt-harness -- query --journals --dir "$smoke_dir" \
 grep -q "no journals" "$smoke_dir/query-journals.txt"
 echo "query smoke ok"
 
+echo "== refused arguments (exit 2, never a panic) =="
+# One bad flag or value per subcommand: each must be refused with exit
+# status 2, an `error:` line and the usage, never a panic (exit 101).
+for bad in "--frobnicate" "serve --loads 0" "query --agg median"; do
+    status=0
+    # shellcheck disable=SC2086 # $bad is split into its words on purpose
+    cargo run --release -q -p miopt-harness -- $bad >/dev/null 2>"$smoke_dir/refused.txt" || status=$?
+    if [[ $status -ne 2 ]] || grep -q "panicked" "$smoke_dir/refused.txt" \
+        || ! grep -q "^error: " "$smoke_dir/refused.txt" || ! grep -q "^usage: " "$smoke_dir/refused.txt"; then
+        echo "refusal smoke: \`miopt-harness $bad\` exited $status:" >&2
+        cat "$smoke_dir/refused.txt" >&2
+        exit 1
+    fi
+done
+echo "refused arguments ok"
+
 echo "== event-core perf smoke =="
 # The event core must actually avoid work: a latency-bound uncached RNN
 # run on the paper machine leaves a substantial share of its simulated
