@@ -1,6 +1,7 @@
 use miopt_engine::stats::Counter;
+use miopt_telemetry::StatSnapshot;
 
-/// The single authoritative counter-field list, shared by `to_pairs` and
+/// The single authoritative counter-field list, shared by `stat_pairs` and
 /// `from_pairs` so the serialized schema can never drift from the struct.
 macro_rules! cache_stat_fields {
     ($op:ident $arg:ident) => {
@@ -10,7 +11,7 @@ macro_rules! cache_stat_fields {
             writebacks, rinse_writebacks, evictions_clean, self_invalidations,
             flush_writebacks, alloc_bypasses, predictor_bypasses)
     };
-    (@ to_pairs_from $s:ident; $($f:ident),+) => {
+    (@ stat_pairs_from $s:ident; $($f:ident),+) => {
         vec![$((stringify!($f), $s.$f.get())),+]
     };
     (@ from_pairs_with $get:ident; $($f:ident),+) => {
@@ -155,13 +156,6 @@ impl CacheStats {
         }
     }
 
-    /// All counters as stable `(name, count)` pairs, in declaration
-    /// order (results serialization hook).
-    #[must_use]
-    pub fn to_pairs(&self) -> Vec<(&'static str, u64)> {
-        cache_stat_fields!(to_pairs_from self)
-    }
-
     /// Reconstructs statistics from persisted counters. `get` is queried
     /// once per field name (results deserialization hook).
     ///
@@ -173,9 +167,10 @@ impl CacheStats {
     }
 }
 
-impl miopt_telemetry::StatSnapshot for CacheStats {
+/// Every counter, in declaration order.
+impl StatSnapshot for CacheStats {
     fn stat_pairs(&self) -> Vec<(&'static str, u64)> {
-        self.to_pairs()
+        cache_stat_fields!(stat_pairs_from self)
     }
 }
 
@@ -212,14 +207,14 @@ mod tests {
     fn pairs_round_trip_every_counter() {
         // Give every field a distinct value so a swapped pair would fail.
         let names: Vec<&str> = CacheStats::default()
-            .to_pairs()
+            .stat_pairs()
             .iter()
             .map(|&(n, _)| n)
             .collect();
         let s =
             CacheStats::from_pairs(|n| names.iter().position(|&k| k == n).map(|i| 10 + i as u64))
                 .unwrap();
-        let pairs = s.to_pairs();
+        let pairs = s.stat_pairs();
         assert_eq!(pairs.len(), 21);
         let back = CacheStats::from_pairs(|n| pairs.iter().find(|(k, _)| *k == n).map(|&(_, v)| v))
             .unwrap();

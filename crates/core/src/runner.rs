@@ -155,6 +155,22 @@ impl RunOptions {
         }
         Ok(())
     }
+
+    /// Sets `sys` up to run under these options: telemetry, the
+    /// sentinel and time skipping. The cycle budget is the caller's to
+    /// pass to [`ApuSystem::run_to_completion`].
+    pub fn configure(&self, sys: &mut ApuSystem) {
+        if let Some(interval) = self.telemetry_interval {
+            sys.enable_telemetry(interval);
+        }
+        if self.check_invariants {
+            sys.enable_sentinel(
+                ApuSystem::DEFAULT_CHECK_INTERVAL,
+                ApuSystem::DEFAULT_WATCHDOG,
+            );
+        }
+        sys.set_time_skip(!self.no_skip);
+    }
 }
 
 /// The result of one (workload, policy) simulation.
@@ -205,18 +221,7 @@ pub fn run_one_with(
     cfg.validate()?;
     policy.validate()?;
     let mut sys = ApuSystem::new(cfg.clone(), policy, workload);
-    if let Some(interval) = opts.telemetry_interval {
-        sys.enable_telemetry(interval);
-    }
-    if opts.check_invariants {
-        sys.enable_sentinel(
-            ApuSystem::DEFAULT_CHECK_INTERVAL,
-            ApuSystem::DEFAULT_WATCHDOG,
-        );
-    }
-    if opts.no_skip {
-        sys.set_time_skip(false);
-    }
+    opts.configure(&mut sys);
     let metrics = sys.run_to_completion(opts.max_cycles).map_err(|e| {
         if e.diagnostic.reason == StallReason::InvariantViolation {
             SimError::Halted {
@@ -321,33 +326,6 @@ impl SweepSpec {
         let mut spec = SweepSpec::statics(cfg, workloads);
         spec.policies.extend(optimization_ladder());
         spec
-    }
-
-    /// Returns the spec with telemetry sampling enabled at `interval`
-    /// cycles for every job.
-    #[must_use]
-    pub fn with_telemetry(mut self, interval: u64) -> SweepSpec {
-        self.run_opts.telemetry_interval = Some(interval);
-        self
-    }
-
-    /// Returns the spec with sentinel invariant checking and the
-    /// forward-progress watchdog enabled for every job (the CLI's
-    /// `--check-invariants`).
-    #[must_use]
-    pub fn with_invariant_checks(mut self) -> SweepSpec {
-        self.run_opts.check_invariants = true;
-        self
-    }
-
-    /// Returns the spec with event-driven time skipping disabled for
-    /// every job (the CLI's `--no-skip`): per-cycle stepping throughout,
-    /// bit-identical to the default mode but slower on latency-bound
-    /// runs.
-    #[must_use]
-    pub fn with_no_skip(mut self) -> SweepSpec {
-        self.run_opts.no_skip = true;
-        self
     }
 
     /// Every job of the grid, in deterministic workload-major order.
@@ -577,6 +555,7 @@ pub fn classify(static_runs: &[RunResult]) -> miopt_workloads::Category {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miopt_telemetry::StatSnapshot;
     use miopt_workloads::{by_name, SuiteConfig};
 
     #[test]
@@ -767,10 +746,10 @@ mod tests {
         // The summed deltas reconstruct every end-of-run counter.
         for (name, total) in run.names.iter().zip(run.totals()) {
             let expected = match name.split_once('.') {
-                Some(("gpu", f)) => lookup(&r.metrics.gpu.to_pairs(), f),
-                Some(("l1", f)) => lookup(&r.metrics.l1.to_pairs(), f),
-                Some(("l2", f)) => lookup(&r.metrics.l2.to_pairs(), f),
-                Some(("dram", f)) => lookup(&r.metrics.dram.to_pairs(), f),
+                Some(("gpu", f)) => lookup(&r.metrics.gpu.stat_pairs(), f),
+                Some(("l1", f)) => lookup(&r.metrics.l1.stat_pairs(), f),
+                Some(("l2", f)) => lookup(&r.metrics.l2.stat_pairs(), f),
+                Some(("dram", f)) => lookup(&r.metrics.dram.stat_pairs(), f),
                 _ => continue, // noc/queue counters are not in Metrics
             };
             assert_eq!(total, expected, "{name}");

@@ -5,7 +5,7 @@ use miopt_engine::sentinel::{InvariantViolation, Sentinel};
 use miopt_engine::{Cycle, EventWheel, LineAddr, MemReq, MemResp, TimedQueue};
 use miopt_gpu::{Gpu, KernelDesc};
 use miopt_noc::Crossbar;
-use miopt_telemetry::{Frame, Recorder, TelemetryRun};
+use miopt_telemetry::{Frame, Recorder, StatSnapshot, TelemetryRun};
 use miopt_workloads::Workload;
 use std::collections::VecDeque;
 use std::error::Error;
@@ -184,7 +184,7 @@ enum SampleSink<'a> {
 }
 
 impl SampleSink<'_> {
-    fn record(&mut self, scope: &str, stats: &dyn miopt_telemetry::StatSnapshot) {
+    fn record(&mut self, scope: &str, stats: &dyn StatSnapshot) {
         match self {
             SampleSink::Named(frame) => frame.record(scope, stats),
             SampleSink::Values(values) => {
@@ -1210,16 +1210,16 @@ impl ApuSystem {
             Phase::DrainFlush => 4,
             Phase::Finished => 5,
         });
-        for (name, value) in self.gpu.stats().to_pairs() {
+        for (name, value) in self.gpu.stats().stat_pairs() {
             mix(name.len() as u64);
             mix(value);
         }
-        for (name, value) in self.dram.stats().to_pairs() {
+        for (name, value) in self.dram.stats().stat_pairs() {
             mix(name.len() as u64);
             mix(value);
         }
         for c in self.l1.units.iter().chain(&self.l2.units) {
-            for (name, value) in c.stats().to_pairs() {
+            for (name, value) in c.stats().stat_pairs() {
                 mix(name.len() as u64);
                 mix(value);
             }

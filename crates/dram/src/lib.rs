@@ -69,21 +69,6 @@ impl DramStats {
         self.reads.get() + self.writes.get()
     }
 
-    /// All counters as stable `(name, value)` pairs; the row-hit ratio is
-    /// flattened into its numerator/denominator (results serialization
-    /// hook).
-    #[must_use]
-    pub fn to_pairs(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("reads", self.reads.get()),
-            ("writes", self.writes.get()),
-            ("row_hits_hits", self.row_hits.hits()),
-            ("row_hits_total", self.row_hits.total()),
-            ("row_closed", self.row_closed.get()),
-            ("row_conflicts", self.row_conflicts.get()),
-        ]
-    }
-
     /// Reconstructs statistics from persisted counters. `get` is queried
     /// once per field name (results deserialization hook).
     ///
@@ -111,9 +96,17 @@ impl DramStats {
     }
 }
 
+/// The row-hit ratio is flattened into its numerator and denominator.
 impl miopt_telemetry::StatSnapshot for DramStats {
     fn stat_pairs(&self) -> Vec<(&'static str, u64)> {
-        self.to_pairs()
+        vec![
+            ("reads", self.reads.get()),
+            ("writes", self.writes.get()),
+            ("row_hits_hits", self.row_hits.hits()),
+            ("row_hits_total", self.row_hits.total()),
+            ("row_closed", self.row_closed.get()),
+            ("row_conflicts", self.row_conflicts.get()),
+        ]
     }
 }
 

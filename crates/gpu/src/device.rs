@@ -25,18 +25,6 @@ impl GpuStats {
         self.line_loads + self.line_stores
     }
 
-    /// All counters as stable `(name, value)` pairs (results
-    /// serialization hook).
-    #[must_use]
-    pub fn to_pairs(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("valu_lane_ops", self.valu_lane_ops),
-            ("line_loads", self.line_loads),
-            ("line_stores", self.line_stores),
-            ("retired_wavefronts", self.retired_wavefronts),
-        ]
-    }
-
     /// Reconstructs statistics from persisted counters. `get` is queried
     /// once per field name (results deserialization hook).
     ///
@@ -57,7 +45,12 @@ impl GpuStats {
 
 impl miopt_telemetry::StatSnapshot for GpuStats {
     fn stat_pairs(&self) -> Vec<(&'static str, u64)> {
-        self.to_pairs()
+        vec![
+            ("valu_lane_ops", self.valu_lane_ops),
+            ("line_loads", self.line_loads),
+            ("line_stores", self.line_stores),
+            ("retired_wavefronts", self.retired_wavefronts),
+        ]
     }
 }
 

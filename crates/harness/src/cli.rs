@@ -11,7 +11,7 @@ use crate::cache::ResultCache;
 use crate::figures::{fig10, fig11, fig12, fig13, fig4, fig5, fig6, fig7, fig8, fig9, FigureData};
 use crate::flags::{self, num, positive, put, Command, Flag};
 use crate::kind::JobKind;
-use crate::pool::{PoolOptions, ResultSource, RetryPolicy};
+use crate::pool::{PoolOptions, ResultSource};
 use crate::sweep::{open_journal, run_kind, run_sweep, JournalOptions, SweepOptions, SweepRun};
 use miopt::runner::SweepSpec;
 use miopt::SystemConfig;
@@ -99,10 +99,7 @@ impl CommonArgs {
         PoolOptions {
             workers: self.jobs,
             progress: !self.quiet,
-            retry: RetryPolicy {
-                max_attempts: self.retries + 1,
-                ..RetryPolicy::default()
-            },
+            retries: self.retries,
             ..PoolOptions::default()
         }
     }
@@ -382,15 +379,9 @@ pub fn run(args: &CliArgs) -> i32 {
     } else {
         SweepSpec::statics(cfg, workloads)
     };
-    if let Some(interval) = args.telemetry {
-        spec = spec.with_telemetry(interval);
-    }
-    if args.common.check_invariants {
-        spec = spec.with_invariant_checks();
-    }
-    if args.common.no_skip {
-        spec = spec.with_no_skip();
-    }
+    spec.run_opts.telemetry_interval = args.telemetry;
+    spec.run_opts.check_invariants = args.common.check_invariants;
+    spec.run_opts.no_skip = args.common.no_skip;
     let spec = Arc::new(spec);
     let pool = PoolOptions {
         job_timeout: args.timeout,

@@ -1,16 +1,16 @@
-//! A deterministic job-DAG executor over a scoped `std::thread` worker
+//! The sweep executor: a work queue over a scoped `std::thread` worker
 //! pool.
 //!
-//! The (workload × policy) grid of a sweep is embarrassingly parallel —
-//! every simulation is independent — but the executor is written as a
-//! general dependency DAG so future sweeps (e.g. a ladder stage gated on
-//! its static stage) can express ordering without a new engine.
+//! Every job of a grid — a sweep's (workload × policy) cells, a serve
+//! sweep's (policy × load) cells — is an independent simulation, so the
+//! queue is a counter: each worker takes the next job id from it, runs
+//! the job and writes the outcome into that job's slot.
 //!
 //! Design points:
 //!
 //! * **Determinism.** Results are recorded into a slot per job id, never
 //!   in completion order, so any worker count (including 1) produces an
-//!   identical result vector; ready jobs are claimed lowest-id-first.
+//!   identical result vector; jobs are claimed lowest-id-first.
 //! * **Isolation.** A simulation that fails does so through
 //!   `Result` — cycle-budget exhaustion and config rejections arrive as
 //!   the kind's error and fail *that job* ([`JobError::Sim`]); genuinely
@@ -20,21 +20,26 @@
 //!   a job that exceeds the deadline is abandoned (the thread is
 //!   detached — `std` threads cannot be killed — and the job reports
 //!   [`JobError::TimedOut`]).
-//! * **Failure propagation.** A job whose dependency failed is not run;
-//!   it reports [`JobError::DepFailed`].
+//! * **Retry.** A timed-out or panicked job is re-run up to
+//!   [`PoolOptions::retries`] more times after a jittered backoff, each
+//!   timed-out attempt doubling the next one's wall-clock budget; a job
+//!   that fails them all is [`JobError::Quarantined`].
+//! * **Fail-fast.** With [`PoolOptions::fail_fast`], the first failure
+//!   raises one shared flag, and every job claimed after it is recorded
+//!   as [`JobError::Cancelled`] without running. Jobs already running
+//!   finish and record normally.
 //!
 //! The executor is generic over the [`JobKind`] it runs; it is the only
 //! place a job is caught unwinding, timed out, retried or quarantined.
 
-use crate::backoff::Backoff;
 use crate::kind::JobKind;
 use crate::progress::Progress;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use miopt_engine::rng::SplitMix64;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Why a job produced no result.
@@ -55,8 +60,6 @@ pub enum JobError<E> {
     /// The simulation exceeded the configured wall-clock timeout (the
     /// value is the timeout of the final attempt, after any escalation).
     TimedOut(Duration),
-    /// A dependency (by job id) failed, so this job never ran.
-    DepFailed(usize),
     /// The sweep was cancelled by fail-fast before this job started.
     Cancelled,
     /// The job failed every attempt of its retry budget and was
@@ -94,7 +97,6 @@ impl<E: fmt::Display> fmt::Display for JobError<E> {
                 write!(f, "panicked: {message} ({config})")
             }
             JobError::TimedOut(t) => write!(f, "timed out after {:.1}s", t.as_secs_f64()),
-            JobError::DepFailed(id) => write!(f, "dependency job {id} failed"),
             JobError::Cancelled => write!(f, "cancelled by fail-fast"),
             JobError::Quarantined { attempts, last } => {
                 write!(f, "quarantined after {attempts} attempts: {last}")
@@ -107,48 +109,19 @@ impl<E: fmt::Display> fmt::Display for JobError<E> {
 /// The outcome of one job.
 #[derive(Debug)]
 pub struct JobOutcome<K: JobKind> {
-    /// The job that ran (or was skipped).
+    /// The job that ran (or was cancelled).
     pub job: K::Job,
     /// The simulation result, or why there is none.
     pub result: Result<K::Output, JobError<K::Error>>,
-    /// Wall time spent on this job (≈0 for cache hits and skips).
+    /// Wall time spent on this job (≈0 for source hits and cancelled
+    /// jobs).
     pub elapsed: Duration,
     /// Whether the result came from a [`ResultSource`] (the persistent
     /// cache or a resume journal) rather than a fresh simulation.
     pub cached: bool,
     /// How many times the job was executed (0 for source hits and
-    /// skipped jobs, ≥2 only when a retry policy re-ran it).
+    /// cancelled jobs, ≥2 only when [`PoolOptions::retries`] re-ran it).
     pub attempts: usize,
-}
-
-/// How failed jobs are retried before being quarantined.
-///
-/// Only wall-clock timeouts and panics are retried: the simulator is
-/// deterministic, so a [`JobError::Sim`] would fail identically every
-/// time.
-/// A job that exhausts its attempts is reported as
-/// [`JobError::Quarantined`] and the sweep continues.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per job (1 = no retry, the default).
-    pub max_attempts: usize,
-    /// Shared backoff schedule ([`crate::backoff::Backoff`]): capped
-    /// exponential growth with deterministic per-job jitter.
-    pub backoff: Backoff,
-    /// Double the job's wall-clock budget after each timed-out attempt,
-    /// so a job that was merely slow (a loaded machine, a pessimal
-    /// schedule) gets room to finish.
-    pub escalate_timeout: bool,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Backoff::default(),
-            escalate_timeout: true,
-        }
-    }
 }
 
 /// Executor options. The default is every available core, no timeout,
@@ -162,8 +135,14 @@ pub struct PoolOptions {
     pub job_timeout: Option<Duration>,
     /// Print per-job completion lines to stderr.
     pub progress: bool,
-    /// Retry policy for timed-out and panicked jobs.
-    pub retry: RetryPolicy,
+    /// Extra attempts for a job that times out or panics (0 = none).
+    /// Only those failures are retried: the simulator is deterministic,
+    /// so a [`JobError::Sim`] would fail identically every time. A
+    /// timed-out job's next attempt gets double the wall-clock budget,
+    /// so a job that was merely slow (a loaded machine) gets room to
+    /// finish. A job that fails every attempt is reported as
+    /// [`JobError::Quarantined`] and the sweep continues.
+    pub retries: usize,
     /// Cancel every not-yet-started job as soon as any job fails
     /// (running jobs finish; cancelled jobs report
     /// [`JobError::Cancelled`]).
@@ -189,255 +168,122 @@ pub trait ResultSource<K: JobKind>: Sync {
     /// `None`; a resume journal also replays failures as `Some(Err(_))`.
     fn fetch(&self, kind: &K, job: &K::Job) -> Option<Result<K::Output, JobError<K::Error>>>;
     /// Offers a freshly computed outcome (success or failure) for
-    /// persistence. Not called for outcomes served by `fetch`.
+    /// persistence. Not called for outcomes served by `fetch`, nor for
+    /// cancelled jobs.
     fn offer(&self, kind: &K, outcome: &JobOutcome<K>);
 }
 
-struct DagState<K: JobKind> {
-    /// Unsatisfied dependency count per job; `usize::MAX` marks claimed.
-    waiting: Vec<usize>,
-    /// Jobs ready to claim, lowest id first.
-    ready: BinaryHeap<Reverse<usize>>,
-    /// Slot per job id.
-    outcomes: Vec<Option<JobOutcome<K>>>,
-    /// Jobs without a recorded outcome yet.
-    unfinished: usize,
-}
-
-struct Dag<K: JobKind> {
-    state: Mutex<DagState<K>>,
-    wake: Condvar,
-    /// dependents[i] = jobs that wait on job i.
-    dependents: Vec<Vec<usize>>,
-}
-
-/// Runs every job of `kind` (with `deps[i]` = ids that must succeed
-/// before job `i` runs) across a scoped worker pool and returns one
+/// Runs every job of `kind` across a scoped worker pool and returns one
 /// outcome per job, in job-id order regardless of completion order.
-///
-/// `deps` may be empty, meaning no ordering constraints; without a
-/// `source`, every job simulates.
-///
-/// # Panics
-///
-/// Panics if `deps` is non-empty but not exactly one entry per job, or
-/// if a dependency id is out of range (a malformed DAG is a programming
-/// error, not a job failure).
-pub fn run_dag<K: JobKind>(
+/// Jobs `source` has are served from it; the rest simulate, and their
+/// outcomes are offered to it.
+pub fn run_jobs<K: JobKind>(
     kind: &Arc<K>,
-    deps: &[Vec<usize>],
     source: Option<&dyn ResultSource<K>>,
     opts: &PoolOptions,
 ) -> Vec<JobOutcome<K>> {
     let jobs = kind.jobs();
-    let n = jobs.len();
-    let deps: Vec<Vec<usize>> = if deps.is_empty() {
-        vec![Vec::new(); n]
-    } else {
-        assert_eq!(deps.len(), n, "one dependency list per job");
-        deps.to_vec()
-    };
-    for d in deps.iter().flatten() {
-        assert!(*d < n, "dependency id {d} out of range");
-    }
-    let mut dependents = vec![Vec::new(); n];
-    let mut waiting = vec![0usize; n];
-    for (i, ds) in deps.iter().enumerate() {
-        waiting[i] = ds.len();
-        for &d in ds {
-            dependents[d].push(i);
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let slots: Mutex<Vec<Option<JobOutcome<K>>>> = Mutex::new(jobs.iter().map(|_| None).collect());
+    let progress = Progress::new(jobs.len(), opts.progress);
+    let worker = || {
+        while let Some(job) = jobs.get(next.fetch_add(1, Ordering::SeqCst)) {
+            let started = Instant::now();
+            let (result, cached, attempts) = if opts.fail_fast && failed.load(Ordering::SeqCst) {
+                (Err(JobError::Cancelled), false, 0)
+            } else if let Some(hit) = source.and_then(|s| s.fetch(kind, job)) {
+                (hit, true, 0)
+            } else {
+                let (result, attempts) = execute_with_retry(kind, job, opts);
+                (result, false, attempts)
+            };
+            let outcome = JobOutcome {
+                job: job.clone(),
+                result,
+                elapsed: started.elapsed(),
+                cached,
+                attempts,
+            };
+            if outcome.result.is_err() {
+                failed.store(true, Ordering::SeqCst);
+            }
+            // Only a job that ran has attempts; its outcome is new.
+            if let Some(source) = source.filter(|_| attempts > 0) {
+                source.offer(kind, &outcome);
+            }
+            progress.report(&kind.label(job), &outcome);
+            slots.lock().expect("pool lock")[K::job_id(job)] = Some(outcome);
         }
-    }
-    let ready: BinaryHeap<Reverse<usize>> =
-        (0..n).filter(|&i| waiting[i] == 0).map(Reverse).collect();
-    assert!(
-        n == 0 || !ready.is_empty(),
-        "dependency cycle: no runnable job"
-    );
-
-    let dag = Dag {
-        state: Mutex::new(DagState {
-            waiting,
-            ready,
-            outcomes: std::iter::repeat_with(|| None).take(n).collect(),
-            unfinished: n,
-        }),
-        wake: Condvar::new(),
-        dependents,
     };
-    let progress = Progress::new(n, opts.progress);
-    let workers = opts.effective_workers().min(n.max(1));
-
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| worker(kind, &jobs, &dag, source, opts, &progress));
+        for _ in 0..opts.effective_workers().min(jobs.len().max(1)) {
+            s.spawn(worker);
         }
     });
-
-    let state = dag.state.into_inner().expect("workers exited cleanly");
-    assert_eq!(
-        state.unfinished, 0,
-        "executor finished with unrecorded jobs"
-    );
-    state
-        .outcomes
+    let slots = slots.into_inner().expect("workers exited cleanly");
+    slots
         .into_iter()
         .map(|o| o.expect("every job recorded"))
         .collect()
 }
 
-fn worker<K: JobKind>(
-    kind: &Arc<K>,
-    jobs: &[K::Job],
-    dag: &Dag<K>,
-    source: Option<&dyn ResultSource<K>>,
-    opts: &PoolOptions,
-    progress: &Progress,
-) {
-    loop {
-        let job = {
-            let mut st = dag.state.lock().expect("pool lock");
-            loop {
-                if st.unfinished == 0 {
-                    return;
-                }
-                if let Some(Reverse(id)) = st.ready.pop() {
-                    st.waiting[id] = usize::MAX;
-                    break jobs[id].clone();
-                }
-                st = dag.wake.wait(st).expect("pool lock");
-            }
-        };
-
-        let started = Instant::now();
-        let (result, cached, attempts) = match source.and_then(|s| s.fetch(kind, &job)) {
-            Some(hit) => (hit, true, 0),
-            None => {
-                let (r, attempts) = execute_with_retry(kind, &job, opts);
-                (r, false, attempts)
-            }
-        };
-        let outcome = JobOutcome {
-            job,
-            result,
-            elapsed: started.elapsed(),
-            cached,
-            attempts,
-        };
-        if let Some(source) = source.filter(|_| !cached) {
-            source.offer(kind, &outcome);
-        }
-        progress.report(&kind.label(&outcome.job), &outcome);
-        record(dag, jobs, outcome, progress, opts.fail_fast);
-    }
-}
-
-/// Records an outcome, unblocking or failing dependents, and wakes
-/// waiting workers. With `fail_fast`, the first failure also cancels
-/// every job that has not started yet.
-fn record<K: JobKind>(
-    dag: &Dag<K>,
-    jobs: &[K::Job],
-    outcome: JobOutcome<K>,
-    progress: &Progress,
-    fail_fast: bool,
-) {
-    let mut st = dag.state.lock().expect("pool lock");
-    let mut pending = vec![outcome];
-    while let Some(o) = pending.pop() {
-        let id = K::job_id(&o.job);
-        let failed = o.result.is_err();
-        debug_assert!(st.outcomes[id].is_none(), "job {id} recorded twice");
-        st.outcomes[id] = Some(o);
-        st.unfinished -= 1;
-        for &dep in &dag.dependents[id] {
-            if failed {
-                // Fail the whole downstream cone without running it.
-                if st.outcomes[dep].is_none() && st.waiting[dep] != usize::MAX {
-                    st.waiting[dep] = usize::MAX;
-                    let skipped = JobOutcome {
-                        job: jobs[dep].clone(),
-                        result: Err(JobError::DepFailed(id)),
-                        elapsed: Duration::ZERO,
-                        cached: false,
-                        attempts: 0,
-                    };
-                    progress.report("(skipped)", &skipped);
-                    pending.push(skipped);
-                }
-            } else if st.waiting[dep] != usize::MAX {
-                st.waiting[dep] -= 1;
-                if st.waiting[dep] == 0 {
-                    st.ready.push(Reverse(dep));
-                }
-            }
-        }
-        if failed && fail_fast {
-            // Cancel everything not yet claimed by a worker. In-flight
-            // jobs finish and record normally.
-            for (cancel, job) in jobs.iter().enumerate() {
-                if st.outcomes[cancel].is_none() && st.waiting[cancel] != usize::MAX {
-                    st.waiting[cancel] = usize::MAX;
-                    let cancelled = JobOutcome {
-                        job: job.clone(),
-                        result: Err(JobError::Cancelled),
-                        elapsed: Duration::ZERO,
-                        cached: false,
-                        attempts: 0,
-                    };
-                    progress.report("(cancelled)", &cancelled);
-                    pending.push(cancelled);
-                }
-            }
-            st.ready.clear();
-        }
-    }
-    drop(st);
-    dag.wake.notify_all();
-}
-
-/// Runs one job under the pool's retry policy. Returns the final result
-/// and the number of attempts made. Only transient failures (wall-clock
-/// timeouts, panics) are retried; when a retry budget > 1 is exhausted
-/// the final error is wrapped in [`JobError::Quarantined`].
+/// Runs one job with up to `opts.retries` retries. Returns the final
+/// result and the number of attempts made. Only transient failures
+/// (wall-clock timeouts, panics) are retried; when a retry budget is
+/// exhausted the final error is wrapped in [`JobError::Quarantined`].
 fn execute_with_retry<K: JobKind>(
     kind: &Arc<K>,
     job: &K::Job,
     opts: &PoolOptions,
 ) -> (Result<K::Output, JobError<K::Error>>, usize) {
-    let policy = &opts.retry;
-    let budget = policy.max_attempts.max(1);
     let mut timeout = opts.job_timeout;
-    let mut attempt = 0;
+    let mut attempt = 1;
     loop {
-        attempt += 1;
-        match execute(kind, job, timeout) {
+        let e = match execute(kind, job, timeout) {
             Ok(r) => return (Ok(r), attempt),
-            Err(e) => {
-                let retryable = matches!(e, JobError::Panicked { .. } | JobError::TimedOut(_));
-                if !retryable {
-                    return (Err(e), attempt);
-                }
-                if attempt >= budget {
-                    if budget > 1 {
-                        return (
-                            Err(JobError::Quarantined {
-                                attempts: attempt,
-                                last: Box::new(e),
-                            }),
-                            attempt,
-                        );
-                    }
-                    return (Err(e), attempt);
-                }
-                if policy.escalate_timeout && matches!(e, JobError::TimedOut(_)) {
-                    timeout = timeout.map(|t| t.saturating_mul(2));
-                }
-                let id = K::job_id(job) as u64;
-                std::thread::sleep(policy.backoff.delay(id, attempt as u32));
-            }
+            Err(e) => e,
+        };
+        let transient = matches!(e, JobError::Panicked { .. } | JobError::TimedOut(_));
+        if !transient || opts.retries == 0 {
+            return (Err(e), attempt);
         }
+        if attempt > opts.retries {
+            let last = Box::new(e);
+            return (
+                Err(JobError::Quarantined {
+                    attempts: attempt,
+                    last,
+                }),
+                attempt,
+            );
+        }
+        if matches!(e, JobError::TimedOut(_)) {
+            timeout = timeout.map(|t| t.saturating_mul(2));
+        }
+        std::thread::sleep(backoff(K::job_id(job) as u64, attempt as u32));
+        attempt += 1;
     }
+}
+
+/// The wait after failed attempt `attempt` (1-based) of job `job`:
+/// 100 ms doubling per attempt, capped at 5 s, then jittered to a
+/// uniform value in `[0.75·d, 1.25·d)`.
+///
+/// The jitter decorrelates jobs that fail together (a loaded machine
+/// starving every worker past its timeout), so their retries do not
+/// collide again in lockstep. It is drawn from a [`SplitMix64`] stream
+/// keyed by `(job, attempt)`, so the schedule repeats run to run.
+pub(crate) fn backoff(job: u64, attempt: u32) -> Duration {
+    const BASE_NANOS: u128 = 100_000_000;
+    const CAP_NANOS: u128 = 5_000_000_000;
+    let nanos = (BASE_NANOS << attempt.saturating_sub(1).min(63)).min(CAP_NANOS);
+    // Three quarters guaranteed, plus a seeded uniform draw of up to one
+    // half: (d/2 · r) >> 64 is d/2 scaled by r/2^64 ∈ [0, 1).
+    let mut stream = SplitMix64::new(job.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(attempt));
+    let r = u128::from(stream.next_u64());
+    let jittered = nanos / 4 * 3 + (((nanos / 2) * r) >> 64);
+    Duration::from_nanos(u64::try_from(jittered).unwrap_or(u64::MAX))
 }
 
 /// Runs one job once. Expected failures (cycle-budget exhaustion, bad
@@ -521,18 +367,16 @@ mod tests {
     #[test]
     fn pool_matches_serial_for_any_worker_count() {
         let spec = spec_of(&["FwSoft"]);
-        let serial = run_dag(
+        let serial = run_jobs(
             &spec,
-            &[],
             None,
             &PoolOptions {
                 workers: 1,
                 ..PoolOptions::default()
             },
         );
-        let parallel = run_dag(
+        let parallel = run_jobs(
             &spec,
-            &[],
             None,
             &PoolOptions {
                 workers: 4,
@@ -548,74 +392,14 @@ mod tests {
     }
 
     #[test]
-    fn dep_failure_skips_the_downstream_cone() {
-        let spec = spec_of(&["FwSoft"]);
-        // Chain 0 <- 1 <- 2; job 0 is forced to fail with a nanosecond
-        // timeout, which must fail the whole downstream cone unrun.
-        let deps = vec![vec![], vec![0], vec![1]];
-        let opts = PoolOptions {
-            workers: 2,
-            job_timeout: Some(Duration::from_nanos(1)),
-            ..PoolOptions::default()
-        };
-        let outcomes = run_dag(&spec, &deps, None, &opts);
-        assert!(matches!(outcomes[0].result, Err(JobError::TimedOut(_))));
-        assert_eq!(outcomes[1].result, Err(JobError::DepFailed(0)));
-        assert_eq!(outcomes[2].result, Err(JobError::DepFailed(1)));
-    }
-
-    #[test]
-    fn honours_dependency_order() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        struct OrderSpy {
-            seq: AtomicUsize,
-            seen: Mutex<Vec<(usize, usize)>>,
-        }
-        impl ResultSource<SweepSpec> for OrderSpy {
-            fn fetch(
-                &self,
-                _: &SweepSpec,
-                job: &Job,
-            ) -> Option<Result<RunResult, JobError<SimError>>> {
-                let t = self.seq.fetch_add(1, Ordering::SeqCst);
-                self.seen.lock().unwrap().push((job.id, t));
-                None
-            }
-            fn offer(&self, _: &SweepSpec, _: &JobOutcome<SweepSpec>) {}
-        }
-        let spec = spec_of(&["FwSoft"]);
-        // Job 2 must start only after jobs 0 and 1 completed.
-        let deps = vec![vec![], vec![], vec![0, 1]];
-        let spy = OrderSpy {
-            seq: AtomicUsize::new(0),
-            seen: Mutex::new(Vec::new()),
-        };
-        let outcomes = run_dag(
-            &spec,
-            &deps,
-            Some(&spy),
-            &PoolOptions {
-                workers: 3,
-                ..PoolOptions::default()
-            },
-        );
-        assert!(outcomes.iter().all(|o| o.result.is_ok()));
-        let seen = spy.seen.lock().unwrap();
-        let start_of = |id: usize| seen.iter().find(|(j, _)| *j == id).unwrap().1;
-        assert!(start_of(2) > start_of(0));
-        assert!(start_of(2) > start_of(1));
-    }
-
-    #[test]
     fn sim_errors_propagate_through_the_pool_without_unwinding() {
         // A 10-cycle budget fails every job with SimError::Timeout; the
         // pool must surface it as JobError::Sim, not a caught panic.
         let mut spec = Arc::unwrap_or_clone(spec_of(&["FwSoft"]));
         spec.run_opts.max_cycles = 10;
         let spec = Arc::new(spec);
-        let outcomes = run_dag(
+        let outcomes = run_jobs(
             &spec,
-            &[],
             None,
             &PoolOptions {
                 workers: 2,
@@ -649,9 +433,8 @@ mod tests {
         let spec = spec_of(&["FwSoft"]);
         let jobs = spec.jobs();
         let canned = Canned(spec.run_job(&jobs[0]).expect("job runs"));
-        let outcomes = run_dag(
+        let outcomes = run_jobs(
             &spec,
-            &[],
             Some(&canned),
             &PoolOptions {
                 workers: 2,
@@ -674,9 +457,8 @@ mod tests {
         let mut spec = Arc::unwrap_or_clone(spec_of(&["FwSoft"]));
         spec.faults = vec![JobFault::Panic(1)];
         let spec = Arc::new(spec);
-        let outcomes = run_dag(
+        let outcomes = run_jobs(
             &spec,
-            &[],
             None,
             &PoolOptions {
                 workers: 2,
@@ -714,14 +496,10 @@ mod tests {
         let opts = PoolOptions {
             workers: 2,
             job_timeout: Some(Duration::from_millis(50)),
-            retry: RetryPolicy {
-                max_attempts: 2,
-                backoff: Backoff::new(Duration::from_millis(5)),
-                escalate_timeout: true,
-            },
+            retries: 1,
             ..PoolOptions::default()
         };
-        let outcomes = run_dag(&spec, &[], None, &opts);
+        let outcomes = run_jobs(&spec, None, &opts);
         match &outcomes[0].result {
             Err(JobError::Quarantined { attempts, last }) => {
                 assert_eq!(*attempts, 2);
@@ -748,10 +526,136 @@ mod tests {
             fail_fast: true,
             ..PoolOptions::default()
         };
-        let outcomes = run_dag(&spec, &[], None, &opts);
+        let outcomes = run_jobs(&spec, None, &opts);
         assert!(matches!(outcomes[0].result, Err(JobError::Panicked { .. })));
         assert_eq!(outcomes[1].result, Err(JobError::Cancelled));
         assert_eq!(outcomes[2].result, Err(JobError::Cancelled));
         assert_eq!(outcomes[1].attempts, 0);
+    }
+
+    /// Any worker count and any mix of source hits, panics, retries and
+    /// fail-fast: one outcome per job in id order, `offer` for exactly
+    /// the fresh outcomes, the 1-worker run's statuses without fail-fast,
+    /// and with it, cancellations only behind a failure.
+    #[test]
+    fn every_schedule_records_each_job_once_in_id_order() {
+        use miopt::runner::JobFault;
+        use miopt_engine::prop;
+        use std::collections::BTreeSet;
+        struct Canned {
+            hit: RunResult,
+            served: BTreeSet<usize>,
+            offered: Mutex<Vec<usize>>,
+        }
+        impl ResultSource<SweepSpec> for Canned {
+            fn fetch(
+                &self,
+                _: &SweepSpec,
+                job: &Job,
+            ) -> Option<Result<RunResult, JobError<SimError>>> {
+                self.served.contains(&job.id).then(|| Ok(self.hit.clone()))
+            }
+            fn offer(&self, _: &SweepSpec, outcome: &JobOutcome<SweepSpec>) {
+                self.offered.lock().unwrap().push(outcome.job.id);
+            }
+        }
+        let base = spec_of(&["FwSoft"]);
+        let hit = base.run_job(&base.jobs()[0]).expect("job runs");
+        let cancelled = |o: &JobOutcome<SweepSpec>| matches!(o.result, Err(JobError::Cancelled));
+        prop::check("pool_records_each_job_once_in_id_order", 32, |c| {
+            let opts = PoolOptions {
+                workers: c.range(1..5) as usize,
+                retries: c.below(2) as usize,
+                fail_fast: c.bool(),
+                ..PoolOptions::default()
+            };
+            let mut spec = (*base).clone();
+            spec.workloads = vec![base.workloads[0].clone(); c.steps(1..4)];
+            let n = spec.job_count();
+            // Half the jobs come from the source, a third of the rest
+            // panic, and the others simulate.
+            let mut served = BTreeSet::new();
+            for id in 0..n {
+                match c.below(6) {
+                    0..=2 => {
+                        served.insert(id);
+                    }
+                    3 => spec.faults.push(JobFault::Panic(id)),
+                    _ => {}
+                }
+            }
+            let spec = Arc::new(spec);
+            let run = |opts: &PoolOptions| {
+                let source = Canned {
+                    hit: hit.clone(),
+                    served: served.clone(),
+                    offered: Mutex::new(Vec::new()),
+                };
+                let outcomes = run_jobs(&spec, Some(&source), opts);
+                let mut offered = source.offered.into_inner().unwrap();
+                offered.sort_unstable();
+                (outcomes, offered)
+            };
+
+            let (outcomes, offered) = run(&opts);
+            let ids: Vec<usize> = outcomes.iter().map(|o| o.job.id).collect();
+            assert_eq!(
+                ids,
+                (0..n).collect::<Vec<_>>(),
+                "one outcome per job, in id order"
+            );
+            let fresh: Vec<usize> = (outcomes.iter())
+                .filter(|o| !o.cached && !cancelled(o))
+                .map(|o| o.job.id)
+                .collect();
+            assert_eq!(offered, fresh, "offered exactly the fresh outcomes");
+            for o in outcomes.iter().filter(|o| !cancelled(o)) {
+                assert_eq!(o.cached, served.contains(&o.job.id), "job {}", o.job.id);
+            }
+
+            if !opts.fail_fast {
+                assert!(
+                    !outcomes.iter().any(cancelled),
+                    "cancelled without fail-fast"
+                );
+                if opts.workers > 1 {
+                    let summary = |o: &JobOutcome<SweepSpec>| {
+                        let status = o.result.as_ref().map_err(ToString::to_string);
+                        (status.map(|r| r.metrics.clone()), o.attempts, o.cached)
+                    };
+                    let (serial, _) = run(&PoolOptions {
+                        workers: 1,
+                        ..opts.clone()
+                    });
+                    let a: Vec<_> = outcomes.iter().map(summary).collect();
+                    let b: Vec<_> = serial.iter().map(summary).collect();
+                    assert_eq!(a, b, "{} workers differ from 1", opts.workers);
+                }
+                return;
+            }
+            let failed: Vec<usize> = (outcomes.iter())
+                .filter(|o| o.result.is_err() && !cancelled(o))
+                .map(|o| o.job.id)
+                .collect();
+            for o in outcomes.iter().filter(|o| cancelled(o)) {
+                let id = o.job.id;
+                assert!(
+                    failed.iter().any(|&f| f < id),
+                    "job {id} cancelled ahead of a failure"
+                );
+                assert_eq!(o.attempts, 0);
+            }
+            if opts.workers == 1 {
+                let first = failed.first().copied().unwrap_or(n);
+                for o in &outcomes {
+                    assert_eq!(
+                        cancelled(o),
+                        o.job.id > first,
+                        "job {} at 1 worker",
+                        o.job.id
+                    );
+                }
+            }
+        });
     }
 }

@@ -27,7 +27,7 @@ impl Progress {
         }
     }
 
-    /// Reports one completed (or skipped) job.
+    /// Reports one completed (or cancelled) job.
     pub fn report<K: JobKind>(&self, label: &str, outcome: &JobOutcome<K>) {
         let done = self.done.fetch_add(1, Ordering::SeqCst) + 1;
         if !self.enabled {
@@ -68,7 +68,7 @@ mod tests {
         let job = spec.jobs()[0];
         let outcome: JobOutcome<miopt::runner::SweepSpec> = JobOutcome {
             job,
-            result: Err(crate::pool::JobError::DepFailed(0)),
+            result: Err(crate::pool::JobError::Cancelled),
             elapsed: std::time::Duration::ZERO,
             cached: false,
             attempts: 0,

@@ -15,6 +15,7 @@ use miopt::StallDiagnostic;
 use miopt_cache::CacheStats;
 use miopt_dram::DramStats;
 use miopt_gpu::GpuStats;
+use miopt_telemetry::StatSnapshot;
 use std::path::Path;
 
 /// Version tag of the results/cache JSON schema. Bump on any change to
@@ -54,10 +55,10 @@ pub fn metrics_to_json(m: &Metrics) -> Json {
         ("cycles".to_string(), Json::U64(m.cycles)),
         ("gpu_clock_hz".to_string(), Json::F64(m.gpu_clock_hz())),
     ];
-    push_scoped(&mut pairs, "gpu", m.gpu.to_pairs());
-    push_scoped(&mut pairs, "dram", m.dram.to_pairs());
-    push_scoped(&mut pairs, "l1", m.l1.to_pairs());
-    push_scoped(&mut pairs, "l2", m.l2.to_pairs());
+    push_scoped(&mut pairs, "gpu", m.gpu.stat_pairs());
+    push_scoped(&mut pairs, "dram", m.dram.stat_pairs());
+    push_scoped(&mut pairs, "l1", m.l1.stat_pairs());
+    push_scoped(&mut pairs, "l2", m.l2.stat_pairs());
     Json::Obj(pairs)
 }
 

@@ -27,6 +27,7 @@ use crate::kind::JobKind;
 use crate::pool::{JobError, JobOutcome};
 use crate::provenance::{config_hash, Provenance};
 use crate::results::SCHEMA_VERSION;
+use miopt::runner::RunOptions;
 use miopt::{CachePolicy, PolicyConfig, SystemConfig, WayRange};
 use miopt_engine::hash::{fnv1a_64, Fnv1a};
 use miopt_serve::{ArrivalSchedule, ServeConfig, ServeError, TenantSpec};
@@ -282,10 +283,12 @@ impl ServeSweepSpec {
         ServeConfig {
             system: self.system.clone(),
             tenants,
-            max_cycles: self.budget,
-            no_skip: self.no_skip,
-            check_invariants: self.check_invariants,
-            telemetry_interval: None,
+            run: RunOptions {
+                max_cycles: self.budget,
+                no_skip: self.no_skip,
+                check_invariants: self.check_invariants,
+                telemetry_interval: None,
+            },
         }
     }
 
@@ -949,17 +952,11 @@ mod tests {
 
     #[test]
     fn panicking_jobs_are_retried_then_reported_not_propagated() {
-        use crate::backoff::Backoff;
-        use crate::pool::{PoolOptions, RetryPolicy};
+        use crate::pool::PoolOptions;
         use crate::sweep::run_kind;
-        use std::time::Duration;
         let pool = PoolOptions {
             workers: 1,
-            retry: RetryPolicy {
-                max_attempts: 2,
-                backoff: Backoff::new(Duration::from_millis(1)),
-                escalate_timeout: true,
-            },
+            retries: 1,
             ..PoolOptions::default()
         };
         let records = |spec: ServeSweepSpec| -> Vec<ServeJobRecord> {

@@ -5,7 +5,7 @@
 use crate::cache::ResultCache;
 use crate::journal::{self, Journal};
 use crate::kind::JobKind;
-use crate::pool::{run_dag, JobError, JobOutcome, PoolOptions, ResultSource};
+use crate::pool::{run_jobs, JobError, JobOutcome, PoolOptions, ResultSource};
 use crate::provenance::Provenance;
 use miopt::runner::{Job, RunResult, SimError, SweepSpec};
 use std::collections::HashMap;
@@ -276,9 +276,9 @@ pub fn run_kind<K: JobKind>(
                 cache,
                 provenance: provenance.clone(),
             };
-            (run_dag(kind, &[], Some(&source), pool), source.served)
+            (run_jobs(kind, Some(&source), pool), source.served)
         }
-        None => (run_dag(kind, &[], cache, pool), HashMap::new()),
+        None => (run_jobs(kind, cache, pool), HashMap::new()),
     };
     provenance.elapsed_ms = started.elapsed().as_millis() as u64;
     provenance.quarantined = (outcomes.iter())

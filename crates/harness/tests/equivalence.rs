@@ -29,7 +29,8 @@ fn assert_grid_equivalent(workload_names: &[&str]) {
         .collect();
     // All six policies (three statics plus the optimization ladder),
     // with telemetry on so the comparison covers the recorded stream.
-    let spec = SweepSpec::figures(SystemConfig::small_test(), workloads).with_telemetry(2048);
+    let mut spec = SweepSpec::figures(SystemConfig::small_test(), workloads);
+    spec.run_opts.telemetry_interval = Some(2048);
     let per_cycle_opts = RunOptions {
         no_skip: true,
         ..spec.run_opts

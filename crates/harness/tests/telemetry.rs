@@ -46,13 +46,12 @@ fn check_golden(name: &str, actual: &str) {
 }
 
 fn telemetry_spec() -> Arc<SweepSpec> {
-    Arc::new(
-        SweepSpec::statics(
-            SystemConfig::small_test(),
-            vec![by_name(&SuiteConfig::quick(), "FwSoft").unwrap()],
-        )
-        .with_telemetry(INTERVAL),
-    )
+    let mut spec = SweepSpec::statics(
+        SystemConfig::small_test(),
+        vec![by_name(&SuiteConfig::quick(), "FwSoft").unwrap()],
+    );
+    spec.run_opts.telemetry_interval = Some(INTERVAL);
+    Arc::new(spec)
 }
 
 fn run_with(spec: &Arc<SweepSpec>, workers: usize, name: &str) -> SweepRun {

@@ -48,18 +48,9 @@ pub struct CrossbarStats {
     pub blocked: Counter,
 }
 
-impl CrossbarStats {
-    /// All counters as stable `(name, value)` pairs, following the
-    /// workspace-wide `to_pairs` stat-name convention.
-    #[must_use]
-    pub fn to_pairs(&self) -> Vec<(&'static str, u64)> {
-        vec![("moved", self.moved.get()), ("blocked", self.blocked.get())]
-    }
-}
-
 impl miopt_telemetry::StatSnapshot for CrossbarStats {
     fn stat_pairs(&self) -> Vec<(&'static str, u64)> {
-        self.to_pairs()
+        vec![("moved", self.moved.get()), ("blocked", self.blocked.get())]
     }
 }
 

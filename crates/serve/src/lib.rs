@@ -28,6 +28,7 @@
 //! # Example
 //!
 //! ```
+//! use miopt::runner::RunOptions;
 //! use miopt::{CachePolicy, PolicyConfig, SystemConfig, WayRange};
 //! use miopt_serve::{run, ArrivalSchedule, ServeConfig, TenantSpec};
 //! use miopt_workloads::{by_name, SuiteConfig};
@@ -42,10 +43,10 @@
 //!         l2_partition: Some(WayRange::new(0, 4)),
 //!         max_batch: 2,
 //!     }],
-//!     max_cycles: 100_000_000,
-//!     no_skip: false,
-//!     check_invariants: false,
-//!     telemetry_interval: None,
+//!     run: RunOptions {
+//!         max_cycles: 100_000_000,
+//!         ..RunOptions::default()
+//!     },
 //! };
 //! let result = run(&cfg).unwrap();
 //! let t = &result.tenants[0];

@@ -11,6 +11,7 @@
 //! bit-identity with per-cycle stepping.
 
 use crate::ArrivalSchedule;
+use miopt::runner::RunOptions;
 use miopt::{ApuSystem, Metrics, PolicyConfig, SimTimeoutError, SystemConfig, WayRange};
 use miopt_engine::hash::fnv1a_64;
 use miopt_engine::Cycle;
@@ -50,15 +51,9 @@ pub struct ServeConfig {
     pub system: SystemConfig,
     /// The tenants sharing it (at least one).
     pub tenants: Vec<TenantSpec>,
-    /// Absolute cycle budget; exceeding it is a [`ServeError`].
-    pub max_cycles: u64,
-    /// Force per-cycle stepping (equivalence testing; bit-identical to
-    /// the default event-driven skipping).
-    pub no_skip: bool,
-    /// Run with the sentinel's invariant sweeps and watchdog enabled.
-    pub check_invariants: bool,
-    /// Sample telemetry every this many cycles.
-    pub telemetry_interval: Option<u64>,
+    /// How the run executes. `max_cycles` is an absolute budget for the
+    /// whole scenario; exceeding it is a [`ServeError`].
+    pub run: RunOptions,
 }
 
 impl ServeConfig {
@@ -66,16 +61,14 @@ impl ServeConfig {
     ///
     /// # Errors
     ///
-    /// Rejects an empty or duplicate tenant list, a zero batch limit, a
-    /// zero cycle budget, and L2 partitions that do not fit the L2 or
-    /// overlap another tenant's.
+    /// Rejects an empty or duplicate tenant list, a zero batch limit,
+    /// invalid run options ([`RunOptions::validate`]), and L2 partitions
+    /// that do not fit the L2 or overlap another tenant's.
     pub fn validate(&self) -> Result<(), String> {
         if self.tenants.is_empty() {
             return Err("a serving scenario needs at least one tenant".to_string());
         }
-        if self.max_cycles == 0 {
-            return Err("cycle budget must be positive".to_string());
-        }
+        self.run.validate().map_err(|e| e.to_string())?;
         let ways = self.system.l2.ways;
         for (i, t) in self.tenants.iter().enumerate() {
             if t.name.is_empty() {
@@ -294,16 +287,7 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeResult, ServeError> {
     cfg.validate().map_err(ServeError::Config)?;
 
     let mut sys = ApuSystem::new_idle(cfg.system.clone(), cfg.tenants[0].policy);
-    sys.set_time_skip(!cfg.no_skip);
-    if let Some(interval) = cfg.telemetry_interval {
-        sys.enable_telemetry(interval);
-    }
-    if cfg.check_invariants {
-        sys.enable_sentinel(
-            ApuSystem::DEFAULT_CHECK_INTERVAL,
-            ApuSystem::DEFAULT_WATCHDOG,
-        );
-    }
+    cfg.run.configure(&mut sys);
 
     let mut states: Vec<TenantState> = cfg
         .tenants
@@ -348,9 +332,9 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeResult, ServeError> {
                 .min();
             match next {
                 Some(cycle) => {
-                    if cycle >= cfg.max_cycles {
+                    if cycle >= cfg.run.max_cycles {
                         return Err(ServeError::Budget {
-                            max_cycles: cfg.max_cycles,
+                            max_cycles: cfg.run.max_cycles,
                             arrival: cycle,
                         });
                     }
@@ -380,7 +364,7 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeResult, ServeError> {
             seq = seq.wrapping_add(1);
         }
         let after = sys
-            .run_to_completion(cfg.max_cycles)
+            .run_to_completion(cfg.run.max_cycles)
             .map_err(ServeError::Sim)?;
         let done = sys.now().0;
         last_completion = done;
@@ -441,10 +425,11 @@ mod tests {
                     ..tenant("bw", "FwPool", ArrivalSchedule::poisson(7, 30_000.0, 3))
                 },
             ],
-            max_cycles: 200_000_000,
-            no_skip: false,
-            check_invariants: true,
-            telemetry_interval: None,
+            run: RunOptions {
+                max_cycles: 200_000_000,
+                check_invariants: true,
+                ..RunOptions::default()
+            },
         }
     }
 
@@ -489,9 +474,9 @@ mod tests {
         let first_batch_end = run(&first).unwrap().cycles;
         for interval in [10_000, first_batch_end] {
             let mut cfg = two_tenant_config();
-            cfg.telemetry_interval = Some(interval);
+            cfg.run.telemetry_interval = Some(interval);
             let fast = run(&cfg).unwrap();
-            cfg.no_skip = true;
+            cfg.run.no_skip = true;
             let slow = run(&cfg).unwrap();
             assert_eq!(fast, slow, "interval {interval}");
         }
@@ -526,7 +511,21 @@ mod tests {
         oversized.tenants[0].l2_partition = Some(WayRange::new(4, 8));
         assert!(oversized.validate().is_err());
 
+        let mut budget = base.clone();
+        budget.run.max_cycles = 0;
+        assert!(budget.validate().is_err());
+
         assert!(base.validate().is_ok());
+    }
+
+    #[test]
+    fn zero_telemetry_interval_is_a_config_error() {
+        let mut cfg = two_tenant_config();
+        cfg.run.telemetry_interval = Some(0);
+        match run(&cfg) {
+            Err(ServeError::Config(e)) => assert!(e.contains("telemetry interval"), "{e}"),
+            other => panic!("expected a config error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -534,7 +533,7 @@ mod tests {
         let mut cfg = two_tenant_config();
         cfg.tenants[0].schedule = ArrivalSchedule::trace(vec![0, 500_000]);
         cfg.tenants[1].schedule = ArrivalSchedule::trace(vec![0]);
-        cfg.max_cycles = 400_000;
+        cfg.run.max_cycles = 400_000;
         match run(&cfg) {
             Err(ServeError::Budget { arrival, .. }) => assert_eq!(arrival, 500_000),
             Err(ServeError::Sim(_)) => {} // first dispatches outran the budget

@@ -246,6 +246,36 @@ for bad in "--frobnicate" "serve --loads 0" "query --agg median"; do
 done
 echo "refused arguments ok"
 
+echo "== executor smoke (--retries, --timeout-secs, --fail-fast) =="
+# Paper-scale FwLRN jobs take about 4-5 s each, so a 1 s budget and its
+# escalated 2 s retry both time out: every job is quarantined after two
+# attempts. With one worker and --fail-fast, the first timeout cancels
+# the two queued jobs. Both runs exit 1 and neither may panic.
+executor() {
+    local name=$1
+    shift
+    local status=0
+    cargo run --release -q -p miopt-harness -- \
+        --fig6 --only FwLRN --no-cache --no-journal --quiet "$@" \
+        --out "$smoke_dir" --sweep-name "$name" >/dev/null 2>"$smoke_dir/$name.err" || status=$?
+    if [[ $status -ne 1 ]] || grep -q "panicked" "$smoke_dir/$name.err"; then
+        echo "executor smoke: \`$*\` exited $status:" >&2
+        cat "$smoke_dir/$name.err" >&2
+        exit 1
+    fi
+}
+executor exec-retry --timeout-secs 1 --retries 1
+q='"status": "quarantined after 2 attempts: timed out after 2.0s"'
+[[ "$(grep -c "$q" "$smoke_dir/exec-retry.json")" -eq 3 ]]
+[[ "$(sed -n '/"quarantined": \[/,/\]/p' "$smoke_dir/exec-retry.json" | grep -c '"FwLRN/')" -eq 3 ]]
+executor exec-ff --jobs 1 --timeout-secs 1 --fail-fast
+diff <(grep '"status"' "$smoke_dir/exec-ff.json") - <<'EOF'
+      "status": "timed out after 1.0s",
+      "status": "cancelled by fail-fast",
+      "status": "cancelled by fail-fast",
+EOF
+echo "executor smoke ok"
+
 echo "== event-core perf smoke =="
 # The event core must actually avoid work: a latency-bound uncached RNN
 # run on the paper machine leaves a substantial share of its simulated
