@@ -1,11 +1,12 @@
 use miopt_engine::stats::Counter;
 use miopt_telemetry::StatSnapshot;
 
-/// The single authoritative counter-field list, shared by `stat_pairs` and
-/// `from_pairs` so the serialized schema can never drift from the struct.
+/// The single authoritative counter-field list, shared by `stat_pairs`,
+/// `from_pairs` and `merge` so neither the serialized schema nor the sum
+/// can drift from the struct.
 macro_rules! cache_stat_fields {
-    ($op:ident $arg:ident) => {
-        cache_stat_fields!(@ $op $arg; accesses, load_hits, load_merges, load_misses,
+    ($op:ident $($arg:ident)+) => {
+        cache_stat_fields!(@ $op $($arg)+; accesses, load_hits, load_merges, load_misses,
             load_bypasses, store_hits, store_allocs, store_bypasses, stall_mshr,
             stall_set_busy, stall_merge, stall_out_queue, stall_port, fills,
             writebacks, rinse_writebacks, evictions_clean, self_invalidations,
@@ -13,6 +14,9 @@ macro_rules! cache_stat_fields {
     };
     (@ stat_pairs_from $s:ident; $($f:ident),+) => {
         vec![$((stringify!($f), $s.$f.get())),+]
+    };
+    (@ merge_from $s:ident $o:ident; $($f:ident),+) => {
+        $($s.$f.add($o.$f.get());)+
     };
     (@ from_pairs_with $get:ident; $($f:ident),+) => {
         Ok(CacheStats {
@@ -82,27 +86,7 @@ impl CacheStats {
     /// Accumulates another cache's statistics into this one (summing
     /// across the CUs' L1s or the L2 slices).
     pub fn merge(&mut self, other: &CacheStats) {
-        self.accesses.add(other.accesses.get());
-        self.load_hits.add(other.load_hits.get());
-        self.load_merges.add(other.load_merges.get());
-        self.load_misses.add(other.load_misses.get());
-        self.load_bypasses.add(other.load_bypasses.get());
-        self.store_hits.add(other.store_hits.get());
-        self.store_allocs.add(other.store_allocs.get());
-        self.store_bypasses.add(other.store_bypasses.get());
-        self.stall_mshr.add(other.stall_mshr.get());
-        self.stall_set_busy.add(other.stall_set_busy.get());
-        self.stall_merge.add(other.stall_merge.get());
-        self.stall_out_queue.add(other.stall_out_queue.get());
-        self.stall_port.add(other.stall_port.get());
-        self.fills.add(other.fills.get());
-        self.writebacks.add(other.writebacks.get());
-        self.rinse_writebacks.add(other.rinse_writebacks.get());
-        self.evictions_clean.add(other.evictions_clean.get());
-        self.self_invalidations.add(other.self_invalidations.get());
-        self.flush_writebacks.add(other.flush_writebacks.get());
-        self.alloc_bypasses.add(other.alloc_bypasses.get());
-        self.predictor_bypasses.add(other.predictor_bypasses.get());
+        cache_stat_fields!(merge_from self other);
     }
 
     /// Total stall cycles across all causes (the Figure 8 numerator
@@ -121,7 +105,8 @@ impl CacheStats {
     /// (a would-block access is converted before it meets the full
     /// downstream queue). Read before and after a call that consumed
     /// nothing, the difference is what one blocked retry books.
-    pub(crate) fn retry_counters(&self) -> [u64; 6] {
+    #[must_use]
+    pub fn retry_counters(&self) -> [u64; 6] {
         [
             self.stall_mshr.get(),
             self.stall_set_busy.get(),
@@ -222,5 +207,10 @@ mod tests {
         // A missing field is an error naming the field.
         let err = CacheStats::from_pairs(|n| (n != "fills").then_some(0)).unwrap_err();
         assert!(err.contains("fills"), "{err}");
+        // Merge is the pairwise sum of every counter.
+        let mut merged = s.clone();
+        merged.merge(&back);
+        let summed: Vec<_> = pairs.iter().map(|&(n, v)| (n, 2 * v)).collect();
+        assert_eq!(merged.stat_pairs(), summed);
     }
 }

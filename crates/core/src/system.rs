@@ -5,7 +5,7 @@ use miopt_engine::sentinel::{InvariantViolation, Sentinel};
 use miopt_engine::{Cycle, EventWheel, LineAddr, MemReq, MemResp, TimedQueue};
 use miopt_gpu::{Gpu, KernelDesc};
 use miopt_noc::Crossbar;
-use miopt_telemetry::{Frame, Recorder, StatSnapshot, TelemetryRun};
+use miopt_telemetry::{Recorder, StatSnapshot, TelemetryRun};
 use miopt_workloads::Workload;
 use std::collections::VecDeque;
 use std::error::Error;
@@ -169,36 +169,6 @@ impl SentinelState {
             next_check: Cycle(check_interval),
             last_fingerprint: 0,
             stable_since: Cycle::ZERO,
-        }
-    }
-}
-
-/// Destination of one telemetry sample walk: the first frame of a run
-/// records names and values (fixing the recorder's registry); every
-/// frame after that appends values only, into a buffer reused across
-/// samples. One `sample_into` walk feeds both, so the orders match by
-/// construction.
-enum SampleSink<'a> {
-    Named(&'a mut Frame),
-    Values(&'a mut Vec<u64>),
-}
-
-impl SampleSink<'_> {
-    fn record(&mut self, scope: &str, stats: &dyn StatSnapshot) {
-        match self {
-            SampleSink::Named(frame) => frame.record(scope, stats),
-            SampleSink::Values(values) => {
-                values.extend(stats.stat_pairs().iter().map(|&(_, v)| v));
-            }
-        }
-    }
-
-    /// The lifetime pushes of one registry queue family, as
-    /// `queue.{family}.pushed`.
-    fn record_pushed(&mut self, family: &str, pushed: u64) {
-        match self {
-            SampleSink::Named(f) => f.record_value(format!("queue.{family}.pushed"), pushed),
-            SampleSink::Values(values) => values.push(pushed),
         }
     }
 }
@@ -783,8 +753,7 @@ pub struct ApuSystem {
     skip: bool,
     /// The discrete-event scheduler driving the event-core run loop.
     ev: EventCore,
-    /// Scratch buffer for steady-state telemetry samples, reused across
-    /// frames so sampling allocates only on the first frame of a run.
+    /// Scratch buffer for telemetry samples, reused across samples.
     frame_values: Vec<u64>,
     /// Per-actor cost accumulators; `None` (the default) keeps the
     /// dispatch loop free of timing reads.
@@ -993,43 +962,50 @@ impl ApuSystem {
     /// Panics if `interval` is zero (validated front ends reject this via
     /// [`crate::runner::RunOptions`] before reaching the system).
     pub fn enable_telemetry(&mut self, interval: u64) {
-        let mut rec = Recorder::new(interval);
+        let mut names = Vec::new();
+        for (scope, pairs) in self.scoped_stats() {
+            names.extend(pairs.iter().map(|(name, _)| format!("{scope}.{name}")));
+        }
+        names.extend(
+            self.queue_registry()
+                .map(|(family, _)| format!("queue.{family}.pushed")),
+        );
+        let mut rec = Recorder::new(interval, names);
         rec.enter_phase(Self::phase_label(self.phase), self.now.0);
         self.telemetry = Some(Box::new(rec));
-    }
-
-    /// Whether telemetry recording is enabled.
-    #[must_use]
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
     }
 
     /// Finishes telemetry recording (flushing a final partial epoch up to
     /// the current cycle) and returns the time series, or `None` if
     /// telemetry was never enabled.
     pub fn take_telemetry(&mut self) -> Option<TelemetryRun> {
-        let frame = self.telemetry.is_some().then(|| self.sample_frame());
-        self.telemetry.take().map(|mut rec| {
-            if let Some(frame) = frame {
-                rec.record_frame(self.now.0, frame);
-            }
-            rec.into_run(self.now.0)
-        })
+        self.telemetry.as_ref()?;
+        self.record_sample();
+        self.telemetry.take().map(|rec| rec.into_run(self.now.0))
     }
 
-    /// Samples every component's cumulative counters into `sink`, in the
-    /// fixed registry order (gpu, l1, l2, dram, noc, queues). The single
-    /// walk serves both sampling paths — named first frame and
-    /// values-only steady state — so their counter order cannot diverge.
-    fn sample_into(&self, sink: &mut SampleSink<'_>) {
-        sink.record("gpu", &self.gpu.stats());
-        sink.record("l1", &self.l1.stats());
-        sink.record("l2", &self.l2.stats());
-        sink.record("dram", self.dram.stats());
-        sink.record("noc.req", self.req_xbar.stats());
-        sink.record("noc.resp", self.resp_xbar.stats());
-        for (name, family) in self.queue_registry() {
-            sink.record_pushed(name, family.queues().map(|q| q.pushes()).sum());
+    /// Every component's counters under its registry scope, in the one
+    /// registry order: gpu, l1, l2, dram, noc; the queue families'
+    /// `queue.*.pushed` follow in [`ApuSystem::queue_registry`] order.
+    fn scoped_stats(&self) -> [(&'static str, Vec<(&'static str, u64)>); 6] {
+        [
+            ("gpu", self.gpu.stats().stat_pairs()),
+            ("l1", self.l1.stats().stat_pairs()),
+            ("l2", self.l2.stats().stat_pairs()),
+            ("dram", self.dram.stats().stat_pairs()),
+            ("noc.req", self.req_xbar.stats().stat_pairs()),
+            ("noc.resp", self.resp_xbar.stats().stat_pairs()),
+        ]
+    }
+
+    /// Appends every registered counter's cumulative value to `values`,
+    /// laid out like the names [`ApuSystem::enable_telemetry`] built.
+    fn sample_into(&self, values: &mut Vec<u64>) {
+        for (_, pairs) in self.scoped_stats() {
+            values.extend(pairs.iter().map(|&(_, v)| v));
+        }
+        for (_, family) in self.queue_registry() {
+            values.push(family.queues().map(|q| q.pushes()).sum());
         }
     }
 
@@ -1049,14 +1025,6 @@ impl ApuSystem {
             ("l1_fill_in", Resp(&l1.fill_in)),
             ("l1_up", Resp(&l1.up)),
         ]
-    }
-
-    /// Samples every counter into a named frame (first frame of a run,
-    /// and the final flush in [`ApuSystem::take_telemetry`]).
-    fn sample_frame(&self) -> Frame {
-        let mut frame = Frame::new();
-        self.sample_into(&mut SampleSink::Named(&mut frame));
-        frame
     }
 
     /// Span name for a phase in the recorded trace.
@@ -1218,11 +1186,13 @@ impl ApuSystem {
             mix(name.len() as u64);
             mix(value);
         }
+        // A blocked unit books its retries (`CacheStats::retry_counters`)
+        // without consuming anything, so they are not progress. Counters
+        // only grow: the sum of the others moves iff one of them does.
         for c in self.l1.units.iter().chain(&self.l2.units) {
-            for (name, value) in c.stats().stat_pairs() {
-                mix(name.len() as u64);
-                mix(value);
-            }
+            let s = c.stats();
+            let all: u64 = s.stat_pairs().iter().map(|&(_, v)| v).sum();
+            mix(all - s.retry_counters().iter().sum::<u64>());
         }
         for (_, family) in self.queue_registry() {
             family.queues().for_each(|q| mix(q.pushes()));
@@ -1971,32 +1941,18 @@ impl ApuSystem {
     }
 
     /// Records one telemetry sample at the current cycle (the due check
-    /// is the caller's; telemetry must be enabled).
+    /// is the caller's; telemetry must be enabled): values only, into the
+    /// scratch buffer reused across samples.
     fn record_sample(&mut self) {
         self.settle_caches();
-        if self
-            .telemetry
-            .as_deref()
+        let mut values = std::mem::take(&mut self.frame_values);
+        values.clear();
+        self.sample_into(&mut values);
+        self.telemetry
+            .as_deref_mut()
             .expect("telemetry enabled")
-            .registry_fixed()
-        {
-            // Steady state: values only, into the reused scratch
-            // buffer — no allocation per sample.
-            let mut values = std::mem::take(&mut self.frame_values);
-            values.clear();
-            self.sample_into(&mut SampleSink::Values(&mut values));
-            self.telemetry
-                .as_deref_mut()
-                .expect("telemetry enabled")
-                .record_values(self.now.0, &values);
-            self.frame_values = values;
-        } else {
-            let frame = self.sample_frame();
-            self.telemetry
-                .as_mut()
-                .expect("telemetry enabled")
-                .record_frame(self.now.0, frame);
-        }
+            .record(self.now.0, &values);
+        self.frame_values = values;
     }
 
     /// Books, on every sleeping cache unit, the blocked retries of the
@@ -2255,6 +2211,36 @@ mod tests {
         assert!(err.to_string().contains("halted"));
         // The budget was nowhere near exhausted: the watchdog fired first.
         assert!(err.diagnostic.cycle < 200_000_000);
+    }
+
+    #[test]
+    fn watchdog_does_not_count_a_blocked_units_stalls_as_progress() {
+        let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
+        let mut sys = ApuSystem::new(
+            SystemConfig::small_test(),
+            PolicyConfig::of(CachePolicy::CacheR),
+            &w,
+        );
+        // Enough leaks to fill l1[0]'s MSHR table: the unit blocks on it
+        // for good and books a stall on every retry, and nothing else
+        // moves.
+        for k in 0..8 {
+            sys.inject_l1_mshr_leak(0, miopt_engine::LineAddr(1_000_000 + k), false);
+        }
+        sys.enable_sentinel(64, 5_000);
+        let err = sys.run_to_completion(200_000).expect_err("must wedge");
+        assert_eq!(err.diagnostic.reason, StallReason::NoForwardProgress);
+        assert!(
+            err.diagnostic
+                .blocked_units
+                .iter()
+                .any(|b| b.starts_with("l1[0]: blocked since")),
+            "{:?}",
+            err.diagnostic.blocked_units
+        );
+        // One watchdog window after the blockage, not at the budget.
+        assert!(err.diagnostic.cycle < 10_000, "{}", err.diagnostic.cycle);
+        assert!(sys.metrics().l1.stall_mshr.get() > 0);
     }
 
     #[test]

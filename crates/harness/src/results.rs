@@ -294,7 +294,7 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use miopt::runner::run_one;
+    use miopt::runner::{run_one, run_one_with, RunOptions};
     use miopt::{CachePolicy, PolicyConfig, SystemConfig};
     use miopt_workloads::{by_name, SuiteConfig};
 
@@ -339,25 +339,30 @@ mod tests {
     #[test]
     fn serialized_keys_follow_the_dotted_registry() {
         let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
-        let r = run_one(
+        let opts = RunOptions {
+            telemetry_interval: Some(5_000),
+            ..RunOptions::default()
+        };
+        let r = run_one_with(
             &SystemConfig::small_test(),
             &w,
             PolicyConfig::of(CachePolicy::CacheR),
+            &opts,
         )
         .expect("run finishes");
+        // One dotted namespace: every counter key the results schema
+        // writes is a telemetry registry name, and no name repeats.
+        let names = r.telemetry.expect("telemetry enabled").names;
+        let registry: std::collections::BTreeSet<&String> = names.iter().collect();
+        assert_eq!(registry.len(), names.len(), "duplicate telemetry names");
         let doc = metrics_to_json(&r.metrics);
         let Json::Obj(pairs) = &doc else {
             panic!("metrics serialize to an object")
         };
-        // Flat layout: every counter key is `scope.name`.
         for (key, _) in pairs {
             assert!(
-                key == "cycles"
-                    || key == "gpu_clock_hz"
-                    || ["gpu.", "dram.", "l1.", "l2."]
-                        .iter()
-                        .any(|scope| key.starts_with(scope)),
-                "unexpected key {key}"
+                key == "cycles" || key == "gpu_clock_hz" || registry.contains(key),
+                "results key {key} is not a telemetry name"
             );
         }
         for key in [

@@ -15,7 +15,7 @@ use miopt::runner::RunOptions;
 use miopt::{ApuSystem, Metrics, PolicyConfig, SimTimeoutError, SystemConfig, WayRange};
 use miopt_engine::hash::fnv1a_64;
 use miopt_engine::Cycle;
-use miopt_telemetry::{LatencyHistogram, StatSnapshot, TelemetryRun};
+use miopt_telemetry::{LatencyHistogram, TelemetryRun};
 use miopt_workloads::Workload;
 use std::collections::VecDeque;
 use std::error::Error;
@@ -233,25 +233,6 @@ impl TenantResult {
     #[must_use]
     pub fn p99(&self) -> Option<u64> {
         self.latency.quantile(0.99)
-    }
-}
-
-impl StatSnapshot for TenantResult {
-    fn stat_pairs(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("requested", self.requested),
-            ("completed", self.completed),
-            ("batches", self.batches),
-            ("kernels", self.kernels),
-            ("busy_cycles", self.busy_cycles),
-            ("wavefronts", self.wavefronts),
-            ("queue_peak", self.queue_peak),
-            ("dram_reads", self.dram_reads),
-            ("dram_writes", self.dram_writes),
-            ("noc_req_transfers", self.noc_req_transfers),
-            ("noc_resp_transfers", self.noc_resp_transfers),
-            ("latency_count", self.latency.count()),
-        ]
     }
 }
 

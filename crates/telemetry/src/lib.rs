@@ -9,11 +9,12 @@
 //!   yields one flat, dotted stat-name registry (`l2.load_hits`,
 //!   `dram.row_conflicts`, …) shared by telemetry, the results schema
 //!   and the result cache.
-//! * [`Recorder`] — an epoch sampler. The simulator assembles a
-//!   [`Frame`] of all counters every `interval` cycles; the recorder
-//!   turns consecutive frames into per-epoch *deltas* and also records
-//!   phase [`Span`]s (launch / run / flush …) and discrete
-//!   [`EventInstant`]s (kernel launches, self-invalidations).
+//! * [`Recorder`] — an epoch sampler. It is built with the registry's
+//!   names; the simulator then hands it the values of every counter, in
+//!   registry order, every `interval` cycles, and the recorder turns
+//!   consecutive samples into per-epoch *deltas*. It also records phase
+//!   [`Span`]s (launch / run / flush …) and discrete [`EventInstant`]s
+//!   (kernel launches, self-invalidations).
 //! * [`TelemetryRun`] — the finished, immutable time series handed back
 //!   to callers and serialized by `miopt-harness` as JSONL and Chrome
 //!   `trace_event` JSON.
@@ -27,24 +28,18 @@
 //! # Examples
 //!
 //! ```
-//! use miopt_telemetry::{Frame, Recorder};
+//! use miopt_telemetry::Recorder;
 //!
-//! let mut rec = Recorder::new(100);
+//! let mut rec = Recorder::new(100, vec!["gpu.valu_lane_ops".into()]);
 //! rec.enter_phase("run", 0);
-//!
-//! let mut f = Frame::new();
-//! f.record_value("gpu.valu_lane_ops", 640);
-//! rec.record_frame(100, f);
-//!
-//! let mut f = Frame::new();
-//! f.record_value("gpu.valu_lane_ops", 1000);
-//! rec.record_frame(200, f);
+//! rec.record(100, &[640]);
+//! rec.record(200, &[1000]);
 //!
 //! let run = rec.into_run(200);
 //! assert_eq!(run.epochs.len(), 2);
-//! assert_eq!(run.delta(0, "gpu.valu_lane_ops"), Some(640));
-//! assert_eq!(run.delta(1, "gpu.valu_lane_ops"), Some(360));
-//! assert_eq!(run.total_of("gpu.valu_lane_ops"), Some(1000));
+//! assert_eq!(run.epochs[0].deltas, [640]);
+//! assert_eq!(run.epochs[1].deltas, [360]);
+//! assert_eq!(run.totals(), [1000]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,61 +54,20 @@ pub mod hist;
 
 pub use hist::LatencyHistogram;
 
-/// A component whose statistics can be sampled into a telemetry frame.
+/// A component whose statistics can be sampled into telemetry.
 ///
 /// Implementations return every cumulative counter of the component as
-/// `(name, value)` pairs. Names are bare (no scope prefix — the caller
-/// supplies one via [`Frame::record`]), `snake_case`, and **stable**: the
-/// pair list must have the same names in the same order on every call,
-/// because the first recorded frame fixes the registry for the whole run.
+/// `(name, value)` pairs. Names are bare (the caller prefixes a scope,
+/// as in `l2.load_hits`), `snake_case`, and **stable**: the pair list
+/// must have the same names in the same order on every call, because
+/// the registry is named once, when recording starts, and every later
+/// sample is values only.
 pub trait StatSnapshot {
     /// Returns all counters as `(bare_name, cumulative_value)` pairs.
     fn stat_pairs(&self) -> Vec<(&'static str, u64)>;
 }
 
-/// One point-in-time sample of every registered counter.
-///
-/// A frame is assembled by the simulator (scope by scope) and then handed
-/// to [`Recorder::record_frame`], which differences it against the
-/// previous frame to produce an [`Epoch`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Frame {
-    names: Vec<String>,
-    values: Vec<u64>,
-}
-
-impl Frame {
-    /// Creates an empty frame.
-    pub fn new() -> Frame {
-        Frame::default()
-    }
-
-    /// Appends every counter of `stats` under `scope` (as `scope.name`).
-    pub fn record(&mut self, scope: &str, stats: &dyn StatSnapshot) {
-        for (name, value) in stats.stat_pairs() {
-            self.names.push(format!("{scope}.{name}"));
-            self.values.push(value);
-        }
-    }
-
-    /// Appends a single pre-scoped counter.
-    pub fn record_value(&mut self, name: impl Into<String>, value: u64) {
-        self.names.push(name.into());
-        self.values.push(value);
-    }
-
-    /// Number of counters recorded so far.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the frame holds no counters.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-}
-
-/// Per-interval counter deltas between two consecutive frames.
+/// Per-interval counter deltas between two consecutive samples.
 ///
 /// `deltas[i]` is the increase of the counter named
 /// `TelemetryRun::names[i]` over `[start_cycle, end_cycle)`.
@@ -159,7 +113,7 @@ pub struct EventInstant {
 pub struct TelemetryRun {
     /// Sampling interval in cycles the run was recorded with.
     pub interval: u64,
-    /// The stat-name registry: dotted names, fixed by the first frame.
+    /// The stat-name registry: dotted names, in sample order.
     pub names: Vec<String>,
     /// Per-interval counter deltas, in cycle order.
     pub epochs: Vec<Epoch>,
@@ -175,12 +129,6 @@ impl TelemetryRun {
         self.names.iter().position(|n| n == name)
     }
 
-    /// Delta of counter `name` in epoch `epoch`.
-    pub fn delta(&self, epoch: usize, name: &str) -> Option<u64> {
-        let idx = self.index_of(name)?;
-        self.epochs.get(epoch).map(|e| e.deltas[idx])
-    }
-
     /// Sum of every epoch's deltas — the cumulative counter values at the
     /// end of the run, indexed like [`TelemetryRun::names`].
     pub fn totals(&self) -> Vec<u64> {
@@ -192,18 +140,12 @@ impl TelemetryRun {
         }
         totals
     }
-
-    /// Cumulative end-of-run value of counter `name`.
-    pub fn total_of(&self, name: &str) -> Option<u64> {
-        let idx = self.index_of(name)?;
-        Some(self.totals()[idx])
-    }
 }
 
-/// Collects frames, phases and instants during a run.
+/// Collects samples, phases and instants during a run.
 ///
 /// The recorder is deliberately passive: the *simulator* decides when a
-/// sample is due (via [`Recorder::due`]) and what goes into the frame, so
+/// sample is due (via [`Recorder::next_due`]) and reads the counters, so
 /// recording never perturbs simulated behaviour.
 #[derive(Debug, Clone)]
 pub struct Recorder {
@@ -218,18 +160,20 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// Creates a recorder sampling every `interval` cycles.
+    /// Creates a recorder sampling every `interval` cycles the counters
+    /// named `names` (the registry, in the order every sample lays out
+    /// its values). Every counter starts from zero.
     ///
     /// # Panics
     ///
     /// Panics if `interval` is zero; validated front ends (`RunOptions`
     /// in `miopt`) reject that before constructing a recorder.
-    pub fn new(interval: u64) -> Recorder {
+    pub fn new(interval: u64, names: Vec<String>) -> Recorder {
         assert!(interval > 0, "telemetry interval must be at least 1 cycle");
         Recorder {
             interval,
-            names: Vec::new(),
-            prev: Vec::new(),
+            prev: vec![0; names.len()],
+            names,
             epochs: Vec::new(),
             epoch_start: 0,
             spans: Vec::new(),
@@ -238,17 +182,7 @@ impl Recorder {
         }
     }
 
-    /// The sampling interval in cycles.
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
-    /// Whether a frame should be recorded at `cycle`.
-    pub fn due(&self, cycle: u64) -> bool {
-        cycle > 0 && cycle.is_multiple_of(self.interval)
-    }
-
-    /// The first cycle strictly after `cycle` at which a frame is due —
+    /// The first cycle strictly after `cycle` at which a sample is due —
     /// the event core schedules its sampling wakeups with this, and the
     /// idle-clock warp lands one cycle short of it.
     #[must_use]
@@ -256,82 +190,24 @@ impl Recorder {
         (cycle / self.interval + 1) * self.interval
     }
 
-    /// Closes the epoch ending at `end_cycle` with the counters in
-    /// `frame`.
+    /// Closes the epoch ending at `end_cycle` with the cumulative
+    /// counter `values`, laid out like the registry.
     ///
-    /// The first frame fixes the stat-name registry; every later frame
-    /// must present the same names in the same order. Frames that do not
-    /// advance the clock past the previous sample are ignored (this lets
-    /// callers unconditionally flush a final frame).
+    /// Samples that do not advance the clock past the previous one are
+    /// ignored (this lets callers unconditionally flush a final sample).
     ///
     /// # Panics
     ///
-    /// Panics if the frame's registry diverges from the first frame's, or
-    /// if any counter decreased — both indicate simulator bugs, not user
-    /// error.
-    pub fn record_frame(&mut self, end_cycle: u64, frame: Frame) {
+    /// Panics if `values` is not as long as the registry, or if any
+    /// counter decreased — both indicate simulator bugs, not user error.
+    pub fn record(&mut self, end_cycle: u64, values: &[u64]) {
         if end_cycle <= self.epoch_start {
             return;
         }
-        if self.epochs.is_empty() && self.names.is_empty() {
-            self.prev = vec![0; frame.names.len()];
-            self.names = frame.names;
-        } else {
-            assert_eq!(
-                self.names, frame.names,
-                "telemetry frame registry changed mid-run"
-            );
-        }
-        let deltas: Vec<u64> = frame
-            .values
-            .iter()
-            .zip(&self.prev)
-            .zip(&self.names)
-            .map(|((&now, &before), name)| {
-                now.checked_sub(before)
-                    .unwrap_or_else(|| panic!("counter {name} decreased ({before} -> {now})"))
-            })
-            .collect();
-        self.epochs.push(Epoch {
-            start_cycle: self.epoch_start,
-            end_cycle,
-            deltas,
-        });
-        self.prev = frame.values;
-        self.epoch_start = end_cycle;
-    }
-
-    /// Whether a first frame has fixed the stat-name registry.
-    pub fn registry_fixed(&self) -> bool {
-        !self.names.is_empty()
-    }
-
-    /// Closes the epoch ending at `end_cycle` from a value-only sample
-    /// laid out like the fixed registry.
-    ///
-    /// Equivalent to [`Recorder::record_frame`] with a frame carrying the
-    /// registry's names, but allocation-free: steady-state sampling reuses
-    /// one caller-owned scratch buffer instead of re-deriving every dotted
-    /// name. Samples that do not advance the clock are ignored, as in
-    /// `record_frame`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no frame has fixed the registry yet
-    /// ([`Recorder::registry_fixed`]), if `values` has a different length
-    /// than the registry, or if any counter decreased.
-    pub fn record_values(&mut self, end_cycle: u64, values: &[u64]) {
-        if end_cycle <= self.epoch_start {
-            return;
-        }
-        assert!(
-            self.registry_fixed(),
-            "record_values before a first frame fixed the registry"
-        );
         assert_eq!(
             values.len(),
             self.names.len(),
-            "telemetry frame registry changed mid-run"
+            "telemetry registry changed mid-run"
         );
         let deltas: Vec<u64> = values
             .iter()
@@ -384,8 +260,8 @@ impl Recorder {
     /// Finishes recording at `end_cycle` and returns the immutable run.
     ///
     /// Any still-open phase is closed at `end_cycle`. The caller is
-    /// expected to have flushed a final frame first (via
-    /// [`Recorder::record_frame`], which ignores zero-width flushes).
+    /// expected to have flushed a final sample first (via
+    /// [`Recorder::record`], which ignores zero-width flushes).
     pub fn into_run(mut self, end_cycle: u64) -> TelemetryRun {
         self.end_phase(end_cycle);
         TelemetryRun {
@@ -402,27 +278,18 @@ impl Recorder {
 mod tests {
     use super::*;
 
-    struct Two(u64, u64);
-
-    impl StatSnapshot for Two {
-        fn stat_pairs(&self) -> Vec<(&'static str, u64)> {
-            vec![("alpha", self.0), ("beta", self.1)]
-        }
-    }
-
-    fn frame(alpha: u64, beta: u64) -> Frame {
-        let mut f = Frame::new();
-        f.record("t", &Two(alpha, beta));
-        f
+    fn recorder(interval: u64) -> Recorder {
+        Recorder::new(interval, vec!["t.alpha".into(), "t.beta".into()])
     }
 
     #[test]
     fn frames_scope_names_and_difference_into_epochs() {
-        let mut rec = Recorder::new(10);
-        rec.record_frame(10, frame(3, 100));
-        rec.record_frame(20, frame(5, 100));
+        let mut rec = recorder(10);
+        rec.record(10, &[3, 100]);
+        rec.record(20, &[5, 100]);
         let run = rec.into_run(20);
         assert_eq!(run.names, vec!["t.alpha", "t.beta"]);
+        assert_eq!(run.index_of("t.beta"), Some(1));
         assert_eq!(run.epochs.len(), 2);
         assert_eq!(run.epochs[0].deltas, vec![3, 100]);
         assert_eq!(run.epochs[1].deltas, vec![2, 0]);
@@ -432,88 +299,61 @@ mod tests {
 
     #[test]
     fn totals_reconstruct_final_counter_values() {
-        let mut rec = Recorder::new(10);
-        rec.record_frame(10, frame(3, 7));
-        rec.record_frame(20, frame(4, 19));
-        rec.record_frame(27, frame(9, 19)); // partial final epoch
+        let mut rec = recorder(10);
+        rec.record(10, &[3, 7]);
+        rec.record(20, &[4, 19]);
+        rec.record(27, &[9, 19]); // partial final epoch
         let run = rec.into_run(27);
         assert_eq!(run.totals(), vec![9, 19]);
-        assert_eq!(run.total_of("t.beta"), Some(19));
-        assert_eq!(run.total_of("t.gamma"), None);
+        assert_eq!(run.index_of("t.gamma"), None);
         assert_eq!(run.epochs.last().unwrap().cycles(), 7);
     }
 
     #[test]
-    fn record_values_matches_record_frame() {
-        let mut by_frame = Recorder::new(10);
-        by_frame.record_frame(10, frame(3, 100));
-        by_frame.record_frame(20, frame(5, 100));
-        by_frame.record_frame(30, frame(9, 120));
-
-        let mut by_values = Recorder::new(10);
-        assert!(!by_values.registry_fixed());
-        by_values.record_frame(10, frame(3, 100)); // first frame fixes names
-        assert!(by_values.registry_fixed());
-        by_values.record_values(20, &[5, 100]);
-        by_values.record_values(20, &[5, 100]); // zero-width: ignored
-        by_values.record_values(30, &[9, 120]);
-
-        assert_eq!(by_frame.into_run(30), by_values.into_run(30));
-    }
-
-    #[test]
-    #[should_panic(expected = "before a first frame")]
-    fn record_values_requires_a_fixed_registry() {
-        let mut rec = Recorder::new(10);
-        rec.record_values(10, &[1, 2]);
-    }
-
-    #[test]
     fn zero_width_final_flush_is_ignored() {
-        let mut rec = Recorder::new(10);
-        rec.record_frame(10, frame(1, 1));
-        rec.record_frame(10, frame(1, 1)); // flush lands on a sample cycle
+        let mut rec = recorder(10);
+        rec.record(10, &[1, 1]);
+        rec.record(10, &[1, 1]); // flush lands on a sample cycle
         let run = rec.into_run(10);
         assert_eq!(run.epochs.len(), 1);
+        // Taken before any cycle elapsed: the names, and no epoch.
+        let run = recorder(10).into_run(0);
+        assert_eq!((run.names.len(), run.epochs.len()), (2, 0));
     }
 
     #[test]
     #[should_panic(expected = "registry changed")]
     fn registry_mismatch_panics() {
-        let mut rec = Recorder::new(10);
-        rec.record_frame(10, frame(1, 1));
-        let mut other = Frame::new();
-        other.record_value("t.alpha", 2);
-        rec.record_frame(20, other);
+        let mut rec = recorder(10);
+        rec.record(10, &[1, 1]);
+        rec.record(20, &[2]);
     }
 
     #[test]
     #[should_panic(expected = "decreased")]
     fn non_monotonic_counter_panics() {
-        let mut rec = Recorder::new(10);
-        rec.record_frame(10, frame(5, 5));
-        rec.record_frame(20, frame(4, 5));
+        let mut rec = recorder(10);
+        rec.record(10, &[5, 5]);
+        rec.record(20, &[4, 5]);
     }
 
     #[test]
     #[should_panic(expected = "at least 1 cycle")]
     fn zero_interval_is_rejected() {
-        let _ = Recorder::new(0);
+        let _ = recorder(0);
     }
 
     #[test]
     fn due_fires_on_multiples_of_the_interval_only() {
-        let rec = Recorder::new(100);
-        assert!(!rec.due(0));
-        assert!(!rec.due(99));
-        assert!(rec.due(100));
-        assert!(rec.due(200));
-        assert!(!rec.due(201));
+        let rec = recorder(100);
+        assert_eq!(rec.next_due(0), 100);
+        assert_eq!(rec.next_due(99), 100);
+        assert_eq!(rec.next_due(100), 200);
+        assert_eq!(rec.next_due(201), 300);
     }
-
     #[test]
     fn phases_close_on_transition_and_at_run_end() {
-        let mut rec = Recorder::new(10);
+        let mut rec = recorder(10);
         rec.enter_phase("launch", 0);
         rec.enter_phase("run", 4);
         rec.instant("kernel:k0#0", 4);
@@ -550,7 +390,7 @@ mod tests {
 
     #[test]
     fn zero_length_phases_are_dropped() {
-        let mut rec = Recorder::new(10);
+        let mut rec = recorder(10);
         rec.enter_phase("launch", 5);
         rec.enter_phase("run", 5);
         let run = rec.into_run(9);

@@ -54,6 +54,21 @@ cargo run -q -p miopt-harness -- \
 grep -q '"status": "ok"' "$smoke_dir/checked.json"
 echo "invariant-checked sweep ok"
 
+echo "== the whole quick grid under the sentinel (release) =="
+# Every workload x policy with invariant sweeps and the forward-progress
+# watchdog on: a conservation slip, or a watchdog that trips on a run
+# that is still making progress, fails its job and this step.
+cargo run --release -q -p miopt-harness -- \
+    --scale quick --all --check-invariants --no-cache --no-journal --quiet \
+    --out "$smoke_dir" --sweep-name checked-all >/dev/null
+jobs=$(grep -c '"status": ' "$smoke_dir/checked-all.json")
+ok=$(grep -c '"status": "ok"' "$smoke_dir/checked-all.json" || true)
+if [[ "$jobs" -eq 0 || "$ok" -ne "$jobs" ]]; then
+    echo "checked quick grid: $ok of $jobs jobs ok" >&2
+    exit 1
+fi
+echo "checked quick grid ok ($ok jobs)"
+
 echo "== journal crash-injection loop (seeded SIGKILLs + --resume byte-identity) =="
 # Reference: an uninterrupted journaled run of a small 6-job grid. Then,
 # for each kill point k, start the same sweep serialized, SIGKILL it
