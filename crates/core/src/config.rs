@@ -263,14 +263,19 @@ impl Default for SystemConfig {
 /// use miopt::SystemConfig;
 ///
 /// let cfg = SystemConfig::builder()
-///     .n_cus(32)
-///     .launch_overhead(1500)
+///     .map(|c| {
+///         c.n_cus = 32;
+///         c.launch_overhead = 1500;
+///     })
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(cfg.n_cus, 32);
 ///
 /// // Inconsistent parameters are rejected with a typed error.
-/// assert!(SystemConfig::builder().queue_capacity(0).build().is_err());
+/// assert!(SystemConfig::builder()
+///     .map(|c| c.queue_capacity = 0)
+///     .build()
+///     .is_err());
 /// ```
 #[derive(Debug, Clone)]
 pub struct SystemConfigBuilder {
@@ -284,87 +289,12 @@ impl SystemConfigBuilder {
         SystemConfigBuilder { cfg }
     }
 
-    /// Sets the number of compute units.
+    /// Applies an in-place edit to the configuration: any fields, in
+    /// any order, and as many calls as needed.
+    /// [`SystemConfigBuilder::build`] checks the result.
     #[must_use]
-    pub fn n_cus(mut self, n_cus: usize) -> SystemConfigBuilder {
-        self.cfg.n_cus = n_cus;
-        self
-    }
-
-    /// Sets the per-CU geometry.
-    #[must_use]
-    pub fn cu(mut self, cu: CuConfig) -> SystemConfigBuilder {
-        self.cfg.cu = cu;
-        self
-    }
-
-    /// Sets the per-CU L1 cache geometry.
-    #[must_use]
-    pub fn l1(mut self, l1: CacheConfig) -> SystemConfigBuilder {
-        self.cfg.l1 = l1;
-        self
-    }
-
-    /// Sets the number of L2 slices.
-    #[must_use]
-    pub fn l2_slices(mut self, l2_slices: usize) -> SystemConfigBuilder {
-        self.cfg.l2_slices = l2_slices;
-        self
-    }
-
-    /// Sets the per-slice L2 geometry.
-    #[must_use]
-    pub fn l2(mut self, l2: CacheConfig) -> SystemConfigBuilder {
-        self.cfg.l2 = l2;
-        self
-    }
-
-    /// Applies an in-place edit to the L1 geometry (ablation sweeps).
-    #[must_use]
-    pub fn map_l1(mut self, edit: impl FnOnce(&mut CacheConfig)) -> SystemConfigBuilder {
-        edit(&mut self.cfg.l1);
-        self
-    }
-
-    /// Applies an in-place edit to the L2 geometry (ablation sweeps).
-    #[must_use]
-    pub fn map_l2(mut self, edit: impl FnOnce(&mut CacheConfig)) -> SystemConfigBuilder {
-        edit(&mut self.cfg.l2);
-        self
-    }
-
-    /// Sets the DRAM geometry.
-    #[must_use]
-    pub fn dram(mut self, dram: DramConfig) -> SystemConfigBuilder {
-        self.cfg.dram = dram;
-        self
-    }
-
-    /// Sets the GPU clock in Hz.
-    #[must_use]
-    pub fn gpu_clock_hz(mut self, gpu_clock_hz: f64) -> SystemConfigBuilder {
-        self.cfg.gpu_clock_hz = gpu_clock_hz;
-        self
-    }
-
-    /// Sets the inter-stage queue capacity.
-    #[must_use]
-    pub fn queue_capacity(mut self, queue_capacity: usize) -> SystemConfigBuilder {
-        self.cfg.queue_capacity = queue_capacity;
-        self
-    }
-
-    /// Sets the crossbar per-output budget.
-    #[must_use]
-    pub fn xbar_per_output(mut self, xbar_per_output: u32) -> SystemConfigBuilder {
-        self.cfg.xbar_per_output = xbar_per_output;
-        self
-    }
-
-    /// Sets the host-side launch overhead in cycles.
-    #[must_use]
-    pub fn launch_overhead(mut self, launch_overhead: u64) -> SystemConfigBuilder {
-        self.cfg.launch_overhead = launch_overhead;
+    pub fn map(mut self, edit: impl FnOnce(&mut SystemConfig)) -> SystemConfigBuilder {
+        edit(&mut self.cfg);
         self
     }
 
@@ -410,8 +340,8 @@ mod tests {
             SystemConfig::paper_table1()
         );
         let cfg = SystemConfigBuilder::from_base(SystemConfig::small_test())
-            .launch_overhead(7)
-            .map_l1(|l1| l1.mshr_entries = 2)
+            .map(|c| c.launch_overhead = 7)
+            .map(|c| c.l1.mshr_entries = 2)
             .build()
             .unwrap();
         assert_eq!(cfg.launch_overhead, 7);
@@ -421,19 +351,21 @@ mod tests {
     #[test]
     fn builder_rejects_inconsistent_configs_with_typed_errors() {
         assert!(matches!(
-            SystemConfig::builder().n_cus(0).build(),
+            SystemConfig::builder().map(|c| c.n_cus = 0).build(),
             Err(ConfigError::System(_))
         ));
         assert!(matches!(
-            SystemConfig::builder().map_l1(|l1| l1.ways = 0).build(),
+            SystemConfig::builder().map(|c| c.l1.ways = 0).build(),
             Err(ConfigError::L1(_))
         ));
         assert!(matches!(
-            SystemConfig::builder().map_l2(|l2| l2.sets = 0).build(),
+            SystemConfig::builder().map(|c| c.l2.sets = 0).build(),
             Err(ConfigError::L2(_))
         ));
         // A queue sized at or below the MSHR merge cap could deadlock.
-        let err = SystemConfig::builder().queue_capacity(4).build();
+        let err = SystemConfig::builder()
+            .map(|c| c.queue_capacity = 4)
+            .build();
         assert!(matches!(err, Err(ConfigError::System(ref m)) if m.contains("merge caps")));
     }
 

@@ -1,11 +1,11 @@
 //! Figure-level experiment sweeps.
 //!
-//! Each function here regenerates the data behind one or more of the
-//! paper's figures; `miopt-harness` formats them into the printed tables
-//! and CSVs.
+//! A [`SweepSpec`] describes the runs behind one or more of the paper's
+//! figures; the `miopt-harness` pool executes its jobs and formats the
+//! printed tables and CSVs.
 
 use crate::config::ConfigError;
-use crate::system::{StallDiagnostic, StallReason};
+use crate::system::{SimTimeoutError, StallReason};
 use crate::{optimization_ladder, ApuSystem, CachePolicy, Metrics, PolicyConfig, SystemConfig};
 use miopt_telemetry::TelemetryRun;
 use miopt_workloads::Workload;
@@ -22,30 +22,17 @@ pub const DEFAULT_MAX_CYCLES: u64 = 20_000_000_000;
 /// instead of unwinding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The run exceeded its cycle budget, or — with invariant checking
-    /// enabled — the watchdog declared it wedged. Almost always a
-    /// configuration error (e.g. a deadlock-prone queue sizing), not a
-    /// slow workload.
-    Timeout {
-        /// Workload name of the failed run.
-        workload: String,
-        /// Policy label of the failed run.
-        policy: String,
-        /// The exhausted budget.
-        max_cycles: u64,
-        /// What the halted system looked like.
-        diagnostic: Box<StallDiagnostic>,
-    },
-    /// An invariant check failed mid-run: the simulator itself (not the
-    /// configuration) is in an inconsistent state. Only produced with
-    /// invariant checking enabled.
+    /// The run stopped before finishing: its cycle budget ran out, or —
+    /// with invariant checking enabled — the watchdog declared it wedged
+    /// or an invariant check failed. `error.diagnostic.reason` says
+    /// which.
     Halted {
         /// Workload name of the failed run.
         workload: String,
         /// Policy label of the failed run.
         policy: String,
-        /// The violations found and the state around them.
-        diagnostic: Box<StallDiagnostic>,
+        /// The budget and the state of the halted system.
+        error: SimTimeoutError,
     },
     /// The system, policy or run configuration was rejected up front.
     Config(ConfigError),
@@ -54,36 +41,28 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::Timeout {
-                workload,
-                policy,
-                max_cycles,
-                diagnostic,
-            } => match diagnostic.reason {
-                StallReason::NoForwardProgress => write!(
-                    f,
-                    "{workload}/{policy}: no forward progress since cycle {}",
-                    diagnostic.cycle
-                ),
-                _ => write!(
-                    f,
-                    "{workload}/{policy}: simulation exceeded {max_cycles} cycles"
-                ),
-            },
             SimError::Halted {
                 workload,
                 policy,
-                diagnostic,
+                error,
             } => {
-                write!(
-                    f,
-                    "{workload}/{policy}: invariant violation at cycle {}",
-                    diagnostic.cycle
-                )?;
-                if let Some(v) = diagnostic.violations.first() {
-                    write!(f, " ({v})")?;
+                let d = &error.diagnostic;
+                write!(f, "{workload}/{policy}: ")?;
+                match d.reason {
+                    StallReason::CycleBudget => {
+                        write!(f, "simulation exceeded {} cycles", error.max_cycles)
+                    }
+                    StallReason::NoForwardProgress => {
+                        write!(f, "no forward progress since cycle {}", d.cycle)
+                    }
+                    StallReason::InvariantViolation => {
+                        write!(f, "invariant violation at cycle {}", d.cycle)?;
+                        if let Some(v) = d.violations.first() {
+                            write!(f, " ({v})")?;
+                        }
+                        Ok(())
+                    }
                 }
-                Ok(())
             }
             SimError::Config(e) => write!(f, "{e}"),
         }
@@ -93,7 +72,7 @@ impl fmt::Display for SimError {
 impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            SimError::Timeout { .. } | SimError::Halted { .. } => None,
+            SimError::Halted { error, .. } => Some(error),
             SimError::Config(e) => Some(e),
         }
     }
@@ -109,7 +88,7 @@ impl From<ConfigError> for SimError {
 /// optional invariant checking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOptions {
-    /// Cycle budget before the run fails with [`SimError::Timeout`].
+    /// Cycle budget before the run fails with [`SimError::Halted`].
     pub max_cycles: u64,
     /// `Some(interval)` samples telemetry every `interval` cycles;
     /// `None` (the default) runs with zero observation overhead.
@@ -194,7 +173,7 @@ pub struct RunResult {
 /// # Errors
 ///
 /// Returns [`SimError::Config`] if the configuration is inconsistent and
-/// [`SimError::Timeout`] if the run exceeds [`DEFAULT_MAX_CYCLES`].
+/// [`SimError::Halted`] if the run exceeds [`DEFAULT_MAX_CYCLES`].
 pub fn run_one(
     cfg: &SystemConfig,
     workload: &Workload,
@@ -209,8 +188,8 @@ pub fn run_one(
 /// # Errors
 ///
 /// Returns [`SimError::Config`] if the system, policy or run options are
-/// inconsistent and [`SimError::Timeout`] if the run exceeds
-/// `opts.max_cycles`.
+/// inconsistent and [`SimError::Halted`] if the run exceeds
+/// `opts.max_cycles` or the sentinel stops it.
 pub fn run_one_with(
     cfg: &SystemConfig,
     workload: &Workload,
@@ -222,22 +201,13 @@ pub fn run_one_with(
     policy.validate()?;
     let mut sys = ApuSystem::new(cfg.clone(), policy, workload);
     opts.configure(&mut sys);
-    let metrics = sys.run_to_completion(opts.max_cycles).map_err(|e| {
-        if e.diagnostic.reason == StallReason::InvariantViolation {
-            SimError::Halted {
-                workload: workload.name.clone(),
-                policy: policy.label(),
-                diagnostic: e.diagnostic,
-            }
-        } else {
-            SimError::Timeout {
-                workload: workload.name.clone(),
-                policy: policy.label(),
-                max_cycles: e.max_cycles,
-                diagnostic: e.diagnostic,
-            }
-        }
-    })?;
+    let metrics = sys
+        .run_to_completion(opts.max_cycles)
+        .map_err(|error| SimError::Halted {
+            workload: workload.name.clone(),
+            policy: policy.label(),
+            error,
+        })?;
     Ok(RunResult {
         workload: workload.name.clone(),
         policy,
@@ -250,8 +220,8 @@ pub fn run_one_with(
 /// `policy`.
 ///
 /// Jobs are *descriptions*, not computations: a [`SweepSpec`] enumerates
-/// them in a deterministic order and any executor — the serial loops in
-/// this module or the `miopt-harness` worker pool — can run them in any
+/// them in a deterministic order and any executor — the `miopt-harness`
+/// worker pool, or a test walking them in order — can run them in any
 /// order and reassemble identical figure series, because assembly keys on
 /// the job id rather than on completion order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,10 +249,7 @@ pub enum JobFault {
 
 /// A declarative description of a (workload × policy) experiment grid.
 ///
-/// The job list is workload-major and policy-minor, matching the serial
-/// execution order of [`run_static_sweep`] / [`run_optimization_ladder`],
-/// so a serial executor that walks `jobs` in order reproduces the
-/// historical behaviour exactly.
+/// The job list is workload-major and policy-minor; see [`Job`].
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
     /// The simulated machine.
@@ -441,25 +408,6 @@ impl SweepSpec {
     }
 }
 
-/// The Figure 6–9 sweep: every workload under each static policy
-/// (`Uncached`, `CacheR`, `CacheRW`), in that order per workload.
-///
-/// # Errors
-///
-/// Returns the first job's [`SimError`], if any.
-pub fn run_static_sweep(
-    cfg: &SystemConfig,
-    workloads: &[Workload],
-) -> Result<Vec<Vec<RunResult>>, SimError> {
-    let spec = SweepSpec::statics(cfg.clone(), workloads.to_vec());
-    let results: Vec<RunResult> = spec
-        .jobs()
-        .iter()
-        .map(|j| spec.run_job(j))
-        .collect::<Result<_, _>>()?;
-    Ok(spec.assemble_statics(&results))
-}
-
 /// One workload's Figure 10–13 data: the three static policy runs (from
 /// which the paper derives the static best and worst by execution time)
 /// plus the three ladder configurations.
@@ -502,25 +450,6 @@ impl LadderResult {
     }
 }
 
-/// Runs the optimization ladder for each workload, deriving the static
-/// best/worst from a fresh static sweep.
-///
-/// # Errors
-///
-/// Returns the first job's [`SimError`], if any.
-pub fn run_optimization_ladder(
-    cfg: &SystemConfig,
-    workloads: &[Workload],
-) -> Result<Vec<LadderResult>, SimError> {
-    let spec = SweepSpec::figures(cfg.clone(), workloads.to_vec());
-    let results: Vec<RunResult> = spec
-        .jobs()
-        .iter()
-        .map(|j| spec.run_job(j))
-        .collect::<Result<_, _>>()?;
-    Ok(spec.assemble_ladders(&results))
-}
-
 /// Classifies a workload from its measured static-sweep results using the
 /// paper's Figure 6 rule: <5% spread = insensitive; caching faster =
 /// reuse sensitive; caching slower = throughput sensitive.
@@ -558,11 +487,20 @@ mod tests {
     use miopt_telemetry::StatSnapshot;
     use miopt_workloads::{by_name, SuiteConfig};
 
+    /// Runs every job of `spec` in job order.
+    fn run_all(spec: &SweepSpec) -> Vec<RunResult> {
+        spec.jobs()
+            .iter()
+            .map(|j| spec.run_job(j).expect("job runs"))
+            .collect()
+    }
+
     #[test]
     fn static_sweep_produces_three_runs_per_workload() {
         let cfg = SystemConfig::small_test();
         let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
-        let sweep = run_static_sweep(&cfg, &[w]).unwrap();
+        let spec = SweepSpec::statics(cfg, vec![w]);
+        let sweep = spec.assemble_statics(&run_all(&spec));
         assert_eq!(sweep.len(), 1);
         assert_eq!(sweep[0].len(), 3);
         let labels: Vec<String> = sweep[0].iter().map(|r| r.policy.label()).collect();
@@ -573,7 +511,8 @@ mod tests {
     fn ladder_orders_best_before_worst() {
         let cfg = SystemConfig::small_test();
         let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
-        let ladder = run_optimization_ladder(&cfg, &[w]).unwrap();
+        let spec = SweepSpec::figures(cfg, vec![w]);
+        let ladder = spec.assemble_ladders(&run_all(&spec));
         assert_eq!(ladder.len(), 1);
         let l = &ladder[0];
         assert!(l.static_best().metrics.cycles <= l.static_worst().metrics.cycles);
@@ -586,7 +525,8 @@ mod tests {
     fn classify_follows_the_5_percent_rule() {
         let cfg = SystemConfig::small_test();
         let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
-        let sweep = run_static_sweep(&cfg, &[w]).unwrap();
+        let spec = SweepSpec::statics(cfg, vec![w]);
+        let sweep = spec.assemble_statics(&run_all(&spec));
         // FwSoft re-reads a tiny array: must not classify as throughput
         // sensitive.
         let c = classify(&sweep[0]);
@@ -626,14 +566,11 @@ mod tests {
         let cfg = SystemConfig::small_test();
         let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
         let spec = SweepSpec::figures(cfg.clone(), vec![w.clone()]);
-        let results: Vec<RunResult> = spec
-            .jobs()
-            .iter()
-            .map(|j| spec.run_job(j).expect("job runs"))
-            .collect();
+        let results = run_all(&spec);
         let statics = spec.assemble_statics(&results);
         let ladders = spec.assemble_ladders(&results);
-        let serial_statics = run_static_sweep(&cfg, std::slice::from_ref(&w)).unwrap();
+        let statics_spec = SweepSpec::statics(cfg, vec![w]);
+        let serial_statics = statics_spec.assemble_statics(&run_all(&statics_spec));
         assert_eq!(statics.len(), 1);
         for (a, b) in statics[0].iter().zip(&serial_statics[0]) {
             assert_eq!(a.policy, b.policy);
@@ -681,15 +618,15 @@ mod tests {
         let err = run_one_with(&cfg, &w, PolicyConfig::of(CachePolicy::CacheR), &opts)
             .expect_err("10 cycles cannot finish a run");
         match &err {
-            SimError::Timeout {
+            SimError::Halted {
                 workload,
                 policy,
-                max_cycles,
-                diagnostic,
+                error,
             } => {
+                let diagnostic = &error.diagnostic;
                 assert_eq!(workload, "FwSoft");
                 assert_eq!(policy, "CacheR");
-                assert_eq!(*max_cycles, 10);
+                assert_eq!(error.max_cycles, 10);
                 assert_eq!(diagnostic.reason, StallReason::CycleBudget);
                 assert_eq!(diagnostic.cycle, 10);
                 assert_eq!(diagnostic.phase, "launch");
@@ -697,6 +634,47 @@ mod tests {
             other => panic!("expected timeout, got {other:?}"),
         }
         assert!(err.to_string().contains("FwSoft/CacheR"));
+    }
+
+    #[test]
+    fn halted_run_status_lines_are_pinned() {
+        let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
+        let policy = PolicyConfig::of(CachePolicy::CacheR);
+        let status = |max_cycles: u64, inject: &dyn Fn(&mut ApuSystem)| {
+            let mut sys = ApuSystem::new(SystemConfig::small_test(), policy, &w);
+            inject(&mut sys);
+            let error = sys.run_to_completion(max_cycles).expect_err("must halt");
+            SimError::Halted {
+                workload: w.name.clone(),
+                policy: policy.label(),
+                error,
+            }
+            .to_string()
+        };
+        assert_eq!(
+            status(10, &|_| {}),
+            "FwSoft/CacheR: simulation exceeded 10 cycles"
+        );
+        let wedged = status(200_000, &|sys| {
+            for k in 0..8 {
+                sys.inject_l1_mshr_leak(0, miopt_engine::LineAddr(1_000_000 + k), false);
+            }
+            sys.enable_sentinel(64, 5_000);
+        });
+        assert_eq!(
+            wedged,
+            "FwSoft/CacheR: no forward progress since cycle 5184"
+        );
+        let violated = status(200_000_000, &|sys| {
+            sys.inject_queue_credit_loss(0);
+            sys.enable_sentinel(64, 0);
+        });
+        assert_eq!(
+            violated,
+            "FwSoft/CacheR: invariant violation at cycle 64 (queue.l1_in[0]: invariant \
+             `credit_conservation` violated: 1 flow-control credit(s) lost: usable \
+             capacity 15 < configured 16)"
+        );
     }
 
     #[test]

@@ -177,12 +177,6 @@ impl<T> TimedQueue<T> {
         self.items.drain(..).map(|(_, item)| item)
     }
 
-    /// Iterates over queued `(ready_cycle, item)` pairs front to back
-    /// (used by stall diagnostics to find the oldest in-flight item).
-    pub fn iter_timed(&self) -> impl Iterator<Item = (Cycle, &T)> {
-        self.items.iter().map(|(ready, item)| (*ready, item))
-    }
-
     /// Fault-injection hook: permanently destroys one flow-control credit,
     /// shrinking the queue's usable capacity by one.
     ///
@@ -338,13 +332,5 @@ mod tests {
         assert!(q.pop_ready(Cycle(14)).is_none());
         assert_eq!(q.pop_ready(Cycle(15)), Some('a'));
         assert_eq!(q.next_ready(), Some(Cycle(110)));
-    }
-
-    #[test]
-    fn iter_timed_exposes_ready_cycles() {
-        let mut q = TimedQueue::new(4, 10);
-        q.push(Cycle(5), 'a').unwrap();
-        let timed: Vec<_> = q.iter_timed().collect();
-        assert_eq!(timed, vec![(Cycle(15), &'a')]);
     }
 }

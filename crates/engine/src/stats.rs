@@ -123,60 +123,6 @@ impl fmt::Display for Ratio {
     }
 }
 
-/// Online mean/max tracker for distributions (e.g. queue occupancy).
-///
-/// # Examples
-///
-/// ```
-/// use miopt_engine::stats::RunningStat;
-///
-/// let mut s = RunningStat::default();
-/// s.record(2.0);
-/// s.record(4.0);
-/// assert_eq!(s.mean(), 3.0);
-/// assert_eq!(s.max(), 4.0);
-/// assert_eq!(s.count(), 2);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RunningStat {
-    count: u64,
-    sum: f64,
-    max: f64,
-}
-
-impl RunningStat {
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the samples, or 0.0 if none recorded.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Largest sample seen (0.0 if none recorded).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,17 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn running_stat_tracks_mean_and_max() {
-        let mut s = RunningStat::default();
-        for x in [1.0, 5.0, 3.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.mean(), 3.0);
-        assert_eq!(s.max(), 5.0);
-    }
-
-    #[test]
     fn counter_and_ratio_round_trip_through_their_parts() {
         let c = Counter::from_value(17);
         assert_eq!(Counter::from_value(c.get()), c);
@@ -230,12 +165,5 @@ mod tests {
     #[should_panic(expected = "numerator exceeds")]
     fn ratio_rejects_impossible_parts() {
         let _ = Ratio::from_parts(5, 3);
-    }
-
-    #[test]
-    fn running_stat_empty_defaults() {
-        let s = RunningStat::default();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.max(), 0.0);
     }
 }

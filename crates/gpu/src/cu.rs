@@ -1,5 +1,6 @@
+use crate::device::GpuStats;
 use crate::program::KernelDesc;
-use crate::wavefront::{Wavefront, WfState};
+use crate::wavefront::Wavefront;
 use miopt_engine::sentinel::{InvariantViolation, Sentinel};
 use miopt_engine::{AccessKind, Cycle, LineAddr, MemReq, Origin, ReqId, TimedQueue};
 use std::sync::Arc;
@@ -70,10 +71,7 @@ pub struct Cu {
     simd_rr: Vec<usize>,
     mem_rr: u32,
     req_counter: u64,
-    valu_lane_ops: u64,
-    line_loads: u64,
-    line_stores: u64,
-    retired_wavefronts: u64,
+    stats: GpuStats,
 }
 
 impl Cu {
@@ -97,19 +95,10 @@ impl Cu {
             simd_rr: vec![0; cfg.simds],
             mem_rr: 0,
             req_counter: 0,
-            valu_lane_ops: 0,
-            line_loads: 0,
-            line_stores: 0,
-            retired_wavefronts: 0,
+            stats: GpuStats::default(),
             cfg,
             id,
         }
-    }
-
-    /// This CU's id.
-    #[must_use]
-    pub fn id(&self) -> u16 {
-        self.id
     }
 
     /// Number of empty wavefront slots.
@@ -124,28 +113,10 @@ impl Cu {
         self.occ_mask.count_ones() as usize
     }
 
-    /// VALU lane-operations executed (64 per VALU instruction).
+    /// This CU's execution counters.
     #[must_use]
-    pub fn valu_lane_ops(&self) -> u64 {
-        self.valu_lane_ops
-    }
-
-    /// Coalesced load requests issued to the L1.
-    #[must_use]
-    pub fn line_loads(&self) -> u64 {
-        self.line_loads
-    }
-
-    /// Coalesced store requests issued to the L1.
-    #[must_use]
-    pub fn line_stores(&self) -> u64 {
-        self.line_stores
-    }
-
-    /// Wavefronts that ran to completion.
-    #[must_use]
-    pub fn retired_wavefronts(&self) -> u64 {
-        self.retired_wavefronts
+    pub fn stats(&self) -> &GpuStats {
+        &self.stats
     }
 
     /// Whether the memory pipe is blocked on L1 backpressure: the last
@@ -230,7 +201,7 @@ impl Cu {
             self.spare[idx] = wf.into_lines();
             self.occ_mask &= !(1 << idx);
             self.pending_mask &= !(1 << idx);
-            self.retired_wavefronts += 1;
+            self.stats.retired_wavefronts += 1;
         }
     }
 
@@ -256,8 +227,8 @@ impl Cu {
             return Some(now);
         }
         // Blocked on L1 backpressure, the pending requests are not this
-        // CU's event: their wavefronts are `Waiting`, so only the other
-        // wavefronts' SIMD timers count below.
+        // CU's event: their wavefronts' `next_wake` is `None`, so only the
+        // other wavefronts' SIMD timers count below.
         let per = self.cfg.wf_slots_per_simd;
         let mut next: Option<Cycle> = None;
         for s in 0..self.cfg.simds {
@@ -350,9 +321,9 @@ impl Cu {
                 self.mem_rr = idx as u32;
             }
             if acc.is_store {
-                self.line_stores += 1;
+                self.stats.line_stores += 1;
             } else {
-                self.line_loads += 1;
+                self.stats.line_loads += 1;
             }
             issued += 1;
         }
@@ -454,13 +425,13 @@ impl Cu {
                 }
                 let idx = base + off;
                 let wf = self.slots[idx].as_mut().expect("occupied");
-                if wf.state(now) == WfState::Ready {
+                if wf.next_wake(now) == Some(now) {
                     let (occupancy, lane_ops) = wf.issue(now);
                     if !wf.pending.is_empty() {
                         self.pending_mask |= 1 << idx;
                     }
                     self.simd_busy_until[s] = now + occupancy;
-                    self.valu_lane_ops += lane_ops;
+                    self.stats.valu_lane_ops += lane_ops;
                     self.simd_rr[s] = (off + 1) % per;
                     if wf.is_done() {
                         self.try_retire(idx);
@@ -506,11 +477,11 @@ mod tests {
     }
 
     fn retired_after(cu: &mut Cu, q: &mut TimedQueue<MemReq>, cycles: std::ops::Range<u64>) -> u64 {
-        let before = cu.retired_wavefronts();
+        let before = cu.stats().retired_wavefronts;
         for c in cycles {
             cu.tick(Cycle(c), q);
         }
-        cu.retired_wavefronts() - before
+        cu.stats().retired_wavefronts - before
     }
 
     #[test]
@@ -521,7 +492,7 @@ mod tests {
         let mut q = TimedQueue::new(8, 0);
         let retired = retired_after(&mut cu, &mut q, 0..100);
         assert_eq!(retired, 1);
-        assert_eq!(cu.valu_lane_ops(), 2 * 64 * 3);
+        assert_eq!(cu.stats().valu_lane_ops, 2 * 64 * 3);
         assert!(q.is_empty());
         assert_eq!(cu.active_wavefronts(), 0);
     }
@@ -535,7 +506,7 @@ mod tests {
         for c in 0..10 {
             cu.tick(Cycle(c), &mut q);
         }
-        assert_eq!(cu.line_loads(), 4);
+        assert_eq!(cu.stats().line_loads, 4);
         assert_eq!(cu.active_wavefronts(), 1, "blocked on waitcnt");
         let mut slots = Vec::new();
         while let Some(r) = q.pop_ready(Cycle(10)) {
@@ -571,7 +542,7 @@ mod tests {
         for c in 0..10 {
             cu.tick(Cycle(c), &mut q);
         }
-        assert_eq!(cu.line_loads(), 8);
+        assert_eq!(cu.stats().line_loads, 8);
         assert_eq!(cu.active_wavefronts(), 2);
     }
 
@@ -634,13 +605,13 @@ mod tests {
         assert!(cu.tick(Cycle(1), &mut q), "first line issues");
         assert!(cu.mem_blocked(), "3 lines left and the queue is full");
         assert_eq!(cu.next_event(Cycle(2)), None, "no self-wake");
-        let before = (cu.line_loads(), q.pushed());
+        let before = (cu.stats().line_loads, q.pushed());
         assert!(!cu.tick(Cycle(2), &mut q), "a skippable no-op");
         assert!(cu.mem_blocked());
-        assert_eq!((cu.line_loads(), q.pushed()), before);
+        assert_eq!((cu.stats().line_loads, q.pushed()), before);
         assert!(q.pop_ready(Cycle(3)).is_some(), "the L1 returns a credit");
         assert!(cu.tick(Cycle(3), &mut q), "the request issues that cycle");
-        assert_eq!(cu.line_loads(), 2);
+        assert_eq!(cu.stats().line_loads, 2);
         assert!(cu.mem_blocked(), "and the queue is full again");
     }
 
@@ -667,7 +638,7 @@ mod tests {
         // Return credits until wf0's lines are out and its 20-cycle VALU
         // issues; wf1's lines are then stuck behind the full queue.
         let mut now = 3;
-        while cu.valu_lane_ops() == 0 {
+        while cu.stats().valu_lane_ops == 0 {
             q.pop_ready(Cycle(now));
             cu.tick(Cycle(now), &mut q);
             now += 1;
@@ -743,16 +714,16 @@ mod tests {
             let predicted = cu.next_event(now);
             let before = (
                 q.len(),
-                cu.valu_lane_ops(),
-                cu.line_loads(),
-                cu.retired_wavefronts(),
+                cu.stats().valu_lane_ops,
+                cu.stats().line_loads,
+                cu.stats().retired_wavefronts,
             );
             cu.tick(now, &mut q);
             let after = (
                 q.len(),
-                cu.valu_lane_ops(),
-                cu.line_loads(),
-                cu.retired_wavefronts(),
+                cu.stats().valu_lane_ops,
+                cu.stats().line_loads,
+                cu.stats().retired_wavefronts,
             );
             if before != after {
                 assert_eq!(predicted, Some(now), "acted at {now} unpredicted");
@@ -766,7 +737,7 @@ mod tests {
             }
             now += 1;
         }
-        assert_eq!(cu.retired_wavefronts(), 1);
+        assert_eq!(cu.stats().retired_wavefronts, 1);
         assert_eq!(cu.next_event(now), None, "retired CU sleeps");
     }
 

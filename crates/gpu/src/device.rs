@@ -4,7 +4,8 @@ use miopt_engine::sentinel::{InvariantViolation, Sentinel};
 use miopt_engine::{Cycle, EventWheel, MemReq, MemResp, Origin, TimedQueue};
 use std::sync::Arc;
 
-/// Aggregated GPU execution statistics.
+/// GPU execution statistics: one CU's ([`Cu::stats`]) or the device's
+/// sum ([`Gpu::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GpuStats {
     /// VALU lane-operations executed (the Figure 4 numerator).
@@ -110,7 +111,6 @@ struct ActiveKernel {
 pub struct Gpu {
     cus: Vec<Cu>,
     active: Option<ActiveKernel>,
-    kernels_run: u64,
     /// Per-CU cache of [`Cu::next_event`], valid while the CU's
     /// [`Gpu::stale`] bit is clear: the earliest cycle a SIMD timer lets
     /// the CU act ([`NEVER`] = only a load response or, for a
@@ -165,7 +165,6 @@ impl Gpu {
                 .map(|i| Cu::new(cu_cfg.clone(), i as u16))
                 .collect(),
             active: None,
-            kernels_run: 0,
             wake_hint: vec![NEVER; n_cus],
             hints: EventWheel::new(),
             stale: u64::MAX >> (64 - n_cus),
@@ -182,7 +181,7 @@ impl Gpu {
     /// a wavefront on that CU.
     #[inline]
     fn note_retired(&mut self, i: usize) {
-        let r = self.cus[i].retired_wavefronts();
+        let r = self.cus[i].stats().retired_wavefronts;
         self.retired_total += r - self.retired_seen[i];
         self.retired_seen[i] = r;
     }
@@ -250,7 +249,6 @@ impl Gpu {
             next_wg: 0,
             retired_at_start,
         });
-        self.kernels_run += 1;
     }
 
     /// Whether the active kernel (if any) has retired every wavefront.
@@ -271,7 +269,7 @@ impl Gpu {
     fn total_retired(&self) -> u64 {
         debug_assert_eq!(
             self.retired_total,
-            self.cus.iter().map(Cu::retired_wavefronts).sum::<u64>(),
+            self.stats().retired_wavefronts,
             "incremental retired count drifted from the per-CU truth"
         );
         self.retired_total
@@ -478,19 +476,13 @@ impl Gpu {
     #[must_use]
     pub fn stats(&self) -> GpuStats {
         let mut s = GpuStats::default();
-        for cu in &self.cus {
-            s.valu_lane_ops += cu.valu_lane_ops();
-            s.line_loads += cu.line_loads();
-            s.line_stores += cu.line_stores();
-            s.retired_wavefronts += cu.retired_wavefronts();
+        for c in self.cus.iter().map(Cu::stats) {
+            s.valu_lane_ops += c.valu_lane_ops;
+            s.line_loads += c.line_loads;
+            s.line_stores += c.line_stores;
+            s.retired_wavefronts += c.retired_wavefronts;
         }
         s
-    }
-
-    /// Kernels launched so far.
-    #[must_use]
-    pub fn kernels_run(&self) -> u64 {
-        self.kernels_run
     }
 
     /// Per-CU outstanding work for stall diagnostics: one
@@ -672,7 +664,7 @@ mod tests {
             gpu.start_kernel(stream_kernel(2, 1, 1), seq);
             run_to_completion(&mut gpu, 10_000);
         }
-        assert_eq!(gpu.kernels_run(), 3);
+        assert!(gpu.kernel_done());
         assert_eq!(gpu.stats().retired_wavefronts, 6);
     }
 

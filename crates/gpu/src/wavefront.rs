@@ -50,17 +50,6 @@ impl PendingGroup {
     }
 }
 
-/// Why a wavefront cannot issue this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WfState {
-    /// Finished its program.
-    Done,
-    /// Occupied by a multi-cycle op or waiting on loads/coalesced issue.
-    Waiting,
-    /// Can issue its next instruction.
-    Ready,
-}
-
 /// One wavefront executing a kernel program.
 #[derive(Debug)]
 pub(crate) struct Wavefront {
@@ -127,8 +116,8 @@ impl Wavefront {
 
     /// A load response arrived. Returns whether it released the wavefront
     /// from the [`Op::WaitCnt`] it was blocked at — the only way a
-    /// response changes [`Wavefront::state`] or [`Wavefront::next_wake`],
-    /// which otherwise do not read the outstanding count.
+    /// response changes [`Wavefront::next_wake`], which otherwise does
+    /// not read the outstanding count.
     pub(crate) fn on_load_response(&mut self) -> bool {
         debug_assert!(
             self.outstanding_loads > 0,
@@ -142,22 +131,10 @@ impl Wavefront {
             )
     }
 
-    pub(crate) fn state(&self, now: Cycle) -> WfState {
-        if self.done {
-            return WfState::Done;
-        }
-        if !self.pending.is_empty() || self.busy_until > now {
-            return WfState::Waiting;
-        }
-        match self.kernel.program.body[self.ip] {
-            Op::WaitCnt { max } if self.outstanding_loads > u32::from(max) => WfState::Waiting,
-            _ => WfState::Ready,
-        }
-    }
-
     /// The earliest cycle at or after `now` at which this wavefront might
     /// issue, or `None` if only an external stimulus (a load response, the
-    /// memory pipe draining `pending`) can make it runnable.
+    /// memory pipe draining `pending`) can make it runnable. The
+    /// wavefront can issue at `now` exactly when this is `Some(now)`.
     ///
     /// The estimate is conservative: waking a wavefront that turns out to
     /// still be blocked costs one idle scheduler check, while sleeping past
@@ -183,10 +160,10 @@ impl Wavefront {
     }
 
     /// Issues the instruction at `ip`. Only call when
-    /// [`state`](Wavefront::state) is [`WfState::Ready`]. Returns the
+    /// [`next_wake`](Wavefront::next_wake) is `Some(now)`. Returns the
     /// SIMD-pipe occupancy in cycles and the VALU lane-ops executed.
     pub(crate) fn issue(&mut self, now: Cycle) -> (u64, u64) {
-        debug_assert_eq!(self.state(now), WfState::Ready);
+        debug_assert_eq!(self.next_wake(now), Some(now));
         let op = self.kernel.program.body[self.ip];
         let (occupancy, lane_ops) = match op {
             Op::Valu { count } => {
@@ -269,6 +246,11 @@ mod tests {
         })
     }
 
+    /// Whether `wf` can issue at `now`.
+    fn ready(wf: &Wavefront, now: Cycle) -> bool {
+        wf.next_wake(now) == Some(now)
+    }
+
     /// Issues every pending line, returning them in issue order.
     fn drain(wf: &mut Wavefront) -> Vec<LineAddr> {
         let mut lines = Vec::new();
@@ -282,7 +264,7 @@ mod tests {
     #[test]
     fn valu_occupies_pipe_and_counts_ops() {
         let mut wf = Wavefront::new(kernel(vec![Op::Valu { count: 4 }], 1), 0, 0, 0, Vec::new());
-        assert_eq!(wf.state(Cycle(0)), WfState::Ready);
+        assert!(ready(&wf, Cycle(0)));
         let (occ, ops) = wf.issue(Cycle(0));
         assert_eq!(occ, 16, "4 SIMD cycles per 64-wide VALU instruction");
         assert_eq!(ops, 256);
@@ -302,14 +284,14 @@ mod tests {
         assert_eq!(wf.pending.len(), 4); // 64 lanes x 4 B = 4 lines
         assert_eq!(wf.outstanding_loads(), 4);
         // Waiting: pending requests must issue first.
-        assert_eq!(wf.state(Cycle(1)), WfState::Waiting);
+        assert!(!ready(&wf, Cycle(1)));
         drain(&mut wf);
         // Still waiting on the waitcnt until responses arrive.
-        assert_eq!(wf.state(Cycle(1)), WfState::Waiting);
+        assert!(!ready(&wf, Cycle(1)));
         for _ in 0..4 {
             wf.on_load_response();
         }
-        assert_eq!(wf.state(Cycle(1)), WfState::Ready);
+        assert!(ready(&wf, Cycle(1)));
         wf.issue(Cycle(1)); // the waitcnt retires
         assert!(wf.is_done());
     }
@@ -342,8 +324,8 @@ mod tests {
             Vec::new(),
         );
         wf.issue(Cycle(0));
-        assert_eq!(wf.state(Cycle(20)), WfState::Waiting);
-        assert_eq!(wf.state(Cycle(40)), WfState::Ready);
+        assert!(!ready(&wf, Cycle(20)));
+        assert!(ready(&wf, Cycle(40)));
     }
 
     #[test]
@@ -358,7 +340,7 @@ mod tests {
         wf.issue(Cycle(0));
         drain(&mut wf);
         // 4 outstanding <= max 4: ready immediately.
-        assert_eq!(wf.state(Cycle(1)), WfState::Ready);
+        assert!(ready(&wf, Cycle(1)));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::figures::{fig10, fig11, fig12, fig13, fig4, fig5, fig6, fig7, fig8, f
 use crate::flags::{self, num, positive, put, Command, Flag};
 use crate::kind::JobKind;
 use crate::pool::{PoolOptions, ResultSource};
-use crate::sweep::{open_journal, run_kind, run_sweep, JournalOptions, SweepOptions, SweepRun};
+use crate::sweep::{open_journal, run_kind, JournalOptions, SweepRun};
 use miopt::runner::SweepSpec;
 use miopt::SystemConfig;
 use miopt_workloads::{suite, SuiteConfig, Workload};
@@ -184,9 +184,6 @@ pub struct CliArgs {
     pub cache_dir: PathBuf,
     /// Per-job wall-clock timeout.
     pub timeout: Option<Duration>,
-    /// Run the sweep serially AND in parallel and verify byte-identical
-    /// figures, reporting the speedup.
-    pub compare: bool,
     /// Telemetry sampling interval in cycles, when `--telemetry` was
     /// given (`None` = telemetry off).
     pub telemetry: Option<u64>,
@@ -218,7 +215,6 @@ impl Command for CliArgs {
             ("--no-cache", "", "skip the persistent result cache", |a, _| put(&mut a.no_cache, true)),
             ("--cache-dir <DIR>", "results/cache", "result cache directory", |a, v| put(&mut a.cache_dir, v.into())),
             ("--timeout-secs <N>", "", "per-job wall-clock timeout", |a, v| put(&mut a.timeout, Some(Duration::from_secs(num(v)?)))),
-            ("--compare", "", "rerun serially; check the figures are byte-identical", |a, _| put(&mut a.compare, true)),
             ("--telemetry[=N]", "100000", "sample telemetry every N cycles", |a, v| put(&mut a.telemetry, Some(positive(v)?))),
             ("--fail-fast", "", "cancel queued jobs after the first failure", |a, _| put(&mut a.fail_fast, true)),
             ("--all", "", "every table and figure (also with no selector)", |a, _| put(&mut a.selected, ALL_OUTPUTS.map(String::from).into())),
@@ -406,7 +402,6 @@ pub fn run(args: &CliArgs) -> i32 {
         Ok(run) => run,
         Err(code) => return code,
     };
-    let parallel_elapsed = Duration::from_millis(run.report.provenance.elapsed_ms);
 
     let results = match run.results(&spec) {
         Ok(r) => r,
@@ -448,58 +443,6 @@ pub fn run(args: &CliArgs) -> i32 {
         }
     }
 
-    if args.compare {
-        return compare(&spec, &results, need_ladder, parallel_elapsed, &pool);
-    }
-    0
-}
-
-/// Re-runs the sweep serially and uncached, then verifies the parallel
-/// figures are byte-identical and reports the wall-time ratio.
-fn compare(
-    spec: &Arc<SweepSpec>,
-    parallel_results: &[miopt::runner::RunResult],
-    need_ladder: bool,
-    parallel_elapsed: Duration,
-    pool: &PoolOptions,
-) -> i32 {
-    eprintln!("comparing against a serial uncached sweep ...");
-    let serial_opts = SweepOptions {
-        pool: PoolOptions {
-            workers: 1,
-            ..pool.clone()
-        },
-        cache: None,
-    };
-    let t0 = Instant::now();
-    let serial = run_sweep(spec, "compare-serial", &serial_opts);
-    let serial_elapsed = t0.elapsed();
-    let serial_results = match serial.results(spec) {
-        Ok(r) => r,
-        Err(failures) => {
-            eprintln!("error: serial comparison run failed:\n{failures}");
-            return 1;
-        }
-    };
-    let a = figure_set(spec, parallel_results, need_ladder);
-    let b = figure_set(spec, &serial_results, need_ladder);
-    for ((name, _, fa), (_, _, fb)) in a.iter().zip(&b) {
-        assert_eq!(
-            fa.to_csv(),
-            fb.to_csv(),
-            "{name}: parallel and serial sweeps must be byte-identical"
-        );
-    }
-    eprintln!(
-        "parallel and serial figures are byte-identical ({} figures checked)",
-        a.len()
-    );
-    eprintln!(
-        "serial {:.1}s vs parallel {:.1}s: {:.2}x",
-        serial_elapsed.as_secs_f64(),
-        parallel_elapsed.as_secs_f64(),
-        serial_elapsed.as_secs_f64() / parallel_elapsed.as_secs_f64().max(1e-9),
-    );
     0
 }
 

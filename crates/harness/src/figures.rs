@@ -251,14 +251,27 @@ pub fn fig13(ladders: &[LadderResult]) -> FigureData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use miopt::runner::{run_optimization_ladder, run_static_sweep};
+    use crate::{run_sweep, SweepOptions};
+    use miopt::runner::SweepSpec;
     use miopt::SystemConfig;
     use miopt_workloads::{by_name, SuiteConfig};
+    use std::sync::Arc;
+
+    /// The FwSoft grid on the small test system, run through the pool.
+    fn tiny_grid(
+        grid: fn(SystemConfig, Vec<miopt_workloads::Workload>) -> SweepSpec,
+    ) -> (Arc<SweepSpec>, Vec<RunResult>) {
+        let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
+        let spec = Arc::new(grid(SystemConfig::small_test(), vec![w]));
+        let results = run_sweep(&spec, "tiny", &SweepOptions::default())
+            .results(&spec)
+            .expect("sweep finishes");
+        (spec, results)
+    }
 
     fn tiny_sweep() -> Vec<Vec<RunResult>> {
-        let cfg = SystemConfig::small_test();
-        let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
-        run_static_sweep(&cfg, &[w]).expect("sweep finishes")
+        let (spec, results) = tiny_grid(SweepSpec::statics);
+        spec.assemble_statics(&results)
     }
 
     #[test]
@@ -291,9 +304,8 @@ mod tests {
 
     #[test]
     fn ladder_figures_have_five_series() {
-        let cfg = SystemConfig::small_test();
-        let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
-        let ladder = run_optimization_ladder(&cfg, &[w]).expect("ladder finishes");
+        let (spec, results) = tiny_grid(SweepSpec::figures);
+        let ladder = spec.assemble_ladders(&results);
         for f in [
             fig10(&ladder),
             fig11(&ladder),

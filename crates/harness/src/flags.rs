@@ -192,7 +192,7 @@ mod tests {
         &["--fig6", "--fig7", "--only", "FwAct,BwBN"],
         &["--all", "--scale", "quick"],
         &["--all", "--scale", "quick", "--jobs", "8", "--timeout-secs", "600"],
-        &["--fig6", "--scale", "quick", "--no-cache", "--compare"],
+        &["--fig6", "--scale", "quick", "--no-cache", "--serial"],
         &["--table2"],
         &["--scale", "quick", "--only", "FwLSTM", "--fig6", "--telemetry=100000", "--sweep-name", "rnn-trace"],
         &["--scale", "quick", "--only", "FwSoft", "--fig6", "--check-invariants", "--sweep-name", "wedge-hunt"],
@@ -203,7 +203,7 @@ mod tests {
         &["query", "--dir", "results/runs", "--run", "figures-paper", "--workload", "FwLSTM", "--metric", "cycles", "--agg", "count,mean,p99"],
         &["query", "--dir", "results/runs", "--run", "serve", "--metric", "p99", "--agg", "count,max", "--json"],
         &["--fig6", "--scale", "quick", "--only", "FwSoft,BwSoft", "--out", "d"],
-        &["--fig6", "--scale", "quick", "--only", "FwSoft,BwSoft", "--no-cache", "--compare"],
+        &["--fig6", "--scale", "quick", "--only", "FwSoft,BwSoft", "--no-cache", "--jobs", "1", "--csv", "d", "--out", "d"],
         &["--fig6", "--only", "CM", "--timeout-secs", "1", "--no-cache", "--out", "d", "--sweep-name", "timeout-probe"],
         &["--fig6", "--scale", "quick", "--only", "FwSoft", "--no-cache", "--telemetry=20000", "--out", "d", "--sweep-name", "vtel", "--jobs", "1"],
         &["--fig6", "--only", "FwLRN", "--timeout-secs", "1", "--no-cache", "--retries", "1", "--out", "d", "--sweep-name", "timeout-probe", "--quiet"],

@@ -246,18 +246,6 @@ impl<K: JobKind> Journal<K> {
     }
 }
 
-/// Durably replaces `path` with `contents`: write-fsync-rename, then
-/// fsync the parent directory. Readers never observe a torn file, and
-/// a power cut at any instant leaves either the old or the new
-/// complete file.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn replace_file(path: &Path, contents: &str) -> std::io::Result<()> {
-    miopt_store::atomic_replace(path, contents.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -167,9 +167,9 @@ impl JobKind for SweepSpec {
     fn record(&self, o: &JobOutcome<SweepSpec>) -> JobRecord {
         let w = &self.workloads[o.job.workload];
         let diagnostic = match &o.result {
-            Err(JobError::Sim(
-                SimError::Timeout { diagnostic, .. } | SimError::Halted { diagnostic, .. },
-            )) => Some(stall_diagnostic_to_json(diagnostic)),
+            Err(JobError::Sim(SimError::Halted { error, .. })) => {
+                Some(stall_diagnostic_to_json(&error.diagnostic))
+            }
             _ => None,
         };
         JobRecord {

@@ -393,7 +393,7 @@ mod tests {
 
     #[test]
     fn sim_errors_propagate_through_the_pool_without_unwinding() {
-        // A 10-cycle budget fails every job with SimError::Timeout; the
+        // A 10-cycle budget fails every job with SimError::Halted; the
         // pool must surface it as JobError::Sim, not a caught panic.
         let mut spec = Arc::unwrap_or_clone(spec_of(&["FwSoft"]));
         spec.run_opts.max_cycles = 10;
@@ -409,8 +409,8 @@ mod tests {
         assert_eq!(outcomes.len(), 3);
         for o in &outcomes {
             match &o.result {
-                Err(JobError::Sim(SimError::Timeout { max_cycles, .. })) => {
-                    assert_eq!(*max_cycles, 10);
+                Err(JobError::Sim(SimError::Halted { error, .. })) => {
+                    assert_eq!(error.max_cycles, 10);
                 }
                 other => panic!("expected a sim timeout, got {other:?}"),
             }

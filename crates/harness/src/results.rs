@@ -277,8 +277,9 @@ impl SweepReport {
         ])
     }
 
-    /// Writes the report under `dir` as `<name>.json`, creating the
-    /// directory if needed, and returns the path written.
+    /// Durably writes the report under `dir` as `<name>.json`
+    /// ([`miopt_store::atomic_replace`]), creating the directory if
+    /// needed, and returns the path written.
     ///
     /// # Errors
     ///
@@ -286,7 +287,7 @@ impl SweepReport {
     pub fn write_under(&self, dir: &Path) -> std::io::Result<std::path::PathBuf> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.name));
-        std::fs::write(&path, self.to_json().to_pretty())?;
+        miopt_store::atomic_replace(&path, self.to_json().to_pretty().as_bytes())?;
         Ok(path)
     }
 }

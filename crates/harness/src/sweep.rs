@@ -77,7 +77,7 @@ impl<K: JobKind> SweepRun<K> {
     pub fn write_report(&self, dir: &Path, name: &str) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{name}.json"));
-        journal::replace_file(&path, &K::document(&self.report).to_pretty())?;
+        miopt_store::atomic_replace(&path, K::document(&self.report).to_pretty().as_bytes())?;
         self.remove_journal_state();
         Ok(path)
     }
@@ -167,7 +167,7 @@ impl<K: JobKind> ResultSource<K> for JournalSource<'_, K> {
         sorted.sort_by_key(K::record_id);
         let report = kind.report(&self.journal.name, self.provenance.clone(), sorted);
         let text = K::document(&report).to_pretty();
-        if let Err(e) = journal::replace_file(&self.journal.partial_path(), &text) {
+        if let Err(e) = miopt_store::atomic_replace(&self.journal.partial_path(), text.as_bytes()) {
             eprintln!("warning: partial report write failed: {e}");
         }
     }
@@ -327,6 +327,15 @@ mod tests {
         let statics = spec.assemble_statics(&results);
         assert_eq!(statics.len(), 1);
         assert_eq!(statics[0].len(), 3);
+        // The report's two writers put down the same bytes.
+        let dir = std::env::temp_dir().join(format!("miopt-report-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let a = run.report.write_under(&dir.join("a")).expect("write_under");
+        let b = run
+            .write_report(&dir.join("b"), "unit")
+            .expect("write_report");
+        assert_eq!(std::fs::read(a).unwrap(), std::fs::read(b).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

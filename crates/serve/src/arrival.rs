@@ -67,34 +67,6 @@ impl ArrivalSchedule {
         ArrivalSchedule { arrivals, seed: 0 }
     }
 
-    /// Parses a trace file's contents: one arrival cycle per
-    /// whitespace-separated token, `#` starting a comment to end of
-    /// line.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed token, an empty
-    /// trace, or an unsorted trace.
-    pub fn from_trace_text(text: &str) -> Result<ArrivalSchedule, String> {
-        let mut arrivals = Vec::new();
-        for line in text.lines() {
-            let line = line.split('#').next().unwrap_or("");
-            for tok in line.split_whitespace() {
-                let cycle: u64 = tok
-                    .parse()
-                    .map_err(|e| format!("bad arrival cycle {tok:?}: {e}"))?;
-                arrivals.push(cycle);
-            }
-        }
-        if arrivals.is_empty() {
-            return Err("trace holds no arrivals".to_string());
-        }
-        if !arrivals.windows(2).all(|w| w[0] <= w[1]) {
-            return Err("trace arrivals must be sorted".to_string());
-        }
-        Ok(ArrivalSchedule { arrivals, seed: 0 })
-    }
-
     /// The arrival cycles, sorted ascending.
     #[must_use]
     pub fn arrivals(&self) -> &[u64] {
@@ -162,18 +134,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_text_parses_comments_and_whitespace() {
-        let s = ArrivalSchedule::from_trace_text("# warmup\n0 100\n250 # burst\n\n900\n").unwrap();
-        assert_eq!(s.arrivals(), &[0, 100, 250, 900]);
-        assert_eq!(s.seed(), 0);
-    }
-
-    #[test]
     fn bad_traces_are_rejectededly_described() {
-        assert!(ArrivalSchedule::from_trace_text("").is_err());
-        assert!(ArrivalSchedule::from_trace_text("# only comments\n").is_err());
-        assert!(ArrivalSchedule::from_trace_text("5 3").is_err());
-        assert!(ArrivalSchedule::from_trace_text("1 two 3").is_err());
+        for (trace, message) in [
+            (vec![], "a schedule needs at least one request"),
+            (vec![5, 3], "trace arrivals must be sorted"),
+        ] {
+            let panic = std::panic::catch_unwind(|| ArrivalSchedule::trace(trace))
+                .expect_err("a bad trace is refused");
+            assert_eq!(panic.downcast_ref::<&str>(), Some(&message));
+        }
     }
 
     #[test]

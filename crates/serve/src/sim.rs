@@ -207,16 +207,6 @@ impl TenantResult {
         }
     }
 
-    /// Completed requests per million cycles of the whole run.
-    #[must_use]
-    pub fn throughput_rpmc(&self, run_cycles: u64) -> f64 {
-        if run_cycles == 0 {
-            0.0
-        } else {
-            self.completed as f64 / run_cycles as f64 * 1e6
-        }
-    }
-
     /// Median request latency in cycles (`None` before any completion).
     #[must_use]
     pub fn p50(&self) -> Option<u64> {
@@ -426,7 +416,6 @@ mod tests {
             assert!(t.busy_cycles > 0);
             assert!(t.dram_reads > 0);
             assert!(t.noc_req_transfers > 0);
-            assert!(t.throughput_rpmc(res.cycles) > 0.0);
         }
         // The two tenants interleave: both saw GPU time, and the run
         // lasts at least as long as the busiest tenant.

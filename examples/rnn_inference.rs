@@ -47,7 +47,7 @@ fn main() {
     println!("\nlaunch-overhead sensitivity (FwLSTM, CacheR):");
     for overhead in [500u64, 3000, 10000] {
         let cfg = SystemConfig::builder()
-            .launch_overhead(overhead)
+            .map(|c| c.launch_overhead = overhead)
             .build()
             .expect("sensitivity config is valid");
         let w = by_name(&scale, "FwLSTM").expect("suite workload");

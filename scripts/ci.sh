@@ -307,6 +307,18 @@ if [[ -z "$quiet" || "$quiet" -lt 20 ]]; then
 fi
 echo "event-core perf smoke ok (${quiet}% of cycles event-free)"
 
+echo "== examples (release, each must exit 0) =="
+# `cargo test` only compiles examples/; running each with its default
+# arguments catches a runner or config API change that breaks one at
+# run time (~35 s on 2 cores, most of it rnn_sweep and rnn_inference).
+for ex in quickstart custom_workload event_stats rnn_inference; do
+    cargo run --release -q -p miopt --example "$ex" >/dev/null
+done
+for ex in policy_sweep rnn_sweep; do
+    cargo run --release -q -p miopt-harness --example "$ex" >/dev/null
+done
+echo "examples ok"
+
 echo "== zero-allocation steady state (counting allocator, release) =="
 # The hot-path contract: once warmed up, simulating a cycle performs no
 # heap allocation. The test binary installs a counting global allocator

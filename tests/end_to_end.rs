@@ -2,7 +2,7 @@
 //! small test system, checking the invariants that hold regardless of
 //! calibration.
 
-use miopt::runner::{run_one, run_one_with, run_static_sweep, RunOptions, SimError};
+use miopt::runner::{run_one, run_one_with, RunOptions, SimError, SweepSpec};
 use miopt::{CachePolicy, PolicyConfig, SystemConfig};
 use miopt_workloads::{by_name, suite, SuiteConfig};
 
@@ -45,7 +45,7 @@ fn exhausted_cycle_budgets_are_errors_not_panics() {
     let err = run_one_with(&cfg(), &w, PolicyConfig::of(CachePolicy::CacheR), &opts)
         .expect_err("a 10-cycle budget must be exhausted");
     match &err {
-        SimError::Timeout { max_cycles, .. } => assert_eq!(*max_cycles, 10),
+        SimError::Halted { error, .. } => assert_eq!(error.max_cycles, 10),
         other => panic!("expected a timeout, got {other}"),
     }
     assert!(err.to_string().contains("FwSoft/CacheR"), "{err}");
@@ -161,9 +161,10 @@ fn rinsing_never_loses_dirty_data() {
 #[test]
 fn static_sweep_is_reproducible() {
     let w = by_name(&SuiteConfig::quick(), "FwGRU").unwrap();
-    let a = run_static_sweep(&cfg(), std::slice::from_ref(&w)).expect("sweep finishes");
-    let b = run_static_sweep(&cfg(), std::slice::from_ref(&w)).expect("sweep finishes");
-    for (x, y) in a[0].iter().zip(b[0].iter()) {
+    let spec = SweepSpec::statics(cfg(), vec![w]);
+    for job in spec.jobs() {
+        let x = spec.run_job(&job).expect("job finishes");
+        let y = spec.run_job(&job).expect("job finishes");
         assert_eq!(x.metrics.cycles, y.metrics.cycles);
         assert_eq!(x.metrics.dram_accesses(), y.metrics.dram_accesses());
     }

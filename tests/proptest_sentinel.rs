@@ -24,20 +24,18 @@ fn randomized_configs_run_checked_without_tripping() {
         let (l1_mshrs, l1_merge) = (c.pick(&[4, 8, 16]), c.pick(&[2, 4, 8]));
         let l2_dbi_rows = c.pick(&[0, 8, 32]);
         let Ok(cfg) = miopt::SystemConfigBuilder::from_base(SystemConfig::small_test())
-            .n_cus(c.range(1..5) as usize)
-            .l2_slices(if sliced { 2 } else { 1 })
-            .queue_capacity(c.range(9..24) as usize)
-            .xbar_per_output(c.range(1..4) as u32)
-            .launch_overhead(c.range(20..200))
-            .map_l1(|l1| {
-                l1.sets = l1_sets;
-                l1.ways = l1_ways;
-                l1.mshr_entries = l1_mshrs;
-                l1.mshr_merge_cap = l1_merge;
-            })
-            .map_l2(|l2| {
-                l2.dbi_rows = l2_dbi_rows;
-                l2.index_skip_bits = if sliced { 1 } else { 0 };
+            .map(|m| {
+                m.n_cus = c.range(1..5) as usize;
+                m.l2_slices = if sliced { 2 } else { 1 };
+                m.queue_capacity = c.range(9..24) as usize;
+                m.xbar_per_output = c.range(1..4) as u32;
+                m.launch_overhead = c.range(20..200);
+                m.l1.sets = l1_sets;
+                m.l1.ways = l1_ways;
+                m.l1.mshr_entries = l1_mshrs;
+                m.l1.mshr_merge_cap = l1_merge;
+                m.l2.dbi_rows = l2_dbi_rows;
+                m.l2.index_skip_bits = if sliced { 1 } else { 0 };
             })
             .build()
         else {
