@@ -1022,12 +1022,6 @@ impl CacheUnit {
         self.tags.busy_count()
     }
 
-    /// Outstanding MSHR entries (distinct miss lines in flight).
-    #[must_use]
-    pub fn outstanding_misses(&self) -> usize {
-        self.mshr.len()
-    }
-
     /// One human-readable description per outstanding MSHR entry, sorted by
     /// line address (stall diagnostics).
     #[must_use]

@@ -62,7 +62,8 @@ mod system;
 
 pub use config::{ConfigError, SystemConfig, SystemConfigBuilder};
 // Cache-level types that appear in the public serving API
-// (`ApuSystem::set_policy_config` / `set_level_policies`).
+// (`ApuSystem::set_policy_config`, `PolicyConfig::l1_policy` /
+// `l2_policy`).
 pub use metrics::Metrics;
 pub use miopt_cache::{LevelPolicy, WayRange};
 pub use policy::{optimization_ladder, CachePolicy, OptimizationSet, PolicyConfig};

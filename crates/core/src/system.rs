@@ -792,7 +792,7 @@ impl ApuSystem {
     /// Kernels are fed in at runtime with [`ApuSystem::enqueue_kernel`];
     /// between kernels the clock advances with [`ApuSystem::idle_until`]
     /// and policies may be switched with
-    /// [`ApuSystem::set_level_policies`]. `now`, statistics and
+    /// [`ApuSystem::set_policy_config`]. `now`, statistics and
     /// telemetry are cumulative across every kernel run on the system.
     ///
     /// # Panics
@@ -1359,9 +1359,10 @@ impl ApuSystem {
         }
     }
 
-    /// Switches every L1 to `l1` and every L2 slice to `l2` — the
-    /// per-tenant policy (and QoS way-partition) switch at a kernel
-    /// boundary in multi-tenant serving.
+    /// Switches every L1 and L2 slice to `policy`'s level policies, with
+    /// an optional L2 way partition — the per-tenant policy (and QoS
+    /// way-partition) switch at a kernel boundary in multi-tenant
+    /// serving.
     ///
     /// Legal only on an idle system: at that point every cache has been
     /// drained, flushed, and flash self-invalidated, so the switch
@@ -1375,26 +1376,15 @@ impl ApuSystem {
     /// Panics if the system is not idle ([`ApuSystem::is_done`]), or if
     /// a policy is invalid for the cache geometry (see
     /// [`CacheUnit::set_policy`]).
-    pub fn set_level_policies(&mut self, l1: LevelPolicy, l2: LevelPolicy) {
+    pub fn set_policy_config(&mut self, policy: &PolicyConfig, l2_partition: Option<WayRange>) {
         assert!(
             self.is_done(),
             "cache policies can only change at an idle kernel boundary"
         );
-        self.l1.set_policy(&l1);
-        self.l2.set_policy(&l2);
-    }
-
-    /// [`ApuSystem::set_level_policies`] from a [`PolicyConfig`], with an
-    /// optional L2 way partition (the serving scheduler's per-tenant
-    /// switch).
-    ///
-    /// # Panics
-    ///
-    /// As [`ApuSystem::set_level_policies`].
-    pub fn set_policy_config(&mut self, policy: &PolicyConfig, l2_partition: Option<WayRange>) {
         let mut l2 = policy.l2_policy(self.cfg.row_map());
         l2.partition = l2_partition;
-        self.set_level_policies(policy.l1_policy(), l2);
+        self.l1.set_policy(&policy.l1_policy());
+        self.l2.set_policy(&l2);
     }
 
     /// Cumulative crossbar transfer counts `(request, response)`, for

@@ -36,10 +36,6 @@ pub const DEFAULT_TELEMETRY_INTERVAL: u64 = 100_000;
 pub struct CommonArgs {
     /// Worker threads (0 = all available cores).
     pub jobs: usize,
-    /// Extra attempts for timed-out/panicked jobs (0 = no retries). Not
-    /// part of the journal fingerprint: the retry budget may change
-    /// between a run and its resume.
-    pub retries: usize,
     /// Force per-cycle stepping, disabling event-driven time skipping
     /// (bit-identical, slower; for equivalence checks and debugging).
     pub no_skip: bool,
@@ -65,7 +61,6 @@ pub(crate) fn shared_flags<A: AsMut<CommonArgs>>() -> Vec<Flag<A>> {
     let rows: &[Flag<A>] = &[
         ("--jobs <N>", "", "worker threads (0 = every core)", |a, v| put(&mut a.as_mut().jobs, num(v)?)),
         ("--serial", "", "one worker thread (--jobs 1)", |a, _| put(&mut a.as_mut().jobs, 1)),
-        ("--retries <N>", "", "extra attempts for a job that times out or panics", |a, v| put(&mut a.as_mut().retries, num(v)?)),
         ("--no-skip", "", "step every cycle (bit-identical, slower)", |a, _| put(&mut a.as_mut().no_skip, true)),
         ("--check-invariants", "", "invariant checks and a watchdog on every job", |a, _| put(&mut a.as_mut().check_invariants, true)),
         ("--out <DIR>", "results/runs", "directory of reports and journals", |a, v| put(&mut a.as_mut().runs_dir, v.into())),
@@ -99,7 +94,6 @@ impl CommonArgs {
         PoolOptions {
             workers: self.jobs,
             progress: !self.quiet,
-            retries: self.retries,
             ..PoolOptions::default()
         }
     }
@@ -214,7 +208,7 @@ impl Command for CliArgs {
             ("--csv <DIR>", "", "also write each figure to <DIR>/<figure>.csv", |a, v| put(&mut a.csv_dir, Some(v.into()))),
             ("--no-cache", "", "skip the persistent result cache", |a, _| put(&mut a.no_cache, true)),
             ("--cache-dir <DIR>", "results/cache", "result cache directory", |a, v| put(&mut a.cache_dir, v.into())),
-            ("--timeout-secs <N>", "", "per-job wall-clock timeout", |a, v| put(&mut a.timeout, Some(Duration::from_secs(num(v)?)))),
+            ("--timeout-secs <N>", "", "per-job wall-clock timeout", |a, v| put(&mut a.timeout, Some(Duration::from_secs(positive(v)?)))),
             ("--telemetry[=N]", "100000", "sample telemetry every N cycles", |a, v| put(&mut a.telemetry, Some(positive(v)?))),
             ("--fail-fast", "", "cancel queued jobs after the first failure", |a, _| put(&mut a.fail_fast, true)),
             ("--all", "", "every table and figure (also with no selector)", |a, _| put(&mut a.selected, ALL_OUTPUTS.map(String::from).into())),
@@ -541,19 +535,15 @@ mod tests {
             "--check-invariants",
             "--no-skip",
             "--fail-fast",
-            "--retries",
-            "2",
             "--no-journal",
         ]);
         assert!(a.common.check_invariants);
         assert!(a.common.no_skip);
         assert!(a.fail_fast);
-        assert_eq!(a.common.retries, 2);
         assert!(a.common.no_journal);
         assert!(a.common.resume.is_none());
         let d = parse(&[]).common;
         assert!(!d.check_invariants && !d.no_skip && !d.no_journal);
-        assert_eq!(d.retries, 0);
     }
 
     #[test]

@@ -180,7 +180,7 @@ mod tests {
         &["--scale", "quick", "--only", "FwAct", "--fig6", "--no-cache", "--no-journal", "--quiet", "--telemetry=500", "--no-skip", "--out", "d", "--sweep-name", "tel-off"],
         &["--scale", "quick", "--only", "FwGRU", "--fig10", "--no-cache", "--no-journal", "--quiet", "--jobs", "2", "--out", "d", "--sweep-name", "rnn-on"],
         &["--scale", "quick", "--only", "FwLSTM,FwBwGRU", "--fig6", "--no-cache", "--no-journal", "--quiet", "--no-skip", "--out", "d", "--sweep-name", "rnn-dram-off"],
-        &["--fig6", "--only", "FwLRN", "--no-cache", "--no-journal", "--quiet", "--timeout-secs", "1", "--retries", "1", "--out", "d", "--sweep-name", "exec-retry"],
+        &["--fig6", "--only", "FwLRN", "--no-cache", "--no-journal", "--quiet", "--timeout-secs", "1", "--out", "d", "--sweep-name", "exec-timeout"],
         &["--fig6", "--only", "FwLRN", "--no-cache", "--no-journal", "--quiet", "--jobs", "1", "--timeout-secs", "1", "--fail-fast", "--out", "d", "--sweep-name", "exec-ff"],
         &["serve", "--policies", "CacheR", "--loads", "40000", "--requests", "4", "--partition", "--check-invariants", "--budget", "100000000", "--quiet", "--out", "d", "--sweep-name", "serve-smoke"],
         &["serve", "--policies", "CacheR", "--loads", "40000", "--requests", "4", "--partition", "--check-invariants", "--budget", "100000000", "--quiet", "--no-skip", "--out", "d", "--sweep-name", "serve-oracle"],
@@ -206,7 +206,6 @@ mod tests {
         &["--fig6", "--scale", "quick", "--only", "FwSoft,BwSoft", "--no-cache", "--jobs", "1", "--csv", "d", "--out", "d"],
         &["--fig6", "--only", "CM", "--timeout-secs", "1", "--no-cache", "--out", "d", "--sweep-name", "timeout-probe"],
         &["--fig6", "--scale", "quick", "--only", "FwSoft", "--no-cache", "--telemetry=20000", "--out", "d", "--sweep-name", "vtel", "--jobs", "1"],
-        &["--fig6", "--only", "FwLRN", "--timeout-secs", "1", "--no-cache", "--retries", "1", "--out", "d", "--sweep-name", "timeout-probe", "--quiet"],
         &["--fig6", "--only", "CM", "--timeout-secs", "1", "--no-cache", "--fail-fast", "--no-journal", "--out", "d", "--sweep-name", "ff-probe", "--quiet"],
         &["--fig6", "--scale", "quick", "--only", "FwSoft", "--no-cache", "--check-invariants", "--out", "d", "--sweep-name", "inv-probe"],
         &["--fig6", "--only", "FwPool,BwPool", "--no-cache", "--jobs", "1", "--out", "d", "--sweep-name", "res-probe"],
@@ -253,6 +252,10 @@ mod tests {
             (&["--jobs="], "--jobs= needs a value after `=`"),
             (&["--quiet=yes"], "--quiet takes no value"),
             (&["--telemetry=0"], "--telemetry: must be at least 1, got 0"),
+            (
+                &["--timeout-secs", "0"],
+                "--timeout-secs: must be at least 1, got 0",
+            ),
             (
                 &["--only", "FwSoft,Typo,nope"],
                 "--only: unknown workload(s) [\"nope\", \"typo\"]",
@@ -355,7 +358,10 @@ mod tests {
                     _ => c.pick(&vocabulary).to_string(),
                 })
                 .collect();
-            drop(parse::<CliArgs>(&argv));
+            // A zero timeout would time every job out at once.
+            if let Ok(args) = parse::<CliArgs>(&argv) {
+                assert_ne!(args.timeout, Some(std::time::Duration::ZERO), "{argv:?}");
+            }
             drop(parse::<ServeArgs>(&argv));
             drop(parse::<QueryArgs>(&argv));
         });

@@ -68,8 +68,9 @@ pub fn journal_dir(runs_dir: &Path, name: &str) -> PathBuf {
 }
 
 /// The store configuration every harness journal uses: fsync per
-/// record (a kill loses at most the in-flight job), small segments so
-/// long sweeps exercise sealing and compaction.
+/// record (a kill loses at most the in-flight job). The journal only
+/// appends, one record per job; a quick-scale `--all` sweep (about
+/// 140 KB) stays in the first segment.
 const STORE_OPTIONS: StoreOptions = StoreOptions {
     durability: Durability::PerRecord,
     segment_bytes: 256 * 1024,
@@ -224,24 +225,13 @@ impl<K: JobKind> Journal<K> {
         self.runs_dir.join(format!("{}.partial.json", self.name))
     }
 
-    /// Appends one job record, fsyncing it before returning. When
-    /// enough records have accumulated to seal segments, they are
-    /// folded into a snapshot in the background of the append path
-    /// (compaction never blocks other appenders).
+    /// Appends one job record, fsyncing it before returning.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn append(&self, record: &K::Record) -> std::io::Result<()> {
         self.wal.append(K::encode(record).as_bytes())?;
-        if self.wal.sealed_segments() > 0 {
-            if let Err(e) = self.wal.compact() {
-                // Compaction is an optimization; the sealed segments
-                // remain readable, so a failed fold must not kill the
-                // sweep.
-                eprintln!("warning: journal compaction failed: {e}");
-            }
-        }
         Ok(())
     }
 }

@@ -6,7 +6,7 @@
 //! supplies what differs between grids: how to run one job, what
 //! identifies the grid, and how a job's record and the final report are
 //! shaped. Everything else exists once and is generic over the kind:
-//! the worker pool, timeout isolation, retry and quarantine
+//! the worker pool with its panic and timeout isolation
 //! ([`crate::pool`]); the write-ahead journal with its header,
 //! fingerprint refusal and torn-tail recovery ([`crate::journal`]); and
 //! the driver that replays journaled records, write-ahead-logs fresh

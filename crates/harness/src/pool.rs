@@ -19,22 +19,18 @@
 //!   wall-clock timeout configured, each job runs on a dedicated thread;
 //!   a job that exceeds the deadline is abandoned (the thread is
 //!   detached — `std` threads cannot be killed — and the job reports
-//!   [`JobError::TimedOut`]).
-//! * **Retry.** A timed-out or panicked job is re-run up to
-//!   [`PoolOptions::retries`] more times after a jittered backoff, each
-//!   timed-out attempt doubling the next one's wall-clock budget; a job
-//!   that fails them all is [`JobError::Quarantined`].
+//!   [`JobError::TimedOut`]). Each job runs once: the simulator is
+//!   deterministic, so a second attempt would repeat the first.
 //! * **Fail-fast.** With [`PoolOptions::fail_fast`], the first failure
 //!   raises one shared flag, and every job claimed after it is recorded
 //!   as [`JobError::Cancelled`] without running. Jobs already running
 //!   finish and record normally.
 //!
 //! The executor is generic over the [`JobKind`] it runs; it is the only
-//! place a job is caught unwinding, timed out, retried or quarantined.
+//! place a job is caught unwinding or timed out.
 
 use crate::kind::JobKind;
 use crate::progress::Progress;
-use miopt_engine::rng::SplitMix64;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -57,36 +53,14 @@ pub enum JobError<E> {
         /// The crashed job's configuration.
         config: String,
     },
-    /// The simulation exceeded the configured wall-clock timeout (the
-    /// value is the timeout of the final attempt, after any escalation).
+    /// The simulation exceeded the configured wall-clock timeout.
     TimedOut(Duration),
     /// The sweep was cancelled by fail-fast before this job started.
     Cancelled,
-    /// The job failed every attempt of its retry budget and was
-    /// quarantined; the sweep continued without it.
-    Quarantined {
-        /// How many attempts were made.
-        attempts: usize,
-        /// The failure of the final attempt.
-        last: Box<JobError<E>>,
-    },
     /// A failure replayed verbatim from a resume journal; the payload is
     /// the journaled status line. Delete the journal entry to force a
     /// re-run.
     Journaled(String),
-}
-
-impl<E> JobError<E> {
-    /// Whether the job exhausted its retry budget — in this run, or in
-    /// the one being resumed, whose journal replays the status line.
-    #[must_use]
-    pub fn is_quarantined(&self) -> bool {
-        match self {
-            JobError::Quarantined { .. } => true,
-            JobError::Journaled(status) => status.starts_with("quarantined"),
-            _ => false,
-        }
-    }
 }
 
 impl<E: fmt::Display> fmt::Display for JobError<E> {
@@ -98,9 +72,6 @@ impl<E: fmt::Display> fmt::Display for JobError<E> {
             }
             JobError::TimedOut(t) => write!(f, "timed out after {:.1}s", t.as_secs_f64()),
             JobError::Cancelled => write!(f, "cancelled by fail-fast"),
-            JobError::Quarantined { attempts, last } => {
-                write!(f, "quarantined after {attempts} attempts: {last}")
-            }
             JobError::Journaled(status) => write!(f, "{status}"),
         }
     }
@@ -119,13 +90,13 @@ pub struct JobOutcome<K: JobKind> {
     /// Whether the result came from a [`ResultSource`] (the persistent
     /// cache or a resume journal) rather than a fresh simulation.
     pub cached: bool,
-    /// How many times the job was executed (0 for source hits and
-    /// cancelled jobs, ≥2 only when [`PoolOptions::retries`] re-ran it).
+    /// How many times the job was executed: 1 when it ran, 0 for source
+    /// hits and cancelled jobs.
     pub attempts: usize,
 }
 
 /// Executor options. The default is every available core, no timeout,
-/// no retries, no fail-fast, no progress output.
+/// no fail-fast, no progress output.
 #[derive(Debug, Clone, Default)]
 pub struct PoolOptions {
     /// Worker threads; 0 means [`std::thread::available_parallelism`].
@@ -135,14 +106,6 @@ pub struct PoolOptions {
     pub job_timeout: Option<Duration>,
     /// Print per-job completion lines to stderr.
     pub progress: bool,
-    /// Extra attempts for a job that times out or panics (0 = none).
-    /// Only those failures are retried: the simulator is deterministic,
-    /// so a [`JobError::Sim`] would fail identically every time. A
-    /// timed-out job's next attempt gets double the wall-clock budget,
-    /// so a job that was merely slow (a loaded machine) gets room to
-    /// finish. A job that fails every attempt is reported as
-    /// [`JobError::Quarantined`] and the sweep continues.
-    pub retries: usize,
     /// Cancel every not-yet-started job as soon as any job fails
     /// (running jobs finish; cancelled jobs report
     /// [`JobError::Cancelled`]).
@@ -195,8 +158,7 @@ pub fn run_jobs<K: JobKind>(
             } else if let Some(hit) = source.and_then(|s| s.fetch(kind, job)) {
                 (hit, true, 0)
             } else {
-                let (result, attempts) = execute_with_retry(kind, job, opts);
-                (result, false, attempts)
+                (execute(kind, job, opts.job_timeout), false, 1)
             };
             let outcome = JobOutcome {
                 job: job.clone(),
@@ -226,64 +188,6 @@ pub fn run_jobs<K: JobKind>(
         .into_iter()
         .map(|o| o.expect("every job recorded"))
         .collect()
-}
-
-/// Runs one job with up to `opts.retries` retries. Returns the final
-/// result and the number of attempts made. Only transient failures
-/// (wall-clock timeouts, panics) are retried; when a retry budget is
-/// exhausted the final error is wrapped in [`JobError::Quarantined`].
-fn execute_with_retry<K: JobKind>(
-    kind: &Arc<K>,
-    job: &K::Job,
-    opts: &PoolOptions,
-) -> (Result<K::Output, JobError<K::Error>>, usize) {
-    let mut timeout = opts.job_timeout;
-    let mut attempt = 1;
-    loop {
-        let e = match execute(kind, job, timeout) {
-            Ok(r) => return (Ok(r), attempt),
-            Err(e) => e,
-        };
-        let transient = matches!(e, JobError::Panicked { .. } | JobError::TimedOut(_));
-        if !transient || opts.retries == 0 {
-            return (Err(e), attempt);
-        }
-        if attempt > opts.retries {
-            let last = Box::new(e);
-            return (
-                Err(JobError::Quarantined {
-                    attempts: attempt,
-                    last,
-                }),
-                attempt,
-            );
-        }
-        if matches!(e, JobError::TimedOut(_)) {
-            timeout = timeout.map(|t| t.saturating_mul(2));
-        }
-        std::thread::sleep(backoff(K::job_id(job) as u64, attempt as u32));
-        attempt += 1;
-    }
-}
-
-/// The wait after failed attempt `attempt` (1-based) of job `job`:
-/// 100 ms doubling per attempt, capped at 5 s, then jittered to a
-/// uniform value in `[0.75·d, 1.25·d)`.
-///
-/// The jitter decorrelates jobs that fail together (a loaded machine
-/// starving every worker past its timeout), so their retries do not
-/// collide again in lockstep. It is drawn from a [`SplitMix64`] stream
-/// keyed by `(job, attempt)`, so the schedule repeats run to run.
-pub(crate) fn backoff(job: u64, attempt: u32) -> Duration {
-    const BASE_NANOS: u128 = 100_000_000;
-    const CAP_NANOS: u128 = 5_000_000_000;
-    let nanos = (BASE_NANOS << attempt.saturating_sub(1).min(63)).min(CAP_NANOS);
-    // Three quarters guaranteed, plus a seeded uniform draw of up to one
-    // half: (d/2 · r) >> 64 is d/2 scaled by r/2^64 ∈ [0, 1).
-    let mut stream = SplitMix64::new(job.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(attempt));
-    let r = u128::from(stream.next_u64());
-    let jittered = nanos / 4 * 3 + (((nanos / 2) * r) >> 64);
-    Duration::from_nanos(u64::try_from(jittered).unwrap_or(u64::MAX))
 }
 
 /// Runs one job once. Expected failures (cycle-budget exhaustion, bad
@@ -488,27 +392,20 @@ mod tests {
     }
 
     #[test]
-    fn hanging_jobs_are_retried_with_escalation_then_quarantined() {
+    fn a_hanging_job_times_out_once_and_its_neighbours_run() {
         use miopt::runner::JobFault;
         let mut spec = Arc::unwrap_or_clone(spec_of(&["FwSoft"]));
         spec.faults = vec![JobFault::Hang(0)];
         let spec = Arc::new(spec);
+        let limit = Duration::from_millis(50);
         let opts = PoolOptions {
             workers: 2,
-            job_timeout: Some(Duration::from_millis(50)),
-            retries: 1,
+            job_timeout: Some(limit),
             ..PoolOptions::default()
         };
         let outcomes = run_jobs(&spec, None, &opts);
-        match &outcomes[0].result {
-            Err(JobError::Quarantined { attempts, last }) => {
-                assert_eq!(*attempts, 2);
-                // The second attempt ran with a doubled wall-clock budget.
-                assert_eq!(**last, JobError::TimedOut(Duration::from_millis(100)));
-            }
-            other => panic!("expected quarantine, got {other:?}"),
-        }
-        assert_eq!(outcomes[0].attempts, 2);
+        assert_eq!(outcomes[0].result, Err(JobError::TimedOut(limit)));
+        assert_eq!(outcomes[0].attempts, 1);
         assert!(outcomes[1].result.is_ok());
         assert!(outcomes[2].result.is_ok());
     }
@@ -533,7 +430,7 @@ mod tests {
         assert_eq!(outcomes[1].attempts, 0);
     }
 
-    /// Any worker count and any mix of source hits, panics, retries and
+    /// Any worker count and any mix of source hits, panics and
     /// fail-fast: one outcome per job in id order, `offer` for exactly
     /// the fresh outcomes, the 1-worker run's statuses without fail-fast,
     /// and with it, cancellations only behind a failure.
@@ -565,7 +462,6 @@ mod tests {
         prop::check("pool_records_each_job_once_in_id_order", 32, |c| {
             let opts = PoolOptions {
                 workers: c.range(1..5) as usize,
-                retries: c.below(2) as usize,
                 fail_fast: c.bool(),
                 ..PoolOptions::default()
             };
@@ -611,6 +507,7 @@ mod tests {
             assert_eq!(offered, fresh, "offered exactly the fresh outcomes");
             for o in outcomes.iter().filter(|o| !cancelled(o)) {
                 assert_eq!(o.cached, served.contains(&o.job.id), "job {}", o.job.id);
+                assert_eq!(o.attempts, usize::from(!o.cached), "job {}", o.job.id);
             }
 
             if !opts.fail_fast {

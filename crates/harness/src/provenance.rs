@@ -53,9 +53,6 @@ pub struct Provenance {
     pub started_unix_ms: u64,
     /// Total sweep wall time in milliseconds.
     pub elapsed_ms: u64,
-    /// Labels of jobs that exhausted their retry budget and were
-    /// quarantined (empty on a clean sweep).
-    pub quarantined: Vec<String>,
 }
 
 impl Provenance {
@@ -76,7 +73,6 @@ impl Provenance {
                 .duration_since(UNIX_EPOCH)
                 .map_or(0, |d| d.as_millis() as u64),
             elapsed_ms: 0,
-            quarantined: Vec::new(),
         }
     }
 
@@ -96,10 +92,6 @@ impl Provenance {
             ),
             ("started_unix_ms", Json::U64(self.started_unix_ms)),
             ("elapsed_ms", Json::U64(self.elapsed_ms)),
-            (
-                "quarantined",
-                Json::Arr(self.quarantined.iter().map(Json::str).collect()),
-            ),
         ])
     }
 }
@@ -146,14 +138,7 @@ mod tests {
         let mut p = Provenance::collect(&SystemConfig::small_test(), 4);
         p.elapsed_ms = 1234;
         p.telemetry_interval = Some(50_000);
-        p.quarantined = vec!["FwSoft/CacheR".to_string()];
         let doc = p.to_json();
-        assert_eq!(
-            doc.get("quarantined")
-                .and_then(Json::as_arr)
-                .and_then(|a| a[0].as_str()),
-            Some("FwSoft/CacheR")
-        );
         assert_eq!(doc.get("workers").and_then(Json::as_u64), Some(4));
         assert_eq!(
             doc.get("telemetry_interval").and_then(Json::as_u64),

@@ -103,8 +103,9 @@ pub struct JobRecord {
     pub elapsed_ms: u64,
     /// `"ok"`, or the failure description for panicked/timed-out jobs.
     pub status: String,
-    /// How many times the job was executed (0 when served from the
-    /// cache or a journal, ≥2 only when a retry policy re-ran it).
+    /// How many times the job was executed: 1 when it ran, 0 when it
+    /// was served from the cache or cancelled. A journal written by an
+    /// older harness that re-ran failed jobs may replay 2 or more.
     pub attempts: usize,
     /// The metrics, when the job succeeded.
     pub metrics: Option<Metrics>,

@@ -867,8 +867,6 @@ mod tests {
                 "2",
                 "--jobs",
                 "3",
-                "--retries",
-                "2",
                 "--sweep-name",
                 "myserve",
             ]
@@ -884,7 +882,6 @@ mod tests {
         assert!(a.partition);
         assert_eq!(a.max_batch, 2);
         assert_eq!(a.common.jobs, 3);
-        assert_eq!(a.common.retries, 2);
         assert_eq!(a.common.sweep_name, "myserve");
         let d = parse_serve_args(std::iter::empty());
         assert_eq!(d.common.sweep_name, "serve-small-quick");
@@ -951,12 +948,11 @@ mod tests {
     }
 
     #[test]
-    fn panicking_jobs_are_retried_then_reported_not_propagated() {
+    fn a_panicking_job_is_reported_as_panicked_not_propagated() {
         use crate::pool::PoolOptions;
         use crate::sweep::run_kind;
         let pool = PoolOptions {
             workers: 1,
-            retries: 1,
             ..PoolOptions::default()
         };
         let records = |spec: ServeSweepSpec| -> Vec<ServeJobRecord> {
@@ -964,24 +960,14 @@ mod tests {
             let run = run_kind(&spec, "t", &pool, None, None);
             run.outcomes.iter().map(|o| spec.record(o)).collect()
         };
-        let healthy = records(tiny_spec());
-        assert_eq!(
-            healthy[0].status, "ok",
-            "healthy jobs are unaffected by retry"
-        );
+        assert_eq!(records(tiny_spec())[0].status, "ok");
 
         // An unknown tenant workload makes serve_config panic; the pool
-        // must retry it (a real panic could be a transient, e.g.
-        // allocation failure) and then report, not propagate.
+        // must report it in the job's status, not propagate it.
         let mut broken = tiny_spec();
         broken.tenants[1].1 = "Nonexistent".to_string();
         let rec = &records(broken)[0];
-        assert!(
-            rec.status
-                .starts_with("quarantined after 2 attempts: panicked:"),
-            "{}",
-            rec.status
-        );
+        assert!(rec.status.starts_with("panicked:"), "{}", rec.status);
         assert_eq!(rec.id, 0);
         assert!(rec.tenants.is_empty());
     }

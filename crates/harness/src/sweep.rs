@@ -281,10 +281,6 @@ pub fn run_kind<K: JobKind>(
         None => (run_jobs(kind, cache, pool), HashMap::new()),
     };
     provenance.elapsed_ms = started.elapsed().as_millis() as u64;
-    provenance.quarantined = (outcomes.iter())
-        .filter(|o| o.result.as_ref().is_err_and(JobError::is_quarantined))
-        .map(|o| kind.label(&o.job))
-        .collect();
     let mut records: Vec<K::Record> = outcomes.iter().map(|o| kind.record(o)).collect();
     // Journal-served jobs keep the record of the run that actually
     // computed them (original status, attempts, elapsed), so the

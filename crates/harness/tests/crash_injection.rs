@@ -18,8 +18,8 @@ use miopt_harness::json::Json;
 use miopt_harness::results::JobRecord;
 use miopt_harness::serve::{ServeJobRecord, ServeSweepSpec, TenantRecord};
 use miopt_harness::sweep::{open_journal, run_kind, JournalOptions, SweepRun};
-use miopt_harness::{JobKind, PoolOptions};
-use miopt_store::Wal;
+use miopt_harness::{JobError, JobKind, PoolOptions};
+use miopt_store::{StoreOptions, Wal};
 use miopt_workloads::{by_name, SuiteConfig};
 use std::path::Path;
 use std::sync::Arc;
@@ -287,6 +287,49 @@ fn journal_bytes_are_pinned_for_both_kinds() {
     assert_eq!(ServeSweepSpec::encode(&record), line);
     let back = ServeSweepSpec::decode(&Json::parse(line).unwrap()).unwrap();
     assert_eq!(back, record);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A harness that re-ran failed jobs journaled records such as
+/// `quarantined after 2 attempts: …` with `attempts` 2. Such a journal
+/// resumes: the record replays verbatim as a failed job, and only the
+/// jobs it lacks are simulated.
+#[test]
+fn a_quarantined_record_of_an_older_journal_replays_verbatim() {
+    let dir = std::env::temp_dir().join(format!("miopt-journal-old-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = figure_spec();
+    drop(Journal::create(&dir, "victim", spec.as_ref()).expect("a fresh journal opens"));
+    let status = "quarantined after 2 attempts: timed out after 2.0s";
+    let policy = spec.jobs()[1].policy.label();
+    let line = format!(
+        r#"{{"id":1,"workload":"FwSoft","workload_id":"soft:quick","policy":"{policy}","cache_key":"00112233","cached":false,"elapsed_ms":4213,"status":"{status}","attempts":2}}"#
+    );
+    let store = Wal::open(&dir.join("victim.journal"), StoreOptions::default()).unwrap();
+    store.wal.append(line.as_bytes()).unwrap();
+    drop(store);
+
+    let resumed = run_journaled(&spec, &dir, true).expect("the old journal resumes");
+    let replayed = &resumed.outcomes[1];
+    assert!(replayed.cached, "the journaled failure is not re-run");
+    assert_eq!(
+        replayed.result.as_ref().err(),
+        Some(&JobError::Journaled(status.to_string()))
+    );
+    assert_eq!(SweepSpec::encode(&resumed.report.jobs[1]), line);
+    for id in [0, 2] {
+        let o = &resumed.outcomes[id];
+        assert!(o.result.is_ok() && !o.cached && o.attempts == 1, "job {id}");
+    }
+    assert!(
+        resumed.results(&spec).is_err(),
+        "the sweep reports a failure"
+    );
+    let provenance = SweepSpec::document(&resumed.report)
+        .get("provenance")
+        .cloned();
+    assert!(provenance.is_some_and(|p| p.get("quarantined").is_none()));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -77,15 +77,9 @@ fn parallel_sweep_is_byte_identical_to_serial_subset() {
     assert_byte_identical(&spec);
 }
 
-/// The full quick-scale suite (the satellite guarantee). The 204 debug
-/// simulations take tens of minutes, so this runs only under
-/// `--release` (e.g. `scripts/ci.sh` or `cargo test --release -p
-/// miopt-harness --test determinism`).
+/// The full quick-scale suite: 204 simulations, affordable in tier-1
+/// because the test profile builds at `opt-level = 1`.
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "full suite is release-only; run cargo test --release"
-)]
 fn parallel_sweep_is_byte_identical_to_serial_full_quick_suite() {
     let spec = Arc::new(SweepSpec::figures(
         SystemConfig::small_test(),

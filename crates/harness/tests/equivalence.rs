@@ -121,19 +121,16 @@ fn telemetry_jsonl_on_a_saturated_stream_is_byte_identical_across_engines() {
 
 /// The same full-grid pin on FwGRU: a multi-kernel latency-bound RNN —
 /// the shape with the longest event-free stretches and the most
-/// drain/flush boundaries per run, too slow for the debug tier-1 suite
-/// (release-only via `ci.sh --full`'s `--include-ignored`).
+/// drain/flush boundaries per run.
 #[test]
-#[ignore = "slow in debug; run in release via --include-ignored"]
 fn event_core_matches_per_cycle_on_a_latency_bound_rnn() {
     assert_grid_equivalent(&["FwGRU"]);
 }
 
 /// The saturated pin with BwBN beside FwAct: the bandwidth-bound case
 /// whose store revisits reach the L1 queues through a different kernel
-/// shape (release-only, as above).
+/// shape.
 #[test]
-#[ignore = "slow in debug; run in release via --include-ignored"]
 fn event_core_matches_per_cycle_on_a_saturated_store_stream() {
     assert_grid_equivalent(&["FwAct", "BwBN"]);
 }

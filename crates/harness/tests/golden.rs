@@ -9,7 +9,6 @@
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test -p miopt-harness --test golden
-//! GOLDEN_REGEN=1 cargo test --release -p miopt-harness --test golden -- --include-ignored
 //! ```
 //!
 //! and commit the rewritten files under `tests/golden/`.
@@ -73,14 +72,8 @@ fn fig6_and_fig10_match_goldens_subset() {
     check_fig6_fig10(workloads, "subset");
 }
 
-/// The full quick-scale suite. Debug simulations of the big workloads
-/// take tens of minutes, so this runs only under `--release` (e.g.
-/// `scripts/ci.sh`).
+/// The full quick-scale suite.
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "full suite is release-only; run cargo test --release"
-)]
 fn fig6_and_fig10_match_goldens_full_quick_suite() {
     check_fig6_fig10(suite(&SuiteConfig::quick()), "quick");
 }

@@ -171,13 +171,8 @@ fn resume_refuses_foreign_traffic() {
 /// The sweep's reason to exist: a config where the policy ranking by
 /// p99 request latency differs from the ranking by mean dispatch
 /// runtime (documented in EXPERIMENTS.md §"Tail latency under
-/// multi-tenant serving"). Debug builds skip it — 48 requests of
-/// near-saturation traffic are release-budget work.
+/// multi-tenant serving").
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "near-saturation serve runs are release-only; run cargo test --release"
-)]
 fn tail_diverges_from_mean_at_the_documented_config() {
     let mut spec = tiny_spec();
     spec.policies = vec![

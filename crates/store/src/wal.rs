@@ -788,18 +788,6 @@ impl Wal {
         self.inner.lock().expect("wal lock").next_seq - 1
     }
 
-    /// How many sealed (immutable) segments are waiting to be folded by
-    /// [`Wal::compact`]. Callers can use this to compact only when there
-    /// is something to fold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if another thread panicked while holding the append lock.
-    #[must_use]
-    pub fn sealed_segments(&self) -> usize {
-        self.inner.lock().expect("wal lock").sealed.len()
-    }
-
     /// Appends one record and returns its sequence number, applying
     /// the configured durability policy.
     ///
