@@ -236,15 +236,12 @@ pub struct Job {
 }
 
 /// A deliberate executor-level fault to inject into one job of a sweep,
-/// for testing executor robustness (the `miopt-harness` pool's panic and
-/// timeout paths). Production sweeps carry none.
+/// for testing executor robustness (the `miopt-harness` pool's panic
+/// path). Production sweeps carry none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobFault {
     /// [`SweepSpec::run_job`] panics when asked to run this job id.
     Panic(usize),
-    /// [`SweepSpec::run_job`] never returns for this job id (sleeps
-    /// forever); only a job timeout can reap it.
-    Hang(usize),
 }
 
 /// A declarative description of a (workload × policy) experiment grid.
@@ -326,19 +323,11 @@ impl SweepSpec {
     ///
     /// # Panics
     ///
-    /// Panics (or hangs) when the spec carries a matching injected
-    /// [`JobFault`] — robustness tests only.
+    /// Panics when the spec carries a matching injected [`JobFault`] —
+    /// robustness tests only.
     pub fn run_job(&self, job: &Job) -> Result<RunResult, SimError> {
-        for fault in &self.faults {
-            match *fault {
-                JobFault::Panic(id) if id == job.id => {
-                    panic!("injected fault: job {id} panics")
-                }
-                JobFault::Hang(id) if id == job.id => loop {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                },
-                _ => {}
-            }
+        if self.faults.contains(&JobFault::Panic(job.id)) {
+            panic!("injected fault: job {} panics", job.id);
         }
         run_one_with(
             &self.cfg,

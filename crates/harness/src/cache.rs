@@ -14,10 +14,13 @@
 //!
 //! Any change to machine parameters, workload geometry, policy, schema,
 //! or seed therefore misses the cache instead of resurrecting stale
-//! numbers. Corrupt or unreadable entries are treated as misses. This is
-//! also the schema migration mechanism: the v1→v2 stat-name flattening
-//! bumped `SCHEMA_VERSION`, so every old entry simply misses and is
-//! re-simulated (stale files can be deleted at leisure).
+//! numbers. The cycle budget is not part of the key: a cached run that
+//! finished within the sweep's budget is the run a fresh simulation
+//! would produce, and one that did not is a miss. Corrupt or unreadable
+//! entries are treated as misses. This is also the schema migration
+//! mechanism: the v1→v2 stat-name flattening bumped `SCHEMA_VERSION`, so
+//! every old entry simply misses and is re-simulated (stale files can be
+//! deleted at leisure).
 //!
 //! Cache entries store metrics only, never telemetry time series (those
 //! can be hundreds of epochs per run); telemetry-enabled sweeps bypass
@@ -73,7 +76,9 @@ impl ResultCache {
 
     /// Loads a cached result, or `None` on miss/corruption. The stored
     /// workload name and policy must match the requesting job (hash
-    /// collisions or hand-edited files downgrade to a miss).
+    /// collisions or hand-edited files downgrade to a miss), and the run
+    /// must fit the spec's cycle budget: `run_to_completion` finishes a
+    /// run of `cycles` cycles under any budget of at least `cycles`.
     #[must_use]
     pub fn load(&self, spec: &SweepSpec, job: &Job) -> Option<RunResult> {
         let key = CacheKey::for_job(spec, job);
@@ -86,6 +91,9 @@ impl ResultCache {
             return None;
         }
         let metrics = metrics_from_json(doc.get("metrics")?).ok()?;
+        if metrics.cycles > spec.run_opts.max_cycles {
+            return None;
+        }
         Some(RunResult {
             workload,
             policy: job.policy,
@@ -174,6 +182,32 @@ mod tests {
         let path = dir.join(format!("{}.json", CacheKey::for_job(&spec, &jobs[0]).hex()));
         std::fs::write(&path, "{ not json").unwrap();
         assert!(cache.load(&spec, &jobs[0]).is_none());
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A hit is served exactly when a fresh run under the same budget
+    /// would finish: at a budget of the run's own cycle count both
+    /// succeed alike, one cycle less and both refuse.
+    #[test]
+    fn hits_respect_the_cycle_budget_like_a_fresh_run() {
+        use miopt::runner::SimError;
+        let dir = std::env::temp_dir().join(format!("miopt-cache-budget-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResultCache::new(&dir);
+        let mut spec = test_spec();
+        let job = spec.jobs()[0];
+        let fresh = spec.run_job(&job).expect("job runs");
+        cache.store(&spec, &job, &fresh).unwrap();
+        let cycles = fresh.metrics.cycles;
+
+        spec.run_opts.max_cycles = cycles;
+        let hit = cache.load(&spec, &job).expect("fits the budget: a hit");
+        assert_eq!(hit.metrics, spec.run_job(&job).expect("finishes").metrics);
+
+        spec.run_opts.max_cycles = cycles - 1;
+        assert!(cache.load(&spec, &job).is_none(), "over budget: a miss");
+        assert!(matches!(spec.run_job(&job), Err(SimError::Halted { .. })));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

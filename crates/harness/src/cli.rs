@@ -18,8 +18,7 @@ use miopt::SystemConfig;
 use miopt_workloads::{suite, SuiteConfig, Workload};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const ALL_OUTPUTS: [&str; 12] = [
     "table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
@@ -119,7 +118,7 @@ pub(crate) fn known_workloads<'a>(
 /// `<out>/<name>.json`. Returns the process exit code when the journal
 /// cannot be opened or the report cannot be written.
 pub(crate) fn drive<K: JobKind>(
-    kind: &Arc<K>,
+    kind: &K,
     common: &CommonArgs,
     pool: &PoolOptions,
     cache: Option<&dyn ResultSource<K>>,
@@ -133,7 +132,7 @@ pub(crate) fn drive<K: JobKind>(
             dir: common.runs_dir.clone(),
             resume: common.resume.is_some(),
         };
-        journal = Some(open_journal(kind.as_ref(), name, &opts).map_err(|e| {
+        journal = Some(open_journal(kind, name, &opts).map_err(|e| {
             eprintln!("error: {e}");
             1
         })?);
@@ -176,8 +175,9 @@ pub struct CliArgs {
     pub no_cache: bool,
     /// Result cache directory.
     pub cache_dir: PathBuf,
-    /// Per-job wall-clock timeout.
-    pub timeout: Option<Duration>,
+    /// Per-job simulated-cycle budget (by default
+    /// [`DEFAULT_MAX_CYCLES`](miopt::runner::DEFAULT_MAX_CYCLES)).
+    pub budget: u64,
     /// Telemetry sampling interval in cycles, when `--telemetry` was
     /// given (`None` = telemetry off).
     pub telemetry: Option<u64>,
@@ -208,7 +208,7 @@ impl Command for CliArgs {
             ("--csv <DIR>", "", "also write each figure to <DIR>/<figure>.csv", |a, v| put(&mut a.csv_dir, Some(v.into()))),
             ("--no-cache", "", "skip the persistent result cache", |a, _| put(&mut a.no_cache, true)),
             ("--cache-dir <DIR>", "results/cache", "result cache directory", |a, v| put(&mut a.cache_dir, v.into())),
-            ("--timeout-secs <N>", "", "per-job wall-clock timeout", |a, v| put(&mut a.timeout, Some(Duration::from_secs(positive(v)?)))),
+            ("--budget <N>", "20000000000", "per-job cycle budget", |a, v| put(&mut a.budget, positive(v)?)),
             ("--telemetry[=N]", "100000", "sample telemetry every N cycles", |a, v| put(&mut a.telemetry, Some(positive(v)?))),
             ("--fail-fast", "", "cancel queued jobs after the first failure", |a, _| put(&mut a.fail_fast, true)),
             ("--all", "", "every table and figure (also with no selector)", |a, _| put(&mut a.selected, ALL_OUTPUTS.map(String::from).into())),
@@ -369,12 +369,11 @@ pub fn run(args: &CliArgs) -> i32 {
     } else {
         SweepSpec::statics(cfg, workloads)
     };
+    spec.run_opts.max_cycles = args.budget;
     spec.run_opts.telemetry_interval = args.telemetry;
     spec.run_opts.check_invariants = args.common.check_invariants;
     spec.run_opts.no_skip = args.common.no_skip;
-    let spec = Arc::new(spec);
     let pool = PoolOptions {
-        job_timeout: args.timeout,
         fail_fast: args.fail_fast,
         ..args.common.pool_options()
     };
@@ -479,7 +478,7 @@ mod tests {
             "--jobs",
             "4",
             "--no-cache",
-            "--timeout-secs",
+            "--budget",
             "30",
             "--quiet",
             "--sweep-name",
@@ -491,7 +490,7 @@ mod tests {
         assert_eq!(a.selected.iter().collect::<Vec<_>>(), vec!["fig6"]);
         assert_eq!(a.common.jobs, 4);
         assert!(a.no_cache);
-        assert_eq!(a.timeout, Some(Duration::from_secs(30)));
+        assert_eq!(a.budget, 30);
         assert!(a.common.quiet);
         assert_eq!(a.common.sweep_name, "mysweep");
     }

@@ -255,14 +255,13 @@ mod tests {
     use miopt::runner::SweepSpec;
     use miopt::SystemConfig;
     use miopt_workloads::{by_name, SuiteConfig};
-    use std::sync::Arc;
 
     /// The FwSoft grid on the small test system, run through the pool.
     fn tiny_grid(
         grid: fn(SystemConfig, Vec<miopt_workloads::Workload>) -> SweepSpec,
-    ) -> (Arc<SweepSpec>, Vec<RunResult>) {
+    ) -> (SweepSpec, Vec<RunResult>) {
         let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
-        let spec = Arc::new(grid(SystemConfig::small_test(), vec![w]));
+        let spec = grid(SystemConfig::small_test(), vec![w]);
         let results = run_sweep(&spec, "tiny", &SweepOptions::default())
             .results(&spec)
             .expect("sweep finishes");

@@ -180,8 +180,8 @@ mod tests {
         &["--scale", "quick", "--only", "FwAct", "--fig6", "--no-cache", "--no-journal", "--quiet", "--telemetry=500", "--no-skip", "--out", "d", "--sweep-name", "tel-off"],
         &["--scale", "quick", "--only", "FwGRU", "--fig10", "--no-cache", "--no-journal", "--quiet", "--jobs", "2", "--out", "d", "--sweep-name", "rnn-on"],
         &["--scale", "quick", "--only", "FwLSTM,FwBwGRU", "--fig6", "--no-cache", "--no-journal", "--quiet", "--no-skip", "--out", "d", "--sweep-name", "rnn-dram-off"],
-        &["--fig6", "--only", "FwLRN", "--no-cache", "--no-journal", "--quiet", "--timeout-secs", "1", "--out", "d", "--sweep-name", "exec-timeout"],
-        &["--fig6", "--only", "FwLRN", "--no-cache", "--no-journal", "--quiet", "--jobs", "1", "--timeout-secs", "1", "--fail-fast", "--out", "d", "--sweep-name", "exec-ff"],
+        &["--fig6", "--only", "FwLRN", "--no-cache", "--no-journal", "--quiet", "--budget", "10000", "--out", "d", "--sweep-name", "exec-budget"],
+        &["--fig6", "--only", "FwLRN", "--no-cache", "--no-journal", "--quiet", "--jobs", "1", "--budget", "10000", "--fail-fast", "--out", "d", "--sweep-name", "exec-ff"],
         &["serve", "--policies", "CacheR", "--loads", "40000", "--requests", "4", "--partition", "--check-invariants", "--budget", "100000000", "--quiet", "--out", "d", "--sweep-name", "serve-smoke"],
         &["serve", "--policies", "CacheR", "--loads", "40000", "--requests", "4", "--partition", "--check-invariants", "--budget", "100000000", "--quiet", "--no-skip", "--out", "d", "--sweep-name", "serve-oracle"],
         &["query", "--dir", "d", "--metric", "cycles", "--agg", "count,min,mean,p99"],
@@ -191,7 +191,7 @@ mod tests {
         &["--all", "--csv", "results"],
         &["--fig6", "--fig7", "--only", "FwAct,BwBN"],
         &["--all", "--scale", "quick"],
-        &["--all", "--scale", "quick", "--jobs", "8", "--timeout-secs", "600"],
+        &["--all", "--scale", "quick", "--jobs", "8", "--budget", "1000000000"],
         &["--fig6", "--scale", "quick", "--no-cache", "--serial"],
         &["--table2"],
         &["--scale", "quick", "--only", "FwLSTM", "--fig6", "--telemetry=100000", "--sweep-name", "rnn-trace"],
@@ -204,9 +204,9 @@ mod tests {
         &["query", "--dir", "results/runs", "--run", "serve", "--metric", "p99", "--agg", "count,max", "--json"],
         &["--fig6", "--scale", "quick", "--only", "FwSoft,BwSoft", "--out", "d"],
         &["--fig6", "--scale", "quick", "--only", "FwSoft,BwSoft", "--no-cache", "--jobs", "1", "--csv", "d", "--out", "d"],
-        &["--fig6", "--only", "CM", "--timeout-secs", "1", "--no-cache", "--out", "d", "--sweep-name", "timeout-probe"],
+        &["--fig6", "--only", "CM", "--budget", "10000", "--no-cache", "--out", "d", "--sweep-name", "budget-probe"],
         &["--fig6", "--scale", "quick", "--only", "FwSoft", "--no-cache", "--telemetry=20000", "--out", "d", "--sweep-name", "vtel", "--jobs", "1"],
-        &["--fig6", "--only", "CM", "--timeout-secs", "1", "--no-cache", "--fail-fast", "--no-journal", "--out", "d", "--sweep-name", "ff-probe", "--quiet"],
+        &["--fig6", "--only", "CM", "--budget", "10000", "--no-cache", "--fail-fast", "--no-journal", "--out", "d", "--sweep-name", "ff-probe", "--quiet"],
         &["--fig6", "--scale", "quick", "--only", "FwSoft", "--no-cache", "--check-invariants", "--out", "d", "--sweep-name", "inv-probe"],
         &["--fig6", "--only", "FwPool,BwPool", "--no-cache", "--jobs", "1", "--out", "d", "--sweep-name", "res-probe"],
         &["serve", "--loads", "5000", "--seed", "1", "--requests", "16", "--no-journal", "--out", "d", "--sweep-name", "vserve"],
@@ -233,9 +233,11 @@ mod tests {
             (split.scale, split.common.jobs),
             (joined.scale, joined.common.jobs)
         );
-        // A table default that stands for a constant kept elsewhere.
+        // Table defaults that stand for constants kept elsewhere.
         let serve = parse::<ServeArgs>(&[]).unwrap();
         assert_eq!(serve.seed, crate::provenance::GLOBAL_SEED);
+        let figures = parse::<CliArgs>(&[]).unwrap();
+        assert_eq!(figures.budget, miopt::runner::DEFAULT_MAX_CYCLES);
     }
 
     #[test]
@@ -252,10 +254,7 @@ mod tests {
             (&["--jobs="], "--jobs= needs a value after `=`"),
             (&["--quiet=yes"], "--quiet takes no value"),
             (&["--telemetry=0"], "--telemetry: must be at least 1, got 0"),
-            (
-                &["--timeout-secs", "0"],
-                "--timeout-secs: must be at least 1, got 0",
-            ),
+            (&["--budget", "0"], "--budget: must be at least 1, got 0"),
             (
                 &["--only", "FwSoft,Typo,nope"],
                 "--only: unknown workload(s) [\"nope\", \"typo\"]",
@@ -267,6 +266,10 @@ mod tests {
             (
                 &["serve", "--loads", "0"],
                 "--loads: must be at least 1, got 0",
+            ),
+            (
+                &["serve", "--budget", "0"],
+                "--budget: must be at least 1, got 0",
             ),
             (
                 &["serve", "--tenants", "a"],
@@ -358,11 +361,13 @@ mod tests {
                     _ => c.pick(&vocabulary).to_string(),
                 })
                 .collect();
-            // A zero timeout would time every job out at once.
+            // A zero budget would halt every job before its first cycle.
             if let Ok(args) = parse::<CliArgs>(&argv) {
-                assert_ne!(args.timeout, Some(std::time::Duration::ZERO), "{argv:?}");
+                assert_ne!(args.budget, 0, "{argv:?}");
             }
-            drop(parse::<ServeArgs>(&argv));
+            if let Ok(args) = parse::<ServeArgs>(&argv) {
+                assert_ne!(args.budget, 0, "{argv:?}");
+            }
             drop(parse::<QueryArgs>(&argv));
         });
     }

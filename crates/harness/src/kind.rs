@@ -6,12 +6,11 @@
 //! supplies what differs between grids: how to run one job, what
 //! identifies the grid, and how a job's record and the final report are
 //! shaped. Everything else exists once and is generic over the kind:
-//! the worker pool with its panic and timeout isolation
-//! ([`crate::pool`]); the write-ahead journal with its header,
-//! fingerprint refusal and torn-tail recovery ([`crate::journal`]); and
-//! the driver that replays journaled records, write-ahead-logs fresh
-//! ones, keeps the partial report current and assembles the final one
-//! ([`crate::sweep`]).
+//! the worker pool with its panic isolation ([`crate::pool`]); the
+//! write-ahead journal with its header, fingerprint refusal and
+//! torn-tail recovery ([`crate::journal`]); and the driver that replays
+//! journaled records, write-ahead-logs fresh ones, keeps the partial
+//! report current and assembles the final one ([`crate::sweep`]).
 
 use crate::cache::CacheKey;
 use crate::journal::JOURNAL_VERSION;
@@ -25,15 +24,15 @@ use miopt_engine::hash::Fnv1a;
 use std::fmt;
 
 /// A grid of independent jobs the harness can run, journal and resume.
-pub trait JobKind: Send + Sync + Sized + 'static {
+pub trait JobKind: Sync + Sized {
     /// One cell of the grid.
-    type Job: Clone + fmt::Debug + Send + Sync + 'static;
+    type Job: Clone + fmt::Debug + Send + Sync;
     /// What a finished job yields in memory.
-    type Output: Clone + fmt::Debug + Send + 'static;
+    type Output: Clone + fmt::Debug + Send;
     /// Why the simulator refused or abandoned a job.
-    type Error: fmt::Display + fmt::Debug + Send + 'static;
+    type Error: fmt::Display + fmt::Debug + Send;
     /// A job's entry in the journal and the report.
-    type Record: Clone + Send + Sync + 'static;
+    type Record: Clone + Send + Sync;
     /// The assembled report.
     type Report: fmt::Debug;
 

@@ -11,7 +11,8 @@
 //! kind ([`kind`] says what a kind supplies), with:
 //!
 //! * byte-identical results at any worker count ([`pool`]),
-//! * per-job panic and wall-clock-timeout isolation ([`pool`]),
+//! * per-job panic isolation, each job bounded by its simulated-cycle
+//!   budget ([`pool`]),
 //! * structured JSON sweep reports with full run provenance under
 //!   `results/runs/` ([`results`], [`provenance`]),
 //! * persistent result caching keyed by the experiment's identity hash

@@ -15,33 +15,31 @@
 //!   `Result` — cycle-budget exhaustion and config rejections arrive as
 //!   the kind's error and fail *that job* ([`JobError::Sim`]); genuinely
 //!   unexpected panics are still caught and recorded
-//!   ([`JobError::Panicked`]) so the sweep continues either way. With a
-//!   wall-clock timeout configured, each job runs on a dedicated thread;
-//!   a job that exceeds the deadline is abandoned (the thread is
-//!   detached — `std` threads cannot be killed — and the job reports
-//!   [`JobError::TimedOut`]). Each job runs once: the simulator is
-//!   deterministic, so a second attempt would repeat the first.
+//!   ([`JobError::Panicked`]) so the sweep continues either way. Each
+//!   job runs once, on the worker that claimed it: the simulator is
+//!   deterministic, so a second attempt would repeat the first, and its
+//!   cycle budget (`RunOptions::max_cycles`, `--budget`) ends every run
+//!   at the same simulated cycle on any host.
 //! * **Fail-fast.** With [`PoolOptions::fail_fast`], the first failure
 //!   raises one shared flag, and every job claimed after it is recorded
 //!   as [`JobError::Cancelled`] without running. Jobs already running
 //!   finish and record normally.
 //!
 //! The executor is generic over the [`JobKind`] it runs; it is the only
-//! place a job is caught unwinding or timed out.
+//! place a job is caught unwinding.
 
 use crate::kind::JobKind;
 use crate::progress::Progress;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Why a job produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError<E> {
-    /// The simulation returned an error (cycle-budget timeout or an
+    /// The simulation returned an error (an exhausted cycle budget or an
     /// inconsistent configuration).
     Sim(E),
     /// The simulation panicked. Carries the panic message plus the job's
@@ -53,8 +51,6 @@ pub enum JobError<E> {
         /// The crashed job's configuration.
         config: String,
     },
-    /// The simulation exceeded the configured wall-clock timeout.
-    TimedOut(Duration),
     /// The sweep was cancelled by fail-fast before this job started.
     Cancelled,
     /// A failure replayed verbatim from a resume journal; the payload is
@@ -70,7 +66,6 @@ impl<E: fmt::Display> fmt::Display for JobError<E> {
             JobError::Panicked { message, config } => {
                 write!(f, "panicked: {message} ({config})")
             }
-            JobError::TimedOut(t) => write!(f, "timed out after {:.1}s", t.as_secs_f64()),
             JobError::Cancelled => write!(f, "cancelled by fail-fast"),
             JobError::Journaled(status) => write!(f, "{status}"),
         }
@@ -95,15 +90,12 @@ pub struct JobOutcome<K: JobKind> {
     pub attempts: usize,
 }
 
-/// Executor options. The default is every available core, no timeout,
-/// no fail-fast, no progress output.
+/// Executor options. The default is every available core, no
+/// fail-fast, no progress output.
 #[derive(Debug, Clone, Default)]
 pub struct PoolOptions {
     /// Worker threads; 0 means [`std::thread::available_parallelism`].
     pub workers: usize,
-    /// Per-job wall-clock timeout; `None` relies on the simulator's own
-    /// cycle budget to terminate hung configurations.
-    pub job_timeout: Option<Duration>,
     /// Print per-job completion lines to stderr.
     pub progress: bool,
     /// Cancel every not-yet-started job as soon as any job fails
@@ -141,7 +133,7 @@ pub trait ResultSource<K: JobKind>: Sync {
 /// Jobs `source` has are served from it; the rest simulate, and their
 /// outcomes are offered to it.
 pub fn run_jobs<K: JobKind>(
-    kind: &Arc<K>,
+    kind: &K,
     source: Option<&dyn ResultSource<K>>,
     opts: &PoolOptions,
 ) -> Vec<JobOutcome<K>> {
@@ -158,7 +150,7 @@ pub fn run_jobs<K: JobKind>(
             } else if let Some(hit) = source.and_then(|s| s.fetch(kind, job)) {
                 (hit, true, 0)
             } else {
-                (execute(kind, job, opts.job_timeout), false, 1)
+                (execute(kind, job), false, 1)
             };
             let outcome = JobOutcome {
                 job: job.clone(),
@@ -192,54 +184,16 @@ pub fn run_jobs<K: JobKind>(
 
 /// Runs one job once. Expected failures (cycle-budget exhaustion, bad
 /// configs) flow through [`JobKind::run`]'s `Result` as [`JobError::Sim`];
-/// `catch_unwind` remains only as a safety net for genuine bugs, and a
-/// wall-clock timeout isolates hung jobs when configured.
-fn execute<K: JobKind>(
-    kind: &Arc<K>,
-    job: &K::Job,
-    timeout: Option<Duration>,
-) -> Result<K::Output, JobError<K::Error>> {
-    // The crashed job's full configuration rides along, so the report
-    // entry alone reproduces the crash.
-    let panicked = |message: String| JobError::Panicked {
-        message,
-        config: kind.describe(job),
-    };
-    match timeout {
-        None => match catch_unwind(AssertUnwindSafe(|| kind.run(job))) {
-            Ok(result) => result.map_err(JobError::Sim),
-            Err(p) => Err(panicked(panic_message(p.as_ref()))),
-        },
-        Some(limit) => {
-            let (tx, rx) = mpsc::channel();
-            let (thread_kind, thread_job) = (Arc::clone(kind), job.clone());
-            let started = std::time::Instant::now();
-            // Detached on purpose: a hung simulation cannot be killed, so
-            // the thread is abandoned and dies with the process.
-            std::thread::Builder::new()
-                .name(format!("miopt-job-{}", K::job_id(job)))
-                .spawn(move || {
-                    let r = catch_unwind(AssertUnwindSafe(|| thread_kind.run(&thread_job)));
-                    let _ = tx.send(r);
-                })
-                .expect("spawn job thread");
-            match rx.recv_timeout(limit) {
-                // The budget binds even when the result arrives: on a
-                // loaded machine this orchestrator thread can be starved
-                // past the job's whole runtime, and a result that is
-                // already waiting makes `recv_timeout` succeed no matter
-                // how small the limit. Enforcing the elapsed wall clock
-                // here keeps "timed out" deterministic instead of a race
-                // between the job and the scheduler.
-                Ok(_) if started.elapsed() > limit => Err(JobError::TimedOut(limit)),
-                Ok(Ok(result)) => result.map_err(JobError::Sim),
-                Ok(Err(p)) => Err(panicked(panic_message(p.as_ref()))),
-                Err(mpsc::RecvTimeoutError::Timeout) => Err(JobError::TimedOut(limit)),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    Err(panicked("job thread died".to_string()))
-                }
-            }
-        }
+/// `catch_unwind` remains only as a safety net for genuine bugs.
+fn execute<K: JobKind>(kind: &K, job: &K::Job) -> Result<K::Output, JobError<K::Error>> {
+    match catch_unwind(AssertUnwindSafe(|| kind.run(job))) {
+        Ok(result) => result.map_err(JobError::Sim),
+        // The crashed job's full configuration rides along, so the
+        // report entry alone reproduces the crash.
+        Err(p) => Err(JobError::Panicked {
+            message: panic_message(p.as_ref()),
+            config: kind.describe(job),
+        }),
     }
 }
 
@@ -260,12 +214,12 @@ mod tests {
     use miopt::SystemConfig;
     use miopt_workloads::{by_name, SuiteConfig};
 
-    fn spec_of(names: &[&str]) -> Arc<SweepSpec> {
+    fn spec_of(names: &[&str]) -> SweepSpec {
         let s = SuiteConfig::quick();
-        Arc::new(SweepSpec::statics(
+        SweepSpec::statics(
             SystemConfig::small_test(),
             names.iter().map(|n| by_name(&s, n).unwrap()).collect(),
-        ))
+        )
     }
 
     #[test]
@@ -299,9 +253,8 @@ mod tests {
     fn sim_errors_propagate_through_the_pool_without_unwinding() {
         // A 10-cycle budget fails every job with SimError::Halted; the
         // pool must surface it as JobError::Sim, not a caught panic.
-        let mut spec = Arc::unwrap_or_clone(spec_of(&["FwSoft"]));
+        let mut spec = spec_of(&["FwSoft"]);
         spec.run_opts.max_cycles = 10;
-        let spec = Arc::new(spec);
         let outcomes = run_jobs(
             &spec,
             None,
@@ -358,9 +311,8 @@ mod tests {
     #[test]
     fn panicked_jobs_report_message_and_config() {
         use miopt::runner::JobFault;
-        let mut spec = Arc::unwrap_or_clone(spec_of(&["FwSoft"]));
+        let mut spec = spec_of(&["FwSoft"]);
         spec.faults = vec![JobFault::Panic(1)];
-        let spec = Arc::new(spec);
         let outcomes = run_jobs(
             &spec,
             None,
@@ -392,30 +344,10 @@ mod tests {
     }
 
     #[test]
-    fn a_hanging_job_times_out_once_and_its_neighbours_run() {
-        use miopt::runner::JobFault;
-        let mut spec = Arc::unwrap_or_clone(spec_of(&["FwSoft"]));
-        spec.faults = vec![JobFault::Hang(0)];
-        let spec = Arc::new(spec);
-        let limit = Duration::from_millis(50);
-        let opts = PoolOptions {
-            workers: 2,
-            job_timeout: Some(limit),
-            ..PoolOptions::default()
-        };
-        let outcomes = run_jobs(&spec, None, &opts);
-        assert_eq!(outcomes[0].result, Err(JobError::TimedOut(limit)));
-        assert_eq!(outcomes[0].attempts, 1);
-        assert!(outcomes[1].result.is_ok());
-        assert!(outcomes[2].result.is_ok());
-    }
-
-    #[test]
     fn fail_fast_cancels_the_queue_after_the_first_failure() {
         use miopt::runner::JobFault;
-        let mut spec = Arc::unwrap_or_clone(spec_of(&["FwSoft"]));
+        let mut spec = spec_of(&["FwSoft"]);
         spec.faults = vec![JobFault::Panic(0)];
-        let spec = Arc::new(spec);
         // One worker makes the order deterministic: job 0 panics, then
         // the queued jobs 1 and 2 must be cancelled, never run.
         let opts = PoolOptions {
@@ -430,10 +362,11 @@ mod tests {
         assert_eq!(outcomes[1].attempts, 0);
     }
 
-    /// Any worker count and any mix of source hits, panics and
-    /// fail-fast: one outcome per job in id order, `offer` for exactly
-    /// the fresh outcomes, the 1-worker run's statuses without fail-fast,
-    /// and with it, cancellations only behind a failure.
+    /// Any worker count, any mix of source hits, panics and
+    /// fail-fast, and grids whose cycle budget halts every simulated job:
+    /// one outcome per job in id order, `offer` for exactly the fresh
+    /// outcomes, the 1-worker run's outcomes without fail-fast, and with
+    /// it, cancellations only behind a failure.
     #[test]
     fn every_schedule_records_each_job_once_in_id_order() {
         use miopt::runner::JobFault;
@@ -465,8 +398,13 @@ mod tests {
                 fail_fast: c.bool(),
                 ..PoolOptions::default()
             };
-            let mut spec = (*base).clone();
+            let mut spec = base.clone();
             spec.workloads = vec![base.workloads[0].clone(); c.steps(1..4)];
+            // A 10-cycle budget halts every job that simulates.
+            let halted = c.bool();
+            if halted {
+                spec.run_opts.max_cycles = 10;
+            }
             let n = spec.job_count();
             // Half the jobs come from the source, a third of the rest
             // panic, and the others simulate.
@@ -480,7 +418,6 @@ mod tests {
                     _ => {}
                 }
             }
-            let spec = Arc::new(spec);
             let run = |opts: &PoolOptions| {
                 let source = Canned {
                     hit: hit.clone(),
@@ -508,6 +445,10 @@ mod tests {
             for o in outcomes.iter().filter(|o| !cancelled(o)) {
                 assert_eq!(o.cached, served.contains(&o.job.id), "job {}", o.job.id);
                 assert_eq!(o.attempts, usize::from(!o.cached), "job {}", o.job.id);
+                if halted && !o.cached && !spec.faults.contains(&JobFault::Panic(o.job.id)) {
+                    let halt = matches!(o.result, Err(JobError::Sim(SimError::Halted { .. })));
+                    assert!(halt, "job {}: {:?}", o.job.id, o.result);
+                }
             }
 
             if !opts.fail_fast {
@@ -516,9 +457,10 @@ mod tests {
                     "cancelled without fail-fast"
                 );
                 if opts.workers > 1 {
+                    // Errors compare whole: a halt's diagnostic too.
                     let summary = |o: &JobOutcome<SweepSpec>| {
-                        let status = o.result.as_ref().map_err(ToString::to_string);
-                        (status.map(|r| r.metrics.clone()), o.attempts, o.cached)
+                        let result = o.result.as_ref().map(|r| r.metrics.clone());
+                        (result.map_err(Clone::clone), o.attempts, o.cached)
                     };
                     let (serial, _) = run(&PoolOptions {
                         workers: 1,

@@ -101,7 +101,8 @@ pub struct JobRecord {
     pub cached: bool,
     /// Wall milliseconds this job took in this sweep (≈0 when cached).
     pub elapsed_ms: u64,
-    /// `"ok"`, or the failure description for panicked/timed-out jobs.
+    /// `"ok"`, or the failure description for halted, panicked or
+    /// cancelled jobs.
     pub status: String,
     /// How many times the job was executed: 1 when it ran, 0 when it
     /// was served from the cache or cancelled. A journal written by an
@@ -109,8 +110,9 @@ pub struct JobRecord {
     pub attempts: usize,
     /// The metrics, when the job succeeded.
     pub metrics: Option<Metrics>,
-    /// The stall diagnostic, when the simulator timed out or halted on
-    /// an invariant violation (see [`stall_diagnostic_to_json`]).
+    /// The stall diagnostic, when the simulator halted: its cycle budget
+    /// ran out, or an invariant check or the watchdog stopped it (see
+    /// [`stall_diagnostic_to_json`]).
     pub diagnostic: Option<Json>,
 }
 

@@ -32,7 +32,6 @@ use miopt::{CachePolicy, PolicyConfig, SystemConfig, WayRange};
 use miopt_engine::hash::{fnv1a_64, Fnv1a};
 use miopt_serve::{ArrivalSchedule, ServeConfig, ServeError, TenantSpec};
 use miopt_workloads::{by_name, SuiteConfig};
-use std::sync::Arc;
 
 /// Parsed `serve` subcommand options.
 #[derive(Default)]
@@ -100,7 +99,7 @@ impl Command for ServeArgs {
             ("--seed <N>", "0", "arrival seed", |a, v| put(&mut a.seed, num(v)?)),
             ("--partition", "", "give each tenant an equal share of L2 ways", |a, _| put(&mut a.partition, true)),
             ("--max-batch <N>", "4", "most requests per dispatch", |a, v| put(&mut a.max_batch, positive(v)?)),
-            ("--budget <N>", "2000000000", "per-job cycle budget", |a, v| put(&mut a.budget, num(v)?)),
+            ("--budget <N>", "2000000000", "per-job cycle budget", |a, v| put(&mut a.budget, positive(v)?)),
         ];
         [rows, &shared_flags()].concat()
     }
@@ -783,7 +782,7 @@ fn print_table(spec: &ServeSweepSpec, records: &[ServeJobRecord]) {
 /// Runs the `serve` subcommand. Returns the process exit code.
 #[must_use]
 pub fn run_serve(args: &ServeArgs) -> i32 {
-    let spec = Arc::new(ServeSweepSpec::from_args(args));
+    let spec = ServeSweepSpec::from_args(args);
     eprintln!(
         "running serve sweep: {} policies x {} loads = {} jobs, {} tenants ...",
         spec.policies.len(),
@@ -956,7 +955,6 @@ mod tests {
             ..PoolOptions::default()
         };
         let records = |spec: ServeSweepSpec| -> Vec<ServeJobRecord> {
-            let spec = Arc::new(spec);
             let run = run_kind(&spec, "t", &pool, None, None);
             run.outcomes.iter().map(|o| spec.record(o)).collect()
         };

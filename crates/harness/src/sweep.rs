@@ -10,7 +10,7 @@ use crate::provenance::Provenance;
 use miopt::runner::{Job, RunResult, SimError, SweepSpec};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Orchestration options for one sweep.
@@ -209,7 +209,7 @@ fn cache_of(opts: &SweepOptions) -> Option<&dyn ResultSource<SweepSpec>> {
 /// Runs every job of `spec` and assembles the report named `name`,
 /// without journaling.
 #[must_use]
-pub fn run_sweep(spec: &Arc<SweepSpec>, name: &str, opts: &SweepOptions) -> SweepRun {
+pub fn run_sweep(spec: &SweepSpec, name: &str, opts: &SweepOptions) -> SweepRun {
     run_kind(spec, name, &opts.pool, cache_of(opts), None)
 }
 
@@ -226,7 +226,7 @@ pub fn run_sweep(spec: &Arc<SweepSpec>, name: &str, opts: &SweepOptions) -> Swee
 /// or belongs to a different sweep, or when the journal cannot be
 /// created.
 pub fn run_sweep_journaled(
-    spec: &Arc<SweepSpec>,
+    spec: &SweepSpec,
     name: &str,
     opts: &SweepOptions,
     journal: &JournalOptions,
@@ -238,7 +238,7 @@ pub fn run_sweep_journaled(
                 .to_string(),
         );
     }
-    let journal = open_journal(spec.as_ref(), name, journal)?;
+    let journal = open_journal(spec, name, journal)?;
     Ok(run_kind(
         spec,
         name,
@@ -254,7 +254,7 @@ pub fn run_sweep_journaled(
 /// never re-run — and every fresh outcome is appended to it before the
 /// sweep moves on.
 pub fn run_kind<K: JobKind>(
-    kind: &Arc<K>,
+    kind: &K,
     name: &str,
     pool: &PoolOptions,
     cache: Option<&dyn ResultSource<K>>,
@@ -303,11 +303,11 @@ mod tests {
     use miopt::SystemConfig;
     use miopt_workloads::{by_name, SuiteConfig};
 
-    fn test_spec() -> Arc<SweepSpec> {
-        Arc::new(SweepSpec::statics(
+    fn test_spec() -> SweepSpec {
+        SweepSpec::statics(
             SystemConfig::small_test(),
             vec![by_name(&SuiteConfig::quick(), "FwSoft").unwrap()],
-        ))
+        )
     }
 
     #[test]

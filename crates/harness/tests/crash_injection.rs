@@ -22,17 +22,16 @@ use miopt_harness::{JobError, JobKind, PoolOptions};
 use miopt_store::{StoreOptions, Wal};
 use miopt_workloads::{by_name, SuiteConfig};
 use std::path::Path;
-use std::sync::Arc;
 
-fn figure_spec() -> Arc<SweepSpec> {
-    Arc::new(SweepSpec::statics(
+fn figure_spec() -> SweepSpec {
+    SweepSpec::statics(
         SystemConfig::small_test(),
         vec![by_name(&SuiteConfig::quick(), "FwSoft").unwrap()],
-    ))
+    )
 }
 
-fn serve_spec() -> Arc<ServeSweepSpec> {
-    Arc::new(ServeSweepSpec {
+fn serve_spec() -> ServeSweepSpec {
+    ServeSweepSpec {
         system: SystemConfig::small_test(),
         scale: SuiteConfig::quick(),
         tenants: vec![
@@ -52,7 +51,7 @@ fn serve_spec() -> Arc<ServeSweepSpec> {
         budget: 500_000_000,
         no_skip: false,
         check_invariants: false,
-    })
+    }
 }
 
 /// Strips the timing fields a resume legitimately changes, leaving
@@ -82,16 +81,12 @@ fn stable_json<K: JobKind>(report: &K::Report) -> String {
 }
 
 /// The journaled sweep `victim` of `kind` under `dir`, fresh or resumed.
-fn run_journaled<K: JobKind>(
-    kind: &Arc<K>,
-    dir: &Path,
-    resume: bool,
-) -> Result<SweepRun<K>, String> {
+fn run_journaled<K: JobKind>(kind: &K, dir: &Path, resume: bool) -> Result<SweepRun<K>, String> {
     let opts = JournalOptions {
         dir: dir.to_path_buf(),
         resume,
     };
-    let journal = open_journal(kind.as_ref(), "victim", &opts)?;
+    let journal = open_journal(kind, "victim", &opts)?;
     let pool = PoolOptions::default();
     Ok(run_kind(kind, "victim", &pool, None, Some(journal)))
 }
@@ -102,7 +97,7 @@ fn every_kill_point_recovers_and_resumes_byte_identically() {
     every_kill_point("serve", &serve_spec());
 }
 
-fn every_kill_point<K: JobKind>(tag: &str, spec: &Arc<K>) {
+fn every_kill_point<K: JobKind>(tag: &str, spec: &K) {
     let dir = std::env::temp_dir().join(format!("miopt-crash-inject-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let jobs = spec.jobs().len();
@@ -188,7 +183,7 @@ fn corruption_below_the_cut_refuses_resume_with_the_byte_offset() {
     corruption_below_the_cut("serve", &serve_spec());
 }
 
-fn corruption_below_the_cut<K: JobKind>(tag: &str, spec: &Arc<K>) {
+fn corruption_below_the_cut<K: JobKind>(tag: &str, spec: &K) {
     let dir =
         std::env::temp_dir().join(format!("miopt-crash-corrupt-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -232,11 +227,11 @@ fn journal_bytes_are_pinned_for_both_kinds() {
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(
-        header(&dir, "fig", figure_spec().as_ref()),
+        header(&dir, "fig", &figure_spec()),
         r#"{"journal":"fig","schema_version":2,"journal_version":2,"fingerprint":"075027782345ea00","jobs":3}"#
     );
     assert_eq!(
-        header(&dir, "srv", serve_spec().as_ref()),
+        header(&dir, "srv", &serve_spec()),
         r#"{"journal":"srv","kind":"serve","schema_version":2,"journal_version":2,"fingerprint":"a97cab7088d5811a","arrival_seed":0,"arrivals_fingerprint":"1b65c88e29e4e2fb","jobs":3}"#
     );
 
@@ -291,45 +286,57 @@ fn journal_bytes_are_pinned_for_both_kinds() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A harness that re-ran failed jobs journaled records such as
-/// `quarantined after 2 attempts: …` with `attempts` 2. Such a journal
-/// resumes: the record replays verbatim as a failed job, and only the
-/// jobs it lacks are simulated.
+/// Failure records of older harnesses resume: one that re-ran failed
+/// jobs journaled `quarantined after 2 attempts: …` with `attempts` 2,
+/// and one that ran jobs under a wall-clock limit journaled `timed out
+/// after 1.0s`. Each record replays verbatim as a failed job, and only
+/// the jobs the journal lacks are simulated.
 #[test]
 fn a_quarantined_record_of_an_older_journal_replays_verbatim() {
     let dir = std::env::temp_dir().join(format!("miopt-journal-old-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let spec = figure_spec();
-    drop(Journal::create(&dir, "victim", spec.as_ref()).expect("a fresh journal opens"));
-    let status = "quarantined after 2 attempts: timed out after 2.0s";
     let policy = spec.jobs()[1].policy.label();
-    let line = format!(
-        r#"{{"id":1,"workload":"FwSoft","workload_id":"soft:quick","policy":"{policy}","cache_key":"00112233","cached":false,"elapsed_ms":4213,"status":"{status}","attempts":2}}"#
-    );
-    let store = Wal::open(&dir.join("victim.journal"), StoreOptions::default()).unwrap();
-    store.wal.append(line.as_bytes()).unwrap();
-    drop(store);
+    for (status, attempts, elapsed_ms) in [
+        (
+            "quarantined after 2 attempts: timed out after 2.0s",
+            2,
+            4213,
+        ),
+        ("timed out after 1.0s", 1, 1000),
+    ] {
+        let _ = std::fs::remove_dir_all(&dir);
+        drop(Journal::create(&dir, "victim", &spec).expect("a fresh journal opens"));
+        let line = format!(
+            r#"{{"id":1,"workload":"FwSoft","workload_id":"soft:quick","policy":"{policy}","cache_key":"00112233","cached":false,"elapsed_ms":{elapsed_ms},"status":"{status}","attempts":{attempts}}}"#
+        );
+        let store = Wal::open(&dir.join("victim.journal"), StoreOptions::default()).unwrap();
+        store.wal.append(line.as_bytes()).unwrap();
+        drop(store);
 
-    let resumed = run_journaled(&spec, &dir, true).expect("the old journal resumes");
-    let replayed = &resumed.outcomes[1];
-    assert!(replayed.cached, "the journaled failure is not re-run");
-    assert_eq!(
-        replayed.result.as_ref().err(),
-        Some(&JobError::Journaled(status.to_string()))
-    );
-    assert_eq!(SweepSpec::encode(&resumed.report.jobs[1]), line);
-    for id in [0, 2] {
-        let o = &resumed.outcomes[id];
-        assert!(o.result.is_ok() && !o.cached && o.attempts == 1, "job {id}");
+        let resumed = run_journaled(&spec, &dir, true).expect("the old journal resumes");
+        let replayed = &resumed.outcomes[1];
+        assert!(
+            replayed.cached,
+            "{status}: the journaled failure is not re-run"
+        );
+        assert_eq!(
+            replayed.result.as_ref().err(),
+            Some(&JobError::Journaled(status.to_string()))
+        );
+        assert_eq!(SweepSpec::encode(&resumed.report.jobs[1]), line);
+        for id in [0, 2] {
+            let o = &resumed.outcomes[id];
+            assert!(o.result.is_ok() && !o.cached && o.attempts == 1, "job {id}");
+        }
+        assert!(
+            resumed.results(&spec).is_err(),
+            "{status}: the sweep reports a failure"
+        );
+        let provenance = SweepSpec::document(&resumed.report)
+            .get("provenance")
+            .cloned();
+        assert!(provenance.is_some_and(|p| p.get("quarantined").is_none()));
     }
-    assert!(
-        resumed.results(&spec).is_err(),
-        "the sweep reports a failure"
-    );
-    let provenance = SweepSpec::document(&resumed.report)
-        .get("provenance")
-        .cloned();
-    assert!(provenance.is_some_and(|p| p.get("quarantined").is_none()));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

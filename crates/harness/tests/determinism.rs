@@ -14,9 +14,8 @@ use miopt_harness::figures::{fig10, fig6};
 use miopt_harness::pool::PoolOptions;
 use miopt_harness::sweep::{run_sweep, SweepOptions, SweepRun};
 use miopt_workloads::{suite, SuiteConfig};
-use std::sync::Arc;
 
-fn run_with(spec: &Arc<SweepSpec>, workers: usize, name: &str) -> SweepRun {
+fn run_with(spec: &SweepSpec, workers: usize, name: &str) -> SweepRun {
     let opts = SweepOptions {
         pool: PoolOptions {
             workers,
@@ -27,7 +26,7 @@ fn run_with(spec: &Arc<SweepSpec>, workers: usize, name: &str) -> SweepRun {
     run_sweep(spec, name, &opts)
 }
 
-fn assert_byte_identical(spec: &Arc<SweepSpec>) {
+fn assert_byte_identical(spec: &SweepSpec) {
     let serial = run_with(spec, 1, "det-serial");
     let parallel = run_with(spec, 4, "det-parallel");
 
@@ -73,7 +72,7 @@ fn parallel_sweep_is_byte_identical_to_serial_subset() {
         .iter()
         .map(|n| miopt_workloads::by_name(&s, n).expect("suite workload"))
         .collect();
-    let spec = Arc::new(SweepSpec::figures(SystemConfig::small_test(), workloads));
+    let spec = SweepSpec::figures(SystemConfig::small_test(), workloads);
     assert_byte_identical(&spec);
 }
 
@@ -81,9 +80,6 @@ fn parallel_sweep_is_byte_identical_to_serial_subset() {
 /// because the test profile builds at `opt-level = 1`.
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial_full_quick_suite() {
-    let spec = Arc::new(SweepSpec::figures(
-        SystemConfig::small_test(),
-        suite(&SuiteConfig::quick()),
-    ));
+    let spec = SweepSpec::figures(SystemConfig::small_test(), suite(&SuiteConfig::quick()));
     assert_byte_identical(&spec);
 }

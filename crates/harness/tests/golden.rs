@@ -19,7 +19,6 @@ use miopt_harness::figures::{fig10, fig6};
 use miopt_harness::sweep::{run_sweep, SweepOptions};
 use miopt_workloads::{by_name, suite, SuiteConfig, Workload};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -52,7 +51,7 @@ fn check_golden(name: &str, actual: &str) {
 
 /// Runs the figures grid for `workloads` and checks fig6/fig10 CSVs.
 fn check_fig6_fig10(workloads: Vec<Workload>, tag: &str) {
-    let spec = Arc::new(SweepSpec::figures(SystemConfig::small_test(), workloads));
+    let spec = SweepSpec::figures(SystemConfig::small_test(), workloads);
     let run = run_sweep(&spec, &format!("golden-{tag}"), &SweepOptions::default());
     let results = run.results(&spec).expect("golden sweep jobs succeed");
     let statics = spec.assemble_statics(&results);

@@ -10,7 +10,6 @@ use miopt_harness::serve::{report_json, run_serve_job, ServeJobRecord, ServeSwee
 use miopt_harness::sweep::run_kind;
 use miopt_harness::{JobKind, PoolOptions};
 use miopt_workloads::SuiteConfig;
-use std::sync::Arc;
 
 /// Runs the grid on `workers` threads (0 = every core), replaying
 /// `journal` first, and returns every record in job-id order.
@@ -19,12 +18,11 @@ fn execute(
     workers: usize,
     journal: Option<Journal<ServeSweepSpec>>,
 ) -> Vec<ServeJobRecord> {
-    let spec = Arc::new(spec.clone());
     let pool = PoolOptions {
         workers,
         ..PoolOptions::default()
     };
-    let run = run_kind(&spec, "t", &pool, None, journal);
+    let run = run_kind(spec, "t", &pool, None, journal);
     run.outcomes.iter().map(|o| spec.record(o)).collect()
 }
 

@@ -16,7 +16,6 @@ use miopt_harness::sweep::{run_sweep, SweepOptions, SweepRun};
 use miopt_harness::telemetry::{to_chrome_trace, to_jsonl};
 use miopt_workloads::{by_name, SuiteConfig};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Interval used throughout: small enough to give the tiny FwSoft run
 /// dozens of epochs, large enough to keep the goldens reviewable.
@@ -45,16 +44,16 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
-fn telemetry_spec() -> Arc<SweepSpec> {
+fn telemetry_spec() -> SweepSpec {
     let mut spec = SweepSpec::statics(
         SystemConfig::small_test(),
         vec![by_name(&SuiteConfig::quick(), "FwSoft").unwrap()],
     );
     spec.run_opts.telemetry_interval = Some(INTERVAL);
-    Arc::new(spec)
+    spec
 }
 
-fn run_with(spec: &Arc<SweepSpec>, workers: usize, name: &str) -> SweepRun {
+fn run_with(spec: &SweepSpec, workers: usize, name: &str) -> SweepRun {
     let opts = SweepOptions {
         pool: PoolOptions {
             workers,

@@ -14,7 +14,6 @@ use miopt::runner::SweepSpec;
 use miopt::SystemConfig;
 use miopt_harness::sweep::{run_sweep, SweepOptions};
 use miopt_workloads::{by_name, Category, SuiteConfig};
-use std::sync::Arc;
 
 fn main() {
     let workload_name = std::env::args()
@@ -34,7 +33,7 @@ fn main() {
         "config", "cycles", "vs Unc", "DRAM", "rowhit%", "stalls/rq"
     );
 
-    let spec = Arc::new(SweepSpec::figures(cfg, vec![workload.clone()]));
+    let spec = SweepSpec::figures(cfg, vec![workload.clone()]);
     let run = run_sweep(&spec, "example-policy-sweep", &SweepOptions::default());
     let results = run.results(&spec).expect("sweep jobs succeed");
     let ladder = spec.assemble_ladders(&results).remove(0);

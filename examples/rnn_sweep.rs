@@ -20,7 +20,6 @@ use miopt::{CachePolicy, PolicyConfig, SystemConfig};
 use miopt_harness::sweep::{run_sweep, SweepOptions};
 use miopt_workloads::rnn::{rnn_with_config, RnnConfig};
 use miopt_workloads::Workload;
-use std::sync::Arc;
 
 /// Runs `workloads` under Uncached and CacheR through the pool and
 /// returns one `[Uncached, CacheR]` row per workload.
@@ -29,7 +28,7 @@ fn sweep_two_policies(
     workloads: Vec<Workload>,
     name: &str,
 ) -> Vec<Vec<RunResult>> {
-    let spec = Arc::new(SweepSpec {
+    let spec = SweepSpec {
         cfg: cfg.clone(),
         workloads,
         policies: vec![
@@ -39,7 +38,7 @@ fn sweep_two_policies(
         n_static: 2,
         run_opts: RunOptions::default(),
         faults: Vec::new(),
-    });
+    };
     let run = run_sweep(&spec, name, &SweepOptions::default());
     let results = run.results(&spec).expect("sweep jobs succeed");
     spec.assemble_statics(&results)

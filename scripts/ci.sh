@@ -247,10 +247,13 @@ echo "query smoke ok"
 echo "== refused arguments (exit 2, never a panic) =="
 # One bad flag or value per subcommand: each must be refused with exit
 # status 2, an `error:` line and the usage, never a panic (exit 101).
-# `--retries` is gone (each job runs once): a script that still passes
-# it is refused, not run differently.
+# `--retries` and `--timeout-secs` are gone (each job runs once, bounded
+# by its simulated-cycle `--budget`): a script that still passes either
+# is refused, not run differently. A zero budget is refused on both
+# sweep commands.
 for bad in "--frobnicate" "serve --loads 0" "query --agg median" \
-    "--retries 1" "serve --retries 1" "--timeout-secs 0"; do
+    "--retries 1" "serve --retries 1" "--timeout-secs 1" \
+    "--budget 0" "serve --budget 0"; do
     status=0
     # shellcheck disable=SC2086 # $bad is split into its words on purpose
     cargo run --release -q -p miopt-harness -- $bad >/dev/null 2>"$smoke_dir/refused.txt" || status=$?
@@ -263,11 +266,11 @@ for bad in "--frobnicate" "serve --loads 0" "query --agg median" \
 done
 echo "refused arguments ok"
 
-echo "== executor smoke (--timeout-secs, --fail-fast) =="
-# Paper-scale FwLRN jobs take about 4-5 s each, so a 1 s budget times
-# every job out, once. With one worker and --fail-fast, the first
-# timeout cancels the two queued jobs. Both runs exit 1 and neither may
-# panic.
+echo "== executor smoke (--budget, --fail-fast) =="
+# A 10 000-cycle budget halts every paper-scale FwLRN job, once, at the
+# same simulated cycle on any host, and each halted job's record carries
+# its stall diagnostic. With one worker and --fail-fast, the first halt
+# cancels the two queued jobs. Both runs exit 1 and neither may panic.
 executor() {
     local name=$1
     shift
@@ -281,15 +284,16 @@ executor() {
         exit 1
     fi
 }
-executor exec-timeout --timeout-secs 1
-[[ "$(grep -c '"status": "timed out after 1.0s"' "$smoke_dir/exec-timeout.json")" -eq 3 ]]
-if grep -q '"quarantined"' "$smoke_dir/exec-timeout.json"; then
+executor exec-budget --budget 10000
+[[ "$(grep -c '"status": "FwLRN/.*: simulation exceeded 10000 cycles"' "$smoke_dir/exec-budget.json")" -eq 3 ]]
+[[ "$(grep -c '"diagnostic": {' "$smoke_dir/exec-budget.json")" -eq 3 ]]
+if grep -q '"quarantined"' "$smoke_dir/exec-budget.json"; then
     echo "executor smoke: the report still has a \"quarantined\" key" >&2
     exit 1
 fi
-executor exec-ff --jobs 1 --timeout-secs 1 --fail-fast
+executor exec-ff --jobs 1 --budget 10000 --fail-fast
 diff <(grep '"status"' "$smoke_dir/exec-ff.json") - <<'EOF'
-      "status": "timed out after 1.0s",
+      "status": "FwLRN/Uncached: simulation exceeded 10000 cycles",
       "status": "cancelled by fail-fast",
       "status": "cancelled by fail-fast",
 EOF
