@@ -110,7 +110,9 @@ impl PolicyConfig {
     ///
     /// Returns [`ConfigError::Policy`] for combinations the paper's
     /// mechanisms cannot express: any optimization on `Uncached` (there is
-    /// no cache to optimize) and cache rinsing outside `CacheRW` (only
+    /// no cache to optimize), an optimization set off the paper's
+    /// cumulative ladder AB, AB+CR, AB+CR+PCby (its label would name a
+    /// set of the ladder) and cache rinsing outside `CacheRW` (only
     /// write-caching produces the dirty L2 lines rinsing writes back).
     ///
     /// # Examples
@@ -140,6 +142,14 @@ impl PolicyConfig {
             return Err(ConfigError::Policy(
                 "Uncached admits no optimizations (all caches are disabled)".to_string(),
             ));
+        }
+        let o = &self.opts;
+        if o.cache_rinsing && !o.allocation_bypass || o.pc_bypass && !o.cache_rinsing {
+            return Err(ConfigError::Policy(format!(
+                "cache rinsing needs allocation bypass and PC bypass needs cache rinsing \
+                 (the paper's cumulative ladder); this set would share the label {}",
+                self.label()
+            )));
         }
         if self.opts.cache_rinsing && self.policy != CachePolicy::CacheRW {
             return Err(ConfigError::Policy(format!(
@@ -297,11 +307,27 @@ mod tests {
                 Err(ConfigError::Policy(_))
             ));
         }
-        // Rinsing needs write-caching; plain AB or PC bypass do not.
+        // Rinsing needs write-caching; plain AB does not.
         assert!(PolicyConfig::new(CachePolicy::CacheR, OptimizationSet::ab()).is_ok());
         assert!(matches!(
             PolicyConfig::new(CachePolicy::CacheR, OptimizationSet::ab_cr()),
             Err(ConfigError::Policy(_))
         ));
+        // Off the cumulative ladder a set would share a label with one on
+        // it (CR alone reads `CacheRW-CR`, like AB+CR).
+        let set = |allocation_bypass, cache_rinsing, pc_bypass| OptimizationSet {
+            allocation_bypass,
+            cache_rinsing,
+            pc_bypass,
+        };
+        for opts in [
+            set(false, true, false),
+            set(false, false, true),
+            set(true, false, true),
+            set(false, true, true),
+        ] {
+            let err = PolicyConfig::new(CachePolicy::CacheRW, opts);
+            assert!(matches!(err, Err(ConfigError::Policy(_))), "{opts:?}");
+        }
     }
 }

@@ -150,14 +150,6 @@ struct SentinelState {
 }
 
 impl SentinelState {
-    /// Default cadence: sweep invariants every 4096 cycles; call the run
-    /// wedged after one million cycles with no counter movement (far
-    /// beyond any legitimate quiet window — the longest is a full DRAM
-    /// queue draining, tens of cycles per entry).
-    const DEFAULT_CHECK_INTERVAL: u64 = 4096;
-    /// Default watchdog window, in cycles.
-    const DEFAULT_WATCHDOG: u64 = 1_000_000;
-
     fn new(check_interval: u64, watchdog_cycles: u64) -> SentinelState {
         assert!(
             check_interval > 0,
@@ -175,44 +167,37 @@ impl SentinelState {
 
 // --- Event-core actors -------------------------------------------------
 //
-// The run loop decomposes one simulated cycle into twelve actors, one
-// per pipeline stage. The actor id IS its dispatch priority within a
-// cycle: telemetry sampling and sentinel checks observe the state
-// *before* the cycle's actions, then the memory hierarchy ticks from
-// DRAM upward (stages 1-10), then the phase machine (`advance_phase`)
-// runs last. The per-cycle oracle is the same loop with every stage
-// woken on every cycle (`EventCore::wake_every_stage`).
+// The run loop decomposes one simulated cycle into ten actors, one per
+// pipeline stage. The actor id IS its dispatch priority within a cycle:
+// the memory hierarchy ticks from DRAM upward (stages 1-10), then the
+// phase machine (`advance_phase`) runs last. Telemetry samples and
+// sentinel checks are not actors: the run loop keeps their cadences and
+// runs them at a cycle before its stages. The per-cycle oracle is the
+// same loop with every stage woken on every cycle
+// (`EventCore::wake_every_stage`).
 
-/// Telemetry epoch sample (fires at sampling-interval multiples).
-const A_TELEMETRY: usize = 0;
-/// Sentinel invariant sweep / watchdog fingerprint (fires at
-/// `next_check`).
-const A_SENTINEL: usize = 1;
 /// DRAM scheduling plus response drain toward the L2 slices (stages 1-2).
-const A_DRAM: usize = 2;
+const A_DRAM: usize = 0;
 /// L2 fills from DRAM responses (stage 3).
-const A_L2_FILL: usize = 3;
+const A_L2_FILL: usize = 1;
 /// L2 access servicing with miss-replay (stage 4).
-const A_L2_SERVICE: usize = 4;
+const A_L2_SERVICE: usize = 2;
 /// L2 writeback/miss traffic into DRAM (stage 5).
-const A_L2_TO_DRAM: usize = 5;
+const A_L2_TO_DRAM: usize = 3;
 /// Response crossbar, L2 slices toward L1s (stage 6).
-const A_RESP_XBAR: usize = 6;
+const A_RESP_XBAR: usize = 4;
 /// L1 fills from the response crossbar (stage 7).
-const A_L1_FILL: usize = 7;
+const A_L1_FILL: usize = 5;
 /// L1 access servicing with miss-replay (stage 8).
-const A_L1_SERVICE: usize = 8;
+const A_L1_SERVICE: usize = 6;
 /// Request crossbar, L1s toward L2 slices (stage 9).
-const A_REQ_XBAR: usize = 9;
+const A_REQ_XBAR: usize = 7;
 /// Response delivery from the L1s to the GPU (stage 10).
-const A_GPU_RESP: usize = 10;
+const A_GPU_RESP: usize = 8;
 /// The phase machine: GPU execution, drains, flushes, launches.
-const A_PHASE: usize = 11;
+const A_PHASE: usize = 9;
 /// Number of actors (and the width of the scheduled-cycle table).
-const N_ACTORS: usize = 12;
-/// The pipeline stages: every actor but telemetry and the sentinel,
-/// which keep their own cadence under both engines.
-const STAGES: u64 = (1 << N_ACTORS) - (1 << A_DRAM);
+const N_ACTORS: usize = 10;
 
 /// "Not scheduled" sentinel for [`EventCore::scheduled`].
 const NEVER: Cycle = Cycle(u64::MAX);
@@ -224,8 +209,8 @@ const NO_WHEEL: usize = usize::MAX;
 /// L2 slices' fill/service/writeback stages and the 64 L1s'
 /// fill/service/response stages — schedule *per unit*, so a dispatch
 /// walks only the slices or CUs with due work instead of all of them.
-/// The remaining actors (DRAM, crossbars, phase, telemetry, sentinel)
-/// are single components and stay actor-level.
+/// The remaining actors (DRAM, the two crossbars, phase) are single
+/// components and stay actor-level.
 const UNIT_WHEEL: [usize; N_ACTORS] = {
     let mut t = [NO_WHEEL; N_ACTORS];
     t[A_L2_FILL] = 0;
@@ -242,8 +227,6 @@ const N_UNIT_WHEELS: usize = 6;
 
 /// Display names for the per-actor dispatch histogram, indexed by actor id.
 const ACTOR_NAMES: [&str; N_ACTORS] = [
-    "telemetry",
-    "sentinel",
     "dram",
     "l2_fill",
     "l2_service",
@@ -382,17 +365,17 @@ impl EventCore {
         self.current = N_ACTORS;
     }
 
-    /// Wakes every stage — each memory/phase actor and every unit of the
+    /// Wakes every stage — each actor and every unit of the
     /// replicated-unit actors — at `at`, a cycle no actor is scheduled
     /// before: the oracle's wake policy after each cycle, and run entry.
     /// A stage with nothing to do is a no-op, so waking it is harmless.
     fn wake_every_stage(&mut self, at: Cycle) {
-        for (a, &w) in UNIT_WHEEL.iter().enumerate().skip(A_DRAM) {
+        for (a, &w) in UNIT_WHEEL.iter().enumerate() {
             if w == NO_WHEEL {
                 self.scheduled[a] = at;
             }
         }
-        self.wheel.insert_mask(at, STAGES);
+        self.wheel.insert_mask(at, (1 << N_ACTORS) - 1);
         for (w, &all) in self.units.iter_mut().zip(&self.all_units) {
             w.insert_mask(at, all);
         }
@@ -740,8 +723,8 @@ pub struct ApuSystem {
     now: Cycle,
     phase: Phase,
     launches: VecDeque<(Arc<KernelDesc>, u32)>,
-    /// Epoch sampler; `None` (the default) schedules no telemetry actor,
-    /// so there is no recording overhead at all.
+    /// Epoch sampler; `None` (the default) leaves the run loop no sample
+    /// cadence, so there is no recording overhead at all.
     telemetry: Option<Box<Recorder>>,
     /// Invariant checker and watchdog; `None` in release builds unless
     /// explicitly enabled, `Some` in debug builds always.
@@ -763,10 +746,12 @@ pub struct ApuSystem {
 impl ApuSystem {
     /// Default invariant-sweep cadence for [`ApuSystem::enable_sentinel`]
     /// (cycles between sweeps).
-    pub const DEFAULT_CHECK_INTERVAL: u64 = SentinelState::DEFAULT_CHECK_INTERVAL;
-    /// Default watchdog window for [`ApuSystem::enable_sentinel`]
-    /// (cycles without progress before declaring a wedge).
-    pub const DEFAULT_WATCHDOG: u64 = SentinelState::DEFAULT_WATCHDOG;
+    pub const DEFAULT_CHECK_INTERVAL: u64 = 4096;
+    /// Default watchdog window for [`ApuSystem::enable_sentinel`]: cycles
+    /// without counter movement before declaring a wedge, far beyond any
+    /// legitimate quiet window (the longest is a full DRAM queue
+    /// draining, tens of cycles per entry).
+    pub const DEFAULT_WATCHDOG: u64 = 1_000_000;
 
     /// Builds a system ready to execute `workload` under `policy`.
     ///
@@ -848,8 +833,8 @@ impl ApuSystem {
             // release runs opt in via `enable_sentinel`.
             sentinel: cfg!(debug_assertions).then(|| {
                 Box::new(SentinelState::new(
-                    SentinelState::DEFAULT_CHECK_INTERVAL,
-                    SentinelState::DEFAULT_WATCHDOG,
+                    Self::DEFAULT_CHECK_INTERVAL,
+                    Self::DEFAULT_WATCHDOG,
                 ))
             }),
             skip: true,
@@ -921,7 +906,7 @@ impl ApuSystem {
     /// order. The histogram shows where the event core spends its
     /// dispatches — the first place to look when profiling it.
     #[must_use]
-    pub fn event_stats_by_actor(&self) -> [(&'static str, u64); 12] {
+    pub fn event_stats_by_actor(&self) -> [(&'static str, u64); N_ACTORS] {
         std::array::from_fn(|a| (ACTOR_NAMES[a], self.ev.events_by_actor[a]))
     }
 
@@ -1200,16 +1185,9 @@ impl ApuSystem {
         h.finish()
     }
 
-    /// Runs the due sentinel checks after a cycle; returns why the run
-    /// must halt, if it must.
+    /// Runs the sentinel check due at `now` (the sentinel must be
+    /// enabled); returns why the run must halt, if it must.
     fn sentinel_poll(&mut self) -> Option<StallReason> {
-        let (interval, watchdog, next_check) = {
-            let s = self.sentinel.as_deref()?;
-            (s.check_interval, s.watchdog_cycles, s.next_check)
-        };
-        if self.now < next_check {
-            return None;
-        }
         self.settle_caches();
         if !self.check_invariants_now().is_empty() {
             return Some(StallReason::InvariantViolation);
@@ -1220,13 +1198,13 @@ impl ApuSystem {
         let launching = matches!(self.phase, Phase::Launching { .. });
         let now = self.now;
         let s = self.sentinel.as_deref_mut().expect("sentinel enabled");
-        s.next_check = now + interval;
+        s.next_check = now + s.check_interval;
         if fingerprint != s.last_fingerprint || launching {
             s.last_fingerprint = fingerprint;
             s.stable_since = now;
             return None;
         }
-        (watchdog > 0 && now.since(s.stable_since) >= watchdog)
+        (s.watchdog_cycles > 0 && now.since(s.stable_since) >= s.watchdog_cycles)
             .then_some(StallReason::NoForwardProgress)
     }
 
@@ -1342,10 +1320,9 @@ impl ApuSystem {
     /// running anything — the gap between request arrivals in a serving
     /// scenario.
     ///
-    /// The run loop drives the stretch with no sentinel, and with only
-    /// telemetry scheduled under the event core (every stage, each a
-    /// no-op, under the `--no-skip` oracle). Both modes leave the system
-    /// bit-identical, including the telemetry sample due at `target`. A
+    /// Every stage is a no-op on an idle system, so neither engine runs
+    /// one: the clock steps from one telemetry sample due in
+    /// `(now, target]` to the next, taking each, and lands on `target`. A
     /// `target` at or before `now` is a no-op.
     ///
     /// # Panics
@@ -1353,10 +1330,11 @@ impl ApuSystem {
     /// Panics if the system is not idle ([`ApuSystem::is_done`]).
     pub fn idle_until(&mut self, target: Cycle) {
         assert!(self.is_done(), "idle_until on a busy system");
-        if self.now < target {
-            let halted = self.run_events(target, true);
-            debug_assert!(halted.is_none(), "no sentinel runs while idle");
+        while let Some(at) = self.next_sample(self.now).filter(|&at| at <= target) {
+            self.now = at;
+            self.record_sample();
         }
+        self.now = self.now.max(target);
     }
 
     /// Switches every L1 and L2 slice to `policy`'s level policies, with
@@ -1410,7 +1388,7 @@ impl ApuSystem {
         if !self.is_done() && self.now.0 >= max_cycles {
             return Err(self.stall_error(max_cycles, StallReason::CycleBudget));
         }
-        if let Some(reason) = self.run_events(Cycle(max_cycles), false) {
+        if let Some(reason) = self.run_events(Cycle(max_cycles)) {
             return Err(self.stall_error(max_cycles, reason));
         }
         // Final sweep at completion: quiescence invariants (every issued
@@ -1422,37 +1400,64 @@ impl ApuSystem {
         Ok(self.metrics())
     }
 
-    /// The one run loop of both engines: pop the earliest scheduled cycle
-    /// off the wheel, dispatch its due actors in priority order, let each
-    /// handler reschedule its own wakeups. Under the event core a cycle
-    /// with no events costs nothing; the oracle wakes every stage for the
-    /// next cycle after each one.
+    /// The one run loop of both engines. Each step pops the earliest of
+    /// three cycles — the wheel's next, the next telemetry sample and the
+    /// next sentinel check — and at it takes the sample, runs the check,
+    /// then dispatches the due actors in priority order, each handler
+    /// rescheduling its own wakeups. Under the event core a cycle with no
+    /// events costs nothing; the oracle wakes every stage for the next
+    /// cycle after each one.
     ///
-    /// Runs until the phase machine finishes, or for an `idle` stretch
-    /// until `end`. Returns why a busy run halted instead: a sentinel
-    /// finding, or the budget `end`.
-    fn run_events(&mut self, end: Cycle, idle: bool) -> Option<StallReason> {
-        self.seed_schedule(idle);
+    /// Run entry is one oracle cycle at `now`: every stage runs on it — a
+    /// stage with nothing to do is a no-op — and its handler reschedules
+    /// itself from the state it finds, which is all the event core needs
+    /// to pick up from there.
+    ///
+    /// Runs until the phase machine finishes. Returns why the run halted
+    /// instead: a sentinel finding, or the budget `end`.
+    fn run_events(&mut self, end: Cycle) -> Option<StallReason> {
+        let t0 = self.now;
+        self.ev.reset(t0);
+        self.ev.wake_every_stage(t0);
+        let mut sample = self.next_sample(t0).unwrap_or(NEVER);
+        // A check observes the state a cycle left behind, so the first
+        // one of a run comes after the run's first cycle.
+        let mut check = self
+            .sentinel
+            .as_deref()
+            .map_or(NEVER, |s| s.next_check.max(t0 + 1));
         let exit = loop {
-            if !idle && self.is_done() {
+            if self.is_done() {
                 break self.now;
             }
+            let wheel = self.ev.wheel.next_cycle().unwrap_or(NEVER);
+            let t = wheel.min(sample).min(check);
             // Nothing left to do before `end` (on a busy system only the
             // budget can end such a run, as in no-op cycles): the cycles
             // at or past it stay on the wheel, undispatched.
-            let t = match self.ev.wheel.next_cycle() {
-                Some(t) if t < end => t,
-                _ => break end,
-            };
+            if t >= end {
+                break end;
+            }
             self.now = t;
+            if t == sample {
+                self.record_sample();
+                sample = self.next_sample(t).unwrap_or(NEVER);
+            }
+            if t == check {
+                // A finding halts the run before this cycle's stages, with
+                // `now` at the check cycle.
+                if let Some(reason) = self.sentinel_poll() {
+                    return Some(reason);
+                }
+                check = self.sentinel.as_deref().map_or(NEVER, |s| s.next_check);
+            }
+            if t < wheel {
+                continue;
+            }
             self.ev.now = t;
             self.ev.due = self.ev.wheel.take(t);
-            loop {
-                let due = self.ev.due;
-                if due == 0 {
-                    break;
-                }
-                let a = due.trailing_zeros() as usize;
+            while self.ev.due != 0 {
+                let a = self.ev.due.trailing_zeros() as usize;
                 self.ev.due &= !(1u64 << a);
                 let units = match UNIT_WHEEL[a] {
                     NO_WHEEL => {
@@ -1470,22 +1475,16 @@ impl ApuSystem {
                 };
                 self.ev.current = a;
                 self.ev.events_by_actor[a] += 1;
-                let halted = if self.profile.is_some() {
+                if self.profile.is_some() {
                     let clock = std::time::Instant::now();
                     let allocs_before = miopt_engine::alloc_track::count();
-                    let r = self.dispatch(a, t, units);
+                    self.dispatch(a, t, units);
                     let p = self.profile.as_deref_mut().expect("checked above");
                     p.events[a] += 1;
                     p.nanos[a] += u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     p.allocs[a] += miopt_engine::alloc_track::count().saturating_sub(allocs_before);
-                    r
                 } else {
-                    self.dispatch(a, t, units)
-                };
-                if let Some(reason) = halted {
-                    // Halt with `now` at the check cycle, which observed
-                    // the state the previous cycle left.
-                    return Some(reason);
+                    self.dispatch(a, t, units);
                 }
             }
             self.ev.current = N_ACTORS;
@@ -1495,59 +1494,36 @@ impl ApuSystem {
                 self.ev.wake_every_stage(self.now);
             }
         };
-        // Leaving at `exit` (done, idle target or budget): the clock
-        // reaches it and the telemetry sample due there fires, so a run
-        // re-entered at `exit` cannot lose it.
+        // Leaving at `exit` (done or budget): the clock reaches it and the
+        // sample due there is taken, so a run re-entered at `exit` cannot
+        // lose it.
         self.now = exit;
-        if self.ev.scheduled[A_TELEMETRY] == exit {
-            self.ev.scheduled[A_TELEMETRY] = NEVER;
+        if sample == exit {
             self.record_sample();
         }
-        if idle || self.is_done() {
+        if self.is_done() {
             return None;
         }
-        // The budget: a sentinel check due at it still runs, and its
-        // finding wins.
-        if self.ev.scheduled[A_SENTINEL] == exit {
-            self.ev.scheduled[A_SENTINEL] = NEVER;
-            if let Some(reason) = self.sentinel_poll() {
-                return Some(reason);
-            }
-        }
-        Some(StallReason::CycleBudget)
+        // The budget: a check due at it still runs, and its finding wins.
+        let finding = if check == exit {
+            self.sentinel_poll()
+        } else {
+            None
+        };
+        Some(finding.unwrap_or(StallReason::CycleBudget))
     }
 
-    /// Seeds the wheel at run entry: the telemetry and sentinel cadences
-    /// (no sentinel on an idle stretch), then one oracle cycle at `now`.
-    /// Every stage runs on it — a stage with nothing to do is a no-op —
-    /// and its handler reschedules itself from the state it finds, which
-    /// is all the event core needs to pick up from there. An idle stretch
-    /// under the event core has no stage to run.
-    fn seed_schedule(&mut self, idle: bool) {
-        let t0 = self.now;
-        self.ev.reset(t0);
-        if let Some(rec) = self.telemetry.as_deref() {
-            self.ev.wake(A_TELEMETRY, Cycle(rec.next_due(t0.0)));
-        }
-        if let Some(s) = self.sentinel.as_deref().filter(|_| !idle) {
-            // A check observes the state a cycle left behind, so the
-            // first one of a run comes after the run's first cycle.
-            self.ev.wake(A_SENTINEL, s.next_check.max(t0 + 1));
-        }
-        if !(idle && self.skip) {
-            self.ev.wake_every_stage(t0);
-        }
+    /// The first telemetry sample due after `cycle`; `None` when
+    /// telemetry is off.
+    fn next_sample(&self, cycle: Cycle) -> Option<Cycle> {
+        let rec = self.telemetry.as_deref()?;
+        Some(Cycle(rec.next_due(cycle.0)))
     }
 
     /// Dispatches one actor at cycle `now`; a replicated-unit actor
-    /// visits the `units` due then. Returns a halt reason only from the
-    /// sentinel actor.
-    fn dispatch(&mut self, actor: usize, now: Cycle, units: u64) -> Option<StallReason> {
-        if actor == A_SENTINEL {
-            return self.ev_sentinel();
-        }
+    /// visits the `units` due then.
+    fn dispatch(&mut self, actor: usize, now: Cycle, units: u64) {
         match actor {
-            A_TELEMETRY => self.ev_telemetry(now),
             A_DRAM => self.ev_dram(now),
             A_L2_FILL => self.ev_l2_fill(now, units),
             A_L2_SERVICE => self.ev_l2_service(now, units),
@@ -1563,42 +1539,12 @@ impl ApuSystem {
         // always a cycle some memory actor dispatched on — piggyback the
         // phase machine's busyness check onto every such cycle rather
         // than polling it.
-        if (A_DRAM..=A_GPU_RESP).contains(&actor)
-            && matches!(self.phase, Phase::DrainKernel | Phase::DrainFlush)
-        {
+        if actor < A_PHASE && matches!(self.phase, Phase::DrainKernel | Phase::DrainFlush) {
             self.ev.wake(A_PHASE, now);
         }
-        None
     }
 
-    /// Actor 0: one telemetry sample, then reschedule at the next due
-    /// epoch boundary.
-    fn ev_telemetry(&mut self, now: Cycle) {
-        self.record_sample();
-        let at = self
-            .telemetry
-            .as_deref()
-            .expect("telemetry enabled")
-            .next_due(now.0);
-        self.ev.wake(A_TELEMETRY, Cycle(at));
-    }
-
-    /// Actor 1: one sentinel check, rescheduling at its own next cadence
-    /// unless it halts the run.
-    fn ev_sentinel(&mut self) -> Option<StallReason> {
-        let reason = self.sentinel_poll();
-        if reason.is_none() {
-            let at = self
-                .sentinel
-                .as_deref()
-                .expect("sentinel enabled")
-                .next_check;
-            self.ev.wake(A_SENTINEL, at);
-        }
-        reason
-    }
-
-    /// Actor 2 (stages 1-2): DRAM scheduling, then responses toward their
+    /// Actor 0 (stages 1-2): DRAM scheduling, then responses toward their
     /// L2 slice, held-over ones first.
     ///
     /// DRAM reschedules exactly, from `Dram::next_event` — a walk of the
@@ -1644,7 +1590,7 @@ impl ApuSystem {
         }
     }
 
-    /// Actor 3 (stage 3): up to two L2 fills per due slice from its DRAM
+    /// Actor 1 (stage 3): up to two L2 fills per due slice from its DRAM
     /// response queue, each slice rescheduled exactly from that queue.
     fn ev_l2_fill(&mut self, now: Cycle, m: u64) {
         for s in bits(m) {
@@ -1669,7 +1615,7 @@ impl ApuSystem {
         }
     }
 
-    /// Actor 4 (stage 4): L2 access servicing, per due slice.
+    /// Actor 2 (stage 4): L2 access servicing, per due slice.
     fn ev_l2_service(&mut self, now: Cycle, m: u64) {
         for s in bits(m) {
             if self.l2.service(now, s) {
@@ -1701,7 +1647,7 @@ impl ApuSystem {
         }
     }
 
-    /// Actor 5 (stage 5): per due slice, its writeback/miss queue drains
+    /// Actor 3 (stage 5): per due slice, its writeback/miss queue drains
     /// into DRAM while DRAM accepts.
     fn ev_l2_to_dram(&mut self, now: Cycle, m: u64) {
         let mut popped = 0u64;
@@ -1733,7 +1679,7 @@ impl ApuSystem {
         }
     }
 
-    /// Actor 6 (stage 6): response crossbar, L2 slices toward the L1s.
+    /// Actor 4 (stage 6): response crossbar, L2 slices toward the L1s.
     /// Wakes only the L1 fill units whose queues received a response.
     fn ev_resp_xbar(&mut self, now: Cycle) {
         let (_, dsts) = self.resp_xbar.tick_tracked_masked(
@@ -1760,7 +1706,7 @@ impl ApuSystem {
         }
     }
 
-    /// Actor 7 (stage 7): L1 fills from the response crossbar, per due
+    /// Actor 5 (stage 7): L1 fills from the response crossbar, per due
     /// CU; as [`ApuSystem::ev_l2_fill`].
     fn ev_l1_fill(&mut self, now: Cycle, m: u64) {
         for i in bits(m) {
@@ -1778,7 +1724,7 @@ impl ApuSystem {
         }
     }
 
-    /// Actor 8 (stage 8): L1 access servicing, per due CU.
+    /// Actor 6 (stage 8): L1 access servicing, per due CU.
     fn ev_l1_service(&mut self, now: Cycle, m: u64) {
         for i in bits(m) {
             if self.l1.service(now, i) {
@@ -1803,7 +1749,7 @@ impl ApuSystem {
         }
     }
 
-    /// Actor 9 (stage 9): request crossbar, L1s toward the L2 slices.
+    /// Actor 7 (stage 9): request crossbar, L1s toward the L2 slices.
     /// Wakes only the L2 service slices whose input queues received a
     /// request.
     fn ev_req_xbar(&mut self, now: Cycle) {
@@ -1829,7 +1775,7 @@ impl ApuSystem {
         }
     }
 
-    /// Actor 10 (stage 10): response delivery to the GPU, per due CU.
+    /// Actor 8 (stage 10): response delivery to the GPU, per due CU.
     fn ev_gpu_resp(&mut self, now: Cycle, m: u64) {
         let (mut popped, mut woke) = (0u64, false);
         for i in bits(m) {
@@ -1855,7 +1801,7 @@ impl ApuSystem {
         }
     }
 
-    /// Actor 11: the phase machine, and the only actor that reschedules
+    /// Actor 9: the phase machine, and the only actor that reschedules
     /// across phase transitions.
     fn ev_phase(&mut self, now: Cycle) {
         let before = self.phase;
@@ -1905,9 +1851,9 @@ impl ApuSystem {
                 }
                 // Neither branch scheduling anything means no SIMD
                 // timer is pending: every CU sleeps on a load response
-                // (actor 10 wakes the phase machine when one releases a
+                // (actor 8 wakes the phase machine when one releases a
                 // waitcnt or retires a wavefront) or
-                // on L1 backpressure (actor 8 wakes it when the queue it
+                // on L1 backpressure (actor 6 wakes it when the queue it
                 // pops for a memory-blocked CU has room again).
             }
             Phase::Flushing => self.ev.wake(A_PHASE, now + 1),
@@ -2353,7 +2299,7 @@ mod tests {
     }
 
     /// Halting a saturated run mid-kernel and re-entering it rebuilds the
-    /// schedule from state alone (`seed_schedule`), including the wake of
+    /// schedule from state alone (run entry's oracle cycle), including the wake of
     /// CUs asleep on L1 backpressure: the resumed run must end exactly
     /// where an uninterrupted one does, under both engines.
     #[test]
@@ -2652,13 +2598,21 @@ mod tests {
             );
             sys.set_time_skip(skip);
             sys.enable_telemetry(512);
+            // An idle gap runs no stage under either engine.
+            let idle = |sys: &mut ApuSystem, target: Cycle| {
+                let before = (sys.event_stats(), sys.service_stats());
+                sys.idle_until(target);
+                assert_eq!(sys.now(), target);
+                let after = (sys.event_stats(), sys.service_stats());
+                assert_eq!(after, before, "skip={skip}");
+            };
             // Idle gap, kernel, idle gap, kernel — with gaps that are not
             // multiples of the telemetry interval.
-            sys.idle_until(Cycle(1_700));
+            idle(&mut sys, Cycle(1_700));
             sys.enqueue_kernel(Arc::clone(&w.launches[0]), 0);
             sys.run_to_completion(200_000_000).expect("first kernel");
             let resume = sys.now() + 12_345;
-            sys.idle_until(resume);
+            idle(&mut sys, resume);
             sys.enqueue_kernel(Arc::clone(&w.launches[0]), 1);
             sys.run_to_completion(200_000_000).expect("second kernel");
             let m = sys.metrics();
@@ -2695,6 +2649,35 @@ mod tests {
         let ends: Vec<u64> = runs[0].epochs.iter().map(|e| e.end_cycle).collect();
         assert_eq!(ends[..2], [end, 2 * end], "{ends:?}");
         assert_eq!(runs[0], runs[1]);
+    }
+
+    /// A telemetry sample, a sentinel check that finds a violation and the
+    /// cycle budget on one cycle: the sample is taken once, and the
+    /// finding wins over the budget, under both engines.
+    #[test]
+    fn a_finding_on_the_budget_cycle_wins_and_its_sample_is_taken_once() {
+        let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
+        for skip in [true, false] {
+            let mut sys = ApuSystem::new(
+                SystemConfig::small_test(),
+                PolicyConfig::of(CachePolicy::CacheR),
+                &w,
+            );
+            sys.set_time_skip(skip);
+            sys.enable_telemetry(64);
+            sys.enable_sentinel(128, 0);
+            sys.inject_queue_credit_loss(1);
+            let err = sys.run_to_completion(128).expect_err("must halt");
+            assert_eq!(
+                err.diagnostic.reason,
+                StallReason::InvariantViolation,
+                "skip={skip}"
+            );
+            assert_eq!((err.diagnostic.cycle, sys.now()), (128, Cycle(128)));
+            let run = sys.take_telemetry().expect("telemetry enabled");
+            let ends: Vec<u64> = run.epochs.iter().map(|e| e.end_cycle).collect();
+            assert_eq!(ends, [64, 128], "skip={skip}");
+        }
     }
 
     /// The oracle really runs every stage on every cycle, so the

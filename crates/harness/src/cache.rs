@@ -81,6 +81,7 @@ impl ResultCache {
     /// run of `cycles` cycles under any budget of at least `cycles`.
     #[must_use]
     pub fn load(&self, spec: &SweepSpec, job: &Job) -> Option<RunResult> {
+        job.policy.validate().ok()?; // only a valid policy's label is its own
         let key = CacheKey::for_job(spec, job);
         let text = std::fs::read_to_string(self.path_of(key)).ok()?;
         let doc = Json::parse(&text).ok()?;
@@ -133,7 +134,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use miopt::SystemConfig;
+    use miopt::{CachePolicy, OptimizationSet, PolicyConfig, SystemConfig};
     use miopt_workloads::{by_name, SuiteConfig};
 
     fn test_spec() -> SweepSpec {
@@ -177,6 +178,17 @@ mod tests {
 
         // Other jobs still miss.
         assert!(cache.load(&spec, &jobs[1]).is_none());
+
+        // An invalid policy sharing a stored policy's label misses: CR
+        // without AB reads `CacheRW-CR`, like the ladder's AB+CR.
+        let mut cr = jobs[2];
+        cr.policy = PolicyConfig::new(CachePolicy::CacheRW, OptimizationSet::ab_cr()).unwrap();
+        cache.store(&spec, &cr, &fresh).unwrap();
+        assert!(cache.load(&spec, &cr).is_some());
+        let mut alias = cr;
+        alias.policy.opts.allocation_bypass = false;
+        assert_eq!(alias.policy.label(), cr.policy.label());
+        assert!(cache.load(&spec, &alias).is_none());
 
         // Corrupt entry downgrades to a miss.
         let path = dir.join(format!("{}.json", CacheKey::for_job(&spec, &jobs[0]).hex()));

@@ -178,6 +178,8 @@ mod tests {
         &["--scale", "quick", "--only", "FwAct,BwBN", "--fig6", "--no-cache", "--no-journal", "--quiet", "--jobs", "2", "--out", "d", "--sweep-name", "sat-on"],
         &["--scale", "quick", "--only", "FwAct", "--fig6", "--no-cache", "--no-journal", "--quiet", "--telemetry=500", "--out", "d", "--sweep-name", "tel-on"],
         &["--scale", "quick", "--only", "FwAct", "--fig6", "--no-cache", "--no-journal", "--quiet", "--telemetry=500", "--no-skip", "--out", "d", "--sweep-name", "tel-off"],
+        &["--scale", "quick", "--only", "FwAct,FwGRU", "--fig6", "--no-cache", "--no-journal", "--quiet", "--check-invariants", "--telemetry=4096", "--out", "d", "--sweep-name", "telchk-on"],
+        &["--scale", "quick", "--only", "FwAct,FwGRU", "--fig6", "--no-cache", "--no-journal", "--quiet", "--check-invariants", "--telemetry=4096", "--no-skip", "--out", "d", "--sweep-name", "telchk-off"],
         &["--scale", "quick", "--only", "FwGRU", "--fig10", "--no-cache", "--no-journal", "--quiet", "--jobs", "2", "--out", "d", "--sweep-name", "rnn-on"],
         &["--scale", "quick", "--only", "FwLSTM,FwBwGRU", "--fig6", "--no-cache", "--no-journal", "--quiet", "--no-skip", "--out", "d", "--sweep-name", "rnn-dram-off"],
         &["--fig6", "--only", "FwLRN", "--no-cache", "--no-journal", "--quiet", "--budget", "10000", "--out", "d", "--sweep-name", "exec-budget"],

@@ -50,14 +50,18 @@ impl<K: JobKind> SweepRun<K> {
     ///
     /// # Errors
     ///
-    /// Lists each failed job as `label: error`, one per line.
+    /// Lists each failed job once, as `label: error`, one per line.
     pub fn results(&self, kind: &K) -> Result<Vec<K::Output>, String> {
         let mut failures = Vec::new();
         let mut results = Vec::with_capacity(self.outcomes.len());
         for o in &self.outcomes {
             match &o.result {
                 Ok(r) => results.push(r.clone()),
-                Err(e) => failures.push(format!("{}: {e}", kind.label(&o.job))),
+                Err(e) => failures.push(match (kind.label(&o.job), e.to_string()) {
+                    // A halt's text already starts with its job's label.
+                    (label, e) if e.starts_with(&format!("{label}: ")) => e,
+                    (label, e) => format!("{label}: {e}"),
+                }),
             }
         }
         if failures.is_empty() {

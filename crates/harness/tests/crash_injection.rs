@@ -286,16 +286,18 @@ fn journal_bytes_are_pinned_for_both_kinds() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Failure records of older harnesses resume: one that re-ran failed
+/// Failure records resume: one of an older harness that re-ran failed
 /// jobs journaled `quarantined after 2 attempts: …` with `attempts` 2,
-/// and one that ran jobs under a wall-clock limit journaled `timed out
-/// after 1.0s`. Each record replays verbatim as a failed job, and only
-/// the jobs the journal lacks are simulated.
+/// one that ran jobs under a wall-clock limit journaled `timed out
+/// after 1.0s`, and a budget halt. Each record replays verbatim as a
+/// failed job, and only the jobs the journal lacks are simulated.
 #[test]
 fn a_quarantined_record_of_an_older_journal_replays_verbatim() {
     let dir = std::env::temp_dir().join(format!("miopt-journal-old-{}", std::process::id()));
     let spec = figure_spec();
     let policy = spec.jobs()[1].policy.label();
+    let label = format!("FwSoft/{policy}: ");
+    let halted = format!("{label}simulation exceeded 10 cycles");
     for (status, attempts, elapsed_ms) in [
         (
             "quarantined after 2 attempts: timed out after 2.0s",
@@ -303,6 +305,7 @@ fn a_quarantined_record_of_an_older_journal_replays_verbatim() {
             4213,
         ),
         ("timed out after 1.0s", 1, 1000),
+        (halted.as_str(), 1, 3),
     ] {
         let _ = std::fs::remove_dir_all(&dir);
         drop(Journal::create(&dir, "victim", &spec).expect("a fresh journal opens"));
@@ -332,6 +335,10 @@ fn a_quarantined_record_of_an_older_journal_replays_verbatim() {
             resumed.results(&spec).is_err(),
             "{status}: the sweep reports a failure"
         );
+        // The failure list names the job once, also when the status (a
+        // halt's) already starts with its label.
+        let failure = format!("{label}{}", status.trim_start_matches(&label));
+        assert_eq!(resumed.results(&spec).err(), Some(failure));
         let provenance = SweepSpec::document(&resumed.report)
             .get("provenance")
             .cloned();

@@ -183,8 +183,8 @@ impl Recorder {
     }
 
     /// The first cycle strictly after `cycle` at which a sample is due —
-    /// the event core schedules its sampling wakeups with this, and the
-    /// idle-clock warp lands one cycle short of it.
+    /// the simulator's run loop and its idle-gap clock advance take
+    /// their samples there.
     #[must_use]
     pub fn next_due(&self, cycle: u64) -> u64 {
         (cycle / self.interval + 1) * self.interval

@@ -15,8 +15,6 @@ use crate::{kernel, Category, RegionAlloc, SuiteConfig, Workload};
 use miopt_gpu::{KernelDesc, Op};
 use std::sync::Arc;
 
-const SEQ_LEN: u32 = 16;
-
 /// Configuration of a DeepBench-style RNN workload, mirroring the knobs
 /// the paper calls out ("sequence lengths, hidden layer sizes, and batch
 /// sizes"). The Table 2 entries use [`RnnConfig::paper`]; the
@@ -47,19 +45,11 @@ impl RnnConfig {
     }
 }
 
-/// Builds a custom-size LSTM/GRU workload (see [`RnnConfig`]). Kernel
-/// counts scale with the sequence length exactly as the Table 2 entries
-/// do at length 16.
-#[must_use]
-pub fn rnn_with_config(name: &str, index: u64, config: &RnnConfig) -> Workload {
-    rnn_impl(name, index, config)
-}
-
 /// The input-weight GEMM, batched across all timesteps: every work-group
-/// sweeps the whole `W` (reuse across distant work items).
-fn gemm_x(tid: u16, w: Region, x: Region, gates: u64) -> Arc<KernelDesc> {
-    let wgs = (SEQ_LEN * gates as u32).max(8);
-    // (the batched input GEMM's parallelism scales with gates x seq.)
+/// sweeps the whole `W` (reuse across distant work items), and the grid
+/// scales with gates x sequence length.
+fn gemm_x(tid: u16, w: Region, x: Region, gates: u64, seq_len: u32) -> Arc<KernelDesc> {
+    let wgs = (seq_len * gates as u32).max(8);
     let iters = (w.bytes / (64 * 4)).max(1) as u32;
     kernel(
         "rnn_gemm_x",
@@ -207,18 +197,11 @@ fn gemm_bw(tid: u16, w: Region, acts: Region, dw: Region) -> Arc<KernelDesc> {
     )
 }
 
-struct RnnShape {
-    /// Gate count (4 for LSTM, 3 for GRU).
-    gates: u64,
-    /// Whether the backward pass is run too.
-    backward: bool,
-}
-
-fn rnn(name: &str, index: u64, _cfg: &SuiteConfig, shape: &RnnShape) -> Workload {
-    rnn_impl(name, index, &RnnConfig::paper(shape.gates, shape.backward))
-}
-
-fn rnn_impl(name: &str, index: u64, config: &RnnConfig) -> Workload {
+/// Builds a custom-size LSTM/GRU workload (see [`RnnConfig`]). Kernel
+/// counts scale with the sequence length exactly as the Table 2 entries
+/// do at length 16.
+#[must_use]
+pub fn rnn_with_config(name: &str, index: u64, config: &RnnConfig) -> Workload {
     let mut alloc = RegionAlloc::for_workload(index);
     let hidden = config.hidden;
     let seq_len = config.seq_len;
@@ -229,7 +212,7 @@ fn rnn_impl(name: &str, index: u64, config: &RnnConfig) -> Workload {
     let state = alloc.region(64 * 1024);
     let base = (index * 8) as u16;
 
-    let k_gemm_x = gemm_x(base, wx, state, config.gates);
+    let k_gemm_x = gemm_x(base, wx, state, config.gates, seq_len);
     let k_gemv_h = gemv_h(base + 1, wh, state);
     let k_ew_gate = elementwise(base + 2, "rnn_ew_gate", state, 2);
     let k_ew_state = elementwise(base + 3, "rnn_ew_state", state, 1);
@@ -282,55 +265,23 @@ fn rnn_impl(name: &str, index: u64, config: &RnnConfig) -> Workload {
 
 /// Forward LSTM (batch 1, seq 16, hidden 128). Paper: 4/150 kernels,
 /// 0.38 MB.
-pub(crate) fn fw_lstm(cfg: &SuiteConfig, index: u64) -> Workload {
-    rnn(
-        "FwLSTM",
-        index,
-        cfg,
-        &RnnShape {
-            gates: 4,
-            backward: false,
-        },
-    )
+pub(crate) fn fw_lstm(_cfg: &SuiteConfig, index: u64) -> Workload {
+    rnn_with_config("FwLSTM", index, &RnnConfig::paper(4, false))
 }
 
 /// Forward GRU. Paper: 4/150 kernels.
-pub(crate) fn fw_gru(cfg: &SuiteConfig, index: u64) -> Workload {
-    rnn(
-        "FwGRU",
-        index,
-        cfg,
-        &RnnShape {
-            gates: 3,
-            backward: false,
-        },
-    )
+pub(crate) fn fw_gru(_cfg: &SuiteConfig, index: u64) -> Workload {
+    rnn_with_config("FwGRU", index, &RnnConfig::paper(3, false))
 }
 
 /// Forward+backward LSTM. Paper: 6/363 kernels, 0.48 MB.
-pub(crate) fn fwbw_lstm(cfg: &SuiteConfig, index: u64) -> Workload {
-    rnn(
-        "FwBwLSTM",
-        index,
-        cfg,
-        &RnnShape {
-            gates: 4,
-            backward: true,
-        },
-    )
+pub(crate) fn fwbw_lstm(_cfg: &SuiteConfig, index: u64) -> Workload {
+    rnn_with_config("FwBwLSTM", index, &RnnConfig::paper(4, true))
 }
 
 /// Forward+backward GRU. Paper: 6/363 kernels.
-pub(crate) fn fwbw_gru(cfg: &SuiteConfig, index: u64) -> Workload {
-    rnn(
-        "FwBwGRU",
-        index,
-        cfg,
-        &RnnShape {
-            gates: 3,
-            backward: true,
-        },
-    )
+pub(crate) fn fwbw_gru(_cfg: &SuiteConfig, index: u64) -> Workload {
+    rnn_with_config("FwBwGRU", index, &RnnConfig::paper(3, true))
 }
 
 #[cfg(test)]
@@ -359,6 +310,22 @@ mod tests {
         let b = &w.launches[10];
         assert_eq!(a.template_id, b.template_id);
         assert_eq!(a.pc_of(0), b.pc_of(0));
+    }
+
+    /// The batched input GEMM's grid follows the configured sequence
+    /// length, not the paper's 16.
+    #[test]
+    fn input_gemm_grid_scales_with_the_sequence_length() {
+        for (seq_len, gates) in [(8, 3), (32, 4)] {
+            let config = RnnConfig {
+                seq_len,
+                ..RnnConfig::paper(gates, false)
+            };
+            let w = rnn_with_config("rnn", 0, &config);
+            let gemm = &w.launches[0];
+            assert_eq!(gemm.name, "rnn_gemm_x");
+            assert_eq!(gemm.wgs, seq_len * gates as u32, "{config:?}");
+        }
     }
 
     #[test]

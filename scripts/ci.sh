@@ -159,6 +159,22 @@ for f in "$smoke_dir"/tel-on-telemetry/*.jsonl; do
     cmp "$f" "$smoke_dir/tel-off-telemetry/$(basename "$f")"
 done
 [[ "$(ls "$smoke_dir"/tel-on-telemetry/*.jsonl | wc -l)" -eq 3 ]]
+# Samples and sentinel checks on the same cycles (both every 4096): the
+# run loop takes the sample, then the check, then the cycle's stages, in
+# both engines, over a saturated and a multi-kernel grid.
+for mode in on off; do
+    flag=""
+    [[ "$mode" == off ]] && flag="--no-skip"
+    cargo run --release -q -p miopt-harness -- \
+        --scale quick --only FwAct,FwGRU --fig6 --no-cache --no-journal --quiet \
+        --check-invariants --telemetry=4096 $flag --out "$smoke_dir" \
+        --sweep-name "telchk-$mode" >/dev/null
+done
+for f in "$smoke_dir"/telchk-on-telemetry/*; do
+    cmp "$f" "$smoke_dir/telchk-off-telemetry/$(basename "$f")"
+done
+[[ "$(ls "$smoke_dir"/telchk-on-telemetry/*.jsonl | wc -l)" -eq 6 ]]
+[[ "$(ls "$smoke_dir"/telchk-on-telemetry/*.trace.json | wc -l)" -eq 6 ]]
 # A multi-kernel grid: FwGRU's 150 kernels each end in a drain, a release
 # flush and an acquire self-invalidation (which trains the PC predictor
 # under CacheRW-PCby), and in its latency-bound steps the event core
@@ -287,6 +303,13 @@ executor() {
 executor exec-budget --budget 10000
 [[ "$(grep -c '"status": "FwLRN/.*: simulation exceeded 10000 cycles"' "$smoke_dir/exec-budget.json")" -eq 3 ]]
 [[ "$(grep -c '"diagnostic": {' "$smoke_dir/exec-budget.json")" -eq 3 ]]
+# The stderr failure list names each job once.
+[[ "$(grep -c '^FwLRN/[^:]*: simulation exceeded 10000 cycles$' "$smoke_dir/exec-budget.err")" -eq 3 ]]
+if grep -q 'FwLRN/[^:]*: FwLRN/' "$smoke_dir/exec-budget.err"; then
+    echo "executor smoke: a failed job is named twice:" >&2
+    cat "$smoke_dir/exec-budget.err" >&2
+    exit 1
+fi
 if grep -q '"quarantined"' "$smoke_dir/exec-budget.json"; then
     echo "executor smoke: the report still has a \"quarantined\" key" >&2
     exit 1
