@@ -67,6 +67,4 @@ pub use config::{ConfigError, SystemConfig, SystemConfigBuilder};
 pub use metrics::Metrics;
 pub use miopt_cache::{LevelPolicy, WayRange};
 pub use policy::{optimization_ladder, CachePolicy, OptimizationSet, PolicyConfig};
-pub use system::{
-    ApuSystem, EventProfile, EventProfileRow, SimTimeoutError, StallDiagnostic, StallReason,
-};
+pub use system::{ApuSystem, EventProfile, EventProfileRow, StallDiagnostic, StallReason};

@@ -5,7 +5,7 @@
 //! printed tables and CSVs.
 
 use crate::config::ConfigError;
-use crate::system::{SimTimeoutError, StallReason};
+use crate::system::StallDiagnostic;
 use crate::{optimization_ladder, ApuSystem, CachePolicy, Metrics, PolicyConfig, SystemConfig};
 use miopt_telemetry::TelemetryRun;
 use miopt_workloads::Workload;
@@ -24,15 +24,14 @@ pub const DEFAULT_MAX_CYCLES: u64 = 20_000_000_000;
 pub enum SimError {
     /// The run stopped before finishing: its cycle budget ran out, or —
     /// with invariant checking enabled — the watchdog declared it wedged
-    /// or an invariant check failed. `error.diagnostic.reason` says
-    /// which.
+    /// or an invariant check failed. `diagnostic.reason` says which.
     Halted {
         /// Workload name of the failed run.
         workload: String,
         /// Policy label of the failed run.
         policy: String,
-        /// The budget and the state of the halted system.
-        error: SimTimeoutError,
+        /// The state of the halted system.
+        diagnostic: Box<StallDiagnostic>,
     },
     /// The system, policy or run configuration was rejected up front.
     Config(ConfigError),
@@ -44,26 +43,8 @@ impl fmt::Display for SimError {
             SimError::Halted {
                 workload,
                 policy,
-                error,
-            } => {
-                let d = &error.diagnostic;
-                write!(f, "{workload}/{policy}: ")?;
-                match d.reason {
-                    StallReason::CycleBudget => {
-                        write!(f, "simulation exceeded {} cycles", error.max_cycles)
-                    }
-                    StallReason::NoForwardProgress => {
-                        write!(f, "no forward progress since cycle {}", d.cycle)
-                    }
-                    StallReason::InvariantViolation => {
-                        write!(f, "invariant violation at cycle {}", d.cycle)?;
-                        if let Some(v) = d.violations.first() {
-                            write!(f, " ({v})")?;
-                        }
-                        Ok(())
-                    }
-                }
-            }
+                diagnostic,
+            } => write!(f, "{workload}/{policy}: {diagnostic}"),
             SimError::Config(e) => write!(f, "{e}"),
         }
     }
@@ -72,7 +53,7 @@ impl fmt::Display for SimError {
 impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            SimError::Halted { error, .. } => Some(error),
+            SimError::Halted { diagnostic, .. } => Some(diagnostic.as_ref()),
             SimError::Config(e) => Some(e),
         }
     }
@@ -203,10 +184,10 @@ pub fn run_one_with(
     opts.configure(&mut sys);
     let metrics = sys
         .run_to_completion(opts.max_cycles)
-        .map_err(|error| SimError::Halted {
+        .map_err(|diagnostic| SimError::Halted {
             workload: workload.name.clone(),
             policy: policy.label(),
-            error,
+            diagnostic,
         })?;
     Ok(RunResult {
         workload: workload.name.clone(),
@@ -473,6 +454,7 @@ pub fn classify(static_runs: &[RunResult]) -> miopt_workloads::Category {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StallReason;
     use miopt_telemetry::StatSnapshot;
     use miopt_workloads::{by_name, SuiteConfig};
 
@@ -610,12 +592,11 @@ mod tests {
             SimError::Halted {
                 workload,
                 policy,
-                error,
+                diagnostic,
             } => {
-                let diagnostic = &error.diagnostic;
                 assert_eq!(workload, "FwSoft");
                 assert_eq!(policy, "CacheR");
-                assert_eq!(error.max_cycles, 10);
+                assert_eq!(diagnostic.budget, 10);
                 assert_eq!(diagnostic.reason, StallReason::CycleBudget);
                 assert_eq!(diagnostic.cycle, 10);
                 assert_eq!(diagnostic.phase, "launch");
@@ -632,11 +613,11 @@ mod tests {
         let status = |max_cycles: u64, inject: &dyn Fn(&mut ApuSystem)| {
             let mut sys = ApuSystem::new(SystemConfig::small_test(), policy, &w);
             inject(&mut sys);
-            let error = sys.run_to_completion(max_cycles).expect_err("must halt");
+            let diagnostic = sys.run_to_completion(max_cycles).expect_err("must halt");
             SimError::Halted {
                 workload: w.name.clone(),
                 policy: policy.label(),
-                error,
+                diagnostic,
             }
             .to_string()
         };

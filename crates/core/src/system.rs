@@ -40,9 +40,10 @@ impl fmt::Display for StallReason {
 /// run fails: where every in-flight request is, which invariants (if any)
 /// are broken, and what the wavefronts are waiting on.
 ///
-/// Attached to [`SimTimeoutError`]; the harness serializes it into the
-/// sweep report so a wedged overnight run is diagnosable from the JSON
-/// alone.
+/// The error [`ApuSystem::run_to_completion`] returns. Its `Display` is
+/// the one-line status; [`StallDiagnostic::report`] is the full text, and
+/// the harness serializes the fields into the sweep report so a wedged
+/// overnight run is diagnosable from the JSON alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StallDiagnostic {
     /// The cycle at which the run halted.
@@ -51,6 +52,8 @@ pub struct StallDiagnostic {
     pub phase: &'static str,
     /// Why the run halted.
     pub reason: StallReason,
+    /// The cycle budget of the halted run.
+    pub budget: u64,
     /// The oldest request still sitting in a hierarchy queue (by issue
     /// cycle), with the queue that holds it. `None` when all queues are
     /// empty (the wedge is inside a component, e.g. a leaked MSHR).
@@ -73,63 +76,62 @@ pub struct StallDiagnostic {
     pub violations: Vec<InvariantViolation>,
 }
 
-impl fmt::Display for StallDiagnostic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
+impl StallDiagnostic {
+    /// The multi-line report: the halt cycle, phase and reason, then one
+    /// line per violation, the oldest request, each occupied queue, each
+    /// cache's MSHRs, each CU's wavefronts and each blocked unit.
+    #[must_use]
+    pub fn report(&self) -> String {
+        let mut lines = vec![format!(
             "stall at cycle {} (phase {}): {}",
             self.cycle, self.phase, self.reason
-        )?;
-        for v in &self.violations {
-            writeln!(f, "  violation: {v}")?;
-        }
-        if let Some(req) = &self.oldest_request {
-            writeln!(f, "  oldest request: {req}")?;
-        }
-        for (name, occ) in &self.queues {
-            writeln!(f, "  queue {name}: {occ} occupied")?;
-        }
-        for (name, entries) in &self.mshrs {
-            writeln!(f, "  mshr {name}: {}", entries.join("; "))?;
-        }
-        for w in &self.wavefronts {
-            writeln!(f, "  {w}")?;
-        }
-        for u in &self.blocked_units {
-            writeln!(f, "  {u}")?;
-        }
-        Ok(())
+        )];
+        lines.extend(self.violations.iter().map(|v| format!("  violation: {v}")));
+        lines.extend(
+            self.oldest_request
+                .iter()
+                .map(|r| format!("  oldest request: {r}")),
+        );
+        lines.extend(
+            self.queues
+                .iter()
+                .map(|(q, n)| format!("  queue {q}: {n} occupied")),
+        );
+        lines.extend(
+            self.mshrs
+                .iter()
+                .map(|(name, entries)| format!("  mshr {name}: {}", entries.join("; "))),
+        );
+        lines.extend(
+            self.wavefronts
+                .iter()
+                .chain(&self.blocked_units)
+                .map(|w| format!("  {w}")),
+        );
+        lines.join("\n") + "\n"
     }
 }
 
-/// Returned by [`ApuSystem::run_to_completion`] when the run halts before
-/// completion: the cycle budget ran out, the sentinel watchdog detected a
-/// wedge, or an invariant check failed. Carries a [`StallDiagnostic`]
-/// describing the halted system.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimTimeoutError {
-    /// The cycle budget of the halted run.
-    pub max_cycles: u64,
-    /// What the halted system looked like.
-    pub diagnostic: Box<StallDiagnostic>,
-}
-
-impl fmt::Display for SimTimeoutError {
+/// The one-line status of a halted run.
+impl fmt::Display for StallDiagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.diagnostic.reason {
-            StallReason::CycleBudget => {
-                write!(f, "simulation exceeded {} cycles", self.max_cycles)
+        match self.reason {
+            StallReason::CycleBudget => write!(f, "simulation exceeded {} cycles", self.budget),
+            StallReason::NoForwardProgress => {
+                write!(f, "no forward progress since cycle {}", self.cycle)
             }
-            reason => write!(
-                f,
-                "simulation halted at cycle {}: {reason}",
-                self.diagnostic.cycle
-            ),
+            StallReason::InvariantViolation => {
+                write!(f, "invariant violation at cycle {}", self.cycle)?;
+                if let Some(v) = self.violations.first() {
+                    write!(f, " ({v})")?;
+                }
+                Ok(())
+            }
         }
     }
 }
 
-impl Error for SimTimeoutError {}
+impl Error for StallDiagnostic {}
 
 /// Sentinel bookkeeping: invariant-check cadence and the forward-progress
 /// watchdog. Lives behind an `Option<Box<_>>` so release runs without
@@ -753,7 +755,9 @@ impl ApuSystem {
     /// draining, tens of cycles per entry).
     pub const DEFAULT_WATCHDOG: u64 = 1_000_000;
 
-    /// Builds a system ready to execute `workload` under `policy`.
+    /// Builds a system ready to execute `workload` under `policy`: an
+    /// idle system ([`ApuSystem::new_idle`]) with each of the workload's
+    /// launches queued, in order, by [`ApuSystem::enqueue_kernel`].
     ///
     /// # Panics
     ///
@@ -762,13 +766,11 @@ impl ApuSystem {
     /// [`crate::runner::run_one`] for non-panicking validation.
     #[must_use]
     pub fn new(cfg: SystemConfig, policy: PolicyConfig, workload: &Workload) -> ApuSystem {
-        let launches = workload
-            .launches
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (Arc::clone(k), i as u32))
-            .collect();
-        Self::build(cfg, policy, launches)
+        let mut sys = Self::new_idle(cfg, policy);
+        for (seq, k) in workload.launches.iter().enumerate() {
+            sys.enqueue_kernel(Arc::clone(k), seq as u32);
+        }
+        sys
     }
 
     /// Builds a system with no kernels queued, starting in the finished
@@ -786,16 +788,6 @@ impl ApuSystem {
     /// [`SystemConfig::validate`]).
     #[must_use]
     pub fn new_idle(cfg: SystemConfig, policy: PolicyConfig) -> ApuSystem {
-        let mut sys = Self::build(cfg, policy, VecDeque::new());
-        sys.phase = Phase::Finished;
-        sys
-    }
-
-    fn build(
-        cfg: SystemConfig,
-        policy: PolicyConfig,
-        launches: VecDeque<(Arc<KernelDesc>, u32)>,
-    ) -> ApuSystem {
         cfg.validate().expect("invalid system config");
         let n = cfg.n_cus;
         let s = cfg.l2_slices;
@@ -823,10 +815,8 @@ impl ApuSystem {
             resp_pending: 0,
             resp_xbar: Crossbar::new(s, n, cfg.xbar_per_output),
             now: Cycle::ZERO,
-            phase: Phase::Launching {
-                until: Cycle(cfg.launch_overhead),
-            },
-            launches,
+            phase: Phase::Finished,
+            launches: VecDeque::new(),
             cfg,
             telemetry: None,
             // Debug (and therefore CI-test) builds always run checked;
@@ -1208,8 +1198,8 @@ impl ApuSystem {
             .then_some(StallReason::NoForwardProgress)
     }
 
-    /// Captures the halted system into a [`SimTimeoutError`].
-    fn stall_error(&mut self, max_cycles: u64, reason: StallReason) -> SimTimeoutError {
+    /// Captures the halted system into a [`StallDiagnostic`].
+    fn stall_error(&mut self, budget: u64, reason: StallReason) -> Box<StallDiagnostic> {
         self.settle_caches();
         let mut queues = Vec::new();
         let mut oldest: Option<(Cycle, String)> = None;
@@ -1246,6 +1236,7 @@ impl ApuSystem {
             cycle: self.now.0,
             phase: Self::phase_label(self.phase),
             reason,
+            budget,
             oldest_request: oldest.map(|(_, s)| s),
             queues,
             mshrs,
@@ -1256,10 +1247,7 @@ impl ApuSystem {
         if let Some(rec) = self.telemetry.as_deref_mut() {
             rec.instant(format!("sentinel:{reason}"), self.now.0);
         }
-        SimTimeoutError {
-            max_cycles,
-            diagnostic,
-        }
+        diagnostic
     }
 
     /// Fault-injection hook (sentinel validation only): leaks a phantom
@@ -1380,11 +1368,10 @@ impl ApuSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`SimTimeoutError`] if the system has not finished within
-    /// `max_cycles`, or — with the sentinel enabled — as soon as an
-    /// invariant check fails or the watchdog detects a wedge. The error
-    /// carries a [`StallDiagnostic`] either way.
-    pub fn run_to_completion(&mut self, max_cycles: u64) -> Result<Metrics, SimTimeoutError> {
+    /// Returns the halted system's [`StallDiagnostic`] if it has not
+    /// finished within `max_cycles`, or — with the sentinel enabled — as
+    /// soon as an invariant check fails or the watchdog detects a wedge.
+    pub fn run_to_completion(&mut self, max_cycles: u64) -> Result<Metrics, Box<StallDiagnostic>> {
         if !self.is_done() && self.now.0 >= max_cycles {
             return Err(self.stall_error(max_cycles, StallReason::CycleBudget));
         }
@@ -2091,9 +2078,8 @@ mod tests {
         assert_eq!(vs[0].invariant, "credit_conservation");
         sys.enable_sentinel(64, 0);
         let err = sys.run_to_completion(200_000_000).expect_err("must halt");
-        assert_eq!(err.diagnostic.reason, StallReason::InvariantViolation);
+        assert_eq!(err.reason, StallReason::InvariantViolation);
         assert!(err
-            .diagnostic
             .violations
             .iter()
             .any(|v| v.component == "queue.l1_in[1]" && v.invariant == "credit_conservation"));
@@ -2110,15 +2096,14 @@ mod tests {
         sys.inject_l1_mshr_leak(2, miopt_engine::LineAddr(8), true);
         sys.enable_sentinel(64, 0);
         let err = sys.run_to_completion(200_000_000).expect_err("must halt");
-        assert_eq!(err.diagnostic.reason, StallReason::InvariantViolation);
+        assert_eq!(err.reason, StallReason::InvariantViolation);
         let v = err
-            .diagnostic
             .violations
             .iter()
             .find(|v| v.invariant == "mshr_reservation")
             .expect("reservation violation");
         assert_eq!(v.component, "l1[2]");
-        assert!(err.diagnostic.cycle < 200, "caught at the first sweep");
+        assert!(err.cycle < 200, "caught at the first sweep");
     }
 
     #[test]
@@ -2134,19 +2119,20 @@ mod tests {
         sys.inject_l1_mshr_leak(0, miopt_engine::LineAddr(8), false);
         sys.enable_sentinel(64, 5_000);
         let err = sys.run_to_completion(200_000_000).expect_err("must wedge");
-        assert_eq!(err.diagnostic.reason, StallReason::NoForwardProgress);
-        assert!(err.diagnostic.violations.is_empty(), "plausible leak");
+        assert_eq!(err.reason, StallReason::NoForwardProgress);
+        assert!(err.violations.is_empty(), "plausible leak");
         let (comp, entries) = err
-            .diagnostic
             .mshrs
             .iter()
             .find(|(c, _)| c == "l1[0]")
             .expect("leaked MSHR in the diagnostic");
         assert_eq!(comp, "l1[0]");
         assert!(entries[0].contains("line 0x8"), "{entries:?}");
-        assert!(err.to_string().contains("halted"));
+        assert!(err
+            .to_string()
+            .starts_with("no forward progress since cycle "));
         // The budget was nowhere near exhausted: the watchdog fired first.
-        assert!(err.diagnostic.cycle < 200_000_000);
+        assert!(err.cycle < 200_000_000);
     }
 
     #[test]
@@ -2165,17 +2151,16 @@ mod tests {
         }
         sys.enable_sentinel(64, 5_000);
         let err = sys.run_to_completion(200_000).expect_err("must wedge");
-        assert_eq!(err.diagnostic.reason, StallReason::NoForwardProgress);
+        assert_eq!(err.reason, StallReason::NoForwardProgress);
         assert!(
-            err.diagnostic
-                .blocked_units
+            err.blocked_units
                 .iter()
                 .any(|b| b.starts_with("l1[0]: blocked since")),
             "{:?}",
-            err.diagnostic.blocked_units
+            err.blocked_units
         );
         // One watchdog window after the blockage, not at the budget.
-        assert!(err.diagnostic.cycle < 10_000, "{}", err.diagnostic.cycle);
+        assert!(err.cycle < 10_000, "{}", err.cycle);
         assert!(sys.metrics().l1.stall_mshr.get() > 0);
     }
 
@@ -2323,7 +2308,7 @@ mod tests {
             // Budgets that are not multiples of anything in the machine.
             for budget in [7_001, 7_002, 9_337, 20_011] {
                 let err = sys.run_to_completion(budget).expect_err("mid-kernel");
-                assert_eq!(err.diagnostic.reason, StallReason::CycleBudget);
+                assert_eq!(err.reason, StallReason::CycleBudget);
                 assert_eq!(sys.now(), Cycle(budget));
                 blocked_at_a_halt |= (0..sys.l1.input.len()).any(|i| sys.gpu.cu_mem_blocked(i));
             }
@@ -2400,10 +2385,10 @@ mod tests {
             let e = event.run_to_completion(budget).expect_err("mid-kernel");
             let o = oracle.run_to_completion(budget).expect_err("mid-kernel");
             assert_eq!(e, o, "same halt, same diagnostic");
-            assert_eq!(e.diagnostic.reason, StallReason::CycleBudget);
+            assert_eq!(e.reason, StallReason::CycleBudget);
             assert_eq!(event.metrics(), oracle.metrics(), "budget {budget}");
             assert!(event.check_invariants_now().is_empty());
-            if !e.diagnostic.blocked_units.is_empty() {
+            if !e.blocked_units.is_empty() {
                 slept_at_a_halt += event.service_stats().0.settled - before;
             }
         }
@@ -2430,7 +2415,7 @@ mod tests {
         );
         let err = sys.run_to_completion(9_337).expect_err("mid-kernel");
         assert_eq!(
-            err.diagnostic.to_string(),
+            err.report(),
             include_str!("../tests/golden/stall_fwact_cacher_9337.txt")
         );
     }
@@ -2453,7 +2438,7 @@ mod tests {
         let mut named = 0;
         for budget in (7_000..).step_by(61).take(40) {
             let err = sys.run_to_completion(budget).expect_err("mid-kernel");
-            assert!(err.diagnostic.violations.is_empty(), "{err:?}");
+            assert!(err.violations.is_empty(), "{err:?}");
             let now = sys.now();
             for i in 0..sys.l1.units.len() {
                 let asleep = sys.l1.units[i].blocked_since().is_some();
@@ -2558,8 +2543,8 @@ mod tests {
             sys.enable_sentinel(64, 0);
             sys.inject_l1_mshr_leak(0, miopt_engine::LineAddr(8), false);
             let err = sys.run_to_completion(100_000).expect_err("must time out");
-            assert_eq!(err.diagnostic.reason, StallReason::CycleBudget);
-            err.diagnostic.cycle
+            assert_eq!(err.reason, StallReason::CycleBudget);
+            err.cycle
         };
         assert_eq!(halt_cycle(true), halt_cycle(false));
     }
@@ -2668,12 +2653,8 @@ mod tests {
             sys.enable_sentinel(128, 0);
             sys.inject_queue_credit_loss(1);
             let err = sys.run_to_completion(128).expect_err("must halt");
-            assert_eq!(
-                err.diagnostic.reason,
-                StallReason::InvariantViolation,
-                "skip={skip}"
-            );
-            assert_eq!((err.diagnostic.cycle, sys.now()), (128, Cycle(128)));
+            assert_eq!(err.reason, StallReason::InvariantViolation, "skip={skip}");
+            assert_eq!((err.cycle, sys.now()), (128, Cycle(128)));
             let run = sys.take_telemetry().expect("telemetry enabled");
             let ends: Vec<u64> = run.epochs.iter().map(|e| e.end_cycle).collect();
             assert_eq!(ends, [64, 128], "skip={skip}");

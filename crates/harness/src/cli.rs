@@ -98,16 +98,22 @@ impl CommonArgs {
     }
 }
 
-/// Refuses, by name, each of `names` that `scale`'s suite lacks.
+/// Each of `names` in `scale`'s suite's spelling (names match without
+/// regard to case); refuses, by name, each that the suite lacks.
 pub(crate) fn known_workloads<'a>(
     scale: &SuiteConfig,
     names: impl Iterator<Item = &'a str>,
-) -> Result<(), String> {
+) -> Result<Vec<String>, String> {
     let suite = suite(scale);
-    let known = |name: &str| suite.iter().any(|w| w.name.eq_ignore_ascii_case(name));
-    let unknown: Vec<&str> = names.filter(|name| !known(name)).collect();
+    let (mut known, mut unknown) = (Vec::new(), Vec::new());
+    for name in names {
+        match suite.iter().find(|w| w.name.eq_ignore_ascii_case(name)) {
+            Some(w) => known.push(w.name.clone()),
+            None => unknown.push(name),
+        }
+    }
     match unknown.as_slice() {
-        [] => Ok(()),
+        [] => Ok(known),
         _ => Err(format!("unknown workload(s) {unknown:?}")),
     }
 }

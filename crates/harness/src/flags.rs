@@ -186,6 +186,7 @@ mod tests {
         &["--fig6", "--only", "FwLRN", "--no-cache", "--no-journal", "--quiet", "--jobs", "1", "--budget", "10000", "--fail-fast", "--out", "d", "--sweep-name", "exec-ff"],
         &["serve", "--policies", "CacheR", "--loads", "40000", "--requests", "4", "--partition", "--check-invariants", "--budget", "100000000", "--quiet", "--out", "d", "--sweep-name", "serve-smoke"],
         &["serve", "--policies", "CacheR", "--loads", "40000", "--requests", "4", "--partition", "--check-invariants", "--budget", "100000000", "--quiet", "--no-skip", "--out", "d", "--sweep-name", "serve-oracle"],
+        &["serve", "--requests", "2", "--loads", "60000", "--policies", "CacheR", "--budget", "20000", "--no-journal", "--quiet", "--out", "d", "--sweep-name", "serve-budget"],
         &["query", "--dir", "d", "--metric", "cycles", "--agg", "count,min,mean,p99"],
         &["query", "--dir", "d", "--run", "serve-smoke", "--metric", "p99", "--agg", "count,max", "--json"],
         &["query", "--journals", "--dir", "d"],
@@ -244,7 +245,7 @@ mod tests {
 
     #[test]
     fn bad_arguments_are_refused_by_name_with_the_usage() {
-        let nine = format!("t0=FwSoft{}", ",t=FwPool".repeat(8));
+        let nine: String = (1..9).fold("t0=FwSoft".to_string(), |l, i| format!("{l},t{i}=FwPool"));
         let refusals: &[(&[&str], &str)] = &[
             (&["--frobnicate"], "unexpected argument \"--frobnicate\""),
             (
@@ -280,6 +281,14 @@ mod tests {
             (
                 &["serve", "--tenants", "a=FwSoft,b=Typo"],
                 "--tenants: unknown workload(s) [\"Typo\"]",
+            ),
+            (
+                &["serve", "--tenants", "a=FwSoft,a=FwPool"],
+                "--tenants: duplicate tenant name \"a\"",
+            ),
+            (
+                &["serve", "--tenants", "=FwSoft"],
+                "--tenants: tenant names must be nonempty",
             ),
             (
                 &["serve", "--policies", "Foo"],

@@ -166,8 +166,8 @@ impl JobKind for SweepSpec {
     fn record(&self, o: &JobOutcome<SweepSpec>) -> JobRecord {
         let w = &self.workloads[o.job.workload];
         let diagnostic = match &o.result {
-            Err(JobError::Sim(SimError::Halted { error, .. })) => {
-                Some(stall_diagnostic_to_json(&error.diagnostic))
+            Err(JobError::Sim(SimError::Halted { diagnostic, .. })) => {
+                Some(stall_diagnostic_to_json(diagnostic))
             }
             _ => None,
         };

@@ -266,8 +266,8 @@ mod tests {
         assert_eq!(outcomes.len(), 3);
         for o in &outcomes {
             match &o.result {
-                Err(JobError::Sim(SimError::Halted { error, .. })) => {
-                    assert_eq!(error.max_cycles, 10);
+                Err(JobError::Sim(SimError::Halted { diagnostic, .. })) => {
+                    assert_eq!(diagnostic.budget, 10);
                 }
                 other => panic!("expected a sim timeout, got {other:?}"),
             }

@@ -30,6 +30,7 @@ use crate::results::SCHEMA_VERSION;
 use miopt::runner::RunOptions;
 use miopt::{CachePolicy, PolicyConfig, SystemConfig, WayRange};
 use miopt_engine::hash::{fnv1a_64, Fnv1a};
+pub use miopt_serve::TenantResult;
 use miopt_serve::{ArrivalSchedule, ServeConfig, ServeError, TenantSpec};
 use miopt_workloads::{by_name, SuiteConfig};
 
@@ -105,7 +106,7 @@ impl Command for ServeArgs {
     }
 
     fn check(&mut self) -> Result<(), String> {
-        ServeSweepSpec::resolve(self).check()?;
+        ServeSweepSpec::resolve(self)?.check()?;
         self.common
             .check(format!("serve-{}-{}", self.system_name, self.scale_name))
     }
@@ -126,7 +127,7 @@ pub struct ServeSweepSpec {
     pub system: SystemConfig,
     /// Workload suite scale.
     pub scale: SuiteConfig,
-    /// `(tenant name, workload name)` pairs.
+    /// `(tenant name, workload name)` pairs, in the suite's spelling.
     pub tenants: Vec<(String, String)>,
     /// Candidate policies.
     pub policies: Vec<PolicyConfig>,
@@ -164,21 +165,20 @@ impl ServeSweepSpec {
     ///
     /// # Panics
     ///
-    /// Panics when the grid is empty, a tenant names an unknown workload,
-    /// or more tenants than L2 ways are partitioned (arguments from
-    /// [`parse_serve_args`] are none of these).
+    /// Panics when the grid is empty or [`ServeArgs`]'s refusals would
+    /// refuse `args` (arguments from [`parse_serve_args`] pass them).
     #[must_use]
     pub fn from_args(args: &ServeArgs) -> ServeSweepSpec {
         assert!(!args.tenants.is_empty(), "--tenants matched no tenants");
         assert!(!args.policies.is_empty(), "--policies matched no policies");
         assert!(!args.loads.is_empty(), "--loads matched no load levels");
-        let spec = ServeSweepSpec::resolve(args);
-        spec.check().unwrap_or_else(|e| panic!("{e}"));
-        spec
+        let spec = ServeSweepSpec::resolve(args).and_then(|spec| spec.check().map(|()| spec));
+        spec.unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The spec `args` name, unchecked.
-    fn resolve(args: &ServeArgs) -> ServeSweepSpec {
+    /// The spec `args` name, each tenant's workload in the suite's
+    /// spelling; refuses workloads the suite lacks.
+    fn resolve(args: &ServeArgs) -> Result<ServeSweepSpec, String> {
         let system = match args.system_name.as_str() {
             "paper" => SystemConfig::paper_table1(),
             _ => SystemConfig::small_test(),
@@ -187,10 +187,13 @@ impl ServeSweepSpec {
             "paper" => SuiteConfig::paper(),
             _ => SuiteConfig::quick(),
         };
-        ServeSweepSpec {
+        let workloads = known_workloads(&scale, args.tenants.iter().map(|(_, w)| w.as_str()))
+            .map_err(|e| format!("--tenants: {e}"))?;
+        let names = args.tenants.iter().map(|(name, _)| name.clone());
+        Ok(ServeSweepSpec {
             system,
             scale,
-            tenants: args.tenants.clone(),
+            tenants: names.zip(workloads).collect(),
             policies: args.policies.clone(),
             loads: args.loads.clone(),
             requests: args.requests,
@@ -200,14 +203,20 @@ impl ServeSweepSpec {
             budget: args.budget,
             no_skip: args.common.no_skip,
             check_invariants: args.common.check_invariants,
-        }
+        })
     }
 
-    /// Refuses tenants whose workload the suite lacks, and more tenants
-    /// than L2 ways to partition.
+    /// Refuses empty and duplicate tenant names, and more tenants than L2
+    /// ways to partition.
     fn check(&self) -> Result<(), String> {
-        let workloads = self.tenants.iter().map(|(_, w)| w.as_str());
-        known_workloads(&self.scale, workloads).map_err(|e| format!("--tenants: {e}"))?;
+        for (i, (name, _)) in self.tenants.iter().enumerate() {
+            if name.is_empty() {
+                return Err("--tenants: tenant names must be nonempty".to_string());
+            }
+            if self.tenants[..i].iter().any(|(other, _)| other == name) {
+                return Err(format!("--tenants: duplicate tenant name {name:?}"));
+            }
+        }
         let (tenants, ways) = (self.tenants.len(), self.system.l2.ways);
         if self.partition && tenants > ways {
             return Err(format!("--partition: {tenants} tenants, {ways} L2 ways"));
@@ -305,44 +314,6 @@ impl ServeSweepSpec {
     }
 }
 
-/// One tenant's results inside a [`ServeJobRecord`]. All fields are
-/// exact integers, so the serialized record is deterministic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantRecord {
-    /// Tenant name.
-    pub name: String,
-    /// Workload name.
-    pub workload: String,
-    /// Requests scheduled / completed.
-    pub requested: u64,
-    /// Requests completed.
-    pub completed: u64,
-    /// Dispatches.
-    pub batches: u64,
-    /// Kernel launches.
-    pub kernels: u64,
-    /// Cycles the tenant's kernels held the GPU.
-    pub busy_cycles: u64,
-    /// Deepest queue observed.
-    pub queue_peak: u64,
-    /// DRAM read bursts attributed to the tenant.
-    pub dram_reads: u64,
-    /// DRAM write bursts attributed to the tenant.
-    pub dram_writes: u64,
-    /// Request-crossbar transfers attributed to the tenant.
-    pub noc_req_transfers: u64,
-    /// Response-crossbar transfers attributed to the tenant.
-    pub noc_resp_transfers: u64,
-    /// Sum of request latencies in cycles (mean = sum / completed).
-    pub latency_sum: u64,
-    /// p50 request latency in cycles.
-    pub p50: u64,
-    /// p95 request latency in cycles.
-    pub p95: u64,
-    /// p99 request latency in cycles.
-    pub p99: u64,
-}
-
 /// One job's entry in a serve sweep report. Contains no wall-clock
 /// fields: a resumed sweep reproduces these records byte-identically.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -358,7 +329,7 @@ pub struct ServeJobRecord {
     /// Cycle at which the last dispatch completed (0 on failure).
     pub cycles: u64,
     /// Per-tenant results (empty on failure).
-    pub tenants: Vec<TenantRecord>,
+    pub tenants: Vec<TenantResult>,
 }
 
 impl ServeJobRecord {
@@ -429,7 +400,7 @@ impl ServeJobRecord {
             .and_then(Json::as_arr)
             .ok_or("missing or invalid `tenants`")?
         {
-            tenants.push(TenantRecord {
+            tenants.push(TenantResult {
                 name: text(t, "name")?,
                 workload: text(t, "workload")?,
                 requested: int(t, "requested")?,
@@ -522,29 +493,7 @@ impl JobKind for ServeSweepSpec {
             load: job.load,
             status: "ok".to_string(),
             cycles: result.cycles,
-            tenants: result
-                .tenants
-                .iter()
-                .zip(&self.tenants)
-                .map(|(t, (_, workload))| TenantRecord {
-                    name: t.name.clone(),
-                    workload: workload.clone(),
-                    requested: t.requested,
-                    completed: t.completed,
-                    batches: t.batches,
-                    kernels: t.kernels,
-                    busy_cycles: t.busy_cycles,
-                    queue_peak: t.queue_peak,
-                    dram_reads: t.dram_reads,
-                    dram_writes: t.dram_writes,
-                    noc_req_transfers: t.noc_req_transfers,
-                    noc_resp_transfers: t.noc_resp_transfers,
-                    latency_sum: u64::try_from(t.latency.sum()).unwrap_or(u64::MAX),
-                    p50: t.p50().unwrap_or(0),
-                    p95: t.p95().unwrap_or(0),
-                    p99: t.p99().unwrap_or(0),
-                })
-                .collect(),
+            tenants: result.tenants,
         })
     }
 
@@ -885,6 +834,11 @@ mod tests {
         let d = parse_serve_args(std::iter::empty());
         assert_eq!(d.common.sweep_name, "serve-small-quick");
         assert_eq!(d.policies.len(), 3);
+        // Workloads match without regard to case; the spec, and so the
+        // report's grid, spells them as the suite does.
+        let args = parse_serve_args(["--tenants", "a=fwsoft"].iter().map(|s| (*s).to_string()));
+        let spec = ServeSweepSpec::from_args(&args);
+        assert_eq!(spec.tenants, vec![("a".to_string(), "FwSoft".to_string())]);
     }
 
     #[test]
@@ -941,6 +895,7 @@ mod tests {
         let spec = tiny_spec();
         let rec = run_serve_job(&spec, &spec.jobs()[0]);
         assert_eq!(rec.status, "ok");
+        assert_eq!(rec.tenants[1].workload, spec.tenants[1].1);
         let line = rec.to_json_line();
         let back = ServeJobRecord::from_json(&Json::parse(&line).unwrap()).unwrap();
         assert_eq!(back, rec);

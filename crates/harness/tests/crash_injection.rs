@@ -16,7 +16,7 @@ use miopt_engine::rng::SplitMix64;
 use miopt_harness::journal::Journal;
 use miopt_harness::json::Json;
 use miopt_harness::results::JobRecord;
-use miopt_harness::serve::{ServeJobRecord, ServeSweepSpec, TenantRecord};
+use miopt_harness::serve::{ServeJobRecord, ServeSweepSpec, TenantResult};
 use miopt_harness::sweep::{open_journal, run_kind, JournalOptions, SweepRun};
 use miopt_harness::{JobError, JobKind, PoolOptions};
 use miopt_store::{StoreOptions, Wal};
@@ -259,7 +259,7 @@ fn journal_bytes_are_pinned_for_both_kinds() {
         load: 60_000,
         status: "ok".to_string(),
         cycles: 123_456,
-        tenants: vec![TenantRecord {
+        tenants: vec![TenantResult {
             name: "t0".to_string(),
             workload: "FwSoft".to_string(),
             requested: 3,

@@ -21,9 +21,10 @@
 //!   via [`miopt::ApuSystem::set_policy_config`], and crosses idle gaps
 //!   with event-driven time skipping. Runs are bit-identical with and
 //!   without skipping.
-//! * [`TenantResult`] / [`ServeResult`] — per-tenant latency
-//!   histograms (p50/p95/p99), throughput, queue depth, and attributed
-//!   DRAM and crossbar traffic, exported as `serve.tenant.*` stats.
+//! * [`TenantResult`] / [`ServeResult`] — per-tenant request latency
+//!   (sum, p50/p95/p99), throughput, queue depth, and attributed DRAM
+//!   and crossbar traffic, all exact integers: the record a sweep
+//!   journals.
 //!
 //! # Example
 //!
@@ -51,7 +52,7 @@
 //! let result = run(&cfg).unwrap();
 //! let t = &result.tenants[0];
 //! assert_eq!(t.completed, 4);
-//! println!("p99 latency: {} cycles", t.p99().unwrap());
+//! println!("p99 latency: {} cycles", t.p99);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -12,8 +12,7 @@
 
 use crate::ArrivalSchedule;
 use miopt::runner::RunOptions;
-use miopt::{ApuSystem, Metrics, PolicyConfig, SimTimeoutError, SystemConfig, WayRange};
-use miopt_engine::hash::fnv1a_64;
+use miopt::{ApuSystem, Metrics, PolicyConfig, StallDiagnostic, SystemConfig, WayRange};
 use miopt_engine::Cycle;
 use miopt_telemetry::{LatencyHistogram, TelemetryRun};
 use miopt_workloads::Workload;
@@ -97,20 +96,6 @@ impl ServeConfig {
         }
         Ok(())
     }
-
-    /// FNV-1a fingerprint of every tenant's name and arrival schedule.
-    /// Recorded in sweep provenance and journal fingerprints so that a
-    /// resumed sweep provably replays identical traffic.
-    #[must_use]
-    pub fn arrivals_fingerprint(&self) -> u64 {
-        let mut bytes = Vec::new();
-        for t in &self.tenants {
-            bytes.extend_from_slice(t.name.as_bytes());
-            bytes.push(0);
-            bytes.extend_from_slice(&t.schedule.hash().to_le_bytes());
-        }
-        fnv1a_64(&bytes)
-    }
 }
 
 /// Why a serving run failed.
@@ -118,9 +103,8 @@ impl ServeConfig {
 pub enum ServeError {
     /// The scenario failed [`ServeConfig::validate`].
     Config(String),
-    /// The simulator halted (cycle budget mid-kernel, or a sentinel
-    /// diagnostic).
-    Sim(SimTimeoutError),
+    /// The simulator halted (budget exhausted mid-kernel, or a sentinel finding).
+    Sim(Box<StallDiagnostic>),
     /// An arrival lies at or beyond the cycle budget, so the scenario
     /// cannot finish within it.
     Budget {
@@ -150,17 +134,20 @@ impl fmt::Display for ServeError {
 impl Error for ServeError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            ServeError::Sim(e) => Some(e),
+            ServeError::Sim(e) => Some(e.as_ref()),
             _ => None,
         }
     }
 }
 
-/// What one tenant experienced over a serving run.
-#[derive(Debug, Clone, PartialEq)]
+/// What one tenant experienced over a serving run. Every field is an
+/// exact integer, so the record serializes deterministically.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantResult {
     /// Tenant name (copied from the spec).
     pub name: String,
+    /// Name of the workload the tenant serves.
+    pub workload: String,
     /// Requests the schedule planned for this tenant.
     pub requested: u64,
     /// Requests that completed within the run.
@@ -171,8 +158,6 @@ pub struct TenantResult {
     pub kernels: u64,
     /// Cycles during which this tenant's kernels occupied the GPU.
     pub busy_cycles: u64,
-    /// Wavefronts this tenant's kernels retired.
-    pub wavefronts: u64,
     /// Deepest the tenant's request queue ever got.
     pub queue_peak: u64,
     /// DRAM read bursts attributed to this tenant's dispatches.
@@ -183,47 +168,15 @@ pub struct TenantResult {
     pub noc_req_transfers: u64,
     /// Response-crossbar transfers during this tenant's dispatches.
     pub noc_resp_transfers: u64,
-    /// End-to-end request latency (arrival to batch completion), in
-    /// cycles.
-    pub latency: LatencyHistogram,
-}
-
-impl TenantResult {
-    fn new(spec: &TenantSpec) -> TenantResult {
-        TenantResult {
-            name: spec.name.clone(),
-            requested: spec.schedule.len() as u64,
-            completed: 0,
-            batches: 0,
-            kernels: 0,
-            busy_cycles: 0,
-            wavefronts: 0,
-            queue_peak: 0,
-            dram_reads: 0,
-            dram_writes: 0,
-            noc_req_transfers: 0,
-            noc_resp_transfers: 0,
-            latency: LatencyHistogram::new(),
-        }
-    }
-
-    /// Median request latency in cycles (`None` before any completion).
-    #[must_use]
-    pub fn p50(&self) -> Option<u64> {
-        self.latency.quantile(0.50)
-    }
-
+    /// Sum of end-to-end request latencies (arrival to batch
+    /// completion) in cycles; the mean is `latency_sum / completed`.
+    pub latency_sum: u64,
+    /// Median request latency in cycles (0 before any completion).
+    pub p50: u64,
     /// 95th-percentile request latency in cycles.
-    #[must_use]
-    pub fn p95(&self) -> Option<u64> {
-        self.latency.quantile(0.95)
-    }
-
+    pub p95: u64,
     /// 99th-percentile request latency in cycles.
-    #[must_use]
-    pub fn p99(&self) -> Option<u64> {
-        self.latency.quantile(0.99)
-    }
+    pub p99: u64,
 }
 
 /// The outcome of a whole serving run.
@@ -243,6 +196,8 @@ pub struct ServeResult {
 struct TenantState {
     next_arrival: usize,
     queue: VecDeque<u64>,
+    /// Request latencies, read into `result` once, at the end.
+    latency: LatencyHistogram,
     result: TenantResult,
 }
 
@@ -266,7 +221,13 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeResult, ServeError> {
         .map(|t| TenantState {
             next_arrival: 0,
             queue: VecDeque::new(),
-            result: TenantResult::new(t),
+            latency: LatencyHistogram::new(),
+            result: TenantResult {
+                name: t.name.clone(),
+                workload: t.workload.name.clone(),
+                requested: t.schedule.len() as u64,
+                ..TenantResult::default()
+            },
         })
         .collect();
 
@@ -340,15 +301,18 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeResult, ServeError> {
         let done = sys.now().0;
         last_completion = done;
 
-        let st = &mut states[i].result;
+        let TenantState {
+            latency,
+            result: st,
+            ..
+        } = &mut states[i];
         for arrival in batch {
-            st.latency.record(done - arrival);
+            latency.record(done - arrival);
             st.completed += 1;
         }
         st.batches += 1;
         st.kernels += spec.workload.launches.len() as u64;
         st.busy_cycles += done - busy_start;
-        st.wavefronts += after.gpu.retired_wavefronts - before.gpu.retired_wavefronts;
         st.dram_reads += after.dram.reads.get() - before.dram.reads.get();
         st.dram_writes += after.dram.writes.get() - before.dram.writes.get();
         let (req_after, resp_after) = sys.noc_transfers();
@@ -356,11 +320,19 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeResult, ServeError> {
         st.noc_resp_transfers += resp_after - resp_before;
     }
 
-    let metrics = sys.metrics();
     Ok(ServeResult {
         cycles: last_completion,
-        tenants: states.into_iter().map(|s| s.result).collect(),
-        metrics,
+        tenants: states
+            .into_iter()
+            .map(|s| TenantResult {
+                latency_sum: u64::try_from(s.latency.sum()).unwrap_or(u64::MAX),
+                p50: s.latency.quantile(0.50).unwrap_or(0),
+                p95: s.latency.quantile(0.95).unwrap_or(0),
+                p99: s.latency.quantile(0.99).unwrap_or(0),
+                ..s.result
+            })
+            .collect(),
+        metrics: sys.metrics(),
         telemetry: sys.take_telemetry(),
     })
 }
@@ -410,9 +382,9 @@ mod tests {
         assert_eq!(res.tenants.len(), 2);
         for t in &res.tenants {
             assert_eq!(t.completed, t.requested, "tenant {}", t.name);
-            assert_eq!(t.latency.count(), t.completed);
-            assert!(t.p50().unwrap() > 0);
-            assert!(t.p99().unwrap() >= t.p50().unwrap());
+            assert!(t.latency_sum >= t.completed);
+            assert!(t.p50 > 0);
+            assert!(t.p99 >= t.p50);
             assert!(t.busy_cycles > 0);
             assert!(t.dram_reads > 0);
             assert!(t.noc_req_transfers > 0);
@@ -498,6 +470,44 @@ mod tests {
         }
     }
 
+    /// A halted dispatch reads `serve run: ` and the diagnostic's status
+    /// line, in the wording of the figure sweeps' halted jobs.
+    #[test]
+    fn halted_serve_status_lines_are_pinned() {
+        let mut cfg = two_tenant_config();
+        cfg.tenants.truncate(1);
+        cfg.tenants[0].schedule = ArrivalSchedule::trace(vec![0]);
+        cfg.run.max_cycles = 10;
+        assert_eq!(
+            run(&cfg).unwrap_err().to_string(),
+            "serve run: simulation exceeded 10 cycles"
+        );
+        let status = |inject: &dyn Fn(&mut ApuSystem)| {
+            let w = &cfg.tenants[0].workload;
+            let mut sys = ApuSystem::new(SystemConfig::small_test(), cfg.tenants[0].policy, w);
+            inject(&mut sys);
+            let halt = sys.run_to_completion(200_000_000).expect_err("must halt");
+            ServeError::Sim(halt).to_string()
+        };
+        let wedged = status(&|sys| {
+            for k in 0..8 {
+                sys.inject_l1_mshr_leak(0, miopt_engine::LineAddr(1_000_000 + k), false);
+            }
+            sys.enable_sentinel(64, 5_000);
+        });
+        assert_eq!(wedged, "serve run: no forward progress since cycle 5184");
+        let violated = status(&|sys| {
+            sys.inject_queue_credit_loss(0);
+            sys.enable_sentinel(64, 0);
+        });
+        assert_eq!(
+            violated,
+            "serve run: invariant violation at cycle 64 (queue.l1_in[0]: invariant \
+             `credit_conservation` violated: 1 flow-control credit(s) lost: usable \
+             capacity 15 < configured 16)"
+        );
+    }
+
     #[test]
     fn budget_too_small_for_schedule_is_a_typed_error() {
         let mut cfg = two_tenant_config();
@@ -509,14 +519,5 @@ mod tests {
             Err(ServeError::Sim(_)) => {} // first dispatches outran the budget
             other => panic!("expected a budget error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn arrivals_fingerprint_tracks_traffic() {
-        let a = two_tenant_config();
-        let mut b = two_tenant_config();
-        assert_eq!(a.arrivals_fingerprint(), b.arrivals_fingerprint());
-        b.tenants[1].schedule = ArrivalSchedule::poisson(8, 30_000.0, 3);
-        assert_ne!(a.arrivals_fingerprint(), b.arrivals_fingerprint());
     }
 }

@@ -266,10 +266,11 @@ echo "== refused arguments (exit 2, never a panic) =="
 # `--retries` and `--timeout-secs` are gone (each job runs once, bounded
 # by its simulated-cycle `--budget`): a script that still passes either
 # is refused, not run differently. A zero budget is refused on both
-# sweep commands.
+# sweep commands, and so are a duplicate and an empty tenant name.
 for bad in "--frobnicate" "serve --loads 0" "query --agg median" \
     "--retries 1" "serve --retries 1" "--timeout-secs 1" \
-    "--budget 0" "serve --budget 0"; do
+    "--budget 0" "serve --budget 0" \
+    "serve --tenants a=FwSoft,a=FwPool" "serve --tenants =FwSoft"; do
     status=0
     # shellcheck disable=SC2086 # $bad is split into its words on purpose
     cargo run --release -q -p miopt-harness -- $bad >/dev/null 2>"$smoke_dir/refused.txt" || status=$?
@@ -320,6 +321,18 @@ diff <(grep '"status"' "$smoke_dir/exec-ff.json") - <<'EOF'
       "status": "cancelled by fail-fast",
       "status": "cancelled by fail-fast",
 EOF
+# A serve job halted by its budget mid-kernel: the sweep exits 1, and
+# the job's status is `serve run: ` and the halt's one-line status.
+status=0
+cargo run --release -q -p miopt-harness -- serve \
+    --requests 2 --loads 60000 --policies CacheR --budget 20000 --no-journal --quiet \
+    --out "$smoke_dir" --sweep-name serve-budget >/dev/null 2>"$smoke_dir/serve-budget.err" || status=$?
+if [[ $status -ne 1 ]] || grep -q "panicked" "$smoke_dir/serve-budget.err"; then
+    echo "executor smoke: the serve budget halt exited $status:" >&2
+    cat "$smoke_dir/serve-budget.err" >&2
+    exit 1
+fi
+[[ "$(grep -c '"status": "serve run: simulation exceeded 20000 cycles"' "$smoke_dir/serve-budget.json")" -eq 1 ]]
 echo "executor smoke ok"
 
 echo "== event-core perf smoke =="

@@ -45,7 +45,7 @@ fn exhausted_cycle_budgets_are_errors_not_panics() {
     let err = run_one_with(&cfg(), &w, PolicyConfig::of(CachePolicy::CacheR), &opts)
         .expect_err("a 10-cycle budget must be exhausted");
     match &err {
-        SimError::Halted { error, .. } => assert_eq!(error.max_cycles, 10),
+        SimError::Halted { diagnostic, .. } => assert_eq!(diagnostic.budget, 10),
         other => panic!("expected a timeout, got {other}"),
     }
     assert!(err.to_string().contains("FwSoft/CacheR"), "{err}");
