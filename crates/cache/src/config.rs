@@ -5,9 +5,10 @@ use miopt_engine::LineAddr;
 /// Identifies the DRAM row of a line for the dirty-block index, without
 /// depending on the DRAM crate.
 ///
-/// Must be constructed consistently with the DRAM address map: with a
-/// line-interleaved layout `| channel | column | bank | row |`, the row key
-/// is the line address with the column bits removed.
+/// The DRAM address map lays a line address out as
+/// `| column | channel | bank | row |`, LSB first, so the line address
+/// with its column bits removed names the (channel, bank, row) triple:
+/// that is the row key.
 ///
 /// # Examples
 ///
@@ -15,27 +16,22 @@ use miopt_engine::LineAddr;
 /// use miopt_cache::RowMap;
 /// use miopt_engine::LineAddr;
 ///
-/// let map = RowMap::new(4, 5); // 16 channels, 32-line rows
-/// // Lines 0 and 16 share channel 0, bank 0, row 0:
-/// assert_eq!(map.key(LineAddr(0)), map.key(LineAddr(16)));
-/// // Line 1 is in a different channel:
-/// assert_ne!(map.key(LineAddr(0)), map.key(LineAddr(1)));
+/// let map = RowMap::new(5); // 32-line rows
+/// // Lines 0 and 31 are the first and last columns of one row:
+/// assert_eq!(map.key(LineAddr(0)), map.key(LineAddr(31)));
+/// // Line 32 starts the next channel's row:
+/// assert_ne!(map.key(LineAddr(0)), map.key(LineAddr(32)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowMap {
-    channel_bits: u32,
     column_bits: u32,
 }
 
 impl RowMap {
-    /// Builds a row map for the given channel and column (lines-per-row)
-    /// bit widths.
+    /// Builds a row map for rows of `1 << column_bits` lines.
     #[must_use]
-    pub fn new(channel_bits: u32, column_bits: u32) -> RowMap {
-        RowMap {
-            channel_bits,
-            column_bits,
-        }
+    pub fn new(column_bits: u32) -> RowMap {
+        RowMap { column_bits }
     }
 
     /// Lines per DRAM row — the largest rinse set one row can produce.
@@ -47,9 +43,7 @@ impl RowMap {
     /// The (channel, bank, row) key of a line.
     #[must_use]
     pub fn key(&self, line: LineAddr) -> u64 {
-        let ch = line.0 & ((1 << self.channel_bits) - 1);
-        let upper = line.0 >> (self.channel_bits + self.column_bits);
-        (upper << self.channel_bits) | ch
+        line.0 >> self.column_bits
     }
 }
 
@@ -346,20 +340,20 @@ mod tests {
         let mut p = LevelPolicy::cache_loads_and_stores();
         p.rinse = true;
         assert!(p.validate().is_err());
-        p.row_map = Some(RowMap::new(4, 5));
+        p.row_map = Some(RowMap::new(5));
         assert!(p.validate().is_ok());
     }
 
     #[test]
     fn row_map_strips_columns() {
-        let m = RowMap::new(2, 3); // 4 channels, 8-line rows
-                                   // Same channel, all 8 columns of row 0, bank 0 share a key.
+        // 8-line rows: all 8 columns of the first row share a key.
+        let m = RowMap::new(3);
         let base = m.key(LineAddr(0));
         for col in 0..8u64 {
-            assert_eq!(m.key(LineAddr(col * 4)), base);
+            assert_eq!(m.key(LineAddr(col)), base);
         }
-        // Next bank (line 8*4=32) differs.
-        assert_ne!(m.key(LineAddr(32)), base);
+        // The next row-sized block (the next channel) differs.
+        assert_ne!(m.key(LineAddr(8)), base);
     }
 
     #[test]

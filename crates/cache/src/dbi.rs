@@ -19,7 +19,7 @@ use std::collections::{HashMap, VecDeque};
 /// use miopt_cache::{DirtyBlockIndex, RowMap};
 /// use miopt_engine::LineAddr;
 ///
-/// let map = RowMap::new(4, 5);
+/// let map = RowMap::new(5); // 32-line rows
 /// let mut dbi = DirtyBlockIndex::new(8, map);
 /// dbi.insert(LineAddr(0));
 /// dbi.insert(LineAddr(16)); // same row
@@ -230,20 +230,20 @@ mod tests {
     use super::*;
 
     fn map() -> RowMap {
-        RowMap::new(1, 2) // 2 channels, 4-line rows
+        RowMap::new(2) // 4-line rows
     }
 
     #[test]
     fn groups_lines_by_row() {
         let mut dbi = DirtyBlockIndex::new(4, map());
-        // Channel 0: lines 0, 2, 4, 6 are columns of row 0.
+        // Lines 0..4 are the columns of one row.
         dbi.insert(LineAddr(0));
+        dbi.insert(LineAddr(1));
         dbi.insert(LineAddr(2));
-        dbi.insert(LineAddr(4));
         assert_eq!(dbi.tracked_rows(), 1);
-        let mut rinse = dbi.take_row_of(LineAddr(6));
+        let mut rinse = dbi.take_row_of(LineAddr(3));
         rinse.sort();
-        assert_eq!(rinse, vec![LineAddr(0), LineAddr(2), LineAddr(4)]);
+        assert_eq!(rinse, vec![LineAddr(0), LineAddr(1), LineAddr(2)]);
         assert_eq!(dbi.tracked_rows(), 0);
     }
 
@@ -291,8 +291,7 @@ mod tests {
     #[test]
     fn capacity_eviction_returns_victim_row() {
         let mut dbi = DirtyBlockIndex::new(2, map());
-        // Three distinct rows in channel 0: rows differ every 8 lines
-        // (2 channels x 4 columns).
+        // Three distinct rows: a row is 4 consecutive lines.
         assert!(dbi.insert(LineAddr(0)).is_none());
         assert!(dbi.insert(LineAddr(8)).is_none());
         let evicted = dbi.insert(LineAddr(16)).expect("row evicted");
@@ -303,8 +302,9 @@ mod tests {
     #[test]
     fn different_channels_are_different_rows() {
         let mut dbi = DirtyBlockIndex::new(4, map());
-        dbi.insert(LineAddr(0)); // channel 0
-        dbi.insert(LineAddr(1)); // channel 1
+        // The row-sized block after a row is the next channel's row.
+        dbi.insert(LineAddr(0));
+        dbi.insert(LineAddr(4));
         assert_eq!(dbi.tracked_rows(), 2);
     }
 
@@ -312,7 +312,7 @@ mod tests {
     fn clear_forgets_everything() {
         let mut dbi = DirtyBlockIndex::new(4, map());
         dbi.insert(LineAddr(0));
-        dbi.insert(LineAddr(1));
+        dbi.insert(LineAddr(4));
         dbi.clear();
         assert_eq!(dbi.tracked_rows(), 0);
         assert_eq!(dbi.tracked_blocks(), 0);

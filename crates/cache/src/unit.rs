@@ -1420,7 +1420,7 @@ mod tests {
         // predictor.
         let mut r = LevelPolicy::cache_loads_and_stores();
         r.rinse = true;
-        r.row_map = Some(RowMap::new(0, 2));
+        r.row_map = Some(RowMap::new(2));
         c.set_policy(r);
         assert!(c.predictor().is_none());
         assert!(c.dbi.is_some());
@@ -1605,10 +1605,10 @@ mod tests {
     fn rinse_writes_back_whole_row() {
         let mut p = LevelPolicy::cache_loads_and_stores();
         p.rinse = true;
-        // RowMap with 0 channel bits, 2 column bits: rows are 4 consecutive
+        // RowMap with 2 column bits: rows are 4 consecutive
         // lines. Lines 0..4 share a row but map to sets 0..4 (no set
         // conflict).
-        p.row_map = Some(RowMap::new(0, 2));
+        p.row_map = Some(RowMap::new(2));
         let mut c = cache(p);
         let (mut down, mut up) = queues();
         for (i, line) in [0u64, 1, 2, 3].iter().enumerate() {
@@ -1622,7 +1622,7 @@ mod tests {
         }
         // Two more dirty lines that collide with line 0's set force its
         // eviction (LRU dirty) and must rinse lines 1..3 (same DRAM row
-        // as line 0, RowMap(0, 2)).
+        // as line 0, RowMap(2)).
         let l = colliding(0, 3);
         assert_eq!(l[0], 0);
         assert!(
@@ -2098,7 +2098,7 @@ mod tests {
         // and tracked, which never costs another row its place.
         let mut p = LevelPolicy::cache_loads_and_stores();
         p.rinse = true;
-        p.row_map = Some(RowMap::new(0, 2));
+        p.row_map = Some(RowMap::new(2));
         let mut c = cache(p);
         let mut down: TimedQueue<MemReq> = TimedQueue::new(1, 0);
         let mut up: TimedQueue<MemResp> = TimedQueue::new(16, 0);
@@ -2124,7 +2124,7 @@ mod tests {
     fn sentinel_is_quiet_on_a_healthy_cache() {
         let mut p = LevelPolicy::cache_loads_and_stores();
         p.rinse = true;
-        p.row_map = Some(RowMap::new(0, 2));
+        p.row_map = Some(RowMap::new(2));
         let mut c = cache(p);
         let (mut down, mut up) = queues();
         let mut out = Vec::new();
@@ -2170,7 +2170,7 @@ mod tests {
     fn dbi_cross_check_catches_phantom_dirty_tracking() {
         let mut p = LevelPolicy::cache_loads_and_stores();
         p.rinse = true;
-        p.row_map = Some(RowMap::new(0, 2));
+        p.row_map = Some(RowMap::new(2));
         let mut c = cache(p);
         let (mut down, mut up) = queues();
         c.access(Cycle(0), store(1, 8, 9), &mut down, &mut up)

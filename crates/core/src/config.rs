@@ -178,7 +178,7 @@ impl SystemConfig {
     pub fn row_map(&self) -> RowMap {
         // The DRAM layout is | column | channel | bank | row |, so
         // stripping the column bits identifies the row uniquely.
-        RowMap::new(0, log2(self.dram.lines_per_row))
+        RowMap::new(log2(self.dram.lines_per_row))
     }
 
     /// Which L2 slice a line belongs to: row-aligned so that a DRAM row's
@@ -404,6 +404,30 @@ mod tests {
             let locs_same = (la.channel, la.bank, la.row) == (lb.channel, lb.bank, lb.row);
             assert_eq!(keys_same, same, "{a} vs {b}");
             assert_eq!(locs_same, same, "{a} vs {b} (dram)");
+        }
+    }
+
+    #[test]
+    fn row_map_keys_exactly_the_dram_rows() {
+        for c in [SystemConfig::paper_table1(), SystemConfig::small_test()] {
+            let (map, dmap) = (c.row_map(), miopt_dram::AddressMap::new(&c.dram));
+            let mut rng = miopt_engine::rng::SplitMix64::new(0x5eed);
+            let mut same_rows = 0;
+            for _ in 0..4096 {
+                let a = rng.next_below(1 << 32);
+                // Half the pairs are near neighbours, so same-row pairs
+                // (and row, channel and bank boundaries) come up often.
+                let b = match rng.next_below(2) {
+                    0 => a ^ rng.next_below(c.dram.lines_per_row * 2),
+                    _ => rng.next_below(1 << 32),
+                };
+                let (la, lb) = (dmap.locate(LineAddr(a)), dmap.locate(LineAddr(b)));
+                let locs_same = (la.channel, la.bank, la.row) == (lb.channel, lb.bank, lb.row);
+                let keys_same = map.key(LineAddr(a)) == map.key(LineAddr(b));
+                assert_eq!(keys_same, locs_same, "lines {a} and {b}");
+                same_rows += usize::from(locs_same);
+            }
+            assert!(same_rows > 1000, "only {same_rows} same-row pairs");
         }
     }
 }

@@ -249,7 +249,7 @@ mod tests {
     fn uncached_disables_both_levels() {
         let p = PolicyConfig::of(CachePolicy::Uncached);
         assert!(!p.l1_policy().enabled);
-        assert!(!p.l2_policy(RowMap::new(4, 5)).enabled);
+        assert!(!p.l2_policy(RowMap::new(5)).enabled);
     }
 
     #[test]
@@ -263,9 +263,9 @@ mod tests {
     #[test]
     fn cache_rw_absorbs_stores_at_l2_only() {
         let p = PolicyConfig::of(CachePolicy::CacheRW);
-        assert!(p.l2_policy(RowMap::new(4, 5)).cache_stores);
+        assert!(p.l2_policy(RowMap::new(5)).cache_stores);
         let r = PolicyConfig::of(CachePolicy::CacheR);
-        assert!(!r.l2_policy(RowMap::new(4, 5)).cache_stores);
+        assert!(!r.l2_policy(RowMap::new(5)).cache_stores);
     }
 
     #[test]
@@ -279,7 +279,7 @@ mod tests {
     #[test]
     fn rinse_policy_carries_row_map() {
         let p = PolicyConfig::new(CachePolicy::CacheRW, OptimizationSet::ab_cr()).unwrap();
-        let lp = p.l2_policy(RowMap::new(4, 5));
+        let lp = p.l2_policy(RowMap::new(5));
         assert!(lp.rinse);
         assert!(lp.row_map.is_some());
         lp.validate().unwrap();

@@ -15,15 +15,6 @@ pub struct DramLoc {
     pub column: u64,
 }
 
-impl DramLoc {
-    /// A key identifying the (channel, bank, row) triple — the granularity
-    /// tracked by the dirty-block index used for cache rinsing.
-    #[must_use]
-    pub fn row_key(&self) -> u64 {
-        (self.row << 8) | (u64::from(self.bank) << 4) | u64::from(self.channel) & 0xF
-    }
-}
-
 /// Row-interleaved address mapping: consecutive cache lines fill a DRAM
 /// row's columns, then rotate across channels, then banks, then advance
 /// rows.
@@ -157,15 +148,5 @@ mod tests {
         assert_eq!(loc.bank, 0);
         assert_eq!(loc.channel, 0);
         assert_eq!(loc.column, 0);
-    }
-
-    #[test]
-    fn row_key_distinguishes_rows_and_banks() {
-        let map = AddressMap::new(&DramConfig::hbm2_paper());
-        let a = map.locate(LineAddr(0)).row_key();
-        let same_row = map.locate(LineAddr(1)).row_key();
-        let other_channel = map.locate(LineAddr(32)).row_key();
-        assert_eq!(a, same_row);
-        assert_ne!(a, other_channel);
     }
 }

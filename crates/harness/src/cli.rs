@@ -98,22 +98,24 @@ impl CommonArgs {
     }
 }
 
-/// Each of `names` in `scale`'s suite's spelling (names match without
-/// regard to case); refuses, by name, each that the suite lacks.
+/// The one place a workload name is resolved: builds `scale`'s suite
+/// once and returns it with the suite index of each of `names` (names
+/// match without regard to case); refuses, by name, each that the suite
+/// lacks.
 pub(crate) fn known_workloads<'a>(
     scale: &SuiteConfig,
     names: impl Iterator<Item = &'a str>,
-) -> Result<Vec<String>, String> {
+) -> Result<(Vec<Workload>, Vec<usize>), String> {
     let suite = suite(scale);
-    let (mut known, mut unknown) = (Vec::new(), Vec::new());
+    let (mut picks, mut unknown) = (Vec::new(), Vec::new());
     for name in names {
-        match suite.iter().find(|w| w.name.eq_ignore_ascii_case(name)) {
-            Some(w) => known.push(w.name.clone()),
+        match suite.iter().position(|w| w.name.eq_ignore_ascii_case(name)) {
+            Some(i) => picks.push(i),
             None => unknown.push(name),
         }
     }
     match unknown.as_slice() {
-        [] => Ok(known),
+        [] => Ok((suite, picks)),
         _ => Err(format!("unknown workload(s) {unknown:?}")),
     }
 }
@@ -169,8 +171,11 @@ pub struct CliArgs {
     pub scale: SuiteConfig,
     /// The scale's name (`"paper"` or `"quick"`), for artifact naming.
     pub scale_name: String,
-    /// Lower-cased workload-name filter, when `--only` was given.
-    pub only: Option<BTreeSet<String>>,
+    /// The lower-cased `--only` workload names (empty: every workload).
+    only_names: BTreeSet<String>,
+    /// The workloads to run: the suite at `scale`, less those `--only`
+    /// leaves out, in suite order.
+    pub workloads: Vec<Workload>,
     /// Directory for CSV emission, when `--csv` was given.
     pub csv_dir: Option<String>,
     /// Selected outputs (table/figure names without the `--`).
@@ -210,7 +215,7 @@ impl Command for CliArgs {
     fn flags() -> Vec<Flag<CliArgs>> {
         let rows: &[Flag<CliArgs>] = &[
             ("--scale <S>", "paper", "workload scale: paper | quick", |a, v| put(&mut a.scale_name, flags::one_of(v, &["paper", "quick"])?)),
-            ("--only <W,...>", "", "only these workloads (case-insensitive)", |a, v| put(&mut a.only, Some(v.split(',').map(str::to_lowercase).collect()))),
+            ("--only <W,...>", "", "only these workloads (case-insensitive)", |a, v| put(&mut a.only_names, v.split(',').map(str::to_lowercase).collect())),
             ("--csv <DIR>", "", "also write each figure to <DIR>/<figure>.csv", |a, v| put(&mut a.csv_dir, Some(v.into()))),
             ("--no-cache", "", "skip the persistent result cache", |a, _| put(&mut a.no_cache, true)),
             ("--cache-dir <DIR>", "results/cache", "result cache directory", |a, v| put(&mut a.cache_dir, v.into())),
@@ -241,8 +246,13 @@ impl Command for CliArgs {
         if self.common.resume.is_some() && self.telemetry.is_some() {
             return Err("--resume cannot be combined with --telemetry (not journaled)".into());
         }
-        let only = self.only.iter().flatten().map(String::as_str);
-        known_workloads(&self.scale, only).map_err(|e| format!("--only: {e}"))?;
+        let only = self.only_names.iter().map(String::as_str);
+        let (suite, picks) =
+            known_workloads(&self.scale, only).map_err(|e| format!("--only: {e}"))?;
+        self.workloads = (suite.into_iter().enumerate())
+            .filter(|(i, _)| self.only_names.is_empty() || picks.contains(i))
+            .map(|(_, w)| w)
+            .collect();
         if self.selected.is_empty() {
             self.selected.extend(ALL_OUTPUTS.map(String::from));
         }
@@ -349,17 +359,13 @@ fn figure_set(
 #[must_use]
 pub fn run(args: &CliArgs) -> i32 {
     let cfg = SystemConfig::paper_table1();
-    let mut workloads = suite(&args.scale);
-    if let Some(only) = &args.only {
-        workloads.retain(|w| only.contains(&w.name.to_lowercase()));
-    }
     let sel = |s: &str| args.selected.contains(s);
 
     if sel("table1") {
         print_table1(&cfg);
     }
     if sel("table2") {
-        print_table2(&workloads);
+        print_table2(&args.workloads);
     }
 
     let need_sweep = ALL_OUTPUTS[2..].iter().any(|f| sel(f));
@@ -371,9 +377,9 @@ pub fn run(args: &CliArgs) -> i32 {
     // One grid covers all selected figures: the static prefix feeds
     // figures 4-9 and the ladder suffix feeds 10-13.
     let mut spec = if need_ladder {
-        SweepSpec::figures(cfg, workloads)
+        SweepSpec::figures(cfg, args.workloads.clone())
     } else {
-        SweepSpec::statics(cfg, workloads)
+        SweepSpec::statics(cfg, args.workloads.clone())
     };
     spec.run_opts.max_cycles = args.budget;
     spec.run_opts.telemetry_interval = args.telemetry;
@@ -491,14 +497,22 @@ mod tests {
             "mysweep",
         ]);
         assert_eq!(a.scale_name, "quick");
-        assert_eq!(a.only.as_ref().unwrap().len(), 2);
-        assert!(a.only.unwrap().contains("fwsoft"));
+        let names: Vec<&str> = a.workloads.iter().map(|w| w.name.as_str()).collect();
+        assert_eq!(names, ["FwPool", "FwSoft"]);
         assert_eq!(a.selected.iter().collect::<Vec<_>>(), vec!["fig6"]);
         assert_eq!(a.common.jobs, 4);
         assert!(a.no_cache);
         assert_eq!(a.budget, 30);
         assert!(a.common.quiet);
         assert_eq!(a.common.sweep_name, "mysweep");
+    }
+
+    #[test]
+    fn only_keeps_suite_order() {
+        let a = parse(&["--scale", "quick", "--only", "BwPool,FwPool", "--fig6"]);
+        let names: Vec<&str> = a.workloads.iter().map(|w| w.name.as_str()).collect();
+        assert_eq!(names, ["FwPool", "BwPool"]);
+        assert_eq!(parse(&["--scale", "quick"]).workloads.len(), 17);
     }
 
     #[test]

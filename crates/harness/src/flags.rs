@@ -173,6 +173,8 @@ mod tests {
         &["--scale", "paper", "--only", "FwPool,BwPool", "--fig6", "--no-cache", "--quiet", "--jobs", "1", "--out", "d", "--sweep-name", "crash-ref"],
         &["--scale", "paper", "--only", "FwPool,BwPool", "--fig6", "--no-cache", "--quiet", "--jobs", "1", "--out", "d", "--resume", "crash-1"],
         &["query", "--journals", "--dir", "d", "--run", "crash-1"],
+        &["serve", "--loads", "40000,20000,10000", "--requests", "8", "--jobs", "1", "--quiet", "--out", "d", "--sweep-name", "serve-crash-ref"],
+        &["serve", "--loads", "40000,20000,10000", "--requests", "8", "--jobs", "1", "--quiet", "--out", "d", "--tenants", "t0=fwsoft,t1=fwpool", "--resume", "serve-crash"],
         &["--scale", "quick", "--only", "FwSoft", "--fig6", "--no-cache", "--no-journal", "--quiet", "--jobs", "2", "--out", "d", "--sweep-name", "skip-on"],
         &["--scale", "quick", "--only", "FwSoft", "--fig6", "--no-cache", "--no-journal", "--quiet", "--no-skip", "--out", "d", "--sweep-name", "skip-off"],
         &["--scale", "quick", "--only", "FwAct,BwBN", "--fig6", "--no-cache", "--no-journal", "--quiet", "--jobs", "2", "--out", "d", "--sweep-name", "sat-on"],
@@ -238,7 +240,7 @@ mod tests {
         );
         // Table defaults that stand for constants kept elsewhere.
         let serve = parse::<ServeArgs>(&[]).unwrap();
-        assert_eq!(serve.seed, crate::provenance::GLOBAL_SEED);
+        assert_eq!(serve.spec.seed, crate::provenance::GLOBAL_SEED);
         let figures = parse::<CliArgs>(&[]).unwrap();
         assert_eq!(figures.budget, miopt::runner::DEFAULT_MAX_CYCLES);
     }
@@ -377,7 +379,7 @@ mod tests {
                 assert_ne!(args.budget, 0, "{argv:?}");
             }
             if let Ok(args) = parse::<ServeArgs>(&argv) {
-                assert_ne!(args.budget, 0, "{argv:?}");
+                assert_ne!(args.spec.budget, 0, "{argv:?}");
             }
             drop(parse::<QueryArgs>(&argv));
         });

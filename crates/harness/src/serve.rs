@@ -32,33 +32,21 @@ use miopt::{CachePolicy, PolicyConfig, SystemConfig, WayRange};
 use miopt_engine::hash::{fnv1a_64, Fnv1a};
 pub use miopt_serve::TenantResult;
 use miopt_serve::{ArrivalSchedule, ServeConfig, ServeError, TenantSpec};
-use miopt_workloads::{by_name, SuiteConfig};
+use miopt_workloads::{SuiteConfig, Workload};
 
-/// Parsed `serve` subcommand options.
+/// Parsed `serve` subcommand options: the flags that name things, as
+/// given, and the sweep they resolve to.
 #[derive(Default)]
 pub struct ServeArgs {
     /// The machine (`"small"` or `"paper"`).
     pub system_name: String,
     /// Workload suite scale name (`"quick"` or `"paper"`).
     pub scale_name: String,
-    /// `(tenant name, workload name)` pairs.
+    /// `(tenant name, workload name)` pairs, as given.
     pub tenants: Vec<(String, String)>,
-    /// Candidate policies, each applied to every tenant for one column
-    /// of the grid.
-    pub policies: Vec<PolicyConfig>,
-    /// Load levels: mean inter-arrival gaps in cycles (smaller = more
-    /// load).
-    pub loads: Vec<u64>,
-    /// Requests per tenant per job.
-    pub requests: usize,
-    /// Arrival seed (tenant streams are derived from it).
-    pub seed: u64,
-    /// Give each tenant an equal exclusive share of L2 ways.
-    pub partition: bool,
-    /// Most requests folded into one dispatch.
-    pub max_batch: u32,
-    /// Per-job absolute cycle budget.
-    pub budget: u64,
+    /// The sweep: the other `serve` flags write into it, and `check`
+    /// resolves the names above into it.
+    pub spec: ServeSweepSpec,
     /// The options shared with the figure sweeps.
     pub common: CommonArgs,
 }
@@ -94,19 +82,38 @@ impl Command for ServeArgs {
             ("--system <S>", "small", "machine: small | paper", |a, v| put(&mut a.system_name, one_of(v, &["small", "paper"])?)),
             ("--scale <S>", "quick", "workload scale: quick | paper", |a, v| put(&mut a.scale_name, one_of(v, &["quick", "paper"])?)),
             ("--tenants <T=W,...>", "t0=FwSoft,t1=FwPool", "tenants as name=Workload pairs", |a, v| put(&mut a.tenants, list(v, tenant)?)),
-            ("--policies <P,...>", "Uncached,CacheR,CacheRW", "policies: Uncached | CacheR | CacheRW", |a, v| put(&mut a.policies, list(v, policy)?)),
-            ("--loads <N,...>", "60000,15000", "mean inter-arrival gaps in cycles, each a row", |a, v| put(&mut a.loads, list(v, positive)?)),
-            ("--requests <N>", "12", "requests per tenant per job", |a, v| put(&mut a.requests, positive(v)?)),
-            ("--seed <N>", "0", "arrival seed", |a, v| put(&mut a.seed, num(v)?)),
-            ("--partition", "", "give each tenant an equal share of L2 ways", |a, _| put(&mut a.partition, true)),
-            ("--max-batch <N>", "4", "most requests per dispatch", |a, v| put(&mut a.max_batch, positive(v)?)),
-            ("--budget <N>", "2000000000", "per-job cycle budget", |a, v| put(&mut a.budget, positive(v)?)),
+            ("--policies <P,...>", "Uncached,CacheR,CacheRW", "policies: Uncached | CacheR | CacheRW", |a, v| put(&mut a.spec.policies, list(v, policy)?)),
+            ("--loads <N,...>", "60000,15000", "mean inter-arrival gaps in cycles, each a row", |a, v| put(&mut a.spec.loads, list(v, positive)?)),
+            ("--requests <N>", "12", "requests per tenant per job", |a, v| put(&mut a.spec.requests, positive(v)?)),
+            ("--seed <N>", "0", "arrival seed", |a, v| put(&mut a.spec.seed, num(v)?)),
+            ("--partition", "", "give each tenant an equal share of L2 ways", |a, _| put(&mut a.spec.partition, true)),
+            ("--max-batch <N>", "4", "most requests per dispatch", |a, v| put(&mut a.spec.max_batch, positive(v)?)),
+            ("--budget <N>", "2000000000", "per-job cycle budget", |a, v| put(&mut a.spec.budget, positive(v)?)),
         ];
         [rows, &shared_flags()].concat()
     }
 
+    /// Resolves the machine and each tenant's workload (names match
+    /// without regard to case; the suite is built once), then refuses
+    /// what [`ServeSweepSpec`] cannot run.
     fn check(&mut self) -> Result<(), String> {
-        ServeSweepSpec::resolve(self)?.check()?;
+        let spec = &mut self.spec;
+        spec.system = match self.system_name.as_str() {
+            "paper" => SystemConfig::paper_table1(),
+            _ => SystemConfig::small_test(),
+        };
+        let scale = match self.scale_name.as_str() {
+            "paper" => SuiteConfig::paper(),
+            _ => SuiteConfig::quick(),
+        };
+        let workloads = self.tenants.iter().map(|(_, w)| w.as_str());
+        let (suite, picks) =
+            known_workloads(&scale, workloads).map_err(|e| format!("--tenants: {e}"))?;
+        let names = self.tenants.iter().map(|(name, _)| name.clone());
+        spec.tenants = names.zip(picks.iter().map(|&i| suite[i].clone())).collect();
+        spec.no_skip = self.common.no_skip;
+        spec.check_invariants = self.common.check_invariants;
+        spec.check()?;
         self.common
             .check(format!("serve-{}-{}", self.system_name, self.scale_name))
     }
@@ -121,14 +128,13 @@ pub fn parse_serve_args(args: impl Iterator<Item = String>) -> ServeArgs {
 
 /// The fully resolved serve sweep: every job's scenario is derivable
 /// from this value alone, which is what the fingerprint hashes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeSweepSpec {
     /// The simulated machine.
     pub system: SystemConfig,
-    /// Workload suite scale.
-    pub scale: SuiteConfig,
-    /// `(tenant name, workload name)` pairs, in the suite's spelling.
-    pub tenants: Vec<(String, String)>,
+    /// `(tenant name, workload)` pairs, each workload built at the
+    /// sweep's suite scale.
+    pub tenants: Vec<(String, Workload)>,
     /// Candidate policies.
     pub policies: Vec<PolicyConfig>,
     /// Mean inter-arrival gaps in cycles.
@@ -161,49 +167,10 @@ pub struct ServeJob {
 }
 
 impl ServeSweepSpec {
-    /// Resolves CLI arguments into a spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the grid is empty or [`ServeArgs`]'s refusals would
-    /// refuse `args` (arguments from [`parse_serve_args`] pass them).
+    /// The spec that parsing `args` resolved (see [`parse_serve_args`]).
     #[must_use]
     pub fn from_args(args: &ServeArgs) -> ServeSweepSpec {
-        assert!(!args.tenants.is_empty(), "--tenants matched no tenants");
-        assert!(!args.policies.is_empty(), "--policies matched no policies");
-        assert!(!args.loads.is_empty(), "--loads matched no load levels");
-        let spec = ServeSweepSpec::resolve(args).and_then(|spec| spec.check().map(|()| spec));
-        spec.unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The spec `args` name, each tenant's workload in the suite's
-    /// spelling; refuses workloads the suite lacks.
-    fn resolve(args: &ServeArgs) -> Result<ServeSweepSpec, String> {
-        let system = match args.system_name.as_str() {
-            "paper" => SystemConfig::paper_table1(),
-            _ => SystemConfig::small_test(),
-        };
-        let scale = match args.scale_name.as_str() {
-            "paper" => SuiteConfig::paper(),
-            _ => SuiteConfig::quick(),
-        };
-        let workloads = known_workloads(&scale, args.tenants.iter().map(|(_, w)| w.as_str()))
-            .map_err(|e| format!("--tenants: {e}"))?;
-        let names = args.tenants.iter().map(|(name, _)| name.clone());
-        Ok(ServeSweepSpec {
-            system,
-            scale,
-            tenants: names.zip(workloads).collect(),
-            policies: args.policies.clone(),
-            loads: args.loads.clone(),
-            requests: args.requests,
-            seed: args.seed,
-            partition: args.partition,
-            max_batch: args.max_batch,
-            budget: args.budget,
-            no_skip: args.common.no_skip,
-            check_invariants: args.common.check_invariants,
-        })
+        args.spec.clone()
     }
 
     /// Refuses empty and duplicate tenant names, and more tenants than L2
@@ -271,8 +238,8 @@ impl ServeSweepSpec {
     ///
     /// # Panics
     ///
-    /// Panics when a tenant names an unknown workload (prevented by
-    /// [`ServeSweepSpec::from_args`]).
+    /// Panics when partitioning is on and there are more tenants than L2
+    /// ways (refused when parsing).
     #[must_use]
     pub fn serve_config(&self, job: &ServeJob) -> ServeConfig {
         let tenants = self
@@ -281,7 +248,7 @@ impl ServeSweepSpec {
             .enumerate()
             .map(|(i, (name, workload))| TenantSpec {
                 name: name.clone(),
-                workload: by_name(&self.scale, workload).expect("validated workload"),
+                workload: workload.clone(),
                 policy: job.policy,
                 schedule: self.schedule_of(i, job.load),
                 l2_partition: self.partition_of(i),
@@ -514,12 +481,7 @@ impl JobKind for ServeSweepSpec {
         }
         for (name, workload) in &self.tenants {
             h.write(name.as_bytes());
-            h.write(
-                by_name(&self.scale, workload)
-                    .expect("validated workload")
-                    .stable_id()
-                    .as_bytes(),
-            );
+            h.write(workload.stable_id().as_bytes());
         }
         h.write_u64(self.requests as u64);
         h.write_u64(self.seed);
@@ -587,14 +549,35 @@ fn worst_p99(rec: &ServeJobRecord) -> u64 {
     rec.tenants.iter().map(|t| t.p99).max().unwrap_or(u64::MAX)
 }
 
-/// Per-load summary rows: which policy wins on tail latency (worst
-/// tenant p99) and which wins on mean dispatch runtime (GPU busy cycles
-/// per batch). When they differ, queueing has inverted the paper's
-/// isolated-runtime ranking — the effect the sweep exists to expose.
-#[must_use]
-pub fn summarize(spec: &ServeSweepSpec, records: &[ServeJobRecord]) -> Json {
-    let rows = spec
-        .loads
+/// One load level's winners: the policy with the lowest worst-tenant
+/// p99 and the one with the lowest mean dispatch runtime (GPU busy
+/// cycles per batch), `"none"` when no job at the load finished. When
+/// they differ, queueing has inverted the paper's isolated-runtime
+/// ranking — the effect the sweep exists to expose.
+struct LoadWinners<'a> {
+    load: u64,
+    by_p99: &'a str,
+    by_mean_batch: &'a str,
+}
+
+impl LoadWinners<'_> {
+    fn tail_diverges(&self) -> bool {
+        self.by_p99 != self.by_mean_batch
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("load", Json::U64(self.load)),
+            ("best_by_p99", Json::str(self.by_p99)),
+            ("best_by_mean_batch", Json::str(self.by_mean_batch)),
+            ("tail_diverges_from_mean", Json::Bool(self.tail_diverges())),
+        ])
+    }
+}
+
+/// The winners at each load level of `spec`, in `--loads` order.
+fn summarize<'a>(spec: &ServeSweepSpec, records: &'a [ServeJobRecord]) -> Vec<LoadWinners<'a>> {
+    spec.loads
         .iter()
         .map(|&load| {
             let at_load: Vec<&ServeJobRecord> = records
@@ -614,17 +597,13 @@ pub fn summarize(spec: &ServeSweepSpec, records: &[ServeJobRecord]) -> Json {
                 );
                 (ab * bn.max(1)).cmp(&(bb * an.max(1)))
             });
-            let best_p99 = by_p99.map_or("none", |r| r.policy.as_str());
-            let best_mean = by_mean.map_or("none", |r| r.policy.as_str());
-            Json::obj([
-                ("load", Json::U64(load)),
-                ("best_by_p99", Json::str(best_p99)),
-                ("best_by_mean_batch", Json::str(best_mean)),
-                ("tail_diverges_from_mean", Json::Bool(best_p99 != best_mean)),
-            ])
+            LoadWinners {
+                load,
+                by_p99: by_p99.map_or("none", |r| r.policy.as_str()),
+                by_mean_batch: by_mean.map_or("none", |r| r.policy.as_str()),
+            }
         })
-        .collect();
-    Json::Arr(rows)
+        .collect()
 }
 
 /// Assembles the full report document: provenance (including the
@@ -639,12 +618,13 @@ pub fn report_json(
 ) -> Json {
     let mut prov = provenance.to_json();
     if let Json::Obj(pairs) = &mut prov {
-        pairs.push(("arrival_seed".to_string(), Json::U64(spec.seed)));
-        pairs.push((
-            "arrivals_fingerprint".to_string(),
-            Json::str(format!("{:016x}", spec.arrivals_fingerprint())),
-        ));
+        let extras = spec.header_extras().into_iter();
+        pairs.extend(extras.map(|(key, value)| (key.to_string(), value)));
     }
+    let summary = summarize(spec, records)
+        .iter()
+        .map(LoadWinners::to_json)
+        .collect();
     Json::obj([
         ("sweep", Json::str(name)),
         ("kind", Json::str("serve")),
@@ -659,7 +639,10 @@ pub fn report_json(
                         spec.tenants
                             .iter()
                             .map(|(n, w)| {
-                                Json::obj([("name", Json::str(n)), ("workload", Json::str(w))])
+                                Json::obj([
+                                    ("name", Json::str(n)),
+                                    ("workload", Json::str(&w.name)),
+                                ])
                             })
                             .collect(),
                     ),
@@ -681,7 +664,7 @@ pub fn report_json(
             "jobs",
             Json::Arr(records.iter().map(ServeJobRecord::to_json).collect()),
         ),
-        ("summary", summarize(spec, records)),
+        ("summary", Json::Arr(summary)),
     ])
 }
 
@@ -709,29 +692,21 @@ fn print_table(spec: &ServeSweepSpec, records: &[ServeJobRecord]) {
         };
         println!("{:14} {:>10} {:>10}  {tenants}", r.policy, r.load, r.cycles);
     }
-    let summary = summarize(spec, records);
-    if let Json::Arr(rows) = &summary {
-        for row in rows {
-            let load = row.get("load").and_then(Json::as_u64).unwrap_or(0);
-            let p99 = row.get("best_by_p99").and_then(Json::as_str).unwrap_or("?");
-            let mean = row
-                .get("best_by_mean_batch")
-                .and_then(Json::as_str)
-                .unwrap_or("?");
-            let mark = if p99 == mean {
-                ""
-            } else {
-                "  <-- tail diverges"
-            };
-            println!("load {load}: best by p99 = {p99}, best by mean batch = {mean}{mark}");
-        }
+    for w in summarize(spec, records) {
+        let mark = if w.tail_diverges() {
+            "  <-- tail diverges"
+        } else {
+            ""
+        };
+        let (load, p99, mean) = (w.load, w.by_p99, w.by_mean_batch);
+        println!("load {load}: best by p99 = {p99}, best by mean batch = {mean}{mark}");
     }
 }
 
 /// Runs the `serve` subcommand. Returns the process exit code.
 #[must_use]
 pub fn run_serve(args: &ServeArgs) -> i32 {
-    let spec = ServeSweepSpec::from_args(args);
+    let spec = &args.spec;
     eprintln!(
         "running serve sweep: {} policies x {} loads = {} jobs, {} tenants ...",
         spec.policies.len(),
@@ -740,14 +715,14 @@ pub fn run_serve(args: &ServeArgs) -> i32 {
         spec.tenants.len()
     );
     let pool = args.common.pool_options();
-    let run = match drive(&spec, &args.common, &pool, None, !args.common.no_journal) {
+    let run = match drive(spec, &args.common, &pool, None, !args.common.no_journal) {
         Ok(run) => run,
         Err(code) => return code,
     };
     // A serve job's outcome and its record are one and the same thing,
     // replayed or fresh, so the records need no second copy in the run.
     let records: Vec<ServeJobRecord> = run.outcomes.iter().map(|o| spec.record(o)).collect();
-    print_table(&spec, &records);
+    print_table(spec, &records);
     let failed = records.iter().filter(|r| r.status != "ok").count();
     if failed > 0 {
         eprintln!("error: {failed} serve job(s) failed");
@@ -759,6 +734,7 @@ pub fn run_serve(args: &ServeArgs) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miopt_workloads::by_name;
 
     /// The message `list` is refused with.
     fn refusal(list: &[&str]) -> String {
@@ -770,12 +746,12 @@ mod tests {
     }
 
     pub(crate) fn tiny_spec() -> ServeSweepSpec {
+        let quick = |name| by_name(&SuiteConfig::quick(), name).unwrap();
         ServeSweepSpec {
             system: SystemConfig::small_test(),
-            scale: SuiteConfig::quick(),
             tenants: vec![
-                ("t0".to_string(), "FwSoft".to_string()),
-                ("t1".to_string(), "FwPool".to_string()),
+                ("t0".to_string(), quick("FwSoft")),
+                ("t1".to_string(), quick("FwPool")),
             ],
             policies: vec![
                 PolicyConfig::of(CachePolicy::CacheR),
@@ -823,22 +799,41 @@ mod tests {
         );
         assert_eq!(a.system_name, "paper");
         assert_eq!(a.tenants[1], ("b".to_string(), "SGEMM".to_string()));
-        assert_eq!(a.policies.len(), 2);
-        assert_eq!(a.loads, vec![50_000, 10_000]);
-        assert_eq!(a.requests, 8);
-        assert_eq!(a.seed, 9);
-        assert!(a.partition);
-        assert_eq!(a.max_batch, 2);
+        assert_eq!(a.spec.policies.len(), 2);
+        assert_eq!(a.spec.loads, vec![50_000, 10_000]);
+        assert_eq!(a.spec.requests, 8);
+        assert_eq!(a.spec.seed, 9);
+        assert!(a.spec.partition);
+        assert_eq!(a.spec.max_batch, 2);
         assert_eq!(a.common.jobs, 3);
         assert_eq!(a.common.sweep_name, "myserve");
         let d = parse_serve_args(std::iter::empty());
         assert_eq!(d.common.sweep_name, "serve-small-quick");
-        assert_eq!(d.policies.len(), 3);
+        assert_eq!(d.spec.policies.len(), 3);
         // Workloads match without regard to case; the spec, and so the
         // report's grid, spells them as the suite does.
         let args = parse_serve_args(["--tenants", "a=fwsoft"].iter().map(|s| (*s).to_string()));
         let spec = ServeSweepSpec::from_args(&args);
-        assert_eq!(spec.tenants, vec![("a".to_string(), "FwSoft".to_string())]);
+        assert_eq!(spec.tenants.len(), 1);
+        assert_eq!(
+            (spec.tenants[0].0.as_str(), spec.tenants[0].1.name.as_str()),
+            ("a", "FwSoft")
+        );
+    }
+
+    #[test]
+    fn tenants_resolve_once_to_the_suite_workloads() {
+        let spec = |tenants: &str| {
+            let argv = ["--tenants", tenants].map(String::from);
+            ServeSweepSpec::from_args(&parse_serve_args(argv.into_iter()))
+        };
+        let (lower, suite) = (spec("t0=fwsoft,t1=FWPOOL"), spec("t0=FwSoft,t1=FwPool"));
+        for ((name, workload), expected) in lower.tenants.iter().zip(["FwSoft", "FwPool"]) {
+            let built = by_name(&SuiteConfig::quick(), expected).unwrap();
+            assert_eq!(workload.name, expected, "tenant {name}");
+            assert_eq!(workload.stable_id(), built.stable_id(), "tenant {name}");
+        }
+        assert_eq!(lower.fingerprint(), suite.fingerprint());
     }
 
     #[test]
@@ -895,7 +890,7 @@ mod tests {
         let spec = tiny_spec();
         let rec = run_serve_job(&spec, &spec.jobs()[0]);
         assert_eq!(rec.status, "ok");
-        assert_eq!(rec.tenants[1].workload, spec.tenants[1].1);
+        assert_eq!(rec.tenants[1].workload, spec.tenants[1].1.name);
         let line = rec.to_json_line();
         let back = ServeJobRecord::from_json(&Json::parse(&line).unwrap()).unwrap();
         assert_eq!(back, rec);
@@ -915,10 +910,11 @@ mod tests {
         };
         assert_eq!(records(tiny_spec())[0].status, "ok");
 
-        // An unknown tenant workload makes serve_config panic; the pool
-        // must report it in the job's status, not propagate it.
+        // Fewer L2 ways than partitioned tenants makes serve_config
+        // panic; the pool must report it in the job's status, not
+        // propagate it.
         let mut broken = tiny_spec();
-        broken.tenants[1].1 = "Nonexistent".to_string();
+        broken.system.l2.ways = 1;
         let rec = &records(broken)[0];
         assert!(rec.status.starts_with("panicked:"), "{}", rec.status);
         assert_eq!(rec.id, 0);

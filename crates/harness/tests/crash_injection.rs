@@ -33,10 +33,15 @@ fn figure_spec() -> SweepSpec {
 fn serve_spec() -> ServeSweepSpec {
     ServeSweepSpec {
         system: SystemConfig::small_test(),
-        scale: SuiteConfig::quick(),
         tenants: vec![
-            ("t0".to_string(), "FwSoft".to_string()),
-            ("t1".to_string(), "FwPool".to_string()),
+            (
+                "t0".to_string(),
+                by_name(&SuiteConfig::quick(), "FwSoft").unwrap(),
+            ),
+            (
+                "t1".to_string(),
+                by_name(&SuiteConfig::quick(), "FwPool").unwrap(),
+            ),
         ],
         policies: vec![
             PolicyConfig::of(CachePolicy::Uncached),

@@ -9,7 +9,7 @@ use miopt_harness::provenance::Provenance;
 use miopt_harness::serve::{report_json, run_serve_job, ServeJobRecord, ServeSweepSpec};
 use miopt_harness::sweep::run_kind;
 use miopt_harness::{JobKind, PoolOptions};
-use miopt_workloads::SuiteConfig;
+use miopt_workloads::{by_name, SuiteConfig};
 
 /// Runs the grid on `workers` threads (0 = every core), replaying
 /// `journal` first, and returns every record in job-id order.
@@ -29,10 +29,15 @@ fn execute(
 fn tiny_spec() -> ServeSweepSpec {
     ServeSweepSpec {
         system: SystemConfig::small_test(),
-        scale: SuiteConfig::quick(),
         tenants: vec![
-            ("t0".to_string(), "FwSoft".to_string()),
-            ("t1".to_string(), "FwPool".to_string()),
+            (
+                "t0".to_string(),
+                by_name(&SuiteConfig::quick(), "FwSoft").unwrap(),
+            ),
+            (
+                "t1".to_string(),
+                by_name(&SuiteConfig::quick(), "FwPool").unwrap(),
+            ),
         ],
         policies: vec![
             PolicyConfig::of(CachePolicy::Uncached),

@@ -8,7 +8,7 @@
 //! provenance and journal fingerprints, and a resumed sweep replays
 //! byte-identical traffic.
 
-use miopt_engine::hash::fnv1a_64;
+use miopt_engine::hash::Fnv1a;
 use miopt_engine::rng::SplitMix64;
 
 /// A fixed, sorted list of request arrival cycles for one tenant.
@@ -97,12 +97,12 @@ impl ArrivalSchedule {
     /// resumed sweep can prove it is replaying identical traffic.
     #[must_use]
     pub fn hash(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(8 * (self.arrivals.len() + 1));
-        bytes.extend_from_slice(&self.seed.to_le_bytes());
-        for a in &self.arrivals {
-            bytes.extend_from_slice(&a.to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.write_u64(self.seed);
+        for &a in &self.arrivals {
+            h.write_u64(a);
         }
-        fnv1a_64(&bytes)
+        h.finish()
     }
 }
 

@@ -112,6 +112,34 @@ for k in 1 2 3; do
     journaled=$(grep -o '[0-9]* of [0-9]* jobs' "$smoke_dir/$rs.log" | head -1 | cut -d' ' -f1)
     echo "crash point $k ok (${journaled:-?} job(s) journaled before SIGKILL, report byte-identical)"
 done
+# One serve kill point: the same SIGKILL + --resume dance on a 9-job
+# serve grid. The resume spells the (default) tenants' workloads in
+# lower case: names resolve to the same suite workloads, so the journal
+# fingerprint and the report are unchanged.
+serve_grid=(serve --loads 40000,20000,10000 --requests 8 --jobs 1 --quiet --out "$smoke_dir")
+cargo run --release -q -p miopt-harness -- "${serve_grid[@]}" \
+    --sweep-name serve-crash-ref >/dev/null 2>&1
+partial="$smoke_dir/serve-crash.partial.json"
+cargo run --release -q -p miopt-harness -- "${serve_grid[@]}" \
+    --sweep-name serve-crash >/dev/null 2>&1 &
+sweep_pid=$!
+for _ in $(seq 1 600); do
+    [[ -f "$partial" && "$(grep -c '"id":' "$partial")" -ge 1 ]] && break
+    sleep 0.1
+done
+kill -9 "$sweep_pid" 2>/dev/null || true
+wait "$sweep_pid" 2>/dev/null || true
+if [[ ! -d "$smoke_dir/serve-crash.journal" ]]; then
+    echo "crash loop: serve run finished before SIGKILL; enlarge the grid" >&2
+    exit 1
+fi
+cargo run --release -q -p miopt-harness -- "${serve_grid[@]}" \
+    --tenants t0=fwsoft,t1=fwpool --resume serve-crash >/dev/null 2>"$smoke_dir/serve-crash.log"
+grep -q "already journaled" "$smoke_dir/serve-crash.log"
+[[ "$(grep -c '"status": "ok"' "$smoke_dir/serve-crash.json")" -eq 9 ]]
+diff <(scrub "$smoke_dir/serve-crash-ref.json") <(scrub "$smoke_dir/serve-crash.json")
+[[ ! -e "$smoke_dir/serve-crash.journal" && ! -e "$partial" ]]
+echo "serve crash point ok (report byte-identical)"
 echo "crash-injection loop ok"
 
 echo "== event-core equivalence spot check (default vs --no-skip, --jobs 2) =="

@@ -28,7 +28,7 @@ fn policy(c: &mut Case) -> LevelPolicy {
         allocation_bypass: ab,
         rinse: enabled && stores && rinse,
         pc_bypass: pcby.then(PredictorConfig::paper),
-        row_map: (enabled && stores && rinse).then(|| RowMap::new(1, 2)),
+        row_map: (enabled && stores && rinse).then(|| RowMap::new(2)),
         partition: None,
     }
 }
