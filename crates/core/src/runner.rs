@@ -420,37 +420,6 @@ impl LadderResult {
     }
 }
 
-/// Classifies a workload from its measured static-sweep results using the
-/// paper's Figure 6 rule: <5% spread = insensitive; caching faster =
-/// reuse sensitive; caching slower = throughput sensitive.
-#[must_use]
-pub fn classify(static_runs: &[RunResult]) -> miopt_workloads::Category {
-    let unc = static_runs
-        .iter()
-        .find(|r| r.policy.policy == CachePolicy::Uncached)
-        .expect("sweep includes Uncached");
-    let best_cached = static_runs
-        .iter()
-        .filter(|r| r.policy.policy != CachePolicy::Uncached)
-        .min_by_key(|r| r.metrics.cycles)
-        .expect("sweep includes cached policies");
-    let worst_cached = static_runs
-        .iter()
-        .filter(|r| r.policy.policy != CachePolicy::Uncached)
-        .max_by_key(|r| r.metrics.cycles)
-        .expect("sweep includes cached policies");
-    let base = unc.metrics.cycles as f64;
-    let best = best_cached.metrics.cycles as f64 / base;
-    let worst = worst_cached.metrics.cycles as f64 / base;
-    if best < 0.95 {
-        miopt_workloads::Category::ReuseSensitive
-    } else if worst > 1.05 {
-        miopt_workloads::Category::ThroughputSensitive
-    } else {
-        miopt_workloads::Category::Insensitive
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,18 +459,6 @@ mod tests {
         assert_eq!(l.uncached().policy.policy, CachePolicy::Uncached);
         assert_eq!(l.ladder.len(), 3);
         assert_eq!(l.ladder[2].policy.label(), "CacheRW-PCby");
-    }
-
-    #[test]
-    fn classify_follows_the_5_percent_rule() {
-        let cfg = SystemConfig::small_test();
-        let w = by_name(&SuiteConfig::quick(), "FwSoft").unwrap();
-        let spec = SweepSpec::statics(cfg, vec![w]);
-        let sweep = spec.assemble_statics(&run_all(&spec));
-        // FwSoft re-reads a tiny array: must not classify as throughput
-        // sensitive.
-        let c = classify(&sweep[0]);
-        assert_ne!(c, miopt_workloads::Category::ThroughputSensitive);
     }
 
     #[test]
@@ -551,31 +508,6 @@ mod tests {
         assert_eq!(ladders[0].statics.len(), 3);
         assert_eq!(ladders[0].ladder.len(), 3);
         assert_eq!(ladders[0].ladder[2].policy.label(), "CacheRW-PCby");
-    }
-
-    /// Builds a synthetic static-sweep result with the given cycle counts
-    /// for (Uncached, CacheR, CacheRW).
-    fn synthetic_statics(unc: u64, r: u64, rw: u64) -> Vec<RunResult> {
-        use miopt_cache::CacheStats;
-        use miopt_dram::DramStats;
-        use miopt_gpu::GpuStats;
-        CachePolicy::ALL
-            .iter()
-            .zip([unc, r, rw])
-            .map(|(&p, cycles)| RunResult {
-                workload: "synthetic".to_string(),
-                policy: PolicyConfig::of(p),
-                metrics: Metrics::from_parts(
-                    cycles,
-                    GpuStats::default(),
-                    DramStats::default(),
-                    CacheStats::default(),
-                    CacheStats::default(),
-                    1.6e9,
-                ),
-                telemetry: None,
-            })
-            .collect()
     }
 
     #[test]
@@ -733,62 +665,5 @@ mod tests {
         };
         let traced = run_one_with(&cfg, &w, p, &opts).unwrap();
         assert_eq!(plain.metrics, traced.metrics);
-    }
-
-    #[test]
-    fn classify_boundary_spread_exactly_at_5_percent_is_insensitive() {
-        use miopt_workloads::Category::*;
-        // best = 0.95 exactly: `best < 0.95` is false -> not reuse
-        // sensitive; worst = 1.05 exactly: `worst > 1.05` is false -> not
-        // throughput sensitive. Both thresholds are exclusive.
-        assert_eq!(
-            classify(&synthetic_statics(10_000, 9_500, 10_500)),
-            Insensitive
-        );
-        // One cycle inside either threshold flips the class.
-        assert_eq!(
-            classify(&synthetic_statics(10_000, 9_499, 10_000)),
-            ReuseSensitive
-        );
-        assert_eq!(
-            classify(&synthetic_statics(10_000, 10_000, 10_501)),
-            ThroughputSensitive
-        );
-    }
-
-    #[test]
-    fn classify_boundary_tied_cached_policies() {
-        use miopt_workloads::Category::*;
-        // CacheR and CacheRW tied: best == worst, so only one side of the
-        // rule can trigger.
-        assert_eq!(
-            classify(&synthetic_statics(10_000, 9_000, 9_000)),
-            ReuseSensitive
-        );
-        assert_eq!(
-            classify(&synthetic_statics(10_000, 11_000, 11_000)),
-            ThroughputSensitive
-        );
-        assert_eq!(
-            classify(&synthetic_statics(10_000, 10_000, 10_000)),
-            Insensitive
-        );
-    }
-
-    #[test]
-    fn classify_boundary_cached_policies_straddling_uncached() {
-        use miopt_workloads::Category::*;
-        // CacheR clearly faster, CacheRW clearly slower than Uncached.
-        // The paper's rule checks `best < 0.95` first, so a workload
-        // where caching can both help and hurt reads as reuse sensitive.
-        assert_eq!(
-            classify(&synthetic_statics(10_000, 8_000, 12_000)),
-            ReuseSensitive
-        );
-        // Straddling inside the 5% band stays insensitive.
-        assert_eq!(
-            classify(&synthetic_statics(10_000, 9_600, 10_400)),
-            Insensitive
-        );
     }
 }

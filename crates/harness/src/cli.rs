@@ -8,7 +8,9 @@
 //! selector, everything is regenerated (`--all`).
 
 use crate::cache::ResultCache;
-use crate::figures::{fig10, fig11, fig12, fig13, fig4, fig5, fig6, fig7, fig8, fig9, FigureData};
+use crate::figures::{
+    fig10, fig11, fig12, fig13, fig4, fig5, fig6, fig7, fig8, fig9, FigureData, FIGURE_FILES,
+};
 use crate::flags::{self, num, positive, put, Command, Flag};
 use crate::kind::JobKind;
 use crate::pool::{PoolOptions, ResultSource};
@@ -330,7 +332,7 @@ fn emit(fig: &FigureData, csv_dir: Option<&str>, file: &str) -> std::io::Result<
 }
 
 /// All six static-sweep figures plus the four ladder figures from one
-/// figures-grid sweep, keyed by output name.
+/// figures-grid sweep, with each one's output name and CSV stem.
 fn figure_set(
     spec: &SweepSpec,
     results: &[miopt::runner::RunResult],
@@ -338,21 +340,26 @@ fn figure_set(
 ) -> Vec<(&'static str, &'static str, FigureData)> {
     let sweep = spec.assemble_statics(results);
     let mut figs = vec![
-        ("fig4", "fig4_gvops", fig4(&sweep)),
-        ("fig5", "fig5_gmrs", fig5(&sweep)),
-        ("fig6", "fig6_exec_time", fig6(&sweep)),
-        ("fig7", "fig7_dram_accesses", fig7(&sweep)),
-        ("fig8", "fig8_cache_stalls", fig8(&sweep)),
-        ("fig9", "fig9_row_hits", fig9(&sweep)),
+        fig4(&sweep),
+        fig5(&sweep),
+        fig6(&sweep),
+        fig7(&sweep),
+        fig8(&sweep),
+        fig9(&sweep),
     ];
     if want_ladder {
         let ladders = spec.assemble_ladders(results);
-        figs.push(("fig10", "fig10_opt_exec_time", fig10(&ladders)));
-        figs.push(("fig11", "fig11_opt_dram", fig11(&ladders)));
-        figs.push(("fig12", "fig12_opt_stalls", fig12(&ladders)));
-        figs.push(("fig13", "fig13_opt_rows", fig13(&ladders)));
+        figs.extend([
+            fig10(&ladders),
+            fig11(&ladders),
+            fig12(&ladders),
+            fig13(&ladders),
+        ]);
     }
-    figs
+    let named = FIGURE_FILES.iter().zip(figs);
+    named
+        .map(|(&(name, file), fig)| (name, file, fig))
+        .collect()
 }
 
 /// Runs the CLI. Returns the process exit code.

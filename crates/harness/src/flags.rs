@@ -3,7 +3,7 @@
 //! is a `CliError` carrying the usage generated from the table;
 //! [`main`] prints both and exits 2.
 
-use crate::{cli, query, serve};
+use crate::{cli, figures, query, serve};
 use std::str::FromStr;
 
 /// One row of a flag table: the flag as the usage shows it (`--name`, a
@@ -99,15 +99,16 @@ fn usage<A>(name: &str, rows: &[Flag<A>]) -> String {
 }
 
 /// Runs `miopt-harness` on `argv` (the arguments after the program
-/// name): the `serve` or `query` subcommand when `argv` starts with
-/// that word, the figure command otherwise. Returns the exit code: 0 on
-/// success, 1 when the run fails, 2 when the arguments are refused
+/// name): the `serve`, `query` or `check` subcommand when `argv` starts
+/// with that word, the figure command otherwise. Returns the exit code:
+/// 0 on success, 1 when the run fails, 2 when the arguments are refused
 /// (after printing `error: <message>` and the usage to stderr).
 pub fn main(argv: impl IntoIterator<Item = String>) -> i32 {
     let argv: Vec<String> = argv.into_iter().collect();
     let code = match argv.first().map(String::as_str) {
         Some("serve") => parse(&argv[1..]).map(|args| serve::run_serve(&args)),
         Some("query") => parse(&argv[1..]).map(|args| query::run_query(&args)),
+        Some("check") => parse(&argv[1..]).map(|args| figures::run_check(&args)),
         _ => parse(&argv).map(|args| cli::run(&args)),
     };
     code.unwrap_or_else(|e| {
@@ -149,6 +150,7 @@ pub(crate) fn list<T>(value: &str, item: fn(&str) -> Result<T, String>) -> Resul
 mod tests {
     use super::*;
     use crate::cli::CliArgs;
+    use crate::figures::CheckArgs;
     use crate::query::QueryArgs;
     use crate::serve::ServeArgs;
     use miopt_engine::prop;
@@ -159,6 +161,7 @@ mod tests {
         match argv.first().map(String::as_str) {
             Some("serve") => parse::<ServeArgs>(&argv[1..]).map(drop),
             Some("query") => parse::<QueryArgs>(&argv[1..]).map(drop),
+            Some("check") => parse::<CheckArgs>(&argv[1..]).map(drop),
             _ => parse::<CliArgs>(&argv).map(drop),
         }
     }
@@ -218,6 +221,9 @@ mod tests {
         &["serve", "--loads", "40000,20000,10000", "--requests", "8", "--jobs", "1", "--out", "d", "--sweep-name", "sres"],
         &["query", "--dir", "d", "--metric", "cycles", "--agg", "count,mean,p99"],
         &["--scale", "quick", "--only", "FwSoft,BwSoft", "--no-cache", "--quiet", "--sweep-name", "clicheck", "--jobs", "2", "--csv", "d", "--out", "d"],
+        &["check"],
+        &["check", "--dir", "d"],
+        &["--all", "--csv", "d", "--no-cache", "--no-journal", "--quiet", "--out", "d"],
     ];
 
     #[test]
@@ -308,11 +314,16 @@ mod tests {
                 &["query", "--agg", "median"],
                 "--agg: unknown aggregation \"median\"",
             ),
+            (
+                &["check", "--frobnicate"],
+                "unexpected argument \"--frobnicate\"",
+            ),
+            (&["check", "--dir"], "--dir needs a value"),
         ];
         for (argv, message) in refusals {
             let refusal = parses(argv).expect_err("refused");
             assert_eq!(&refusal.message, message, "{argv:?}");
-            let word = if argv[0] == "serve" || argv[0] == "query" {
+            let word = if ["serve", "query", "check"].contains(&argv[0]) {
                 argv[0]
             } else {
                 ""
@@ -323,7 +334,7 @@ mod tests {
                     .to_string()
             ));
             assert!(
-                refusal.usage.contains("  --jobs <N>") == (word != "query"),
+                refusal.usage.contains("  --jobs <N>") != matches!(word, "query" | "check"),
                 "{}",
                 refusal.usage
             );
@@ -348,6 +359,7 @@ mod tests {
             names::<CliArgs>(),
             names::<ServeArgs>(),
             names::<QueryArgs>(),
+            names::<CheckArgs>(),
         ]
         .concat();
         let junk = [
@@ -360,6 +372,7 @@ mod tests {
             "a=",
             "fig6",
             "serve",
+            "check",
             "-",
             "--",
             "CacheR",
@@ -382,6 +395,7 @@ mod tests {
                 assert_ne!(args.spec.budget, 0, "{argv:?}");
             }
             drop(parse::<QueryArgs>(&argv));
+            drop(parse::<CheckArgs>(&argv));
         });
     }
 }

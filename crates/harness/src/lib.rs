@@ -28,7 +28,10 @@
 //!   throughput ([`serve`]),
 //! * the figure-extraction pipeline and the `miopt-harness` CLI that
 //!   regenerates every paper figure through the pool ([`figures`],
-//!   [`cli`]), with one flag grammar for every subcommand ([`flags`]).
+//!   [`cli`]), with one flag grammar for every subcommand ([`flags`]),
+//! * the reproduction gate, `miopt-harness check`: the paper's
+//!   qualitative claims measured on the figure CSVs, each passing or
+//!   failing for a known deviation ([`figures`]).
 //!
 //! Everything is dependency-free: the JSON layer ([`json`]) is written
 //! in-tree so offline builds never touch a registry.

@@ -48,7 +48,8 @@ use std::sync::Arc;
 /// The paper's Figure 6 behavioural categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
-    /// Cache policy changes execution time by <5% (CM, SGEMM, DGEMM).
+    /// Cache policy barely changes execution time (CM, SGEMM, DGEMM;
+    /// `miopt-harness check` holds the bound).
     Insensitive,
     /// Caching consistently improves performance.
     ReuseSensitive,

@@ -13,7 +13,7 @@
 use miopt::runner::SweepSpec;
 use miopt::SystemConfig;
 use miopt_harness::sweep::{run_sweep, SweepOptions};
-use miopt_workloads::{by_name, Category, SuiteConfig};
+use miopt_workloads::{by_name, SuiteConfig};
 
 fn main() {
     let workload_name = std::env::args()
@@ -52,22 +52,11 @@ fn main() {
         );
     }
 
-    let measured = miopt::runner::classify(&ladder.statics);
-    println!("\nmeasured category: {measured:?}");
-    if measured == workload.category {
-        println!("matches the paper's Figure 6 classification.");
-    } else {
-        println!(
-            "differs from the paper's classification ({:?}) — expected at reduced scales.",
-            workload.category
-        );
-    }
     let best = ladder.static_best();
     let pcby = &ladder.ladder[2];
     println!(
-        "CacheRW-PCby vs static best ({}): {:.3}x",
+        "\nCacheRW-PCby vs static best ({}): {:.3}x",
         best.policy.label(),
         pcby.metrics.cycles as f64 / best.metrics.cycles as f64
     );
-    let _ = Category::Insensitive; // (re-exported for doc purposes)
 }

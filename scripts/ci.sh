@@ -4,7 +4,8 @@
 #
 #   scripts/ci.sh          # fmt + clippy + build + debug tests
 #   scripts/ci.sh --full   # additionally: release tests including the
-#                          # release-only zero-allocation gate
+#                          # release-only zero-allocation gate, and a
+#                          # paper-scale regeneration of results/
 #
 # The debug path is the canonical tier-1 entry point:
 #   cargo build --release && cargo test -q
@@ -23,6 +24,11 @@ cargo clippy --all-targets -- -D warnings
 
 echo "== cargo build --release =="
 cargo build --release
+
+echo "== reproduction gate (miopt-harness check on results/) =="
+# Every shape check on the committed figures passes or fails for its
+# known deviation; any other verdict exits 1.
+cargo run --release -q -p miopt-harness -- check | tail -1
 
 echo "== cargo test -q =="
 cargo test -q
@@ -298,7 +304,8 @@ echo "== refused arguments (exit 2, never a panic) =="
 for bad in "--frobnicate" "serve --loads 0" "query --agg median" \
     "--retries 1" "serve --retries 1" "--timeout-secs 1" \
     "--budget 0" "serve --budget 0" \
-    "serve --tenants a=FwSoft,a=FwPool" "serve --tenants =FwSoft"; do
+    "serve --tenants a=FwSoft,a=FwPool" "serve --tenants =FwSoft" \
+    "check --frobnicate"; do
     status=0
     # shellcheck disable=SC2086 # $bad is split into its words on purpose
     cargo run --release -q -p miopt-harness -- $bad >/dev/null 2>"$smoke_dir/refused.txt" || status=$?
@@ -414,6 +421,20 @@ echo "benchmark smoke ok"
 if [[ $full -eq 1 ]]; then
     echo "== cargo test --release (full suite, including release-only tests) =="
     cargo test -q --release -- --include-ignored
+
+    echo "== paper-scale regeneration (CSVs byte-identical to results/, gate) =="
+    # Every figure from scratch at paper scale: each CSV must equal the
+    # committed one byte for byte, and the gate must accept them.
+    paper="$smoke_dir/paper"
+    start=$SECONDS
+    cargo run --release -q -p miopt-harness -- --all --csv "$paper" \
+        --no-cache --no-journal --quiet --out "$smoke_dir" >/dev/null
+    elapsed=$((SECONDS - start))
+    for f in results/*.csv; do
+        cmp "$f" "$paper/$(basename "$f")"
+    done
+    cargo run --release -q -p miopt-harness -- check --dir "$paper" | tail -1
+    echo "paper-scale regeneration ok (${elapsed} s wall)"
 fi
 
 echo "ci.sh: all checks passed"
