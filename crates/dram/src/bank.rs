@@ -12,7 +12,7 @@ pub(crate) enum RowOutcome {
 }
 
 /// One DRAM bank: an open-row register plus timing state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Bank {
     open_row: Option<u64>,
     /// When the currently open row becomes usable (activate finished).
@@ -42,7 +42,8 @@ impl Bank {
     }
 
     /// Whether an access to `row` at `now` would be a row hit that can
-    /// start immediately (used by the FR-FCFS first-ready scan).
+    /// start immediately (used by the reference FR-FCFS first-ready scan).
+    #[cfg(test)]
     pub(crate) fn is_ready_hit(&self, row: u64, now: Cycle) -> bool {
         self.open_row == Some(row) && self.row_ready_at <= now
     }

@@ -2,15 +2,17 @@ use crate::bank::{Bank, RowOutcome};
 use crate::map::DramLoc;
 use crate::{DramConfig, DramStats};
 use miopt_engine::sentinel::{InvariantViolation, Sentinel};
+use miopt_engine::util::bits;
 use miopt_engine::{Cycle, MemReq, MemResp};
 use std::collections::VecDeque;
 
-/// A queued request with its decoded coordinates and arrival time.
+/// A queued request with its bank, row and arrival time.
 #[derive(Debug, Clone)]
 struct Entry {
     req: MemReq,
-    loc: DramLoc,
+    row: u64,
     arrived: Cycle,
+    bank: u16,
     /// Whether the row-buffer outcome was already recorded (at prep time
     /// for misses/conflicts).
     counted: bool,
@@ -18,19 +20,72 @@ struct Entry {
 
 /// One HBM2 channel: a request queue, an FR-FCFS scheduler, a shared data
 /// bus, and a set of banks.
+///
+/// The scheduler keeps the FR-FCFS window (the first `frfcfs_window`
+/// queued requests) as bit masks over its positions: per bank, where its
+/// requests sit, and which positions want their bank's open row. From
+/// them follow two bank masks, `hit_banks` and `want_banks`, which answer
+/// "can this channel act at `now`" and "when will it next act" in word
+/// operations over the banks, and the oldest request a serve or prep
+/// takes is the lowest set bit of a union of bank masks. The masks change
+/// only when a request enters or leaves the window or a bank opens a row.
 #[derive(Debug)]
 pub(crate) struct Channel {
     cfg: DramConfig,
     queue: VecDeque<Entry>,
     banks: Vec<Bank>,
+    /// Per bank, the window positions (queue indices) of its requests.
+    slots: Vec<u64>,
+    /// Window positions whose request is for its bank's open row.
+    hit_slots: u64,
+    /// Banks with a windowed request for their open row.
+    hit_banks: u64,
+    /// Banks with a windowed request for another row (or a closed bank).
+    want_banks: u64,
     bus_free_at: Cycle,
     last_was_write: bool,
     responses: VecDeque<(Cycle, MemResp)>,
     in_service: usize,
 }
 
+/// A channel's whole scheduling state, for lockstep comparisons.
+#[cfg(test)]
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Snapshot {
+    /// Queued request ids, oldest first, with whether each was prepped.
+    pub(crate) queue: Vec<(u64, bool)>,
+    pub(crate) banks: Vec<Bank>,
+    pub(crate) bus_free_at: Cycle,
+    pub(crate) last_was_write: bool,
+    /// Undelivered responses: ready cycle and request id.
+    pub(crate) responses: Vec<(Cycle, u64)>,
+}
+
+/// The window's bank masks, as kept or as recounted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BankMasks {
+    hit: u64,
+    want: u64,
+}
+
+/// The bits of `m` below position `p` (all of them from 64 on).
+fn below(m: u64, p: usize) -> u64 {
+    m & 1u64.checked_shl(p as u32).map_or(u64::MAX, |bit| bit - 1)
+}
+
+/// `m` with bit `p` taken out and the bits above it moved down one.
+fn remove_bit(m: u64, p: usize) -> u64 {
+    below(m, p) | (m >> 1 & !below(u64::MAX, p))
+}
+
 impl Channel {
+    /// # Panics
+    ///
+    /// Panics if the configuration has more than 64 banks or a window of
+    /// more than 64 requests (the masks are single words).
     pub(crate) fn new(cfg: DramConfig) -> Channel {
+        assert!(cfg.banks <= 64, "bank masks are a u64");
+        assert!(cfg.frfcfs_window <= 64, "window masks are a u64");
         let banks = (0..cfg.banks).map(|_| Bank::new()).collect();
         // Both queues are bounded — requests by `queue_capacity`, responses
         // by the requests in flight — so pre-sizing them keeps steady-state
@@ -38,9 +93,13 @@ impl Channel {
         let queue = VecDeque::with_capacity(cfg.queue_capacity);
         let responses = VecDeque::with_capacity(cfg.queue_capacity.max(16));
         Channel {
+            slots: vec![0; usize::from(cfg.banks)],
             cfg,
             queue,
             banks,
+            hit_slots: 0,
+            hit_banks: 0,
+            want_banks: 0,
             bus_free_at: Cycle::ZERO,
             last_was_write: false,
             responses,
@@ -58,10 +117,14 @@ impl Channel {
         }
         self.queue.push_back(Entry {
             req,
-            loc,
+            row: loc.row,
+            bank: loc.bank,
             arrived: now,
             counted: false,
         });
+        if self.queue.len() <= self.cfg.frfcfs_window {
+            self.enter_window(self.queue.len() - 1);
+        }
         Ok(())
     }
 
@@ -75,8 +138,14 @@ impl Channel {
     }
 
     /// Whether any completed response is waiting to be delivered.
+    #[cfg(test)]
     pub(crate) fn has_responses(&self) -> bool {
         !self.responses.is_empty()
+    }
+
+    /// When the oldest undelivered response becomes deliverable.
+    pub(crate) fn response_ready_at(&self) -> Option<Cycle> {
+        self.responses.front().map(|(ready, _)| *ready)
     }
 
     /// Whether the queue head has waited past the starvation cap at `now`
@@ -88,13 +157,156 @@ impl Channel {
             .is_some_and(|head| now.since(head.arrived) > self.cfg.starvation_cap)
     }
 
+    /// The first cycle at which the head has waited past the starvation
+    /// cap: from then on the window is the head alone.
+    fn collapse_at(&self, head: &Entry) -> Cycle {
+        Cycle(
+            head.arrived
+                .0
+                .saturating_add(self.cfg.starvation_cap)
+                .saturating_add(1),
+        )
+    }
+
     /// The FR-FCFS scheduling window, shrunk to the head alone once the
     /// head exceeds the starvation cap.
     fn window(&self, now: Cycle) -> usize {
         match self.queue.front() {
-            Some(head) if now.since(head.arrived) > self.cfg.starvation_cap => 1,
+            Some(head) if now >= self.collapse_at(head) => 1,
             _ => self.cfg.frfcfs_window.min(self.queue.len()),
         }
+    }
+
+    /// Sets bank `b`'s bits of the bank masks from the window masks.
+    fn refresh_masks(&mut self, b: usize) {
+        let (slots, bit) = (self.slots[b], 1u64 << b);
+        let hit = slots & self.hit_slots != 0;
+        let want = slots & !self.hit_slots != 0;
+        self.hit_banks = (self.hit_banks & !bit) | u64::from(hit) << b;
+        self.want_banks = (self.want_banks & !bit) | u64::from(want) << b;
+    }
+
+    /// The request at queue index `p` has joined the window.
+    fn enter_window(&mut self, p: usize) {
+        let e = &self.queue[p];
+        let b = usize::from(e.bank);
+        let hit = self.banks[b].open_row() == Some(e.row);
+        self.slots[b] |= 1 << p;
+        self.hit_slots |= u64::from(hit) << p;
+        self.refresh_masks(b);
+    }
+
+    /// The request at window position `p`, of bank `b`, has left the
+    /// queue: the positions above it move down one, and the request that
+    /// becomes the window's last (if any) joins it.
+    fn leave_window(&mut self, p: usize, b: usize) {
+        for c in bits(self.hit_banks | self.want_banks) {
+            self.slots[c] = remove_bit(self.slots[c], p);
+        }
+        self.hit_slots = remove_bit(self.hit_slots, p);
+        self.refresh_masks(b);
+        if self.queue.len() >= self.cfg.frfcfs_window {
+            self.enter_window(self.cfg.frfcfs_window - 1);
+        }
+    }
+
+    /// Bank `b` opened a new row: re-marks which of its windowed
+    /// requests want it.
+    fn reopen(&mut self, b: usize) {
+        let open = self.banks[b].open_row();
+        let hits = bits(self.slots[b])
+            .filter(|&p| Some(self.queue[p].row) == open)
+            .fold(0, |m, p| m | 1 << p);
+        self.hit_slots = (self.hit_slots & !self.slots[b]) | hits;
+        self.refresh_masks(b);
+    }
+
+    /// The bank masks recounted from the window itself: what the kept
+    /// masks must equal (the `bank_masks_match_window` invariant).
+    pub(crate) fn recount_masks(&self) -> BankMasks {
+        let n = self.cfg.frfcfs_window.min(self.queue.len());
+        let mut m = BankMasks { hit: 0, want: 0 };
+        for e in self.queue.iter().take(n) {
+            let b = usize::from(e.bank);
+            if self.banks[b].open_row() == Some(e.row) {
+                m.hit |= 1 << b;
+            } else {
+                m.want |= 1 << b;
+            }
+        }
+        m
+    }
+
+    /// Whether the window position masks place every windowed request at
+    /// its position under its bank, mark exactly the hits, and hold
+    /// nothing else.
+    fn slots_match_window(&self) -> bool {
+        let n = self.cfg.frfcfs_window.min(self.queue.len());
+        let placed = self.queue.iter().take(n).enumerate().all(|(p, e)| {
+            let b = usize::from(e.bank);
+            let hit = self.banks[b].open_row() == Some(e.row);
+            self.slots[b] >> p & 1 != 0 && (self.hit_slots >> p & 1 != 0) == hit
+        });
+        let held: u32 = self.slots.iter().map(|s| s.count_ones()).sum();
+        placed && held as usize == n && self.hit_slots == below(self.hit_slots, n)
+    }
+
+    /// The banks whose row is ready (no activate under way) at `now`.
+    fn ready_banks(&self, now: Cycle) -> u64 {
+        self.banks.iter().enumerate().fold(0, |m, (b, bank)| {
+            m | u64::from(bank.row_ready_at() <= now) << b
+        })
+    }
+
+    /// The earliest `row_ready_at` among the banks of `mask`.
+    fn earliest_ready(&self, mask: u64) -> Option<Cycle> {
+        bits(mask).map(|b| self.banks[b].row_ready_at()).min()
+    }
+
+    /// Banks that keep their open row while the window holds a hit for
+    /// it: every bank with a windowed hit, unless the window is one
+    /// request.
+    fn held_banks(&self, masks: BankMasks) -> u64 {
+        if self.cfg.frfcfs_window.min(self.queue.len()) > 1 {
+            masks.hit
+        } else {
+            0
+        }
+    }
+
+    /// The banks that can *serve* and the banks that can *prep* at `now`,
+    /// given the `ready` banks and the bus as it stands. Under starvation
+    /// only the head's bank can be either.
+    fn candidates(&self, now: Cycle, ready: u64) -> (u64, u64) {
+        let Some(head) = self.queue.front() else {
+            return (0, 0);
+        };
+        let bus_free = self.bus_free_at <= now;
+        if now >= self.collapse_at(head) {
+            let b = usize::from(head.bank);
+            let bit = ready & 1 << b;
+            return if self.banks[b].open_row() == Some(head.row) {
+                (if bus_free { bit } else { 0 }, 0)
+            } else {
+                (0, bit)
+            };
+        }
+        let masks = BankMasks {
+            hit: self.hit_banks,
+            want: self.want_banks,
+        };
+        let serve = if bus_free { masks.hit & ready } else { 0 };
+        (serve, masks.want & !self.held_banks(masks) & ready)
+    }
+
+    /// The queue index of the oldest windowed request on a bank of `mask`
+    /// whose row is open (`hit`) or not.
+    fn oldest(&self, now: Cycle, mask: u64, hit: bool) -> usize {
+        let on_banks = bits(mask).fold(0, |m, b| m | self.slots[b]);
+        let hits = if hit { self.hit_slots } else { !self.hit_slots };
+        let p = below(on_banks & hits, self.window(now)).trailing_zeros() as usize;
+        assert!(p < 64, "a candidate bank has a windowed request");
+        p
     }
 
     /// One cycle: *serve* at most one ready row hit over the data bus, and
@@ -103,168 +315,146 @@ impl Channel {
     /// while other banks activate — the overlap a real controller relies
     /// on for bandwidth under row conflicts.
     ///
+    /// Serve takes the oldest windowed request whose row is open and
+    /// ready, if the bus is free. Prep takes the oldest windowed request
+    /// whose row is not open, on a bank not mid-activate — unless the
+    /// window still holds a hit for that bank's open row (a row with
+    /// pending window hits is never closed, except under starvation).
+    ///
     /// Returns whether anything was served or prepped this cycle.
     pub(crate) fn tick(&mut self, now: Cycle, stats: &mut DramStats) -> bool {
-        if self.queue.is_empty() {
-            return false;
+        // A serve moves no activate, so the ready banks hold for both
+        // phases; it may change the window (and its head), so prep's
+        // candidates are asked for again after one. `ready` covers every
+        // bank, not just the window's: the request a serve brings into
+        // the window may be on a bank the window did not hold.
+        let ready = self.ready_banks(now);
+        let (serve, mut prep) = self.candidates(now, ready);
+        if serve != 0 {
+            let idx = self.oldest(now, serve, true);
+            self.serve(idx, now, stats);
+            prep = self.candidates(now, ready).1;
         }
-        let mut acted = false;
-        let window = self.window(now);
-
-        // Serve phase: oldest windowed request whose row is open and
-        // ready, if the bus is free.
-        if self.bus_free_at <= now {
-            let serve = (0..window).find(|&i| {
-                let e = &self.queue[i];
-                self.banks[e.loc.bank as usize].is_ready_hit(e.loc.row, now)
-            });
-            if let Some(idx) = serve {
-                acted = true;
-                let entry = self.queue.remove(idx).expect("index in window");
-                if !entry.counted {
-                    stats.row_hits.record(true);
-                }
-                let is_write = entry.req.is_store;
-                let switch = if is_write != self.last_was_write {
-                    self.cfg.t_switch
-                } else {
-                    0
-                };
-                let data_start = now + switch;
-                let data_end = data_start + self.cfg.t_burst;
-                self.bus_free_at = data_end;
-                self.last_was_write = is_write;
-                self.banks[entry.loc.bank as usize].note_data_end(data_end);
-                if is_write {
-                    stats.writes.inc();
-                } else {
-                    stats.reads.inc();
-                    if entry.req.wants_response() {
-                        let ready = data_start + self.cfg.t_cas + self.cfg.t_burst;
-                        self.in_service += 1;
-                        self.responses
-                            .push_back((ready, MemResp::for_req(&entry.req)));
-                        // Keep responses ordered by readiness for pop.
-                        let n = self.responses.len();
-                        if n >= 2 && self.responses[n - 2].0 > self.responses[n - 1].0 {
-                            let last = self.responses.pop_back().expect("nonempty");
-                            let pos = self
-                                .responses
-                                .iter()
-                                .position(|(c, _)| *c > last.0)
-                                .unwrap_or(self.responses.len());
-                            self.responses.insert(pos, last);
-                        }
-                    }
-                }
-            }
+        if prep != 0 {
+            let idx = self.oldest(now, prep, false);
+            self.prep(idx, now, stats);
         }
-
-        // Prep phase: for the oldest windowed request whose row is not
-        // open, start the precharge/activate — unless an older or equal
-        // windowed request still wants the currently open row of that bank
-        // (never close a row with pending window hits, except under
-        // starvation).
-        let window = self.window(now);
-        for i in 0..window {
-            let (bank_idx, row) = {
-                let e = &self.queue[i];
-                (e.loc.bank as usize, e.loc.row)
-            };
-            let bank = &self.banks[bank_idx];
-            if bank.row_ready_at() > now {
-                continue; // mid-prep
-            }
-            match bank.open_row() {
-                Some(open) if open == row => continue, // will be served
-                open => {
-                    let keeps_open_row_busy =
-                        open.is_some()
-                            && window > 1
-                            && self.queue.iter().take(window).any(|o| {
-                                o.loc.bank as usize == bank_idx && Some(o.loc.row) == open
-                            });
-                    if keeps_open_row_busy {
-                        continue;
-                    }
-                    let (outcome, _) = self.banks[bank_idx].access(
-                        row,
-                        now,
-                        self.cfg.t_activate,
-                        self.cfg.t_precharge,
-                    );
-                    match outcome {
-                        RowOutcome::Hit => unreachable!("row was not open"),
-                        RowOutcome::Closed => {
-                            stats.row_hits.record(false);
-                            stats.row_closed.inc();
-                        }
-                        RowOutcome::Conflict => {
-                            stats.row_hits.record(false);
-                            stats.row_conflicts.inc();
-                        }
-                    }
-                    self.queue[i].counted = true;
-                    acted = true;
-                    break; // one prep per cycle
-                }
-            }
-        }
-        acted
+        serve | prep != 0
     }
 
-    /// The earliest cycle at or after `now` at which this channel might
-    /// act — serve a windowed row hit, start a precharge/activate, cross
-    /// the starvation boundary, or have a response become deliverable —
-    /// or `None` when it is completely idle.
-    ///
-    /// Conservative by design: it may name a cycle where arbitration
-    /// still blocks everything (the caller just steps once and asks
-    /// again), but it never reports a cycle *later* than the first one
-    /// where [`Channel::tick`] or [`Channel::pop_response`] would do
-    /// work. Any candidate at or before `now` therefore collapses to
-    /// `now`, signalling "active, do not skip" — and ends the walk, since
-    /// no candidate can beat it.
-    pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        // Records a candidate; true once the answer is `now`.
-        let consider = |next: &mut Option<Cycle>, at: Cycle| {
-            let at = at.max(now);
-            if next.is_none_or(|n| at < n) {
-                *next = Some(at);
-            }
-            at == now
-        };
-        if let Some((ready, _)) = self.responses.front() {
-            if consider(&mut next, *ready) {
-                return next;
-            }
+    /// Takes the row hit at queue index `idx` over the data bus.
+    fn serve(&mut self, idx: usize, now: Cycle, stats: &mut DramStats) {
+        let entry = self.queue.remove(idx).expect("index in window");
+        let b = usize::from(entry.bank);
+        self.leave_window(idx, b);
+        if !entry.counted {
+            stats.row_hits.record(true);
         }
-        if let Some(head) = self.queue.front() {
-            // Crossing the starvation boundary collapses the FR-FCFS
-            // window to the head alone, which can unblock a prep that
-            // `keeps_open_row_busy` was holding back.
-            let collapse = head.arrived + self.cfg.starvation_cap + 1;
-            if collapse > now {
-                consider(&mut next, collapse);
-            }
-            for e in self.queue.iter().take(self.window(now)) {
-                let bank = &self.banks[e.loc.bank as usize];
-                let at = if bank.open_row() == Some(e.loc.row) {
-                    // Serve: needs the shared bus and the activate done.
-                    self.bus_free_at.max(bank.row_ready_at())
-                } else {
-                    // Prep: possible once the bank's current activate
-                    // finishes (earlier candidates mean arbitration is
-                    // the blocker; the clamp keeps us stepping).
-                    bank.row_ready_at()
-                };
-                if consider(&mut next, at) {
-                    return next;
+        let is_write = entry.req.is_store;
+        let switch = if is_write != self.last_was_write {
+            self.cfg.t_switch
+        } else {
+            0
+        };
+        let data_start = now + switch;
+        let data_end = data_start + self.cfg.t_burst;
+        self.bus_free_at = data_end;
+        self.last_was_write = is_write;
+        self.banks[b].note_data_end(data_end);
+        if is_write {
+            stats.writes.inc();
+        } else {
+            stats.reads.inc();
+            if entry.req.wants_response() {
+                let ready = data_start + self.cfg.t_cas + self.cfg.t_burst;
+                self.in_service += 1;
+                self.responses
+                    .push_back((ready, MemResp::for_req(&entry.req)));
+                // Keep responses ordered by readiness for pop.
+                let n = self.responses.len();
+                if n >= 2 && self.responses[n - 2].0 > self.responses[n - 1].0 {
+                    let last = self.responses.pop_back().expect("nonempty");
+                    let pos = self
+                        .responses
+                        .iter()
+                        .position(|(c, _)| *c > last.0)
+                        .unwrap_or(self.responses.len());
+                    self.responses.insert(pos, last);
                 }
             }
         }
-        next
+    }
+
+    /// Starts the precharge/activate for the request at queue index `idx`.
+    fn prep(&mut self, idx: usize, now: Cycle, stats: &mut DramStats) {
+        let Entry { bank, row, .. } = self.queue[idx];
+        let b = usize::from(bank);
+        let (outcome, _) =
+            self.banks[b].access(row, now, self.cfg.t_activate, self.cfg.t_precharge);
+        match outcome {
+            RowOutcome::Hit => unreachable!("row was not open"),
+            RowOutcome::Closed => {
+                stats.row_hits.record(false);
+                stats.row_closed.inc();
+            }
+            RowOutcome::Conflict => {
+                stats.row_hits.record(false);
+                stats.row_conflicts.inc();
+            }
+        }
+        self.queue[idx].counted = true;
+        self.reopen(b);
+    }
+
+    /// The first cycle at or after `from` at which [`Channel::tick`]
+    /// serves or preps, with the window's bank masks taken from `masks`;
+    /// `None` on an empty queue. Exact until a push changes the masks:
+    /// until the channel acts, only the clock moves, and the clock changes
+    /// the outcome only through the banks' activates, the bus, and the
+    /// starvation collapse.
+    fn next_action_with(&self, masks: BankMasks, from: Cycle) -> Option<Cycle> {
+        let head = self.queue.front()?;
+        let collapse = self.collapse_at(head);
+        if from < collapse {
+            // FR-FCFS over the whole window: the first windowed hit once
+            // its row and the bus are ready, or the first miss on a bank
+            // that is neither activating nor held open for a hit.
+            let serve = self
+                .earliest_ready(masks.hit)
+                .map(|at| at.max(self.bus_free_at));
+            let prep = self.earliest_ready(masks.want & !self.held_banks(masks));
+            let at = match (serve, prep) {
+                (Some(s), Some(p)) => s.min(p),
+                (s, p) => s.or(p).expect("a nonempty window hits or misses"),
+            };
+            if at.max(from) < collapse {
+                return Some(at.max(from));
+            }
+        }
+        // From the collapse on, the head alone.
+        let bank = &self.banks[usize::from(head.bank)];
+        let at = if bank.open_row() == Some(head.row) {
+            bank.row_ready_at().max(self.bus_free_at)
+        } else {
+            bank.row_ready_at()
+        };
+        Some(at.max(collapse).max(from))
+    }
+
+    /// The first cycle at or after `from` at which [`Channel::tick`] acts,
+    /// from the kept bank masks: O(banks), and exact until the next push.
+    pub(crate) fn next_action(&self, from: Cycle) -> Option<Cycle> {
+        let masks = BankMasks {
+            hit: self.hit_banks,
+            want: self.want_banks,
+        };
+        self.next_action_with(masks, from)
+    }
+
+    /// [`Channel::next_action`] from masks recounted over the window: the
+    /// fresh full computation a cached next action is checked against.
+    pub(crate) fn next_action_recounted(&self, from: Cycle) -> Option<Cycle> {
+        self.next_action_with(self.recount_masks(), from)
     }
 
     pub(crate) fn pop_response(&mut self, now: Cycle) -> Option<MemResp> {
@@ -276,10 +466,37 @@ impl Channel {
             _ => None,
         }
     }
+
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            queue: self.queue.iter().map(|e| (e.req.id.0, e.counted)).collect(),
+            banks: self.banks.clone(),
+            bus_free_at: self.bus_free_at,
+            last_was_write: self.last_was_write,
+            responses: self.responses.iter().map(|(c, r)| (*c, r.id.0)).collect(),
+        }
+    }
 }
 
 impl Sentinel for Channel {
     fn check_invariants(&self, component: &str, out: &mut Vec<InvariantViolation>) {
+        let kept = BankMasks {
+            hit: self.hit_banks,
+            want: self.want_banks,
+        };
+        let recounted = self.recount_masks();
+        if kept != recounted || !self.slots_match_window() {
+            out.push(InvariantViolation {
+                component: component.to_string(),
+                invariant: "bank_masks_match_window",
+                detail: format!(
+                    "kept hit/want banks {:#x}/{:#x}, window recount {:#x}/{:#x}; \
+                     hit positions {:#x}, bank positions {:x?}",
+                    kept.hit, kept.want, recounted.hit, recounted.want, self.hit_slots, self.slots
+                ),
+            });
+        }
         if self.queue.len() > self.cfg.queue_capacity {
             out.push(InvariantViolation {
                 component: component.to_string(),

@@ -116,6 +116,14 @@ impl DramConfig {
         if self.frfcfs_window == 0 {
             return Err("frfcfs_window must be nonzero".to_string());
         }
+        // The channel scheduler keeps banks and window positions as bits
+        // of one word.
+        if self.banks > 64 || self.frfcfs_window > 64 {
+            return Err(format!(
+                "banks and frfcfs_window must be at most 64, got {} and {}",
+                self.banks, self.frfcfs_window
+            ));
+        }
         Ok(())
     }
 }
@@ -152,6 +160,10 @@ mod tests {
 
         let mut cfg = DramConfig::hbm2_paper();
         cfg.t_burst = 0;
+        assert!(cfg.validate().is_err());
+
+        let mut cfg = DramConfig::hbm2_paper();
+        cfg.frfcfs_window = 65;
         assert!(cfg.validate().is_err());
     }
 

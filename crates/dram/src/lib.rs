@@ -38,6 +38,8 @@ mod bank;
 mod channel;
 mod config;
 mod map;
+#[cfg(test)]
+mod reference;
 
 pub use config::DramConfig;
 pub use map::{AddressMap, DramLoc};
@@ -45,6 +47,7 @@ pub use map::{AddressMap, DramLoc};
 use channel::Channel;
 use miopt_engine::sentinel::{InvariantViolation, Sentinel};
 use miopt_engine::stats::{Counter, Ratio};
+use miopt_engine::util::bits;
 use miopt_engine::{Cycle, MemReq, MemResp};
 
 /// Aggregate DRAM statistics across all channels.
@@ -115,16 +118,34 @@ impl miopt_telemetry::StatSnapshot for DramStats {
 pub struct Dram {
     map: AddressMap,
     channels: Vec<Channel>,
+    /// Per channel, the cycle its scheduler next acts
+    /// ([`Channel::next_action`]; [`NEVER`] on an empty queue), valid
+    /// while its `stale` bit is clear. [`Dram::tick`] visits only the
+    /// channels due by it or stale, and [`Dram::next_event`] is a minimum
+    /// over these cycles — on a latency-bound workload one or two of the
+    /// 16 channels are active at a time, on a saturated one a few act
+    /// each cycle.
+    wake: Vec<Cycle>,
     /// Bit per channel with a nonempty request queue: set on push,
-    /// cleared when a tick leaves the queue empty. [`Dram::tick`] visits
-    /// only set bits — on a latency-bound workload one or two of the 16
-    /// channels are active at a time.
+    /// cleared when a tick leaves the queue empty. A tick with none set
+    /// returns at once.
     queued: u64,
-    /// Bit per channel holding undelivered responses: set when a serve
-    /// produces one, cleared when the response queue drains.
-    resp_ready: u64,
+    /// Channels pushed to since their `wake` was computed: a push may
+    /// give a channel an earlier or later next action. A tick visits and
+    /// recomputes each, so between ticks only pushes set bits here.
+    stale: u64,
+    /// The `from` the clean `wake` cycles answer for: one past the last
+    /// tick (the sentinel recomputes them from it).
+    wake_from: Cycle,
+    /// Per channel, when its oldest undelivered response becomes
+    /// deliverable ([`NEVER`] with none): refreshed whenever a tick
+    /// visits the channel or a response leaves it.
+    resp_at: Vec<Cycle>,
     stats: DramStats,
 }
+
+/// The cached cycle of a channel with nothing queued or nothing to deliver.
+const NEVER: Cycle = Cycle(u64::MAX);
 
 impl Dram {
     /// Builds a DRAM from its configuration.
@@ -137,14 +158,17 @@ impl Dram {
     pub fn new(cfg: DramConfig) -> Dram {
         assert!(cfg.channels <= 64, "channel activity mask is a u64");
         let map = AddressMap::new(&cfg);
-        let channels = (0..cfg.channels)
+        let channels: Vec<Channel> = (0..cfg.channels)
             .map(|_| Channel::new(cfg.clone()))
             .collect();
         Dram {
             map,
+            wake: vec![NEVER; channels.len()],
+            resp_at: vec![NEVER; channels.len()],
             channels,
             queued: 0,
-            resp_ready: 0,
+            stale: 0,
+            wake_from: Cycle::ZERO,
             stats: DramStats::default(),
         }
     }
@@ -153,13 +177,6 @@ impl Dram {
     #[must_use]
     pub fn map(&self) -> &AddressMap {
         &self.map
-    }
-
-    /// Whether the target channel can accept `req` this cycle.
-    #[must_use]
-    pub fn can_accept(&self, req: &MemReq) -> bool {
-        let loc = self.map.locate(req.line);
-        self.channels[loc.channel as usize].can_accept()
     }
 
     /// Enqueues a request on its channel.
@@ -171,32 +188,40 @@ impl Dram {
     pub fn push(&mut self, now: Cycle, req: MemReq) -> Result<(), MemReq> {
         let loc = self.map.locate(req.line);
         let c = loc.channel as usize;
-        self.channels[c].push(now, req, loc).inspect(|()| {
-            self.queued |= 1 << c;
-        })
+        self.channels[c].push(now, req, loc)?;
+        self.queued |= 1 << c;
+        self.stale |= 1 << c;
+        Ok(())
     }
 
     /// Advances every channel scheduler by one cycle. Returns whether any
     /// channel served or prepped a request.
     ///
-    /// Channels with an empty request queue tick to a no-op (the channel
-    /// scheduler early-outs), so only the channels in the `queued` mask
-    /// are visited; the result is identical to a full scan.
+    /// Visits only the channels that are stale or whose cached next
+    /// action is due at `now`: any other channel's tick is a no-op (its
+    /// next action is exact), so the result is identical to ticking every
+    /// channel. Each visited channel's next action is recomputed.
     pub fn tick(&mut self, now: Cycle) -> bool {
+        self.wake_from = now + 1;
+        if self.queued == 0 {
+            return false;
+        }
+        let due = self
+            .wake
+            .iter()
+            .enumerate()
+            .fold(self.stale, |m, (c, &at)| m | u64::from(at <= now) << c);
         let mut acted = false;
-        let mut m = self.queued;
-        while m != 0 {
-            let c = m.trailing_zeros() as usize;
-            m &= m - 1;
+        for c in bits(due) {
             let ch = &mut self.channels[c];
             acted |= ch.tick(now, &mut self.stats);
-            if !ch.has_queued() {
+            self.wake[c] = ch.next_action(now + 1).unwrap_or(NEVER);
+            if self.wake[c] == NEVER {
                 self.queued &= !(1 << c);
             }
-            if ch.has_responses() {
-                self.resp_ready |= 1 << c;
-            }
+            self.resp_at[c] = ch.response_ready_at().unwrap_or(NEVER);
         }
+        self.stale = 0;
         acted
     }
 
@@ -213,25 +238,14 @@ impl Dram {
     /// nothing becomes ready mid-drain at a fixed `now` — while probing
     /// each channel once instead of once per response.
     pub fn pop_response_from(&mut self, now: Cycle, cursor: &mut usize) -> Option<MemResp> {
-        while *cursor < self.channels.len() {
-            // Jump to the next channel in the `resp_ready` mask: the ones
-            // outside it hold no responses, so skipping them preserves
-            // the ascending-channel pop order.
-            let ahead = self.resp_ready >> *cursor;
-            if ahead == 0 {
-                *cursor = self.channels.len();
-                break;
+        while let Some(&at) = self.resp_at.get(*cursor) {
+            if at <= now {
+                let ch = &mut self.channels[*cursor];
+                let resp = ch.pop_response(now);
+                self.resp_at[*cursor] = ch.response_ready_at().unwrap_or(NEVER);
+                return resp;
             }
-            let c = *cursor + ahead.trailing_zeros() as usize;
-            let ch = &mut self.channels[c];
-            if let Some(resp) = ch.pop_response(now) {
-                if !ch.has_responses() {
-                    self.resp_ready &= !(1 << c);
-                }
-                *cursor = c;
-                return Some(resp);
-            }
-            *cursor = c + 1;
+            *cursor += 1;
         }
         None
     }
@@ -243,32 +257,29 @@ impl Dram {
         self.channels.iter().any(Channel::busy)
     }
 
-    /// The earliest cycle at or after `now` at which any channel might
-    /// schedule work or deliver a response, or `None` when the whole
-    /// memory system is idle. Conservative: never later than the first
-    /// cycle [`Dram::tick`] or [`Dram::pop_response`] would act, so an
-    /// event-driven caller may skip straight to it.
-    ///
-    /// Visits only the channels in the `queued | resp_ready` masks — any
-    /// other channel is idle — and stops at the first one that names
-    /// `now`, which no channel can beat.
+    /// The first cycle at or after `now` at which [`Dram::tick`] serves or
+    /// preps on some channel or [`Dram::pop_response`] delivers a
+    /// response, or `None` when the whole memory system is idle. Exact
+    /// until the next push: it is the minimum of each channel's cached
+    /// next action (a due one counts as `now`; one pushed to since its
+    /// last tick is recomputed, in O(banks)) and
+    /// each channel's oldest response, so an event-driven caller may
+    /// sleep until it and a push is the one event that can make it
+    /// earlier.
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        let mut m = self.queued | self.resp_ready;
-        while m != 0 {
-            let c = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if let Some(at) = self.channels[c].next_event(now) {
-                if at <= now {
-                    return Some(now);
-                }
-                if next.is_none_or(|n| at < n) {
-                    next = Some(at);
-                }
-            }
-        }
-        next
+        // A stale channel's `wake` counts as `NEVER`, without a branch.
+        let clean = (self.wake.iter().zip(&self.resp_at).enumerate()).fold(
+            NEVER,
+            |next, (c, (&wake, &resp))| {
+                let stale = (self.stale >> c & 1).wrapping_neg();
+                next.min(Cycle(wake.0 | stale)).min(resp)
+            },
+        );
+        let next = bits(self.stale)
+            .filter_map(|c| self.channels[c].next_action(now))
+            .fold(clean, Cycle::min);
+        (next != NEVER).then(|| next.max(now))
     }
 
     /// Accumulated statistics.
@@ -282,9 +293,6 @@ impl Sentinel for Dram {
     fn check_invariants(&self, component: &str, out: &mut Vec<InvariantViolation>) {
         for (i, ch) in self.channels.iter().enumerate() {
             ch.check_invariants(&format!("{component}.ch[{i}]"), out);
-            // The activity masks are conservative: a channel with work
-            // must have its bit set (a set bit over an idle channel is
-            // merely un-reaped).
             if ch.has_queued() && self.queued & (1 << i) == 0 {
                 out.push(InvariantViolation {
                     component: component.to_string(),
@@ -292,12 +300,33 @@ impl Sentinel for Dram {
                     detail: format!("channel {i} has queued requests but a clear mask bit"),
                 });
             }
-            if ch.has_responses() && self.resp_ready & (1 << i) == 0 {
+            let resp_at = ch.response_ready_at().unwrap_or(NEVER);
+            if self.resp_at[i] != resp_at {
                 out.push(InvariantViolation {
                     component: component.to_string(),
-                    invariant: "resp_mask_covers_responses",
-                    detail: format!("channel {i} has responses but a clear mask bit"),
+                    invariant: "resp_at_matches_responses",
+                    detail: format!(
+                        "channel {i} caches its oldest response at {} but it is ready at {resp_at}",
+                        self.resp_at[i]
+                    ),
                 });
+            }
+            // A clean cached next action later than a fresh computation
+            // would let `tick` and `next_event` sleep through work.
+            if self.stale >> i & 1 == 0 {
+                if let Some(fresh) = ch.next_action_recounted(self.wake_from) {
+                    if self.wake[i] > fresh {
+                        out.push(InvariantViolation {
+                            component: component.to_string(),
+                            invariant: "channel_wake_not_late",
+                            detail: format!(
+                                "channel {i} cached next action {} but a fresh \
+                                 computation from {} says {fresh}",
+                                self.wake[i], self.wake_from
+                            ),
+                        });
+                    }
+                }
             }
         }
     }
@@ -377,9 +406,7 @@ mod tests {
         let mut sent = 0;
         let mut guard = 0;
         while sent < total {
-            let r = read(sent, sent);
-            if dram.can_accept(&r) {
-                dram.push(now, r).unwrap();
+            if dram.push(now, read(sent, sent)).is_ok() {
                 sent += 1;
             }
             dram.tick(now);
@@ -462,9 +489,7 @@ mod tests {
         // All three target channel 0 (consecutive columns of one row).
         assert!(dram.push(Cycle(0), read(0, 0)).is_ok());
         assert!(dram.push(Cycle(0), read(1, 1)).is_ok());
-        let r = read(2, 2);
-        assert!(!dram.can_accept(&r));
-        assert!(dram.push(Cycle(0), r).is_err());
+        assert!(dram.push(Cycle(0), read(2, 2)).is_err());
     }
 
     #[test]
@@ -503,95 +528,157 @@ mod tests {
         assert_eq!(dram.next_event(now), None, "idle dram reports no event");
     }
 
-    /// The reference for [`Dram::next_event`]: every channel asked.
-    fn next_event_every_channel(dram: &Dram, now: Cycle) -> Option<Cycle> {
-        dram.channels
-            .iter()
-            .filter_map(|ch| ch.next_event(now))
-            .min()
+    /// What a lockstep run met on its way.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// Cycles on which some channel's head was past the starvation cap.
+        starved: u64,
+        /// Serves that turned the bus around between reads and writes.
+        turnarounds: u64,
+        /// Pushes refused by a full channel queue.
+        full: u64,
+        /// Cycles with responses waiting in a channel with an empty queue.
+        waiting_unqueued: u64,
+        /// Cycles on which a reference channel held a prep back for a
+        /// window hit on the bank's open row.
+        held: u64,
+        popped: u64,
     }
 
-    /// The reference for [`Dram::pop_response_from`]: the cursor steps
-    /// through every channel, masks unread.
-    fn pop_every_channel(dram: &mut Dram, now: Cycle, cursor: &mut usize) -> Option<MemResp> {
-        while *cursor < dram.channels.len() {
-            let ch = &mut dram.channels[*cursor];
-            if let Some(resp) = ch.pop_response(now) {
-                if !ch.has_responses() {
-                    dram.resp_ready &= !(1 << *cursor);
-                }
-                return Some(resp);
-            }
-            *cursor += 1;
-        }
-        None
-    }
-
-    /// The masked walks against full 16-channel walks, stepped in
-    /// lockstep on seeded traffic: one hot row that starves a conflicting
-    /// request past the 2000-cycle cap, scattered reads and writes, and a
-    /// drain of at most a few responses per cycle, so responses wait in
-    /// channels whose queues are already empty.
-    #[test]
-    fn masked_walks_match_full_channel_walks() {
-        let cfg = DramConfig::hbm2_paper();
+    /// Steps a [`Dram`] and the full-walk reference scheduler in lockstep
+    /// on seeded traffic, asserting every cycle that the two serve, prep
+    /// and deliver the same requests (the whole channel state is
+    /// compared), keep the same statistics, that the sentinel is quiet,
+    /// and that `next_event` names exactly the cycles on which the
+    /// reference acts or has a response to deliver — never later, never
+    /// earlier than the reference's conservative bound.
+    ///
+    /// The traffic: one row of channel 0's bank 0 (`hot` in 10 requests)
+    /// is hot enough to keep
+    /// the FR-FCFS window full of hits, so one request for another row of
+    /// that bank waits past the starvation cap; the rest are scattered
+    /// reads and writes over a few rows, up to three a cycle, so queues
+    /// fill; and a drain of at most a few responses per cycle, so
+    /// responses wait in channels whose queues are already empty.
+    fn lockstep(cfg: &DramConfig, seed: u64, traffic_cycles: u64, hot: u64) -> Coverage {
         let stride = u64::from(cfg.channels) * cfg.lines_per_row * u64::from(cfg.banks);
-        let (mut masked, mut full) = (Dram::new(cfg.clone()), Dram::new(cfg.clone()));
-        let mut rng = miopt_engine::rng::SplitMix64::new(0xd7a3_0001);
-        let (mut starved, mut waiting_unqueued, mut popped) = (0, 0, 0);
+        let (mut dram, mut full) = (Dram::new(cfg.clone()), reference::Dram::new(cfg.clone()));
+        let mut rng = miopt_engine::rng::SplitMix64::new(seed);
+        let mut cov = Coverage::default();
         let mut conflict_sent = false;
+        let mut id = 0;
         let mut now = Cycle(0);
-        for id in 0.. {
-            if now.0 < 12_000 && rng.next_below(4) != 0 {
-                // Row 0 of channel 0's bank 0 is hot enough to keep the
-                // FR-FCFS window full of hits, so one request for row 1
-                // of that bank waits until the starvation cap forces it.
-                let conflict = !conflict_sent && now.0 >= 1_000;
+        loop {
+            for _ in 0..rng.next_below(4) {
+                if now.0 >= traffic_cycles {
+                    break;
+                }
+                let conflict = !conflict_sent && now.0 >= traffic_cycles / 12;
                 let line = match rng.next_below(10) {
                     _ if conflict => stride,
-                    0..=5 => rng.next_below(cfg.lines_per_row),
-                    _ => rng.next_below(1 << 16),
+                    r if r < hot => rng.next_below(cfg.lines_per_row),
+                    _ => rng.next_below(4 * stride),
                 };
-                let mut req = read(id, line);
-                if rng.next_below(5) == 0 {
-                    req = MemReq::writeback(ReqId(id), LineAddr(line), now);
-                }
-                if masked.can_accept(&req) {
-                    masked.push(now, req).unwrap();
+                let req = if rng.next_below(5) == 0 {
+                    MemReq::writeback(ReqId(id), LineAddr(line), now)
+                } else {
+                    read(id, line)
+                };
+                id += 1;
+                if dram.push(now, req).is_ok() {
                     full.push(now, req).unwrap();
                     conflict_sent |= conflict;
+                } else {
+                    full.push(now, req).unwrap_err();
+                    cov.full += 1;
                 }
             }
-            assert_eq!(
-                masked.next_event(now),
-                next_event_every_channel(&full, now),
-                "{now}"
+            let mut violations = Vec::new();
+            dram.check_invariants("dram", &mut violations);
+            assert!(violations.is_empty(), "{now}: {violations:?}");
+
+            let predicted = dram.next_event(now);
+            let bound = full.next_event(now);
+            assert!(
+                predicted.is_some() == bound.is_some() && predicted >= bound,
+                "{now}: next_event {predicted:?} before the reference's bound {bound:?}"
             );
-            assert_eq!(masked.tick(now), full.tick(now), "{now}");
-            let (mut c_masked, mut c_full) = (0, 0);
-            for _ in 0..rng.next_below(4) {
-                let got = masked.pop_response_from(now, &mut c_masked);
-                let want = pop_every_channel(&mut full, now, &mut c_full);
-                assert_eq!(got.map(|r| r.id), want.map(|r| r.id), "{now}");
-                popped += u64::from(got.is_some());
+            let deliverable = full.response_ready(now);
+            let held = full.channels.iter().any(|ch| ch.holds_a_prep(now));
+            let writes_before: Vec<bool> = dram
+                .channels
+                .iter()
+                .map(|ch| ch.snapshot().last_was_write)
+                .collect();
+            let acted = full.tick(now);
+            assert_eq!(dram.tick(now), acted, "{now}");
+            assert_eq!(
+                predicted == Some(now),
+                acted || deliverable,
+                "{now}: next_event {predicted:?}, reference acted {acted}, \
+                 response deliverable {deliverable}"
+            );
+            for (c, (got, want)) in dram.channels.iter().zip(&full.channels).enumerate() {
+                assert_eq!(got.snapshot(), want.snapshot(), "{now}: channel {c}");
+                cov.turnarounds += u64::from(got.snapshot().last_was_write != writes_before[c]);
             }
-            assert_eq!(
-                masked.next_event(now + 1),
-                next_event_every_channel(&full, now + 1),
-                "{now}"
+            assert_eq!(dram.stats(), full.stats(), "{now}");
+            let (mut c_new, mut c_ref) = (0, 0);
+            for _ in 0..rng.next_below(4) {
+                let got = dram.pop_response_from(now, &mut c_new);
+                let want = full.pop_response_from(now, &mut c_ref);
+                assert_eq!(got.map(|r| r.id), want.map(|r| r.id), "{now}");
+                cov.popped += u64::from(got.is_some());
+            }
+            cov.held += u64::from(held && !acted);
+            cov.starved += u64::from(dram.channels.iter().any(|ch| ch.starved(now)));
+            cov.waiting_unqueued += u64::from(
+                dram.channels
+                    .iter()
+                    .any(|ch| ch.has_responses() && !ch.has_queued()),
             );
-            starved += u64::from(masked.channels.iter().any(|ch| ch.starved(now)));
-            waiting_unqueued += u64::from(masked.resp_ready & !masked.queued != 0);
-            if now.0 >= 12_000 && !masked.busy() {
+            if now.0 >= traffic_cycles && !dram.busy() {
                 break;
             }
             now += 1;
         }
-        assert_eq!(masked.stats(), full.stats());
-        assert_eq!(masked.next_event(now), None);
-        assert!(starved > 0, "no request waited past the starvation cap");
-        assert!(waiting_unqueued > 0, "no response waited on an empty queue");
-        assert!(popped > 1_000, "{popped} responses");
+        assert_eq!(dram.next_event(now), None);
+        cov
+    }
+
+    fn assert_covered(cov: &Coverage) {
+        assert!(
+            cov.starved > 0,
+            "no request waited past the starvation cap: {cov:?}"
+        );
+        assert!(cov.turnarounds > 0, "no read/write turnaround: {cov:?}");
+        assert!(cov.full > 0, "no push met a full queue: {cov:?}");
+        assert!(
+            cov.waiting_unqueued > 0,
+            "no response waited on an empty queue: {cov:?}"
+        );
+        assert!(
+            cov.held > 0,
+            "no prep was held back for a window hit: {cov:?}"
+        );
+        assert!(cov.popped > 1_000, "{cov:?}");
+    }
+
+    /// The per-bank scheduler, the cached channel wakes and the masked
+    /// walks against the full-walk reference scheduler, on the paper's
+    /// memory system.
+    #[test]
+    fn masked_walks_match_full_channel_walks() {
+        assert_covered(&lockstep(&DramConfig::hbm2_paper(), 0xd7a3_0001, 12_000, 6));
+    }
+
+    /// The same lockstep on the tiny test geometry: 2 channels of 4 banks,
+    /// an 8-deep queue and a 500-cycle starvation cap.
+    #[test]
+    fn masked_walks_match_full_channel_walks_tiny() {
+        for seed in [1, 2, 3] {
+            assert_covered(&lockstep(&DramConfig::tiny_test(), seed, 6_000, 8));
+        }
     }
 
     #[test]

@@ -25,12 +25,14 @@ impl Cycle {
 
     /// Returns the later of two cycles.
     #[must_use]
+    #[inline]
     pub fn max(self, other: Cycle) -> Cycle {
         Cycle(self.0.max(other.0))
     }
 
     /// Returns the cycle count elapsed since `earlier`, saturating at zero.
     #[must_use]
+    #[inline]
     pub fn since(self, earlier: Cycle) -> u64 {
         self.0.saturating_sub(earlier.0)
     }

@@ -1,4 +1,5 @@
-//! Arithmetic helpers for geometry calculations.
+//! Arithmetic helpers for geometry calculations, and the bit-mask walk
+//! the activity masks share.
 
 /// Ceiling division: the smallest `q` with `q * b >= a`.
 ///
@@ -33,6 +34,7 @@ pub fn ceil_div(a: u64, b: u64) -> u64 {
 /// assert!(!is_pow2(12));
 /// ```
 #[must_use]
+#[inline]
 pub fn is_pow2(x: u64) -> bool {
     x != 0 && x & (x - 1) == 0
 }
@@ -51,9 +53,31 @@ pub fn is_pow2(x: u64) -> bool {
 ///
 /// Panics if `x` is not a power of two.
 #[must_use]
+#[inline]
 pub fn log2(x: u64) -> u32 {
     assert!(is_pow2(x), "log2 requires a power of two, got {x}");
     x.trailing_zeros()
+}
+
+/// The set bits of `m`, lowest first.
+///
+/// # Examples
+///
+/// ```
+/// use miopt_engine::util::bits;
+///
+/// assert_eq!(bits(0b1010_0001).collect::<Vec<_>>(), [0, 5, 7]);
+/// ```
+#[inline]
+pub fn bits(mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if m == 0 {
+            return None;
+        }
+        let i = m.trailing_zeros() as usize;
+        m &= m - 1;
+        Some(i)
+    })
 }
 
 #[cfg(test)]

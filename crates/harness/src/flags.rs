@@ -4,6 +4,7 @@
 //! [`main`] prints both and exits 2.
 
 use crate::{cli, figures, query, serve};
+use std::fmt;
 use std::str::FromStr;
 
 /// One row of a flag table: the flag as the usage shows it (`--name`, a
@@ -134,6 +135,15 @@ pub(crate) fn positive<T: FromStr + PartialOrd + From<u8>>(value: &str) -> Resul
     (n >= T::from(1))
         .then_some(n)
         .ok_or(format!("must be at least 1, got {value}"))
+}
+
+/// `n`, if it is no more than `max`.
+pub(crate) fn at_most<T: PartialOrd + fmt::Display>(n: T, max: T) -> Result<T, String> {
+    if n <= max {
+        Ok(n)
+    } else {
+        Err(format!("must be at most {max}, got {n}"))
+    }
 }
 
 pub(crate) fn one_of(value: &str, choices: &[&str]) -> Result<String, String> {
@@ -283,6 +293,10 @@ mod tests {
                 "--budget: must be at least 1, got 0",
             ),
             (
+                &["serve", "--requests", "10000000000"],
+                "--requests: must be at most 1000000, got 10000000000",
+            ),
+            (
                 &["serve", "--tenants", "a"],
                 "--tenants: wants name=Workload, got \"a\"",
             ),
@@ -368,6 +382,7 @@ mod tests {
             "-1",
             "0",
             "1180591620717411303424",
+            "10000000000",
             "x,",
             "a=",
             "fig6",
@@ -391,8 +406,11 @@ mod tests {
             if let Ok(args) = parse::<CliArgs>(&argv) {
                 assert_ne!(args.budget, 0, "{argv:?}");
             }
+            // Every arrival of a serve job is drawn up front, so a huge
+            // request count would be one huge allocation.
             if let Ok(args) = parse::<ServeArgs>(&argv) {
                 assert_ne!(args.spec.budget, 0, "{argv:?}");
+                assert!(args.spec.requests <= 1_000_000, "{argv:?}");
             }
             drop(parse::<QueryArgs>(&argv));
             drop(parse::<CheckArgs>(&argv));

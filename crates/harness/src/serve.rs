@@ -20,7 +20,7 @@
 //! line prints the usage generated from them (see [`crate::flags`]).
 
 use crate::cli::{drive, known_workloads, shared_flags, CommonArgs};
-use crate::flags::{self, list, num, one_of, positive, put, Command, Flag};
+use crate::flags::{self, at_most, list, num, one_of, positive, put, Command, Flag};
 use crate::journal::JOURNAL_VERSION;
 use crate::json::Json;
 use crate::kind::JobKind;
@@ -73,6 +73,10 @@ fn policy(name: &str) -> Result<PolicyConfig, String> {
         .ok_or(format!("unknown policy {name:?}"))
 }
 
+/// The most requests per tenant `--requests` takes: a job draws every
+/// arrival up front, so the count is an allocation.
+const MAX_REQUESTS: usize = 1_000_000;
+
 impl Command for ServeArgs {
     const NAME: &'static str = "serve";
 
@@ -84,7 +88,7 @@ impl Command for ServeArgs {
             ("--tenants <T=W,...>", "t0=FwSoft,t1=FwPool", "tenants as name=Workload pairs", |a, v| put(&mut a.tenants, list(v, tenant)?)),
             ("--policies <P,...>", "Uncached,CacheR,CacheRW", "policies: Uncached | CacheR | CacheRW", |a, v| put(&mut a.spec.policies, list(v, policy)?)),
             ("--loads <N,...>", "60000,15000", "mean inter-arrival gaps in cycles, each a row", |a, v| put(&mut a.spec.loads, list(v, positive)?)),
-            ("--requests <N>", "12", "requests per tenant per job", |a, v| put(&mut a.spec.requests, positive(v)?)),
+            ("--requests <N>", "12", "requests per tenant per job", |a, v| put(&mut a.spec.requests, at_most(positive(v)?, MAX_REQUESTS)?)),
             ("--seed <N>", "0", "arrival seed", |a, v| put(&mut a.spec.seed, num(v)?)),
             ("--partition", "", "give each tenant an equal share of L2 ways", |a, _| put(&mut a.spec.partition, true)),
             ("--max-batch <N>", "4", "most requests per dispatch", |a, v| put(&mut a.spec.max_batch, positive(v)?)),

@@ -36,6 +36,7 @@
 
 use miopt_engine::sentinel::{InvariantViolation, Sentinel};
 use miopt_engine::stats::Counter;
+use miopt_engine::util::bits;
 use miopt_engine::{Cycle, TimedQueue};
 
 /// Statistics of one crossbar.
@@ -67,6 +68,12 @@ pub struct Crossbar {
     outputs: usize,
     per_output: u32,
     budget: Vec<u32>,
+    /// Per output, the inputs whose ready head a tick found blocked on
+    /// it while it was full. Only a tick pops an input, so such a head
+    /// stays at the front, ready and routed there, until a tick moves it.
+    heads_to: Vec<u64>,
+    /// Outputs with a nonzero `heads_to` entry.
+    routed: u64,
     /// Inputs the last tick popped (see [`Crossbar::popped_inputs`]).
     popped: u64,
     stats: CrossbarStats,
@@ -97,6 +104,8 @@ impl Crossbar {
             outputs,
             per_output,
             budget: vec![0; outputs],
+            heads_to: vec![0; outputs],
+            routed: 0,
             popped: 0,
             stats: CrossbarStats::default(),
         }
@@ -122,6 +131,18 @@ impl Crossbar {
     /// cost: a 64-input crossbar with two active CUs touches two queues
     /// instead of sixty-four.
     ///
+    /// A saturated crossbar is the other way round: most inputs hold a
+    /// ready head for an output that is full. Such a head is blocked
+    /// whatever order the inputs are visited in, since only this tick
+    /// pushes into the outputs. So an input whose head an earlier tick
+    /// found blocked on a full output is not visited while that output
+    /// is still full when a tick begins, nor after a push fills it during
+    /// the tick; its blocked observation is booked in closed form. A head
+    /// blocked only by a spent `per_output` budget is visited in the
+    /// round-robin scan as before. This needs
+    /// two more promises from the caller: only these ticks pop the
+    /// inputs, and `route` depends on the message alone.
+    ///
     /// # Panics
     ///
     /// Panics if the queue slices do not match the constructed dimensions,
@@ -140,16 +161,28 @@ impl Crossbar {
         let n = self.inputs;
         let start = (now.0 % n as u64) as usize;
         let live = u64::MAX >> (64 - n);
+        let mut parked = 0;
+        for o in bits(self.routed) {
+            if !outputs[o].can_push() {
+                parked |= self.heads_to[o];
+                debug_assert!(bits(self.heads_to[o])
+                    .all(|i| inputs[i].ready_front(now).map(&route) == Some(o)));
+            }
+        }
+        let parked = parked & *pending & live;
+        let mut blocked = u64::from(parked.count_ones());
         let mut moved = 0;
         let mut pushed = 0u64;
         self.popped = 0;
         // Round-robin order from `start`: the candidates in [start, n)
         // first, then the wrapped tail [0, start).
         let wrap = (1u64 << start) - 1;
-        for mut seg in [*pending & live & !wrap, *pending & live & wrap] {
-            while seg != 0 {
-                let cur = seg.trailing_zeros() as usize;
-                seg &= seg - 1;
+        let scan = *pending & live & !parked;
+        let mut segs = [scan & !wrap, scan & wrap];
+        for k in 0..2 {
+            while segs[k] != 0 {
+                let cur = segs[k].trailing_zeros() as usize;
+                segs[k] &= segs[k] - 1;
                 if inputs[cur].is_empty() {
                     *pending &= !(1 << cur);
                     continue;
@@ -168,14 +201,32 @@ impl Crossbar {
                         *pending &= !(1 << cur);
                     }
                     self.budget[o] -= 1;
+                    if self.heads_to[o] != 0 {
+                        self.heads_to[o] &= !(1 << cur);
+                        if self.heads_to[o] == 0 {
+                            self.routed &= !(1 << o);
+                        } else if !outputs[o].can_push() {
+                            // The output filled: the heads still to come
+                            // that are known to route to it are blocked.
+                            for seg in &mut segs {
+                                blocked += u64::from((*seg & self.heads_to[o]).count_ones());
+                                *seg &= !self.heads_to[o];
+                            }
+                        }
+                    }
                     moved += 1;
                     pushed |= 1 << o;
                     self.popped |= 1 << cur;
                 } else {
-                    self.stats.blocked.inc();
+                    if !outputs[o].can_push() {
+                        self.heads_to[o] |= 1 << cur;
+                        self.routed |= 1 << o;
+                    }
+                    blocked += 1;
                 }
             }
         }
+        self.stats.blocked.add(blocked);
         self.stats.moved.add(moved);
         (moved, pushed)
     }
@@ -206,6 +257,26 @@ impl Sentinel for Crossbar {
                     "{} budget slots for {} output ports",
                     self.budget.len(),
                     self.outputs
+                ),
+            });
+        }
+        // Each input's head is known to route to one output at most, and
+        // `routed` names exactly the outputs with a known head.
+        let mut seen = 0u64;
+        let overlap = self.heads_to.iter().any(|&h| {
+            let twice = h & seen != 0;
+            seen |= h;
+            twice
+        });
+        let routed =
+            (self.heads_to.iter().enumerate()).fold(0u64, |m, (o, &h)| m | u64::from(h != 0) << o);
+        if overlap || routed != self.routed {
+            out.push(InvariantViolation {
+                component: component.to_string(),
+                invariant: "parked_heads",
+                detail: format!(
+                    "heads by output {:x?}, routed outputs {:#x}",
+                    self.heads_to, self.routed
                 ),
             });
         }
@@ -499,6 +570,84 @@ mod tests {
             }
         }
         assert_eq!(full.stats(), masked.stats());
+    }
+
+    /// Steps a crossbar and the plain full scan in lockstep on seeded
+    /// traffic into outputs of 1, 5 and 9 slots drained at random, so
+    /// ticks find outputs full at their start, filling during them, and
+    /// limited by their budget: every cycle the moves, the outputs pushed, the
+    /// inputs popped, the statistics and every queue must agree. Returns
+    /// how many heads were found parked on an output full at tick start.
+    fn lockstep_against_full_scan(per_output: u32, seed: u64) -> u64 {
+        const INPUTS: usize = 12;
+        const OUTPUTS: usize = 3;
+        let mut rng = miopt_engine::rng::SplitMix64::new(seed);
+        let (mut fast, mut full) = (
+            Crossbar::new(INPUTS, OUTPUTS, per_output),
+            Crossbar::new(INPUTS, OUTPUTS, per_output),
+        );
+        let mk_ins = || -> Vec<TimedQueue<u64>> {
+            (0..INPUTS)
+                .map(|i| TimedQueue::new(6, i as u64 % 3))
+                .collect()
+        };
+        let mk_outs = || -> Vec<TimedQueue<u64>> {
+            (0..OUTPUTS)
+                .map(|o| TimedQueue::new(1 + 4 * o, 0))
+                .collect()
+        };
+        let (mut ins_f, mut ins_s) = (mk_ins(), mk_ins());
+        let (mut outs_f, mut outs_s) = (mk_outs(), mk_outs());
+        let route = |v: &u64| (*v % OUTPUTS as u64) as usize;
+        let mut pending = 0u64;
+        let mut parked = 0;
+        for cycle in 0..4_000u64 {
+            let now = Cycle(cycle);
+            for _ in 0..rng.next_below(4) {
+                let i = rng.next_below(INPUTS as u64) as usize;
+                let v = rng.next_below(1 << 20);
+                if ins_f[i].push(now, v).is_ok() {
+                    ins_s[i].push(now, v).unwrap();
+                    pending |= 1 << i;
+                }
+            }
+            // What the tick may skip: heads it knows are routed to an
+            // output full now.
+            parked += bits(fast.routed)
+                .filter(|&o| !outs_f[o].can_push())
+                .map(|o| u64::from((fast.heads_to[o] & pending).count_ones()))
+                .sum::<u64>();
+            let got = fast.tick_tracked_masked(now, &mut pending, &mut ins_f, &mut outs_f, route);
+            let want = full_scan(&mut full, now, &mut ins_s, &mut outs_s, route);
+            assert_eq!(got, want, "{now}");
+            assert_eq!(fast.popped_inputs(), full.popped_inputs(), "{now}");
+            assert_eq!(fast.stats(), full.stats(), "{now}");
+            let mut violations = Vec::new();
+            fast.check_invariants("noc", &mut violations);
+            assert!(violations.is_empty(), "{now}: {violations:?}");
+            for (f, s) in ins_f.iter().zip(&ins_s) {
+                assert_eq!(f.iter().collect::<Vec<_>>(), s.iter().collect::<Vec<_>>());
+            }
+            for (f, s) in outs_f.iter_mut().zip(&mut outs_s) {
+                for _ in 0..rng.next_below(3) {
+                    assert_eq!(f.pop_ready(now), s.pop_ready(now), "{now}");
+                }
+            }
+        }
+        parked
+    }
+
+    #[test]
+    fn parked_heads_match_full_scan() {
+        for per_output in [1, 2] {
+            for seed in [1, 2] {
+                let parked = lockstep_against_full_scan(per_output, seed);
+                assert!(
+                    parked > 1_000,
+                    "per_output {per_output}: {parked} parked heads"
+                );
+            }
+        }
     }
 
     #[test]

@@ -244,6 +244,23 @@ if ! grep '"dram\.row_conflicts"' "$smoke_dir/rnn-dram-on.json" | grep -qv ': 0,
     echo "DRAM-heavy multi-kernel spot check: no job met a row conflict" >&2
     exit 1
 fi
+# The DRAM figures of the bandwidth-bound family under the sentinel, in
+# both engines: FR-FCFS row locality is where the per-bank scheduler
+# state and the cached channel wakes (`bank_masks_match_window`,
+# `channel_wake_not_late`) and the crossbar's parked heads
+# (`parked_heads`) are checked, in release, on saturated memory.
+for mode in on off; do
+    flag=""
+    [[ "$mode" == off ]] && flag="--no-skip"
+    cargo run --release -q -p miopt-harness -- \
+        --fig9 --fig13 --scale quick --only FwAct,BwAct,FwLRN --check-invariants \
+        --no-cache --no-journal --quiet $flag --out "$smoke_dir" \
+        --sweep-name "rows-$mode" --csv "$smoke_dir/rows-$mode" >/dev/null
+done
+for f in "$smoke_dir"/rows-on/*.csv; do
+    cmp "$f" "$smoke_dir/rows-off/$(basename "$f")"
+done
+[[ "$(ls "$smoke_dir"/rows-on/*.csv | wc -l)" -eq 2 ]]
 echo "event-core equivalence ok"
 
 echo "== two-tenant serving smoke (miopt-harness serve) =="

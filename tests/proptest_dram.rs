@@ -39,10 +39,9 @@ fn drive(cfg: DramConfig, reqs: Vec<(u64, bool)>) {
     let mut answered: HashSet<u64> = HashSet::new();
     let mut now = Cycle(0);
     while !pending.is_empty() || dram.busy() {
-        if let Some(front) = pending.front() {
-            if dram.can_accept(front) {
-                let req = pending.pop_front().expect("nonempty");
-                dram.push(now, req).expect("can_accept checked");
+        if let Some(&front) = pending.front() {
+            if dram.push(now, front).is_ok() {
+                pending.pop_front();
             }
         }
         dram.tick(now);
@@ -102,8 +101,7 @@ fn sequential_streams_hit_rows() {
         while pushed < n || dram.busy() {
             if pushed < n {
                 let req = MemReq::writeback(ReqId(pushed), LineAddr(pushed), now);
-                if dram.can_accept(&req) {
-                    dram.push(now, req).expect("checked");
+                if dram.push(now, req).is_ok() {
                     pushed += 1;
                 }
             }
