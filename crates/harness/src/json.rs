@@ -11,7 +11,8 @@
 //! * floats round-trip exactly through Rust's shortest-representation
 //!   formatting (`{:?}`),
 //! * the parser accepts exactly what the writer emits, plus arbitrary
-//!   whitespace.
+//!   whitespace, and refuses hostile input with an error rather than a
+//!   panic or a stack overflow: nesting is bounded by [`MAX_DEPTH`].
 //!
 //! # Examples
 //!
@@ -30,6 +31,13 @@
 //! ```
 
 use std::fmt::Write as _;
+
+/// How deeply [`Json::parse`] lets arrays and objects nest. The parser
+/// recurses once per level, so without a bound a file of `[`s overflows
+/// the stack. The deepest document the harness writes, a `serve` report
+/// (report → jobs → job → tenants → tenant), nests 5 deep; reports,
+/// journal records and telemetry traces stay within that.
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value. Object keys keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,12 +177,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error,
+    /// including nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -250,6 +260,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -291,8 +303,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -371,14 +397,16 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign.
+                            let code = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ascii \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
+                                .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                                .and_then(|hex| {
+                                    u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()
+                                })
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
                             // Surrogate pairs are not produced by the
                             // writer; reject rather than mis-decode.
                             let c = char::from_u32(code).ok_or_else(|| {
@@ -424,15 +452,20 @@ impl Parser<'_> {
                 return Ok(Json::U64(n));
             }
         }
+        // The writer cannot represent an overflow to infinity (`1e999`).
         text.parse::<f64>()
+            .ok()
+            .filter(|x| x.is_finite())
             .map(Json::F64)
-            .map_err(|_| format!("bad number `{text}` at byte {start}"))
+            .ok_or_else(|| format!("bad number `{text}` at byte {start}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miopt_engine::prop;
+    use std::path::Path;
 
     #[test]
     fn round_trips_nested_documents() {
@@ -521,5 +554,123 @@ mod tests {
         let text = doc.to_compact();
         assert!(text.contains("\\u0007"), "{text}");
         assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_an_error() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Json::parse(&nested(MAX_DEPTH + 1)),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"
+            ))
+        );
+        // Deep enough to overflow any stack without the bound.
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        let err = Json::parse(&r#"{"a":"#.repeat(100_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u004a\u004A""#), Ok(Json::str("JJ")));
+        for bad in [
+            r#""\u+04a""#,
+            r#""\u-04a""#,
+            r#""\u04a""#,
+            r#""\u04a"#,
+            r#""\u 04a""#,
+            r#""\u04g0""#,
+            "\"\\u0\u{e9}0\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn numbers_past_f64_range_are_refused() {
+        // The writer cannot emit an infinity, so the parser does not make one.
+        assert!(Json::parse("1e999").is_err());
+        assert!(Json::parse("[-1e999]").is_err());
+        assert_eq!(Json::parse("1e308"), Ok(Json::F64(1e308)));
+    }
+
+    /// Documents the harness writes: a figure report, the telemetry
+    /// goldens (each JSONL line and the Chrome trace), and one whose
+    /// strings need `\u00XX` escapes.
+    fn written_documents() -> Vec<String> {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let read = |path: &str| std::fs::read_to_string(root.join(path)).expect(path);
+        let mut docs = vec![
+            read("../../results/runs/figures-quick.json"),
+            read("tests/golden/telemetry_fwsoft_cacher.trace.json"),
+        ];
+        let jsonl = read("tests/golden/telemetry_fwsoft_cacher.jsonl");
+        docs.extend(jsonl.lines().map(str::to_string));
+        // Every control character: most of this document is `\u00XX`.
+        let controls: String = (0..0x20u8).map(char::from).collect();
+        let escapes = Json::obj([(
+            controls.clone(),
+            Json::Arr(vec![
+                Json::str(controls),
+                Json::str("caf\u{e9} \u{2192} \u{1f600}, \"quoted\" back\\slash"),
+                Json::F64(-0.5),
+            ]),
+        )]);
+        docs.extend([escapes.to_compact(), escapes.to_pretty()]);
+        docs
+    }
+
+    /// A random stretch of a `len`-byte document.
+    fn span(c: &mut prop::Case, len: usize) -> std::ops::Range<usize> {
+        let start = c.below(len as u64 + 1) as usize;
+        start..start + c.below((len - start) as u64 + 1) as usize
+    }
+
+    #[test]
+    fn corrupted_documents_are_refused_or_round_trip() {
+        let docs = written_documents();
+        for doc in &docs {
+            assert!(Json::parse(doc).is_ok(), "written document parses: {doc}");
+        }
+        prop::check("corrupted_documents_are_refused_or_round_trip", 256, |c| {
+            let mut bytes = docs[c.below(docs.len() as u64) as usize]
+                .clone()
+                .into_bytes();
+            for _ in 0..c.steps(1..6) {
+                let at = c.below(bytes.len() as u64 + 1) as usize;
+                match c.below(4) {
+                    // A truncation.
+                    0 => bytes.truncate(at),
+                    // A bit flip.
+                    1 if at < bytes.len() => bytes[at] ^= 1 << c.below(8),
+                    // A splice of a stretch of any written document.
+                    2 => {
+                        let from = docs[c.below(docs.len() as u64) as usize].as_bytes();
+                        let stretch = span(c, from.len());
+                        bytes.splice(at..at, from[stretch].iter().copied());
+                    }
+                    // A duplicated span.
+                    _ => {
+                        let stretch = span(c, bytes.len());
+                        let copy = bytes[stretch.clone()].to_vec();
+                        bytes.splice(stretch.start..stretch.start, copy);
+                    }
+                }
+            }
+            // Every reader takes text: bytes that are not UTF-8 are refused
+            // before they reach the parser.
+            let Ok(text) = String::from_utf8(bytes) else {
+                return;
+            };
+            let Ok(doc) = Json::parse(&text) else {
+                return;
+            };
+            for again in [doc.to_compact(), doc.to_pretty()] {
+                assert_eq!(Json::parse(&again).as_ref(), Ok(&doc), "{again}");
+            }
+        });
     }
 }

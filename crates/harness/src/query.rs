@@ -475,6 +475,20 @@ mod tests {
     }
 
     #[test]
+    fn a_file_nested_past_the_parser_bound_is_skipped() {
+        let dir = temp_dir("deep");
+        write_figure_report(&dir);
+        // Unbounded recursion would overflow the stack on this file.
+        std::fs::write(dir.join("deep.json"), "[".repeat(1_000_000)).unwrap();
+        let mut args = args_for(&dir);
+        args.metrics = vec!["cycles".to_string()];
+        let (reports, rows) = collect_rows(&args).unwrap();
+        assert_eq!(reports, 1, "the report beside the deep file still reads");
+        assert_eq!(rows.len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn percentiles_use_nearest_rank() {
         let values: Vec<f64> = (1..=100).map(f64::from).collect();
         assert_eq!(Agg::Percentile(50).apply(&values), Some(50.0));

@@ -2,11 +2,16 @@
 //! regression of the JSONL/Chrome-trace serializations, and the
 //! telemetry/cache interaction.
 //!
-//! Golden files regenerate like the figure goldens:
+//! Golden files regenerate like the figure goldens: run
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test -p miopt-harness --test telemetry
 //! ```
+//!
+//! which rewrites both files under `tests/golden/` and then fails on
+//! purpose; rerun without `GOLDEN_REGEN` and commit the files.
+
+mod common;
 
 use miopt::runner::{run_one_with, RunOptions, SweepSpec};
 use miopt::{CachePolicy, PolicyConfig, SystemConfig};
@@ -15,34 +20,10 @@ use miopt_harness::pool::PoolOptions;
 use miopt_harness::sweep::{run_sweep, SweepOptions, SweepRun};
 use miopt_harness::telemetry::{to_chrome_trace, to_jsonl};
 use miopt_workloads::{by_name, SuiteConfig};
-use std::path::PathBuf;
 
 /// Interval used throughout: small enough to give the tiny FwSoft run
 /// dozens of epochs, large enough to keep the goldens reviewable.
 const INTERVAL: u64 = 20_000;
-
-fn check_golden(name: &str, actual: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run with GOLDEN_REGEN=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        expected, actual,
-        "{name} diverged from the checked-in golden (tolerance-free comparison); \
-         if the change is intentional, regenerate with GOLDEN_REGEN=1"
-    );
-}
 
 fn telemetry_spec() -> SweepSpec {
     let mut spec = SweepSpec::statics(
@@ -118,14 +99,16 @@ fn telemetry_exports_match_goldens() {
     let run = r.telemetry.as_ref().expect("telemetry enabled");
     assert!(!run.epochs.is_empty(), "the run must span several epochs");
     let clock = r.metrics.gpu_clock_hz();
-    check_golden(
-        "telemetry_fwsoft_cacher.jsonl",
-        &to_jsonl(run, &r.workload, &r.policy.label(), clock),
-    );
-    check_golden(
-        "telemetry_fwsoft_cacher.trace.json",
-        &to_chrome_trace(run, &r.workload, &r.policy.label(), clock),
-    );
+    common::check_goldens(&[
+        (
+            "telemetry_fwsoft_cacher.jsonl",
+            to_jsonl(run, &r.workload, &r.policy.label(), clock),
+        ),
+        (
+            "telemetry_fwsoft_cacher.trace.json",
+            to_chrome_trace(run, &r.workload, &r.policy.label(), clock),
+        ),
+    ]);
 }
 
 /// Telemetry-enabled sweeps must bypass the cache: a cached hit carries

@@ -13,6 +13,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Under GOLDEN_REGEN the golden tests rewrite the committed goldens.
+if [[ -n "${GOLDEN_REGEN+set}" ]]; then
+    echo "GOLDEN_REGEN is set: the tests would rewrite the committed goldens; unset it to run CI" >&2
+    exit 1
+fi
+
 full=0
 [[ "${1:-}" == "--full" ]] && full=1
 
@@ -31,7 +37,9 @@ echo "== reproduction gate (miopt-harness check on results/) =="
 cargo run --release -q -p miopt-harness -- check | tail -1
 
 echo "== cargo test -q =="
+tier1_start=$SECONDS
 cargo test -q
+echo "tier-1 tests: $((SECONDS - tier1_start)) s"
 
 echo "== cargo doc --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
