@@ -12,6 +12,7 @@
 
 use miopt::runner::SweepSpec;
 use miopt::{CachePolicy, PolicyConfig, SystemConfig};
+use miopt_engine::prop;
 use miopt_engine::rng::SplitMix64;
 use miopt_harness::journal::Journal;
 use miopt_harness::json::Json;
@@ -19,7 +20,7 @@ use miopt_harness::results::JobRecord;
 use miopt_harness::serve::{ServeJobRecord, ServeSweepSpec, TenantResult};
 use miopt_harness::sweep::{open_journal, run_kind, JournalOptions, SweepRun};
 use miopt_harness::{JobError, JobKind, PoolOptions};
-use miopt_store::{StoreOptions, Wal};
+use miopt_store::{encode_frame, StoreOptions, Wal, SEGMENT_HEADER_LEN};
 use miopt_workloads::{by_name, SuiteConfig};
 use std::path::Path;
 
@@ -212,6 +213,98 @@ fn corruption_below_the_cut<K: JobKind>(tag: &str, spec: &K) {
     assert!(err.contains("damaged"), "{err}");
     assert!(err.contains("byte offset"), "{err}");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Job records whose frames verify but whose JSON is damaged — bit
+/// flips, truncations, splices of other records, duplicated spans and
+/// rewritten numbers in real records of both kinds — make resume refuse
+/// with an error that names the journal, or resume to entries whose job
+/// ids are in range. Resume never panics on them.
+#[test]
+fn damaged_record_payloads_are_refused_or_resume_in_range() {
+    damaged_record_payloads("figures", &figure_spec());
+    damaged_record_payloads("serve", &serve_spec());
+}
+
+fn damaged_record_payloads<K: JobKind>(tag: &str, spec: &K) {
+    let dir = std::env::temp_dir().join(format!("miopt-payloads-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    run_journaled(spec, &dir, false).expect("journaled sweep runs");
+    let store = dir.join("victim.journal");
+    let intact = Wal::inspect(&store).unwrap();
+    let seg_path = intact.segments[0].path.clone();
+    let header = std::fs::read(&seg_path).unwrap()[..SEGMENT_HEADER_LEN as usize].to_vec();
+    let payloads: Vec<Vec<u8>> = intact.records.into_iter().map(|r| r.payload).collect();
+    let jobs = spec.jobs().len();
+    assert_eq!(
+        payloads.len(),
+        jobs + 1,
+        "the header and one record per job"
+    );
+    let named = format!("journal {}", store.display());
+    let span = |c: &mut prop::Case, len: usize| {
+        let start = c.below(len as u64 + 1) as usize;
+        start..start + c.below((len - start) as u64 + 1) as usize
+    };
+
+    prop::check(&format!("damaged_record_payloads_{tag}"), 64, |c| {
+        let mut damaged = payloads.clone();
+        let bytes = &mut damaged[c.range(1..payloads.len() as u64) as usize];
+        for _ in 0..c.steps(1..4) {
+            let at = c.below(bytes.len() as u64 + 1) as usize;
+            match c.below(5) {
+                0 => bytes.truncate(at),
+                1 if at < bytes.len() => bytes[at] ^= 1 << c.below(8),
+                2 => {
+                    let from = &payloads[c.below(payloads.len() as u64) as usize];
+                    let stretch = span(c, from.len());
+                    bytes.splice(at..at, from[stretch].iter().copied());
+                }
+                // A number rewritten, half the time the leading `id`: the
+                // JSON stays well formed and says something else.
+                3 => {
+                    let starts: Vec<usize> = (0..bytes.len())
+                        .filter(|&i| {
+                            bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit())
+                        })
+                        .collect();
+                    if starts.is_empty() {
+                        continue;
+                    }
+                    let pick = if c.bool() {
+                        0
+                    } else {
+                        c.below(starts.len() as u64)
+                    };
+                    let start = starts[pick as usize];
+                    let end = (start..bytes.len())
+                        .find(|&i| !bytes[i].is_ascii_digit())
+                        .unwrap_or(bytes.len());
+                    let value = c.below(2 * jobs as u64 + 2).to_string();
+                    bytes.splice(start..end, value.into_bytes());
+                }
+                _ => {
+                    let stretch = span(c, bytes.len());
+                    let dup = bytes[stretch.clone()].to_vec();
+                    bytes.splice(stretch.start..stretch.start, dup);
+                }
+            }
+        }
+        let mut segment = header.clone();
+        for (seq, payload) in (1..).zip(&damaged) {
+            segment.extend_from_slice(&encode_frame(seq, payload));
+        }
+        std::fs::write(&seg_path, &segment).unwrap();
+        match Journal::resume(&dir, "victim", spec) {
+            Err(e) => assert!(e.contains(&named), "{e}"),
+            Ok(journal) => {
+                for entry in &journal.entries {
+                    assert!(K::record_id(entry) < jobs, "{tag}: id out of range");
+                }
+            }
+        }
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }
 

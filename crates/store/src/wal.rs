@@ -22,17 +22,24 @@
 //! `crc` is FNV-1a 64 over `len ‖ seq ‖ payload`, so a frame vouches
 //! for its own boundaries, its position in the log, and its contents.
 //! Sequence numbers start at 1 and increase by exactly one across
-//! segment boundaries; a gap is never legal.
+//! segment boundaries; a gap is never legal. A snapshot holds the same
+//! frames behind a 40-byte header (`magic, first, last, count, crc`).
 //!
 //! # Recovery
 //!
-//! [`Wal::open`] classifies damage rather than guessing:
+//! One pure scan reads every file of the store once, decodes its
+//! frames through one decoder, and labels the file with what recovery
+//! does to it ([`Fate`]). [`Wal::open`] acts on the labels and
+//! [`Wal::inspect`] only renders them, so what `inspect` reports is
+//! what `open` does:
 //!
 //! * **clean tail** — every frame checks out: open for append.
 //! * **torn tail** — the final segment ends in an incomplete frame
 //!   (the expected shape of a crash mid-append): truncate to the last
 //!   whole record and continue. [`Recovery`] reports the byte offset
 //!   and how many bytes were dropped.
+//! * **covered** — a segment whose records the snapshot already holds
+//!   (a crash between a compaction's rename and its removals): removed.
 //! * **corruption** — a checksum mismatch on a *complete* frame, a
 //!   sequence gap, an implausible length, or any damage before the
 //!   final segment: the damaged file is quarantined (renamed aside)
@@ -49,7 +56,7 @@
 
 use crate::error::StoreError;
 use crate::io::{StdIo, WalFile, WalIo};
-use miopt_engine::hash::Fnv1a;
+use miopt_engine::hash::{fnv1a_64, Fnv1a};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -227,35 +234,25 @@ pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN as usize + payload.len());
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
-    let mut h = Fnv1a::new();
-    h.write(&len.to_le_bytes());
-    h.write(&seq.to_le_bytes());
-    h.write(payload);
-    out.extend_from_slice(&h.finish().to_le_bytes());
+    out.extend_from_slice(&frame_crc(len, seq, payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
 
-fn encode_segment_header(base_seq: u64) -> [u8; SEGMENT_HEADER_LEN as usize] {
-    let mut out = [0u8; SEGMENT_HEADER_LEN as usize];
-    out[..8].copy_from_slice(SEGMENT_MAGIC);
-    out[8..16].copy_from_slice(&base_seq.to_le_bytes());
+/// A frame's checksum: FNV-1a 64 over `len ‖ seq ‖ payload`.
+fn frame_crc(len: u32, seq: u64, payload: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
-    h.write(SEGMENT_MAGIC);
-    h.write(&base_seq.to_le_bytes());
-    out[16..24].copy_from_slice(&h.finish().to_le_bytes());
-    out
-}
-
-fn u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+    h.write(&len.to_le_bytes());
+    h.write_u64(seq);
+    h.write(payload);
+    h.finish()
 }
 
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
 }
 
-/// Damage found while scanning a file.
+/// Damage found while decoding a file.
 #[derive(Debug, Clone)]
 struct Damage {
     /// Byte offset of the damage.
@@ -264,7 +261,7 @@ struct Damage {
     /// (an incomplete frame at end of file) rather than interior
     /// corruption.
     torn: bool,
-    /// The sequence number expected at the damage point.
+    /// The sequence number expected at the damage point (0 in a header).
     expected_seq: u64,
     /// The sequence number found, when the frame header was readable.
     found_seq: Option<u64>,
@@ -272,266 +269,354 @@ struct Damage {
     detail: String,
 }
 
-/// The result of scanning one segment file.
-#[derive(Debug)]
-struct SegScan {
-    /// Base sequence from the header, when the header verified.
-    base: Option<u64>,
-    /// Whole verified records.
-    records: Vec<Record>,
+impl Damage {
+    /// Damage that is not a torn tail, at `offset`.
+    fn at(offset: usize, expected_seq: u64, found_seq: Option<u64>, detail: String) -> Damage {
+        Damage {
+            offset: offset as u64,
+            torn: false,
+            expected_seq,
+            found_seq,
+            detail,
+        }
+    }
+
+    /// The same damage, as an end of file that cuts a write short.
+    fn torn(self) -> Damage {
+        Damage { torn: true, ..self }
+    }
+}
+
+/// A kind of store file. Segments and snapshots hold the same frames
+/// and differ only in their header: `magic ‖ fields ‖ crc`, each field
+/// a u64 LE and `crc` FNV-1a 64 over every byte before it.
+struct Kind {
+    magic: &'static [u8; 8],
+    /// The kind's name in damage descriptions.
+    name: &'static str,
+    /// The file name suffix.
+    ext: &'static str,
+    /// Header fields: a segment's base sequence; a snapshot's first and
+    /// last sequence and its record count.
+    fields: usize,
+}
+
+const SEGMENT: Kind = Kind {
+    magic: SEGMENT_MAGIC,
+    name: "segment",
+    ext: ".seg",
+    fields: 1,
+};
+
+const SNAPSHOT: Kind = Kind {
+    magic: SNAPSHOT_MAGIC,
+    name: "snapshot",
+    ext: ".snap",
+    fields: 3,
+};
+
+impl Kind {
+    fn header_len(&self) -> usize {
+        16 + 8 * self.fields
+    }
+
+    /// The file named by `seq` (a segment's base, a snapshot's last).
+    fn file_name(&self, seq: u64) -> String {
+        format!("{seq:016x}{}", self.ext)
+    }
+
+    /// The header carrying `fields`: the one place header checksums are
+    /// computed, for writing and for checking.
+    fn header(&self, fields: &[u64]) -> Vec<u8> {
+        let mut out = self.magic.to_vec();
+        for field in fields {
+            out.extend_from_slice(&field.to_le_bytes());
+        }
+        out.extend_from_slice(&fnv1a_64(&out).to_le_bytes());
+        out
+    }
+
+    /// The fields of the header `bytes` open with, or its damage.
+    fn read_header(&self, bytes: &[u8]) -> Result<Vec<u64>, Damage> {
+        let (name, len) = (self.name, self.header_len());
+        if bytes.len() < len {
+            let detail = format!("incomplete {name} header ({} of {len} bytes)", bytes.len());
+            return Err(Damage::at(bytes.len(), 0, None, detail).torn());
+        }
+        if &bytes[..8] != self.magic {
+            return Err(Damage::at(0, 0, None, format!("bad {name} magic")));
+        }
+        let fields: Vec<u64> = (0..self.fields).map(|i| u64_at(bytes, 8 + 8 * i)).collect();
+        if self.header(&fields) != bytes[..len] {
+            let detail = format!("{name} header checksum mismatch");
+            return Err(Damage::at(len - 8, 0, None, detail));
+        }
+        Ok(fields)
+    }
+}
+
+/// Decodes the frame at `at`, which must carry sequence number `seq`:
+/// the one frame decoder, for segments and snapshots alike. Returns the
+/// payload and the offset just past the frame. A frame the end of the
+/// file cuts short is `torn` damage; any other failure is not.
+fn decode_frame(bytes: &[u8], at: usize, seq: u64) -> Result<(&[u8], usize), Damage> {
+    let rem = bytes.len() - at;
+    let damage = |found_seq, detail| Damage::at(at, seq, found_seq, detail);
+    if rem < FRAME_HEADER_LEN as usize {
+        let detail = format!("incomplete record frame ({rem} of {FRAME_HEADER_LEN} header bytes)");
+        return Err(damage(None, detail).torn());
+    }
+    let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    if len > MAX_RECORD_LEN {
+        return Err(damage(None, format!("implausible record length {len}")));
+    }
+    let found = u64_at(bytes, at + 4);
+    let frame_len = FRAME_HEADER_LEN as usize + len as usize;
+    if frame_len > rem {
+        let detail = format!("record extends past end of file ({rem} of {frame_len} bytes)");
+        return Err(damage(Some(found), detail).torn());
+    }
+    let payload = &bytes[at + FRAME_HEADER_LEN as usize..at + frame_len];
+    let detail = if u64_at(bytes, at + 12) != frame_crc(len, found, payload) {
+        "record checksum mismatch on a complete frame"
+    } else if found != seq {
+        "sequence gap"
+    } else if seq == u64::MAX {
+        // No record could follow it: the next one would have no number.
+        "sequence number overflow"
+    } else {
+        return Ok((payload, at + frame_len));
+    };
+    Err(damage(Some(found), detail.to_string()))
+}
+
+/// What recovery does to one file: the scan's label for it.
+enum Fate {
+    /// Its records are folded into the log, and it stays as it is.
+    Folded,
+    /// It adds nothing to the log and is removed: a segment whose
+    /// records the snapshot already holds (a crash between a
+    /// compaction's rename and its removals), an empty final segment
+    /// behind the snapshot, or a final segment whose header never
+    /// reached the disk.
+    Covered,
+    /// The final segment ends in an incomplete frame, the shape a crash
+    /// mid-append leaves: its verified records are folded in and the
+    /// rest is truncated.
+    TornTail,
+    /// Damage that is not a torn tail: the file is quarantined and the
+    /// store refuses to open.
+    Fatal(Damage),
+    /// After a fatal file: neither folded nor touched.
+    Unreached,
+}
+
+/// One store file, read and decoded once.
+struct FileScan {
+    path: PathBuf,
+    kind: &'static Kind,
+    /// The header's fields, or empty when the header did not verify.
+    header: Vec<u64>,
     /// Byte offset just past each verified record.
     record_ends: Vec<u64>,
-    /// Offset every verified byte ends at (the truncation point on a
-    /// torn tail).
-    clean_len: u64,
-    /// Why the scan stopped, if it did.
+    /// File length in bytes.
+    bytes: u64,
+    /// The sequence number after the last verified record.
+    next_seq: u64,
+    /// Why decoding stopped before the end of the file.
     damage: Option<Damage>,
+    fate: Fate,
 }
 
-/// Scans a segment file. Pure: no filesystem access, no repair.
-fn scan_segment(bytes: &[u8]) -> SegScan {
-    let mut scan = SegScan {
-        base: None,
-        records: Vec::new(),
-        record_ends: Vec::new(),
-        clean_len: 0,
-        damage: None,
-    };
-    if bytes.len() < SEGMENT_HEADER_LEN as usize {
-        scan.damage = Some(Damage {
-            offset: bytes.len() as u64,
-            torn: true,
-            expected_seq: 0,
-            found_seq: None,
-            detail: format!(
-                "incomplete segment header ({} of {SEGMENT_HEADER_LEN} bytes)",
-                bytes.len()
-            ),
-        });
-        return scan;
+impl FileScan {
+    /// Decodes `bytes`, the whole file at `path`, into its scan and its
+    /// verified records.
+    fn decode(path: PathBuf, kind: &'static Kind, bytes: &[u8]) -> (FileScan, Vec<Record>) {
+        let (header, damage) = match kind.read_header(bytes) {
+            Ok(header) => (header, None),
+            Err(d) => (Vec::new(), Some(d)),
+        };
+        let mut file = FileScan {
+            path,
+            kind,
+            next_seq: header.first().copied().unwrap_or(0),
+            header,
+            record_ends: Vec::new(),
+            bytes: bytes.len() as u64,
+            damage,
+            fate: Fate::Unreached,
+        };
+        let mut records = Vec::new();
+        let mut at = kind.header_len();
+        while file.damage.is_none() && at < bytes.len() {
+            match decode_frame(bytes, at, file.next_seq) {
+                Ok((payload, end)) => {
+                    records.push(Record {
+                        seq: file.next_seq,
+                        payload: payload.to_vec(),
+                    });
+                    file.next_seq += 1;
+                    file.record_ends.push(end as u64);
+                    at = end;
+                }
+                Err(d) => file.damage = Some(d),
+            }
+        }
+        (file, records)
     }
-    if &bytes[..8] != SEGMENT_MAGIC {
-        scan.damage = Some(Damage {
-            offset: 0,
-            torn: false,
-            expected_seq: 0,
-            found_seq: None,
-            detail: "bad segment magic".to_string(),
-        });
-        return scan;
+
+    fn is_segment(&self) -> bool {
+        self.kind.magic == SEGMENT_MAGIC
     }
-    let base = u64_at(bytes, 8);
-    let mut h = Fnv1a::new();
-    h.write(SEGMENT_MAGIC);
-    h.write(&base.to_le_bytes());
-    if u64_at(bytes, 16) != h.finish() {
-        scan.damage = Some(Damage {
-            offset: 16,
-            torn: false,
-            expected_seq: 0,
-            found_seq: None,
-            detail: "segment header checksum mismatch".to_string(),
-        });
-        return scan;
+
+    /// Every verified byte: the length a torn tail is cut to.
+    fn clean_len(&self) -> u64 {
+        match self.record_ends.last() {
+            Some(&end) => end,
+            None if self.header.is_empty() => 0,
+            None => self.kind.header_len() as u64,
+        }
     }
-    scan.base = Some(base);
-    scan.clean_len = SEGMENT_HEADER_LEN;
-    let mut offset = SEGMENT_HEADER_LEN as usize;
-    loop {
-        let expected_seq = base + scan.records.len() as u64;
-        let rem = bytes.len() - offset;
-        if rem == 0 {
-            return scan;
+
+    /// The file's fate, given whether it is the final segment and the
+    /// sequence number the log expects next.
+    fn judge(&self, tail: bool, expected: u64) -> Fate {
+        if let Some(d) = self.damage.as_ref().filter(|d| !(d.torn && tail)) {
+            return Fate::Fatal(d.clone());
         }
-        if rem < FRAME_HEADER_LEN as usize {
-            scan.damage = Some(Damage {
-                offset: offset as u64,
-                torn: true,
-                expected_seq,
-                found_seq: None,
-                detail: format!(
-                    "incomplete record frame ({rem} of {FRAME_HEADER_LEN} header bytes)"
-                ),
-            });
-            return scan;
+        let Some(&base) = self.header.first() else {
+            return Fate::Covered;
+        };
+        if base > expected {
+            let detail = format!("{} base leaves a sequence gap", self.kind.name);
+            return Fate::Fatal(Damage::at(8, expected, Some(base), detail));
         }
-        let len = u32_at(bytes, offset);
-        if len > MAX_RECORD_LEN {
-            scan.damage = Some(Damage {
-                offset: offset as u64,
-                torn: false,
-                expected_seq,
-                found_seq: None,
-                detail: format!("implausible record length {len}"),
-            });
-            return scan;
+        if let [_, last, count] = self.header[..] {
+            if count != self.record_ends.len() as u64 || last.checked_add(1) != Some(self.next_seq)
+            {
+                let detail = "snapshot header count/last mismatch".to_string();
+                return Fate::Fatal(Damage::at(16, expected, None, detail));
+            }
         }
-        let seq = u64_at(bytes, offset + 4);
-        let end = offset + FRAME_HEADER_LEN as usize + len as usize;
-        if end > bytes.len() {
-            scan.damage = Some(Damage {
-                offset: offset as u64,
-                torn: true,
-                expected_seq,
-                found_seq: Some(seq),
-                detail: format!(
-                    "record extends past end of file ({} of {} bytes)",
-                    bytes.len() - offset,
-                    FRAME_HEADER_LEN + u64::from(len)
-                ),
-            });
-            return scan;
+        let empty_behind = self.record_ends.is_empty() && base < expected;
+        if self.is_segment() && self.next_seq <= expected && (!tail || empty_behind) {
+            Fate::Covered
+        } else if self.damage.is_some() {
+            Fate::TornTail
+        } else {
+            Fate::Folded
         }
-        let payload = &bytes[offset + FRAME_HEADER_LEN as usize..end];
-        let mut h = Fnv1a::new();
-        h.write(&len.to_le_bytes());
-        h.write(&seq.to_le_bytes());
-        h.write(payload);
-        if u64_at(bytes, offset + 12) != h.finish() {
-            scan.damage = Some(Damage {
-                offset: offset as u64,
-                torn: false,
-                expected_seq,
-                found_seq: Some(seq),
-                detail: "record checksum mismatch on a complete frame".to_string(),
-            });
-            return scan;
-        }
-        if seq != expected_seq {
-            scan.damage = Some(Damage {
-                offset: offset as u64,
-                torn: false,
-                expected_seq,
-                found_seq: Some(seq),
-                detail: "sequence gap".to_string(),
-            });
-            return scan;
-        }
-        scan.records.push(Record {
-            seq,
-            payload: payload.to_vec(),
-        });
-        offset = end;
-        scan.record_ends.push(offset as u64);
-        scan.clean_len = offset as u64;
     }
 }
 
-/// Parses a snapshot file. Returns `(first, last, records)` or a
-/// damage description with its byte offset.
-fn scan_snapshot(bytes: &[u8]) -> Result<(u64, u64, Vec<Record>), (u64, String)> {
-    if bytes.len() < SNAPSHOT_HEADER_LEN as usize {
-        return Err((
-            bytes.len() as u64,
-            format!(
-                "incomplete snapshot header ({} of {SNAPSHOT_HEADER_LEN} bytes)",
-                bytes.len()
-            ),
-        ));
-    }
-    if &bytes[..8] != SNAPSHOT_MAGIC {
-        return Err((0, "bad snapshot magic".to_string()));
-    }
-    let first = u64_at(bytes, 8);
-    let last = u64_at(bytes, 16);
-    let count = u64_at(bytes, 24);
-    let mut h = Fnv1a::new();
-    h.write(SNAPSHOT_MAGIC);
-    h.write(&first.to_le_bytes());
-    h.write(&last.to_le_bytes());
-    h.write(&count.to_le_bytes());
-    if u64_at(bytes, 32) != h.finish() {
-        return Err((32, "snapshot header checksum mismatch".to_string()));
-    }
-    let mut records = Vec::new();
-    let mut offset = SNAPSHOT_HEADER_LEN as usize;
-    for i in 0..count {
-        let expected_seq = first + i;
-        if bytes.len() - offset < FRAME_HEADER_LEN as usize {
-            return Err((offset as u64, "snapshot truncated mid-frame".to_string()));
-        }
-        let len = u32_at(bytes, offset);
-        if len > MAX_RECORD_LEN {
-            return Err((offset as u64, format!("implausible record length {len}")));
-        }
-        let seq = u64_at(bytes, offset + 4);
-        let end = offset + FRAME_HEADER_LEN as usize + len as usize;
-        if end > bytes.len() {
-            return Err((offset as u64, "snapshot truncated mid-record".to_string()));
-        }
-        let payload = &bytes[offset + FRAME_HEADER_LEN as usize..end];
-        let mut h = Fnv1a::new();
-        h.write(&len.to_le_bytes());
-        h.write(&seq.to_le_bytes());
-        h.write(payload);
-        if u64_at(bytes, offset + 12) != h.finish() {
-            return Err((offset as u64, "record checksum mismatch".to_string()));
-        }
-        if seq != expected_seq {
-            return Err((
-                offset as u64,
-                format!("sequence gap (expected {expected_seq}, found {seq})"),
-            ));
-        }
-        records.push(Record {
-            seq,
-            payload: payload.to_vec(),
-        });
-        offset = end;
-    }
-    if offset != bytes.len() {
-        return Err((
-            offset as u64,
-            format!(
-                "{} trailing bytes after the last record",
-                bytes.len() - offset
-            ),
-        ));
-    }
-    if count > 0 && last != first + count - 1 {
-        return Err((16, "snapshot header count/last mismatch".to_string()));
-    }
-    Ok((first, last, records))
+/// A store directory as recovery finds it (see [`scan`]).
+struct Scan {
+    /// Superseded snapshots and leftovers of a crash mid-compaction
+    /// (never renamed, so never part of the log): removed on open.
+    stale: Vec<PathBuf>,
+    /// The newest snapshot, if any, then every segment by base.
+    files: Vec<FileScan>,
+    /// Durable records in sequence order, up to the first fatal file.
+    records: Vec<Record>,
+    /// Of `records`, how many came from the snapshot.
+    from_snapshot: u64,
+    /// The sequence number the next append gets.
+    next_seq: u64,
 }
 
-fn segment_name(base_seq: u64) -> String {
-    format!("{base_seq:016x}.seg")
+impl Scan {
+    /// The first fatal file and its damage.
+    fn fatal(&self) -> Option<(&FileScan, &Damage)> {
+        self.files.iter().find_map(|f| match &f.fate {
+            Fate::Fatal(d) => Some((f, d)),
+            _ => None,
+        })
+    }
 }
 
-fn snapshot_name(last_seq: u64) -> String {
-    format!("{last_seq:016x}.snap")
-}
-
-/// Files in `dir`, split into (segments sorted by base, snapshots
-/// sorted by last seq, leftover temp files).
-#[allow(clippy::type_complexity)]
-fn dir_contents(
-    io: &dyn WalIo,
-    dir: &Path,
-) -> Result<(Vec<(u64, PathBuf)>, Vec<(u64, PathBuf)>, Vec<PathBuf>), StoreError> {
+/// Reads every file of the store in `dir` once, labels each with its
+/// [`Fate`], and folds the records in sequence order up to the first
+/// fatal file. It changes nothing on disk: [`Wal::open`] acts on it and
+/// [`Wal::inspect`] renders it.
+fn scan(io: &dyn WalIo, dir: &Path) -> Result<Scan, StoreError> {
     let mut segs = Vec::new();
     let mut snaps = Vec::new();
-    let mut tmps = Vec::new();
+    let mut stale = Vec::new();
     for path in io.list(dir).map_err(|e| StoreError::io("list", dir, e))? {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        let parse16 = |stem: &str| u64::from_str_radix(stem, 16).ok();
-        if let Some(stem) = name.strip_suffix(".seg") {
-            if let Some(n) = parse16(stem) {
-                segs.push((n, path));
-            }
-        } else if let Some(stem) = name.strip_suffix(".snap") {
-            if let Some(n) = parse16(stem) {
-                snaps.push((n, path));
-            }
+        let seq = |kind: &Kind| {
+            let stem = name.strip_suffix(kind.ext)?;
+            u64::from_str_radix(stem, 16).ok()
+        };
+        if let Some(n) = seq(&SEGMENT) {
+            segs.push((n, path));
+        } else if let Some(n) = seq(&SNAPSHOT) {
+            snaps.push((n, path));
         } else if name.ends_with(".tmp") {
-            tmps.push(path);
+            stale.push(path);
         }
     }
     segs.sort();
     snaps.sort();
-    Ok((segs, snaps, tmps))
+    let newest = snaps.pop().map(|(_, path)| (&SNAPSHOT, path));
+    stale.extend(snaps.into_iter().map(|(_, path)| path));
+    let count = segs.len() + usize::from(newest.is_some());
+    let paths = newest
+        .into_iter()
+        .chain(segs.into_iter().map(|(_, path)| (&SEGMENT, path)));
+    let mut scan = Scan {
+        stale,
+        files: Vec::with_capacity(count),
+        records: Vec::new(),
+        from_snapshot: 0,
+        next_seq: 1,
+    };
+    let mut fatal = false;
+    for (i, (kind, path)) in paths.enumerate() {
+        let bytes = io
+            .read(&path)
+            .map_err(|e| StoreError::io("read", &path, e))?;
+        let (mut file, records) = FileScan::decode(path, kind, &bytes);
+        if !fatal {
+            file.fate = file.judge(file.is_segment() && i + 1 == count, scan.next_seq);
+            match file.fate {
+                Fate::Fatal(_) => fatal = true,
+                Fate::Folded | Fate::TornTail => {
+                    let expected = scan.next_seq;
+                    scan.records
+                        .extend(records.into_iter().filter(|r| r.seq >= expected));
+                    scan.next_seq = expected.max(file.next_seq);
+                    if !file.is_segment() {
+                        scan.from_snapshot = scan.records.len() as u64;
+                    }
+                }
+                Fate::Covered | Fate::Unreached => {}
+            }
+        }
+        scan.files.push(file);
+    }
+    Ok(scan)
+}
+
+/// Creates the segment whose first record will be `base`: header
+/// written and fsynced, directory fsynced.
+fn create_segment(
+    io: &dyn WalIo,
+    dir: &Path,
+    base: u64,
+) -> Result<(Box<dyn WalFile>, PathBuf), StoreError> {
+    let path = dir.join(SEGMENT.file_name(base));
+    let mut file = io
+        .create(&path)
+        .map_err(|e| StoreError::io("create", &path, e))?;
+    file.write_all(&SEGMENT.header(&[base]))
+        .map_err(|e| StoreError::io("append", &path, e))?;
+    file.sync().map_err(|e| StoreError::io("fsync", &path, e))?;
+    io.sync_dir(dir)
+        .map_err(|e| StoreError::io("fsync", dir, e))?;
+    Ok((file, path))
 }
 
 /// Appender state behind the [`Wal`]'s lock.
@@ -544,6 +629,16 @@ struct Appender {
     /// Sealed (immutable, fully verified) segments, oldest first.
     sealed: Vec<PathBuf>,
     snapshot: Option<PathBuf>,
+}
+
+impl Appender {
+    /// Fsyncs the active segment.
+    fn sync(&mut self) -> Result<(), StoreError> {
+        self.unsynced = 0;
+        self.file
+            .sync()
+            .map_err(|e| StoreError::io("fsync", &self.seg_path, e))
+    }
 }
 
 /// A crash-recoverable, checksummed, segmented write-ahead log.
@@ -592,165 +687,82 @@ impl Wal {
             // Make the directory entry itself durable.
             let _ = io.sync_dir(parent);
         }
-        let (segs, snaps, tmps) = dir_contents(io.as_ref(), dir)?;
-        for tmp in tmps {
-            // Leftover from a crash mid-compaction: never renamed, so
-            // never part of the log.
-            io.remove(&tmp)
-                .map_err(|e| StoreError::io("remove", &tmp, e))?;
+        let scan = scan(io.as_ref(), dir)?;
+        if let Some((file, damage)) = scan.fatal() {
+            return Err(quarantine(io.as_ref(), dir, &file.path, damage));
         }
 
-        // Load the newest snapshot; delete superseded ones.
-        let mut records: Vec<Record> = Vec::new();
-        let mut snapshot_path = None;
-        let mut from_snapshot = 0u64;
-        let mut expected = 1u64;
-        if let Some((_, path)) = snaps.last() {
-            let bytes = io.read(path).map_err(|e| StoreError::io("read", path, e))?;
-            match scan_snapshot(&bytes) {
-                Ok((_first, last, recs)) => {
-                    from_snapshot = recs.len() as u64;
-                    records = recs;
-                    expected = last + 1;
-                    snapshot_path = Some(path.clone());
-                }
-                Err((offset, detail)) => {
-                    return Err(quarantine(io.as_ref(), dir, path, offset, 0, None, detail));
-                }
-            }
-            for (_, stale) in &snaps[..snaps.len() - 1] {
-                io.remove(stale)
-                    .map_err(|e| StoreError::io("remove", stale, e))?;
-            }
-        }
-
-        // Replay segments in order.
-        let mut kind = if snapshot_path.is_none() && segs.is_empty() {
+        // Act on the scan: drop what adds nothing, cut the torn tail.
+        let mut kind = if scan.files.is_empty() {
             RecoveryKind::Fresh
         } else {
             RecoveryKind::Clean
         };
-        let mut active: Option<(PathBuf, u64)> = None; // (path, byte length)
-        let n = segs.len();
-        for (i, (_, path)) in segs.iter().enumerate() {
-            let bytes = io.read(path).map_err(|e| StoreError::io("read", path, e))?;
-            let scan = scan_segment(&bytes);
-            let is_last = i == n - 1;
-            let mut clean_len = scan.clean_len;
-            if let Some(d) = &scan.damage {
-                if !(d.torn && is_last) {
-                    return Err(quarantine(
-                        io.as_ref(),
-                        dir,
-                        path,
-                        d.offset,
-                        d.expected_seq,
-                        d.found_seq,
-                        d.detail.clone(),
-                    ));
-                }
-                // The expected crash shape: truncate the tail.
-                if scan.base.is_none() {
-                    // Not even the header survived; drop the file and
-                    // recreate the segment below.
-                    io.remove(path)
-                        .map_err(|e| StoreError::io("remove", path, e))?;
-                    io.sync_dir(dir)
-                        .map_err(|e| StoreError::io("fsync", dir, e))?;
-                    kind = RecoveryKind::TornTail {
-                        file: path.clone(),
-                        offset: 0,
-                        dropped_bytes: bytes.len() as u64,
-                    };
-                    continue;
-                }
-                io.set_len(path, clean_len)
-                    .map_err(|e| StoreError::io("truncate", path, e))?;
+        let remove = |path: &Path| {
+            io.remove(path)
+                .map_err(|e| StoreError::io("remove", path, e))
+        };
+        let mut removed = !scan.stale.is_empty();
+        for path in &scan.stale {
+            remove(path)?;
+        }
+        let mut sealed = Vec::new();
+        for file in &scan.files {
+            let clean_len = file.clean_len();
+            if file.damage.is_some() {
                 kind = RecoveryKind::TornTail {
-                    file: path.clone(),
+                    file: file.path.clone(),
                     offset: clean_len,
-                    dropped_bytes: bytes.len() as u64 - clean_len,
+                    dropped_bytes: file.bytes - clean_len,
                 };
             }
-            let base = scan.base.expect("damage without header handled above");
-            if base > expected {
-                return Err(quarantine(
-                    io.as_ref(),
-                    dir,
-                    path,
-                    8,
-                    expected,
-                    Some(base),
-                    "segment base leaves a sequence gap".to_string(),
-                ));
-            }
-            let seg_last = base + scan.records.len() as u64;
-            if seg_last <= expected {
-                // Every record is already covered by the snapshot (a
-                // crash between snapshot rename and segment delete).
-                if !is_last {
-                    io.remove(path)
-                        .map_err(|e| StoreError::io("remove", path, e))?;
+            match file.fate {
+                Fate::Covered => {
+                    remove(&file.path)?;
+                    removed = true;
                     continue;
                 }
-                if scan.records.is_empty() && base < expected {
-                    // A stale empty active segment; recreate below at
-                    // the right base.
-                    io.remove(path)
-                        .map_err(|e| StoreError::io("remove", path, e))?;
-                    continue;
-                }
+                Fate::TornTail => io
+                    .set_len(&file.path, clean_len)
+                    .map_err(|e| StoreError::io("truncate", &file.path, e))?,
+                _ => {}
             }
-            for rec in scan.records {
-                if rec.seq >= expected {
-                    records.push(rec);
-                }
-            }
-            expected = expected.max(seg_last);
-            if is_last {
-                if scan.damage.is_some() {
-                    clean_len = scan.clean_len;
-                }
-                active = Some((path.clone(), clean_len));
+            if file.is_segment() {
+                sealed.push(file.path.clone());
             }
         }
+        if removed {
+            io.sync_dir(dir)
+                .map_err(|e| StoreError::io("fsync", dir, e))?;
+        }
 
-        // Decide the active segment: reuse the last one if it has room,
-        // otherwise seal everything and start fresh.
-        let mut sealed: Vec<PathBuf> = segs
-            .iter()
-            .map(|(_, p)| p.clone())
-            .filter(|p| p.exists())
-            .collect();
-        let (file, seg_path, seg_len) = match active {
-            Some((path, len)) if len < opts.segment_bytes => {
-                sealed.retain(|p| p != &path);
+        // Append to the final segment if it is kept and has room;
+        // otherwise everything is sealed and a new segment starts.
+        let tail = scan.files.last().filter(|f| {
+            f.is_segment() && !matches!(f.fate, Fate::Covered) && f.clean_len() < opts.segment_bytes
+        });
+        let (file, seg_path, seg_len) = match tail {
+            Some(tail) => {
+                let path = sealed.pop().expect("the kept final segment");
                 let file = io
                     .open_append(&path)
                     .map_err(|e| StoreError::io("open", &path, e))?;
-                (file, path, len)
+                (file, path, tail.clean_len())
             }
-            _ => {
-                let path = dir.join(segment_name(expected));
-                let mut file = io
-                    .create(&path)
-                    .map_err(|e| StoreError::io("create", &path, e))?;
-                file.write_all(&encode_segment_header(expected))
-                    .map_err(|e| StoreError::io("append", &path, e))?;
-                file.sync().map_err(|e| StoreError::io("fsync", &path, e))?;
-                io.sync_dir(dir)
-                    .map_err(|e| StoreError::io("fsync", dir, e))?;
+            None => {
+                let (file, path) = create_segment(io.as_ref(), dir, scan.next_seq)?;
                 sealed.retain(|p| p != &path);
                 (file, path, SEGMENT_HEADER_LEN)
             }
         };
 
         let recovery = Recovery {
-            records: records.len() as u64,
-            last_seq: expected - 1,
-            from_snapshot,
+            records: scan.records.len() as u64,
+            last_seq: scan.next_seq - 1,
+            from_snapshot: scan.from_snapshot,
             kind,
         };
+        let snapshot = scan.files.first().filter(|f| !f.is_segment());
         let wal = Wal {
             dir: dir.to_path_buf(),
             opts,
@@ -759,16 +771,16 @@ impl Wal {
                 file,
                 seg_path,
                 seg_len,
-                next_seq: expected,
+                next_seq: scan.next_seq,
                 unsynced: 0,
                 sealed,
-                snapshot: snapshot_path,
+                snapshot: snapshot.map(|f| f.path.clone()),
             }),
         };
         Ok(Opened {
             wal,
             recovery,
-            records,
+            records: scan.records,
         })
     }
 
@@ -812,22 +824,16 @@ impl Wal {
             .map_err(|e| StoreError::io("append", &a.seg_path, e))?;
         a.seg_len += frame.len() as u64;
         a.next_seq += 1;
-        match self.opts.durability {
-            Durability::PerRecord => {
-                a.file
-                    .sync()
-                    .map_err(|e| StoreError::io("fsync", &a.seg_path, e))?;
-            }
+        let due = match self.opts.durability {
+            Durability::PerRecord => true,
             Durability::PerBatch(n) => {
                 a.unsynced += 1;
-                if a.unsynced >= n.max(1) {
-                    a.file
-                        .sync()
-                        .map_err(|e| StoreError::io("fsync", &a.seg_path, e))?;
-                    a.unsynced = 0;
-                }
+                a.unsynced >= n.max(1)
             }
-            Durability::Never => {}
+            Durability::Never => false,
+        };
+        if due {
+            a.sync()?;
         }
         Ok(seq)
     }
@@ -842,32 +848,15 @@ impl Wal {
     ///
     /// Panics if another appender panicked while holding the lock.
     pub fn sync(&self) -> Result<(), StoreError> {
-        let mut a = self.inner.lock().expect("wal lock");
-        a.unsynced = 0;
-        a.file
-            .sync()
-            .map_err(|e| StoreError::io("fsync", &a.seg_path, e))
+        self.inner.lock().expect("wal lock").sync()
     }
 
     /// Seals the active segment and opens a new one.
     fn roll(&self, a: &mut Appender) -> Result<(), StoreError> {
         // A sealed segment must be fully durable before anything refers
         // past it.
-        a.file
-            .sync()
-            .map_err(|e| StoreError::io("fsync", &a.seg_path, e))?;
-        a.unsynced = 0;
-        let path = self.dir.join(segment_name(a.next_seq));
-        let mut file = self
-            .io
-            .create(&path)
-            .map_err(|e| StoreError::io("create", &path, e))?;
-        file.write_all(&encode_segment_header(a.next_seq))
-            .map_err(|e| StoreError::io("append", &path, e))?;
-        file.sync().map_err(|e| StoreError::io("fsync", &path, e))?;
-        self.io
-            .sync_dir(&self.dir)
-            .map_err(|e| StoreError::io("fsync", &self.dir, e))?;
+        a.sync()?;
+        let (file, path) = create_segment(self.io.as_ref(), &self.dir, a.next_seq)?;
         let old = std::mem::replace(&mut a.seg_path, path);
         a.sealed.push(old);
         a.file = file;
@@ -902,36 +891,18 @@ impl Wal {
         // Gather every record the new snapshot will carry (old snapshot
         // first, then the sealed segments in order).
         let mut records: Vec<Record> = Vec::new();
-        if let Some(p) = &old_snap {
-            let bytes = self.io.read(p).map_err(|e| StoreError::io("read", p, e))?;
-            let (_, _, recs) = scan_snapshot(&bytes).map_err(|(offset, detail)| {
-                quarantine(self.io.as_ref(), &self.dir, p, offset, 0, None, detail)
-            })?;
-            records.extend(recs);
-        }
-        for path in &sealed {
+        let folded = old_snap.iter().map(|p| (&SNAPSHOT, p));
+        for (kind, path) in folded.chain(sealed.iter().map(|p| (&SEGMENT, p))) {
             let bytes = self
                 .io
                 .read(path)
                 .map_err(|e| StoreError::io("read", path, e))?;
-            let scan = scan_segment(&bytes);
-            if let Some(d) = scan.damage {
-                return Err(quarantine(
-                    self.io.as_ref(),
-                    &self.dir,
-                    path,
-                    d.offset,
-                    d.expected_seq,
-                    d.found_seq,
-                    d.detail,
-                ));
-            }
+            let (file, recs) = FileScan::decode(path.clone(), kind, &bytes);
             let next = records.last().map_or(1, |r| r.seq + 1);
-            for rec in scan.records {
-                if rec.seq >= next {
-                    records.push(rec);
-                }
+            if let Fate::Fatal(d) = file.judge(false, next) {
+                return Err(quarantine(self.io.as_ref(), &self.dir, path, &d));
             }
+            records.extend(recs.into_iter().filter(|r| r.seq >= next));
         }
         let (first, last) = match (records.first(), records.last()) {
             (Some(f), Some(l)) => (f.seq, l.seq),
@@ -939,19 +910,9 @@ impl Wal {
         };
 
         // Write-fsync-rename-fsync the new snapshot.
-        let final_path = self.dir.join(snapshot_name(last));
-        let tmp_path = self.dir.join(format!("{}.tmp", snapshot_name(last)));
-        let mut body = Vec::new();
-        body.extend_from_slice(SNAPSHOT_MAGIC);
-        body.extend_from_slice(&first.to_le_bytes());
-        body.extend_from_slice(&last.to_le_bytes());
-        body.extend_from_slice(&(records.len() as u64).to_le_bytes());
-        let mut h = Fnv1a::new();
-        h.write(SNAPSHOT_MAGIC);
-        h.write(&first.to_le_bytes());
-        h.write(&last.to_le_bytes());
-        h.write(&(records.len() as u64).to_le_bytes());
-        body.extend_from_slice(&h.finish().to_le_bytes());
+        let final_path = self.dir.join(SNAPSHOT.file_name(last));
+        let tmp_path = self.dir.join(format!("{}.tmp", SNAPSHOT.file_name(last)));
+        let mut body = SNAPSHOT.header(&[first, last, records.len() as u64]);
         for rec in &records {
             body.extend_from_slice(&encode_frame(rec.seq, &rec.payload));
         }
@@ -972,14 +933,8 @@ impl Wal {
             .map_err(|e| StoreError::io("fsync", &self.dir, e))?;
 
         // The snapshot is durable; drop what it folded.
-        if let Some(p) = &old_snap {
-            if p != &final_path {
-                self.io
-                    .remove(p)
-                    .map_err(|e| StoreError::io("remove", p, e))?;
-            }
-        }
-        for path in &sealed {
+        let old_snap = old_snap.iter().filter(|p| **p != final_path);
+        for path in old_snap.chain(&sealed) {
             self.io
                 .remove(path)
                 .map_err(|e| StoreError::io("remove", path, e))?;
@@ -1007,124 +962,73 @@ impl Wal {
     /// [`StoreError::Io`] only; damage is *reported*, not returned as
     /// an error.
     pub fn inspect(dir: &Path) -> Result<Inspection, StoreError> {
-        let io = StdIo;
-        let (segs, snaps, _tmps) = dir_contents(&io, dir)?;
-        let mut records: Vec<Record> = Vec::new();
-        let mut snapshot_records = 0u64;
-        let mut expected = 1u64;
-        let mut state: Option<String> = None;
-        let mut healthy = true;
-        if let Some((_, path)) = snaps.last() {
-            let bytes = io.read(path).map_err(|e| StoreError::io("read", path, e))?;
-            match scan_snapshot(&bytes) {
-                Ok((_f, last, recs)) => {
-                    snapshot_records = recs.len() as u64;
-                    records = recs;
-                    expected = last + 1;
-                }
-                Err((offset, detail)) => {
-                    state = Some(format!(
-                        "corrupt: snapshot {} at byte {offset}: {detail}",
-                        path.display()
-                    ));
-                    healthy = false;
-                }
-            }
-        }
-        let mut segments = Vec::new();
-        let n = segs.len();
-        for (i, (_, path)) in segs.iter().enumerate() {
-            let bytes = io.read(path).map_err(|e| StoreError::io("read", path, e))?;
-            let scan = scan_segment(&bytes);
-            let is_last = i == n - 1;
-            let mut damage_text = None;
-            if let Some(d) = &scan.damage {
-                if d.torn && is_last {
-                    damage_text = Some(format!("torn tail at byte {} ({})", d.offset, d.detail));
-                    if state.is_none() {
-                        state = Some(format!(
-                            "torn tail: {} at byte {} — recovery will truncate \
-                             {} byte(s) and keep {} record(s)",
-                            path.display(),
-                            d.offset,
-                            bytes.len() as u64 - scan.clean_len,
-                            scan.records.len()
-                        ));
-                    }
-                } else {
-                    damage_text = Some(format!("corrupt at byte {}: {}", d.offset, d.detail));
-                    healthy = false;
-                    if state.as_deref().is_none_or(|s| !s.starts_with("corrupt")) {
-                        state = Some(format!(
-                            "corrupt: {} at byte {}: {} (expected sequence {}{})",
-                            path.display(),
-                            d.offset,
-                            d.detail,
-                            d.expected_seq,
-                            d.found_seq
-                                .map(|f| format!(", found {f}"))
-                                .unwrap_or_default(),
-                        ));
-                    }
-                }
-            }
-            if healthy {
-                if let Some(base) = scan.base {
-                    if base > expected {
-                        healthy = false;
-                        state = Some(format!(
-                            "corrupt: {} base sequence {base} leaves a gap (expected {expected})",
-                            path.display()
-                        ));
+        let scan = scan(&StdIo, dir)?;
+        let segments: Vec<&FileScan> = scan.files.iter().filter(|f| f.is_segment()).collect();
+        let tail = segments.len().wrapping_sub(1);
+        let state = if let Some((file, d)) = scan.fatal() {
+            format!(
+                "corrupt: {} at byte {}: {} (expected sequence {}{})",
+                file.path.display(),
+                d.offset,
+                d.detail,
+                d.expected_seq,
+                d.found_seq
+                    .map(|f| format!(", found {f}"))
+                    .unwrap_or_default(),
+            )
+        } else if let Some(d) = segments.last().and_then(|f| f.damage.as_ref()) {
+            let file = segments[tail];
+            format!(
+                "torn tail: {} at byte {} — recovery will truncate \
+                 {} byte(s) and keep {} record(s)",
+                file.path.display(),
+                d.offset,
+                file.bytes - file.clean_len(),
+                file.record_ends.len()
+            )
+        } else {
+            "clean".to_string()
+        };
+        let segments = segments
+            .iter()
+            .enumerate()
+            .map(|(i, f)| SegmentStatus {
+                path: f.path.clone(),
+                base_seq: f.header.first().copied(),
+                records: f.record_ends.len() as u64,
+                bytes: f.bytes,
+                record_ends: f.record_ends.clone(),
+                damage: f.damage.as_ref().map(|d| {
+                    if i == tail && d.torn {
+                        format!("torn tail at byte {} ({})", d.offset, d.detail)
                     } else {
-                        for rec in &scan.records {
-                            if rec.seq >= expected {
-                                records.push(rec.clone());
-                            }
-                        }
-                        expected = expected.max(base + scan.records.len() as u64);
+                        format!("corrupt at byte {}: {}", d.offset, d.detail)
                     }
-                }
-            }
-            segments.push(SegmentStatus {
-                path: path.clone(),
-                base_seq: scan.base,
-                records: scan.records.len() as u64,
-                bytes: bytes.len() as u64,
-                record_ends: scan.record_ends,
-                damage: damage_text,
-            });
-        }
+                }),
+            })
+            .collect();
         Ok(Inspection {
-            last_seq: expected - 1,
-            records,
-            snapshot_records,
+            healthy: scan.fatal().is_none(),
+            last_seq: scan.next_seq - 1,
+            records: scan.records,
+            snapshot_records: scan.from_snapshot,
             segments,
-            state: state.unwrap_or_else(|| "clean".to_string()),
-            healthy,
+            state,
         })
     }
 }
 
 /// Renames a damaged file aside and builds the [`StoreError::Corrupt`].
-fn quarantine(
-    io: &dyn WalIo,
-    dir: &Path,
-    path: &Path,
-    offset: u64,
-    expected_seq: u64,
-    found_seq: Option<u64>,
-    detail: String,
-) -> StoreError {
+fn quarantine(io: &dyn WalIo, dir: &Path, path: &Path, damage: &Damage) -> StoreError {
     let mut aside = path.as_os_str().to_os_string();
     aside.push(".quarantined");
     let quarantined = io.rename(path, Path::new(&aside)).is_ok() && io.sync_dir(dir).is_ok();
     StoreError::Corrupt {
         file: path.to_path_buf(),
-        offset,
-        expected_seq,
-        found_seq,
-        detail,
+        offset: damage.offset,
+        expected_seq: damage.expected_seq,
+        found_seq: damage.found_seq,
+        detail: damage.detail.clone(),
         quarantined,
     }
 }

@@ -7,11 +7,15 @@
 //!   exactly the durable prefix;
 //! * interior damage (bit flips, sequence gaps) is classified as
 //!   corruption, quarantined, and reported with byte offsets — never
-//!   silently dropped.
+//!   silently dropped;
+//! * random damage to a snapshot and its segments never panics, and
+//!   `inspect` and `open` agree on it.
 
+use miopt_engine::hash::fnv1a_64;
+use miopt_engine::prop;
 use miopt_store::{
     encode_frame, Durability, FaultIo, Record, RecoveryKind, StoreError, StoreOptions, Wal,
-    SEGMENT_HEADER_LEN,
+    SEGMENT_HEADER_LEN, SEGMENT_MAGIC, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -467,4 +471,184 @@ fn arbitrary_payloads_round_trip() {
         .collect();
     assert_eq!(got, cases);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A file header as the store writes it: `magic`, the fields as u64 LE,
+/// and FNV-1a 64 over both.
+fn header(magic: &[u8; 8], fields: &[u64]) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    for field in fields {
+        out.extend_from_slice(&field.to_le_bytes());
+    }
+    out.extend_from_slice(&fnv1a_64(&out).to_le_bytes());
+    out
+}
+
+/// Checksummed headers whose sequence numbers leave no room for the
+/// next record are corruption, not an overflow: a segment based at
+/// `u64::MAX` holding one valid frame, and an empty snapshot whose last
+/// sequence is `u64::MAX`.
+#[test]
+fn sequence_numbers_at_the_top_of_the_range_are_corruption() {
+    let dir = tmp("seq-overflow");
+    let forged: [(&str, Vec<u8>, u64); 2] = [
+        (
+            "ffffffffffffffff.seg",
+            {
+                let mut bytes = header(SEGMENT_MAGIC, &[u64::MAX]);
+                bytes.extend_from_slice(&encode_frame(u64::MAX, b"last"));
+                bytes
+            },
+            SEGMENT_HEADER_LEN,
+        ),
+        (
+            "ffffffffffffffff.snap",
+            header(SNAPSHOT_MAGIC, &[1, u64::MAX, 0]),
+            16,
+        ),
+    ];
+    for (name, bytes, offset) in forged {
+        write_store(&dir, &[(name.to_string(), bytes)]);
+        let inspection = Wal::inspect(&dir).unwrap();
+        assert!(!inspection.healthy, "{name}: {}", inspection.state);
+        assert!(
+            inspection.state.starts_with("corrupt"),
+            "{}",
+            inspection.state
+        );
+        match Wal::open(&dir, opts(1 << 20)) {
+            Err(StoreError::Corrupt {
+                file, offset: at, ..
+            }) => {
+                assert_eq!(file, dir.join(name));
+                assert_eq!(at, offset, "{name}");
+            }
+            other => panic!("{name}: expected Corrupt, got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A random stretch `start..end` of `0..len`.
+fn span(c: &mut prop::Case, len: usize) -> std::ops::Range<usize> {
+    let start = c.below(len as u64 + 1) as usize;
+    start..start + c.below((len - start) as u64 + 1) as usize
+}
+
+/// Writes `files` (name, bytes) as the store directory `dir`.
+fn write_store(dir: &Path, files: &[(String, Vec<u8>)]) {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).unwrap();
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).unwrap();
+    }
+}
+
+/// Random damage to a store of a snapshot and four segments: bit flips,
+/// splices of any of its files, duplicated spans and truncations. Neither
+/// `inspect` nor `open` panics; `inspect` calls the store healthy exactly
+/// when `open` succeeds, and then both give the same records, which are
+/// a prefix of what was appended. One flipped bit inside a complete frame
+/// is corruption at that frame's first byte (outside the length field of
+/// the final segment's frames, where a longer length reads as a torn
+/// tail).
+#[test]
+fn damaged_stores_are_refused_or_recover_a_prefix_of_the_appends() {
+    let base = tmp("mutate");
+    let master = base.join("master");
+    let opened = Wal::open(&master, opts(96)).unwrap();
+    for i in 0..10 {
+        opened.wal.append(&payload(i)).unwrap();
+    }
+    opened.wal.compact().unwrap();
+    for i in 10..16 {
+        opened.wal.append(&payload(i)).unwrap();
+    }
+    drop(opened);
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&master)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    // Name order is sequence order: the snapshot, then the segments.
+    files.sort();
+    let segments = files.iter().filter(|(n, _)| n.ends_with(".seg")).count();
+    assert!(files[0].0.ends_with(".snap") && segments >= 3, "{files:?}");
+    // Every frame of every file, as (file, first byte, end).
+    let mut frames = Vec::new();
+    for (f, (name, bytes)) in files.iter().enumerate() {
+        let snapshot = name.ends_with(".snap");
+        let mut at = if snapshot {
+            SNAPSHOT_HEADER_LEN
+        } else {
+            SEGMENT_HEADER_LEN
+        } as usize;
+        while at < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            frames.push((f, at, at + 20 + len));
+            at += 20 + len;
+        }
+    }
+    let victim = base.join("victim");
+    let copy = base.join("copy");
+
+    prop::check("damaged_stores_are_refused_or_recover_a_prefix", 64, |c| {
+        let mut store = files.clone();
+        for _ in 0..c.steps(1..5) {
+            let f = c.below(store.len() as u64) as usize;
+            let bytes = &mut store[f].1;
+            let at = c.below(bytes.len() as u64 + 1) as usize;
+            match c.below(4) {
+                0 => bytes.truncate(at),
+                1 if at < bytes.len() => bytes[at] ^= 1 << c.below(8),
+                2 => {
+                    let from = &files[c.below(files.len() as u64) as usize].1;
+                    let stretch = span(c, from.len());
+                    bytes.splice(at..at, from[stretch].iter().copied());
+                }
+                _ => {
+                    let stretch = span(c, bytes.len());
+                    let dup = bytes[stretch.clone()].to_vec();
+                    bytes.splice(stretch.start..stretch.start, dup);
+                }
+            }
+        }
+        write_store(&victim, &store);
+        write_store(&copy, &store);
+        let inspection = Wal::inspect(&victim).unwrap();
+        let opened = Wal::open(&copy, opts(96));
+        assert_eq!(
+            inspection.healthy,
+            opened.is_ok(),
+            "inspect: {}; open: {:?}",
+            inspection.state,
+            opened.as_ref().err()
+        );
+        if let Ok(opened) = opened {
+            assert_eq!(opened.records, inspection.records);
+            assert_eq!(opened.recovery.last_seq, inspection.last_seq);
+            for (i, rec) in opened.records.iter().enumerate() {
+                assert_eq!(rec.seq, i as u64 + 1);
+                assert_eq!(rec.payload, payload(i as u64), "record {}", rec.seq);
+            }
+        }
+
+        let (f, start, end) = frames[c.below(frames.len() as u64) as usize];
+        let tail = f + 1 == files.len();
+        let at = c.range(if tail { start + 4 } else { start } as u64..end as u64) as usize;
+        let mut store = files.clone();
+        store[f].1[at] ^= 1 << c.below(8);
+        write_store(&copy, &store);
+        match Wal::open(&copy, opts(96)) {
+            Err(StoreError::Corrupt { file, offset, .. }) => {
+                assert_eq!(file, copy.join(&files[f].0));
+                assert_eq!(offset, start as u64, "flip at byte {at} of {}", files[f].0);
+            }
+            other => panic!("flip at byte {at} of {}: {other:?}", files[f].0),
+        }
+    });
+    let _ = std::fs::remove_dir_all(&base);
 }

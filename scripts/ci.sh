@@ -116,6 +116,8 @@ for k in 1 2 3; do
     fi
     cargo run --release -q -p miopt-harness -- query --journals \
         --dir "$smoke_dir" --run "$rs" >/dev/null
+    # Keep one killed run's journal for the damaged-journal check below.
+    [[ $k -eq 1 ]] && cp -r "$smoke_dir/$rs.journal" "$smoke_dir/crash-flip.journal"
     cargo run --release -q -p miopt-harness -- \
         --scale paper --only FwPool,BwPool --fig6 --no-cache --quiet --jobs 1 \
         --out "$smoke_dir" --resume "$rs" >/dev/null 2>"$smoke_dir/$rs.log"
@@ -154,6 +156,26 @@ grep -q "already journaled" "$smoke_dir/serve-crash.log"
 diff <(scrub "$smoke_dir/serve-crash-ref.json") <(scrub "$smoke_dir/serve-crash.json")
 [[ ! -e "$smoke_dir/serve-crash.journal" && ! -e "$partial" ]]
 echo "serve crash point ok (report byte-identical)"
+# The kept journal with one bit flipped inside its first frame (the
+# header record, complete, at byte 24 of the segment): `query --journals`
+# and `--resume` read it through the same recovery scan, so both must
+# exit 1 naming byte 24, and the resume must quarantine the segment.
+seg=$(echo "$smoke_dir"/crash-flip.journal/*.seg)
+printf 'z' | dd of="$seg" bs=1 seek=44 conv=notrunc status=none # '{' ^ 1
+rc=0
+cargo run --release -q -p miopt-harness -- query --journals \
+    --dir "$smoke_dir" --run crash-flip >"$smoke_dir/crash-flip.query" || rc=$?
+[[ $rc -eq 1 ]]
+grep -q "corrupt: .* at byte 24: " "$smoke_dir/crash-flip.query"
+rc=0
+cargo run --release -q -p miopt-harness -- \
+    --scale paper --only FwPool,BwPool --fig6 --no-cache --quiet --jobs 1 \
+    --out "$smoke_dir" --resume crash-flip >/dev/null 2>"$smoke_dir/crash-flip.log" || rc=$?
+[[ $rc -eq 1 ]]
+grep -q "at byte offset 24: " "$smoke_dir/crash-flip.log"
+[[ -f "$seg.quarantined" && ! -e "$seg" ]]
+rm -r "$smoke_dir/crash-flip.journal"
+echo "damaged journal ok (query and resume both name byte 24; segment quarantined)"
 echo "crash-injection loop ok"
 
 echo "== event-core equivalence spot check (default vs --no-skip, --jobs 2) =="
